@@ -18,6 +18,7 @@ from .algebra import (
     operator_norm,
     spd_solve,
     sym_generalized_eig,
+    sym_generalized_eigvals,
 )
 from .dualprod import (
     BoundViolated,
@@ -56,25 +57,30 @@ from .models import (
     Mesh1D,
     ModelConfig,
     NestingViolated,
+    build_level,
     build_spaces,
     build_truth,
     default_solution,
     error_norms,
     exact_coefficients,
+    truth_record,
 )
 from .saddle import (
     ConstantsReport,
     DegenerateDenominator,
     Discretization,
+    GammaTooLarge,
     GammaZero,
     QuasiOptimality,
     SaddleProblem,
     SingularSystem,
     StabilizedSystem,
     ThreeFieldSystem,
+    TruthRecord,
     assemble_stabilized,
     assemble_three_field,
     constants,
+    measure_truth,
     quasi_optimality,
     recover_aux,
     solve,

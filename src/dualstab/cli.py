@@ -32,7 +32,7 @@ from .dualprod import (
 from .hilbert import Functional, dual_norm
 from .models import ModelConfig, NestingViolated
 from .report import Report, write_report
-from .saddle import GammaZero, SingularSystem
+from .saddle import DegenerateDenominator, GammaTooLarge, GammaZero, SingularSystem
 
 # pass/fail thresholds of the sweep verdicts
 RATE_FLOOR = 0.9
@@ -209,8 +209,8 @@ def _model_config(cfg, coarse, gamma):
             if not mc.s_choice.startswith("scaled:"):
                 raise ValueError(f"s: unknown stiffness choice {mc.s_choice!r}")
             scale = float(mc.s_choice.split(":", 1)[1])
-            if scale <= 0.0:
-                raise ValueError("s: stiffness scaling must be positive")
+            if not np.isfinite(scale) or scale <= 0.0:
+                raise ValueError("s: stiffness scaling must be finite and positive")
         return mc
     except (ValueError, NestingViolated) as exc:
         raise ConfigError(str(exc)) from None
@@ -227,16 +227,24 @@ class LevelSetup:
     gamma: float
 
 
-def _level_setup(cfg, coarse):
-    """Build one mesh level, resolving gamma = 'auto' to gamma0 / 2."""
+def _truth(cfg):
+    """The truth record every level of one command shares."""
+    return models.truth_record(_model_config(cfg, cfg.coarse_elems, 0.0))
+
+
+def _level_setup(cfg, truth, coarse):
+    """Build one mesh level on the shared truth record.
+
+    Resolves gamma = 'auto' to gamma0 / 2.
+    """
     mc = _model_config(cfg, coarse, 0.0)
-    pb = models.build_truth(mc)
+    pb = models.build_level(mc, truth)
     d = models.build_spaces(mc, pb)
-    rep = saddle.constants(pb, d)
+    rep = saddle.constants(pb, d, truth=truth)
     gamma = rep.gamma0 / 2.0 if cfg.gamma == "auto" else float(cfg.gamma)
     if gamma > 0.0:
         mc = replace(mc, gamma=gamma)
-        d = models.build_spaces(mc, pb)
+        d = d.with_gamma(gamma)
     return LevelSetup(config=mc, problem=pb, disc=d, report=rep, gamma=gamma)
 
 
@@ -284,8 +292,9 @@ def cmd_constants(cfg):
         "beta_gamma",
     ]
     report = Report("constants", _config_echo(cfg), cfg.seed, columns)
+    truth = _truth(cfg)
     for level, coarse in enumerate(_levels(cfg)):
-        ls = _level_setup(cfg, coarse)
+        ls = _level_setup(cfg, truth, coarse)
         rep, d = ls.report, ls.disc
         er = equivalence_report(d.dp, d.b_sel, d.q_sel)
         report.add_row(
@@ -323,8 +332,9 @@ def cmd_spectral(cfg):
     columns = ["level", "coarse_elems", "check", "value", "lower", "upper", "status"]
     report = Report("spectral", _config_echo(cfg), cfg.seed, columns)
     failed = False
+    truth = _truth(cfg)
     for level, coarse in enumerate(_levels(cfg)):
-        ls = _level_setup(cfg, coarse)
+        ls = _level_setup(cfg, truth, coarse)
         d = ls.disc
         rng = np.random.default_rng([cfg.seed, level])
         try:
@@ -402,8 +412,9 @@ def cmd_infsup(cfg):
         "status",
     ]
     report = Report("infsup", _config_echo(cfg), cfg.seed, columns)
+    truth = _truth(cfg)
     for level, coarse in enumerate(_levels(cfg)):
-        ls = _level_setup(cfg, coarse)
+        ls = _level_setup(cfg, truth, coarse)
         d = ls.disc
         er = equivalence_report(d.dp, d.b_sel, d.q_sel)
         status = "pass"
@@ -445,7 +456,7 @@ def cmd_solve(cfg):
     """Solve one level through both assembly routes and compare them."""
     columns = ["route", "status", "residual", "u_err", "p_err", "w_norm", "discrepancy"]
     report = Report("solve", _config_echo(cfg), cfg.seed, columns)
-    ls = _level_setup(cfg, cfg.coarse_elems)
+    ls = _level_setup(cfg, _truth(cfg), cfg.coarse_elems)
     pb, d = ls.problem, ls.disc
     exact = models.exact_coefficients(ls.config, models.default_solution())
     stab = saddle.assemble_stabilized(pb, d)
@@ -482,8 +493,8 @@ def cmd_solve(cfg):
     return report
 
 
-def _converge_level(cfg, coarse):
-    ls = _level_setup(cfg, coarse)
+def _converge_level(cfg, truth, coarse):
+    ls = _level_setup(cfg, truth, coarse)
     exact = models.exact_coefficients(ls.config, models.default_solution())
     qo = saddle.quasi_optimality(ls.problem, ls.disc, exact, report=ls.report)
     return ls.gamma, qo
@@ -505,8 +516,10 @@ def cmd_converge(cfg):
     ]
     report = Report("converge", _config_echo(cfg), cfg.seed, columns)
     levels = cfg.levels if cfg.levels else _default_sweep(cfg)
+    # truth-level work runs here once, so the level threads do level-sized work
+    truth = _truth(cfg)
     with ThreadPoolExecutor(max_workers=min(4, len(levels))) as pool:
-        results = list(pool.map(lambda n: _converge_level(cfg, n), levels))
+        results = list(pool.map(lambda n: _converge_level(cfg, truth, n), levels))
     totals = []
     for level, (coarse, (gamma, qo)) in enumerate(zip(levels, results)):
         total = qo.u_err + qo.p_err
@@ -555,11 +568,14 @@ def cmd_condense_check(cfg):
         replace(cfg, coarse_elems=cfg.truth_elems, w="truth"), cfg.truth_elems, 0.0
     )
     pb_max = models.build_truth(mc_max)
+    # the spaces do not depend on gamma: build them once, vary gamma only
+    spaces = models.build_spaces(mc, pb)
+    spaces_max = models.build_spaces(mc_max, pb_max)
     for gamma in cfg.gammas:
-        d = models.build_spaces(replace(mc, gamma=gamma), pb)
+        d = spaces.with_gamma(gamma)
         tf = saddle.assemble_three_field(pb, d)
         disc = condensation_discrepancy(saddle.assemble_stabilized(pb, d), saddle.static_condense(tf))
-        d_max = models.build_spaces(replace(mc_max, gamma=gamma), pb_max)
+        d_max = spaces_max.with_gamma(gamma)
         x, z, _ = saddle.solve(saddle.assemble_three_field(pb_max, d_max))
         w_ratio = pb_max.truth.norm(z) / (1.0 + pb_max.truth.norm(d_max.U.embedding @ x))
         status = "pass" if disc <= CONDENSE_TOL and w_ratio <= W_VANISH_TOL else "fail"
@@ -621,13 +637,20 @@ def main(argv=None):
     try:
         cfg = build_run_config(parse_config_file(args.config), overrides)
         report = _COMMANDS[args.command](cfg)
-    except ConfigError as exc:
+    except (ConfigError, GammaTooLarge) as exc:
         print(f"dualstab: config error: {exc}", file=sys.stderr)
         return 2
     except BoundViolated as exc:
         print(f"dualstab: check failed: {exc}", file=sys.stderr)
         return 1
-    except (NotSpd, DegeneratePencil, GammaZero, SingularSystem, np.linalg.LinAlgError) as exc:
+    except (
+        NotSpd,
+        DegeneratePencil,
+        DegenerateDenominator,
+        GammaZero,
+        SingularSystem,
+        np.linalg.LinAlgError,
+    ) as exc:
         print(f"dualstab: numerical failure: {exc}", file=sys.stderr)
         return 3
     write_report(report, cfg.out, cfg.format)

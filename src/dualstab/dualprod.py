@@ -33,7 +33,7 @@ from .algebra import (
     cholesky,
     require_symmetric,
     spd_solve,
-    sym_generalized_eig,
+    sym_generalized_eigvals,
 )
 from .hilbert import Subspace
 
@@ -104,7 +104,7 @@ def stiffness_from_matrix(sub, s, choice="custom"):
     if s.shape[0] != sub.dim:
         raise DimensionMismatch(f"stiffness of dim {s.shape[0]} does not match subspace {sub.dim}")
     fact = cholesky(s, "stiffness matrix")
-    spectrum = sym_generalized_eig(s, sub.fact).eigenvalues
+    spectrum = sym_generalized_eigvals(s, sub.fact)
     return StiffnessForm(
         matrix=s,
         fact=fact,
@@ -118,7 +118,7 @@ def make_stiffness(sub, choice="gramian"):
     """Build S on a subspace from one of the named choices.
 
     ``gramian``      S = G_W                 (kappa_star = K_star = 1)
-    ``scaled:<s>``   S = s · G_W, s > 0      (kappa_star = K_star = s)
+    ``scaled:<s>``   S = s · G_W, 0 < s < ∞  (kappa_star = K_star = s)
     ``lumped``       S = diag of row sums of G_W; NotSpd when a row sum is
                      nonpositive (e.g. stiffness-like Gramians).
     """
@@ -134,8 +134,8 @@ def make_stiffness(sub, choice="gramian"):
             sigma = float(choice.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"invalid scaled stiffness choice {choice!r}") from None
-        if sigma <= 0.0:
-            raise ValueError("stiffness scaling must be positive")
+        if not np.isfinite(sigma) or sigma <= 0.0:
+            raise ValueError("stiffness scaling must be finite and positive")
         s = sigma * sub.gram_sub
     else:
         raise ValueError(f"unknown stiffness choice {choice!r}")
@@ -168,7 +168,7 @@ def dual_equivalence_interval(dp):
     s_inv = 0.5 * (s_inv + s_inv.T)
     gw_inv = spd_solve(dp.aux.fact, eye)
     gw_inv = 0.5 * (gw_inv + gw_inv.T)
-    spectrum = sym_generalized_eig(s_inv, cholesky(gw_inv, "dual Gramian")).eigenvalues
+    spectrum = sym_generalized_eigvals(s_inv, cholesky(gw_inv, "dual Gramian"))
     return float(spectrum[0]), float(spectrum[-1])
 
 
@@ -203,7 +203,7 @@ def stiffness_dual_norm(dp):
     s = dp.stiffness.matrix
     m = s @ spd_solve(dp.aux.fact, s)
     m = 0.5 * (m + m.T)
-    top = sym_generalized_eig(m, dp.aux.fact).eigenvalues[-1]
+    top = sym_generalized_eigvals(m, dp.aux.fact)[-1]
     return float(np.sqrt(max(top, 0.0)))
 
 
@@ -229,7 +229,9 @@ def pressure_deflation(b_t, q_gram):
     q_gram = require_symmetric(q_gram, "pressure Gramian")
     if q_gram.shape[0] != b_t.shape[1]:
         raise DimensionMismatch("pressure Gramian does not match constraint matrix columns")
-    _, svals, vt = np.linalg.svd(b_t)
+    # a thin SVD holds all of V only when B_T has at least as many rows as
+    # columns; a wide B_T needs the full one, or its kernel rows are lost
+    _, svals, vt = np.linalg.svd(b_t, full_matrices=b_t.shape[0] < b_t.shape[1])
     rank = int(np.sum(svals > KERNEL_RTOL * svals[0])) if svals[0] > 0.0 else 0
     n = b_t.shape[1]
     if rank == n:
@@ -290,7 +292,7 @@ def estimate_c_star(dp, b_t, q_gram):
     mats = _deflated_pressure_matrices(dp, b_t, q_gram)
     numer = mats["b_w"].T @ spd_solve(dp.stiffness.fact, mats["b_w"])
     numer = 0.5 * (numer + numer.T)
-    low = sym_generalized_eig(numer, _dual_t_fact(mats)).eigenvalues[0]
+    low = sym_generalized_eigvals(numer, _dual_t_fact(mats))[0]
     return float(max(low, 0.0))
 
 
@@ -302,7 +304,7 @@ def infsup_qw(b_t, q_gram, sub):
     """
     mats = _deflated_pressure_matrices(sub, b_t, q_gram)
     q_fact = cholesky(mats["q_eff"], "deflated pressure Gramian")
-    low = sym_generalized_eig(mats["sup_w"], q_fact).eigenvalues[0]
+    low = sym_generalized_eigvals(mats["sup_w"], q_fact)[0]
     return float(np.sqrt(max(low, 0.0)))
 
 
@@ -313,7 +315,7 @@ def infsup_dual(b_t, q_gram, sub):
     after deflation.
     """
     mats = _deflated_pressure_matrices(sub, b_t, q_gram)
-    low = sym_generalized_eig(mats["sup_w"], _dual_t_fact(mats)).eigenvalues[0]
+    low = sym_generalized_eigvals(mats["sup_w"], _dual_t_fact(mats))[0]
     return float(np.sqrt(max(low, 0.0)))
 
 
@@ -323,13 +325,13 @@ def equivalence_report(dp, b_t, q_gram):
     dual_fact = _dual_t_fact(mats)
     numer = mats["b_w"].T @ spd_solve(dp.stiffness.fact, mats["b_w"])
     numer = 0.5 * (numer + numer.T)
-    c_star = float(max(sym_generalized_eig(numer, dual_fact).eigenvalues[0], 0.0))
-    alpha_sq = sym_generalized_eig(mats["sup_w"], dual_fact).eigenvalues[0]
+    c_star = float(max(sym_generalized_eigvals(numer, dual_fact)[0], 0.0))
+    alpha_sq = sym_generalized_eigvals(mats["sup_w"], dual_fact)[0]
     alpha_hat = float(np.sqrt(max(alpha_sq, 0.0)))
     q_fact = cholesky(mats["q_eff"], "deflated pressure Gramian")
-    beta_sq = sym_generalized_eig(mats["sup_w"], q_fact).eigenvalues[0]
+    beta_sq = sym_generalized_eigvals(mats["sup_w"], q_fact)[0]
     beta_hat = float(np.sqrt(max(beta_sq, 0.0)))
-    full = sym_generalized_eig(mats["dual_t"], q_fact).eigenvalues
+    full = sym_generalized_eigvals(mats["dual_t"], q_fact)
     beta = float(np.sqrt(max(full[0], 0.0)))
     norm_b = float(np.sqrt(max(full[-1], 0.0)))
     return EquivalenceReport(

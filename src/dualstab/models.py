@@ -22,7 +22,7 @@ import numpy as np
 
 from .dualprod import DualProduct, make_stiffness
 from .hilbert import Functional, Subspace, TruthSpace
-from .saddle import Discretization, SaddleProblem, project_pressure
+from .saddle import Discretization, SaddleProblem, measure_truth, project_pressure
 
 GAUSS_POINTS = 5
 
@@ -251,20 +251,42 @@ def exact_coefficients(cfg, solution):
 # problem and discretization builders
 
 
-def build_truth(cfg, solution=None):
-    """Assemble the truth-level mixed problem for a configuration."""
-    if solution is None:
-        solution = default_solution()
+def _truth_space(cfg):
     n = cfg.truth_elems
     gram = p1_stiffness(n)
     a_form = gram if cfg.reaction == 0.0 else gram + cfg.reaction * p1_interior_mass(n)
-    truth = TruthSpace(gram, label=f"p1-h10-{n}")
+    return TruthSpace(gram, label=f"p1-h10-{n}"), a_form
+
+
+def _problem(cfg, truth, a_form, solution):
+    if solution is None:
+        solution = default_solution()
+    n = cfg.truth_elems
     b_form = constraint_matrix(n, cfg.coarse_elems, cfg.pressure_kind)
     q_gram = pressure_mass(cfg.coarse_elems, cfg.pressure_kind)
     load = Functional(load_vector(n, solution, reaction=cfg.reaction))
     g_rhs = constraint_rhs(n, cfg.coarse_elems, cfg.pressure_kind, solution)
     label = f"{cfg.pressure_kind}-{cfg.coarse_elems}-on-{n}"
     return SaddleProblem(truth, a_form, b_form, q_gram, load, g_rhs, label=label)
+
+
+def build_truth(cfg, solution=None):
+    """Assemble the truth-level mixed problem for a configuration."""
+    return _problem(cfg, *_truth_space(cfg), solution)
+
+
+def truth_record(cfg):
+    """Truth space and a-form of a configuration, with alpha and norm_A measured.
+
+    They depend only on ``truth_elems`` and ``reaction``, so every coarse level
+    of a run shares one record through ``build_level``.
+    """
+    return measure_truth(*_truth_space(cfg))
+
+
+def build_level(cfg, truth):
+    """Assemble the mixed problem of one coarse level on a shared TruthRecord."""
+    return _problem(cfg, truth.space, truth.a_form, None)
 
 
 def build_spaces(cfg, pb, q_select=None):

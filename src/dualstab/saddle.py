@@ -15,6 +15,7 @@ complement, see dualprod).  Assembled systems live in deflated coordinates.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ from .algebra import (
     operator_norm,
     require_symmetric,
     spd_solve,
-    sym_generalized_eig,
+    sym_generalized_eigvals,
 )
 from .dualprod import (
     BoundViolated,
@@ -36,7 +37,7 @@ from .dualprod import (
     infsup_qw,
     pressure_deflation,
 )
-from .hilbert import Functional, Subspace, orthogonal_project
+from .hilbert import Functional, Subspace, TruthSpace, orthogonal_project
 
 # singular value ratio at or below this flags a singular system
 SINGULAR_RTOL = 1e-12
@@ -59,6 +60,10 @@ class SingularSystem(Exception):
 
 class GammaZero(Exception):
     """Operation requires a positive stabilization parameter."""
+
+
+class GammaTooLarge(ValueError):
+    """Stabilization parameter is not below gamma0; no coercivity is predicted."""
 
 
 class DegenerateDenominator(Exception):
@@ -100,6 +105,20 @@ class SaddleProblem:
         return self.b_form.shape[1]
 
 
+def _deflate(b, q_gram):
+    """Deflation Z of the pressures of B, with B Z and Zᵀ G_Q Z."""
+    z = pressure_deflation(b, q_gram)
+    q_eff = z.T @ (q_gram @ z)
+    return z, b @ z, 0.5 * (q_eff + q_eff.T)
+
+
+def _valid_gamma(gamma):
+    gamma = float(gamma)
+    if not np.isfinite(gamma) or gamma < 0.0:
+        raise ValueError("gamma must be a finite nonnegative real")
+    return gamma
+
+
 class Discretization:
     """Choice of (U, Q-selection, W, dual product, gamma) for one problem."""
 
@@ -108,12 +127,9 @@ class Discretization:
             raise TypeError("dp must be a DualProduct")
         if u.parent is not pb.truth or dp.aux.parent is not pb.truth:
             raise DimensionMismatch("subspaces must embed into the problem's truth space")
-        gamma = float(gamma)
-        if not np.isfinite(gamma) or gamma < 0.0:
-            raise ValueError("gamma must be a finite nonnegative real")
         self.U = u
         self.dp = dp
-        self.gamma = gamma
+        self.gamma = _valid_gamma(gamma)
         if q_select is None:
             idx = np.arange(pb.pressure_dim)
         else:
@@ -127,14 +143,11 @@ class Discretization:
         q_sel = pb.q_gram[np.ix_(idx, idx)]
         self.b_sel = b_sel
         self.q_sel = 0.5 * (q_sel + q_sel.T)
-        z = pressure_deflation(b_sel, self.q_sel)
+        z, self.b_eff, self.q_eff = _deflate(b_sel, self.q_sel)
         self.deflation = z
         basis = np.zeros((pb.pressure_dim, z.shape[1]))
         basis[idx] = z
         self.pressure_basis = basis
-        self.b_eff = b_sel @ z
-        q_eff = z.T @ (self.q_sel @ z)
-        self.q_eff = 0.5 * (q_eff + q_eff.T)
         self.q_eff_fact = cholesky(self.q_eff, "deflated pressure Gramian")
         self.g_eff = z.T @ pb.constraint_rhs[idx]
         self.p_dim = z.shape[1]
@@ -142,6 +155,12 @@ class Discretization:
     @property
     def W(self):
         return self.dp.aux
+
+    def with_gamma(self, gamma):
+        """The same spaces and pressure deflation at another gamma."""
+        other = copy.copy(self)
+        other.gamma = _valid_gamma(gamma)
+        return other
 
 
 @dataclass(frozen=True)
@@ -333,25 +352,55 @@ class ConstantsReport:
         return margin * self.c_hat
 
 
-def constants(pb, d):
+@dataclass(frozen=True)
+class TruthRecord:
+    """Truth space and a-form with their constants, shared by every level.
+
+    alpha is the smallest eigenvalue of (sym A, G) and norm_A the operator
+    norm of A; neither depends on the coarse spaces, so a command measures
+    them once per truth mesh.
+    """
+
+    space: TruthSpace
+    a_form: np.ndarray
+    alpha: float
+    norm_A: float
+
+
+def measure_truth(space, a_form):
+    """Measure the coercivity constant and the norm of the a-form on a truth space."""
+    a_form = as_matrix(a_form, "a-form matrix")
+    if a_form.shape != (space.dim, space.dim):
+        raise DimensionMismatch("a-form matrix does not match the truth space")
+    sym_a = 0.5 * (a_form + a_form.T)
+    alpha = float(sym_generalized_eigvals(sym_a, space.fact)[0])
+    norm_a = operator_norm(a_form, space.fact, space.fact)
+    return TruthRecord(space=space, a_form=a_form, alpha=alpha, norm_A=norm_a)
+
+
+def constants(pb, d, truth=None):
     """Measure every constant entering the stabilization bounds.
 
-    alpha and norm_A are truth-level properties of the a-form; beta and norm_B
-    are the deflated truth inf-sup constants of the full pressure space;
-    c_star is measured on the selected pressure columns through the configured
-    dual product.
+    alpha and norm_A are truth-level properties of the a-form, taken from
+    ``truth`` (a TruthRecord of the problem's truth space) or measured here;
+    beta and norm_B are the deflated truth inf-sup constants of the full
+    pressure space; c_star is measured on the selected pressure columns
+    through the configured dual product.
     """
-    g_fact = pb.truth.fact
-    sym_a = 0.5 * (pb.a_form + pb.a_form.T)
-    alpha = float(sym_generalized_eig(sym_a, g_fact).eigenvalues[0])
-    norm_a = operator_norm(pb.a_form, g_fact, g_fact)
-    z = pressure_deflation(pb.b_form, pb.q_gram)
-    b_eff = pb.b_form @ z
-    dual_t = b_eff.T @ spd_solve(g_fact, b_eff)
+    if truth is None:
+        truth = measure_truth(pb.truth, pb.a_form)
+    elif truth.space is not pb.truth:
+        raise DimensionMismatch("truth record does not belong to the problem's truth space")
+    alpha, norm_a = truth.alpha, truth.norm_A
+    if np.array_equal(d.q_select, np.arange(pb.pressure_dim)):
+        # the discretization has deflated the full pressure space already
+        b_eff, q_fact = d.b_eff, d.q_eff_fact
+    else:
+        _, b_eff, q_eff = _deflate(pb.b_form, pb.q_gram)
+        q_fact = cholesky(q_eff, "deflated pressure Gramian")
+    dual_t = b_eff.T @ spd_solve(pb.truth.fact, b_eff)
     dual_t = 0.5 * (dual_t + dual_t.T)
-    q_eff = z.T @ (pb.q_gram @ z)
-    q_eff = 0.5 * (q_eff + q_eff.T)
-    spectrum = sym_generalized_eig(dual_t, cholesky(q_eff, "deflated pressure Gramian")).eigenvalues
+    spectrum = sym_generalized_eigvals(dual_t, q_fact)
     beta = float(np.sqrt(max(spectrum[0], 0.0)))
     norm_b = float(np.sqrt(max(spectrum[-1], 0.0)))
     c_star = estimate_c_star(d.dp, d.b_sel, d.q_sel)
@@ -383,13 +432,13 @@ def verify_coercivity(pb, d, report=None):
     """
     rep = constants(pb, d) if report is None else report
     if d.gamma > 0.0 and d.gamma >= rep.gamma0:
-        raise ValueError(
+        raise GammaTooLarge(
             f"gamma {d.gamma:g} is not below gamma0 {rep.gamma0:g}; no coercivity is predicted"
         )
     system = assemble_stabilized(pb, d)
     sym_k = 0.5 * (system.matrix + system.matrix.T)
     norms = scipy.linalg.block_diag(d.U.gram_sub, d.q_eff)
-    measured = float(sym_generalized_eig(sym_k, cholesky(norms, "norm block")).eigenvalues[0])
+    measured = float(sym_generalized_eigvals(sym_k, cholesky(norms, "norm block"))[0])
     predicted = rep.beta_gamma(d.gamma)
     if measured < predicted - COERCIVITY_TOL * max(1.0, abs(predicted)):
         raise BoundViolated(
@@ -455,7 +504,7 @@ def quasi_optimality(pb, d, exact, report=None):
     """
     rep = constants(pb, d) if report is None else report
     if d.gamma > 0.0 and d.gamma >= rep.gamma0:
-        raise ValueError(f"gamma {d.gamma:g} is not below gamma0 {rep.gamma0:g}")
+        raise GammaTooLarge(f"gamma {d.gamma:g} is not below gamma0 {rep.gamma0:g}")
     xe, ye = exact
     xe = np.asarray(xe, dtype=float)
     ye = np.asarray(ye, dtype=float)

@@ -9,6 +9,7 @@ from dualstab.algebra import (
     require_symmetric,
     spd_solve,
     sym_generalized_eig,
+    sym_generalized_eigvals,
 )
 
 
@@ -124,6 +125,33 @@ class TestGeneralizedEig:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             sym_generalized_eig(np.eye(3), cholesky(np.eye(2), "b"))
+
+
+class TestGeneralizedEigvals:
+    def test_matches_full_solve(self):
+        rng = np.random.default_rng(24)
+        for n in (1, 2, 10, 60):
+            a = random_spd(rng, n)
+            b = random_spd(rng, n)
+            fact = cholesky(b, "b")
+            full = sym_generalized_eig(a, fact).eigenvalues
+            np.testing.assert_allclose(
+                sym_generalized_eigvals(a, fact), full, rtol=1e-12, atol=0.0
+            )
+
+    def test_indefinite_pencil_matrix(self):
+        rng = np.random.default_rng(25)
+        q, _ = np.linalg.qr(rng.standard_normal((30, 30)))
+        a = q @ (np.linspace(-5.0, 3.0, 30)[:, None] * q.T)
+        fact = cholesky(random_spd(rng, 30), "b")
+        values = sym_generalized_eigvals(a, fact)
+        full = sym_generalized_eig(a, fact).eigenvalues
+        assert values[0] < 0.0 < values[-1]
+        np.testing.assert_allclose(values, full, rtol=1e-12, atol=1e-12 * np.abs(full).max())
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            sym_generalized_eigvals(np.eye(3), cholesky(np.eye(2), "b"))
 
 
 class TestOperatorNorm:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import dualstab.cli as cli
+from dualstab import saddle
 from dualstab.cli import (
     ConfigError,
     RunConfig,
@@ -105,6 +106,11 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="positive"):
             build_run_config({"s": "scaled:-2"}, {})
 
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-inf"])
+    def test_non_finite_stiffness_scale(self, scale):
+        with pytest.raises(ConfigError, match="finite"):
+            build_run_config({"s": f"scaled:{scale}"}, {})
+
     def test_non_nested_mesh_pair(self):
         with pytest.raises(ConfigError, match="coarse"):
             build_run_config({"truth_elems": "16", "coarse_elems": "64"}, {})
@@ -147,6 +153,26 @@ class TestExitCodes:
         code = main(["constants", "--config", path])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_non_finite_scale_exits_2(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, SMALL + "s = scaled:nan\n")
+        assert main(["constants", "--config", path]) == 2
+        assert "dualstab: config error: s:" in capsys.readouterr().err
+
+    def test_converge_gamma_above_gamma0_exits_2(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, "truth_elems = 64\n")
+        code = main(["converge", "--config", path, "--gamma", "50"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dualstab: config error: gamma 50 ")
+        assert "gamma0" in err and "Traceback" not in err
+
+    def test_converge_discrete_exact_solution_exits_3(self, tmp_path, capsys):
+        # U = W = truth: the exact solution is discrete, the ratio undefined
+        path = write_cfg(tmp_path, "truth_elems = 64\n")
+        code = main(["converge", "--config", path, "--coarse-elems", "64", "--w", "truth"])
+        assert code == 3
+        assert "dualstab: numerical failure:" in capsys.readouterr().err
 
     def test_bound_violation_exits_1(self, tmp_path, monkeypatch, capsys):
         def boom(cfg):
@@ -295,3 +321,21 @@ class TestCommands:
         assert main(["constants", "--config", path]) == 0
         out = capsys.readouterr().out
         assert out.startswith("level,coarse_elems,")
+
+
+class TestTruthLevelWork:
+    @pytest.mark.parametrize("command", ["constants", "converge"])
+    def test_truth_pencil_measured_once_per_command(self, tmp_path, monkeypatch, command):
+        calls = []
+        original = saddle.operator_norm
+
+        def counted(a, test_fact, trial_fact):
+            calls.append(a.shape)
+            return original(a, test_fact, trial_fact)
+
+        monkeypatch.setattr(saddle, "operator_norm", counted)
+        path = write_cfg(tmp_path, "truth_elems = 64\nlevels = 4, 8, 16, 32\n")
+        code, _, rows = run_csv(tmp_path, [command, "--config", path])
+        assert code == 0
+        assert len(rows) == 4
+        assert calls == [(63, 63)]

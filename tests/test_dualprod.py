@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dualstab.algebra import NotSpd, spd_solve
 from dualstab.dualprod import (
@@ -22,7 +23,13 @@ from dualstab.dualprod import (
     verify_stiffness_bound,
 )
 from dualstab.hilbert import Functional, Subspace, TruthSpace, dual_norm
-from dualstab.models import p1_interior_mass, p1_stiffness, prolongation_p1
+from dualstab.models import (
+    constraint_matrix,
+    p1_interior_mass,
+    p1_stiffness,
+    pressure_mass,
+    prolongation_p1,
+)
 
 
 def random_truth(rng, n, lo=0.1, hi=10.0):
@@ -73,6 +80,9 @@ class TestStiffnessChoices:
             make_stiffness(sub, "scaled:0")
         with pytest.raises(ValueError):
             make_stiffness(sub, "scaled:x")
+        for scale in ("nan", "inf"):
+            with pytest.raises(ValueError, match="finite"):
+                make_stiffness(sub, f"scaled:{scale}")
         with pytest.raises(ValueError):
             make_stiffness(sub, "diag")
 
@@ -199,6 +209,28 @@ class TestPressureDeflation:
         # deflated directions carry no kernel component: B z has full rank 4
         s = np.linalg.svd(mix @ z, compute_uv=False)
         assert s[-1] > 1e-10 * s[0]
+
+    def test_wide_constraint_keeps_every_kernel_vector(self):
+        # fewer rows than columns: the kernel has at least cols - rows vectors,
+        # which a thin SVD of B would not return
+        rng = np.random.default_rng(33)
+        b = rng.standard_normal((5, 8))
+        qg = np.eye(8) + 0.1 * np.ones((8, 8))
+        z = pressure_deflation(b, qg)
+        kernel = scipy.linalg.null_space(b)
+        assert z.shape == (8, 5) and kernel.shape == (8, 3)
+        np.testing.assert_allclose(z.T @ qg @ z, np.eye(5), atol=1e-10)
+        np.testing.assert_allclose(z.T @ qg @ kernel, 0.0, atol=1e-10)
+
+    def test_wide_model_constraint(self):
+        # coarse = truth: 15 truth hats against 17 P1 pressures
+        b = constraint_matrix(16, 16, "p1")
+        qg = pressure_mass(16, "p1")
+        z = pressure_deflation(b, qg)
+        kernel = scipy.linalg.null_space(b)
+        assert z.shape[1] + kernel.shape[1] == 17
+        np.testing.assert_allclose(z.T @ qg @ z, np.eye(z.shape[1]), atol=1e-10)
+        np.testing.assert_allclose(z.T @ qg @ kernel, 0.0, atol=1e-10)
 
     def test_zero_matrix_degenerate(self):
         with pytest.raises(DegeneratePencil):

@@ -227,6 +227,17 @@ class TestBuilders:
         pb = models.build_truth(cfg)
         np.testing.assert_array_equal(pb.a_form, pb.truth.gramian)
 
+    def test_level_on_truth_record_matches_build_truth(self):
+        cfg = ModelConfig(truth_elems=32, coarse_elems=8, reaction=2.0)
+        truth = models.truth_record(cfg)
+        pb, ref = models.build_level(cfg, truth), models.build_truth(cfg)
+        assert pb.truth is truth.space and pb.a_form is truth.a_form
+        assert pb.label == ref.label
+        for name in ("a_form", "b_form", "q_gram", "constraint_rhs"):
+            np.testing.assert_array_equal(getattr(pb, name), getattr(ref, name))
+        np.testing.assert_array_equal(pb.load.action, ref.load.action)
+        assert truth.alpha == saddle.constants(ref, models.build_spaces(cfg, ref)).alpha
+
     def test_reaction_adds_mass(self):
         cfg = ModelConfig(truth_elems=32, coarse_elems=8, reaction=3.0)
         pb = models.build_truth(cfg)

@@ -17,6 +17,7 @@ from dualstab.saddle import (
     assemble_three_field,
     combined_subspace,
     constants,
+    measure_truth,
     project_pressure,
     quasi_optimality,
     recover_aux,
@@ -169,6 +170,24 @@ class TestConstants:
         assert rep.alpha > 1.0  # a(u,u) = |u|^2 + r||u||^2 > |u|^2
         assert rep.norm_A > rep.alpha * 1.01
 
+    def test_shared_truth_record_gives_same_constants(self):
+        cfg, pb, d = build(reaction=5.0)
+        truth = measure_truth(pb.truth, pb.a_form)
+        assert constants(pb, d, truth=truth) == constants(pb, d)
+
+    def test_truth_record_of_other_truth_space_rejected(self):
+        cfg, pb, d = build()
+        _, other, _ = build()
+        with pytest.raises(DimensionMismatch):
+            constants(pb, d, truth=measure_truth(other.truth, other.a_form))
+
+    def test_pressure_selection_keeps_full_space_beta(self):
+        cfg, pb, d = build(truth=32, coarse=8, pressure_kind="p0")
+        sel = Discretization(pb, d.U, d.dp, 0.1, q_select=[0, 1, 2, 3])
+        full, part = constants(pb, d), constants(pb, sel)
+        assert part.beta == full.beta and part.norm_B == full.norm_B
+        assert part.c_star != full.c_star
+
     def test_c_hat_and_big_c_hat(self):
         cfg, pb, d = build()
         rep = constants(pb, d)
@@ -283,6 +302,18 @@ class TestValidation:
             Discretization(pb, d.U, d.dp, 0.1, q_select=[99])
         with pytest.raises(ValueError):
             Discretization(pb, d.U, d.dp, -1.0)
+
+    def test_with_gamma_shares_spaces(self):
+        cfg, pb, d = build(gamma=0.0)
+        d2 = d.with_gamma(0.3)
+        assert d.gamma == 0.0 and d2.gamma == 0.3
+        assert d2.U is d.U and d2.dp is d.dp and d2.deflation is d.deflation
+        rebuilt = models.build_spaces(replace(cfg, gamma=0.3), pb)
+        np.testing.assert_array_equal(
+            assemble_stabilized(pb, d2).matrix, assemble_stabilized(pb, rebuilt).matrix
+        )
+        with pytest.raises(ValueError):
+            d.with_gamma(np.nan)
 
     def test_q_select_restricts_pressure(self):
         cfg, pb, d = build(truth=16, coarse=4, pressure_kind="p0")
