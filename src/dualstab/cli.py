@@ -16,20 +16,7 @@ import numpy as np
 
 from . import models, saddle
 from .algebra import NotSpd
-from .dualprod import (
-    BOUND_RTOL,
-    CHAIN_RTOL,
-    BoundViolated,
-    DegeneratePencil,
-    dual_equivalence_interval,
-    equivalence_report,
-    stiffness_dual_norm,
-    verify_cstar_infsup_link,
-    verify_dual_equivalence,
-    verify_infsup_sandwich,
-    verify_stiffness_bound,
-)
-from .hilbert import Functional, dual_norm
+from .dualprod import BoundViolated, DegeneratePencil, spectral_checks
 from .models import ModelConfig, NestingViolated
 from .report import Report, write_report
 from .saddle import DegenerateDenominator, GammaTooLarge, GammaZero, SingularSystem
@@ -39,9 +26,6 @@ RATE_FLOOR = 0.9
 QRATIO_SPREAD = 2.0
 CONDENSE_TOL = 1e-12
 W_VANISH_TOL = 1e-9
-
-# random pressures drawn per level for the pairing sweep
-SWEEP_SAMPLES = 100
 
 _CONFIG_KEYS = (
     "truth_elems",
@@ -295,8 +279,7 @@ def cmd_constants(cfg):
     truth = _truth(cfg)
     for level, coarse in enumerate(_levels(cfg)):
         ls = _level_setup(cfg, truth, coarse)
-        rep, d = ls.report, ls.disc
-        er = equivalence_report(d.dp, d.b_sel, d.q_sel)
+        rep = ls.report
         report.add_row(
             level=level,
             coarse_elems=coarse,
@@ -308,8 +291,8 @@ def cmd_constants(cfg):
             K_star=rep.K_star,
             c_star=rep.c_star,
             C_star=rep.C_star,
-            alpha_hat=er.alpha_hat,
-            beta_hat=er.beta_hat,
+            alpha_hat=rep.alpha_hat,
+            beta_hat=rep.beta_hat,
             gamma0=rep.gamma0,
             gamma_tilde0=rep.gamma_tilde0,
             gamma=ls.gamma,
@@ -318,84 +301,29 @@ def cmd_constants(cfg):
     return report
 
 
-def _status(value, lower, upper, tol):
-    ok = True
-    if lower is not None:
-        ok = ok and value >= lower - tol * max(1.0, abs(lower))
-    if upper is not None:
-        ok = ok and value <= upper + tol * max(1.0, abs(upper))
-    return "pass" if ok else "fail"
-
-
 def cmd_spectral(cfg):
     """Per-level verification rows for every spectral bound."""
     columns = ["level", "coarse_elems", "check", "value", "lower", "upper", "status"]
     report = Report("spectral", _config_echo(cfg), cfg.seed, columns)
-    failed = False
     truth = _truth(cfg)
     for level, coarse in enumerate(_levels(cfg)):
-        ls = _level_setup(cfg, truth, coarse)
-        d = ls.disc
-        rng = np.random.default_rng([cfg.seed, level])
-        try:
-            verify_dual_equivalence(d.dp)
-            verify_stiffness_bound(d.dp)
-            verify_cstar_infsup_link(d.dp, d.b_sel, d.q_sel)
-            er = verify_infsup_sandwich(d.dp, d.b_sel, d.q_sel, rng=rng, samples=SWEEP_SAMPLES)
-        except BoundViolated:
-            failed = True
-            er = equivalence_report(d.dp, d.b_sel, d.q_sel)
-        lo, hi = dual_equivalence_interval(d.dp)
-        bounds = (1.0 / er.K_star, 1.0 / er.kappa_star)
-        ratios = _pairing_ratios(d, np.random.default_rng([cfg.seed, level, 1]))
-
-        def row(check, value, lower=None, upper=None, tol=BOUND_RTOL):
+        mc = _model_config(cfg, coarse, 0.0)
+        d = models.build_spaces(mc, models.build_level(mc, truth))
+        rng = np.random.default_rng([cfg.seed, level, 1])
+        _, rows = spectral_checks(d.dp, d.b_sel, d.q_sel, rng)
+        for row in rows:
             report.add_row(
                 level=level,
                 coarse_elems=coarse,
-                check=check,
-                value=value,
-                lower=lower,
-                upper=upper,
-                status=_status(value, lower, upper, tol),
+                check=row.check,
+                value=row.value,
+                lower=row.lower,
+                upper=row.upper,
+                status=row.status,
             )
-
-        row("equivalence_low", lo, lower=bounds[0], upper=bounds[1])
-        row("equivalence_high", hi, lower=bounds[0], upper=bounds[1])
-        row("stiffness_bound", stiffness_dual_norm(d.dp), upper=er.K_star)
-        row(
-            "chain_alpha_hat",
-            er.alpha_hat,
-            lower=float(np.sqrt(max(er.c_star * er.kappa_star, 0.0))),
-            tol=CHAIN_RTOL,
-        )
-        row("chain_c_star", er.c_star, lower=er.alpha_hat**2 / er.K_star, tol=CHAIN_RTOL)
-        row(
-            "sandwich",
-            er.alpha_hat,
-            lower=er.beta_hat / er.norm_B,
-            upper=er.beta_hat / er.beta if er.beta > 0.0 else None,
-            tol=CHAIN_RTOL,
-        )
-        row("pairing_min", ratios[0], lower=er.beta, tol=CHAIN_RTOL)
-        row("pairing_max", ratios[1], upper=er.norm_B, tol=CHAIN_RTOL)
-    if failed or any(r["status"] == "fail" for r in report.rows):
+    if any(r["status"] == "fail" for r in report.rows):
         report.verdict = "fail"
     return report
-
-
-def _pairing_ratios(d, rng):
-    """Extremes of ‖B q‖₋₁ / ⦀q⦀ over random deflated pressures."""
-    truth = d.U.parent
-    lo, hi = np.inf, -np.inf
-    for _ in range(SWEEP_SAMPLES):
-        y = rng.standard_normal(d.p_dim)
-        p_norm = np.sqrt(max(y @ (d.q_eff @ y), 0.0))
-        if p_norm == 0.0:
-            continue
-        ratio = dual_norm(truth, Functional(d.b_eff @ y)) / p_norm
-        lo, hi = min(lo, ratio), max(hi, ratio)
-    return float(lo), float(hi)
 
 
 def cmd_infsup(cfg):
@@ -416,7 +344,6 @@ def cmd_infsup(cfg):
     for level, coarse in enumerate(_levels(cfg)):
         ls = _level_setup(cfg, truth, coarse)
         d = ls.disc
-        er = equivalence_report(d.dp, d.b_sel, d.q_sel)
         status = "pass"
         try:
             relaxed = saddle.verify_relaxed_infsup(ls.problem, d)
@@ -430,18 +357,12 @@ def cmd_infsup(cfg):
             u_dim=d.U.dim,
             w_dim=d.W.dim,
             p_dim=d.p_dim,
-            beta=er.beta,
-            beta_hat=er.beta_hat,
+            beta=ls.report.beta,
+            beta_hat=ls.report.beta_hat,
             relaxed=relaxed,
             status=status,
         )
     return report
-
-
-def _relative_residual(system, sol):
-    resid = np.linalg.norm(system.matrix @ sol - system.rhs)
-    scale = np.linalg.norm(system.matrix, "fro") * np.linalg.norm(sol) + np.linalg.norm(system.rhs)
-    return float(resid / max(scale, np.finfo(float).tiny))
 
 
 def condensation_discrepancy(stabilized, condensed):
@@ -469,7 +390,7 @@ def cmd_solve(cfg):
     report.add_row(
         route="stabilized",
         status="ok",
-        residual=_relative_residual(stab, np.concatenate([x, y])),
+        residual=saddle.relative_residual(stab, np.concatenate([x, y])),
         u_err=u_err,
         p_err=p_err,
     )
@@ -480,7 +401,7 @@ def cmd_solve(cfg):
         report.add_row(
             route="three_field",
             status="ok",
-            residual=_relative_residual(tf, np.concatenate([x3, z3, y3])),
+            residual=saddle.relative_residual(tf, np.concatenate([x3, z3, y3])),
             u_err=u_err3,
             p_err=p_err3,
             w_norm=d.W.norm(z3),
@@ -650,6 +571,7 @@ def main(argv=None):
         GammaZero,
         SingularSystem,
         np.linalg.LinAlgError,
+        OverflowError,
     ) as exc:
         print(f"dualstab: numerical failure: {exc}", file=sys.stderr)
         return 3

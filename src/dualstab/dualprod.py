@@ -13,6 +13,10 @@ and on the range of a constraint operator B it is bounded below by c_star.
 The inf-sup estimators tie c_star to the dual-norm inf-sup constant alpha_hat
 and to the plain mixed-form inf-sup constants over (Q, W).
 
+Every bound between these constants is one row of a check table (``Check``):
+``spectral_checks`` builds the whole table from one deflation, and each
+``verify_*`` function raises BoundViolated from its own rows of it.
+
 Deflation convention: every pressure pencil is restricted to the
 G_Q-orthogonal complement of ker B_T, computed from the singular value
 decomposition of B_T.  Mean-zero pressure spaces are realized this way, never
@@ -43,8 +47,12 @@ BOUND_RTOL = 1e-9
 # relative tolerance for the inf-sup chain and sandwich inequalities
 CHAIN_RTOL = 1e-8
 
-# singular values at or below this fraction of the largest are kernel
+# singular values at or below this fraction of the largest are kernel; so
+# is a c_star at or below this fraction of C_star
 KERNEL_RTOL = 1e-12
+
+# random deflated pressures drawn per check table for the pairing sweep
+SWEEP_SAMPLES = 100
 
 
 class BoundViolated(Exception):
@@ -152,10 +160,6 @@ def c_apply(dp, f, g):
     return float(wf @ spd_solve(dp.stiffness.fact, wg))
 
 
-def _bound_tol(bound):
-    return BOUND_RTOL * max(1.0, abs(bound))
-
-
 def dual_equivalence_interval(dp):
     """Extreme ratios of c against the exact dual product on the dual image of W.
 
@@ -172,27 +176,6 @@ def dual_equivalence_interval(dp):
     return float(spectrum[0]), float(spectrum[-1])
 
 
-def verify_dual_equivalence(dp):
-    """Check the equivalence interval against [1/K_star, 1/kappa_star].
-
-    Returns (lower, upper) extreme ratios.
-    """
-    lower, upper = dual_equivalence_interval(dp)
-    lo_bound = 1.0 / dp.stiffness.K_star
-    hi_bound = 1.0 / dp.stiffness.kappa_star
-    if lower < lo_bound - _bound_tol(lo_bound):
-        raise BoundViolated(
-            f"dual equivalence lower ratio {lower:.6e} below 1/K_star {lo_bound:.6e}",
-            value=lower,
-        )
-    if upper > hi_bound + _bound_tol(hi_bound):
-        raise BoundViolated(
-            f"dual equivalence upper ratio {upper:.6e} above 1/kappa_star {hi_bound:.6e}",
-            value=upper,
-        )
-    return lower, upper
-
-
 def stiffness_dual_norm(dp):
     """Largest dual norm of S w over ‖w‖.
 
@@ -205,17 +188,6 @@ def stiffness_dual_norm(dp):
     m = 0.5 * (m + m.T)
     top = sym_generalized_eigvals(m, dp.aux.fact)[-1]
     return float(np.sqrt(max(top, 0.0)))
-
-
-def verify_stiffness_bound(dp):
-    """Check that the boundedness constant of S does not exceed K_star."""
-    value = stiffness_dual_norm(dp)
-    bound = dp.stiffness.K_star
-    if value > bound + _bound_tol(bound):
-        raise BoundViolated(
-            f"stiffness dual-norm bound {value:.6e} exceeds K_star {bound:.6e}", value=value
-        )
-    return value
 
 
 def pressure_deflation(b_t, q_gram):
@@ -284,18 +256,6 @@ def _dual_t_fact(mats):
         raise DegeneratePencil("deflated dual-norm Gramian is singular") from None
 
 
-def estimate_c_star(dp, b_t, q_gram):
-    """Largest c_star with c(Bq, Bq) ≥ c_star ‖Bq‖₋₁² on the deflated pressures.
-
-    Smallest eigenvalue of (B_Wᵀ S⁻¹ B_W, B_Tᵀ G⁻¹ B_T) after deflation.
-    """
-    mats = _deflated_pressure_matrices(dp, b_t, q_gram)
-    numer = mats["b_w"].T @ spd_solve(dp.stiffness.fact, mats["b_w"])
-    numer = 0.5 * (numer + numer.T)
-    low = sym_generalized_eigvals(numer, _dual_t_fact(mats))[0]
-    return float(max(low, 0.0))
-
-
 def infsup_qw(b_t, q_gram, sub):
     """Inf-sup constant of the mixed form over (deflated pressures, subspace).
 
@@ -319,35 +279,146 @@ def infsup_dual(b_t, q_gram, sub):
     return float(np.sqrt(max(low, 0.0)))
 
 
-def equivalence_report(dp, b_t, q_gram):
-    """Collect every spectral constant of a configuration in one report."""
-    mats = _deflated_pressure_matrices(dp, b_t, q_gram)
+def _equivalence(dp, mats):
+    """Every spectral constant of a configuration from its deflated matrices."""
     dual_fact = _dual_t_fact(mats)
     numer = mats["b_w"].T @ spd_solve(dp.stiffness.fact, mats["b_w"])
     numer = 0.5 * (numer + numer.T)
-    c_star = float(max(sym_generalized_eigvals(numer, dual_fact)[0], 0.0))
+    c_upper = 1.0 / dp.stiffness.kappa_star
+    c_star = float(sym_generalized_eigvals(numer, dual_fact)[0])
+    if c_star <= KERNEL_RTOL * c_upper:
+        # W misses part of the range of B: zero, not roundoff
+        c_star = 0.0
     alpha_sq = sym_generalized_eigvals(mats["sup_w"], dual_fact)[0]
-    alpha_hat = float(np.sqrt(max(alpha_sq, 0.0)))
     q_fact = cholesky(mats["q_eff"], "deflated pressure Gramian")
     beta_sq = sym_generalized_eigvals(mats["sup_w"], q_fact)[0]
-    beta_hat = float(np.sqrt(max(beta_sq, 0.0)))
     full = sym_generalized_eigvals(mats["dual_t"], q_fact)
-    beta = float(np.sqrt(max(full[0], 0.0)))
-    norm_b = float(np.sqrt(max(full[-1], 0.0)))
     return EquivalenceReport(
         kappa_star=dp.stiffness.kappa_star,
         K_star=dp.stiffness.K_star,
         c_star=c_star,
-        C_star=1.0 / dp.stiffness.kappa_star,
-        alpha_hat=alpha_hat,
-        beta_hat=beta_hat,
-        beta=beta,
-        norm_B=norm_b,
+        C_star=c_upper,
+        alpha_hat=float(np.sqrt(max(alpha_sq, 0.0))),
+        beta_hat=float(np.sqrt(max(beta_sq, 0.0))),
+        beta=float(np.sqrt(max(full[0], 0.0))),
+        norm_B=float(np.sqrt(max(full[-1], 0.0))),
     )
 
 
-def _chain_tol(value):
-    return CHAIN_RTOL * max(1.0, abs(value))
+def equivalence_report(dp, b_t, q_gram):
+    """Collect every spectral constant of a configuration in one report."""
+    return _equivalence(dp, _deflated_pressure_matrices(dp, b_t, q_gram))
+
+
+def estimate_c_star(dp, b_t, q_gram):
+    """Largest c_star with c(Bq, Bq) ≥ c_star ‖Bq‖₋₁² on the deflated pressures.
+
+    Smallest eigenvalue of (B_Wᵀ S⁻¹ B_W, B_Tᵀ G⁻¹ B_T) after deflation; values
+    at or below KERNEL_RTOL · C_star are exactly zero.
+    """
+    return equivalence_report(dp, b_t, q_gram).c_star
+
+
+# ---------------------------------------------------------------------------
+# the check table: every verified bound is one row, decided by Check.status
+
+
+@dataclass(frozen=True)
+class Check:
+    """One verified bound of the check table.
+
+    Passes when lower − tol·max(1, |lower|) ≤ value ≤ upper + tol·max(1, |upper|);
+    a missing side (None) is unbounded.
+    """
+
+    check: str
+    value: float
+    lower: float | None
+    upper: float | None
+    tol: float
+
+    @property
+    def status(self):
+        ok = self.lower is None or self.value >= self.lower - self.tol * max(1.0, abs(self.lower))
+        if self.upper is not None:
+            ok = ok and self.value <= self.upper + self.tol * max(1.0, abs(self.upper))
+        return "pass" if ok else "fail"
+
+
+def _raise_failed(rows):
+    for row in rows:
+        if row.status == "fail":
+            bounds = ", ".join("-" if b is None else f"{b:.6e}" for b in (row.lower, row.upper))
+            raise BoundViolated(f"{row.check} {row.value:.6e} outside [{bounds}]", value=row.value)
+
+
+def _equivalence_rows(dp):
+    lower, upper = dual_equivalence_interval(dp)
+    bounds = (1.0 / dp.stiffness.K_star, 1.0 / dp.stiffness.kappa_star)
+    return [
+        Check("equivalence_low", lower, *bounds, BOUND_RTOL),
+        Check("equivalence_high", upper, *bounds, BOUND_RTOL),
+    ]
+
+
+def _stiffness_row(dp):
+    return Check("stiffness_bound", stiffness_dual_norm(dp), None, dp.stiffness.K_star, BOUND_RTOL)
+
+
+def _chain_rows(rep):
+    link = float(np.sqrt(max(rep.c_star * rep.kappa_star, 0.0)))
+    return [
+        Check("chain_alpha_hat", rep.alpha_hat, link, None, CHAIN_RTOL),
+        Check("chain_c_star", rep.c_star, rep.alpha_hat**2 / rep.K_star, None, CHAIN_RTOL),
+    ]
+
+
+def _sandwich_rows(rep, mats, rng, samples):
+    """The sandwich row and the extremes of ‖B q‖₋₁ / ⦀q⦀ over random pressures."""
+    if rep.beta <= 0.0:
+        raise DegeneratePencil("truth inf-sup constant vanishes; sandwich undefined")
+    ys = rng.standard_normal((samples, mats["q_eff"].shape[0]))
+    b_sq = np.einsum("ij,jk,ik->i", ys, mats["dual_t"], ys)
+    p_sq = np.einsum("ij,jk,ik->i", ys, mats["q_eff"], ys)
+    ratios = np.sqrt(np.maximum(b_sq, 0.0) / p_sq)
+    sandwich = (rep.beta_hat / rep.norm_B, rep.beta_hat / rep.beta)
+    return [
+        Check("sandwich", rep.alpha_hat, *sandwich, CHAIN_RTOL),
+        Check("pairing_min", float(ratios.min()), rep.beta, None, CHAIN_RTOL),
+        Check("pairing_max", float(ratios.max()), None, rep.norm_B, CHAIN_RTOL),
+    ]
+
+
+def spectral_checks(dp, b_t, q_gram, rng):
+    """Measure a configuration once and check every spectral bound on it.
+
+    Returns the EquivalenceReport and eight Check rows: the equivalence
+    interval ends against [1/K_star, 1/kappa_star], the stiffness dual norm
+    against K_star, the two chain bounds, the sandwich, and the extreme
+    ratios of SWEEP_SAMPLES random deflated pressures drawn from ``rng``
+    against beta and norm_B.
+    """
+    mats = _deflated_pressure_matrices(dp, b_t, q_gram)
+    rep = _equivalence(dp, mats)
+    rows = _equivalence_rows(dp) + [_stiffness_row(dp)] + _chain_rows(rep)
+    return rep, rows + _sandwich_rows(rep, mats, rng, SWEEP_SAMPLES)
+
+
+def verify_dual_equivalence(dp):
+    """Check the equivalence interval against [1/K_star, 1/kappa_star].
+
+    Returns (lower, upper) extreme ratios.
+    """
+    rows = _equivalence_rows(dp)
+    _raise_failed(rows)
+    return rows[0].value, rows[1].value
+
+
+def verify_stiffness_bound(dp):
+    """Check that the boundedness constant of S does not exceed K_star."""
+    row = _stiffness_row(dp)
+    _raise_failed([row])
+    return row.value
 
 
 def verify_cstar_infsup_link(dp, b_t, q_gram):
@@ -357,54 +428,19 @@ def verify_cstar_infsup_link(dp, b_t, q_gram):
     S = G_W both hold with equality.  Returns the full report.
     """
     rep = equivalence_report(dp, b_t, q_gram)
-    lower = float(np.sqrt(max(rep.c_star * rep.kappa_star, 0.0)))
-    if rep.alpha_hat < lower - _chain_tol(lower):
-        raise BoundViolated(
-            f"alpha_hat {rep.alpha_hat:.6e} below (c_star kappa_star)^1/2 {lower:.6e}",
-            value=rep.alpha_hat,
-        )
-    floor = rep.alpha_hat**2 / rep.K_star
-    if rep.c_star < floor - _chain_tol(floor):
-        raise BoundViolated(
-            f"c_star {rep.c_star:.6e} below alpha_hat^2/K_star {floor:.6e}", value=rep.c_star
-        )
+    _raise_failed(_chain_rows(rep))
     return rep
 
 
-def verify_infsup_sandwich(dp, b_t, q_gram, rng=None, samples=100):
+def verify_infsup_sandwich(dp, b_t, q_gram, rng=None, samples=SWEEP_SAMPLES):
     """Check the sandwich between mixed-form and dual-norm inf-sup constants.
 
     beta_hat / norm_B ≤ alpha_hat ≤ beta_hat / beta, plus the two-sided norm
     equivalence beta ⦀q⦀ ≤ ‖B q‖₋₁ ≤ norm_B ⦀q⦀ on random deflated pressures.
     """
-    rep = equivalence_report(dp, b_t, q_gram)
-    if rep.beta <= 0.0:
-        raise DegeneratePencil("truth inf-sup constant vanishes; sandwich undefined")
-    lower = rep.beta_hat / rep.norm_B
-    upper = rep.beta_hat / rep.beta
-    if rep.alpha_hat < lower - _chain_tol(lower):
-        raise BoundViolated(
-            f"alpha_hat {rep.alpha_hat:.6e} below beta_hat/norm_B {lower:.6e}",
-            value=rep.alpha_hat,
-        )
-    if rep.alpha_hat > upper + _chain_tol(upper):
-        raise BoundViolated(
-            f"alpha_hat {rep.alpha_hat:.6e} above beta_hat/beta {upper:.6e}",
-            value=rep.alpha_hat,
-        )
     mats = _deflated_pressure_matrices(dp, b_t, q_gram)
+    rep = _equivalence(dp, mats)
     if rng is None:
         rng = np.random.default_rng(0)
-    for _ in range(samples):
-        y = rng.standard_normal(mats["q_eff"].shape[0])
-        p_norm = np.sqrt(max(y @ (mats["q_eff"] @ y), 0.0))
-        b_norm = np.sqrt(max(y @ (mats["dual_t"] @ y), 0.0))
-        if b_norm < rep.beta * p_norm - _chain_tol(rep.beta * p_norm):
-            raise BoundViolated(
-                f"random pressure with ‖Bq‖ {b_norm:.6e} below beta ⦀q⦀", value=b_norm
-            )
-        if b_norm > rep.norm_B * p_norm + _chain_tol(rep.norm_B * p_norm):
-            raise BoundViolated(
-                f"random pressure with ‖Bq‖ {b_norm:.6e} above norm_B ⦀q⦀", value=b_norm
-            )
+    _raise_failed(_sandwich_rows(rep, mats, rng, samples))
     return rep

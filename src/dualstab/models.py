@@ -22,7 +22,8 @@ import numpy as np
 
 from .dualprod import DualProduct, make_stiffness
 from .hilbert import Functional, Subspace, TruthSpace
-from .saddle import Discretization, SaddleProblem, measure_truth, project_pressure
+# error_norms is defined beside quasi_optimality, which shares it
+from .saddle import Discretization, SaddleProblem, error_norms, measure_truth  # noqa: F401
 
 GAUSS_POINTS = 5
 
@@ -301,20 +302,3 @@ def build_spaces(cfg, pb, q_select=None):
         w_sub = Subspace(pb.truth, prolongation_p1(cfg.truth_elems, cfg.w_elems()))
     dp = DualProduct(aux=w_sub, stiffness=make_stiffness(w_sub, cfg.s_choice))
     return Discretization(pb, u_sub, dp, cfg.gamma, q_select=q_select)
-
-
-def error_norms(pb, d, numeric, exact):
-    """Errors of a solve against the interpolated exact pair.
-
-    ``numeric`` is the (x, y) pair returned by solve; ``exact`` the pair from
-    exact_coefficients.  Velocity error in the truth norm, pressure error in
-    the deflated G_Q norm.
-    """
-    x, y = numeric
-    xe, ye = exact
-    du = d.U.embedding @ np.asarray(x, dtype=float) - np.asarray(xe, dtype=float)
-    u_err = pb.truth.norm(du)
-    y_ref = project_pressure(pb, d, ye)
-    dp_vec = y_ref - np.asarray(y, dtype=float)
-    p_err = float(np.sqrt(max(dp_vec @ (d.q_eff @ dp_vec), 0.0)))
-    return u_err, p_err

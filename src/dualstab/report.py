@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -11,6 +12,13 @@ from dataclasses import dataclass, field
 def format_real(x):
     """17 significant digits: enough to round-trip any double."""
     return format(float(x), ".17g")
+
+
+def _json_value(value):
+    """JSON has no inf or nan: a non-finite float is written as its CSV cell."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return _cell(value)
+    return value
 
 
 def _cell(value):
@@ -50,10 +58,10 @@ class Report:
             "command": self.command,
             "config": {k: _cell(v) for k, v in self.config.items()},
             "seed": self.seed,
-            "rows": [{col: row.get(col) for col in self.columns} for row in self.rows],
+            "rows": [{col: _json_value(row.get(col)) for col in self.columns} for row in self.rows],
             "verdict": self.verdict,
         }
-        return json.dumps(payload, indent=2, allow_nan=True) + "\n"
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
     def render(self, fmt):
         if fmt == "json":

@@ -33,7 +33,7 @@ from .algebra import (
 from .dualprod import (
     BoundViolated,
     DualProduct,
-    estimate_c_star,
+    equivalence_report,
     infsup_qw,
     pressure_deflation,
 )
@@ -291,6 +291,14 @@ def recover_aux(tf, x, y):
     return spd_solve(s_fact, rhs[iw] - m[iw, iu] @ x + b_wq @ y)
 
 
+def relative_residual(system, sol):
+    """‖M x − b‖ / (‖M‖_F ‖x‖ + ‖b‖) of a solution of an assembled system."""
+    m, rhs = system.matrix, system.rhs
+    resid = np.linalg.norm(m @ sol - rhs)
+    scale = np.linalg.norm(m, "fro") * np.linalg.norm(sol) + np.linalg.norm(rhs)
+    return float(resid / max(scale, np.finfo(float).tiny))
+
+
 def solve(system):
     """Dense solve with singularity screening.
 
@@ -308,10 +316,9 @@ def solve(system):
             largest=float(svals[0]),
         )
     sol = np.linalg.solve(m, rhs)
-    resid = np.linalg.norm(m @ sol - rhs)
-    scale = np.linalg.norm(m, "fro") * np.linalg.norm(sol) + np.linalg.norm(rhs)
-    if resid > RESIDUAL_RTOL * max(scale, np.finfo(float).tiny):
-        raise SingularSystem(f"solver residual {resid:.3e} exceeds tolerance")
+    resid = relative_residual(system, sol)
+    if resid > RESIDUAL_RTOL:
+        raise SingularSystem(f"relative solver residual {resid:.3e} exceeds tolerance")
     if isinstance(system, ThreeFieldSystem):
         iu, iw, ip = _three_field_slices(system)
         return sol[iu], sol[iw], sol[ip]
@@ -333,6 +340,8 @@ class ConstantsReport:
     K_star: float
     c_star: float
     C_star: float
+    alpha_hat: float
+    beta_hat: float
     gamma0: float
     gamma_tilde0: float
 
@@ -384,43 +393,32 @@ def constants(pb, d, truth=None):
     alpha and norm_A are truth-level properties of the a-form, taken from
     ``truth`` (a TruthRecord of the problem's truth space) or measured here;
     beta and norm_B are the deflated truth inf-sup constants of the full
-    pressure space; c_star is measured on the selected pressure columns
-    through the configured dual product.
+    pressure space; c_star, alpha_hat and beta_hat are measured on the
+    selected pressure columns through the configured dual product.
     """
     if truth is None:
         truth = measure_truth(pb.truth, pb.a_form)
     elif truth.space is not pb.truth:
         raise DimensionMismatch("truth record does not belong to the problem's truth space")
     alpha, norm_a = truth.alpha, truth.norm_A
-    if np.array_equal(d.q_select, np.arange(pb.pressure_dim)):
-        # the discretization has deflated the full pressure space already
-        b_eff, q_fact = d.b_eff, d.q_eff_fact
-    else:
-        _, b_eff, q_eff = _deflate(pb.b_form, pb.q_gram)
-        q_fact = cholesky(q_eff, "deflated pressure Gramian")
-    dual_t = b_eff.T @ spd_solve(pb.truth.fact, b_eff)
-    dual_t = 0.5 * (dual_t + dual_t.T)
-    spectrum = sym_generalized_eigvals(dual_t, q_fact)
-    beta = float(np.sqrt(max(spectrum[0], 0.0)))
-    norm_b = float(np.sqrt(max(spectrum[-1], 0.0)))
-    c_star = estimate_c_star(d.dp, d.b_sel, d.q_sel)
-    kappa = d.dp.stiffness.kappa_star
-    big_k = d.dp.stiffness.K_star
-    c_upper = 1.0 / kappa
-    gamma0 = 2.0 * alpha * c_star / (norm_a**2 * c_upper**2)
+    er = full = equivalence_report(d.dp, d.b_sel, d.q_sel)
+    if not np.array_equal(d.q_select, np.arange(pb.pressure_dim)):
+        full = equivalence_report(d.dp, pb.b_form, pb.q_gram)
     return ConstantsReport(
         alpha=alpha,
         norm_A=norm_a,
-        norm_B=norm_b,
-        beta=beta,
-        c_hat=min(1.0, beta**2),
-        C_hat=max(1.0, norm_b**2),
-        kappa_star=kappa,
-        K_star=big_k,
-        c_star=c_star,
-        C_star=c_upper,
-        gamma0=gamma0,
-        gamma_tilde0=2.0 * kappa * alpha / norm_a**2,
+        norm_B=full.norm_B,
+        beta=full.beta,
+        c_hat=min(1.0, full.beta**2),
+        C_hat=max(1.0, full.norm_B**2),
+        kappa_star=er.kappa_star,
+        K_star=er.K_star,
+        c_star=er.c_star,
+        C_star=er.C_star,
+        alpha_hat=er.alpha_hat,
+        beta_hat=er.beta_hat,
+        gamma0=2.0 * alpha * er.c_star / (norm_a**2 * er.C_star**2),
+        gamma_tilde0=2.0 * er.kappa_star * alpha / norm_a**2,
     )
 
 
@@ -484,6 +482,22 @@ def project_pressure(pb, d, y_raw):
     return spd_solve(d.q_eff_fact, d.pressure_basis.T @ (pb.q_gram @ y_raw))
 
 
+def error_norms(pb, d, numeric, exact):
+    """Errors of a solve against the interpolated exact pair.
+
+    ``numeric`` is the (x, y) pair returned by solve; ``exact`` the pair of
+    truth velocity and raw pressure coefficients.  Velocity error in the
+    truth norm, pressure error in the deflated G_Q norm.
+    """
+    x, y = numeric
+    xe, ye = exact
+    du = d.U.embedding @ np.asarray(x, dtype=float) - np.asarray(xe, dtype=float)
+    u_err = pb.truth.norm(du)
+    dp_vec = project_pressure(pb, d, ye) - np.asarray(y, dtype=float)
+    p_err = float(np.sqrt(max(dp_vec @ (d.q_eff @ dp_vec), 0.0)))
+    return u_err, p_err
+
+
 @dataclass(frozen=True)
 class QuasiOptimality:
     """Errors, best-approximation errors, and their ratio for one solve."""
@@ -505,15 +519,9 @@ def quasi_optimality(pb, d, exact, report=None):
     rep = constants(pb, d) if report is None else report
     if d.gamma > 0.0 and d.gamma >= rep.gamma0:
         raise GammaTooLarge(f"gamma {d.gamma:g} is not below gamma0 {rep.gamma0:g}")
-    xe, ye = exact
-    xe = np.asarray(xe, dtype=float)
-    ye = np.asarray(ye, dtype=float)
-    x, y = solve(assemble_stabilized(pb, d))
-    du = d.U.embedding @ x - xe
-    u_err = pb.truth.norm(du)
+    xe, ye = (np.asarray(v, dtype=float) for v in exact)
+    u_err, p_err = error_norms(pb, d, solve(assemble_stabilized(pb, d)), (xe, ye))
     y_ref = project_pressure(pb, d, ye)
-    dp_vec = y_ref - y
-    p_err = float(np.sqrt(max(dp_vec @ (d.q_eff @ dp_vec), 0.0)))
     ru = xe - d.U.embedding @ orthogonal_project(d.U, xe)
     best_u = pb.truth.norm(ru)
     rp = ye - d.pressure_basis @ y_ref

@@ -339,3 +339,72 @@ class TestTruthLevelWork:
         assert code == 0
         assert len(rows) == 4
         assert calls == [(63, 63)]
+
+
+class TestEdgeExits:
+    def test_stiffness_scale_overflow_exits_3(self, tmp_path, capsys):
+        # C_star = 1e300 squares past the float range in gamma0
+        path = write_cfg(tmp_path, "truth_elems = 64\n")
+        code = main(["constants", "--config", path, "--s", "scaled:1e-300"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("dualstab: numerical failure:")
+        assert "Traceback" not in err
+
+    def test_c_star_of_same_w_is_exactly_zero(self, tmp_path):
+        # with W = U some deflated pressures have B q = 0 on W: c_star is zero
+        path = write_cfg(
+            tmp_path, "truth_elems = 1024\ncoarse_elems = 16\nw = same\ngamma = auto\n"
+        )
+        code, _, rows = run_csv(tmp_path, ["constants", "--config", path])
+        assert code == 0
+        assert rows[0]["c_star"] == "0"
+        assert rows[0]["gamma0"] == "0" and rows[0]["gamma"] == "0"
+
+    def test_json_report_is_strict_json(self, tmp_path):
+        # beta_gamma is -inf when c_star = 0; strict JSON has no such literal
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        path = write_cfg(tmp_path, "truth_elems = 64\n")
+        out = tmp_path / "constants.json"
+        argv = ["constants", "--config", path, "--w", "same", "--format", "json"]
+        code = main(argv + ["--out", str(out)])
+        assert code == 0
+        payload = json.loads(out.read_text(), parse_constant=reject)
+        assert payload["rows"][0]["beta_gamma"] == "-inf"
+        assert payload["rows"][0]["c_star"] == 0.0
+
+
+class TestCheckTable:
+    def test_spectral_deflates_at_most_twice_per_level(self, tmp_path, monkeypatch):
+        from dualstab import dualprod
+
+        calls = []
+        for module in (dualprod, saddle):
+            original = module.pressure_deflation
+
+            def counted(b_t, q_gram, original=original):
+                calls.append(b_t.shape)
+                return original(b_t, q_gram)
+
+            monkeypatch.setattr(module, "pressure_deflation", counted)
+        path = write_cfg(tmp_path, "truth_elems = 64\nlevels = 4, 8\n")
+        code, _, rows = run_csv(tmp_path, ["spectral", "--config", path])
+        assert code == 0
+        assert len(rows) == 16
+        assert len(calls) <= 4
+
+    def test_failing_row_sets_verdict(self, tmp_path, monkeypatch):
+        from dualstab import dualprod
+
+        def wrong_sandwich(rep, mats, rng, samples):
+            rows = original(rep, mats, rng, samples)
+            return rows[:-1] + [dualprod.Check("pairing_max", 2.0, None, 1.0, dualprod.CHAIN_RTOL)]
+
+        original = dualprod._sandwich_rows
+        monkeypatch.setattr(dualprod, "_sandwich_rows", wrong_sandwich)
+        path = write_cfg(tmp_path, SMALL)
+        code, _, rows = run_csv(tmp_path, ["spectral", "--config", path])
+        assert code == 1
+        assert [r["status"] for r in rows] == ["pass"] * 7 + ["fail"]

@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from dualstab.algebra import NotSpd, spd_solve
 from dualstab.dualprod import (
+    SWEEP_SAMPLES,
     BoundViolated,
+    Check,
     DegeneratePencil,
     DualProduct,
     c_apply,
@@ -15,6 +19,7 @@ from dualstab.dualprod import (
     infsup_qw,
     make_stiffness,
     pressure_deflation,
+    spectral_checks,
     stiffness_dual_norm,
     stiffness_from_matrix,
     verify_cstar_infsup_link,
@@ -334,3 +339,63 @@ class TestVerifyFailurePaths:
     def test_bound_violated_carries_value(self):
         err = BoundViolated("msg", value=1.5)
         assert err.value == 1.5
+
+
+class TestCheckTable:
+    def test_rows_in_order_and_passing(self):
+        ts, w_sub, b, qg = model_setup()
+        dp = DualProduct(aux=w_sub, stiffness=make_stiffness(w_sub, "lumped"))
+        rep, rows = spectral_checks(dp, b, qg, np.random.default_rng(3))
+        assert [r.check for r in rows] == [
+            "equivalence_low",
+            "equivalence_high",
+            "stiffness_bound",
+            "chain_alpha_hat",
+            "chain_c_star",
+            "sandwich",
+            "pairing_min",
+            "pairing_max",
+        ]
+        assert {r.status for r in rows} == {"pass"}
+        assert rep == equivalence_report(dp, b, qg)
+
+    def test_wrong_kappa_star_fails_the_same_row_that_verify_raises(self):
+        # claiming S ≥ 1.5 κ G_W shrinks 1/kappa_star below the true top ratio
+        ts, w_sub, b, qg = model_setup()
+        st = make_stiffness(w_sub, "lumped")
+        dp = DualProduct(aux=w_sub, stiffness=replace(st, kappa_star=1.5 * st.kappa_star))
+        with pytest.raises(BoundViolated) as exc:
+            verify_dual_equivalence(dp)
+        _, rows = spectral_checks(dp, b, qg, np.random.default_rng(0))
+        low, high = rows[:2]
+        assert low.status == "pass" and high.status == "fail"
+        assert high.value == exc.value.value
+        assert high.upper == 1.0 / dp.stiffness.kappa_star
+
+    def test_sandwich_sweep_matches_dual_norms(self):
+        # the pairing rows are extremes of ‖B q‖₋₁ / ⦀q⦀ over the seeded draws
+        ts, w_sub, b, qg = model_setup()
+        dp = DualProduct(aux=w_sub, stiffness=make_stiffness(w_sub, "gramian"))
+        _, rows = spectral_checks(dp, b, qg, np.random.default_rng(5))
+        z = pressure_deflation(b, qg)
+        rng = np.random.default_rng(5)
+        ratios = []
+        for _ in range(SWEEP_SAMPLES):
+            y = rng.standard_normal(z.shape[1])
+            ratios.append(dual_norm(ts, Functional(b @ (z @ y))) / np.sqrt(y @ (z.T @ qg @ z) @ y))
+        assert rows[6].value == pytest.approx(min(ratios), rel=1e-12)
+        assert rows[7].value == pytest.approx(max(ratios), rel=1e-12)
+
+    def test_check_status_tolerance(self):
+        assert Check("x", 1.0 - 1e-10, 1.0, None, 1e-9).status == "pass"
+        assert Check("x", 1.0 - 1e-8, 1.0, None, 1e-9).status == "fail"
+        assert Check("x", 2.0, None, 2.0 - 1e-10, 1e-9).status == "pass"
+        assert Check("x", float("nan"), 0.0, 1.0, 1e-9).status == "fail"
+
+    def test_c_star_roundoff_is_zero(self):
+        # B lies in span(W)'s complement up to roundoff: c_star is 0, not 1e-17
+        ts = TruthSpace(np.eye(8))
+        w_sub = Subspace(ts, np.eye(8)[:, :4])
+        b = np.eye(8)[:, 4:6] + 1e-9 * np.eye(8)[:, :2]
+        dp = DualProduct(aux=w_sub, stiffness=make_stiffness(w_sub, "gramian"))
+        assert estimate_c_star(dp, b, np.eye(2)) == 0.0

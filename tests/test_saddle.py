@@ -198,7 +198,7 @@ class TestConstants:
         rep = ConstantsReport(
             alpha=1.0, norm_A=1.0, norm_B=1.0, beta=1.0, c_hat=1.0, C_hat=1.0,
             kappa_star=1.0, K_star=1.0, c_star=0.5, C_star=1.0,
-            gamma0=1.0, gamma_tilde0=2.0,
+            alpha_hat=1.0, beta_hat=1.0, gamma0=1.0, gamma_tilde0=2.0,
         )
         assert rep.beta_gamma(0.0) == 0.0
         # min(0.25 gamma, 1 - gamma) at gamma = 0.5 -> 0.125
