@@ -22,11 +22,13 @@ from .algebra import (
 )
 from .dualprod import (
     BoundViolated,
+    DeflatedPressures,
     DegeneratePencil,
     DualProduct,
     EquivalenceReport,
     StiffnessForm,
     c_apply,
+    deflate_pressures,
     dual_equivalence_interval,
     equivalence_report,
     estimate_c_star,

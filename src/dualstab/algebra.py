@@ -32,13 +32,17 @@ class DimensionMismatch(Exception):
     """Operand shapes do not conform."""
 
 
+class NonFinite(ValueError):
+    """Matrix has an infinite or NaN entry, e.g. after an overflow."""
+
+
 def as_matrix(a, name="matrix"):
     """Validate and return a 2-d float array with finite entries."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or min(a.shape) < 1:
         raise DimensionMismatch(f"{name} must be 2-d with positive shape, got {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise NonFinite(f"{name} contains non-finite entries")
     return a
 
 

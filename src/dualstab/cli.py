@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import models, saddle
-from .algebra import NotSpd
+from .algebra import NonFinite, NotSpd
 from .dualprod import BoundViolated, DegeneratePencil, spectral_checks
 from .models import ModelConfig, NestingViolated
 from .report import Report, write_report
@@ -26,21 +26,6 @@ RATE_FLOOR = 0.9
 QRATIO_SPREAD = 2.0
 CONDENSE_TOL = 1e-12
 W_VANISH_TOL = 1e-9
-
-_CONFIG_KEYS = (
-    "truth_elems",
-    "coarse_elems",
-    "pressure",
-    "w",
-    "s",
-    "gamma",
-    "reaction",
-    "levels",
-    "gammas",
-    "seed",
-    "format",
-    "out",
-)
 
 
 class ConfigError(ValueError):
@@ -81,7 +66,7 @@ def parse_config_file(path):
         key = key.strip()
         if not sep or not key:
             raise ConfigError(f"config line {lineno}: expected 'key = value', got {raw.strip()!r}")
-        if key not in _CONFIG_KEYS:
+        if key not in _PARSERS:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"config line {lineno}: duplicate key {key!r}")
@@ -125,18 +110,15 @@ def _parse_seed(text):
     return value
 
 
-def _parse_int_list(field, text):
+def _parse_list(field, text, parse):
     items = [s.strip() for s in text.split(",") if s.strip()]
     if not items:
         raise ConfigError(f"{field}: expected a comma-separated list, got {text!r}")
-    return tuple(_parse_pos_int(field, s) for s in items)
+    return tuple(parse(field, s) for s in items)
 
 
 def _parse_float_list(field, text):
-    items = [s.strip() for s in text.split(",") if s.strip()]
-    if not items:
-        raise ConfigError(f"{field}: expected a comma-separated list, got {text!r}")
-    values = tuple(_parse_nonneg_float(field, s) for s in items)
+    values = _parse_list(field, text, _parse_nonneg_float)
     if any(v == 0.0 for v in values):
         raise ConfigError(f"{field}: entries must be positive")
     return values
@@ -150,7 +132,7 @@ _PARSERS = {
     "s": lambda s: s,
     "gamma": _parse_gamma,
     "reaction": lambda s: _parse_nonneg_float("reaction", s),
-    "levels": lambda s: _parse_int_list("levels", s),
+    "levels": lambda s: _parse_list("levels", s, _parse_pos_int),
     "gammas": lambda s: _parse_float_list("gammas", s),
     "seed": _parse_seed,
     "format": lambda s: s,
@@ -310,17 +292,10 @@ def cmd_spectral(cfg):
         mc = _model_config(cfg, coarse, 0.0)
         d = models.build_spaces(mc, models.build_level(mc, truth))
         rng = np.random.default_rng([cfg.seed, level, 1])
-        _, rows = spectral_checks(d.dp, d.b_sel, d.q_sel, rng)
+        _, rows = spectral_checks(d.dp, d.pressures, rng)
         for row in rows:
-            report.add_row(
-                level=level,
-                coarse_elems=coarse,
-                check=row.check,
-                value=row.value,
-                lower=row.lower,
-                upper=row.upper,
-                status=row.status,
-            )
+            # the row's fields are columns; its tol is not rendered
+            report.add_row(level=level, coarse_elems=coarse, status=row.status, **vars(row))
     if any(r["status"] == "fail" for r in report.rows):
         report.verdict = "fail"
     return report
@@ -571,7 +546,9 @@ def main(argv=None):
         GammaZero,
         SingularSystem,
         np.linalg.LinAlgError,
+        NonFinite,
         OverflowError,
+        ZeroDivisionError,
     ) as exc:
         print(f"dualstab: numerical failure: {exc}", file=sys.stderr)
         return 3

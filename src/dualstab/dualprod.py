@@ -20,7 +20,10 @@ Every bound between these constants is one row of a check table (``Check``):
 Deflation convention: every pressure pencil is restricted to the
 G_Q-orthogonal complement of ker B_T, computed from the singular value
 decomposition of B_T.  Mean-zero pressure spaces are realized this way, never
-by modifying the basis.
+by modifying the basis.  ``deflate_pressures`` is the only place that
+deflates: it returns a DeflatedPressures record, which the pencils of a
+level read (a Discretization builds one per level).  The functions taking
+(b_t, q_gram) deflate once through it.
 """
 
 from __future__ import annotations
@@ -181,13 +184,15 @@ def stiffness_dual_norm(dp):
 
     S w is the functional whose dual-basis coefficients are S w⃗; its dual norm
     squared is w⃗ᵀ S G_W⁻¹ S w⃗, so the value is the root of the largest
-    eigenvalue of (S G_W⁻¹ S, G_W).
+    eigenvalue of (S G_W⁻¹ S, G_W).  S is scaled by a power of two first (an
+    exact scaling), so S G_W⁻¹ S stays in the float range at any scale.
     """
-    s = dp.stiffness.matrix
+    _, exp = np.frexp(np.abs(dp.stiffness.matrix).max())
+    s = np.ldexp(dp.stiffness.matrix, -exp)
     m = s @ spd_solve(dp.aux.fact, s)
     m = 0.5 * (m + m.T)
     top = sym_generalized_eigvals(m, dp.aux.fact)[-1]
-    return float(np.sqrt(max(top, 0.0)))
+    return float(np.ldexp(np.sqrt(max(top, 0.0)), exp))
 
 
 def pressure_deflation(b_t, q_gram):
@@ -223,49 +228,62 @@ def pressure_deflation(b_t, q_gram):
     return comp @ (v / np.sqrt(w))
 
 
-def _deflated_pressure_matrices(dp, b_t, q_gram):
-    """Deflated matrices shared by the inf-sup estimators.
+@dataclass(frozen=True)
+class DeflatedPressures:
+    """Pressures deflated once: Z of ``pressure_deflation``, B_T Z, Zᵀ G_Q Z, its factor."""
 
-    Returns a dict with the deflated constraint matrix restricted to W, the
-    truth-dual Gramian of the constraint (for dual norms of B q), and the
-    deflated pressure Gramian.
-    """
-    sub = dp.aux if isinstance(dp, DualProduct) else dp
-    b_t = as_matrix(b_t, "constraint matrix")
-    if b_t.shape[0] != sub.parent.dim:
-        raise DimensionMismatch("constraint matrix rows do not match the truth space")
+    basis: np.ndarray
+    b_eff: np.ndarray
+    q_eff: np.ndarray
+    q_fact: SpdFactorization
+
+
+def deflate_pressures(b_t, q_gram):
+    """Deflate the pressures of (B_T, G_Q) once; ``pressure_deflation`` validates both."""
     z = pressure_deflation(b_t, q_gram)
-    b_eff = b_t @ z
-    b_w = sub.embedding.T @ b_eff
+    q_eff = z.T @ (np.asarray(q_gram, dtype=float) @ z)
+    q_eff = 0.5 * (q_eff + q_eff.T)
+    b_eff = np.asarray(b_t, dtype=float) @ z
+    return DeflatedPressures(z, b_eff, q_eff, cholesky(q_eff, "deflated pressure Gramian"))
+
+
+def _floored_root(spectrum):
+    """Root of a pencil's least eigenvalue; exactly 0 at or below KERNEL_RTOL · the largest."""
+    low = spectrum[0]
+    return 0.0 if low <= KERNEL_RTOL * spectrum[-1] else float(np.sqrt(low))
+
+
+def _sup_gram(sub, pressures):
+    """B_W = E_Wᵀ B_eff and B_Wᵀ G_W⁻¹ B_W, the squared sups of b(q, ·) over W."""
+    if pressures.b_eff.shape[0] != sub.parent.dim:
+        raise DimensionMismatch("constraint matrix rows do not match the truth space")
+    b_w = sub.embedding.T @ pressures.b_eff
     sup_w = b_w.T @ spd_solve(sub.fact, b_w)
-    dual_t = b_eff.T @ spd_solve(sub.parent.fact, b_eff)
-    q_gram = require_symmetric(q_gram, "pressure Gramian")
-    q_eff = z.T @ (q_gram @ z)
-    return {
-        "b_w": b_w,
-        "sup_w": 0.5 * (sup_w + sup_w.T),
-        "dual_t": 0.5 * (dual_t + dual_t.T),
-        "q_eff": 0.5 * (q_eff + q_eff.T),
-    }
+    return b_w, 0.5 * (sup_w + sup_w.T)
 
 
-def _dual_t_fact(mats):
+def _dual_gram(truth, pressures):
+    """B_effᵀ G⁻¹ B_eff, the Gramian of the dual norms ‖B q‖₋₁, and its factor."""
+    dual_t = pressures.b_eff.T @ spd_solve(truth.fact, pressures.b_eff)
+    dual_t = 0.5 * (dual_t + dual_t.T)
     try:
-        return cholesky(mats["dual_t"], "deflated dual Gramian")
+        return dual_t, cholesky(dual_t, "deflated dual Gramian")
     except NotSpd:
         raise DegeneratePencil("deflated dual-norm Gramian is singular") from None
 
 
-def infsup_qw(b_t, q_gram, sub):
+def pressure_infsup(pressures, sub):
     """Inf-sup constant of the mixed form over (deflated pressures, subspace).
 
     Square root of the smallest eigenvalue of (B_Wᵀ G_W⁻¹ B_W, G_Q); zero when
     the subspace cannot control every deflated pressure.
     """
-    mats = _deflated_pressure_matrices(sub, b_t, q_gram)
-    q_fact = cholesky(mats["q_eff"], "deflated pressure Gramian")
-    low = sym_generalized_eigvals(mats["sup_w"], q_fact)[0]
-    return float(np.sqrt(max(low, 0.0)))
+    return _floored_root(sym_generalized_eigvals(_sup_gram(sub, pressures)[1], pressures.q_fact))
+
+
+def infsup_qw(b_t, q_gram, sub):
+    """``pressure_infsup`` on the pressures of (B_T, G_Q)."""
+    return pressure_infsup(deflate_pressures(b_t, q_gram), sub)
 
 
 def infsup_dual(b_t, q_gram, sub):
@@ -274,40 +292,44 @@ def infsup_dual(b_t, q_gram, sub):
     Square root of the smallest eigenvalue of (B_Wᵀ G_W⁻¹ B_W, B_Tᵀ G⁻¹ B_T)
     after deflation.
     """
-    mats = _deflated_pressure_matrices(sub, b_t, q_gram)
-    low = sym_generalized_eigvals(mats["sup_w"], _dual_t_fact(mats))[0]
-    return float(np.sqrt(max(low, 0.0)))
+    pressures = deflate_pressures(b_t, q_gram)
+    sup_w = _sup_gram(sub, pressures)[1]
+    return _floored_root(sym_generalized_eigvals(sup_w, _dual_gram(sub.parent, pressures)[1]))
 
 
-def _equivalence(dp, mats):
-    """Every spectral constant of a configuration from its deflated matrices."""
-    dual_fact = _dual_t_fact(mats)
-    numer = mats["b_w"].T @ spd_solve(dp.stiffness.fact, mats["b_w"])
+def _equivalence(dp, pressures):
+    """The EquivalenceReport of a configuration, and its dual Gramian."""
+    b_w, sup_w = _sup_gram(dp.aux, pressures)
+    dual_t, dual_fact = _dual_gram(dp.aux.parent, pressures)
+    numer = b_w.T @ spd_solve(dp.stiffness.fact, b_w)
     numer = 0.5 * (numer + numer.T)
     c_upper = 1.0 / dp.stiffness.kappa_star
     c_star = float(sym_generalized_eigvals(numer, dual_fact)[0])
     if c_star <= KERNEL_RTOL * c_upper:
         # W misses part of the range of B: zero, not roundoff
         c_star = 0.0
-    alpha_sq = sym_generalized_eigvals(mats["sup_w"], dual_fact)[0]
-    q_fact = cholesky(mats["q_eff"], "deflated pressure Gramian")
-    beta_sq = sym_generalized_eigvals(mats["sup_w"], q_fact)[0]
-    full = sym_generalized_eigvals(mats["dual_t"], q_fact)
-    return EquivalenceReport(
+    full = sym_generalized_eigvals(dual_t, pressures.q_fact)
+    rep = EquivalenceReport(
         kappa_star=dp.stiffness.kappa_star,
         K_star=dp.stiffness.K_star,
         c_star=c_star,
         C_star=c_upper,
-        alpha_hat=float(np.sqrt(max(alpha_sq, 0.0))),
-        beta_hat=float(np.sqrt(max(beta_sq, 0.0))),
-        beta=float(np.sqrt(max(full[0], 0.0))),
+        alpha_hat=_floored_root(sym_generalized_eigvals(sup_w, dual_fact)),
+        beta_hat=_floored_root(sym_generalized_eigvals(sup_w, pressures.q_fact)),
+        beta=_floored_root(full),
         norm_B=float(np.sqrt(max(full[-1], 0.0))),
     )
+    return rep, dual_t
+
+
+def measure_equivalence(dp, pressures):
+    """Every spectral constant of a configuration on its deflated pressures."""
+    return _equivalence(dp, pressures)[0]
 
 
 def equivalence_report(dp, b_t, q_gram):
     """Collect every spectral constant of a configuration in one report."""
-    return _equivalence(dp, _deflated_pressure_matrices(dp, b_t, q_gram))
+    return measure_equivalence(dp, deflate_pressures(b_t, q_gram))
 
 
 def estimate_c_star(dp, b_t, q_gram):
@@ -373,13 +395,13 @@ def _chain_rows(rep):
     ]
 
 
-def _sandwich_rows(rep, mats, rng, samples):
+def _sandwich_rows(rep, dual_t, q_eff, rng, samples):
     """The sandwich row and the extremes of ‖B q‖₋₁ / ⦀q⦀ over random pressures."""
     if rep.beta <= 0.0:
         raise DegeneratePencil("truth inf-sup constant vanishes; sandwich undefined")
-    ys = rng.standard_normal((samples, mats["q_eff"].shape[0]))
-    b_sq = np.einsum("ij,jk,ik->i", ys, mats["dual_t"], ys)
-    p_sq = np.einsum("ij,jk,ik->i", ys, mats["q_eff"], ys)
+    ys = rng.standard_normal((samples, q_eff.shape[0]))
+    b_sq = np.einsum("ij,jk,ik->i", ys, dual_t, ys)
+    p_sq = np.einsum("ij,jk,ik->i", ys, q_eff, ys)
     ratios = np.sqrt(np.maximum(b_sq, 0.0) / p_sq)
     sandwich = (rep.beta_hat / rep.norm_B, rep.beta_hat / rep.beta)
     return [
@@ -389,19 +411,19 @@ def _sandwich_rows(rep, mats, rng, samples):
     ]
 
 
-def spectral_checks(dp, b_t, q_gram, rng):
+def spectral_checks(dp, pressures, rng):
     """Measure a configuration once and check every spectral bound on it.
 
+    ``pressures`` is the DeflatedPressures record of the configuration.
     Returns the EquivalenceReport and eight Check rows: the equivalence
     interval ends against [1/K_star, 1/kappa_star], the stiffness dual norm
     against K_star, the two chain bounds, the sandwich, and the extreme
     ratios of SWEEP_SAMPLES random deflated pressures drawn from ``rng``
     against beta and norm_B.
     """
-    mats = _deflated_pressure_matrices(dp, b_t, q_gram)
-    rep = _equivalence(dp, mats)
+    rep, dual_t = _equivalence(dp, pressures)
     rows = _equivalence_rows(dp) + [_stiffness_row(dp)] + _chain_rows(rep)
-    return rep, rows + _sandwich_rows(rep, mats, rng, SWEEP_SAMPLES)
+    return rep, rows + _sandwich_rows(rep, dual_t, pressures.q_eff, rng, SWEEP_SAMPLES)
 
 
 def verify_dual_equivalence(dp):
@@ -438,9 +460,9 @@ def verify_infsup_sandwich(dp, b_t, q_gram, rng=None, samples=SWEEP_SAMPLES):
     beta_hat / norm_B ≤ alpha_hat ≤ beta_hat / beta, plus the two-sided norm
     equivalence beta ⦀q⦀ ≤ ‖B q‖₋₁ ≤ norm_B ⦀q⦀ on random deflated pressures.
     """
-    mats = _deflated_pressure_matrices(dp, b_t, q_gram)
-    rep = _equivalence(dp, mats)
+    pressures = deflate_pressures(b_t, q_gram)
+    rep, dual_t = _equivalence(dp, pressures)
     if rng is None:
         rng = np.random.default_rng(0)
-    _raise_failed(_sandwich_rows(rep, mats, rng, samples))
+    _raise_failed(_sandwich_rows(rep, dual_t, pressures.q_eff, rng, samples))
     return rep

@@ -33,9 +33,10 @@ from .algebra import (
 from .dualprod import (
     BoundViolated,
     DualProduct,
+    deflate_pressures,
     equivalence_report,
-    infsup_qw,
-    pressure_deflation,
+    measure_equivalence,
+    pressure_infsup,
 )
 from .hilbert import Functional, Subspace, TruthSpace, orthogonal_project
 
@@ -105,13 +106,6 @@ class SaddleProblem:
         return self.b_form.shape[1]
 
 
-def _deflate(b, q_gram):
-    """Deflation Z of the pressures of B, with B Z and Zᵀ G_Q Z."""
-    z = pressure_deflation(b, q_gram)
-    q_eff = z.T @ (q_gram @ z)
-    return z, b @ z, 0.5 * (q_eff + q_eff.T)
-
-
 def _valid_gamma(gamma):
     gamma = float(gamma)
     if not np.isfinite(gamma) or gamma < 0.0:
@@ -139,18 +133,17 @@ class Discretization:
             if idx.min() < 0 or idx.max() >= pb.pressure_dim:
                 raise ValueError("q_select index out of range")
         self.q_select = idx
-        b_sel = pb.b_form[:, idx]
+        self.b_sel = pb.b_form[:, idx]
         q_sel = pb.q_gram[np.ix_(idx, idx)]
-        self.b_sel = b_sel
         self.q_sel = 0.5 * (q_sel + q_sel.T)
-        z, self.b_eff, self.q_eff = _deflate(b_sel, self.q_sel)
-        self.deflation = z
-        basis = np.zeros((pb.pressure_dim, z.shape[1]))
-        basis[idx] = z
-        self.pressure_basis = basis
-        self.q_eff_fact = cholesky(self.q_eff, "deflated pressure Gramian")
-        self.g_eff = z.T @ pb.constraint_rhs[idx]
-        self.p_dim = z.shape[1]
+        # the level's only deflation: every pressure pencil of the level reads it
+        self.pressures = p = deflate_pressures(self.b_sel, self.q_sel)
+        self.deflation, self.b_eff, self.q_eff = p.basis, p.b_eff, p.q_eff
+        self.q_eff_fact = p.q_fact
+        self.p_dim = p.basis.shape[1]
+        self.pressure_basis = np.zeros((pb.pressure_dim, self.p_dim))
+        self.pressure_basis[idx] = p.basis
+        self.g_eff = p.basis.T @ pb.constraint_rhs[idx]
 
     @property
     def W(self):
@@ -401,7 +394,7 @@ def constants(pb, d, truth=None):
     elif truth.space is not pb.truth:
         raise DimensionMismatch("truth record does not belong to the problem's truth space")
     alpha, norm_a = truth.alpha, truth.norm_A
-    er = full = equivalence_report(d.dp, d.b_sel, d.q_sel)
+    er = full = measure_equivalence(d.dp, d.pressures)
     if not np.array_equal(d.q_select, np.arange(pb.pressure_dim)):
         full = equivalence_report(d.dp, pb.b_form, pb.q_gram)
     return ConstantsReport(
@@ -463,10 +456,10 @@ def combined_subspace(truth, *embeddings, rank_rtol=1e-12):
 
 
 def verify_relaxed_infsup(pb, d):
-    """Inf-sup constant of the pair (Q, U+W); never below the W-only constant."""
+    """Inf-sup constant of the pair (Q, U+W); never below the W-only one, beta_hat."""
     joint = combined_subspace(pb.truth, d.U.embedding, d.W.embedding)
-    value = infsup_qw(d.b_sel, d.q_sel, joint)
-    floor = infsup_qw(d.b_sel, d.q_sel, d.W)
+    value = pressure_infsup(d.pressures, joint)
+    floor = pressure_infsup(d.pressures, d.W)
     if value < floor - COERCIVITY_TOL * max(1.0, floor):
         raise BoundViolated(
             f"relaxed inf-sup {value:.6e} below W-only constant {floor:.6e}", value=value

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import dualstab.cli as cli
-from dualstab import saddle
+from dualstab import models, saddle
 from dualstab.cli import (
     ConfigError,
     RunConfig,
@@ -342,14 +342,29 @@ class TestTruthLevelWork:
 
 
 class TestEdgeExits:
-    def test_stiffness_scale_overflow_exits_3(self, tmp_path, capsys):
-        # C_star = 1e300 squares past the float range in gamma0
+    # 1e-300: C_star = 1e300 squares past the float range in gamma0;
+    # 1e300: C_star = 1e-300 squares to 0 there; 1.7e308: S overflows to inf;
+    # 5e-324: S is subnormal and S⁻¹ overflows to inf
+    @pytest.mark.parametrize(
+        "scale", ["scaled:1e-300", "scaled:1e300", "scaled:1.7e308", "scaled:5e-324"]
+    )
+    def test_stiffness_scale_overflow_exits_3(self, tmp_path, capsys, scale):
         path = write_cfg(tmp_path, "truth_elems = 64\n")
-        code = main(["constants", "--config", path, "--s", "scaled:1e-300"])
+        code = main(["constants", "--config", path, "--s", scale])
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("dualstab: numerical failure:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_stiffness_bound_measured_at_extreme_scales(self, tmp_path, scale):
+        # S G_W⁻¹ S would under- or overflow without a power-of-two rescaling
+        path = write_cfg(tmp_path, "truth_elems = 64\n")
+        code, _, rows = run_csv(tmp_path, ["spectral", "--config", path, "--s", f"scaled:{scale}"])
+        assert code == 0
+        (row,) = [r for r in rows if r["check"] == "stiffness_bound"]
+        assert float(row["value"]) == pytest.approx(float(row["upper"]), rel=1e-9, abs=0.0)
+        assert float(row["upper"]) == pytest.approx(scale, rel=1e-9, abs=0.0)
 
     def test_c_star_of_same_w_is_exactly_zero(self, tmp_path):
         # with W = U some deflated pressures have B q = 0 on W: c_star is zero
@@ -359,7 +374,17 @@ class TestEdgeExits:
         code, _, rows = run_csv(tmp_path, ["constants", "--config", path])
         assert code == 0
         assert rows[0]["c_star"] == "0"
+        assert rows[0]["alpha_hat"] == "0" and rows[0]["beta_hat"] == "0"
         assert rows[0]["gamma0"] == "0" and rows[0]["gamma"] == "0"
+
+    def test_infsup_of_same_w_is_exactly_zero(self, tmp_path):
+        # beta_hat and the relaxed constant share U = W: both are 0, not
+        # roundoff of either sign that fails the relaxed ≥ beta_hat check
+        path = write_cfg(tmp_path, "truth_elems = 64\ncoarse_elems = 8\nw = same\n")
+        code, _, rows = run_csv(tmp_path, ["infsup", "--config", path])
+        assert code == 0
+        assert rows[0]["beta_hat"] == "0" and rows[0]["relaxed"] == "0"
+        assert rows[0]["status"] == "pass"
 
     def test_json_report_is_strict_json(self, tmp_path):
         # beta_gamma is -inf when c_star = 0; strict JSON has no such literal
@@ -377,29 +402,31 @@ class TestEdgeExits:
 
 
 class TestCheckTable:
-    def test_spectral_deflates_at_most_twice_per_level(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("command", ["constants", "spectral", "infsup", "converge"])
+    def test_one_deflation_per_level(self, tmp_path, monkeypatch, command):
         from dualstab import dualprod
 
         calls = []
-        for module in (dualprod, saddle):
-            original = module.pressure_deflation
+        original = dualprod.pressure_deflation
 
-            def counted(b_t, q_gram, original=original):
-                calls.append(b_t.shape)
-                return original(b_t, q_gram)
+        def counted(b_t, q_gram):
+            calls.append(b_t.shape)
+            return original(b_t, q_gram)
 
-            monkeypatch.setattr(module, "pressure_deflation", counted)
+        monkeypatch.setattr(dualprod, "pressure_deflation", counted)
+        # the counter sees every deflation only if no other module bound the name
+        assert not [m for m in (saddle, models, cli) if hasattr(m, "pressure_deflation")]
         path = write_cfg(tmp_path, "truth_elems = 64\nlevels = 4, 8\n")
-        code, _, rows = run_csv(tmp_path, ["spectral", "--config", path])
+        code, _, _ = run_csv(tmp_path, [command, "--config", path])
         assert code == 0
-        assert len(rows) == 16
-        assert len(calls) <= 4
+        # P1 pressures on 4 and 8 elements against 63 truth hats, once each
+        assert sorted(calls) == [(63, 5), (63, 9)]
 
     def test_failing_row_sets_verdict(self, tmp_path, monkeypatch):
         from dualstab import dualprod
 
-        def wrong_sandwich(rep, mats, rng, samples):
-            rows = original(rep, mats, rng, samples)
+        def wrong_sandwich(rep, dual_t, q_eff, rng, samples):
+            rows = original(rep, dual_t, q_eff, rng, samples)
             return rows[:-1] + [dualprod.Check("pairing_max", 2.0, None, 1.0, dualprod.CHAIN_RTOL)]
 
         original = dualprod._sandwich_rows

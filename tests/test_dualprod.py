@@ -12,6 +12,7 @@ from dualstab.dualprod import (
     DegeneratePencil,
     DualProduct,
     c_apply,
+    deflate_pressures,
     dual_equivalence_interval,
     equivalence_report,
     estimate_c_star,
@@ -196,6 +197,13 @@ class TestEquivalenceInterval:
             assert stiffness_dual_norm(dp) == pytest.approx(dp.stiffness.K_star, rel=1e-9)
             verify_stiffness_bound(dp)
 
+    def test_stiffness_dual_norm_at_extreme_scales(self):
+        # S G_W⁻¹ S is ~1e∓600 here: it must be formed on a rescaled S
+        _, sub = mass_pair()
+        for scale in (1e-300, 1e300):
+            dp = DualProduct(aux=sub, stiffness=make_stiffness(sub, f"scaled:{scale!r}"))
+            assert stiffness_dual_norm(dp) == pytest.approx(dp.stiffness.K_star, rel=1e-9, abs=0.0)
+
 
 class TestPressureDeflation:
     def test_full_rank_returns_identity(self):
@@ -316,6 +324,19 @@ class TestConstants:
         assert estimate_c_star(dp, b, np.eye(2)) == pytest.approx(0.0, abs=1e-12)
         assert infsup_qw(b, np.eye(2), w_sub) == pytest.approx(0.0, abs=1e-12)
 
+    def test_infsup_roundoff_is_zero(self):
+        # the second pressure reaches W only through a 1e-9 perturbation: its
+        # squared sup is 1e-18 of the first one's, which is zero, not roundoff
+        eye = np.eye(8)
+        ts = TruthSpace(eye)
+        w_sub = Subspace(ts, eye[:, :4])
+        b = np.column_stack([eye[:, 0], eye[:, 5] + 1e-9 * eye[:, 1]])
+        dp = DualProduct(aux=w_sub, stiffness=make_stiffness(w_sub, "gramian"))
+        rep = equivalence_report(dp, b, np.eye(2))
+        assert rep.alpha_hat == rep.beta_hat == 0.0
+        assert infsup_qw(b, np.eye(2), w_sub) == infsup_dual(b, np.eye(2), w_sub) == 0.0
+        assert rep.beta > 0.0
+
     def test_continuity_of_c_against_dual_norms(self):
         # |c(f, g)| <= C_star ||f|| ||g|| with C_star = 1/kappa_star
         rng = np.random.default_rng(47)
@@ -345,7 +366,7 @@ class TestCheckTable:
     def test_rows_in_order_and_passing(self):
         ts, w_sub, b, qg = model_setup()
         dp = DualProduct(aux=w_sub, stiffness=make_stiffness(w_sub, "lumped"))
-        rep, rows = spectral_checks(dp, b, qg, np.random.default_rng(3))
+        rep, rows = spectral_checks(dp, deflate_pressures(b, qg), np.random.default_rng(3))
         assert [r.check for r in rows] == [
             "equivalence_low",
             "equivalence_high",
@@ -366,7 +387,7 @@ class TestCheckTable:
         dp = DualProduct(aux=w_sub, stiffness=replace(st, kappa_star=1.5 * st.kappa_star))
         with pytest.raises(BoundViolated) as exc:
             verify_dual_equivalence(dp)
-        _, rows = spectral_checks(dp, b, qg, np.random.default_rng(0))
+        _, rows = spectral_checks(dp, deflate_pressures(b, qg), np.random.default_rng(0))
         low, high = rows[:2]
         assert low.status == "pass" and high.status == "fail"
         assert high.value == exc.value.value
@@ -376,7 +397,7 @@ class TestCheckTable:
         # the pairing rows are extremes of ‖B q‖₋₁ / ⦀q⦀ over the seeded draws
         ts, w_sub, b, qg = model_setup()
         dp = DualProduct(aux=w_sub, stiffness=make_stiffness(w_sub, "gramian"))
-        _, rows = spectral_checks(dp, b, qg, np.random.default_rng(5))
+        _, rows = spectral_checks(dp, deflate_pressures(b, qg), np.random.default_rng(5))
         z = pressure_deflation(b, qg)
         rng = np.random.default_rng(5)
         ratios = []

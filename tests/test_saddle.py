@@ -4,7 +4,7 @@ from dataclasses import replace
 
 from dualstab import models
 from dualstab.algebra import DimensionMismatch, spd_solve
-from dualstab.dualprod import BoundViolated
+from dualstab.dualprod import BoundViolated, pressure_infsup
 from dualstab.hilbert import Subspace
 from dualstab.saddle import (
     ConstantsReport,
@@ -253,6 +253,11 @@ class TestSubspaceCombination:
 
         assert value >= infsup_qw(d.b_sel, d.q_sel, d.W) - 1e-9
 
+    def test_relaxed_floor_is_beta_hat(self):
+        # the W-only floor and beta_hat are one pencil on one deflation
+        cfg, pb, d = build()
+        assert pressure_infsup(d.pressures, d.W) == constants(pb, d).beta_hat
+
 
 class TestPressureProjection:
     def test_roundtrip_on_deflated_members(self):
@@ -307,7 +312,8 @@ class TestValidation:
         cfg, pb, d = build(gamma=0.0)
         d2 = d.with_gamma(0.3)
         assert d.gamma == 0.0 and d2.gamma == 0.3
-        assert d2.U is d.U and d2.dp is d.dp and d2.deflation is d.deflation
+        assert d2.U is d.U and d2.dp is d.dp and d2.pressures is d.pressures
+        assert d2.deflation is d.deflation
         rebuilt = models.build_spaces(replace(cfg, gamma=0.3), pb)
         np.testing.assert_array_equal(
             assemble_stabilized(pb, d2).matrix, assemble_stabilized(pb, rebuilt).matrix
