@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import models, saddle
 from .algebra import NonFinite, NotSpd
-from .dualprod import BoundViolated, DegeneratePencil, spectral_checks
+from .dualprod import BoundViolated, DegeneratePencil, measure_equivalence, spectral_checks
 from .models import ModelConfig, NestingViolated
 from .report import Report, write_report
 from .saddle import DegenerateDenominator, GammaTooLarge, GammaZero, SingularSystem
@@ -153,13 +152,13 @@ def build_run_config(file_values, overrides):
     if cfg.format not in ("csv", "json"):
         raise ConfigError(f"format: must be 'csv' or 'json', got {cfg.format!r}")
     # the model config validates mesh sizes, w, s, and reaction up front
-    _model_config(cfg, cfg.coarse_elems, 0.0)
+    _model_config(cfg, cfg.coarse_elems)
     for level in cfg.levels:
-        _model_config(cfg, level, 0.0)
+        _model_config(cfg, level)
     return cfg
 
 
-def _model_config(cfg, coarse, gamma):
+def _model_config(cfg, coarse):
     try:
         mc = ModelConfig(
             truth_elems=cfg.truth_elems,
@@ -167,7 +166,7 @@ def _model_config(cfg, coarse, gamma):
             pressure_kind=cfg.pressure,
             w_kind=cfg.w,
             s_choice=cfg.s,
-            gamma=gamma,
+            gamma=0.0,
             reaction=cfg.reaction,
         )
         if mc.s_choice not in ("gramian", "lumped"):
@@ -182,36 +181,21 @@ def _model_config(cfg, coarse, gamma):
         raise ConfigError(str(exc)) from None
 
 
-@dataclass(frozen=True)
-class LevelSetup:
-    """Assembled model, discretization, and measured constants at one level."""
-
-    config: ModelConfig
-    problem: saddle.SaddleProblem
-    disc: saddle.Discretization
-    report: saddle.ConstantsReport
-    gamma: float
-
-
 def _truth(cfg):
     """The truth record every level of one command shares."""
-    return models.truth_record(_model_config(cfg, cfg.coarse_elems, 0.0))
+    return models.truth_record(_model_config(cfg, cfg.coarse_elems))
 
 
-def _level_setup(cfg, truth, coarse):
-    """Build one mesh level on the shared truth record.
-
-    Resolves gamma = 'auto' to gamma0 / 2.
-    """
-    mc = _model_config(cfg, coarse, 0.0)
+def _level(cfg, truth, coarse):
+    """Model config, problem and spaces (at gamma 0) of one mesh level on the truth record."""
+    mc = _model_config(cfg, coarse)
     pb = models.build_level(mc, truth)
-    d = models.build_spaces(mc, pb)
-    rep = saddle.constants(pb, d, truth=truth)
-    gamma = rep.gamma0 / 2.0 if cfg.gamma == "auto" else float(cfg.gamma)
-    if gamma > 0.0:
-        mc = replace(mc, gamma=gamma)
-        d = d.with_gamma(gamma)
-    return LevelSetup(config=mc, problem=pb, disc=d, report=rep, gamma=gamma)
+    return mc, pb, models.build_spaces(mc, pb)
+
+
+def _gamma(cfg, rep):
+    """The configured gamma; 'auto' is gamma0 / 2 of the level's constants."""
+    return rep.gamma0 / 2.0 if cfg.gamma == "auto" else float(cfg.gamma)
 
 
 def _levels(cfg):
@@ -260,8 +244,9 @@ def cmd_constants(cfg):
     report = Report("constants", _config_echo(cfg), cfg.seed, columns)
     truth = _truth(cfg)
     for level, coarse in enumerate(_levels(cfg)):
-        ls = _level_setup(cfg, truth, coarse)
-        rep = ls.report
+        _, pb, d = _level(cfg, truth, coarse)
+        rep = saddle.constants(pb, d, truth=truth)
+        gamma = _gamma(cfg, rep)
         report.add_row(
             level=level,
             coarse_elems=coarse,
@@ -277,8 +262,8 @@ def cmd_constants(cfg):
             beta_hat=rep.beta_hat,
             gamma0=rep.gamma0,
             gamma_tilde0=rep.gamma_tilde0,
-            gamma=ls.gamma,
-            beta_gamma=rep.beta_gamma(ls.gamma),
+            gamma=gamma,
+            beta_gamma=rep.beta_gamma(gamma),
         )
     return report
 
@@ -289,8 +274,7 @@ def cmd_spectral(cfg):
     report = Report("spectral", _config_echo(cfg), cfg.seed, columns)
     truth = _truth(cfg)
     for level, coarse in enumerate(_levels(cfg)):
-        mc = _model_config(cfg, coarse, 0.0)
-        d = models.build_spaces(mc, models.build_level(mc, truth))
+        _, _, d = _level(cfg, truth, coarse)
         rng = np.random.default_rng([cfg.seed, level, 1])
         _, rows = spectral_checks(d.dp, d.pressures, rng)
         for row in rows:
@@ -317,11 +301,12 @@ def cmd_infsup(cfg):
     report = Report("infsup", _config_echo(cfg), cfg.seed, columns)
     truth = _truth(cfg)
     for level, coarse in enumerate(_levels(cfg)):
-        ls = _level_setup(cfg, truth, coarse)
-        d = ls.disc
+        _, pb, d = _level(cfg, truth, coarse)
+        # the inf-sup constants read the pressure pencils only, not alpha or norm_A
+        er = measure_equivalence(d.dp, d.pressures)
         status = "pass"
         try:
-            relaxed = saddle.verify_relaxed_infsup(ls.problem, d)
+            relaxed = saddle.verify_relaxed_infsup(pb, d)
         except BoundViolated as exc:
             relaxed = exc.value
             status = "fail"
@@ -332,8 +317,8 @@ def cmd_infsup(cfg):
             u_dim=d.U.dim,
             w_dim=d.W.dim,
             p_dim=d.p_dim,
-            beta=ls.report.beta,
-            beta_hat=ls.report.beta_hat,
+            beta=er.beta,
+            beta_hat=er.beta_hat,
             relaxed=relaxed,
             status=status,
         )
@@ -352,9 +337,12 @@ def cmd_solve(cfg):
     """Solve one level through both assembly routes and compare them."""
     columns = ["route", "status", "residual", "u_err", "p_err", "w_norm", "discrepancy"]
     report = Report("solve", _config_echo(cfg), cfg.seed, columns)
-    ls = _level_setup(cfg, _truth(cfg), cfg.coarse_elems)
-    pb, d = ls.problem, ls.disc
-    exact = models.exact_coefficients(ls.config, models.default_solution())
+    truth = _truth(cfg)
+    mc, pb, d = _level(cfg, truth, cfg.coarse_elems)
+    # only gamma = auto reads the level's constants
+    rep = saddle.constants(pb, d, truth=truth) if cfg.gamma == "auto" else None
+    d = d.with_gamma(_gamma(cfg, rep))
+    exact = models.exact_coefficients(mc, models.default_solution())
     stab = saddle.assemble_stabilized(pb, d)
     try:
         x, y = saddle.solve(stab)
@@ -369,7 +357,7 @@ def cmd_solve(cfg):
         u_err=u_err,
         p_err=p_err,
     )
-    if ls.gamma > 0.0:
+    if d.gamma > 0.0:
         tf = saddle.assemble_three_field(pb, d)
         x3, z3, y3 = saddle.solve(tf)
         u_err3, p_err3 = models.error_norms(pb, d, (x3, y3), exact)
@@ -389,13 +377,6 @@ def cmd_solve(cfg):
     return report
 
 
-def _converge_level(cfg, truth, coarse):
-    ls = _level_setup(cfg, truth, coarse)
-    exact = models.exact_coefficients(ls.config, models.default_solution())
-    qo = saddle.quasi_optimality(ls.problem, ls.disc, exact, report=ls.report)
-    return ls.gamma, qo
-
-
 def cmd_converge(cfg):
     """Error sweep over dyadic coarse meshes at a fixed truth mesh."""
     columns = [
@@ -412,12 +393,14 @@ def cmd_converge(cfg):
     ]
     report = Report("converge", _config_echo(cfg), cfg.seed, columns)
     levels = cfg.levels if cfg.levels else _default_sweep(cfg)
-    # truth-level work runs here once, so the level threads do level-sized work
     truth = _truth(cfg)
-    with ThreadPoolExecutor(max_workers=min(4, len(levels))) as pool:
-        results = list(pool.map(lambda n: _converge_level(cfg, truth, n), levels))
     totals = []
-    for level, (coarse, (gamma, qo)) in enumerate(zip(levels, results)):
+    for level, coarse in enumerate(levels):
+        mc, pb, d = _level(cfg, truth, coarse)
+        rep = saddle.constants(pb, d, truth=truth)
+        gamma = _gamma(cfg, rep)
+        exact = models.exact_coefficients(mc, models.default_solution())
+        qo = saddle.quasi_optimality(pb, d.with_gamma(gamma), exact, report=rep)
         total = qo.u_err + qo.p_err
         rate = None if not totals else float(np.log2(totals[-1] / total))
         totals.append(total)
@@ -446,7 +429,7 @@ def _default_sweep(cfg):
     coarse = cfg.coarse_elems
     for _ in range(4):
         try:
-            _model_config(cfg, coarse, 0.0)
+            _model_config(cfg, coarse)
         except ConfigError:
             break
         levels.append(coarse)
@@ -458,11 +441,9 @@ def cmd_condense_check(cfg):
     """Condensation agreement per gamma, plus the maximal-space w ≈ 0 test."""
     columns = ["gamma", "discrepancy", "w_ratio", "status"]
     report = Report("condense-check", _config_echo(cfg), cfg.seed, columns)
-    mc = _model_config(cfg, cfg.coarse_elems, 0.0)
+    mc = _model_config(cfg, cfg.coarse_elems)
     pb = models.build_truth(mc)
-    mc_max = _model_config(
-        replace(cfg, coarse_elems=cfg.truth_elems, w="truth"), cfg.truth_elems, 0.0
-    )
+    mc_max = _model_config(replace(cfg, w="truth"), cfg.truth_elems)
     pb_max = models.build_truth(mc_max)
     # the spaces do not depend on gamma: build them once, vary gamma only
     spaces = models.build_spaces(mc, pb)

@@ -147,7 +147,9 @@ def make_stiffness(sub, choice="gramian"):
             raise ValueError(f"invalid scaled stiffness choice {choice!r}") from None
         if not np.isfinite(sigma) or sigma <= 0.0:
             raise ValueError("stiffness scaling must be finite and positive")
-        s = sigma * sub.gram_sub
+        # an overflow to inf is reported once, as NonFinite, by stiffness_from_matrix
+        with np.errstate(over="ignore"):
+            s = sigma * sub.gram_sub
     else:
         raise ValueError(f"unknown stiffness choice {choice!r}")
     return stiffness_from_matrix(sub, s, choice=choice)

@@ -277,7 +277,7 @@ def build_truth(cfg, solution=None):
 
 
 def truth_record(cfg):
-    """Truth space and a-form of a configuration, with alpha and norm_A measured.
+    """Truth record of a configuration; alpha and norm_A are measured on first read.
 
     They depend only on ``truth_elems`` and ``reaction``, so every coarse level
     of a run shares one record through ``build_level``.

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -356,28 +357,33 @@ class ConstantsReport:
 
 @dataclass(frozen=True)
 class TruthRecord:
-    """Truth space and a-form with their constants, shared by every level.
+    """Truth space and a-form, shared by every level.
 
-    alpha is the smallest eigenvalue of (sym A, G) and norm_A the operator
-    norm of A; neither depends on the coarse spaces, so a command measures
-    them once per truth mesh.
+    alpha (the smallest eigenvalue of (sym A, G)) and norm_A (the operator
+    norm of A) are measured on first read: neither depends on the coarse
+    spaces, so a command measures them at most once per truth mesh, and only
+    when it reads them.
     """
 
     space: TruthSpace
     a_form: np.ndarray
-    alpha: float
-    norm_A: float
+
+    @cached_property
+    def alpha(self):
+        sym_a = 0.5 * (self.a_form + self.a_form.T)
+        return float(sym_generalized_eigvals(sym_a, self.space.fact)[0])
+
+    @cached_property
+    def norm_A(self):
+        return operator_norm(self.a_form, self.space.fact, self.space.fact)
 
 
 def measure_truth(space, a_form):
-    """Measure the coercivity constant and the norm of the a-form on a truth space."""
+    """Truth record of an a-form on a truth space; alpha and norm_A are measured on first read."""
     a_form = as_matrix(a_form, "a-form matrix")
     if a_form.shape != (space.dim, space.dim):
         raise DimensionMismatch("a-form matrix does not match the truth space")
-    sym_a = 0.5 * (a_form + a_form.T)
-    alpha = float(sym_generalized_eigvals(sym_a, space.fact)[0])
-    norm_a = operator_norm(a_form, space.fact, space.fact)
-    return TruthRecord(space=space, a_form=a_form, alpha=alpha, norm_A=norm_a)
+    return TruthRecord(space=space, a_form=a_form)
 
 
 def constants(pb, d, truth=None):

@@ -324,8 +324,22 @@ class TestCommands:
 
 
 class TestTruthLevelWork:
-    @pytest.mark.parametrize("command", ["constants", "converge"])
-    def test_truth_pencil_measured_once_per_command(self, tmp_path, monkeypatch, command):
+    # alpha and norm_A enter gamma0 and beta_gamma only: a command measures
+    # the truth pencil once if it prints either, and never otherwise
+    @pytest.mark.parametrize(
+        "command, extra, n_rows, expected",
+        [
+            pytest.param("constants", [], 4, 1, id="constants"),
+            pytest.param("converge", [], 4, 1, id="converge"),
+            pytest.param("spectral", [], 4 * 8, 0, id="spectral"),
+            pytest.param("infsup", [], 4, 0, id="infsup"),
+            pytest.param("solve", [], 3, 0, id="solve"),
+            pytest.param("solve", ["--gamma", "auto"], 3, 1, id="solve-auto"),
+        ],
+    )
+    def test_truth_pencil_measured_once_per_command(
+        self, tmp_path, monkeypatch, command, extra, n_rows, expected
+    ):
         calls = []
         original = saddle.operator_norm
 
@@ -335,10 +349,22 @@ class TestTruthLevelWork:
 
         monkeypatch.setattr(saddle, "operator_norm", counted)
         path = write_cfg(tmp_path, "truth_elems = 64\nlevels = 4, 8, 16, 32\n")
-        code, _, rows = run_csv(tmp_path, [command, "--config", path])
+        code, _, rows = run_csv(tmp_path, [command, "--config", path] + extra)
         assert code == 0
-        assert len(rows) == 4
-        assert calls == [(63, 63)]
+        assert len(rows) == n_rows
+        assert calls == [(63, 63)] * expected
+
+    def test_infsup_does_not_depend_on_stiffness(self, tmp_path):
+        # beta, beta_hat and the relaxed constant read the pressure pencils
+        # only; at these scales gamma0 would over- or underflow C_star**2
+        path = write_cfg(tmp_path, "truth_elems = 64\nlevels = 4, 8, 16\n")
+        tables = {}
+        for s in ("gramian", "scaled:1e-300", "scaled:1e300"):
+            out = tmp_path / f"{s.replace(':', '_')}.csv"
+            assert main(["infsup", "--config", path, "--s", s, "--out", str(out)]) == 0
+            tables[s] = out.read_bytes()
+        assert tables["scaled:1e-300"] == tables["gramian"]
+        assert tables["scaled:1e300"] == tables["gramian"]
 
 
 class TestEdgeExits:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from dualstab import models
+from dualstab import models, saddle
 from dualstab.algebra import DimensionMismatch, spd_solve
 from dualstab.dualprod import BoundViolated, pressure_infsup
 from dualstab.hilbert import Subspace
@@ -174,6 +174,24 @@ class TestConstants:
         cfg, pb, d = build(reaction=5.0)
         truth = measure_truth(pb.truth, pb.a_form)
         assert constants(pb, d, truth=truth) == constants(pb, d)
+
+    def test_truth_record_measures_on_first_read(self, monkeypatch):
+        calls = []
+        original = saddle.operator_norm
+
+        def counted(a, test_fact, trial_fact):
+            calls.append(a.shape)
+            return original(a, test_fact, trial_fact)
+
+        monkeypatch.setattr(saddle, "operator_norm", counted)
+        cfg, pb, d = build(reaction=5.0)
+        truth = measure_truth(pb.truth, pb.a_form)
+        other = measure_truth(pb.truth, pb.a_form)
+        assert calls == []
+        assert truth.norm_A == truth.norm_A == other.norm_A
+        # once per record: a second read reuses it, another record measures again
+        assert calls == [(63, 63)] * 2
+        assert truth.alpha == constants(pb, d).alpha
 
     def test_truth_record_of_other_truth_space_rejected(self):
         cfg, pb, d = build()
