@@ -86,6 +86,7 @@ from .saddle import (
     quasi_optimality,
     recover_aux,
     solve,
+    split_truth,
     static_condense,
     verify_coercivity,
     verify_relaxed_infsup,

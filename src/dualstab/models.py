@@ -1,10 +1,13 @@
 """1D mixed model on (0, 1): P1 velocity with dyadically nested meshes.
 
 The truth velocity space is P1 on a fine uniform mesh with homogeneous
-Dirichlet conditions; its Gramian is the H¹₀ stiffness matrix, so the a-form
-coincides with the scalar product (alpha = ‖A‖ = 1) unless a reaction term is
-switched on.  The pressure basis lives on the coarse mesh (P1-continuous or
-P0) and couples to truth velocities through the exact constraint matrix
+Dirichlet conditions; its Gramian G is the H¹₀ stiffness matrix, and the
+a-form is A = G + r·M with the interior mass matrix M and the reaction
+coefficient r.  The truth record is built from that split: alpha and ‖A‖ are
+1 + r·μ_min and 1 + r·μ_max of the pencil (M, G), exactly 1 at r = 0, where
+A is the scalar product and no eigensolve runs.  The pressure basis lives on
+the coarse mesh (P1-continuous or P0) and couples to truth velocities through
+the exact constraint matrix
 
     b(q, v) = ∫ q v',
 
@@ -23,7 +26,7 @@ import numpy as np
 from .dualprod import DualProduct, make_stiffness
 from .hilbert import Functional, Subspace, TruthSpace
 # error_norms is defined beside quasi_optimality, which shares it
-from .saddle import Discretization, SaddleProblem, error_norms, measure_truth  # noqa: F401
+from .saddle import Discretization, SaddleProblem, error_norms, split_truth  # noqa: F401
 
 GAUSS_POINTS = 5
 
@@ -252,14 +255,7 @@ def exact_coefficients(cfg, solution):
 # problem and discretization builders
 
 
-def _truth_space(cfg):
-    n = cfg.truth_elems
-    gram = p1_stiffness(n)
-    a_form = gram if cfg.reaction == 0.0 else gram + cfg.reaction * p1_interior_mass(n)
-    return TruthSpace(gram, label=f"p1-h10-{n}"), a_form
-
-
-def _problem(cfg, truth, a_form, solution):
+def _problem(cfg, truth, solution):
     if solution is None:
         solution = default_solution()
     n = cfg.truth_elems
@@ -268,26 +264,31 @@ def _problem(cfg, truth, a_form, solution):
     load = Functional(load_vector(n, solution, reaction=cfg.reaction))
     g_rhs = constraint_rhs(n, cfg.coarse_elems, cfg.pressure_kind, solution)
     label = f"{cfg.pressure_kind}-{cfg.coarse_elems}-on-{n}"
-    return SaddleProblem(truth, a_form, b_form, q_gram, load, g_rhs, label=label)
+    return SaddleProblem(truth.space, truth.a_form, b_form, q_gram, load, g_rhs, label=label)
 
 
 def build_truth(cfg, solution=None):
     """Assemble the truth-level mixed problem for a configuration."""
-    return _problem(cfg, *_truth_space(cfg), solution)
+    return _problem(cfg, truth_record(cfg), solution)
 
 
 def truth_record(cfg):
-    """Truth record of a configuration; alpha and norm_A are measured on first read.
+    """Truth record of the split a-form A = G + reaction·M of a configuration.
 
-    They depend only on ``truth_elems`` and ``reaction``, so every coarse level
-    of a run shares one record through ``build_level``.
+    G is the H¹₀ stiffness and M the interior P1 mass on the truth mesh; M is
+    not assembled at reaction 0.  alpha and norm_A are computed on first read
+    from the pencil (M, G), and are exactly 1 at reaction 0.  They depend only
+    on ``truth_elems`` and ``reaction``, so every coarse level of a run shares
+    one record through ``build_level``.
     """
-    return measure_truth(*_truth_space(cfg))
+    n = cfg.truth_elems
+    mass = None if cfg.reaction == 0.0 else p1_interior_mass(n)
+    return split_truth(TruthSpace(p1_stiffness(n), label=f"p1-h10-{n}"), cfg.reaction, mass)
 
 
 def build_level(cfg, truth):
     """Assemble the mixed problem of one coarse level on a shared TruthRecord."""
-    return _problem(cfg, truth.space, truth.a_form, None)
+    return _problem(cfg, truth, None)
 
 
 def build_spaces(cfg, pb, q_select=None):

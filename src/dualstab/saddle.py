@@ -360,37 +360,78 @@ class TruthRecord:
     """Truth space and a-form, shared by every level.
 
     alpha (the smallest eigenvalue of (sym A, G)) and norm_A (the operator
-    norm of A) are measured on first read: neither depends on the coarse
-    spaces, so a command measures them at most once per truth mesh, and only
-    when it reads them.
+    norm of A) depend on no coarse space, so both are read from one spectrum
+    computed on first read: a command computes it at most once per truth
+    mesh, and only when it reads either.  Both are Python floats.
+
+    A record of the split A = G + reaction·mass (``split_truth``) reads them
+    as 1 + reaction·μ_min and 1 + reaction·μ_max of the pencil (mass, G): one
+    eigenvalues-only solve, and none at reaction 0, where both are exactly 1
+    and ``mass`` is None.  A record of any other a-form (``measure_truth``,
+    ``reaction`` None) solves (sym A, G) and (Aᵀ G⁻¹ A, G) densely; that route
+    is the oracle of the split one.
     """
 
     space: TruthSpace
     a_form: np.ndarray
+    reaction: float | None
+    mass: np.ndarray | None
 
     @cached_property
+    def _extremes(self):
+        fact = self.space.fact
+        if self.reaction is None:
+            sym_a = 0.5 * (self.a_form + self.a_form.T)
+            alpha = float(sym_generalized_eigvals(sym_a, fact)[0])
+            return alpha, operator_norm(self.a_form, fact, fact)
+        if self.reaction == 0.0:
+            return 1.0, 1.0
+        mu = sym_generalized_eigvals(self.mass, fact)
+        return 1.0 + self.reaction * float(mu[0]), 1.0 + self.reaction * float(mu[-1])
+
+    @property
     def alpha(self):
-        sym_a = 0.5 * (self.a_form + self.a_form.T)
-        return float(sym_generalized_eigvals(sym_a, self.space.fact)[0])
+        return self._extremes[0]
 
-    @cached_property
+    @property
     def norm_A(self):
-        return operator_norm(self.a_form, self.space.fact, self.space.fact)
+        return self._extremes[1]
 
 
 def measure_truth(space, a_form):
-    """Truth record of an a-form on a truth space; alpha and norm_A are measured on first read."""
+    """Truth record of a general a-form on a truth space, measured densely on first read."""
     a_form = as_matrix(a_form, "a-form matrix")
     if a_form.shape != (space.dim, space.dim):
         raise DimensionMismatch("a-form matrix does not match the truth space")
-    return TruthRecord(space=space, a_form=a_form)
+    return TruthRecord(space=space, a_form=a_form, reaction=None, mass=None)
+
+
+def split_truth(space, reaction, mass=None):
+    """Truth record of the a-form A = G + reaction·mass, which the record forms itself.
+
+    ``mass`` is required (symmetric, on the truth space) for reaction > 0 and
+    ignored at reaction 0, where A is the truth Gramian G.
+    """
+    reaction = float(reaction)
+    if not np.isfinite(reaction) or reaction < 0.0:
+        raise ValueError("reaction coefficient must be a finite nonnegative real")
+    if reaction == 0.0:
+        return TruthRecord(space=space, a_form=space.gramian, reaction=0.0, mass=None)
+    mass = require_symmetric(mass, "mass matrix")
+    if mass.shape != (space.dim, space.dim):
+        raise DimensionMismatch("mass matrix does not match the truth space")
+    return TruthRecord(
+        space=space, a_form=space.gramian + reaction * mass, reaction=reaction, mass=mass
+    )
 
 
 def constants(pb, d, truth=None):
     """Measure every constant entering the stabilization bounds.
 
-    alpha and norm_A are truth-level properties of the a-form, taken from
-    ``truth`` (a TruthRecord of the problem's truth space) or measured here;
+    alpha and norm_A are truth-level properties of the a-form, read from
+    ``truth`` (a TruthRecord of the problem's truth space, e.g. of the split
+    A = G + reaction·mass) or, without one, measured here on the dense
+    (A, G) route of ``measure_truth``;
     beta and norm_B are the deflated truth inf-sup constants of the full
     pressure space; c_star, alpha_hat and beta_hat are measured on the
     selected pressure columns through the configured dual product.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import dualstab.cli as cli
-from dualstab import models, saddle
+from dualstab import algebra, dualprod, models, saddle
 from dualstab.cli import (
     ConfigError,
     RunConfig,
@@ -324,34 +324,58 @@ class TestCommands:
 
 
 class TestTruthLevelWork:
-    # alpha and norm_A enter gamma0 and beta_gamma only: a command measures
-    # the truth pencil once if it prints either, and never otherwise
+    # alpha and norm_A enter gamma0 and beta_gamma only: a command solves the
+    # truth pencil (M, G) once if it prints either and reaction > 0, and never
+    # otherwise; at reaction 0 both are exactly 1 without a solve
     @pytest.mark.parametrize(
-        "command, extra, n_rows, expected",
+        "command, extra, n_rows, reaction, expected",
         [
-            pytest.param("constants", [], 4, 1, id="constants"),
-            pytest.param("converge", [], 4, 1, id="converge"),
-            pytest.param("spectral", [], 4 * 8, 0, id="spectral"),
-            pytest.param("infsup", [], 4, 0, id="infsup"),
-            pytest.param("solve", [], 3, 0, id="solve"),
-            pytest.param("solve", ["--gamma", "auto"], 3, 1, id="solve-auto"),
+            pytest.param("constants", [], 4, 2.5, 1, id="constants"),
+            pytest.param("converge", [], 4, 2.5, 1, id="converge"),
+            pytest.param("spectral", [], 4 * 8, 2.5, 0, id="spectral"),
+            pytest.param("infsup", [], 4, 2.5, 0, id="infsup"),
+            pytest.param("solve", [], 3, 2.5, 0, id="solve"),
+            pytest.param("solve", ["--gamma", "auto"], 3, 2.5, 1, id="solve-auto"),
+            pytest.param("constants", [], 4, 0.0, 0, id="constants-reaction0"),
+            pytest.param("converge", [], 4, 0.0, 0, id="converge-reaction0"),
+            pytest.param("spectral", [], 4 * 8, 0.0, 0, id="spectral-reaction0"),
+            pytest.param("infsup", [], 4, 0.0, 0, id="infsup-reaction0"),
+            pytest.param("solve", [], 3, 0.0, 0, id="solve-reaction0"),
+            pytest.param("solve", ["--gamma", "auto"], 3, 0.0, 0, id="solve-auto-reaction0"),
         ],
     )
     def test_truth_pencil_measured_once_per_command(
-        self, tmp_path, monkeypatch, command, extra, n_rows, expected
+        self, tmp_path, monkeypatch, command, extra, n_rows, reaction, expected
     ):
-        calls = []
-        original = saddle.operator_norm
+        # counted by the truth factor, not by shape: at level 32, refined:2
+        # gives a W of the truth dimension 63
+        records, calls = [], []
+        original_record = models.truth_record
 
-        def counted(a, test_fact, trial_fact):
-            calls.append(a.shape)
-            return original(a, test_fact, trial_fact)
+        def recorded(cfg):
+            records.append(original_record(cfg))
+            return records[-1]
 
-        monkeypatch.setattr(saddle, "operator_norm", counted)
-        path = write_cfg(tmp_path, "truth_elems = 64\nlevels = 4, 8, 16, 32\n")
+        def counting(original):
+            def counted(a, b_fact):
+                if any(b_fact is r.space.fact for r in records):
+                    calls.append(a.shape)
+                return original(a, b_fact)
+
+            return counted
+
+        monkeypatch.setattr(models, "truth_record", recorded)
+        for module in (algebra, dualprod, saddle):
+            monkeypatch.setattr(
+                module, "sym_generalized_eigvals", counting(module.sym_generalized_eigvals)
+            )
+        path = write_cfg(
+            tmp_path, f"truth_elems = 64\nlevels = 4, 8, 16, 32\nreaction = {reaction}\n"
+        )
         code, _, rows = run_csv(tmp_path, [command, "--config", path] + extra)
         assert code == 0
         assert len(rows) == n_rows
+        assert len(records) == 1
         assert calls == [(63, 63)] * expected
 
     def test_infsup_does_not_depend_on_stiffness(self, tmp_path):
@@ -381,6 +405,28 @@ class TestEdgeExits:
         err = capsys.readouterr().err
         assert err.startswith("dualstab: numerical failure:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("reaction", ["1e300", "1.7e308"])
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            pytest.param("constants", [], id="constants"),
+            pytest.param("converge", [], id="converge"),
+            pytest.param("solve", ["--gamma", "auto"], id="solve-auto"),
+        ],
+    )
+    def test_huge_reaction_overflows_gamma0_exits_3(
+        self, tmp_path, capsys, command, extra, reaction
+    ):
+        # norm_A = 1 + reaction·μ_max(M, G) is finite, but norm_A**2 in gamma0
+        # leaves the float range: one message, no numpy warning
+        path = write_cfg(tmp_path, f"truth_elems = 16\ncoarse_elems = 4\nreaction = {reaction}\n")
+        code = main([command, "--config", path] + extra)
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("dualstab: numerical failure:")
 
     @pytest.mark.parametrize("scale", [1e-300, 1e300])
     def test_stiffness_bound_measured_at_extreme_scales(self, tmp_path, scale):

@@ -22,6 +22,14 @@ SCALES = st.floats(min_value=math.log(5e-324), max_value=math.log(1.7e308)).map(
     lambda x: f"scaled:{math.exp(x)!r}"
 )
 
+# reaction coefficients: 0, or log-uniform over the positive doubles
+REACTIONS = st.one_of(
+    st.just("0"),
+    st.floats(min_value=math.log(5e-324), max_value=math.log(1.7e308)).map(
+        lambda x: repr(math.exp(x))
+    ),
+)
+
 
 @st.composite
 def runs(draw):
@@ -35,6 +43,7 @@ def runs(draw):
         "w": draw(st.sampled_from(["refined:2", "refined:1", "truth", "same"])),
         "s": draw(st.one_of(st.sampled_from(["gramian", "lumped"]), SCALES)),
         "gamma": gamma,
+        "reaction": draw(REACTIONS),
     }
     return draw(st.sampled_from(COMMANDS)), config
 

@@ -29,6 +29,21 @@ def gauss_rule(n, order=12):
     return x, w
 
 
+def closed_form_extremes(n, reaction):
+    """alpha and norm_A of A = G + r·M on n elements.
+
+    μ_j = h²(4 + 2cos jπh) / (24 sin²(jπh/2)) are the eigenvalues of (M, G);
+    j = n − 1 gives the smallest and j = 1 the largest.
+    """
+    h = 1.0 / n
+
+    def mu(j):
+        x = j * np.pi * h
+        return h * h * (4.0 + 2.0 * np.cos(x)) / (24.0 * np.sin(x / 2.0) ** 2)
+
+    return 1.0 + reaction * mu(n - 1), 1.0 + reaction * mu(1)
+
+
 def hat_derivatives(x, n):
     """Derivative of every interior hat of an n-element mesh at points x."""
     xi = np.arange(1, n) / n
@@ -236,7 +251,12 @@ class TestBuilders:
         for name in ("a_form", "b_form", "q_gram", "constraint_rhs"):
             np.testing.assert_array_equal(getattr(pb, name), getattr(ref, name))
         np.testing.assert_array_equal(pb.load.action, ref.load.action)
-        assert truth.alpha == saddle.constants(ref, models.build_spaces(cfg, ref)).alpha
+        oracle = saddle.measure_truth(ref.truth, ref.a_form)
+        closed = closed_form_extremes(32, 2.0)
+        assert (truth.alpha, truth.norm_A) == pytest.approx(closed, rel=1e-12, abs=0.0)
+        assert (truth.alpha, truth.norm_A) == pytest.approx(
+            (oracle.alpha, oracle.norm_A), rel=1e-12, abs=0.0
+        )
 
     def test_reaction_adds_mass(self):
         cfg = ModelConfig(truth_elems=32, coarse_elems=8, reaction=3.0)
@@ -259,6 +279,58 @@ class TestBuilders:
             d = models.build_spaces(replace(cfg, w_kind=kind), pb)
             dims[kind] = d.W.dim
         assert dims["same"] == 7 and dims["refined:2"] == 15 and dims["truth"] == 63
+
+
+def no_dense_route(*args):
+    raise AssertionError("the split record never solves the dense (A, G) pencils")
+
+
+class TestTruthRecord:
+    # alpha and norm_A of the split A = G + r·M come from the pencil (M, G)
+
+    def test_extremes_match_closed_form_at_truth_2048(self):
+        # the dense (A, G) route is 7.6e-11 off here in norm_A
+        truth = models.truth_record(ModelConfig(truth_elems=2048, coarse_elems=2, reaction=2.5))
+        closed = closed_form_extremes(2048, 2.5)
+        assert truth.alpha == pytest.approx(closed[0], rel=1e-12, abs=0.0)
+        assert truth.norm_A == pytest.approx(closed[1], rel=1e-12, abs=0.0)
+
+    def test_reaction_zero_is_exactly_one_without_a_solve(self, monkeypatch):
+        monkeypatch.setattr(saddle, "sym_generalized_eigvals", no_dense_route)
+        monkeypatch.setattr(saddle, "operator_norm", no_dense_route)
+        truth = models.truth_record(ModelConfig(truth_elems=64, coarse_elems=8))
+        assert truth.mass is None
+        assert truth.a_form is truth.space.gramian
+        for value in (truth.alpha, truth.norm_A):
+            assert type(value) is float and value == 1.0
+
+    def test_one_solve_serves_both_and_is_cached(self, monkeypatch):
+        calls = []
+        original = saddle.sym_generalized_eigvals
+
+        def counted(a, b_fact):
+            calls.append((a, b_fact))
+            return original(a, b_fact)
+
+        monkeypatch.setattr(saddle, "sym_generalized_eigvals", counted)
+        monkeypatch.setattr(saddle, "operator_norm", no_dense_route)
+        truth = models.truth_record(ModelConfig(truth_elems=64, coarse_elems=8, reaction=2.5))
+        assert calls == []
+        values = (truth.alpha, truth.norm_A)
+        assert len(calls) == 1
+        assert calls[0][0] is truth.mass and calls[0][1] is truth.space.fact
+        assert (truth.norm_A, truth.alpha) == values[::-1]
+        assert len(calls) == 1
+        assert all(type(v) is float for v in values)
+
+    def test_split_truth_validates(self):
+        space = models.truth_record(ModelConfig(truth_elems=8, coarse_elems=2)).space
+        with pytest.raises(ValueError):
+            saddle.split_truth(space, -1.0, p1_interior_mass(8))
+        with pytest.raises(ValueError):
+            saddle.split_truth(space, float("inf"), p1_interior_mass(8))
+        with pytest.raises(saddle.DimensionMismatch):
+            saddle.split_truth(space, 1.0, p1_interior_mass(16))
 
 
 class TestModelInvariants:
