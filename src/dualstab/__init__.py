@@ -32,7 +32,6 @@ from .dualprod import (
     dual_equivalence_interval,
     equivalence_report,
     estimate_c_star,
-    infsup_dual,
     infsup_qw,
     make_stiffness,
     pressure_deflation,
@@ -51,12 +50,9 @@ from .hilbert import (
     dual_basis,
     dual_norm,
     orthogonal_project,
-    pairing,
-    riesz_rep,
 )
 from .models import (
     ManufacturedSolution,
-    Mesh1D,
     ModelConfig,
     NestingViolated,
     build_level,
@@ -84,7 +80,6 @@ from .saddle import (
     constants,
     measure_truth,
     quasi_optimality,
-    recover_aux,
     solve,
     split_truth,
     static_condense,

@@ -64,9 +64,6 @@ class SpdFactorization:
     dim: int
     lower: np.ndarray
 
-    def reconstruct(self):
-        return self.lower @ self.lower.T
-
 
 @dataclass(frozen=True)
 class EigResult:

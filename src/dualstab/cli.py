@@ -2,7 +2,8 @@
 
 Config files are flat ``key = value`` text ('#' starts a comment); command
 line flags override file values.  Exit codes: 0 all checks pass, 1 a
-mathematical check failed, 2 config error, 3 numerical kernel failure.
+mathematical check failed, 2 config error, 3 numerical failure (a kernel
+failure, or an overflow or invalid value anywhere in a command).
 """
 
 from __future__ import annotations
@@ -513,7 +514,8 @@ def main(argv=None):
     }
     try:
         cfg = build_run_config(parse_config_file(args.config), overrides)
-        report = _COMMANDS[args.command](cfg)
+        with np.errstate(over="raise", invalid="raise"):
+            report = _COMMANDS[args.command](cfg)
     except (ConfigError, GammaTooLarge) as exc:
         print(f"dualstab: config error: {exc}", file=sys.stderr)
         return 2
@@ -529,6 +531,7 @@ def main(argv=None):
         np.linalg.LinAlgError,
         NonFinite,
         OverflowError,
+        FloatingPointError,
         ZeroDivisionError,
     ) as exc:
         print(f"dualstab: numerical failure: {exc}", file=sys.stderr)

@@ -288,17 +288,6 @@ def infsup_qw(b_t, q_gram, sub):
     return pressure_infsup(deflate_pressures(b_t, q_gram), sub)
 
 
-def infsup_dual(b_t, q_gram, sub):
-    """Dual-norm inf-sup constant: pressures measured through ‖B q‖₋₁.
-
-    Square root of the smallest eigenvalue of (B_Wᵀ G_W⁻¹ B_W, B_Tᵀ G⁻¹ B_T)
-    after deflation.
-    """
-    pressures = deflate_pressures(b_t, q_gram)
-    sup_w = _sup_gram(sub, pressures)[1]
-    return _floored_root(sym_generalized_eigvals(sup_w, _dual_gram(sub.parent, pressures)[1]))
-
-
 def _equivalence(dp, pressures):
     """The EquivalenceReport of a configuration, and its dual Gramian."""
     b_w, sup_w = _sup_gram(dp.aux, pressures)

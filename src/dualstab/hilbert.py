@@ -109,12 +109,6 @@ def orthogonal_project(sub, x):
     return spd_solve(sub.fact, sub.embedding.T @ (sub.parent.gramian @ x))
 
 
-def riesz_rep(space, f):
-    """Truth coordinates of the Riesz representative G⁻¹ f."""
-    _check_space(space, f)
-    return spd_solve(space.fact, f.action)
-
-
 def dual_norm(space, f):
     """Dual norm sup ⟨f, v⟩ / ‖v‖ = (fᵀ G⁻¹ f)^½."""
     _check_space(space, f)
@@ -139,18 +133,3 @@ def adjoint_project(sub, f, basis=None):
     if basis is None:
         basis = dual_basis(sub)
     return Functional(basis.reps @ (sub.embedding.T @ f.action))
-
-
-def pairing(f, sub, coeffs):
-    """Duality pairing ⟨f, w⟩ for w in the subspace with given coefficients."""
-    _check_space(sub.parent, f)
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (sub.dim,):
-        raise DimensionMismatch(f"coefficients of shape {coeffs.shape} do not match subspace")
-    return float(f.action @ (sub.embedding @ coeffs))
-
-
-def subspace_member(sub, coeffs):
-    """Truth coordinates of a subspace element."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    return sub.embedding @ coeffs

@@ -40,30 +40,6 @@ def _is_pow2(n):
 
 
 @dataclass(frozen=True)
-class Mesh1D:
-    """Uniform mesh of (0, 1) with a power-of-two number of elements."""
-
-    n_elems: int
-
-    def __post_init__(self):
-        if not _is_pow2(self.n_elems):
-            raise NestingViolated(f"mesh must have a power-of-two element count ≥ 2, got {self.n_elems}")
-
-    @property
-    def h(self):
-        return 1.0 / self.n_elems
-
-    def nodes(self):
-        return np.linspace(0.0, 1.0, self.n_elems + 1)
-
-    def interior_nodes(self):
-        return self.nodes()[1:-1]
-
-    def midpoints(self):
-        return (np.arange(self.n_elems) + 0.5) * self.h
-
-
-@dataclass(frozen=True)
 class ManufacturedSolution:
     """Smooth exact pair (u, p) with the velocity derivative supplied."""
 
@@ -241,13 +217,12 @@ def constraint_rhs(truth_elems, coarse_elems, kind, solution):
 
 def exact_coefficients(cfg, solution):
     """Interpolants of the exact pair: truth velocity nodes, pressure dofs."""
-    truth = Mesh1D(cfg.truth_elems)
-    coarse = Mesh1D(cfg.coarse_elems)
-    x = solution.u(truth.interior_nodes())
+    n, nc = cfg.truth_elems, cfg.coarse_elems
+    x = solution.u(np.arange(1, n) / n)
     if cfg.pressure_kind == "p1":
-        y = solution.p(coarse.nodes())
+        y = solution.p(np.arange(nc + 1) / nc)
     else:
-        y = solution.p(coarse.midpoints())
+        y = solution.p((np.arange(nc) + 0.5) / nc)
     return x, y
 
 
@@ -255,9 +230,8 @@ def exact_coefficients(cfg, solution):
 # problem and discretization builders
 
 
-def _problem(cfg, truth, solution):
-    if solution is None:
-        solution = default_solution()
+def _problem(cfg, truth):
+    solution = default_solution()
     n = cfg.truth_elems
     b_form = constraint_matrix(n, cfg.coarse_elems, cfg.pressure_kind)
     q_gram = pressure_mass(cfg.coarse_elems, cfg.pressure_kind)
@@ -267,9 +241,9 @@ def _problem(cfg, truth, solution):
     return SaddleProblem(truth.space, truth.a_form, b_form, q_gram, load, g_rhs, label=label)
 
 
-def build_truth(cfg, solution=None):
+def build_truth(cfg):
     """Assemble the truth-level mixed problem for a configuration."""
-    return _problem(cfg, truth_record(cfg), solution)
+    return _problem(cfg, truth_record(cfg))
 
 
 def truth_record(cfg):
@@ -288,10 +262,10 @@ def truth_record(cfg):
 
 def build_level(cfg, truth):
     """Assemble the mixed problem of one coarse level on a shared TruthRecord."""
-    return _problem(cfg, truth, None)
+    return _problem(cfg, truth)
 
 
-def build_spaces(cfg, pb, q_select=None):
+def build_spaces(cfg, pb):
     """Build (U, W, dual product, gamma) for a configuration and problem."""
     u_sub = Subspace(pb.truth, prolongation_p1(cfg.truth_elems, cfg.coarse_elems))
     kind = cfg.w_kind
@@ -302,4 +276,4 @@ def build_spaces(cfg, pb, q_select=None):
     else:
         w_sub = Subspace(pb.truth, prolongation_p1(cfg.truth_elems, cfg.w_elems()))
     dp = DualProduct(aux=w_sub, stiffness=make_stiffness(w_sub, cfg.s_choice))
-    return Discretization(pb, u_sub, dp, cfg.gamma, q_select=q_select)
+    return Discretization(pb, u_sub, dp, cfg.gamma)

@@ -8,9 +8,8 @@ constraint equation with the γ-weighted residual term, and the three-field
 system on U×W×Q whose middle block is (1/γ)S.  Static condensation of the
 latter must reproduce the former entrywise; the acceptance suite pins that.
 
-Pressure handling: an optional column selection restricts the pressure basis,
-and the retained columns are deflated against ker B_T (G_Q-orthogonal
-complement, see dualprod).  Assembled systems live in deflated coordinates.
+Each discretization deflates its pressures once, against ker B_T (see
+dualprod); assembled systems live in deflated coordinates.
 """
 
 from __future__ import annotations
@@ -32,10 +31,10 @@ from .algebra import (
     sym_generalized_eigvals,
 )
 from .dualprod import (
+    KERNEL_RTOL,
     BoundViolated,
     DualProduct,
     deflate_pressures,
-    equivalence_report,
     measure_equivalence,
     pressure_infsup,
 )
@@ -43,6 +42,9 @@ from .hilbert import Functional, Subspace, TruthSpace, orthogonal_project
 
 # singular value ratio at or below this flags a singular system
 SINGULAR_RTOL = 1e-12
+
+# best-approximation error at or below this fraction of the exact pair's norm is zero
+DEGENERATE_RTOL = 1e-12
 
 # relative residual guaranteed by solve()
 RESIDUAL_RTOL = 1e-10
@@ -115,9 +117,12 @@ def _valid_gamma(gamma):
 
 
 class Discretization:
-    """Choice of (U, Q-selection, W, dual product, gamma) for one problem."""
+    """Choice of (U, W, dual product, gamma) for one problem, on its whole pressure space.
 
-    def __init__(self, pb, u, dp, gamma, q_select=None):
+    ``pressures`` is its one deflation, which every pencil and assembly reads.
+    """
+
+    def __init__(self, pb, u, dp, gamma):
         if not isinstance(dp, DualProduct):
             raise TypeError("dp must be a DualProduct")
         if u.parent is not pb.truth or dp.aux.parent is not pb.truth:
@@ -125,26 +130,10 @@ class Discretization:
         self.U = u
         self.dp = dp
         self.gamma = _valid_gamma(gamma)
-        if q_select is None:
-            idx = np.arange(pb.pressure_dim)
-        else:
-            idx = np.asarray(q_select, dtype=int)
-            if idx.ndim != 1 or idx.size == 0 or np.unique(idx).size != idx.size:
-                raise ValueError("q_select must be a nonempty list of distinct column indices")
-            if idx.min() < 0 or idx.max() >= pb.pressure_dim:
-                raise ValueError("q_select index out of range")
-        self.q_select = idx
-        self.b_sel = pb.b_form[:, idx]
-        q_sel = pb.q_gram[np.ix_(idx, idx)]
-        self.q_sel = 0.5 * (q_sel + q_sel.T)
-        # the level's only deflation: every pressure pencil of the level reads it
-        self.pressures = p = deflate_pressures(self.b_sel, self.q_sel)
-        self.deflation, self.b_eff, self.q_eff = p.basis, p.b_eff, p.q_eff
-        self.q_eff_fact = p.q_fact
-        self.p_dim = p.basis.shape[1]
-        self.pressure_basis = np.zeros((pb.pressure_dim, self.p_dim))
-        self.pressure_basis[idx] = p.basis
-        self.g_eff = p.basis.T @ pb.constraint_rhs[idx]
+        self.b_sel, self.q_sel = pb.b_form, pb.q_gram
+        self.pressures = p = deflate_pressures(pb.b_form, pb.q_gram)
+        self.b_eff, self.q_eff, self.p_dim = p.b_eff, p.q_eff, p.basis.shape[1]
+        self.g_eff = p.basis.T @ pb.constraint_rhs
 
     @property
     def W(self):
@@ -274,15 +263,6 @@ def static_condense(tf):
     return StabilizedSystem(
         matrix=matrix, rhs=out_rhs, u_dim=tf.u_dim, p_dim=tf.p_dim, gamma=tf.gamma
     )
-
-
-def recover_aux(tf, x, y):
-    """Auxiliary component of the three-field solution from (x, y)."""
-    iu, iw, ip = _three_field_slices(tf)
-    m, rhs = tf.matrix, tf.rhs
-    s_fact = cholesky(m[iw, iw], "auxiliary block")
-    b_wq = -m[iw, ip]
-    return spd_solve(s_fact, rhs[iw] - m[iw, iu] @ x + b_wq @ y)
 
 
 def relative_residual(system, sol):
@@ -431,26 +411,24 @@ def constants(pb, d, truth=None):
     alpha and norm_A are truth-level properties of the a-form, read from
     ``truth`` (a TruthRecord of the problem's truth space, e.g. of the split
     A = G + reaction·mass) or, without one, measured here on the dense
-    (A, G) route of ``measure_truth``;
-    beta and norm_B are the deflated truth inf-sup constants of the full
-    pressure space; c_star, alpha_hat and beta_hat are measured on the
-    selected pressure columns through the configured dual product.
+    (A, G) route of ``measure_truth``.  Every other constant is measured on
+    the level's deflated pressures ``d.pressures``: beta and norm_B are the
+    truth inf-sup constants, c_star, alpha_hat and beta_hat go through the
+    configured dual product.
     """
     if truth is None:
         truth = measure_truth(pb.truth, pb.a_form)
     elif truth.space is not pb.truth:
         raise DimensionMismatch("truth record does not belong to the problem's truth space")
     alpha, norm_a = truth.alpha, truth.norm_A
-    er = full = measure_equivalence(d.dp, d.pressures)
-    if not np.array_equal(d.q_select, np.arange(pb.pressure_dim)):
-        full = equivalence_report(d.dp, pb.b_form, pb.q_gram)
+    er = measure_equivalence(d.dp, d.pressures)
     return ConstantsReport(
         alpha=alpha,
         norm_A=norm_a,
-        norm_B=full.norm_B,
-        beta=full.beta,
-        c_hat=min(1.0, full.beta**2),
-        C_hat=max(1.0, full.norm_B**2),
+        norm_B=er.norm_B,
+        beta=er.beta,
+        c_hat=min(1.0, er.beta**2),
+        C_hat=max(1.0, er.norm_B**2),
         kappa_star=er.kappa_star,
         K_star=er.K_star,
         c_star=er.c_star,
@@ -486,18 +464,18 @@ def verify_coercivity(pb, d, report=None):
     return measured, predicted
 
 
-def combined_subspace(truth, *embeddings, rank_rtol=1e-12):
+def combined_subspace(truth, *embeddings):
     """Subspace spanned jointly by several embeddings, deduplicated.
 
     Columns are merged and G-orthonormalized through the eigendecomposition of
-    their Gramian; directions below ``rank_rtol`` times the top eigenvalue are
-    dropped, so nested or overlapping spaces do not inflate the dimension.
+    their Gramian; directions at or below KERNEL_RTOL times the top eigenvalue
+    are dropped, so nested or overlapping spaces do not inflate the dimension.
     """
     cat = np.hstack(embeddings)
     gram = cat.T @ (truth.gramian @ cat)
     gram = 0.5 * (gram + gram.T)
     w, v = np.linalg.eigh(gram)
-    keep = w > rank_rtol * w[-1]
+    keep = w > KERNEL_RTOL * w[-1]
     basis = cat @ (v[:, keep] / np.sqrt(w[keep]))
     return Subspace(truth, basis)
 
@@ -519,7 +497,7 @@ def project_pressure(pb, d, y_raw):
     y_raw = np.asarray(y_raw, dtype=float)
     if y_raw.shape != (pb.pressure_dim,):
         raise DimensionMismatch("raw pressure vector does not match the pressure space")
-    return spd_solve(d.q_eff_fact, d.pressure_basis.T @ (pb.q_gram @ y_raw))
+    return spd_solve(d.pressures.q_fact, d.pressures.basis.T @ (pb.q_gram @ y_raw))
 
 
 def error_norms(pb, d, numeric, exact):
@@ -564,11 +542,11 @@ def quasi_optimality(pb, d, exact, report=None):
     y_ref = project_pressure(pb, d, ye)
     ru = xe - d.U.embedding @ orthogonal_project(d.U, xe)
     best_u = pb.truth.norm(ru)
-    rp = ye - d.pressure_basis @ y_ref
+    rp = ye - d.pressures.basis @ y_ref
     best_p = float(np.sqrt(max(rp @ (pb.q_gram @ rp), 0.0)))
     denom = best_u + best_p
     scale = pb.truth.norm(xe) + float(np.sqrt(max(ye @ (pb.q_gram @ ye), 0.0)))
-    if denom <= 1e-12 * max(1.0, scale):
+    if denom <= DEGENERATE_RTOL * max(1.0, scale):
         raise DegenerateDenominator(
             "exact solution lies in the discrete spaces; quasi-optimality ratio undefined",
             u_err=u_err,

@@ -428,6 +428,45 @@ class TestEdgeExits:
         (line,) = captured.err.splitlines()
         assert line.startswith("dualstab: numerical failure:")
 
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            pytest.param(
+                "solve",
+                "truth_elems = 32\ncoarse_elems = 32\npressure = p0\nw = truth\n"
+                "s = scaled:1.19e283\ngamma = 1.5e-104\n",
+                id="solve-three-field-divide",
+            ),
+            pytest.param(
+                "condense-check",
+                "truth_elems = 2\ncoarse_elems = 2\nw = refined:1\n"
+                "s = scaled:1.3e-320\ngammas = 2.5e-216\n",
+                id="condense-check-discrepancy",
+            ),
+            pytest.param(
+                "solve",
+                "truth_elems = 32\ncoarse_elems = 2\npressure = p0\nw = refined:1\n"
+                "s = scaled:8.8e-186\ngamma = 0.81\nreaction = 4.05e167\n",
+                id="solve-residual",
+            ),
+            pytest.param(
+                "solve",
+                "truth_elems = 2\ncoarse_elems = 2\npressure = p0\nw = refined:1\n"
+                "s = lumped\ngamma = 9.9\nreaction = 1.11e308\n",
+                id="solve-stabilized-assembly",
+            ),
+        ],
+    )
+    def test_overflow_or_invalid_value_exits_3(self, tmp_path, capsys, command, text):
+        # a numpy overflow or invalid value mid-command is one numerical
+        # failure, not a warning or a traceback
+        code = main([command, "--config", write_cfg(tmp_path, text)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("dualstab: numerical failure:")
+
     @pytest.mark.parametrize("scale", [1e-300, 1e300])
     def test_stiffness_bound_measured_at_extreme_scales(self, tmp_path, scale):
         # S G_W⁻¹ S would under- or overflow without a power-of-two rescaling

@@ -3,14 +3,15 @@ import pytest
 from dataclasses import replace
 
 from dualstab import models, saddle
-from dualstab.dualprod import infsup_dual
+from dualstab.dualprod import DualProduct, equivalence_report, make_stiffness
 from dualstab.models import (
-    Mesh1D,
+    ManufacturedSolution,
     ModelConfig,
     NestingViolated,
     constraint_matrix,
     constraint_rhs,
     default_solution,
+    exact_coefficients,
     load_vector,
     p1_interior_mass,
     p1_stiffness,
@@ -59,14 +60,19 @@ class TestMeshAndConfig:
     def test_mesh_requires_power_of_two(self):
         for bad in (0, 1, 3, 6, 100):
             with pytest.raises(NestingViolated):
-                Mesh1D(bad)
-        assert Mesh1D(8).h == pytest.approx(0.125)
+                ModelConfig(truth_elems=bad, coarse_elems=2)
+            with pytest.raises(NestingViolated):
+                ModelConfig(truth_elems=128, coarse_elems=bad)
 
     def test_mesh_nodes(self):
-        m = Mesh1D(4)
-        np.testing.assert_allclose(m.nodes(), [0.0, 0.25, 0.5, 0.75, 1.0])
-        np.testing.assert_allclose(m.interior_nodes(), [0.25, 0.5, 0.75])
-        np.testing.assert_allclose(m.midpoints(), [0.125, 0.375, 0.625, 0.875])
+        # interpolating the identity reads the nodes back, exactly
+        ident = ManufacturedSolution(u=lambda x: x, du=np.ones_like, p=lambda x: x)
+        x, y = exact_coefficients(ModelConfig(truth_elems=8, coarse_elems=4), ident)
+        np.testing.assert_array_equal(x, [0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875])
+        np.testing.assert_array_equal(y, [0.0, 0.25, 0.5, 0.75, 1.0])
+        cfg = ModelConfig(truth_elems=8, coarse_elems=4, pressure_kind="p0")
+        _, mid = exact_coefficients(cfg, ident)
+        np.testing.assert_array_equal(mid, [0.125, 0.375, 0.625, 0.875])
 
     def test_config_validation(self):
         with pytest.raises(NestingViolated):
@@ -356,7 +362,8 @@ class TestModelInvariants:
             cfg = ModelConfig(truth_elems=256, coarse_elems=nc, gamma=0.0)
             pb = models.build_truth(cfg)
             d = models.build_spaces(cfg, pb)
-            vals.append(infsup_dual(d.b_sel, d.q_sel, d.U))
+            dp_u = DualProduct(d.U, make_stiffness(d.U, "gramian"))
+            vals.append(equivalence_report(dp_u, d.b_sel, d.q_sel).alpha_hat)
             with pytest.raises(SingularSystem):
                 solve(assemble_stabilized(pb, d))
         assert all(v <= 1e-7 for v in vals)
@@ -406,9 +413,8 @@ class TestModelInvariants:
         pb = models.build_truth(cfg)
         d = models.build_spaces(cfg, pb)
         sol = default_solution()
-        coarse = Mesh1D(8)
-        xc = sol.u(coarse.interior_nodes())
-        ye = sol.p(coarse.nodes())
+        xc = sol.u(np.arange(1, 8) / 8)
+        ye = exact_coefficients(cfg, sol)[1]
         numeric = (xc, project_pressure(pb, d, ye))
         exact = (d.U.embedding @ xc, ye)
         u_err, p_err = models.error_norms(pb, d, numeric, exact)

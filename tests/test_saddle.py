@@ -20,7 +20,6 @@ from dualstab.saddle import (
     measure_truth,
     project_pressure,
     quasi_optimality,
-    recover_aux,
     solve,
     static_condense,
     verify_coercivity,
@@ -92,12 +91,6 @@ class TestSolve:
         np.testing.assert_allclose(x3, x, atol=1e-11)
         np.testing.assert_allclose(y3, y, atol=1e-11)
 
-    def test_recover_aux_matches_solved_component(self):
-        cfg, pb, d = build(gamma=0.7)
-        tf = assemble_three_field(pb, d)
-        x, z, y = solve(tf)
-        np.testing.assert_allclose(recover_aux(tf, x, y), z, atol=1e-10)
-
     def test_aux_is_scaled_residual(self):
         # z = gamma S^-1 (F_W - A_WU x + B_WQ y)
         cfg, pb, d = build(gamma=0.25)
@@ -138,7 +131,7 @@ class TestSolve:
         d2 = Discretization(pb2, d.U, d.dp, d.gamma)
         x, y = solve(assemble_stabilized(pb2, d2))
         np.testing.assert_allclose(d2.U.embedding @ x, xe, atol=1e-9)
-        np.testing.assert_allclose(d2.deflation @ y, ye_def, atol=1e-9)
+        np.testing.assert_allclose(d2.pressures.basis @ y, ye_def, atol=1e-9)
 
 
 class TestConstants:
@@ -198,13 +191,6 @@ class TestConstants:
         _, other, _ = build()
         with pytest.raises(DimensionMismatch):
             constants(pb, d, truth=measure_truth(other.truth, other.a_form))
-
-    def test_pressure_selection_keeps_full_space_beta(self):
-        cfg, pb, d = build(truth=32, coarse=8, pressure_kind="p0")
-        sel = Discretization(pb, d.U, d.dp, 0.1, q_select=[0, 1, 2, 3])
-        full, part = constants(pb, d), constants(pb, sel)
-        assert part.beta == full.beta and part.norm_B == full.norm_B
-        assert part.c_star != full.c_star
 
     def test_c_hat_and_big_c_hat(self):
         cfg, pb, d = build()
@@ -282,7 +268,7 @@ class TestPressureProjection:
         cfg, pb, d = build()
         rng = np.random.default_rng(8)
         y = rng.standard_normal(d.p_dim)
-        y_raw = d.pressure_basis @ y
+        y_raw = d.pressures.basis @ y
         np.testing.assert_allclose(project_pressure(pb, d, y_raw), y, atol=1e-10)
 
     def test_kills_constants(self):
@@ -304,7 +290,7 @@ class TestQuasiOptimality:
         cfg, pb, d = build(pressure_kind="p0")
         rng = np.random.default_rng(9)
         xe = d.U.embedding @ rng.standard_normal(d.U.dim)
-        ye = d.pressure_basis @ rng.standard_normal(d.p_dim)
+        ye = d.pressures.basis @ rng.standard_normal(d.p_dim)
         with pytest.raises(DegenerateDenominator):
             quasi_optimality(pb, d, (xe, ye))
 
@@ -317,30 +303,26 @@ class TestValidation:
         with pytest.raises(DimensionMismatch):
             SaddleProblem(pb.truth, pb.a_form, pb.b_form, np.eye(2), pb.load, pb.constraint_rhs)
 
-    def test_q_select_validation(self):
+    def test_gamma_validation(self):
         cfg, pb, d = build(truth=16, coarse=4)
         with pytest.raises(ValueError):
-            Discretization(pb, d.U, d.dp, 0.1, q_select=[0, 0])
-        with pytest.raises(ValueError):
-            Discretization(pb, d.U, d.dp, 0.1, q_select=[99])
-        with pytest.raises(ValueError):
             Discretization(pb, d.U, d.dp, -1.0)
+
+    def test_deflates_whole_pressure_space(self):
+        # one pressure space per level: the problem's own B_T and G_Q
+        cfg, pb, d = build(truth=16, coarse=4, pressure_kind="p0")
+        assert d.b_sel is pb.b_form and d.q_sel is pb.q_gram
+        assert d.pressures.basis.shape == (pb.pressure_dim, d.p_dim)
+        assert d.p_dim == pb.pressure_dim - 1  # the constants are deflated away
 
     def test_with_gamma_shares_spaces(self):
         cfg, pb, d = build(gamma=0.0)
         d2 = d.with_gamma(0.3)
         assert d.gamma == 0.0 and d2.gamma == 0.3
         assert d2.U is d.U and d2.dp is d.dp and d2.pressures is d.pressures
-        assert d2.deflation is d.deflation
         rebuilt = models.build_spaces(replace(cfg, gamma=0.3), pb)
         np.testing.assert_array_equal(
             assemble_stabilized(pb, d2).matrix, assemble_stabilized(pb, rebuilt).matrix
         )
         with pytest.raises(ValueError):
             d.with_gamma(np.nan)
-
-    def test_q_select_restricts_pressure(self):
-        cfg, pb, d = build(truth=16, coarse=4, pressure_kind="p0")
-        sel = Discretization(pb, d.U, d.dp, 0.1, q_select=[0, 1, 2])
-        assert sel.b_sel.shape[1] == 3
-        assert sel.p_dim <= 3
