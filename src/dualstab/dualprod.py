@@ -29,6 +29,7 @@ level read (a Discretization builds one per level).  The functions taking
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,13 +73,30 @@ class DegeneratePencil(Exception):
 
 @dataclass(frozen=True)
 class StiffnessForm:
-    """SPD matrix S on a subspace with its spectral range against G_W."""
+    """SPD matrix S on a subspace W with its spectral range against G_W.
+
+    kappa_star and K_star, the extreme eigenvalues of (S, G_W), are read from
+    one eigenvalues-only solve on first read, so a command that reads neither
+    solves no (S, G_W) pencil.  Both are Python floats.
+    """
 
     matrix: np.ndarray
     fact: SpdFactorization
-    kappa_star: float
-    K_star: float
+    aux: Subspace
     choice: str
+
+    @cached_property
+    def _range(self):
+        spectrum = sym_generalized_eigvals(self.matrix, self.aux.fact)
+        return float(spectrum[0]), float(spectrum[-1])
+
+    @property
+    def kappa_star(self):
+        return self._range[0]
+
+    @property
+    def K_star(self):
+        return self._range[1]
 
 
 @dataclass(frozen=True)
@@ -114,15 +132,7 @@ def stiffness_from_matrix(sub, s, choice="custom"):
     s = require_symmetric(s, "stiffness matrix")
     if s.shape[0] != sub.dim:
         raise DimensionMismatch(f"stiffness of dim {s.shape[0]} does not match subspace {sub.dim}")
-    fact = cholesky(s, "stiffness matrix")
-    spectrum = sym_generalized_eigvals(s, sub.fact)
-    return StiffnessForm(
-        matrix=s,
-        fact=fact,
-        kappa_star=float(spectrum[0]),
-        K_star=float(spectrum[-1]),
-        choice=choice,
-    )
+    return StiffnessForm(matrix=s, fact=cholesky(s, "stiffness matrix"), aux=sub, choice=choice)
 
 
 def make_stiffness(sub, choice="gramian"):
@@ -281,6 +291,15 @@ def pressure_infsup(pressures, sub):
     the subspace cannot control every deflated pressure.
     """
     return _floored_root(sym_generalized_eigvals(_sup_gram(sub, pressures)[1], pressures.q_fact))
+
+
+def truth_infsup(pressures, truth):
+    """Truth inf-sup constant beta of the deflated pressures.
+
+    Square root of the smallest eigenvalue of (B_effᵀ G⁻¹ B_eff, G_Q), the
+    same number as the ``beta`` of ``measure_equivalence``, which also reads S.
+    """
+    return _floored_root(sym_generalized_eigvals(_dual_gram(truth, pressures)[0], pressures.q_fact))
 
 
 def infsup_qw(b_t, q_gram, sub):

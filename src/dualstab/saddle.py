@@ -20,9 +20,11 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .algebra import (
     DimensionMismatch,
+    NonFinite,
     as_matrix,
     cholesky,
     operator_norm,
@@ -40,7 +42,9 @@ from .dualprod import (
 )
 from .hilbert import Functional, Subspace, TruthSpace, orthogonal_project
 
-# singular value ratio at or below this flags a singular system
+# reciprocal condition estimate at or below this flags a singular system:
+# LAPACK's dgecon estimates 1/κ₁(M) from the LU factors solve() uses, and
+# 1/κ₁ lies within a factor n of σ_min/σ_max
 SINGULAR_RTOL = 1e-12
 
 # best-approximation error at or below this fraction of the exact pair's norm is zero
@@ -54,12 +58,15 @@ COERCIVITY_TOL = 1e-9
 
 
 class SingularSystem(Exception):
-    """Assembled system is numerically singular."""
+    """Assembled system is numerically singular, or its solve misses RESIDUAL_RTOL.
 
-    def __init__(self, message, smallest=None, largest=None):
+    ``rcond`` is the reciprocal 1-norm condition estimate of the matrix:
+    exactly 0.0 when its LU factorization meets an exactly zero pivot.
+    """
+
+    def __init__(self, message, rcond):
         super().__init__(message)
-        self.smallest = smallest
-        self.largest = largest
+        self.rcond = rcond
 
 
 class GammaZero(Exception):
@@ -274,25 +281,33 @@ def relative_residual(system, sol):
 
 
 def solve(system):
-    """Dense solve with singularity screening.
+    """Dense LU solve, screened for singularity on the same factors.
 
-    Raises SingularSystem when the smallest singular value is at or below
-    SINGULAR_RTOL times the largest.  Returns (x, y) for a stabilized system
-    and (x, z, y) for a three-field system.
+    The matrix and rhs must be finite (NonFinite otherwise).  The matrix is
+    factored once (LAPACK getrf); SingularSystem is raised when the gecon
+    estimate of its reciprocal 1-norm condition number is at or below
+    SINGULAR_RTOL (0 for an exactly zero pivot), or when the relative
+    residual of the getrs solution exceeds RESIDUAL_RTOL.  Returns (x, y) for
+    a stabilized system and (x, z, y) for a three-field system.
     """
-    m, rhs = system.matrix, system.rhs
-    svals = np.linalg.svd(m, compute_uv=False)
-    if svals[0] == 0.0 or svals[-1] <= SINGULAR_RTOL * svals[0]:
-        raise SingularSystem(
-            f"system is singular: smallest/largest singular values "
-            f"{svals[-1]:.3e} / {svals[0]:.3e}",
-            smallest=float(svals[-1]),
-            largest=float(svals[0]),
-        )
-    sol = np.linalg.solve(m, rhs)
+    m = as_matrix(system.matrix, "system matrix")
+    rhs = as_matrix(np.reshape(system.rhs, (-1, 1)), "right-hand side")
+    # an overflow to inf is reported once, as NonFinite: gecon would read an
+    # infinite norm as rcond 0 and call a regular system singular
+    with np.errstate(over="ignore"):
+        anorm = np.linalg.norm(m, 1)
+    if not np.isfinite(anorm):
+        raise NonFinite("system matrix 1-norm overflows")
+    lu, piv, info = lapack.dgetrf(m)
+    rcond = float(lapack.dgecon(lu, anorm)[0]) if info == 0 else 0.0
+    if not rcond > SINGULAR_RTOL:
+        raise SingularSystem(f"system is singular: reciprocal condition estimate {rcond:.3e}", rcond)
+    sol = lapack.dgetrs(lu, piv, rhs)[0][:, 0]
+    # the factors go before the residual allocates its n² temporaries
+    del lu
     resid = relative_residual(system, sol)
-    if resid > RESIDUAL_RTOL:
-        raise SingularSystem(f"relative solver residual {resid:.3e} exceeds tolerance")
+    if not resid <= RESIDUAL_RTOL:
+        raise SingularSystem(f"relative solver residual {resid:.3e} exceeds tolerance", rcond)
     if isinstance(system, ThreeFieldSystem):
         iu, iw, ip = _three_field_slices(system)
         return sol[iu], sol[iw], sol[ip]

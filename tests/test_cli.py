@@ -378,6 +378,45 @@ class TestTruthLevelWork:
         assert len(records) == 1
         assert calls == [(63, 63)] * expected
 
+    # kappa_star and K_star enter C_star, gamma0 and the spectral rows only:
+    # a command solves the pencil (S, G_W) once per level if it reads them,
+    # and never otherwise
+    @pytest.mark.parametrize(
+        "command, extra, n_forms, expected",
+        [
+            pytest.param("constants", [], 4, 4, id="constants"),
+            pytest.param("spectral", [], 4, 4, id="spectral"),
+            pytest.param("converge", [], 4, 4, id="converge"),
+            pytest.param("solve", ["--gamma", "auto"], 1, 1, id="solve-auto"),
+            pytest.param("infsup", [], 4, 0, id="infsup"),
+            pytest.param("solve", [], 1, 0, id="solve"),
+            pytest.param("condense-check", [], 2, 0, id="condense-check"),
+        ],
+    )
+    def test_stiffness_pencil_solved_only_when_read(
+        self, tmp_path, monkeypatch, command, extra, n_forms, expected
+    ):
+        forms, calls = [], []
+        original_form = dualprod.stiffness_from_matrix
+        original_eig = dualprod.sym_generalized_eigvals
+
+        def recorded(sub, s, choice="custom"):
+            forms.append(original_form(sub, s, choice=choice))
+            return forms[-1]
+
+        def counted(a, b_fact):
+            calls.append(a)
+            return original_eig(a, b_fact)
+
+        monkeypatch.setattr(dualprod, "stiffness_from_matrix", recorded)
+        monkeypatch.setattr(dualprod, "sym_generalized_eigvals", counted)
+        path = write_cfg(tmp_path, "truth_elems = 64\nlevels = 4, 8, 16, 32\n")
+        code, _, _ = run_csv(tmp_path, [command, "--config", path] + extra)
+        assert code == 0
+        assert len(forms) == n_forms
+        # counted afterwards: a form may solve its pencil before it is recorded
+        assert sum(any(a is f.matrix for f in forms) for a in calls) == expected
+
     def test_infsup_does_not_depend_on_stiffness(self, tmp_path):
         # beta, beta_hat and the relaxed constant read the pressure pencils
         # only; at these scales gamma0 would over- or underflow C_star**2

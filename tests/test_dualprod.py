@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from dualstab import dualprod
 from dualstab.algebra import NotSpd, spd_solve
 from dualstab.dualprod import (
     SWEEP_SAMPLES,
@@ -98,6 +99,27 @@ class TestStiffnessChoices:
         sf = stiffness_from_matrix(sub, 3.0 * sub.gram_sub, choice="x3")
         assert sf.kappa_star == pytest.approx(3.0, rel=1e-12)
         assert sf.choice == "x3"
+
+    def test_range_measured_on_first_read(self, monkeypatch):
+        # building S factors it and solves no pencil; the first read of
+        # kappa_star or K_star solves (S, G_W) once for both
+        calls = []
+        original = dualprod.sym_generalized_eigvals
+
+        def counted(a, b_fact):
+            calls.append(a.shape)
+            return original(a, b_fact)
+
+        monkeypatch.setattr(dualprod, "sym_generalized_eigvals", counted)
+        rng = np.random.default_rng(5)
+        ts = random_truth(rng, 12)
+        sub = Subspace(ts, rng.standard_normal((12, 5)))
+        sf = stiffness_from_matrix(sub, 3.0 * sub.gram_sub)
+        assert calls == []
+        assert sf.K_star == pytest.approx(3.0, rel=1e-12)
+        assert sf.kappa_star == pytest.approx(3.0, rel=1e-12)
+        assert type(sf.kappa_star) is float and type(sf.K_star) is float
+        assert calls == [(5, 5)]
 
     def test_stiffness_dim_must_match_subspace(self):
         rng = np.random.default_rng(4)
@@ -310,6 +332,13 @@ class TestConstants:
             assert rep.beta * q_norm <= b_norm * (1 + 1e-9)
             assert b_norm <= rep.norm_B * q_norm * (1 + 1e-9)
 
+    def test_truth_infsup_is_the_report_beta(self):
+        # infsup prints beta without building the report: the same number
+        ts, w_sub, b, qg = model_setup()
+        pressures = deflate_pressures(b, qg)
+        dp = DualProduct(aux=w_sub, stiffness=make_stiffness(w_sub, "lumped"))
+        assert dualprod.truth_infsup(pressures, ts) == equivalence_report(dp, b, qg).beta > 0.0
+
     def test_w_only_constants_never_exceed_truth(self):
         # restricting the sup space can only lower an inf-sup constant
         ts, w_sub, b, qg = model_setup()
@@ -388,7 +417,10 @@ class TestCheckTable:
         # claiming S ≥ 1.5 κ G_W shrinks 1/kappa_star below the true top ratio
         ts, w_sub, b, qg = model_setup()
         st = make_stiffness(w_sub, "lumped")
-        dp = DualProduct(aux=w_sub, stiffness=replace(st, kappa_star=1.5 * st.kappa_star))
+        claimed = replace(st)
+        # the range is measured on first read: claim it instead, before any read
+        object.__setattr__(claimed, "_range", (1.5 * st.kappa_star, st.K_star))
+        dp = DualProduct(aux=w_sub, stiffness=claimed)
         with pytest.raises(BoundViolated) as exc:
             verify_dual_equivalence(dp)
         _, rows = spectral_checks(dp, deflate_pressures(b, qg), np.random.default_rng(0))

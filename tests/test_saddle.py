@@ -1,18 +1,23 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from dataclasses import replace
+from hypothesis import HealthCheck, given, settings
 
 from dualstab import models, saddle
-from dualstab.algebra import DimensionMismatch, spd_solve
+from dualstab.algebra import DimensionMismatch, NonFinite, spd_solve
+from dualstab.cli import main
 from dualstab.dualprod import BoundViolated, pressure_infsup
 from dualstab.hilbert import Subspace
 from dualstab.saddle import (
+    SINGULAR_RTOL,
     ConstantsReport,
     DegenerateDenominator,
     Discretization,
     GammaZero,
     SaddleProblem,
     SingularSystem,
+    StabilizedSystem,
     assemble_stabilized,
     assemble_three_field,
     combined_subspace,
@@ -25,6 +30,7 @@ from dualstab.saddle import (
     verify_coercivity,
     verify_relaxed_infsup,
 )
+from test_cli_fuzz import runs
 
 
 def build(truth=64, coarse=8, gamma=0.1, **kw):
@@ -108,7 +114,67 @@ class TestSolve:
         cfg, pb, d = build(gamma=0.0)
         with pytest.raises(SingularSystem) as exc:
             solve(assemble_stabilized(pb, d))
-        assert exc.value.smallest <= 1e-12 * exc.value.largest
+        assert exc.value.rcond <= SINGULAR_RTOL
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[0.0, 0.0], [0.0, 0.0]],
+            [[1.0, 2.0], [1.0, 2.0]],
+            [[1.0, 2.0, 3.0], [0.0, 1.0, 1.0], [1.0, 3.0, 4.0]],
+        ],
+        ids=["zero", "repeated-row", "dependent-row"],
+    )
+    def test_exactly_singular_has_rcond_zero(self, matrix):
+        # an exactly zero pivot: no condition estimate, and no warning
+        system = StabilizedSystem(np.array(matrix), np.ones(len(matrix)), 1, len(matrix) - 1, 0.0)
+        with pytest.raises(SingularSystem) as exc:
+            solve(system)
+        assert exc.value.rcond == 0.0
+
+    @pytest.mark.parametrize(
+        "matrix, rhs",
+        [
+            ([[np.inf, 0.0], [0.0, 1.0]], [1.0, 1.0]),
+            ([[np.nan, 0.0], [0.0, 1.0]], [1.0, 1.0]),
+            ([[2.0, 0.0], [0.0, 1.0]], [np.inf, 1.0]),
+            ([[1e308, 1.0], [1e308, -1.0]], [1.0, 1.0]),
+        ],
+        ids=["inf-matrix", "nan-matrix", "inf-rhs", "norm-overflow"],
+    )
+    def test_non_finite_system_rejected(self, matrix, rhs):
+        with pytest.raises(NonFinite):
+            solve(StabilizedSystem(np.array(matrix), np.array(rhs), 1, 1, 0.0))
+
+    def test_nan_residual_is_not_a_solution(self, monkeypatch):
+        # a residual that is not a number fails the guard, it does not pass it
+        cfg, pb, d = build(gamma=0.25)
+        monkeypatch.setattr(saddle, "relative_residual", lambda system, sol: float("nan"))
+        with pytest.raises(SingularSystem) as exc:
+            solve(assemble_stabilized(pb, d))
+        assert exc.value.rcond > SINGULAR_RTOL
+
+    def test_factors_each_system_once(self, monkeypatch):
+        # one LU factorization screens and solves; no SVD, no second factorization
+        calls = []
+        original = scipy.linalg.lapack.dgetrf
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return original(a, *args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solve must not refactor the system")
+
+        cfg, pb, d = build(gamma=0.25)
+        stab = assemble_stabilized(pb, d)
+        tf = assemble_three_field(pb, d)
+        monkeypatch.setattr(scipy.linalg.lapack, "dgetrf", counted)
+        for name in ("svd", "solve", "lstsq"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        solve(stab)
+        solve(tf)
+        assert calls == [stab.matrix.shape, tf.matrix.shape]
 
     def test_stable_pair_at_gamma_zero_solves(self):
         # P1 velocity with P0 pressure on the same coarse mesh is LBB-stable
@@ -132,6 +198,91 @@ class TestSolve:
         x, y = solve(assemble_stabilized(pb2, d2))
         np.testing.assert_allclose(d2.U.embedding @ x, xe, atol=1e-9)
         np.testing.assert_allclose(d2.pressures.basis @ y, ye_def, atol=1e-9)
+
+
+def svd_singular(matrix):
+    """The SVD screen: singular when σ_min ≤ SINGULAR_RTOL · σ_max."""
+    svals = np.linalg.svd(matrix, compute_uv=False)
+    return bool(svals[-1] <= SINGULAR_RTOL * svals[0])
+
+
+def lu_singular(system):
+    """The screen of solve(): singular when its condition estimate fires."""
+    try:
+        solve(system)
+    except SingularSystem as exc:
+        return exc.rcond <= SINGULAR_RTOL
+    return False
+
+
+class TestScreenOracle:
+    # the SVD screen is the oracle of solve()'s LU screen: 1/κ₁ lies within a
+    # factor n of σ_min/σ_max, and on these systems both screens must give
+    # the same verdict
+
+    @pytest.mark.parametrize("coarse", [16, 32, 64, 128])
+    def test_equal_order_levels(self, coarse):
+        # acceptance test 08's singular systems, and the same levels at gamma0 / 2
+        cfg = models.ModelConfig(truth_elems=1024, coarse_elems=coarse, gamma=0.0)
+        truth = models.truth_record(cfg)
+        pb = models.build_level(cfg, truth)
+        d = models.build_spaces(cfg, pb)
+        galerkin = assemble_stabilized(pb, d)
+        assert svd_singular(galerkin.matrix) and lu_singular(galerkin)
+        gamma = constants(pb, d, truth=truth).gamma0 / 2.0
+        stabilized = assemble_stabilized(pb, d.with_gamma(gamma))
+        assert not svd_singular(stabilized.matrix) and not lu_singular(stabilized)
+
+    def test_condense_check_maximal_systems(self):
+        # the U = W = truth three-field systems of condense-check on the
+        # fine-coarse benchmark config (truth 512, p0): n = 1533
+        cfg = models.ModelConfig(
+            truth_elems=512, coarse_elems=512, pressure_kind="p0", w_kind="truth", gamma=0.0
+        )
+        pb = models.build_truth(cfg)
+        d = models.build_spaces(cfg, pb)
+        for gamma in (0.01, 0.1, 1.0):
+            tf = assemble_three_field(pb, d.with_gamma(gamma))
+            assert tf.matrix.shape == (1533, 1533)
+            assert not svd_singular(tf.matrix) and not lu_singular(tf)
+
+    def test_fuzz_grammar_solve_systems(self, monkeypatch, tmp_path):
+        # every finite system that solve() meets in `solve` runs on configs
+        # drawn from the fuzz test's grammar gets the SVD screen's verdict
+        verdicts = []
+        original = saddle.solve
+
+        def screened(system):
+            finite = np.all(np.isfinite(system.matrix)) and np.all(np.isfinite(system.rhs))
+            oracle = svd_singular(system.matrix) if finite else None
+            try:
+                out = original(system)
+            except SingularSystem as exc:
+                verdicts.append((oracle, exc.rcond <= SINGULAR_RTOL))
+                raise
+            verdicts.append((oracle, False))
+            return out
+
+        monkeypatch.setattr(saddle, "solve", screened)
+
+        @settings(
+            max_examples=30,
+            derandomize=True,
+            deadline=None,
+            database=None,
+            suppress_health_check=[HealthCheck.too_slow],
+        )
+        @given(runs().map(lambda run: ("solve", run[1])))
+        def run_solve(run):
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("".join(f"{k} = {v}\n" for k, v in run[1].items()))
+            main(["solve", "--config", str(cfg), "--out", str(tmp_path / "report.csv")])
+
+        run_solve()
+        assert [v for v in verdicts if v[0] is not None and v[0] != v[1]] == []
+        # the draws reach singular systems and regular ones within a decade
+        # of SINGULAR_RTOL (σ_min/σ_max 1.6e-11 at one BLAS thread)
+        assert {v[0] for v in verdicts} >= {True, False}
 
 
 class TestConstants:
