@@ -16,13 +16,7 @@ import numpy as np
 
 from . import models, saddle
 from .algebra import NonFinite, NotSpd
-from .dualprod import (
-    BoundViolated,
-    DegeneratePencil,
-    pressure_infsup,
-    spectral_checks,
-    truth_infsup,
-)
+from .dualprod import BoundViolated, DegeneratePencil, spectral_checks, stiffness_scale, truth_infsup
 from .models import ModelConfig, NestingViolated
 from .report import Report, write_report
 from .saddle import DegenerateDenominator, GammaTooLarge, GammaZero, SingularSystem
@@ -158,7 +152,11 @@ def build_run_config(file_values, overrides):
         raise ConfigError(f"pressure: must be 'p1' or 'p0', got {cfg.pressure!r}")
     if cfg.format not in ("csv", "json"):
         raise ConfigError(f"format: must be 'csv' or 'json', got {cfg.format!r}")
-    # the model config validates mesh sizes, w, s, and reaction up front
+    try:
+        stiffness_scale(cfg.s)
+    except ValueError as exc:
+        raise ConfigError(f"s: {exc}") from None
+    # the model config validates mesh sizes, w and reaction up front
     _model_config(cfg, cfg.coarse_elems)
     for level in cfg.levels:
         _model_config(cfg, level)
@@ -167,7 +165,7 @@ def build_run_config(file_values, overrides):
 
 def _model_config(cfg, coarse):
     try:
-        mc = ModelConfig(
+        return ModelConfig(
             truth_elems=cfg.truth_elems,
             coarse_elems=coarse,
             pressure_kind=cfg.pressure,
@@ -176,14 +174,6 @@ def _model_config(cfg, coarse):
             gamma=0.0,
             reaction=cfg.reaction,
         )
-        if mc.s_choice not in ("gramian", "lumped"):
-            # parse eagerly so a bad scale string fails as a config error
-            if not mc.s_choice.startswith("scaled:"):
-                raise ValueError(f"s: unknown stiffness choice {mc.s_choice!r}")
-            scale = float(mc.s_choice.split(":", 1)[1])
-            if not np.isfinite(scale) or scale <= 0.0:
-                raise ValueError("s: stiffness scaling must be finite and positive")
-        return mc
     except (ValueError, NestingViolated) as exc:
         raise ConfigError(str(exc)) from None
 
@@ -252,25 +242,15 @@ def cmd_constants(cfg):
     truth = _truth(cfg)
     for level, coarse in enumerate(_levels(cfg)):
         _, pb, d = _level(cfg, truth, coarse)
-        rep = saddle.constants(pb, d, truth=truth)
+        rep = saddle.constants(pb, d)
         gamma = _gamma(cfg, rep)
+        # the report's fields are columns; c_hat and C_hat are not rendered
         report.add_row(
             level=level,
             coarse_elems=coarse,
-            alpha=rep.alpha,
-            norm_A=rep.norm_A,
-            norm_B=rep.norm_B,
-            beta=rep.beta,
-            kappa_star=rep.kappa_star,
-            K_star=rep.K_star,
-            c_star=rep.c_star,
-            C_star=rep.C_star,
-            alpha_hat=rep.alpha_hat,
-            beta_hat=rep.beta_hat,
-            gamma0=rep.gamma0,
-            gamma_tilde0=rep.gamma_tilde0,
             gamma=gamma,
             beta_gamma=rep.beta_gamma(gamma),
+            **vars(rep),
         )
     return report
 
@@ -309,15 +289,10 @@ def cmd_infsup(cfg):
     truth = _truth(cfg)
     for level, coarse in enumerate(_levels(cfg)):
         _, pb, d = _level(cfg, truth, coarse)
-        # the inf-sup constants read the pressure pencils only, not S, alpha or norm_A
-        beta = truth_infsup(d.pressures, pb.truth)
-        beta_hat = pressure_infsup(d.pressures, d.W)
-        status = "pass"
-        try:
-            relaxed = saddle.verify_relaxed_infsup(pb, d)
-        except BoundViolated as exc:
-            relaxed = exc.value
-            status = "fail"
+        # the inf-sup constants read the pressure pencils only, not S, alpha or norm_A;
+        # the check row's floor is beta_hat
+        row = saddle.relaxed_infsup_check(pb, d)
+        if row.status == "fail":
             report.verdict = "fail"
         report.add_row(
             level=level,
@@ -325,10 +300,10 @@ def cmd_infsup(cfg):
             u_dim=d.U.dim,
             w_dim=d.W.dim,
             p_dim=d.p_dim,
-            beta=beta,
-            beta_hat=beta_hat,
-            relaxed=relaxed,
-            status=status,
+            beta=truth_infsup(d.pressures, pb.truth),
+            beta_hat=row.lower,
+            relaxed=row.value,
+            status=row.status,
         )
     return report
 
@@ -348,7 +323,7 @@ def cmd_solve(cfg):
     truth = _truth(cfg)
     mc, pb, d = _level(cfg, truth, cfg.coarse_elems)
     # only gamma = auto reads the level's constants
-    rep = saddle.constants(pb, d, truth=truth) if cfg.gamma == "auto" else None
+    rep = saddle.constants(pb, d) if cfg.gamma == "auto" else None
     d = d.with_gamma(_gamma(cfg, rep))
     exact = models.exact_coefficients(mc, models.default_solution())
     stab = saddle.assemble_stabilized(pb, d)
@@ -405,24 +380,22 @@ def cmd_converge(cfg):
     totals = []
     for level, coarse in enumerate(levels):
         mc, pb, d = _level(cfg, truth, coarse)
-        rep = saddle.constants(pb, d, truth=truth)
+        rep = saddle.constants(pb, d)
         gamma = _gamma(cfg, rep)
         exact = models.exact_coefficients(mc, models.default_solution())
         qo = saddle.quasi_optimality(pb, d.with_gamma(gamma), exact, report=rep)
         total = qo.u_err + qo.p_err
         rate = None if not totals else float(np.log2(totals[-1] / total))
         totals.append(total)
+        # the result's fields are columns; its ratio is rendered as qratio
         report.add_row(
             level=level,
             coarse_elems=coarse,
             gamma=gamma,
-            u_err=qo.u_err,
-            p_err=qo.p_err,
             total_err=total,
-            best_u=qo.best_u,
-            best_p=qo.best_p,
             qratio=qo.ratio,
             rate=rate,
+            **vars(qo),
         )
     if len(levels) >= 2:
         slope = np.polyfit(np.log2(np.asarray(levels, dtype=float)), np.log2(totals), 1)[0]
@@ -449,13 +422,10 @@ def cmd_condense_check(cfg):
     """Condensation agreement per gamma, plus the maximal-space w ≈ 0 test."""
     columns = ["gamma", "discrepancy", "w_ratio", "status"]
     report = Report("condense-check", _config_echo(cfg), cfg.seed, columns)
-    mc = _model_config(cfg, cfg.coarse_elems)
-    pb = models.build_truth(mc)
-    mc_max = _model_config(replace(cfg, w="truth"), cfg.truth_elems)
-    pb_max = models.build_truth(mc_max)
+    truth = _truth(cfg)
     # the spaces do not depend on gamma: build them once, vary gamma only
-    spaces = models.build_spaces(mc, pb)
-    spaces_max = models.build_spaces(mc_max, pb_max)
+    _, pb, spaces = _level(cfg, truth, cfg.coarse_elems)
+    _, pb_max, spaces_max = _level(replace(cfg, w="truth"), truth, cfg.truth_elems)
     for gamma in cfg.gammas:
         d = spaces.with_gamma(gamma)
         tf = saddle.assemble_three_field(pb, d)

@@ -135,33 +135,46 @@ def stiffness_from_matrix(sub, s, choice="custom"):
     return StiffnessForm(matrix=s, fact=cholesky(s, "stiffness matrix"), aux=sub, choice=choice)
 
 
+def stiffness_scale(choice):
+    """Parse a named stiffness choice: the factor s of ``scaled:<s>``, else None.
+
+    ValueError unless the choice is ``gramian``, ``lumped`` or ``scaled:<s>``
+    with a finite positive s.
+    """
+    if choice in ("gramian", "lumped"):
+        return None
+    if not choice.startswith("scaled:"):
+        raise ValueError(f"unknown stiffness choice {choice!r}")
+    try:
+        sigma = float(choice.split(":", 1)[1])
+    except ValueError:
+        raise ValueError(f"invalid scaled stiffness choice {choice!r}") from None
+    if not np.isfinite(sigma) or sigma <= 0.0:
+        raise ValueError("stiffness scaling must be finite and positive")
+    return sigma
+
+
 def make_stiffness(sub, choice="gramian"):
     """Build S on a subspace from one of the named choices.
 
-    ``gramian``      S = G_W                 (kappa_star = K_star = 1)
+    ``gramian``      S = G_W                 (kappa_star = K_star = 1); the
+                     form shares the subspace's Gramian and its factor
     ``scaled:<s>``   S = s · G_W, 0 < s < ∞  (kappa_star = K_star = s)
     ``lumped``       S = diag of row sums of G_W; NotSpd when a row sum is
                      nonpositive (e.g. stiffness-like Gramians).
     """
+    sigma = stiffness_scale(choice)
     if choice == "gramian":
-        s = sub.gram_sub.copy()
-    elif choice == "lumped":
+        return StiffnessForm(matrix=sub.gram_sub, fact=sub.fact, aux=sub, choice=choice)
+    if choice == "lumped":
         sums = sub.gram_sub.sum(axis=1)
         if sums.min() <= KERNEL_RTOL * max(sums.max(), 0.0):
             raise NotSpd("row-sum lumping produced a nonpositive diagonal entry")
         s = np.diag(sums)
-    elif choice.startswith("scaled:"):
-        try:
-            sigma = float(choice.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(f"invalid scaled stiffness choice {choice!r}") from None
-        if not np.isfinite(sigma) or sigma <= 0.0:
-            raise ValueError("stiffness scaling must be finite and positive")
+    else:
         # an overflow to inf is reported once, as NonFinite, by stiffness_from_matrix
         with np.errstate(over="ignore"):
             s = sigma * sub.gram_sub
-    else:
-        raise ValueError(f"unknown stiffness choice {choice!r}")
     return stiffness_from_matrix(sub, s, choice=choice)
 
 
@@ -377,7 +390,8 @@ class Check:
         return "pass" if ok else "fail"
 
 
-def _raise_failed(rows):
+def raise_failed(rows):
+    """Raise BoundViolated from the first failing row of a check table."""
     for row in rows:
         if row.status == "fail":
             bounds = ", ".join("-" if b is None else f"{b:.6e}" for b in (row.lower, row.upper))
@@ -442,14 +456,14 @@ def verify_dual_equivalence(dp):
     Returns (lower, upper) extreme ratios.
     """
     rows = _equivalence_rows(dp)
-    _raise_failed(rows)
+    raise_failed(rows)
     return rows[0].value, rows[1].value
 
 
 def verify_stiffness_bound(dp):
     """Check that the boundedness constant of S does not exceed K_star."""
     row = _stiffness_row(dp)
-    _raise_failed([row])
+    raise_failed([row])
     return row.value
 
 
@@ -460,7 +474,7 @@ def verify_cstar_infsup_link(dp, b_t, q_gram):
     S = G_W both hold with equality.  Returns the full report.
     """
     rep = equivalence_report(dp, b_t, q_gram)
-    _raise_failed(_chain_rows(rep))
+    raise_failed(_chain_rows(rep))
     return rep
 
 
@@ -474,5 +488,5 @@ def verify_infsup_sandwich(dp, b_t, q_gram, rng=None, samples=SWEEP_SAMPLES):
     rep, dual_t = _equivalence(dp, pressures)
     if rng is None:
         rng = np.random.default_rng(0)
-    _raise_failed(_sandwich_rows(rep, dual_t, pressures.q_eff, rng, samples))
+    raise_failed(_sandwich_rows(rep, dual_t, pressures.q_eff, rng, samples))
     return rep

@@ -5,7 +5,10 @@ Dirichlet conditions; its Gramian G is the H¹₀ stiffness matrix, and the
 a-form is A = G + r·M with the interior mass matrix M and the reaction
 coefficient r.  The truth record is built from that split: alpha and ‖A‖ are
 1 + r·μ_min and 1 + r·μ_max of the pencil (M, G), exactly 1 at r = 0, where
-A is the scalar product and no eigensolve runs.  The pressure basis lives on
+A is the scalar product and no eigensolve runs.  Every problem a
+configuration builds owns that record, and ``saddle.constants`` reads alpha
+and ‖A‖ from it; the dense ``saddle.measure_truth`` record is the oracle
+that tests compare it with.  The pressure basis lives on
 the coarse mesh (P1-continuous or P0) and couples to truth velocities through
 the exact constraint matrix
 
@@ -23,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dualprod import DualProduct, make_stiffness
+from .dualprod import DualProduct, make_stiffness, stiffness_scale
 from .hilbert import Functional, Subspace, TruthSpace
 # error_norms is defined beside quasi_optimality, which shares it
 from .saddle import Discretization, SaddleProblem, error_norms, split_truth  # noqa: F401
@@ -61,7 +64,7 @@ def default_solution():
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Full description of one configured model."""
+    """Full description of one configured model, validated when it is built."""
 
     truth_elems: int = 256
     coarse_elems: int = 16
@@ -79,6 +82,7 @@ class ModelConfig:
         if self.pressure_kind not in ("p1", "p0"):
             raise ValueError(f"pressure_kind must be 'p1' or 'p0', got {self.pressure_kind!r}")
         self.w_elems()  # validates w_kind and nesting
+        stiffness_scale(self.s_choice)  # the parser make_stiffness uses
         if not np.isfinite(self.gamma) or self.gamma < 0.0:
             raise ValueError("gamma must be a finite nonnegative real")
         if not np.isfinite(self.reaction) or self.reaction < 0.0:
@@ -230,20 +234,9 @@ def exact_coefficients(cfg, solution):
 # problem and discretization builders
 
 
-def _problem(cfg, truth):
-    solution = default_solution()
-    n = cfg.truth_elems
-    b_form = constraint_matrix(n, cfg.coarse_elems, cfg.pressure_kind)
-    q_gram = pressure_mass(cfg.coarse_elems, cfg.pressure_kind)
-    load = Functional(load_vector(n, solution, reaction=cfg.reaction))
-    g_rhs = constraint_rhs(n, cfg.coarse_elems, cfg.pressure_kind, solution)
-    label = f"{cfg.pressure_kind}-{cfg.coarse_elems}-on-{n}"
-    return SaddleProblem(truth.space, truth.a_form, b_form, q_gram, load, g_rhs, label=label)
-
-
 def build_truth(cfg):
     """Assemble the truth-level mixed problem for a configuration."""
-    return _problem(cfg, truth_record(cfg))
+    return build_level(cfg, truth_record(cfg))
 
 
 def truth_record(cfg):
@@ -262,7 +255,14 @@ def truth_record(cfg):
 
 def build_level(cfg, truth):
     """Assemble the mixed problem of one coarse level on a shared TruthRecord."""
-    return _problem(cfg, truth)
+    solution = default_solution()
+    n = cfg.truth_elems
+    b_form = constraint_matrix(n, cfg.coarse_elems, cfg.pressure_kind)
+    q_gram = pressure_mass(cfg.coarse_elems, cfg.pressure_kind)
+    load = Functional(load_vector(n, solution, reaction=cfg.reaction))
+    g_rhs = constraint_rhs(n, cfg.coarse_elems, cfg.pressure_kind, solution)
+    label = f"{cfg.pressure_kind}-{cfg.coarse_elems}-on-{n}"
+    return SaddleProblem(truth, b_form, q_gram, load, g_rhs, label=label)
 
 
 def build_spaces(cfg, pb):

@@ -8,8 +8,10 @@ constraint equation with the γ-weighted residual term, and the three-field
 system on U×W×Q whose middle block is (1/γ)S.  Static condensation of the
 latter must reproduce the former entrywise; the acceptance suite pins that.
 
-Each discretization deflates its pressures once, against ker B_T (see
-dualprod); assembled systems live in deflated coordinates.
+A problem owns the TruthRecord of its truth space and a-form, from which
+``constants`` reads alpha and norm_A.  Each discretization deflates its
+pressures once, against ker B_T (see dualprod); assembled systems live in
+deflated coordinates.
 """
 
 from __future__ import annotations
@@ -35,10 +37,12 @@ from .algebra import (
 from .dualprod import (
     KERNEL_RTOL,
     BoundViolated,
+    Check,
     DualProduct,
     deflate_pressures,
     measure_equivalence,
     pressure_infsup,
+    raise_failed,
 )
 from .hilbert import Functional, Subspace, TruthSpace, orthogonal_project
 
@@ -87,13 +91,18 @@ class DegenerateDenominator(Exception):
 
 
 class SaddleProblem:
-    """Truth-level mixed problem data."""
+    """Truth-level mixed problem data on the TruthRecord of its truth space and a-form.
 
-    def __init__(self, truth, a_form, b_form, q_gram, load, constraint_rhs, label=""):
-        self.truth = truth
-        self.a_form = as_matrix(a_form, "a-form matrix")
-        if self.a_form.shape != (truth.dim, truth.dim):
-            raise DimensionMismatch("a-form matrix does not match the truth space")
+    ``truth`` and ``a_form`` are the record's; ``measure_truth`` or
+    ``split_truth`` validated them when the record was built.
+    """
+
+    def __init__(self, record, b_form, q_gram, load, constraint_rhs, label=""):
+        if not isinstance(record, TruthRecord):
+            raise TypeError("record must be a TruthRecord")
+        self.record = record
+        self.truth = truth = record.space
+        self.a_form = record.a_form
         self.b_form = as_matrix(b_form, "constraint matrix")
         if self.b_form.shape[0] != truth.dim:
             raise DimensionMismatch("constraint matrix rows do not match the truth space")
@@ -179,8 +188,9 @@ class ThreeFieldSystem:
 def _blocks(pb, d):
     e_u = d.U.embedding
     e_w = d.W.embedding
-    a_uu = e_u.T @ (pb.a_form @ e_u)
-    a_wu = e_w.T @ (pb.a_form @ e_u)
+    a_e_u = pb.a_form @ e_u
+    a_uu = e_u.T @ a_e_u
+    a_wu = e_w.T @ a_e_u
     b_uq = e_u.T @ d.b_eff
     b_wq = e_w.T @ d.b_eff
     f_u = e_u.T @ pb.load.action
@@ -420,38 +430,26 @@ def split_truth(space, reaction, mass=None):
     )
 
 
-def constants(pb, d, truth=None):
+def constants(pb, d):
     """Measure every constant entering the stabilization bounds.
 
-    alpha and norm_A are truth-level properties of the a-form, read from
-    ``truth`` (a TruthRecord of the problem's truth space, e.g. of the split
-    A = G + reaction·mass) or, without one, measured here on the dense
-    (A, G) route of ``measure_truth``.  Every other constant is measured on
-    the level's deflated pressures ``d.pressures``: beta and norm_B are the
-    truth inf-sup constants, c_star, alpha_hat and beta_hat go through the
-    configured dual product.
+    alpha and norm_A are truth-level properties of the a-form, read from the
+    problem's TruthRecord ``pb.record``: measured there at most once for
+    every level built on it.  Every other constant is measured on the level's
+    deflated pressures ``d.pressures``: beta and norm_B are the truth inf-sup
+    constants, c_star, alpha_hat and beta_hat go through the configured dual
+    product.
     """
-    if truth is None:
-        truth = measure_truth(pb.truth, pb.a_form)
-    elif truth.space is not pb.truth:
-        raise DimensionMismatch("truth record does not belong to the problem's truth space")
-    alpha, norm_a = truth.alpha, truth.norm_A
+    alpha, norm_a = pb.record.alpha, pb.record.norm_A
     er = measure_equivalence(d.dp, d.pressures)
     return ConstantsReport(
         alpha=alpha,
         norm_A=norm_a,
-        norm_B=er.norm_B,
-        beta=er.beta,
         c_hat=min(1.0, er.beta**2),
         C_hat=max(1.0, er.norm_B**2),
-        kappa_star=er.kappa_star,
-        K_star=er.K_star,
-        c_star=er.c_star,
-        C_star=er.C_star,
-        alpha_hat=er.alpha_hat,
-        beta_hat=er.beta_hat,
         gamma0=2.0 * alpha * er.c_star / (norm_a**2 * er.C_star**2),
         gamma_tilde0=2.0 * er.kappa_star * alpha / norm_a**2,
+        **vars(er),
     )
 
 
@@ -495,16 +493,22 @@ def combined_subspace(truth, *embeddings):
     return Subspace(truth, basis)
 
 
-def verify_relaxed_infsup(pb, d):
-    """Inf-sup constant of the pair (Q, U+W); never below the W-only one, beta_hat."""
+def relaxed_infsup_check(pb, d):
+    """Check row of the inf-sup constant of the pair (Q, U+W) against its floor.
+
+    The floor (``lower``) is the W-only constant beta_hat, which the relaxed
+    one may never fall below; each pencil is solved once.
+    """
     joint = combined_subspace(pb.truth, d.U.embedding, d.W.embedding)
     value = pressure_infsup(d.pressures, joint)
-    floor = pressure_infsup(d.pressures, d.W)
-    if value < floor - COERCIVITY_TOL * max(1.0, floor):
-        raise BoundViolated(
-            f"relaxed inf-sup {value:.6e} below W-only constant {floor:.6e}", value=value
-        )
-    return value
+    return Check("relaxed_infsup", value, pressure_infsup(d.pressures, d.W), None, COERCIVITY_TOL)
+
+
+def verify_relaxed_infsup(pb, d):
+    """Inf-sup constant of the pair (Q, U+W); BoundViolated if below beta_hat."""
+    row = relaxed_infsup_check(pb, d)
+    raise_failed([row])
+    return row.value
 
 
 def project_pressure(pb, d, y_raw):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import dualstab.cli as cli
-from dualstab import algebra, dualprod, models, saddle
+from dualstab import algebra, dualprod, hilbert, models, saddle
 from dualstab.cli import (
     ConfigError,
     RunConfig,
@@ -13,7 +13,7 @@ from dualstab.cli import (
     parse_config_file,
 )
 from dualstab.dualprod import BoundViolated
-from dualstab.report import Report
+from dualstab.report import Report, format_real
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -158,6 +158,12 @@ class TestExitCodes:
         path = write_cfg(tmp_path, SMALL + "s = scaled:nan\n")
         assert main(["constants", "--config", path]) == 2
         assert "dualstab: config error: s:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("choice", ["bogus", "scaled:x", "scaled:inf", "scaled:-1"])
+    def test_bad_stiffness_choice_exits_2_naming_s(self, tmp_path, capsys, choice):
+        path = write_cfg(tmp_path, SMALL + f"s = {choice}\n")
+        assert main(["constants", "--config", path]) == 2
+        assert capsys.readouterr().err.startswith("dualstab: config error: s: ")
 
     def test_converge_gamma_above_gamma0_exits_2(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "truth_elems = 64\n")
@@ -397,18 +403,18 @@ class TestTruthLevelWork:
         self, tmp_path, monkeypatch, command, extra, n_forms, expected
     ):
         forms, calls = [], []
-        original_form = dualprod.stiffness_from_matrix
+        original_form = models.make_stiffness
         original_eig = dualprod.sym_generalized_eigvals
 
-        def recorded(sub, s, choice="custom"):
-            forms.append(original_form(sub, s, choice=choice))
+        def recorded(sub, choice):
+            forms.append(original_form(sub, choice))
             return forms[-1]
 
         def counted(a, b_fact):
             calls.append(a)
             return original_eig(a, b_fact)
 
-        monkeypatch.setattr(dualprod, "stiffness_from_matrix", recorded)
+        monkeypatch.setattr(models, "make_stiffness", recorded)
         monkeypatch.setattr(dualprod, "sym_generalized_eigvals", counted)
         path = write_cfg(tmp_path, "truth_elems = 64\nlevels = 4, 8, 16, 32\n")
         code, _, _ = run_csv(tmp_path, [command, "--config", path] + extra)
@@ -416,6 +422,62 @@ class TestTruthLevelWork:
         assert len(forms) == n_forms
         # counted afterwards: a form may solve its pencil before it is recorded
         assert sum(any(a is f.matrix for f in forms) for a in calls) == expected
+
+    @pytest.mark.parametrize(
+        "command", ["constants", "spectral", "infsup", "solve", "converge", "condense-check"]
+    )
+    def test_one_truth_record_per_command(self, tmp_path, monkeypatch, command):
+        # condense-check builds its maximal level on the same record
+        records, spaces = [], []
+        original_record = models.truth_record
+        original_init = hilbert.TruthSpace.__init__
+
+        def recorded(cfg):
+            records.append(original_record(cfg))
+            return records[-1]
+
+        def counted(self, *args, **kwargs):
+            spaces.append(self)
+            original_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(models, "truth_record", recorded)
+        monkeypatch.setattr(hilbert.TruthSpace, "__init__", counted)
+        path = write_cfg(tmp_path, "truth_elems = 64\nlevels = 4, 8\n")
+        code, _, _ = run_csv(tmp_path, [command, "--config", path])
+        assert code == 0
+        assert len(records) == len(spaces) == 1
+
+    def test_infsup_solves_two_pressure_pencils_per_level(self, tmp_path, monkeypatch):
+        # the W-only pencil gives beta_hat and the floor of the relaxed check
+        dims = []
+        original = dualprod.pressure_infsup
+
+        def counted(pressures, sub):
+            dims.append(sub.dim)
+            return original(pressures, sub)
+
+        for module in (dualprod, saddle, cli):
+            if hasattr(module, "pressure_infsup"):
+                monkeypatch.setattr(module, "pressure_infsup", counted)
+        path = write_cfg(tmp_path, "truth_elems = 64\nlevels = 4, 8\n")
+        code, _, rows = run_csv(tmp_path, ["infsup", "--config", path])
+        assert code == 0 and len(rows) == 2
+        # W and U + W per level; U nests in W, so both have W's dimension
+        assert dims == [7, 7, 15, 15]
+
+    @pytest.mark.parametrize("reaction", [0.0, 2.5])
+    def test_library_constants_read_the_cli_record(self, tmp_path, reaction):
+        # saddle.constants and the command read alpha and norm_A from one record
+        text = f"truth_elems = 1024\ncoarse_elems = 16\nreaction = {reaction}\n"
+        code, _, rows = run_csv(tmp_path, ["constants", "--config", write_cfg(tmp_path, text)])
+        assert code == 0
+        cfg = models.ModelConfig(truth_elems=1024, coarse_elems=16, reaction=reaction)
+        pb = models.build_truth(cfg)
+        rep = saddle.constants(pb, models.build_spaces(cfg, pb))
+        assert rows[0]["alpha"] == format_real(rep.alpha)
+        assert rows[0]["norm_A"] == format_real(rep.norm_A)
+        if reaction == 0.0:
+            assert rep.alpha == rep.norm_A == 1.0
 
     def test_infsup_does_not_depend_on_stiffness(self, tmp_path):
         # beta, beta_hat and the relaxed constant read the pressure pencils

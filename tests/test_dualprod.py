@@ -59,6 +59,13 @@ class TestStiffnessChoices:
         assert sf.kappa_star == pytest.approx(1.0, abs=1e-12)
         assert sf.K_star == pytest.approx(1.0, abs=1e-12)
 
+    def test_gramian_shares_subspace_factor(self):
+        # S = G_W is the subspace's own Gramian, factored once
+        rng = np.random.default_rng(4)
+        sub = Subspace(random_truth(rng, 10), rng.standard_normal((10, 4)))
+        sf = make_stiffness(sub, "gramian")
+        assert sf.matrix is sub.gram_sub and sf.fact is sub.fact
+
     def test_scaled_spectrum(self):
         rng = np.random.default_rng(2)
         ts = random_truth(rng, 15)

@@ -86,6 +86,12 @@ class TestMeshAndConfig:
         with pytest.raises(ValueError):
             ModelConfig(gamma=-0.5)
 
+    @pytest.mark.parametrize("choice", ["bogus", "scaled:x", "scaled:inf", "scaled:-1"])
+    def test_stiffness_choice_validated_up_front(self, choice):
+        # through the parser make_stiffness uses, not first in build_spaces
+        with pytest.raises(ValueError, match="stiffness"):
+            ModelConfig(s_choice=choice)
+
     def test_w_elems(self):
         assert ModelConfig(truth_elems=64, coarse_elems=8).w_elems() == 16
         assert ModelConfig(truth_elems=64, coarse_elems=8, w_kind="truth").w_elems() == 64

@@ -191,9 +191,7 @@ class TestSolve:
         # consistent data: F = A xe - B (Z ye), G = B^T xe
         f = pb.a_form @ xe - d.b_eff @ ye_def
         g_rhs_eff = d.b_eff.T @ xe
-        pb2 = SaddleProblem(
-            pb.truth, pb.a_form, d.b_eff, d.q_eff, f, g_rhs_eff, label="member"
-        )
+        pb2 = SaddleProblem(pb.record, d.b_eff, d.q_eff, f, g_rhs_eff, label="member")
         d2 = Discretization(pb2, d.U, d.dp, d.gamma)
         x, y = solve(assemble_stabilized(pb2, d2))
         np.testing.assert_allclose(d2.U.embedding @ x, xe, atol=1e-9)
@@ -229,7 +227,7 @@ class TestScreenOracle:
         d = models.build_spaces(cfg, pb)
         galerkin = assemble_stabilized(pb, d)
         assert svd_singular(galerkin.matrix) and lu_singular(galerkin)
-        gamma = constants(pb, d, truth=truth).gamma0 / 2.0
+        gamma = constants(pb, d).gamma0 / 2.0
         stabilized = assemble_stabilized(pb, d.with_gamma(gamma))
         assert not svd_singular(stabilized.matrix) and not lu_singular(stabilized)
 
@@ -316,8 +314,28 @@ class TestConstants:
 
     def test_shared_truth_record_gives_same_constants(self):
         cfg, pb, d = build(reaction=5.0)
-        truth = measure_truth(pb.truth, pb.a_form)
-        assert constants(pb, d, truth=truth) == constants(pb, d)
+        level = models.build_level(cfg, models.truth_record(cfg))
+        assert constants(level, models.build_spaces(cfg, level)) == constants(pb, d)
+
+    @pytest.mark.parametrize("reaction", [0.0, 2.5])
+    def test_split_record_matches_dense_oracle(self, reaction):
+        # the dense (sym A, G) and operator-norm route of measure_truth is the
+        # oracle of the split record; both problems share one truth space
+        cfg = models.ModelConfig(truth_elems=1024, coarse_elems=16, gamma=0.0, reaction=reaction)
+        split = models.truth_record(cfg)
+        dense = measure_truth(split.space, split.a_form)
+        reps = []
+        for record in (split, dense):
+            pb = models.build_level(cfg, record)
+            reps.append(constants(pb, models.build_spaces(cfg, pb)))
+        measured, oracle = (vars(r) for r in reps)
+        for name, value in measured.items():
+            if name in ("alpha", "norm_A", "gamma0", "gamma_tilde0"):
+                assert value == pytest.approx(oracle[name], rel=1e-10, abs=0.0), name
+            else:
+                assert value == oracle[name], name
+        if reaction == 0.0:
+            assert split.alpha == split.norm_A == 1.0
 
     def test_truth_record_measures_on_first_read(self, monkeypatch):
         calls = []
@@ -335,13 +353,9 @@ class TestConstants:
         assert truth.norm_A == truth.norm_A == other.norm_A
         # once per record: a second read reuses it, another record measures again
         assert calls == [(63, 63)] * 2
-        assert truth.alpha == constants(pb, d).alpha
-
-    def test_truth_record_of_other_truth_space_rejected(self):
-        cfg, pb, d = build()
-        _, other, _ = build()
-        with pytest.raises(DimensionMismatch):
-            constants(pb, d, truth=measure_truth(other.truth, other.a_form))
+        # a problem on the record reads it: no third measurement
+        assert truth.alpha == constants(models.build_level(cfg, truth), d).alpha
+        assert calls == [(63, 63)] * 2
 
     def test_c_hat_and_big_c_hat(self):
         cfg, pb, d = build()
@@ -449,10 +463,13 @@ class TestQuasiOptimality:
 class TestValidation:
     def test_saddle_problem_shape_checks(self):
         cfg, pb, d = build(truth=16, coarse=4)
+        # the a-form is validated once, by the record the problem is built on
         with pytest.raises(DimensionMismatch):
-            SaddleProblem(pb.truth, np.eye(3), pb.b_form, pb.q_gram, pb.load, pb.constraint_rhs)
+            measure_truth(pb.truth, np.eye(3))
+        with pytest.raises(TypeError):
+            SaddleProblem(pb.truth, pb.b_form, pb.q_gram, pb.load, pb.constraint_rhs)
         with pytest.raises(DimensionMismatch):
-            SaddleProblem(pb.truth, pb.a_form, pb.b_form, np.eye(2), pb.load, pb.constraint_rhs)
+            SaddleProblem(pb.record, pb.b_form, np.eye(2), pb.load, pb.constraint_rhs)
 
     def test_gamma_validation(self):
         cfg, pb, d = build(truth=16, coarse=4)
