@@ -46,14 +46,14 @@ def as_matrix(a, name="matrix"):
     return a
 
 
-def require_symmetric(a, name="matrix", rtol=SYMMETRY_RTOL):
-    """Validate square symmetry within `rtol` and return the symmetrized copy."""
+def require_symmetric(a, name="matrix"):
+    """Validate square symmetry within SYMMETRY_RTOL and return the symmetrized copy."""
     a = as_matrix(a, name)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got {a.shape}")
     scale = np.abs(a).max()
-    if scale > 0.0 and np.abs(a - a.T).max() > rtol * scale:
-        raise ValueError(f"{name} is not symmetric within relative tolerance {rtol:g}")
+    if scale > 0.0 and np.abs(a - a.T).max() > SYMMETRY_RTOL * scale:
+        raise ValueError(f"{name} is not symmetric within relative tolerance {SYMMETRY_RTOL:g}")
     return 0.5 * (a + a.T)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import models, saddle
 from .algebra import NonFinite, NotSpd
-from .dualprod import BoundViolated, DegeneratePencil, spectral_checks, stiffness_scale, truth_infsup
+from .dualprod import BoundViolated, DegeneratePencil, spectral_checks, stiffness_scale, truth_constants
 from .models import ModelConfig, NestingViolated
 from .report import Report, write_report
 from .saddle import DegenerateDenominator, GammaTooLarge, GammaZero, SingularSystem
@@ -244,7 +244,6 @@ def cmd_constants(cfg):
         _, pb, d = _level(cfg, truth, coarse)
         rep = saddle.constants(pb, d)
         gamma = _gamma(cfg, rep)
-        # the report's fields are columns; c_hat and C_hat are not rendered
         report.add_row(
             level=level,
             coarse_elems=coarse,
@@ -261,12 +260,12 @@ def cmd_spectral(cfg):
     report = Report("spectral", _config_echo(cfg), cfg.seed, columns)
     truth = _truth(cfg)
     for level, coarse in enumerate(_levels(cfg)):
-        _, _, d = _level(cfg, truth, coarse)
+        _, pb, d = _level(cfg, truth, coarse)
         rng = np.random.default_rng([cfg.seed, level, 1])
-        _, rows = spectral_checks(d.dp, d.pressures, rng)
+        _, rows = spectral_checks(d.dp, pb.pressures, rng)
         for row in rows:
-            # the row's fields are columns; its tol is not rendered
-            report.add_row(level=level, coarse_elems=coarse, status=row.status, **vars(row))
+            cells = {key: getattr(row, key) for key in ("check", "value", "lower", "upper", "status")}
+            report.add_row(level=level, coarse_elems=coarse, **cells)
     if any(r["status"] == "fail" for r in report.rows):
         report.verdict = "fail"
     return report
@@ -299,8 +298,8 @@ def cmd_infsup(cfg):
             coarse_elems=coarse,
             u_dim=d.U.dim,
             w_dim=d.W.dim,
-            p_dim=d.p_dim,
-            beta=truth_infsup(d.pressures, pb.truth),
+            p_dim=pb.pressures.basis.shape[1],
+            beta=truth_constants(pb.pressures, pb.truth)[0],
             beta_hat=row.lower,
             relaxed=row.value,
             status=row.status,
@@ -324,7 +323,7 @@ def cmd_solve(cfg):
     mc, pb, d = _level(cfg, truth, cfg.coarse_elems)
     # only gamma = auto reads the level's constants
     rep = saddle.constants(pb, d) if cfg.gamma == "auto" else None
-    d = d.with_gamma(_gamma(cfg, rep))
+    d = saddle.Discretization(pb, d.U, d.dp, _gamma(cfg, rep))
     exact = models.exact_coefficients(mc, models.default_solution())
     stab = saddle.assemble_stabilized(pb, d)
     try:
@@ -383,19 +382,22 @@ def cmd_converge(cfg):
         rep = saddle.constants(pb, d)
         gamma = _gamma(cfg, rep)
         exact = models.exact_coefficients(mc, models.default_solution())
-        qo = saddle.quasi_optimality(pb, d.with_gamma(gamma), exact, report=rep)
+        d = saddle.Discretization(pb, d.U, d.dp, gamma)
+        qo = saddle.quasi_optimality(pb, d, exact, report=rep)
         total = qo.u_err + qo.p_err
         rate = None if not totals else float(np.log2(totals[-1] / total))
         totals.append(total)
-        # the result's fields are columns; its ratio is rendered as qratio
         report.add_row(
             level=level,
             coarse_elems=coarse,
             gamma=gamma,
+            u_err=qo.u_err,
+            p_err=qo.p_err,
             total_err=total,
+            best_u=qo.best_u,
+            best_p=qo.best_p,
             qratio=qo.ratio,
             rate=rate,
-            **vars(qo),
         )
     if len(levels) >= 2:
         slope = np.polyfit(np.log2(np.asarray(levels, dtype=float)), np.log2(totals), 1)[0]
@@ -427,10 +429,10 @@ def cmd_condense_check(cfg):
     _, pb, spaces = _level(cfg, truth, cfg.coarse_elems)
     _, pb_max, spaces_max = _level(replace(cfg, w="truth"), truth, cfg.truth_elems)
     for gamma in cfg.gammas:
-        d = spaces.with_gamma(gamma)
+        d = saddle.Discretization(pb, spaces.U, spaces.dp, gamma)
         tf = saddle.assemble_three_field(pb, d)
         disc = condensation_discrepancy(saddle.assemble_stabilized(pb, d), saddle.static_condense(tf))
-        d_max = spaces_max.with_gamma(gamma)
+        d_max = saddle.Discretization(pb_max, spaces_max.U, spaces_max.dp, gamma)
         x, z, _ = saddle.solve(saddle.assemble_three_field(pb_max, d_max))
         w_ratio = pb_max.truth.norm(z) / (1.0 + pb_max.truth.norm(d_max.U.embedding @ x))
         status = "pass" if disc <= CONDENSE_TOL and w_ratio <= W_VANISH_TOL else "fail"

@@ -21,9 +21,12 @@ Deflation convention: every pressure pencil is restricted to the
 G_Q-orthogonal complement of ker B_T, computed from the singular value
 decomposition of B_T.  Mean-zero pressure spaces are realized this way, never
 by modifying the basis.  ``deflate_pressures`` is the only place that
-deflates: it returns a DeflatedPressures record, which the pencils of a
-level read (a Discretization builds one per level).  The functions taking
-(b_t, q_gram) deflate once through it.
+deflates: it returns a DeflatedPressures record, which the pencils read (a
+SaddleProblem measures its own once, as ``pb.pressures``).  The functions
+taking (b_t, q_gram) deflate once through it.
+
+beta and norm_B depend only on the truth space and the pressures: both come
+from the one solve of the (B_effᵀ G⁻¹ B_eff, G_Q) pencil in ``truth_constants``.
 """
 
 from __future__ import annotations
@@ -83,7 +86,6 @@ class StiffnessForm:
     matrix: np.ndarray
     fact: SpdFactorization
     aux: Subspace
-    choice: str
 
     @cached_property
     def _range(self):
@@ -127,12 +129,12 @@ class EquivalenceReport:
     norm_B: float
 
 
-def stiffness_from_matrix(sub, s, choice="custom"):
+def stiffness_from_matrix(sub, s):
     """Build a StiffnessForm from an explicit SPD matrix on the subspace."""
     s = require_symmetric(s, "stiffness matrix")
     if s.shape[0] != sub.dim:
         raise DimensionMismatch(f"stiffness of dim {s.shape[0]} does not match subspace {sub.dim}")
-    return StiffnessForm(matrix=s, fact=cholesky(s, "stiffness matrix"), aux=sub, choice=choice)
+    return StiffnessForm(matrix=s, fact=cholesky(s, "stiffness matrix"), aux=sub)
 
 
 def stiffness_scale(choice):
@@ -165,7 +167,7 @@ def make_stiffness(sub, choice="gramian"):
     """
     sigma = stiffness_scale(choice)
     if choice == "gramian":
-        return StiffnessForm(matrix=sub.gram_sub, fact=sub.fact, aux=sub, choice=choice)
+        return StiffnessForm(matrix=sub.gram_sub, fact=sub.fact, aux=sub)
     if choice == "lumped":
         sums = sub.gram_sub.sum(axis=1)
         if sums.min() <= KERNEL_RTOL * max(sums.max(), 0.0):
@@ -175,7 +177,7 @@ def make_stiffness(sub, choice="gramian"):
         # an overflow to inf is reported once, as NonFinite, by stiffness_from_matrix
         with np.errstate(over="ignore"):
             s = sigma * sub.gram_sub
-    return stiffness_from_matrix(sub, s, choice=choice)
+    return stiffness_from_matrix(sub, s)
 
 
 def c_apply(dp, f, g):
@@ -287,14 +289,17 @@ def _sup_gram(sub, pressures):
     return b_w, 0.5 * (sup_w + sup_w.T)
 
 
-def _dual_gram(truth, pressures):
-    """B_effᵀ G⁻¹ B_eff, the Gramian of the dual norms ‖B q‖₋₁, and its factor."""
+def truth_constants(pressures, truth):
+    """Truth inf-sup constant beta and norm_B of the deflated pressures, and B_effᵀ G⁻¹ B_eff.
+
+    B_effᵀ G⁻¹ B_eff is the Gramian of the dual norms ‖B q‖₋₁; beta and norm_B
+    are the roots of the extreme eigenvalues of its pencil with G_Q, solved
+    once.  beta is exactly 0 at or below KERNEL_RTOL · the largest.
+    """
     dual_t = pressures.b_eff.T @ spd_solve(truth.fact, pressures.b_eff)
     dual_t = 0.5 * (dual_t + dual_t.T)
-    try:
-        return dual_t, cholesky(dual_t, "deflated dual Gramian")
-    except NotSpd:
-        raise DegeneratePencil("deflated dual-norm Gramian is singular") from None
+    full = sym_generalized_eigvals(dual_t, pressures.q_fact)
+    return _floored_root(full), float(np.sqrt(max(full[-1], 0.0))), dual_t
 
 
 def pressure_infsup(pressures, sub):
@@ -306,24 +311,22 @@ def pressure_infsup(pressures, sub):
     return _floored_root(sym_generalized_eigvals(_sup_gram(sub, pressures)[1], pressures.q_fact))
 
 
-def truth_infsup(pressures, truth):
-    """Truth inf-sup constant beta of the deflated pressures.
-
-    Square root of the smallest eigenvalue of (B_effᵀ G⁻¹ B_eff, G_Q), the
-    same number as the ``beta`` of ``measure_equivalence``, which also reads S.
-    """
-    return _floored_root(sym_generalized_eigvals(_dual_gram(truth, pressures)[0], pressures.q_fact))
-
-
 def infsup_qw(b_t, q_gram, sub):
     """``pressure_infsup`` on the pressures of (B_T, G_Q)."""
     return pressure_infsup(deflate_pressures(b_t, q_gram), sub)
 
 
-def _equivalence(dp, pressures):
-    """The EquivalenceReport of a configuration, and its dual Gramian."""
+def measure_equivalence(dp, pressures):
+    """Every spectral constant of a configuration on its deflated pressures.
+
+    Returns the EquivalenceReport and the dual Gramian B_effᵀ G⁻¹ B_eff.
+    """
     b_w, sup_w = _sup_gram(dp.aux, pressures)
-    dual_t, dual_fact = _dual_gram(dp.aux.parent, pressures)
+    beta, norm_b, dual_t = truth_constants(pressures, dp.aux.parent)
+    try:
+        dual_fact = cholesky(dual_t, "deflated dual Gramian")
+    except NotSpd:
+        raise DegeneratePencil("deflated dual-norm Gramian is singular") from None
     numer = b_w.T @ spd_solve(dp.stiffness.fact, b_w)
     numer = 0.5 * (numer + numer.T)
     c_upper = 1.0 / dp.stiffness.kappa_star
@@ -331,7 +334,6 @@ def _equivalence(dp, pressures):
     if c_star <= KERNEL_RTOL * c_upper:
         # W misses part of the range of B: zero, not roundoff
         c_star = 0.0
-    full = sym_generalized_eigvals(dual_t, pressures.q_fact)
     rep = EquivalenceReport(
         kappa_star=dp.stiffness.kappa_star,
         K_star=dp.stiffness.K_star,
@@ -339,20 +341,15 @@ def _equivalence(dp, pressures):
         C_star=c_upper,
         alpha_hat=_floored_root(sym_generalized_eigvals(sup_w, dual_fact)),
         beta_hat=_floored_root(sym_generalized_eigvals(sup_w, pressures.q_fact)),
-        beta=_floored_root(full),
-        norm_B=float(np.sqrt(max(full[-1], 0.0))),
+        beta=beta,
+        norm_B=norm_b,
     )
     return rep, dual_t
 
 
-def measure_equivalence(dp, pressures):
-    """Every spectral constant of a configuration on its deflated pressures."""
-    return _equivalence(dp, pressures)[0]
-
-
 def equivalence_report(dp, b_t, q_gram):
     """Collect every spectral constant of a configuration in one report."""
-    return measure_equivalence(dp, deflate_pressures(b_t, q_gram))
+    return measure_equivalence(dp, deflate_pressures(b_t, q_gram))[0]
 
 
 def estimate_c_star(dp, b_t, q_gram):
@@ -445,7 +442,7 @@ def spectral_checks(dp, pressures, rng):
     ratios of SWEEP_SAMPLES random deflated pressures drawn from ``rng``
     against beta and norm_B.
     """
-    rep, dual_t = _equivalence(dp, pressures)
+    rep, dual_t = measure_equivalence(dp, pressures)
     rows = _equivalence_rows(dp) + [_stiffness_row(dp)] + _chain_rows(rep)
     return rep, rows + _sandwich_rows(rep, dual_t, pressures.q_eff, rng, SWEEP_SAMPLES)
 
@@ -485,7 +482,7 @@ def verify_infsup_sandwich(dp, b_t, q_gram, rng=None, samples=SWEEP_SAMPLES):
     equivalence beta ⦀q⦀ ≤ ‖B q‖₋₁ ≤ norm_B ⦀q⦀ on random deflated pressures.
     """
     pressures = deflate_pressures(b_t, q_gram)
-    rep, dual_t = _equivalence(dp, pressures)
+    rep, dual_t = measure_equivalence(dp, pressures)
     if rng is None:
         rng = np.random.default_rng(0)
     raise_failed(_sandwich_rows(rep, dual_t, pressures.q_eff, rng, samples))

@@ -49,7 +49,6 @@ class ManufacturedSolution:
     u: Callable[[np.ndarray], np.ndarray]
     du: Callable[[np.ndarray], np.ndarray]
     p: Callable[[np.ndarray], np.ndarray]
-    name: str = ""
 
 
 def default_solution():
@@ -58,7 +57,6 @@ def default_solution():
         u=lambda x: np.sin(np.pi * x),
         du=lambda x: np.pi * np.cos(np.pi * x),
         p=lambda x: np.cos(np.pi * x),
-        name="sin-cos",
     )
 
 

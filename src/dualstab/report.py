@@ -45,6 +45,9 @@ class Report:
     verdict: str = "pass"
 
     def add_row(self, **values):
+        """Append a row; a column it leaves out renders blank, a key that is no column raises."""
+        if not values.keys() <= set(self.columns):
+            raise ValueError(f"row keys {sorted(values.keys() - set(self.columns))} are not columns")
         self.rows.append(values)
 
     def to_csv(self):

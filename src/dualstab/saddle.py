@@ -9,14 +9,14 @@ system on U×W×Q whose middle block is (1/γ)S.  Static condensation of the
 latter must reproduce the former entrywise; the acceptance suite pins that.
 
 A problem owns the TruthRecord of its truth space and a-form, from which
-``constants`` reads alpha and norm_A.  Each discretization deflates its
-pressures once, against ker B_T (see dualprod); assembled systems live in
-deflated coordinates.
+``constants`` reads alpha and norm_A, and its pressures, deflated against
+ker B_T (see dualprod) on first read as ``pb.pressures``: once per problem,
+however many discretizations are built on it.  A discretization is only
+(U, dual product, gamma); assembled systems live in deflated coordinates.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -84,17 +84,14 @@ class GammaTooLarge(ValueError):
 class DegenerateDenominator(Exception):
     """Best-approximation denominator vanishes: exact solution is discrete."""
 
-    def __init__(self, message, u_err=None, p_err=None):
-        super().__init__(message)
-        self.u_err = u_err
-        self.p_err = p_err
-
 
 class SaddleProblem:
     """Truth-level mixed problem data on the TruthRecord of its truth space and a-form.
 
     ``truth`` and ``a_form`` are the record's; ``measure_truth`` or
-    ``split_truth`` validated them when the record was built.
+    ``split_truth`` validated them when the record was built.  ``pressures``
+    (the DeflatedPressures of (B_T, G_Q)) and ``g_eff`` (the constraint rhs
+    in their coordinates) are measured on first read, once per problem.
     """
 
     def __init__(self, record, b_form, q_gram, load, constraint_rhs, label=""):
@@ -109,7 +106,7 @@ class SaddleProblem:
         self.q_gram = require_symmetric(q_gram, "pressure Gramian")
         if self.q_gram.shape[0] != self.b_form.shape[1]:
             raise DimensionMismatch("pressure Gramian does not match constraint columns")
-        self.q_fact = cholesky(self.q_gram, "pressure Gramian")
+        cholesky(self.q_gram, "pressure Gramian")  # NotSpd unless SPD
         if not isinstance(load, Functional):
             load = Functional(np.asarray(load, dtype=float))
         if load.dim != truth.dim:
@@ -124,18 +121,21 @@ class SaddleProblem:
     def pressure_dim(self):
         return self.b_form.shape[1]
 
+    @cached_property
+    def pressures(self):
+        return deflate_pressures(self.b_form, self.q_gram)
 
-def _valid_gamma(gamma):
-    gamma = float(gamma)
-    if not np.isfinite(gamma) or gamma < 0.0:
-        raise ValueError("gamma must be a finite nonnegative real")
-    return gamma
+    @cached_property
+    def g_eff(self):
+        return self.pressures.basis.T @ self.constraint_rhs
 
 
 class Discretization:
-    """Choice of (U, W, dual product, gamma) for one problem, on its whole pressure space.
+    """Choice of (U, dual product, gamma) for one problem; W is the dual product's space.
 
-    ``pressures`` is its one deflation, which every pencil and assembly reads.
+    Building one reads the problem's pressures, so a degenerate constraint
+    fails here; ``b_eff``, ``q_eff`` and ``p_dim`` are theirs, ``b_sel`` and
+    ``q_sel`` the problem's B_T and G_Q.
     """
 
     def __init__(self, pb, u, dp, gamma):
@@ -145,21 +145,17 @@ class Discretization:
             raise DimensionMismatch("subspaces must embed into the problem's truth space")
         self.U = u
         self.dp = dp
-        self.gamma = _valid_gamma(gamma)
+        gamma = float(gamma)
+        if not np.isfinite(gamma) or gamma < 0.0:
+            raise ValueError("gamma must be a finite nonnegative real")
+        self.gamma = gamma
+        p = pb.pressures
         self.b_sel, self.q_sel = pb.b_form, pb.q_gram
-        self.pressures = p = deflate_pressures(pb.b_form, pb.q_gram)
         self.b_eff, self.q_eff, self.p_dim = p.b_eff, p.q_eff, p.basis.shape[1]
-        self.g_eff = p.basis.T @ pb.constraint_rhs
 
     @property
     def W(self):
         return self.dp.aux
-
-    def with_gamma(self, gamma):
-        """The same spaces and pressure deflation at another gamma."""
-        other = copy.copy(self)
-        other.gamma = _valid_gamma(gamma)
-        return other
 
 
 @dataclass(frozen=True)
@@ -191,8 +187,8 @@ def _blocks(pb, d):
     a_e_u = pb.a_form @ e_u
     a_uu = e_u.T @ a_e_u
     a_wu = e_w.T @ a_e_u
-    b_uq = e_u.T @ d.b_eff
-    b_wq = e_w.T @ d.b_eff
+    b_uq = e_u.T @ pb.pressures.b_eff
+    b_wq = e_w.T @ pb.pressures.b_eff
     f_u = e_u.T @ pb.load.action
     f_w = e_w.T @ pb.load.action
     return a_uu, a_wu, b_uq, b_wq, f_u, f_w
@@ -208,11 +204,11 @@ def assemble_stabilized(pb, d):
     At γ = 0 this is the plain Galerkin block form.
     """
     a_uu, a_wu, b_uq, b_wq, f_u, f_w = _blocks(pb, d)
-    gamma = d.gamma
+    gamma, l = d.gamma, b_uq.shape[1]
     if gamma == 0.0:
         bottom_left = b_uq.T
-        bottom_right = np.zeros((d.p_dim, d.p_dim))
-        rhs_q = d.g_eff.copy()
+        bottom_right = np.zeros((l, l))
+        rhs_q = pb.g_eff
     else:
         s_fact = d.dp.stiffness.fact
         s_inv_a = spd_solve(s_fact, a_wu)
@@ -220,11 +216,11 @@ def assemble_stabilized(pb, d):
         s_inv_f = spd_solve(s_fact, f_w)
         bottom_left = b_uq.T - gamma * (b_wq.T @ s_inv_a)
         bottom_right = gamma * (b_wq.T @ s_inv_b)
-        rhs_q = d.g_eff - gamma * (b_wq.T @ s_inv_f)
+        rhs_q = pb.g_eff - gamma * (b_wq.T @ s_inv_f)
     matrix = np.block([[a_uu, -b_uq], [bottom_left, bottom_right]])
     rhs = np.concatenate([f_u, rhs_q])
     return StabilizedSystem(
-        matrix=matrix, rhs=rhs, u_dim=d.U.dim, p_dim=d.p_dim, gamma=gamma
+        matrix=matrix, rhs=rhs, u_dim=d.U.dim, p_dim=l, gamma=gamma
     )
 
 
@@ -238,7 +234,7 @@ def assemble_three_field(pb, d):
     if d.gamma <= 0.0:
         raise GammaZero("three-field assembly requires gamma > 0")
     a_uu, a_wu, b_uq, b_wq, f_u, f_w = _blocks(pb, d)
-    k, n, l = d.U.dim, d.W.dim, d.p_dim
+    k, n, l = d.U.dim, d.W.dim, b_uq.shape[1]
     s_block = d.dp.stiffness.matrix / d.gamma
     matrix = np.block(
         [
@@ -247,7 +243,7 @@ def assemble_three_field(pb, d):
             [b_uq.T, b_wq.T, np.zeros((l, l))],
         ]
     )
-    rhs = np.concatenate([f_u, f_w, d.g_eff])
+    rhs = np.concatenate([f_u, f_w, pb.g_eff])
     return ThreeFieldSystem(matrix=matrix, rhs=rhs, u_dim=k, w_dim=n, p_dim=l, gamma=d.gamma)
 
 
@@ -333,8 +329,6 @@ class ConstantsReport:
     norm_A: float
     norm_B: float
     beta: float
-    c_hat: float
-    C_hat: float
     kappa_star: float
     K_star: float
     c_star: float
@@ -343,6 +337,11 @@ class ConstantsReport:
     beta_hat: float
     gamma0: float
     gamma_tilde0: float
+
+    @property
+    def c_hat(self):
+        """min(1, beta²), the pressure factor of ``beta_gamma``."""
+        return min(1.0, self.beta**2)
 
     def beta_gamma(self, gamma):
         """Guaranteed coercivity constant of the stabilized form at this gamma."""
@@ -435,18 +434,16 @@ def constants(pb, d):
 
     alpha and norm_A are truth-level properties of the a-form, read from the
     problem's TruthRecord ``pb.record``: measured there at most once for
-    every level built on it.  Every other constant is measured on the level's
-    deflated pressures ``d.pressures``: beta and norm_B are the truth inf-sup
+    every level built on it.  Every other constant is measured on the problem's
+    deflated pressures ``pb.pressures``: beta and norm_B are the truth inf-sup
     constants, c_star, alpha_hat and beta_hat go through the configured dual
     product.
     """
     alpha, norm_a = pb.record.alpha, pb.record.norm_A
-    er = measure_equivalence(d.dp, d.pressures)
+    er = measure_equivalence(d.dp, pb.pressures)[0]
     return ConstantsReport(
         alpha=alpha,
         norm_A=norm_a,
-        c_hat=min(1.0, er.beta**2),
-        C_hat=max(1.0, er.norm_B**2),
         gamma0=2.0 * alpha * er.c_star / (norm_a**2 * er.C_star**2),
         gamma_tilde0=2.0 * er.kappa_star * alpha / norm_a**2,
         **vars(er),
@@ -466,7 +463,7 @@ def verify_coercivity(pb, d, report=None):
         )
     system = assemble_stabilized(pb, d)
     sym_k = 0.5 * (system.matrix + system.matrix.T)
-    norms = scipy.linalg.block_diag(d.U.gram_sub, d.q_eff)
+    norms = scipy.linalg.block_diag(d.U.gram_sub, pb.pressures.q_eff)
     measured = float(sym_generalized_eigvals(sym_k, cholesky(norms, "norm block"))[0])
     predicted = rep.beta_gamma(d.gamma)
     if measured < predicted - COERCIVITY_TOL * max(1.0, abs(predicted)):
@@ -500,8 +497,8 @@ def relaxed_infsup_check(pb, d):
     one may never fall below; each pencil is solved once.
     """
     joint = combined_subspace(pb.truth, d.U.embedding, d.W.embedding)
-    value = pressure_infsup(d.pressures, joint)
-    return Check("relaxed_infsup", value, pressure_infsup(d.pressures, d.W), None, COERCIVITY_TOL)
+    value = pressure_infsup(pb.pressures, joint)
+    return Check("relaxed_infsup", value, pressure_infsup(pb.pressures, d.W), None, COERCIVITY_TOL)
 
 
 def verify_relaxed_infsup(pb, d):
@@ -511,12 +508,13 @@ def verify_relaxed_infsup(pb, d):
     return row.value
 
 
-def project_pressure(pb, d, y_raw):
+def project_pressure(pb, y_raw):
     """Deflated coordinates of the G_Q-orthogonal projection of a raw pressure."""
     y_raw = np.asarray(y_raw, dtype=float)
     if y_raw.shape != (pb.pressure_dim,):
         raise DimensionMismatch("raw pressure vector does not match the pressure space")
-    return spd_solve(d.pressures.q_fact, d.pressures.basis.T @ (pb.q_gram @ y_raw))
+    p = pb.pressures
+    return spd_solve(p.q_fact, p.basis.T @ (pb.q_gram @ y_raw))
 
 
 def error_norms(pb, d, numeric, exact):
@@ -530,8 +528,8 @@ def error_norms(pb, d, numeric, exact):
     xe, ye = exact
     du = d.U.embedding @ np.asarray(x, dtype=float) - np.asarray(xe, dtype=float)
     u_err = pb.truth.norm(du)
-    dp_vec = project_pressure(pb, d, ye) - np.asarray(y, dtype=float)
-    p_err = float(np.sqrt(max(dp_vec @ (d.q_eff @ dp_vec), 0.0)))
+    dp_vec = project_pressure(pb, ye) - np.asarray(y, dtype=float)
+    p_err = float(np.sqrt(max(dp_vec @ (pb.pressures.q_eff @ dp_vec), 0.0)))
     return u_err, p_err
 
 
@@ -558,18 +556,16 @@ def quasi_optimality(pb, d, exact, report=None):
         raise GammaTooLarge(f"gamma {d.gamma:g} is not below gamma0 {rep.gamma0:g}")
     xe, ye = (np.asarray(v, dtype=float) for v in exact)
     u_err, p_err = error_norms(pb, d, solve(assemble_stabilized(pb, d)), (xe, ye))
-    y_ref = project_pressure(pb, d, ye)
+    y_ref = project_pressure(pb, ye)
     ru = xe - d.U.embedding @ orthogonal_project(d.U, xe)
     best_u = pb.truth.norm(ru)
-    rp = ye - d.pressures.basis @ y_ref
+    rp = ye - pb.pressures.basis @ y_ref
     best_p = float(np.sqrt(max(rp @ (pb.q_gram @ rp), 0.0)))
     denom = best_u + best_p
     scale = pb.truth.norm(xe) + float(np.sqrt(max(ye @ (pb.q_gram @ ye), 0.0)))
     if denom <= DEGENERATE_RTOL * max(1.0, scale):
         raise DegenerateDenominator(
-            "exact solution lies in the discrete spaces; quasi-optimality ratio undefined",
-            u_err=u_err,
-            p_err=p_err,
+            "exact solution lies in the discrete spaces; quasi-optimality ratio undefined"
         )
     return QuasiOptimality(
         u_err=u_err,

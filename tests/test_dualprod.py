@@ -103,9 +103,9 @@ class TestStiffnessChoices:
         rng = np.random.default_rng(3)
         ts = random_truth(rng, 12)
         sub = Subspace(ts, rng.standard_normal((12, 5)))
-        sf = stiffness_from_matrix(sub, 3.0 * sub.gram_sub, choice="x3")
+        sf = stiffness_from_matrix(sub, 3.0 * sub.gram_sub)
         assert sf.kappa_star == pytest.approx(3.0, rel=1e-12)
-        assert sf.choice == "x3"
+        assert sf.K_star == pytest.approx(3.0, rel=1e-12)
 
     def test_range_measured_on_first_read(self, monkeypatch):
         # building S factors it and solves no pencil; the first read of
@@ -339,12 +339,14 @@ class TestConstants:
             assert rep.beta * q_norm <= b_norm * (1 + 1e-9)
             assert b_norm <= rep.norm_B * q_norm * (1 + 1e-9)
 
-    def test_truth_infsup_is_the_report_beta(self):
-        # infsup prints beta without building the report: the same number
+    def test_truth_constants_are_the_report_beta_and_norm_b(self):
+        # infsup prints beta without building the report: one pencil, the same numbers
         ts, w_sub, b, qg = model_setup()
         pressures = deflate_pressures(b, qg)
         dp = DualProduct(aux=w_sub, stiffness=make_stiffness(w_sub, "lumped"))
-        assert dualprod.truth_infsup(pressures, ts) == equivalence_report(dp, b, qg).beta > 0.0
+        rep = equivalence_report(dp, b, qg)
+        beta, norm_b, _ = dualprod.truth_constants(pressures, ts)
+        assert beta == rep.beta > 0.0 and norm_b == rep.norm_B
 
     def test_w_only_constants_never_exceed_truth(self):
         # restricting the sup space can only lower an inf-sup constant

@@ -421,7 +421,7 @@ class TestModelInvariants:
         sol = default_solution()
         xc = sol.u(np.arange(1, 8) / 8)
         ye = exact_coefficients(cfg, sol)[1]
-        numeric = (xc, project_pressure(pb, d, ye))
+        numeric = (xc, project_pressure(pb, ye))
         exact = (d.U.embedding @ xc, ye)
         u_err, p_err = models.error_norms(pb, d, numeric, exact)
         assert u_err <= 1e-9 and p_err <= 1e-9

@@ -37,6 +37,13 @@ class TestCsv:
         r.add_row(a=1)
         assert r.to_csv().splitlines()[1] == "1,"
 
+    def test_unknown_key_raises(self):
+        # a misspelled key would otherwise blank its column without an error
+        r = Report(command="c", config={}, seed=0, columns=["alpha", "norm_A"])
+        with pytest.raises(ValueError, match="norm_a"):
+            r.add_row(alpha=1.0, norm_a=2.0)
+        assert r.rows == []
+
     def test_trailing_newline(self):
         assert make_report().to_csv().endswith("\n")
 

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from dualstab import models, saddle
 from dualstab.algebra import DimensionMismatch, NonFinite, spd_solve
 from dualstab.cli import main
-from dualstab.dualprod import BoundViolated, pressure_infsup
+from dualstab.dualprod import BoundViolated, DegeneratePencil, pressure_infsup
 from dualstab.hilbert import Subspace
 from dualstab.saddle import (
     SINGULAR_RTOL,
@@ -195,7 +195,7 @@ class TestSolve:
         d2 = Discretization(pb2, d.U, d.dp, d.gamma)
         x, y = solve(assemble_stabilized(pb2, d2))
         np.testing.assert_allclose(d2.U.embedding @ x, xe, atol=1e-9)
-        np.testing.assert_allclose(d2.pressures.basis @ y, ye_def, atol=1e-9)
+        np.testing.assert_allclose(pb2.pressures.basis @ y, ye_def, atol=1e-9)
 
 
 def svd_singular(matrix):
@@ -228,7 +228,7 @@ class TestScreenOracle:
         galerkin = assemble_stabilized(pb, d)
         assert svd_singular(galerkin.matrix) and lu_singular(galerkin)
         gamma = constants(pb, d).gamma0 / 2.0
-        stabilized = assemble_stabilized(pb, d.with_gamma(gamma))
+        stabilized = assemble_stabilized(pb, Discretization(pb, d.U, d.dp, gamma))
         assert not svd_singular(stabilized.matrix) and not lu_singular(stabilized)
 
     def test_condense_check_maximal_systems(self):
@@ -240,7 +240,7 @@ class TestScreenOracle:
         pb = models.build_truth(cfg)
         d = models.build_spaces(cfg, pb)
         for gamma in (0.01, 0.1, 1.0):
-            tf = assemble_three_field(pb, d.with_gamma(gamma))
+            tf = assemble_three_field(pb, Discretization(pb, d.U, d.dp, gamma))
             assert tf.matrix.shape == (1533, 1533)
             assert not svd_singular(tf.matrix) and not lu_singular(tf)
 
@@ -357,15 +357,15 @@ class TestConstants:
         assert truth.alpha == constants(models.build_level(cfg, truth), d).alpha
         assert calls == [(63, 63)] * 2
 
-    def test_c_hat_and_big_c_hat(self):
+    def test_c_hat_is_read_from_beta(self):
         cfg, pb, d = build()
         rep = constants(pb, d)
-        assert rep.c_hat == pytest.approx(min(1.0, rep.beta**2), rel=1e-12)
-        assert rep.C_hat == pytest.approx(max(1.0, rep.norm_B**2), rel=1e-12)
+        assert rep.c_hat == min(1.0, rep.beta**2)
+        assert replace(rep, beta=2.0).c_hat == 1.0
 
     def test_beta_gamma_piecewise_formula(self):
         rep = ConstantsReport(
-            alpha=1.0, norm_A=1.0, norm_B=1.0, beta=1.0, c_hat=1.0, C_hat=1.0,
+            alpha=1.0, norm_A=1.0, norm_B=1.0, beta=1.0,
             kappa_star=1.0, K_star=1.0, c_star=0.5, C_star=1.0,
             alpha_hat=1.0, beta_hat=1.0, gamma0=1.0, gamma_tilde0=2.0,
         )
@@ -425,7 +425,7 @@ class TestSubspaceCombination:
     def test_relaxed_floor_is_beta_hat(self):
         # the W-only floor and beta_hat are one pencil on one deflation
         cfg, pb, d = build()
-        assert pressure_infsup(d.pressures, d.W) == constants(pb, d).beta_hat
+        assert pressure_infsup(pb.pressures, d.W) == constants(pb, d).beta_hat
 
 
 class TestPressureProjection:
@@ -433,14 +433,14 @@ class TestPressureProjection:
         cfg, pb, d = build()
         rng = np.random.default_rng(8)
         y = rng.standard_normal(d.p_dim)
-        y_raw = d.pressures.basis @ y
-        np.testing.assert_allclose(project_pressure(pb, d, y_raw), y, atol=1e-10)
+        y_raw = pb.pressures.basis @ y
+        np.testing.assert_allclose(project_pressure(pb, y_raw), y, atol=1e-10)
 
     def test_kills_constants(self):
         # the constant pressure is deflated away: its projection is zero
         cfg, pb, d = build()
         ones = np.ones(pb.pressure_dim)
-        np.testing.assert_allclose(project_pressure(pb, d, ones), 0.0, atol=1e-10)
+        np.testing.assert_allclose(project_pressure(pb, ones), 0.0, atol=1e-10)
 
 
 class TestQuasiOptimality:
@@ -455,7 +455,7 @@ class TestQuasiOptimality:
         cfg, pb, d = build(pressure_kind="p0")
         rng = np.random.default_rng(9)
         xe = d.U.embedding @ rng.standard_normal(d.U.dim)
-        ye = d.pressures.basis @ rng.standard_normal(d.p_dim)
+        ye = pb.pressures.basis @ rng.standard_normal(d.p_dim)
         with pytest.raises(DegenerateDenominator):
             quasi_optimality(pb, d, (xe, ye))
 
@@ -480,17 +480,42 @@ class TestValidation:
         # one pressure space per level: the problem's own B_T and G_Q
         cfg, pb, d = build(truth=16, coarse=4, pressure_kind="p0")
         assert d.b_sel is pb.b_form and d.q_sel is pb.q_gram
-        assert d.pressures.basis.shape == (pb.pressure_dim, d.p_dim)
+        assert pb.pressures.basis.shape == (pb.pressure_dim, d.p_dim)
         assert d.p_dim == pb.pressure_dim - 1  # the constants are deflated away
 
-    def test_with_gamma_shares_spaces(self):
-        cfg, pb, d = build(gamma=0.0)
-        d2 = d.with_gamma(0.3)
-        assert d.gamma == 0.0 and d2.gamma == 0.3
-        assert d2.U is d.U and d2.dp is d.dp and d2.pressures is d.pressures
-        rebuilt = models.build_spaces(replace(cfg, gamma=0.3), pb)
+    def test_discretizations_share_the_problem_deflation(self, monkeypatch):
+        # the pressures are the problem's: measured on first read, once, however
+        # many discretizations (at any gamma) are built on it
+        from dualstab import dualprod
+
+        calls = []
+        original = dualprod.pressure_deflation
+
+        def counted(b_t, q_gram):
+            calls.append(b_t.shape)
+            return original(b_t, q_gram)
+
+        monkeypatch.setattr(dualprod, "pressure_deflation", counted)
+        cfg = models.ModelConfig(truth_elems=64, coarse_elems=8, gamma=0.0)
+        pb = models.build_truth(cfg)
+        assert calls == []
+        d = models.build_spaces(cfg, pb)
+        d2 = models.build_spaces(replace(cfg, gamma=0.3), pb)
+        d3 = Discretization(pb, d.U, d.dp, 0.5)
+        assert calls == [(63, 9)]
+        assert (d.gamma, d2.gamma, d3.gamma) == (0.0, 0.3, 0.5)
+        assert d.b_eff is d2.b_eff is d3.b_eff is pb.pressures.b_eff
         np.testing.assert_array_equal(
-            assemble_stabilized(pb, d2).matrix, assemble_stabilized(pb, rebuilt).matrix
+            assemble_stabilized(pb, d3).matrix,
+            assemble_stabilized(pb, models.build_spaces(replace(cfg, gamma=0.5), pb)).matrix,
         )
+        assert calls == [(63, 9)]
         with pytest.raises(ValueError):
-            d.with_gamma(np.nan)
+            Discretization(pb, d.U, d.dp, np.nan)
+
+    def test_degenerate_constraint_fails_when_discretized(self):
+        # the deflation is lazy, but a zero B still fails where it always did
+        cfg, pb, d = build(truth=16, coarse=4)
+        zero = SaddleProblem(pb.record, 0.0 * pb.b_form, pb.q_gram, pb.load, pb.constraint_rhs)
+        with pytest.raises(DegeneratePencil):
+            Discretization(zero, d.U, d.dp, 0.1)
