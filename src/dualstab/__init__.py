@@ -42,6 +42,7 @@ from .dualprod import (
     verify_stiffness_bound,
 )
 from .hilbert import (
+    BandedTruthSpace,
     DualBasis,
     Functional,
     Subspace,

@@ -7,7 +7,10 @@ the contracts: validation, pivot screening, Cholesky reduction of pencils, and
 the error taxonomy.
 
 Matrices are plain float64 ndarrays.  Sizes are desk scale (a few thousand at
-most), so dense storage and full spectra are the right trade-off.
+most), so dense storage and full spectra are the right trade-off, with one
+exception: a symmetric banded matrix, such as the Gramian of a P1 truth mesh,
+can be kept in LAPACK upper band storage, ``band[u + i - j, j] = M[i, j]``
+for i ≤ j with u superdiagonals, and factored and solved there in O(n u²).
 """
 
 from __future__ import annotations
@@ -66,6 +69,14 @@ class SpdFactorization:
 
 
 @dataclass(frozen=True)
+class BandedSpdFactorization:
+    """Upper Cholesky factor of an SPD band matrix, M = Uᵀ U, in LAPACK upper band storage."""
+
+    dim: int
+    upper: np.ndarray
+
+
+@dataclass(frozen=True)
 class EigResult:
     """Full spectrum of a symmetric pencil (A, B).
 
@@ -95,8 +106,50 @@ def cholesky(m, name="matrix"):
     return SpdFactorization(dim=m.shape[0], lower=lower)
 
 
+def cholesky_band(band, name="matrix"):
+    """Factor an SPD matrix given in LAPACK upper band storage as Uᵀ U.
+
+    The pivot screen is that of ``cholesky``: a squared pivot at or below
+    ``PIVOT_RTOL`` times the largest diagonal entry raises NotSpd.
+    """
+    band = as_matrix(band, name)
+    try:
+        upper = scipy.linalg.cholesky_banded(band, lower=False, check_finite=False)
+    except np.linalg.LinAlgError:
+        raise NotSpd(f"{name} is not positive definite") from None
+    if (upper[-1] ** 2).min() <= PIVOT_RTOL * band[-1].max():
+        raise NotSpd(f"{name} is numerically singular (pivot below threshold)")
+    return BandedSpdFactorization(dim=band.shape[1], upper=upper)
+
+
+def band_apply(band, x):
+    """Product M x of a symmetric matrix in LAPACK upper band storage with x.
+
+    ``x`` may be a vector or a matrix of stacked columns.
+    """
+    x = np.asarray(x, dtype=float)
+    u = band.shape[0] - 1
+    col = (slice(None),) + (None,) * (x.ndim - 1)
+    y = band[u][col] * x
+    for k in range(1, u + 1):
+        off = band[u - k, k:][col]
+        y[:-k] += off * x[k:]
+        y[k:] += off * x[:-k]
+    return y
+
+
+def band_to_dense(band):
+    """The dense symmetric matrix of a matrix in LAPACK upper band storage."""
+    u = band.shape[0] - 1
+    m = np.diag(band[u])
+    for k in range(1, u + 1):
+        off = np.diag(band[u - k, k:], k)
+        m += off + off.T
+    return m
+
+
 def spd_solve(fact, rhs):
-    """Solve M x = rhs from the Cholesky factorization of M.
+    """Solve M x = rhs from the Cholesky factorization of M, dense or banded.
 
     ``rhs`` may be a vector or a matrix of stacked right-hand sides.
     """
@@ -105,6 +158,8 @@ def spd_solve(fact, rhs):
         raise DimensionMismatch(
             f"rhs of shape {rhs.shape} does not match factorization of dim {fact.dim}"
         )
+    if isinstance(fact, BandedSpdFactorization):
+        return scipy.linalg.cho_solve_banded((fact.upper, False), rhs, check_finite=False)
     y = scipy.linalg.solve_triangular(fact.lower, rhs, lower=True, check_finite=False)
     return scipy.linalg.solve_triangular(fact.lower.T, y, lower=False, check_finite=False)
 

@@ -3,7 +3,10 @@
 Config files are flat ``key = value`` text ('#' starts a comment); command
 line flags override file values.  Exit codes: 0 all checks pass, 1 a
 mathematical check failed, 2 config error, 3 numerical failure (a kernel
-failure, or an overflow or invalid value anywhere in a command).
+failure, running out of memory, or an overflow or invalid value anywhere in a
+command).  A config whose truth mesh is above ``models.DENSE_TRUTH_LIMIT`` is
+a config error when it needs a dense truth path: ``w = truth``,
+``reaction > 0`` or the command ``condense-check``.
 """
 
 from __future__ import annotations
@@ -423,6 +426,10 @@ def _default_sweep(cfg):
 def cmd_condense_check(cfg):
     """Condensation agreement per gamma, plus the maximal-space w ≈ 0 test."""
     columns = ["gamma", "discrepancy", "w_ratio", "status"]
+    try:
+        models.require_dense_truth(cfg.truth_elems, "condense-check")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     report = Report("condense-check", _config_echo(cfg), cfg.seed, columns)
     truth = _truth(cfg)
     # the spaces do not depend on gamma: build them once, vary gamma only
@@ -514,6 +521,9 @@ def main(argv=None):
         ZeroDivisionError,
     ) as exc:
         print(f"dualstab: numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"dualstab: numerical failure: out of memory: {exc}", file=sys.stderr)
         return 3
     write_report(report, cfg.out, cfg.format)
     return 0 if report.verdict == "pass" else 1

@@ -296,7 +296,7 @@ def truth_constants(pressures, truth):
     are the roots of the extreme eigenvalues of its pencil with G_Q, solved
     once.  beta is exactly 0 at or below KERNEL_RTOL · the largest.
     """
-    dual_t = pressures.b_eff.T @ spd_solve(truth.fact, pressures.b_eff)
+    dual_t = pressures.b_eff.T @ truth.solve(pressures.b_eff)
     dual_t = 0.5 * (dual_t + dual_t.T)
     full = sym_generalized_eigvals(dual_t, pressures.q_fact)
     return _floored_root(full), float(np.sqrt(max(full[-1], 0.0))), dual_t

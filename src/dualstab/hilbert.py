@@ -2,7 +2,11 @@
 
 The continuous Hilbert space V is represented by a fine "truth" space with an
 SPD Gramian G; every dual-space quantity in the package is measured against
-it.  A subspace is a full-rank column embedding E into truth coordinates, a
+it.  The truth space is used only through its operator: products with G
+(``apply``, ``gram``, ``norm``) and solves with it (``solve``).  Its Gramian
+is stored dense (``TruthSpace``) or, when it is banded as on a P1 mesh, in
+band storage (``BandedTruthSpace``), where a product and a solve cost O(n).
+A subspace is a full-rank column embedding E into truth coordinates, a
 functional is its vector of actions on the truth basis, and the dual basis of
 a subspace consists of the functionals biorthogonal to its columns:
 
@@ -15,14 +19,24 @@ P* (a projector on the dual side) are plain matrix products.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .algebra import DimensionMismatch, as_matrix, cholesky, require_symmetric, spd_solve
+from .algebra import (
+    DimensionMismatch,
+    as_matrix,
+    band_apply,
+    band_to_dense,
+    cholesky,
+    cholesky_band,
+    require_symmetric,
+    spd_solve,
+)
 
 
 class TruthSpace:
-    """Reference space: an SPD Gramian fixing norm and dual norm."""
+    """Reference space: an SPD Gramian fixing norm and dual norm, stored dense."""
 
     def __init__(self, gramian, label=""):
         self.gramian = require_symmetric(gramian, "truth Gramian")
@@ -30,13 +44,55 @@ class TruthSpace:
         self.dim = self.gramian.shape[0]
         self.label = label
 
+    def apply(self, x):
+        """G x, for a truth vector or a matrix of truth columns."""
+        return self.gramian @ x
+
+    def solve(self, rhs):
+        """G⁻¹ rhs, for a vector or a matrix of stacked right-hand sides."""
+        return spd_solve(self.fact, rhs)
+
+    def gram(self, e):
+        """The Gramian Eᵀ G E of the columns of an embedding, symmetrized."""
+        g = e.T @ self.apply(e)
+        return 0.5 * (g + g.T)
+
     def norm(self, x):
         """Norm induced by the Gramian."""
         x = np.asarray(x, dtype=float)
-        return float(np.sqrt(max(x @ (self.gramian @ x), 0.0)))
+        return float(np.sqrt(max(x @ self.apply(x), 0.0)))
+
+    def to_dense(self):
+        """The Gramian as a dense n × n matrix."""
+        return self.gramian
 
     def __repr__(self):
-        return f"TruthSpace(dim={self.dim}, label={self.label!r})"
+        return f"{type(self).__name__}(dim={self.dim}, label={self.label!r})"
+
+
+class BandedTruthSpace(TruthSpace):
+    """Truth space whose Gramian is banded, given in LAPACK upper band storage.
+
+    No n × n matrix is formed: products are O(n) per column, and the banded
+    Cholesky factor ``fact`` is computed on first solve, under the pivot
+    screen of ``algebra.cholesky`` (NotSpd for a singular band).
+    ``to_dense`` builds the n × n Gramian for the paths that need it.
+    """
+
+    def __init__(self, band, label=""):
+        self.band = as_matrix(band, "truth Gramian band")
+        self.dim = self.band.shape[1]
+        self.label = label
+
+    @cached_property
+    def fact(self):
+        return cholesky_band(self.band, "truth Gramian")
+
+    def apply(self, x):
+        return band_apply(self.band, x)
+
+    def to_dense(self):
+        return band_to_dense(self.band)
 
 
 class Subspace:
@@ -52,8 +108,7 @@ class Subspace:
         if e.shape[1] > e.shape[0]:
             raise DimensionMismatch("embedding cannot have more columns than rows")
         self.embedding = e
-        gram = e.T @ (parent.gramian @ e)
-        self.gram_sub = 0.5 * (gram + gram.T)
+        self.gram_sub = parent.gram(e)
         # cholesky rejects rank-deficient embeddings (NotSpd)
         self.fact = cholesky(self.gram_sub, "subspace Gramian")
         self.dim = e.shape[1]
@@ -106,19 +161,19 @@ def orthogonal_project(sub, x):
     x = np.asarray(x, dtype=float)
     if x.shape != (sub.parent.dim,):
         raise DimensionMismatch(f"vector of shape {x.shape} is not in the truth space")
-    return spd_solve(sub.fact, sub.embedding.T @ (sub.parent.gramian @ x))
+    return spd_solve(sub.fact, sub.embedding.T @ sub.parent.apply(x))
 
 
 def dual_norm(space, f):
     """Dual norm sup ⟨f, v⟩ / ‖v‖ = (fᵀ G⁻¹ f)^½."""
     _check_space(space, f)
-    val = f.action @ spd_solve(space.fact, f.action)
+    val = f.action @ space.solve(f.action)
     return float(np.sqrt(max(val, 0.0)))
 
 
 def dual_basis(sub):
     """Biorthogonal dual basis of the subspace: reps = G E (EᵀGE)⁻¹."""
-    t = sub.parent.gramian @ sub.embedding
+    t = sub.parent.apply(sub.embedding)
     reps = spd_solve(sub.fact, t.T).T
     return DualBasis(reps=reps)
 

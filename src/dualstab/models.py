@@ -3,8 +3,10 @@
 The truth velocity space is P1 on a fine uniform mesh with homogeneous
 Dirichlet conditions; its Gramian G is the H¹₀ stiffness matrix, and the
 a-form is A = G + r·M with the interior mass matrix M and the reaction
-coefficient r.  The truth record is built from that split: alpha and ‖A‖ are
-1 + r·μ_min and 1 + r·μ_max of the pencil (M, G), exactly 1 at r = 0, where
+coefficient r.  G and M are tridiagonal, and the truth record keeps both as
+bands (``BandedTruthSpace``), so a level builds no n × n truth matrix.  The
+truth record is built from that split: alpha and ‖A‖ are 1 + r·μ_min and
+1 + r·μ_max of the pencil (M, G), exactly 1 at r = 0, where
 A is the scalar product and no eigensolve runs.  Every problem a
 configuration builds owns that record, and ``saddle.constants`` reads alpha
 and ‖A‖ from it; the dense ``saddle.measure_truth`` record is the oracle
@@ -26,12 +28,20 @@ from typing import Callable
 
 import numpy as np
 
+from .algebra import band_to_dense
 from .dualprod import DualProduct, make_stiffness, stiffness_scale
-from .hilbert import Functional, Subspace, TruthSpace
+from .hilbert import BandedTruthSpace, Functional, Subspace
 # error_norms is defined beside quasi_optimality, which shares it
 from .saddle import Discretization, SaddleProblem, error_norms, split_truth  # noqa: F401
 
 GAUSS_POINTS = 5
+
+# Largest truth mesh of the paths that still build n × n truth matrices:
+# w = truth (a truth-sized W), the maximal system of condense-check and the
+# (M, G) extremes at reaction > 0, a dense eigensolve.  The heaviest of them,
+# condense-check at truth 2048, peaks at 1.08 GB of RSS (2 cores, one BLAS
+# thread); its matrices grow as the square of the mesh.
+DENSE_TRUTH_LIMIT = 2048
 
 
 class NestingViolated(Exception):
@@ -85,6 +95,10 @@ class ModelConfig:
             raise ValueError("gamma must be a finite nonnegative real")
         if not np.isfinite(self.reaction) or self.reaction < 0.0:
             raise ValueError("reaction coefficient must be a finite nonnegative real")
+        if self.w_kind == "truth":
+            require_dense_truth(self.truth_elems, "w = truth")
+        if self.reaction > 0.0:
+            require_dense_truth(self.truth_elems, "reaction > 0")
 
     def w_elems(self):
         """Element count of the auxiliary mesh implied by w_kind."""
@@ -110,23 +124,47 @@ class ModelConfig:
         raise ValueError(f"w_kind must be 'refined:<k>', 'truth' or 'same', got {kind!r}")
 
 
+def require_dense_truth(truth_elems, path):
+    """ValueError naming truth_elems and the dense ``path`` above DENSE_TRUTH_LIMIT."""
+    if truth_elems > DENSE_TRUTH_LIMIT:
+        raise ValueError(
+            f"truth_elems = {truth_elems} is above {DENSE_TRUTH_LIMIT}, the dense limit of "
+            f"{path}, which builds n × n truth matrices"
+        )
+
+
 # ---------------------------------------------------------------------------
-# exact element matrices
+# exact element matrices, in LAPACK upper band storage and dense
+
+
+def _tridiagonal_band(n, main, off):
+    """Band of the (n−1) × (n−1) symmetric Toeplitz tridiagonal with entries main, off."""
+    band = np.empty((2, n - 1))
+    band[0, 0] = 0.0  # not referenced
+    band[0, 1:] = off
+    band[1] = main
+    return band
+
+
+def p1_stiffness_band(n):
+    """Band of the H¹₀ stiffness matrix of P1 on n uniform elements (interior nodes)."""
+    return _tridiagonal_band(n, 2.0 * n, -1.0 * n)
+
+
+def p1_interior_mass_band(n):
+    """Band of the L² mass matrix of interior P1 hats on n uniform elements."""
+    h = 1.0 / n
+    return _tridiagonal_band(n, 2.0 * h / 3.0, h / 6.0)
 
 
 def p1_stiffness(n):
     """H¹₀ stiffness matrix of P1 on n uniform elements (interior nodes)."""
-    main = np.full(n - 1, 2.0 * n)
-    off = np.full(n - 2, -1.0 * n)
-    return np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
+    return band_to_dense(p1_stiffness_band(n))
 
 
 def p1_interior_mass(n):
     """L² mass matrix of interior P1 hats on n uniform elements."""
-    h = 1.0 / n
-    main = np.full(n - 1, 2.0 * h / 3.0)
-    off = np.full(n - 2, h / 6.0)
-    return np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
+    return band_to_dense(p1_interior_mass_band(n))
 
 
 def pressure_mass(n, kind):
@@ -240,15 +278,18 @@ def build_truth(cfg):
 def truth_record(cfg):
     """Truth record of the split a-form A = G + reaction·M of a configuration.
 
-    G is the H¹₀ stiffness and M the interior P1 mass on the truth mesh; M is
-    not assembled at reaction 0.  alpha and norm_A are computed on first read
-    from the pencil (M, G), and are exactly 1 at reaction 0.  They depend only
-    on ``truth_elems`` and ``reaction``, so every coarse level of a run shares
-    one record through ``build_level``.
+    G is the H¹₀ stiffness and M the interior P1 mass on the truth mesh, both
+    kept as bands; M is not assembled at reaction 0.  alpha and norm_A are
+    computed on first read from the pencil (M, G), and are exactly 1 at
+    reaction 0.  They depend only on ``truth_elems`` and ``reaction``, so
+    every coarse level of a run shares one record through ``build_level``.
     """
     n = cfg.truth_elems
-    mass = None if cfg.reaction == 0.0 else p1_interior_mass(n)
-    return split_truth(TruthSpace(p1_stiffness(n), label=f"p1-h10-{n}"), cfg.reaction, mass)
+    space = BandedTruthSpace(p1_stiffness_band(n), label=f"p1-h10-{n}")
+    if cfg.reaction == 0.0:
+        return split_truth(space, 0.0)
+    mass = BandedTruthSpace(p1_interior_mass_band(n), label=f"p1-l2-{n}")
+    return split_truth(space, cfg.reaction, mass)
 
 
 def build_level(cfg, truth):

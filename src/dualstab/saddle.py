@@ -9,10 +9,11 @@ system on U×W×Q whose middle block is (1/γ)S.  Static condensation of the
 latter must reproduce the former entrywise; the acceptance suite pins that.
 
 A problem owns the TruthRecord of its truth space and a-form, from which
-``constants`` reads alpha and norm_A, and its pressures, deflated against
-ker B_T (see dualprod) on first read as ``pb.pressures``: once per problem,
-however many discretizations are built on it.  A discretization is only
-(U, dual product, gamma); assembled systems live in deflated coordinates.
+``constants`` reads alpha and norm_A and ``_blocks`` applies A, and its
+pressures, deflated against ker B_T (see dualprod) on first read as
+``pb.pressures``: once per problem, however many discretizations are built
+on it.  A discretization is only (U, dual product, gamma); assembled systems
+live in deflated coordinates.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .dualprod import (
     pressure_infsup,
     raise_failed,
 )
-from .hilbert import Functional, Subspace, TruthSpace, orthogonal_project
+from .hilbert import BandedTruthSpace, Functional, Subspace, TruthSpace, orthogonal_project
 
 # reciprocal condition estimate at or below this flags a singular system:
 # LAPACK's dgecon estimates 1/κ₁(M) from the LU factors solve() uses, and
@@ -88,8 +89,8 @@ class DegenerateDenominator(Exception):
 class SaddleProblem:
     """Truth-level mixed problem data on the TruthRecord of its truth space and a-form.
 
-    ``truth`` and ``a_form`` are the record's; ``measure_truth`` or
-    ``split_truth`` validated them when the record was built.  ``pressures``
+    ``truth`` is the record's space; ``measure_truth`` or ``split_truth``
+    validated it and the a-form when the record was built.  ``pressures``
     (the DeflatedPressures of (B_T, G_Q)) and ``g_eff`` (the constraint rhs
     in their coordinates) are measured on first read, once per problem.
     """
@@ -99,7 +100,6 @@ class SaddleProblem:
             raise TypeError("record must be a TruthRecord")
         self.record = record
         self.truth = truth = record.space
-        self.a_form = record.a_form
         self.b_form = as_matrix(b_form, "constraint matrix")
         if self.b_form.shape[0] != truth.dim:
             raise DimensionMismatch("constraint matrix rows do not match the truth space")
@@ -184,7 +184,7 @@ class ThreeFieldSystem:
 def _blocks(pb, d):
     e_u = d.U.embedding
     e_w = d.W.embedding
-    a_e_u = pb.a_form @ e_u
+    a_e_u = pb.record.apply(e_u)
     a_uu = e_u.T @ a_e_u
     a_wu = e_w.T @ a_e_u
     b_uq = e_u.T @ pb.pressures.b_eff
@@ -366,31 +366,43 @@ class TruthRecord:
     alpha (the smallest eigenvalue of (sym A, G)) and norm_A (the operator
     norm of A) depend on no coarse space, so both are read from one spectrum
     computed on first read: a command computes it at most once per truth
-    mesh, and only when it reads either.  Both are Python floats.
+    mesh, and only when it reads either.  Both are Python floats.  ``apply``
+    is the product with A.
 
-    A record of the split A = G + reaction·mass (``split_truth``) reads them
-    as 1 + reaction·μ_min and 1 + reaction·μ_max of the pencil (mass, G): one
-    eigenvalues-only solve, and none at reaction 0, where both are exactly 1
-    and ``mass`` is None.  A record of any other a-form (``measure_truth``,
-    ``reaction`` None) solves (sym A, G) and (Aᵀ G⁻¹ A, G) densely; that route
-    is the oracle of the split one.
+    A record of the split A = G + reaction·M (``split_truth``), with M the
+    Gramian of ``mass``, a second truth space on the same basis, applies A as
+    G x + reaction·M x in the storage of the two spaces and forms no A.  It
+    reads alpha and norm_A as 1 + reaction·μ_min and 1 + reaction·μ_max of
+    the pencil (M, G): one eigenvalues-only solve on the dense G and M, and
+    none at reaction 0, where both are exactly 1 and ``mass`` is None.  A
+    record of any other a-form (``measure_truth``, ``reaction`` None) holds
+    it as the dense ``a_form`` and solves (sym A, G) and (Aᵀ G⁻¹ A, G) on the
+    dense factor of its space; that route is the oracle of the split one.
     """
 
     space: TruthSpace
-    a_form: np.ndarray
+    a_form: np.ndarray | None
     reaction: float | None
-    mass: np.ndarray | None
+    mass: TruthSpace | None
+
+    def apply(self, x):
+        """A x, for a truth vector or a matrix of truth columns."""
+        if self.reaction is None:
+            return self.a_form @ x
+        ax = self.space.apply(x)
+        return ax if self.reaction == 0.0 else ax + self.reaction * self.mass.apply(x)
 
     @cached_property
     def _extremes(self):
-        fact = self.space.fact
         if self.reaction is None:
+            fact = self.space.fact
             sym_a = 0.5 * (self.a_form + self.a_form.T)
             alpha = float(sym_generalized_eigvals(sym_a, fact)[0])
             return alpha, operator_norm(self.a_form, fact, fact)
         if self.reaction == 0.0:
             return 1.0, 1.0
-        mu = sym_generalized_eigvals(self.mass, fact)
+        g_fact = cholesky(self.space.to_dense(), "truth Gramian")
+        mu = sym_generalized_eigvals(self.mass.to_dense(), g_fact)
         return 1.0 + self.reaction * float(mu[0]), 1.0 + self.reaction * float(mu[-1])
 
     @property
@@ -403,7 +415,9 @@ class TruthRecord:
 
 
 def measure_truth(space, a_form):
-    """Truth record of a general a-form on a truth space, measured densely on first read."""
+    """Truth record of a general a-form on a dense truth space, measured densely on first read."""
+    if isinstance(space, BandedTruthSpace):
+        raise TypeError("measure_truth needs the dense factor of a dense TruthSpace")
     a_form = as_matrix(a_form, "a-form matrix")
     if a_form.shape != (space.dim, space.dim):
         raise DimensionMismatch("a-form matrix does not match the truth space")
@@ -411,22 +425,22 @@ def measure_truth(space, a_form):
 
 
 def split_truth(space, reaction, mass=None):
-    """Truth record of the a-form A = G + reaction·mass, which the record forms itself.
+    """Truth record of the a-form A = G + reaction·M.
 
-    ``mass`` is required (symmetric, on the truth space) for reaction > 0 and
-    ignored at reaction 0, where A is the truth Gramian G.
+    ``mass`` is a TruthSpace on the basis of ``space`` whose Gramian is M;
+    it is required for reaction > 0 and ignored at reaction 0, where A is the
+    truth Gramian G.
     """
     reaction = float(reaction)
     if not np.isfinite(reaction) or reaction < 0.0:
         raise ValueError("reaction coefficient must be a finite nonnegative real")
     if reaction == 0.0:
-        return TruthRecord(space=space, a_form=space.gramian, reaction=0.0, mass=None)
-    mass = require_symmetric(mass, "mass matrix")
-    if mass.shape != (space.dim, space.dim):
+        return TruthRecord(space=space, a_form=None, reaction=0.0, mass=None)
+    if not isinstance(mass, TruthSpace):
+        raise TypeError("mass must be a TruthSpace on the basis of the truth space")
+    if mass.dim != space.dim:
         raise DimensionMismatch("mass matrix does not match the truth space")
-    return TruthRecord(
-        space=space, a_form=space.gramian + reaction * mass, reaction=reaction, mass=mass
-    )
+    return TruthRecord(space=space, a_form=None, reaction=reaction, mass=mass)
 
 
 def constants(pb, d):
@@ -482,9 +496,7 @@ def combined_subspace(truth, *embeddings):
     are dropped, so nested or overlapping spaces do not inflate the dimension.
     """
     cat = np.hstack(embeddings)
-    gram = cat.T @ (truth.gramian @ cat)
-    gram = 0.5 * (gram + gram.T)
-    w, v = np.linalg.eigh(gram)
+    w, v = np.linalg.eigh(truth.gram(cat))
     keep = w > KERNEL_RTOL * w[-1]
     basis = cat @ (v[:, keep] / np.sqrt(w[keep]))
     return Subspace(truth, basis)
@@ -524,11 +536,16 @@ def error_norms(pb, d, numeric, exact):
     truth velocity and raw pressure coefficients.  Velocity error in the
     truth norm, pressure error in the deflated G_Q norm.
     """
-    x, y = numeric
     xe, ye = exact
-    du = d.U.embedding @ np.asarray(x, dtype=float) - np.asarray(xe, dtype=float)
+    return _error_norms(pb, d, numeric, np.asarray(xe, dtype=float), project_pressure(pb, ye))
+
+
+def _error_norms(pb, d, numeric, xe, y_ref):
+    """``error_norms`` with the exact pressure given projected, as ``y_ref``."""
+    x, y = numeric
+    du = d.U.embedding @ np.asarray(x, dtype=float) - xe
     u_err = pb.truth.norm(du)
-    dp_vec = project_pressure(pb, ye) - np.asarray(y, dtype=float)
+    dp_vec = y_ref - np.asarray(y, dtype=float)
     p_err = float(np.sqrt(max(dp_vec @ (pb.pressures.q_eff @ dp_vec), 0.0)))
     return u_err, p_err
 
@@ -555,8 +572,8 @@ def quasi_optimality(pb, d, exact, report=None):
     if d.gamma > 0.0 and d.gamma >= rep.gamma0:
         raise GammaTooLarge(f"gamma {d.gamma:g} is not below gamma0 {rep.gamma0:g}")
     xe, ye = (np.asarray(v, dtype=float) for v in exact)
-    u_err, p_err = error_norms(pb, d, solve(assemble_stabilized(pb, d)), (xe, ye))
     y_ref = project_pressure(pb, ye)
+    u_err, p_err = _error_norms(pb, d, solve(assemble_stabilized(pb, d)), xe, y_ref)
     ru = xe - d.U.embedding @ orthogonal_project(d.U, xe)
     best_u = pb.truth.norm(ru)
     rp = ye - pb.pressures.basis @ y_ref

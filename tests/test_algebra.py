@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 
 from dualstab.algebra import (
+    BandedSpdFactorization,
     DimensionMismatch,
     NotSpd,
+    band_apply,
+    band_to_dense,
     cholesky,
+    cholesky_band,
     operator_norm,
     require_symmetric,
     spd_solve,
@@ -78,6 +82,57 @@ class TestSpdSolve:
         m = random_spd(rng, 6)
         inv = spd_solve(cholesky(m, "m"), np.eye(6))
         np.testing.assert_allclose(inv, np.linalg.inv(m), rtol=1e-9, atol=1e-12)
+
+
+def random_band(rng, n, u):
+    """Upper band storage of a random SPD matrix with u superdiagonals."""
+    band = rng.uniform(-1.0, 1.0, (u + 1, n))
+    band[u] = 2.0 * (u + 1)  # diagonally dominant
+    for k in range(1, u + 1):
+        band[u - k, :k] = 0.0  # not referenced
+    return band
+
+
+class TestBanded:
+    @pytest.mark.parametrize("u", [0, 1, 3])
+    def test_band_matches_dense(self, u):
+        rng = np.random.default_rng(u)
+        band = random_band(rng, 12, u)
+        dense = band_to_dense(band)
+        np.testing.assert_array_equal(dense, dense.T)
+        assert np.count_nonzero(np.triu(dense, u + 1)) == 0
+        for x in (rng.standard_normal(12), rng.standard_normal((12, 4))):
+            np.testing.assert_allclose(band_apply(band, x), dense @ x, rtol=0.0, atol=1e-13)
+            fact = cholesky_band(band, "band")
+            assert isinstance(fact, BandedSpdFactorization) and fact.dim == 12
+            np.testing.assert_allclose(
+                spd_solve(fact, x), spd_solve(cholesky(dense), x), rtol=0.0, atol=1e-13
+            )
+
+    def test_single_node_band(self):
+        band = np.array([[0.0], [4.0]])
+        np.testing.assert_array_equal(band_to_dense(band), [[4.0]])
+        np.testing.assert_array_equal(band_apply(band, np.array([2.0])), [8.0])
+        np.testing.assert_array_equal(spd_solve(cholesky_band(band), np.array([2.0])), [0.5])
+
+    def test_indefinite_band_rejected(self):
+        band = np.array([[0.0, 2.0], [1.0, 1.0]])  # [[1, 2], [2, 1]]
+        with pytest.raises(NotSpd, match="not positive definite"):
+            cholesky_band(band, "band")
+
+    def test_singular_band_rejected_by_pivot_screen(self):
+        # [[1, 1], [1, 1 + 1e-15]]: positive pivots, the last at roundoff
+        # scale, so LAPACK factors it and the PIVOT_RTOL screen must reject it
+        band = np.array([[0.0, 1.0], [1.0, 1.0 + 1e-15]])
+        with pytest.raises(NotSpd, match="numerically singular"):
+            cholesky_band(band, "band")
+        with pytest.raises(NotSpd):
+            cholesky(band_to_dense(band))
+
+    def test_solve_dimension_mismatch(self):
+        fact = cholesky_band(random_band(np.random.default_rng(0), 5, 1))
+        with pytest.raises(DimensionMismatch):
+            spd_solve(fact, np.ones(4))
 
 
 class TestGeneralizedEig:

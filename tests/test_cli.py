@@ -1,4 +1,9 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -353,8 +358,9 @@ class TestTruthLevelWork:
     def test_truth_pencil_measured_once_per_command(
         self, tmp_path, monkeypatch, command, extra, n_rows, reaction, expected
     ):
-        # counted by the truth factor, not by shape: at level 32, refined:2
-        # gives a W of the truth dimension 63
+        # counted by the pencil's matrix, the dense truth mass, not by shape:
+        # at level 32, refined:2 gives a W of the truth dimension 63
+        mass = models.p1_interior_mass(64)
         records, calls = [], []
         original_record = models.truth_record
 
@@ -364,7 +370,7 @@ class TestTruthLevelWork:
 
         def counting(original):
             def counted(a, b_fact):
-                if any(b_fact is r.space.fact for r in records):
+                if a.shape == mass.shape and np.array_equal(a, mass):
                     calls.append(a.shape)
                 return original(a, b_fact)
 
@@ -430,7 +436,7 @@ class TestTruthLevelWork:
         # condense-check builds its maximal level on the same record
         records, spaces = [], []
         original_record = models.truth_record
-        original_init = hilbert.TruthSpace.__init__
+        original_init = hilbert.BandedTruthSpace.__init__
 
         def recorded(cfg):
             records.append(original_record(cfg))
@@ -441,7 +447,7 @@ class TestTruthLevelWork:
             original_init(self, *args, **kwargs)
 
         monkeypatch.setattr(models, "truth_record", recorded)
-        monkeypatch.setattr(hilbert.TruthSpace, "__init__", counted)
+        monkeypatch.setattr(hilbert.BandedTruthSpace, "__init__", counted)
         path = write_cfg(tmp_path, "truth_elems = 64\nlevels = 4, 8\n")
         code, _, _ = run_csv(tmp_path, [command, "--config", path])
         assert code == 0
@@ -634,6 +640,22 @@ class TestCheckTable:
         # P1 pressures on 4 and 8 elements against 63 truth hats, once each
         assert sorted(calls) == [(63, 5), (63, 9)]
 
+    def test_converge_projects_each_exact_pressure_once(self, tmp_path, monkeypatch):
+        # the exact pressure of a level is projected once, for both its error
+        # and its best approximation
+        labels = []
+        original = saddle.project_pressure
+
+        def counted(pb, y_raw):
+            labels.append(pb.label)
+            return original(pb, y_raw)
+
+        monkeypatch.setattr(saddle, "project_pressure", counted)
+        path = write_cfg(tmp_path, "truth_elems = 64\nlevels = 4, 8\n")
+        code, _, rows = run_csv(tmp_path, ["converge", "--config", path])
+        assert code == 0 and len(rows) == 2
+        assert labels == ["p1-4-on-64", "p1-8-on-64"]
+
     def test_failing_row_sets_verdict(self, tmp_path, monkeypatch):
         from dualstab import dualprod
 
@@ -647,3 +669,69 @@ class TestCheckTable:
         code, _, rows = run_csv(tmp_path, ["spectral", "--config", path])
         assert code == 1
         assert [r["status"] for r in rows] == ["pass"] * 7 + ["fail"]
+
+
+def no_assembly(*args, **kwargs):
+    raise AssertionError("a config above the dense limit is rejected before assembly")
+
+
+class TestDenseLimit:
+    # above DENSE_TRUTH_LIMIT, a config that needs an n × n truth object is a
+    # config error that names truth_elems and the field forcing the dense path
+    @pytest.mark.parametrize(
+        "command, extra, path",
+        [
+            pytest.param("constants", "w = truth\n", "w = truth", id="w-truth"),
+            pytest.param("solve", "reaction = 0.5\n", "reaction > 0", id="reaction"),
+            pytest.param("condense-check", "", "condense-check", id="condense-check"),
+        ],
+    )
+    def test_dense_path_above_limit_exits_2(self, tmp_path, monkeypatch, capsys, command, extra, path):
+        monkeypatch.setattr(models, "truth_record", no_assembly)
+        monkeypatch.setattr(models, "build_level", no_assembly)
+        cfg = write_cfg(tmp_path, f"truth_elems = {2 * models.DENSE_TRUTH_LIMIT}\n{extra}")
+        assert main([command, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("dualstab: config error: truth_elems")
+        assert path in line
+
+    def test_banded_path_has_no_limit(self):
+        n = 8 * models.DENSE_TRUTH_LIMIT
+        cfg = build_run_config({"truth_elems": str(n), "w": "refined:2"}, {})
+        assert cfg.truth_elems == n
+        # at the limit the dense paths stay open
+        models.ModelConfig(truth_elems=models.DENSE_TRUTH_LIMIT, w_kind="truth", reaction=1.0)
+        with pytest.raises(ValueError, match="truth_elems"):
+            models.ModelConfig(truth_elems=2 * models.DENSE_TRUTH_LIMIT, w_kind="truth")
+
+    def test_out_of_memory_exits_3_in_one_line(self, tmp_path, monkeypatch, capsys):
+        # numpy refuses an 8 PiB array without allocating it
+        monkeypatch.setitem(cli._COMMANDS, "constants", lambda cfg: np.empty(2**50))
+        assert main(["constants", "--config", write_cfg(tmp_path, SMALL)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("dualstab: numerical failure: out of memory")
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (10**9, 10**9))
+
+
+@pytest.mark.parametrize("command", ["constants", "spectral", "infsup", "solve", "converge"])
+def test_truth_16384_runs_in_1gb_of_address_space(tmp_path, command):
+    # the banded truth builds no n × n matrix: 16383² doubles alone are 2.1 GB
+    path = write_cfg(tmp_path, "truth_elems = 16384\nw = refined:2\nreaction = 0\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "dualstab.cli", command, "--config", path],
+        env=env,
+        preexec_fn=_cap_address_space,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]

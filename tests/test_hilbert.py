@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from dualstab.algebra import DimensionMismatch, NotSpd, spd_solve
+from dualstab.algebra import DimensionMismatch, NotSpd, band_to_dense, spd_solve
 from dualstab.hilbert import (
+    BandedTruthSpace,
     Functional,
     Subspace,
     TruthSpace,
@@ -63,6 +64,54 @@ class TestSpaces:
             Functional(np.array([1.0, np.nan]))
         with pytest.raises(DimensionMismatch):
             Functional(np.ones((2, 2)))
+
+
+class TestBandedTruthSpace:
+    # the banded operator against the dense TruthSpace of the same Gramian
+    def pair(self, n=40):
+        rng = np.random.default_rng(n)
+        band = np.vstack([rng.uniform(-1.0, 1.0, n), np.full(n, 4.0)])
+        band[0, 0] = 0.0
+        return rng, BandedTruthSpace(band, label="band"), TruthSpace(band_to_dense(band))
+
+    def test_apply_solve_gram_norm_match_dense(self):
+        rng, banded, dense = self.pair()
+        assert banded.dim == dense.dim == 40
+        x = rng.standard_normal(40)
+        xs = rng.standard_normal((40, 6))
+        for v in (x, xs):
+            np.testing.assert_allclose(banded.apply(v), dense.apply(v), rtol=0.0, atol=1e-13)
+            np.testing.assert_allclose(banded.solve(v), dense.solve(v), rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(banded.gram(xs), dense.gram(xs), rtol=1e-13, atol=0.0)
+        np.testing.assert_array_equal(banded.gram(xs), banded.gram(xs).T)
+        assert banded.norm(x) == pytest.approx(dense.norm(x), rel=1e-14)
+        np.testing.assert_array_equal(banded.to_dense(), dense.to_dense())
+
+    def test_subspace_and_dual_quantities_match_dense(self):
+        rng, banded, dense = self.pair()
+        e = rng.standard_normal((40, 5))
+        sb, sd = Subspace(banded, e), Subspace(dense, e)
+        np.testing.assert_allclose(sb.gram_sub, sd.gram_sub, rtol=1e-13, atol=0.0)
+        x = rng.standard_normal(40)
+        np.testing.assert_allclose(
+            orthogonal_project(sb, x), orthogonal_project(sd, x), rtol=1e-12, atol=0.0
+        )
+        np.testing.assert_allclose(dual_basis(sb).reps, dual_basis(sd).reps, rtol=1e-12, atol=1e-14)
+        f = Functional(x)
+        assert dual_norm(banded, f) == pytest.approx(dual_norm(dense, f), rel=1e-13)
+
+    def test_factor_built_on_first_solve(self):
+        _, banded, _ = self.pair()
+        assert "fact" not in vars(banded)
+        banded.solve(np.ones(40))
+        assert vars(banded)["fact"] is banded.fact
+
+    def test_singular_band_rejected(self):
+        # P1 stiffness without its Dirichlet rows is the singular Neumann matrix
+        band = np.array([[0.0, -1.0, -1.0], [1.0, 2.0, 1.0]])
+        banded = BandedTruthSpace(band)
+        with pytest.raises(NotSpd):
+            banded.solve(np.ones(3))
 
 
 class TestProjection:

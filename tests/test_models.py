@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from dualstab import models, saddle
+from dualstab import hilbert, models, saddle
+from dualstab.algebra import cholesky
+from dualstab.hilbert import TruthSpace
 from dualstab.dualprod import DualProduct, equivalence_report, make_stiffness
 from dualstab.models import (
     ManufacturedSolution,
@@ -252,18 +254,24 @@ class TestBuilders:
     def test_truth_space_a_form_is_gramian(self):
         cfg = ModelConfig(truth_elems=32, coarse_elems=8)
         pb = models.build_truth(cfg)
-        np.testing.assert_array_equal(pb.a_form, pb.truth.gramian)
+        eye = np.eye(31)
+        np.testing.assert_array_equal(pb.record.apply(eye), p1_stiffness(32))
+        np.testing.assert_array_equal(pb.truth.apply(eye), p1_stiffness(32))
 
     def test_level_on_truth_record_matches_build_truth(self):
         cfg = ModelConfig(truth_elems=32, coarse_elems=8, reaction=2.0)
         truth = models.truth_record(cfg)
         pb, ref = models.build_level(cfg, truth), models.build_truth(cfg)
-        assert pb.truth is truth.space and pb.a_form is truth.a_form
+        assert pb.record is truth and pb.truth is truth.space
         assert pb.label == ref.label
-        for name in ("a_form", "b_form", "q_gram", "constraint_rhs"):
+        for name in ("b_form", "q_gram", "constraint_rhs"):
             np.testing.assert_array_equal(getattr(pb, name), getattr(ref, name))
         np.testing.assert_array_equal(pb.load.action, ref.load.action)
-        oracle = saddle.measure_truth(ref.truth, ref.a_form)
+        eye = np.eye(31)
+        np.testing.assert_array_equal(pb.record.apply(eye), ref.record.apply(eye))
+        oracle = saddle.measure_truth(
+            TruthSpace(p1_stiffness(32)), p1_stiffness(32) + 2.0 * p1_interior_mass(32)
+        )
         closed = closed_form_extremes(32, 2.0)
         assert (truth.alpha, truth.norm_A) == pytest.approx(closed, rel=1e-12, abs=0.0)
         assert (truth.alpha, truth.norm_A) == pytest.approx(
@@ -274,7 +282,7 @@ class TestBuilders:
         cfg = ModelConfig(truth_elems=32, coarse_elems=8, reaction=3.0)
         pb = models.build_truth(cfg)
         np.testing.assert_allclose(
-            pb.a_form, p1_stiffness(32) + 3.0 * p1_interior_mass(32), atol=1e-14
+            pb.record.apply(np.eye(31)), p1_stiffness(32) + 3.0 * p1_interior_mass(32), atol=1e-14
         )
 
     def test_embedding_identity_at_truth(self):
@@ -311,10 +319,26 @@ class TestTruthRecord:
         monkeypatch.setattr(saddle, "sym_generalized_eigvals", no_dense_route)
         monkeypatch.setattr(saddle, "operator_norm", no_dense_route)
         truth = models.truth_record(ModelConfig(truth_elems=64, coarse_elems=8))
-        assert truth.mass is None
-        assert truth.a_form is truth.space.gramian
+        assert truth.mass is None and truth.a_form is None
         for value in (truth.alpha, truth.norm_A):
             assert type(value) is float and value == 1.0
+
+    def test_reaction_zero_builds_no_truth_factor(self, monkeypatch):
+        calls = []
+        original = hilbert.cholesky_band
+
+        def counted(band, name):
+            calls.append(name)
+            return original(band, name)
+
+        monkeypatch.setattr(hilbert, "cholesky_band", counted)
+        pb = models.build_truth(ModelConfig(truth_elems=64, coarse_elems=8))
+        assert (pb.record.alpha, pb.record.norm_A) == (1.0, 1.0)
+        assert calls == [] and "fact" not in vars(pb.truth)
+        # the first solve factors the band, once
+        pb.truth.solve(np.ones(63))
+        pb.truth.solve(np.ones(63))
+        assert calls == ["truth Gramian"]
 
     def test_one_solve_serves_both_and_is_cached(self, monkeypatch):
         calls = []
@@ -330,19 +354,25 @@ class TestTruthRecord:
         assert calls == []
         values = (truth.alpha, truth.norm_A)
         assert len(calls) == 1
-        assert calls[0][0] is truth.mass and calls[0][1] is truth.space.fact
+        # the dense (M, G) pencil: step 3 of the banded truth is not done
+        np.testing.assert_array_equal(calls[0][0], p1_interior_mass(64))
+        np.testing.assert_array_equal(calls[0][1].lower, cholesky(p1_stiffness(64)).lower)
         assert (truth.norm_A, truth.alpha) == values[::-1]
         assert len(calls) == 1
         assert all(type(v) is float for v in values)
 
     def test_split_truth_validates(self):
         space = models.truth_record(ModelConfig(truth_elems=8, coarse_elems=2)).space
+        mass = TruthSpace(p1_interior_mass(8))
         with pytest.raises(ValueError):
-            saddle.split_truth(space, -1.0, p1_interior_mass(8))
+            saddle.split_truth(space, -1.0, mass)
         with pytest.raises(ValueError):
-            saddle.split_truth(space, float("inf"), p1_interior_mass(8))
+            saddle.split_truth(space, float("inf"), mass)
         with pytest.raises(saddle.DimensionMismatch):
-            saddle.split_truth(space, 1.0, p1_interior_mass(16))
+            saddle.split_truth(space, 1.0, TruthSpace(p1_interior_mass(16)))
+        # the mass is a truth space on the same basis, not a bare matrix
+        with pytest.raises(TypeError):
+            saddle.split_truth(space, 1.0, p1_interior_mass(8))
 
 
 class TestModelInvariants:

@@ -8,7 +8,8 @@ from dualstab import models, saddle
 from dualstab.algebra import DimensionMismatch, NonFinite, spd_solve
 from dualstab.cli import main
 from dualstab.dualprod import BoundViolated, DegeneratePencil, pressure_infsup
-from dualstab.hilbert import Subspace
+from dualstab.hilbert import BandedTruthSpace, Subspace, TruthSpace
+from dualstab.models import p1_interior_mass, p1_stiffness
 from dualstab.saddle import (
     SINGULAR_RTOL,
     ConstantsReport,
@@ -104,7 +105,7 @@ class TestSolve:
         x, z, y = solve(tf)
         e_w = d.W.embedding
         f_w = e_w.T @ pb.load.action
-        a_wu = e_w.T @ pb.a_form @ d.U.embedding
+        a_wu = e_w.T @ pb.record.apply(d.U.embedding)
         b_wq = e_w.T @ d.b_eff
         res = f_w - a_wu @ x + b_wq @ y
         np.testing.assert_allclose(z, 0.25 * spd_solve(d.dp.stiffness.fact, res), atol=1e-11)
@@ -189,7 +190,7 @@ class TestSolve:
         xe = d.U.embedding @ rng.standard_normal(d.U.dim)
         ye_def = rng.standard_normal(d.p_dim)
         # consistent data: F = A xe - B (Z ye), G = B^T xe
-        f = pb.a_form @ xe - d.b_eff @ ye_def
+        f = pb.record.apply(xe) - d.b_eff @ ye_def
         g_rhs_eff = d.b_eff.T @ xe
         pb2 = SaddleProblem(pb.record, d.b_eff, d.q_eff, f, g_rhs_eff, label="member")
         d2 = Discretization(pb2, d.U, d.dp, d.gamma)
@@ -320,10 +321,12 @@ class TestConstants:
     @pytest.mark.parametrize("reaction", [0.0, 2.5])
     def test_split_record_matches_dense_oracle(self, reaction):
         # the dense (sym A, G) and operator-norm route of measure_truth is the
-        # oracle of the split record; both problems share one truth space
+        # oracle of the split record; both problems share one dense truth space
         cfg = models.ModelConfig(truth_elems=1024, coarse_elems=16, gamma=0.0, reaction=reaction)
-        split = models.truth_record(cfg)
-        dense = measure_truth(split.space, split.a_form)
+        space = TruthSpace(p1_stiffness(1024))
+        mass = p1_interior_mass(1024)
+        split = saddle.split_truth(space, reaction, TruthSpace(mass) if reaction else None)
+        dense = measure_truth(space, p1_stiffness(1024) + reaction * mass)
         reps = []
         for record in (split, dense):
             pb = models.build_level(cfg, record)
@@ -337,6 +340,22 @@ class TestConstants:
         if reaction == 0.0:
             assert split.alpha == split.norm_A == 1.0
 
+    @pytest.mark.parametrize("truth", [64, 256, 1024, 2048])
+    def test_banded_truth_matches_dense_oracle(self, truth):
+        # every constant on the banded P1 truth against a dense TruthSpace of
+        # the same Gramian; banded and dense solves differ at about 1e-12
+        cfg = models.ModelConfig(truth_elems=truth, coarse_elems=16, gamma=0.0)
+        banded = models.build_truth(cfg)
+        dense = models.build_level(
+            cfg, saddle.split_truth(TruthSpace(p1_stiffness(truth)), 0.0)
+        )
+        assert isinstance(banded.truth, BandedTruthSpace)
+        measured, oracle = (
+            vars(constants(pb, models.build_spaces(cfg, pb))) for pb in (banded, dense)
+        )
+        for name, value in measured.items():
+            assert value == pytest.approx(oracle[name], rel=1e-10, abs=0.0), name
+
     def test_truth_record_measures_on_first_read(self, monkeypatch):
         calls = []
         original = saddle.operator_norm
@@ -347,8 +366,10 @@ class TestConstants:
 
         monkeypatch.setattr(saddle, "operator_norm", counted)
         cfg, pb, d = build(reaction=5.0)
-        truth = measure_truth(pb.truth, pb.a_form)
-        other = measure_truth(pb.truth, pb.a_form)
+        space = TruthSpace(p1_stiffness(64))
+        a_form = p1_stiffness(64) + 5.0 * p1_interior_mass(64)
+        truth = measure_truth(space, a_form)
+        other = measure_truth(space, a_form)
         assert calls == []
         assert truth.norm_A == truth.norm_A == other.norm_A
         # once per record: a second read reuses it, another record measures again
@@ -465,7 +486,10 @@ class TestValidation:
         cfg, pb, d = build(truth=16, coarse=4)
         # the a-form is validated once, by the record the problem is built on
         with pytest.raises(DimensionMismatch):
-            measure_truth(pb.truth, np.eye(3))
+            measure_truth(TruthSpace(p1_stiffness(16)), np.eye(3))
+        # the dense oracle needs a dense factor
+        with pytest.raises(TypeError):
+            measure_truth(pb.truth, p1_stiffness(16))
         with pytest.raises(TypeError):
             SaddleProblem(pb.truth, pb.b_form, pb.q_gram, pb.load, pb.constraint_rhs)
         with pytest.raises(DimensionMismatch):
