@@ -15,9 +15,12 @@ for i ≤ j with u superdiagonals, and factored and solved there in O(n u²).
 
 from __future__ import annotations
 
+import ctypes
+import os
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 import scipy.linalg
 
 # relative pivot threshold separating rank deficiency from roundoff
@@ -25,6 +28,9 @@ PIVOT_RTOL = 1e-12
 
 # relative tolerance when an input is required to be symmetric
 SYMMETRY_RTOL = 1e-12
+
+# thread-count setters of an OpenBLAS that scipy bundles, newest wheels first
+SCIPY_BLAS_SETTERS = ("scipy_openblas_set_num_threads", "openblas_set_num_threads")
 
 
 class NotSpd(Exception):
@@ -216,3 +222,46 @@ def operator_norm(a, test_fact, trial_fact):
     m = 0.5 * (m + m.T)
     top = sym_generalized_eigvals(m, trial_fact)[-1]
     return float(np.sqrt(max(top, 0.0)))
+
+
+def limit_scipy_blas_threads():
+    """Run the OpenBLAS that scipy bundles on one thread; return the paths limited.
+
+    numpy and scipy wheels each bundle their own OpenBLAS, each with its own
+    thread pool.  A level alternates small numpy gemms and eigensolves with
+    small scipy factorizations and triangular solves, and at more than one
+    thread the idle workers of one pool spin on the cores the other needs.
+    numpy's copy keeps the thread count ``OPENBLAS_NUM_THREADS`` gives it.
+
+    A library is limited when it is mapped into this process, its file name
+    contains ``openblas``, and it lies in scipy's package directory or in
+    the ``scipy.libs`` directory beside it.  The first setter of
+    ``SCIPY_BLAS_SETTERS`` it exports is called with 1.  A BLAS that numpy
+    and scipy share lies elsewhere and is left alone.  Without
+    ``/proc/self/maps`` (not Linux) or a known setter this does nothing; it
+    never raises.
+    """
+    scipy_dir = os.path.dirname(scipy.__file__)
+    prefixes = (scipy_dir + os.sep, scipy_dir + ".libs" + os.sep)
+    try:
+        with open("/proc/self/maps", "rb") as maps:
+            # address perms offset dev inode [path]
+            fields = [line.split(maxsplit=5) for line in maps]
+    except OSError:
+        return ()
+    paths = {os.fsdecode(f[5].rstrip()) for f in fields if len(f) == 6}
+    limited = []
+    for path in sorted(paths):
+        if "openblas" not in os.path.basename(path) or not path.startswith(prefixes):
+            continue
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        setters = [getattr(lib, name) for name in SCIPY_BLAS_SETTERS if hasattr(lib, name)]
+        if setters:
+            setters[0].argtypes = [ctypes.c_int]
+            setters[0].restype = None
+            setters[0](1)
+            limited.append(path)
+    return tuple(limited)

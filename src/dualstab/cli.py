@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import models, saddle
-from .algebra import NonFinite, NotSpd
+from .algebra import NonFinite, NotSpd, limit_scipy_blas_threads
 from .dualprod import BoundViolated, DegeneratePencil, spectral_checks, stiffness_scale, truth_constants
 from .models import ModelConfig, NestingViolated
 from .report import Report, write_report
@@ -493,6 +493,7 @@ def _build_parser():
 
 
 def main(argv=None):
+    limit_scipy_blas_threads()
     args = _build_parser().parse_args(argv)
     overrides = {
         key: getattr(args, key)

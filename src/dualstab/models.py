@@ -241,18 +241,21 @@ def load_vector(truth_elems, solution, reaction=0.0):
 
 
 def constraint_rhs(truth_elems, coarse_elems, kind, solution):
-    """Pressure actions ⟨G, ψ_ℓ⟩ = ∫ ψ_ℓ u'."""
+    """Pressure actions ⟨G, ψ_ℓ⟩ = ∫ ψ_ℓ u'.
+
+    Each Gauss point lies in one coarse cell c, at local coordinate t, where
+    only the P0 indicator of c, or the P1 hats of nodes c and c + 1 with the
+    values 1 − t and t, are nonzero.
+    """
     pts, wts = _gauss_on_elements(truth_elems)
     vals = (solution.du(pts) * wts).ravel()
-    x = pts.ravel()
+    scaled = pts.ravel() * coarse_elems
+    cell = np.clip(scaled.astype(int), 0, coarse_elems - 1)
     if kind == "p1":
-        xc = np.arange(coarse_elems + 1) / coarse_elems
-        psi = np.maximum(0.0, 1.0 - np.abs(x[:, None] - xc[None, :]) * coarse_elems)
-        return psi.T @ vals
-    idx = np.clip((x * coarse_elems).astype(int), 0, coarse_elems - 1)
-    out = np.zeros(coarse_elems)
-    np.add.at(out, idx, vals)
-    return out
+        t = scaled - cell
+        size = coarse_elems + 1
+        return np.bincount(cell, vals * (1.0 - t), size) + np.bincount(cell + 1, vals * t, size)
+    return np.bincount(cell, vals, coarse_elems)
 
 
 def exact_coefficients(cfg, solution):

@@ -1,6 +1,14 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dualstab
+from dualstab import algebra
 from dualstab.algebra import (
     BandedSpdFactorization,
     DimensionMismatch,
@@ -9,6 +17,7 @@ from dualstab.algebra import (
     band_to_dense,
     cholesky,
     cholesky_band,
+    limit_scipy_blas_threads,
     operator_norm,
     require_symmetric,
     spd_solve,
@@ -264,3 +273,71 @@ class TestRequireSymmetric:
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionMismatch):
             require_symmetric(np.zeros((2, 3)), "m")
+
+
+# Reads every mapped OpenBLAS's thread count before and after the limiter.
+# The OpenBLAS of numpy wheels has 64-bit integers and a 64_ symbol suffix.
+_LIMITER_PROBE = """
+import ctypes, json, os
+import numpy
+from dualstab.algebra import limit_scipy_blas_threads
+
+GETTERS = ("scipy_openblas_get_num_threads", "openblas_get_num_threads",
+           "scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_")
+
+def threads(path):
+    lib = ctypes.CDLL(path)
+    for name in GETTERS:
+        if hasattr(lib, name):
+            getter = getattr(lib, name)
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return getter()
+    return None
+
+with open("/proc/self/maps") as maps:
+    mapped = sorted({line.split(maxsplit=5)[5].rstrip() for line in maps if "openblas" in line})
+before = {path: threads(path) for path in mapped}
+limited = limit_scipy_blas_threads()
+after = {path: threads(path) for path in mapped}
+print(json.dumps({"limited": limited, "before": before, "after": after,
+                  "cores": len(os.sched_getaffinity(0)),
+                  "numpy_dir": os.path.dirname(numpy.__file__)}))
+"""
+
+
+class TestScipyBlasThreads:
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+    def test_limits_scipy_copy_only(self):
+        # in a child, so this process's thread pools stay as they are
+        src = str(Path(dualstab.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", _LIMITER_PROBE],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        probe = json.loads(proc.stdout)
+        if not probe["limited"]:
+            pytest.skip("no separate OpenBLAS bundled with scipy in this install")
+        for path in probe["limited"]:
+            assert probe["after"][path] == 1
+        # numpy's copy lies in numpy/ or numpy.libs/
+        for path in probe["after"]:
+            if path.startswith(probe["numpy_dir"]):
+                assert path not in probe["limited"]
+                assert probe["after"][path] == probe["before"][path] == min(2, probe["cores"])
+
+    def test_blas_outside_scipy_left_alone(self, monkeypatch, tmp_path):
+        # as a BLAS that numpy and scipy share would be
+        monkeypatch.setattr(algebra.scipy, "__file__", str(tmp_path / "scipy" / "__init__.py"))
+        assert limit_scipy_blas_threads() == ()
+
+    def test_no_process_maps_does_nothing(self, monkeypatch):
+        def no_maps(*args, **kwargs):
+            raise FileNotFoundError("no /proc on this system")
+
+        monkeypatch.setattr(algebra, "open", no_maps, raising=False)
+        assert limit_scipy_blas_threads() == ()

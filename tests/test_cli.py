@@ -735,3 +735,84 @@ def test_truth_16384_runs_in_1gb_of_address_space(tmp_path, command):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+# README: between 1 and 2 BLAS threads reports agree to 1.3e-10 relative
+THREAD_RTOL = 1.3e-10
+
+# cells that are roundoff by construction, with the CLI threshold each stays under
+ROUNDOFF_CELLS = {
+    "residual": saddle.RESIDUAL_RTOL,
+    "discrepancy": cli.CONDENSE_TOL,
+    "w_ratio": cli.W_VANISH_TOL,
+}
+
+
+def _thread_disagreements(row_1, row_2):
+    """Cells of row_2 (two BLAS threads) that disagree with row_1 (one thread)."""
+    bad = []
+    for key, a in row_1.items():
+        b = row_2[key]
+        if key in ROUNDOFF_CELLS:
+            ok = (a is None and b is None) or (a <= ROUNDOFF_CELLS[key] and b <= ROUNDOFF_CELLS[key])
+        elif key == "best_p":
+            # the interpolated exact pressure lies in the pressure space, so
+            # best_p is roundoff; the report reads it only in best_u + best_p
+            ok = abs(a - b) <= THREAD_RTOL * row_1["best_u"]
+        elif isinstance(a, float):
+            ok = abs(a - b) <= THREAD_RTOL * abs(a)
+        else:
+            ok = a == b
+        if not ok:
+            bad.append((key, a, b))
+    return bad
+
+
+THREAD_COMMANDS = ("spectral", "solve", "converge")
+
+# one child runs the three commands, each through the CLI's main: the
+# interpreter's start-up would otherwise be most of this test's time
+_THREAD_CHILD = """
+import sys
+from dualstab.cli import main
+config, folder = sys.argv[1:]
+for command in {commands!r}:
+    out = f"{{folder}}/{{command}}.json"
+    code = main([command, "--config", config, "--format", "json", "--out", out])
+    if code:
+        sys.exit(f"{{command}} exited {{code}}")
+""".format(commands=THREAD_COMMANDS)
+
+
+def test_reports_deterministic_per_blas_thread_count(tmp_path):
+    # large enough that numpy's OpenBLAS splits work at 2 threads: p_err moves
+    # by about 4e-11 between thread counts here
+    path = write_cfg(
+        tmp_path,
+        "truth_elems = 512\ncoarse_elems = 128\npressure = p0\nw = refined:2\nlevels = 128\n",
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    reports = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src)
+        env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads))
+        texts = []
+        for run in ("a", "b"):
+            folder = tmp_path / f"{threads}{run}"
+            folder.mkdir()
+            proc = subprocess.run(
+                [sys.executable, "-c", _THREAD_CHILD, path, str(folder)],
+                env=env,
+                capture_output=True,
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            texts.append({c: (folder / f"{c}.json").read_bytes() for c in THREAD_COMMANDS})
+        assert texts[0] == texts[1], f"reports differ between runs at {threads} threads"
+        for command, data in texts[0].items():
+            reports[command, threads] = json.loads(data)
+    for command in THREAD_COMMANDS:
+        rows_1, rows_2 = reports[command, "1"]["rows"], reports[command, "2"]["rows"]
+        assert [list(r) for r in rows_1] == [list(r) for r in rows_2]
+        for i, (row_1, row_2) in enumerate(zip(rows_1, rows_2)):
+            assert not _thread_disagreements(row_1, row_2), (command, i)

@@ -215,9 +215,11 @@ class TestData:
             ref = dphi.T @ vals + r * (phi.T @ (w * sol.u(x)))
             np.testing.assert_allclose(load_vector(n, sol, reaction=r), ref, atol=1e-12)
 
-    def test_constraint_rhs_matches_quadrature(self):
+    @staticmethod
+    def check_constraint_rhs(nt, nc):
+        # oracle: every coarse basis function evaluated at every point of a
+        # higher-order rule
         sol = default_solution()
-        nt, nc = 32, 8
         x, w = gauss_rule(nt)
         vals = w * sol.du(x)
         xc = np.arange(nc + 1) / nc
@@ -229,6 +231,13 @@ class TestData:
         ref0 = np.zeros(nc)
         np.add.at(ref0, idx, vals)
         np.testing.assert_allclose(constraint_rhs(nt, nc, "p0", sol), ref0, atol=1e-13)
+
+    def test_constraint_rhs_matches_quadrature(self):
+        self.check_constraint_rhs(32, 8)
+
+    @pytest.mark.parametrize("nt, nc", [(64, 64), (2048, 128), (16384, 4)])
+    def test_constraint_rhs_matches_quadrature_on_more_meshes(self, nt, nc):
+        self.check_constraint_rhs(nt, nc)
 
     def test_exact_coefficients_are_nodal_values(self):
         cfg = ModelConfig(truth_elems=32, coarse_elems=8)
