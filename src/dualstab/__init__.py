@@ -11,13 +11,10 @@ the stabilized system (``saddle``), a 1D mixed model for experiments
 
 from .algebra import (
     DimensionMismatch,
-    EigResult,
     NotSpd,
     SpdFactorization,
     cholesky,
-    operator_norm,
     spd_solve,
-    sym_generalized_eig,
     sym_generalized_eigvals,
 )
 from .dualprod import (
@@ -31,15 +28,12 @@ from .dualprod import (
     deflate_pressures,
     dual_equivalence_interval,
     equivalence_report,
-    estimate_c_star,
-    infsup_qw,
     make_stiffness,
     pressure_deflation,
     stiffness_from_matrix,
     verify_cstar_infsup_link,
     verify_dual_equivalence,
     verify_infsup_sandwich,
-    verify_stiffness_bound,
 )
 from .hilbert import (
     BandedTruthSpace,
@@ -79,13 +73,11 @@ from .saddle import (
     assemble_stabilized,
     assemble_three_field,
     constants,
-    measure_truth,
     quasi_optimality,
     solve,
     split_truth,
     static_condense,
     verify_coercivity,
-    verify_relaxed_infsup,
 )
 
 __version__ = "0.1.0"

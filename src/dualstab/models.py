@@ -5,14 +5,13 @@ Dirichlet conditions; its Gramian G is the H¹₀ stiffness matrix, and the
 a-form is A = G + r·M with the interior mass matrix M and the reaction
 coefficient r.  G and M are tridiagonal, and the truth record keeps both as
 bands (``BandedTruthSpace``), so a level builds no n × n truth matrix.  The
-truth record is built from that split: alpha and ‖A‖ are 1 + r·μ_min and
-1 + r·μ_max of the pencil (M, G), exactly 1 at r = 0, where
-A is the scalar product and no eigensolve runs.  Every problem a
-configuration builds owns that record, and ``saddle.constants`` reads alpha
-and ‖A‖ from it; the dense ``saddle.measure_truth`` record is the oracle
-that tests compare it with.  The pressure basis lives on
-the coarse mesh (P1-continuous or P0) and couples to truth velocities through
-the exact constraint matrix
+truth record (``saddle.split_truth``) is built from that split: alpha and
+‖A‖ are 1 + r·μ_min and 1 + r·μ_max of the pencil (M, G), exactly 1 at
+r = 0, where A is the scalar product and no eigensolve runs.  Every problem
+a configuration builds owns that record, and ``saddle.constants`` reads
+alpha and ‖A‖ from it.  The pressure basis lives on the coarse mesh
+(P1-continuous or P0) and couples to truth velocities through the exact
+constraint matrix
 
     b(q, v) = ∫ q v',
 

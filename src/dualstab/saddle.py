@@ -8,12 +8,12 @@ constraint equation with the γ-weighted residual term, and the three-field
 system on U×W×Q whose middle block is (1/γ)S.  Static condensation of the
 latter must reproduce the former entrywise; the acceptance suite pins that.
 
-A problem owns the TruthRecord of its truth space and a-form, from which
-``constants`` reads alpha and norm_A and ``_blocks`` applies A, and its
-pressures, deflated against ker B_T (see dualprod) on first read as
-``pb.pressures``: once per problem, however many discretizations are built
-on it.  A discretization is only (U, dual product, gamma); assembled systems
-live in deflated coordinates.
+A problem owns the TruthRecord of its truth space and split a-form
+A = G + r·M (``split_truth``), from which ``constants`` reads alpha and
+norm_A and ``_blocks`` applies A, and its pressures, deflated against
+ker B_T (see dualprod) on first read as ``pb.pressures``: once per problem,
+however many discretizations are built on it.  A discretization is only
+(U, dual product, gamma); assembled systems live in deflated coordinates.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .algebra import (
     NonFinite,
     as_matrix,
     cholesky,
-    operator_norm,
     require_symmetric,
     spd_solve,
     sym_generalized_eigvals,
@@ -45,7 +44,7 @@ from .dualprod import (
     pressure_infsup,
     raise_failed,
 )
-from .hilbert import BandedTruthSpace, Functional, Subspace, TruthSpace, orthogonal_project
+from .hilbert import Functional, Subspace, TruthSpace, orthogonal_project
 
 # reciprocal condition estimate at or below this flags a singular system:
 # LAPACK's dgecon estimates 1/κ₁(M) from the LU factors solve() uses, and
@@ -89,10 +88,10 @@ class DegenerateDenominator(Exception):
 class SaddleProblem:
     """Truth-level mixed problem data on the TruthRecord of its truth space and a-form.
 
-    ``truth`` is the record's space; ``measure_truth`` or ``split_truth``
-    validated it and the a-form when the record was built.  ``pressures``
-    (the DeflatedPressures of (B_T, G_Q)) and ``g_eff`` (the constraint rhs
-    in their coordinates) are measured on first read, once per problem.
+    ``truth`` is the record's space; ``split_truth`` validated it and the
+    a-form when the record was built.  ``pressures`` (the DeflatedPressures
+    of (B_T, G_Q)) and ``g_eff`` (the constraint rhs in their coordinates)
+    are measured on first read, once per problem.
     """
 
     def __init__(self, record, b_form, q_gram, load, constraint_rhs, label=""):
@@ -361,44 +360,31 @@ class ConstantsReport:
 
 @dataclass(frozen=True)
 class TruthRecord:
-    """Truth space and a-form, shared by every level.
+    """Truth space and the split a-form A = G + reaction·M, shared by every level.
 
-    alpha (the smallest eigenvalue of (sym A, G)) and norm_A (the operator
-    norm of A) depend on no coarse space, so both are read from one spectrum
-    computed on first read: a command computes it at most once per truth
-    mesh, and only when it reads either.  Both are Python floats.  ``apply``
-    is the product with A.
-
-    A record of the split A = G + reaction·M (``split_truth``), with M the
-    Gramian of ``mass``, a second truth space on the same basis, applies A as
-    G x + reaction·M x in the storage of the two spaces and forms no A.  It
-    reads alpha and norm_A as 1 + reaction·μ_min and 1 + reaction·μ_max of
-    the pencil (M, G): one eigenvalues-only solve on the dense G and M, and
-    none at reaction 0, where both are exactly 1 and ``mass`` is None.  A
-    record of any other a-form (``measure_truth``, ``reaction`` None) holds
-    it as the dense ``a_form`` and solves (sym A, G) and (Aᵀ G⁻¹ A, G) on the
-    dense factor of its space; that route is the oracle of the split one.
+    M is the Gramian of ``mass``, a second truth space on the same basis, and
+    ``apply``, the product with A, computes G x + reaction·M x in the storage
+    of the two spaces and forms no A.  alpha (the smallest eigenvalue of
+    (sym A, G)) and norm_A (the operator norm of A) depend on no coarse space:
+    both are read as 1 + reaction·μ_min and 1 + reaction·μ_max of the pencil
+    (M, G) from one eigenvalues-only solve on the dense G and M, computed on
+    first read, so a command solves it at most once per truth mesh, and only
+    when it reads either.  At reaction 0, where ``mass`` is None, both are
+    exactly 1 and no solve runs.  Both are Python floats.  ``split_truth``
+    builds a record.
     """
 
     space: TruthSpace
-    a_form: np.ndarray | None
-    reaction: float | None
+    reaction: float
     mass: TruthSpace | None
 
     def apply(self, x):
         """A x, for a truth vector or a matrix of truth columns."""
-        if self.reaction is None:
-            return self.a_form @ x
         ax = self.space.apply(x)
         return ax if self.reaction == 0.0 else ax + self.reaction * self.mass.apply(x)
 
     @cached_property
     def _extremes(self):
-        if self.reaction is None:
-            fact = self.space.fact
-            sym_a = 0.5 * (self.a_form + self.a_form.T)
-            alpha = float(sym_generalized_eigvals(sym_a, fact)[0])
-            return alpha, operator_norm(self.a_form, fact, fact)
         if self.reaction == 0.0:
             return 1.0, 1.0
         g_fact = cholesky(self.space.to_dense(), "truth Gramian")
@@ -414,33 +400,25 @@ class TruthRecord:
         return self._extremes[1]
 
 
-def measure_truth(space, a_form):
-    """Truth record of a general a-form on a dense truth space, measured densely on first read."""
-    if isinstance(space, BandedTruthSpace):
-        raise TypeError("measure_truth needs the dense factor of a dense TruthSpace")
-    a_form = as_matrix(a_form, "a-form matrix")
-    if a_form.shape != (space.dim, space.dim):
-        raise DimensionMismatch("a-form matrix does not match the truth space")
-    return TruthRecord(space=space, a_form=a_form, reaction=None, mass=None)
-
-
 def split_truth(space, reaction, mass=None):
     """Truth record of the a-form A = G + reaction·M.
 
-    ``mass`` is a TruthSpace on the basis of ``space`` whose Gramian is M;
-    it is required for reaction > 0 and ignored at reaction 0, where A is the
-    truth Gramian G.
+    ``space`` is the TruthSpace whose Gramian is G; ``mass`` is a TruthSpace
+    on its basis whose Gramian is M, required for reaction > 0 and ignored at
+    reaction 0, where A is G.
     """
+    if not isinstance(space, TruthSpace):
+        raise TypeError("space must be a TruthSpace")
     reaction = float(reaction)
     if not np.isfinite(reaction) or reaction < 0.0:
         raise ValueError("reaction coefficient must be a finite nonnegative real")
     if reaction == 0.0:
-        return TruthRecord(space=space, a_form=None, reaction=0.0, mass=None)
+        return TruthRecord(space=space, reaction=0.0, mass=None)
     if not isinstance(mass, TruthSpace):
         raise TypeError("mass must be a TruthSpace on the basis of the truth space")
     if mass.dim != space.dim:
         raise DimensionMismatch("mass matrix does not match the truth space")
-    return TruthRecord(space=space, a_form=None, reaction=reaction, mass=mass)
+    return TruthRecord(space=space, reaction=reaction, mass=mass)
 
 
 def constants(pb, d):
@@ -464,6 +442,14 @@ def constants(pb, d):
     )
 
 
+def _require_below_gamma0(gamma, rep):
+    """GammaTooLarge unless gamma is 0 or below the measured gamma0."""
+    if gamma > 0.0 and gamma >= rep.gamma0:
+        raise GammaTooLarge(
+            f"gamma {gamma:g} is not below gamma0 {rep.gamma0:g}; no coercivity is predicted"
+        )
+
+
 def verify_coercivity(pb, d, report=None):
     """Measured vs predicted coercivity of the stabilized form.
 
@@ -471,10 +457,7 @@ def verify_coercivity(pb, d, report=None):
     asserts measured ≥ beta_gamma(γ) − tol.  Returns (measured, predicted).
     """
     rep = constants(pb, d) if report is None else report
-    if d.gamma > 0.0 and d.gamma >= rep.gamma0:
-        raise GammaTooLarge(
-            f"gamma {d.gamma:g} is not below gamma0 {rep.gamma0:g}; no coercivity is predicted"
-        )
+    _require_below_gamma0(d.gamma, rep)
     system = assemble_stabilized(pb, d)
     sym_k = 0.5 * (system.matrix + system.matrix.T)
     norms = scipy.linalg.block_diag(d.U.gram_sub, pb.pressures.q_eff)
@@ -569,8 +552,7 @@ def quasi_optimality(pb, d, exact, report=None):
     projections onto U and the deflated pressure space.
     """
     rep = constants(pb, d) if report is None else report
-    if d.gamma > 0.0 and d.gamma >= rep.gamma0:
-        raise GammaTooLarge(f"gamma {d.gamma:g} is not below gamma0 {rep.gamma0:g}")
+    _require_below_gamma0(d.gamma, rep)
     xe, ye = (np.asarray(v, dtype=float) for v in exact)
     y_ref = project_pressure(pb, ye)
     u_err, p_err = _error_norms(pb, d, solve(assemble_stabilized(pb, d)), xe, y_ref)

@@ -21,6 +21,7 @@ from dualstab.models import (
     prolongation_p1,
 )
 from dualstab.saddle import SingularSystem, project_pressure, solve, assemble_stabilized
+from oracles import dense_truth_extremes
 
 
 def gauss_rule(n, order=12):
@@ -278,14 +279,12 @@ class TestBuilders:
         np.testing.assert_array_equal(pb.load.action, ref.load.action)
         eye = np.eye(31)
         np.testing.assert_array_equal(pb.record.apply(eye), ref.record.apply(eye))
-        oracle = saddle.measure_truth(
+        oracle = dense_truth_extremes(
             TruthSpace(p1_stiffness(32)), p1_stiffness(32) + 2.0 * p1_interior_mass(32)
         )
         closed = closed_form_extremes(32, 2.0)
         assert (truth.alpha, truth.norm_A) == pytest.approx(closed, rel=1e-12, abs=0.0)
-        assert (truth.alpha, truth.norm_A) == pytest.approx(
-            (oracle.alpha, oracle.norm_A), rel=1e-12, abs=0.0
-        )
+        assert (truth.alpha, truth.norm_A) == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
     def test_reaction_adds_mass(self):
         cfg = ModelConfig(truth_elems=32, coarse_elems=8, reaction=3.0)
@@ -311,7 +310,7 @@ class TestBuilders:
 
 
 def no_dense_route(*args):
-    raise AssertionError("the split record never solves the dense (A, G) pencils")
+    raise AssertionError("a reaction-0 record solves no pencil")
 
 
 class TestTruthRecord:
@@ -326,9 +325,8 @@ class TestTruthRecord:
 
     def test_reaction_zero_is_exactly_one_without_a_solve(self, monkeypatch):
         monkeypatch.setattr(saddle, "sym_generalized_eigvals", no_dense_route)
-        monkeypatch.setattr(saddle, "operator_norm", no_dense_route)
         truth = models.truth_record(ModelConfig(truth_elems=64, coarse_elems=8))
-        assert truth.mass is None and truth.a_form is None
+        assert truth.mass is None
         for value in (truth.alpha, truth.norm_A):
             assert type(value) is float and value == 1.0
 
@@ -358,7 +356,6 @@ class TestTruthRecord:
             return original(a, b_fact)
 
         monkeypatch.setattr(saddle, "sym_generalized_eigvals", counted)
-        monkeypatch.setattr(saddle, "operator_norm", no_dense_route)
         truth = models.truth_record(ModelConfig(truth_elems=64, coarse_elems=8, reaction=2.5))
         assert calls == []
         values = (truth.alpha, truth.norm_A)

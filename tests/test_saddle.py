@@ -23,7 +23,6 @@ from dualstab.saddle import (
     assemble_three_field,
     combined_subspace,
     constants,
-    measure_truth,
     project_pressure,
     quasi_optimality,
     solve,
@@ -31,6 +30,7 @@ from dualstab.saddle import (
     verify_coercivity,
     verify_relaxed_infsup,
 )
+from oracles import dense_truth_extremes
 from test_cli_fuzz import runs
 
 
@@ -320,23 +320,31 @@ class TestConstants:
 
     @pytest.mark.parametrize("reaction", [0.0, 2.5])
     def test_split_record_matches_dense_oracle(self, reaction):
-        # the dense (sym A, G) and operator-norm route of measure_truth is the
-        # oracle of the split record; both problems share one dense truth space
+        # the dense (sym A, G) and operator-norm route is the oracle of the
+        # split record's alpha and norm_A, and so of gamma0 and gamma_tilde0;
+        # no other constant reads the a-form, so each equals that of the
+        # reaction-0 record on the same dense truth space
         cfg = models.ModelConfig(truth_elems=1024, coarse_elems=16, gamma=0.0, reaction=reaction)
         space = TruthSpace(p1_stiffness(1024))
         mass = p1_interior_mass(1024)
         split = saddle.split_truth(space, reaction, TruthSpace(mass) if reaction else None)
-        dense = measure_truth(space, p1_stiffness(1024) + reaction * mass)
+        alpha, norm_a = dense_truth_extremes(space, p1_stiffness(1024) + reaction * mass)
         reps = []
-        for record in (split, dense):
+        for record in (split, saddle.split_truth(space, 0.0)):
             pb = models.build_level(cfg, record)
             reps.append(constants(pb, models.build_spaces(cfg, pb)))
-        measured, oracle = (vars(r) for r in reps)
+        measured, base = (vars(r) for r in reps)
+        oracle = {
+            "alpha": alpha,
+            "norm_A": norm_a,
+            "gamma0": 2.0 * alpha * base["c_star"] / (norm_a**2 * base["C_star"] ** 2),
+            "gamma_tilde0": 2.0 * base["kappa_star"] * alpha / norm_a**2,
+        }
         for name, value in measured.items():
-            if name in ("alpha", "norm_A", "gamma0", "gamma_tilde0"):
+            if name in oracle:
                 assert value == pytest.approx(oracle[name], rel=1e-10, abs=0.0), name
             else:
-                assert value == oracle[name], name
+                assert value == base[name], name
         if reaction == 0.0:
             assert split.alpha == split.norm_A == 1.0
 
@@ -357,19 +365,18 @@ class TestConstants:
             assert value == pytest.approx(oracle[name], rel=1e-10, abs=0.0), name
 
     def test_truth_record_measures_on_first_read(self, monkeypatch):
+        # counts the (M, G) solves of split records at reaction > 0
         calls = []
-        original = saddle.operator_norm
+        original = saddle.sym_generalized_eigvals
 
-        def counted(a, test_fact, trial_fact):
+        def counted(a, b_fact):
             calls.append(a.shape)
-            return original(a, test_fact, trial_fact)
+            return original(a, b_fact)
 
-        monkeypatch.setattr(saddle, "operator_norm", counted)
+        monkeypatch.setattr(saddle, "sym_generalized_eigvals", counted)
         cfg, pb, d = build(reaction=5.0)
-        space = TruthSpace(p1_stiffness(64))
-        a_form = p1_stiffness(64) + 5.0 * p1_interior_mass(64)
-        truth = measure_truth(space, a_form)
-        other = measure_truth(space, a_form)
+        truth = models.truth_record(cfg)
+        other = models.truth_record(cfg)
         assert calls == []
         assert truth.norm_A == truth.norm_A == other.norm_A
         # once per record: a second read reuses it, another record measures again
@@ -408,12 +415,16 @@ class TestCoercivity:
         assert measured >= predicted - 1e-9
         assert predicted > 0.0
 
-    def test_gamma_at_or_above_gamma0_rejected(self):
+    @pytest.mark.parametrize("check", ["verify_coercivity", "quasi_optimality"])
+    def test_gamma_at_or_above_gamma0_rejected(self, check):
+        # both raise through one guard, with one message
         cfg, pb, d = build(gamma=0.0)
         rep = constants(pb, d)
         d2 = models.build_spaces(replace(cfg, gamma=rep.gamma0 * 1.5), pb)
-        with pytest.raises(ValueError, match="gamma"):
-            verify_coercivity(pb, d2, report=rep)
+        exact = models.exact_coefficients(cfg, models.default_solution())
+        args = {"verify_coercivity": (pb, d2), "quasi_optimality": (pb, d2, exact)}[check]
+        with pytest.raises(ValueError, match="gamma .* is not below gamma0 .*; no coercivity"):
+            getattr(saddle, check)(*args, report=rep)
 
     def test_gamma_zero_predicts_nothing(self):
         # at gamma = 0 the symmetric part has a zero pressure block: the
@@ -484,12 +495,10 @@ class TestQuasiOptimality:
 class TestValidation:
     def test_saddle_problem_shape_checks(self):
         cfg, pb, d = build(truth=16, coarse=4)
-        # the a-form is validated once, by the record the problem is built on
-        with pytest.raises(DimensionMismatch):
-            measure_truth(TruthSpace(p1_stiffness(16)), np.eye(3))
-        # the dense oracle needs a dense factor
+        # the a-form is validated once, by the record the problem is built on:
+        # its truth space is a TruthSpace, not a bare Gramian
         with pytest.raises(TypeError):
-            measure_truth(pb.truth, p1_stiffness(16))
+            saddle.split_truth(p1_stiffness(16), 0.0)
         with pytest.raises(TypeError):
             SaddleProblem(pb.truth, pb.b_form, pb.q_gram, pb.load, pb.constraint_rhs)
         with pytest.raises(DimensionMismatch):
