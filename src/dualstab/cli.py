@@ -423,8 +423,46 @@ def _default_sweep(cfg):
     return tuple(levels)
 
 
+def _maximal_w_ratios(cfg, truth):
+    """w_ratio per gamma on the maximal level U = W = truth, where w must vanish.
+
+    U is the whole truth space, so W = U is the same subspace.  A singular
+    system is re-raised naming the system and its gamma.
+    """
+    _, pb, spaces = _level(replace(cfg, w="same"), truth, cfg.truth_elems)
+    ratios = []
+    for gamma in cfg.gammas:
+        d = saddle.Discretization(pb, spaces.U, spaces.dp, gamma)
+        try:
+            x, z, _ = saddle.solve(saddle.assemble_three_field(pb, d))
+        except SingularSystem as exc:
+            raise SingularSystem(
+                f"maximal system (U = W = truth) at gamma {float(gamma)!r}: {exc}", exc.rcond
+            ) from exc
+        ratios.append(pb.truth.norm(z) / (1.0 + pb.truth.norm(d.U.embedding @ x)))
+    return ratios
+
+
+def _condensation_discrepancies(cfg, truth):
+    """Condensation discrepancy per gamma on the configured level."""
+    # the spaces do not depend on gamma: build them once, vary gamma only
+    _, pb, spaces = _level(cfg, truth, cfg.coarse_elems)
+    discs = []
+    for gamma in cfg.gammas:
+        d = saddle.Discretization(pb, spaces.U, spaces.dp, gamma)
+        tf = saddle.assemble_three_field(pb, d)
+        stab = saddle.assemble_stabilized(pb, d)
+        discs.append(condensation_discrepancy(stab, saddle.static_condense(tf)))
+    return discs
+
+
 def cmd_condense_check(cfg):
-    """Condensation agreement per gamma, plus the maximal-space w ≈ 0 test."""
+    """Condensation agreement per gamma, plus the maximal-space w ≈ 0 test.
+
+    The maximal phase, which can end the command, runs first.  Each phase
+    returns only its per-gamma floats, so its level is freed before the next
+    one is built.
+    """
     columns = ["gamma", "discrepancy", "w_ratio", "status"]
     try:
         models.require_dense_truth(cfg.truth_elems, "condense-check")
@@ -432,16 +470,9 @@ def cmd_condense_check(cfg):
         raise ConfigError(str(exc)) from None
     report = Report("condense-check", _config_echo(cfg), cfg.seed, columns)
     truth = _truth(cfg)
-    # the spaces do not depend on gamma: build them once, vary gamma only
-    _, pb, spaces = _level(cfg, truth, cfg.coarse_elems)
-    _, pb_max, spaces_max = _level(replace(cfg, w="truth"), truth, cfg.truth_elems)
-    for gamma in cfg.gammas:
-        d = saddle.Discretization(pb, spaces.U, spaces.dp, gamma)
-        tf = saddle.assemble_three_field(pb, d)
-        disc = condensation_discrepancy(saddle.assemble_stabilized(pb, d), saddle.static_condense(tf))
-        d_max = saddle.Discretization(pb_max, spaces_max.U, spaces_max.dp, gamma)
-        x, z, _ = saddle.solve(saddle.assemble_three_field(pb_max, d_max))
-        w_ratio = pb_max.truth.norm(z) / (1.0 + pb_max.truth.norm(d_max.U.embedding @ x))
+    ratios = _maximal_w_ratios(cfg, truth)
+    discs = _condensation_discrepancies(cfg, truth)
+    for gamma, disc, w_ratio in zip(cfg.gammas, discs, ratios):
         status = "pass" if disc <= CONDENSE_TOL and w_ratio <= W_VANISH_TOL else "fail"
         if status == "fail":
             report.verdict = "fail"

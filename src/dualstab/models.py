@@ -38,7 +38,7 @@ GAUSS_POINTS = 5
 # Largest truth mesh of the paths that still build n × n truth matrices:
 # w = truth (a truth-sized W), the maximal system of condense-check and the
 # (M, G) extremes at reaction > 0, a dense eigensolve.  The heaviest of them,
-# condense-check at truth 2048, peaks at 1.08 GB of RSS (2 cores, one BLAS
+# condense-check at truth 2048, peaks at 982 MB of RSS (2 cores, one BLAS
 # thread); its matrices grow as the square of the mesh.
 DENSE_TRUTH_LIMIT = 2048
 

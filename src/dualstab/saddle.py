@@ -297,10 +297,10 @@ def solve(system):
     """
     m = as_matrix(system.matrix, "system matrix")
     rhs = as_matrix(np.reshape(system.rhs, (-1, 1)), "right-hand side")
-    # an overflow to inf is reported once, as NonFinite: gecon would read an
-    # infinite norm as rcond 0 and call a regular system singular
-    with np.errstate(over="ignore"):
-        anorm = np.linalg.norm(m, 1)
+    # the 1-norm of m is the inf-norm of its F-ordered transpose, with no n²
+    # temporary; an overflow to inf is reported once, as NonFinite: gecon
+    # would read an infinite norm as rcond 0 and call a regular system singular
+    anorm = lapack.dlange("I", m.T)
     if not np.isfinite(anorm):
         raise NonFinite("system matrix 1-norm overflows")
     lu, piv, info = lapack.dgetrf(m)

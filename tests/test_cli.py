@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -496,6 +497,73 @@ class TestTruthLevelWork:
             tables[s] = out.read_bytes()
         assert tables["scaled:1e-300"] == tables["gramian"]
         assert tables["scaled:1e300"] == tables["gramian"]
+
+
+class TestCondenseCheckPhases:
+    # condense-check runs its maximal level, then its configured level, and
+    # keeps only the per-gamma floats of the first while the second runs
+
+    def test_maximal_level_has_one_subspace(self, tmp_path, monkeypatch):
+        # U is the whole truth space there, so W = U is the same subspace
+        subspaces, levels = [], []
+        original_init = hilbert.Subspace.__init__
+        original_spaces = models.build_spaces
+
+        def counted(self, *args, **kwargs):
+            subspaces.append(self)
+            original_init(self, *args, **kwargs)
+
+        def recorded(cfg, pb):
+            levels.append(original_spaces(cfg, pb))
+            return levels[-1]
+
+        monkeypatch.setattr(hilbert.Subspace, "__init__", counted)
+        monkeypatch.setattr(models, "build_spaces", recorded)
+        path = write_cfg(tmp_path, "truth_elems = 64\ncoarse_elems = 8\n")
+        code, _, rows = run_csv(tmp_path, ["condense-check", "--config", path])
+        assert code == 0 and len(rows) == 3
+        # U and W of coarse 8, and one U = W of the truth level
+        assert len(subspaces) == 3
+        (maximal,) = [d for d in levels if d.U.dim == 63]
+        assert maximal.dp.aux is maximal.U
+
+    def test_maximal_problem_freed_before_configured_level(self, tmp_path, monkeypatch):
+        problems, labels, alive = [], [], []
+        original = models.build_level
+
+        def recorded(cfg, truth):
+            alive.append([ref() is not None for ref in problems])
+            pb = original(cfg, truth)
+            problems.append(weakref.ref(pb))
+            labels.append(pb.label)
+            return pb
+
+        monkeypatch.setattr(models, "build_level", recorded)
+        path = write_cfg(tmp_path, "truth_elems = 64\ncoarse_elems = 8\n")
+        code, _, rows = run_csv(tmp_path, ["condense-check", "--config", path])
+        assert code == 0 and len(rows) == 3
+        # the first level is gone when the second is built; the first is the
+        # maximal one
+        assert alive == [[], [False]]
+        assert labels == ["p1-64-on-64", "p1-8-on-64"]
+
+    def test_singular_maximal_system_named_with_its_gamma(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, "truth_elems = 256\ncoarse_elems = 8\ngammas = 1e-6\n")
+        assert main(["condense-check", "--config", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(
+            "dualstab: numerical failure: maximal system (U = W = truth) at gamma 1e-06: "
+            "system is singular: reciprocal condition estimate "
+        )
+        # the re-raised exception keeps the estimate and the original
+        cfg = build_run_config(parse_config_file(path), {})
+        with pytest.raises(saddle.SingularSystem) as exc:
+            cli.cmd_condense_check(cfg)
+        assert 0.0 < exc.value.rcond <= saddle.SINGULAR_RTOL
+        assert exc.value.rcond == exc.value.__cause__.rcond
+        assert str(exc.value).endswith(str(exc.value.__cause__))
 
 
 class TestEdgeExits:

@@ -30,6 +30,15 @@ REACTIONS = st.one_of(
     ),
 )
 
+# condense-check sweeps: 1 to 3 gammas, log-uniform over the positive doubles
+GAMMAS = st.lists(
+    st.floats(min_value=math.log(5e-324), max_value=math.log(1.7e308)).map(
+        lambda x: repr(math.exp(x))
+    ),
+    min_size=1,
+    max_size=3,
+).map(", ".join)
+
 
 @st.composite
 def runs(draw):
@@ -44,6 +53,7 @@ def runs(draw):
         "s": draw(st.one_of(st.sampled_from(["gramian", "lumped"]), SCALES)),
         "gamma": gamma,
         "reaction": draw(REACTIONS),
+        "gammas": draw(GAMMAS),
     }
     return draw(st.sampled_from(COMMANDS)), config
 

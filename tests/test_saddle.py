@@ -147,6 +147,53 @@ class TestSolve:
         with pytest.raises(NonFinite):
             solve(StabilizedSystem(np.array(matrix), np.array(rhs), 1, 1, 0.0))
 
+    @pytest.mark.parametrize("over", ["ignore", "raise"])
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[1e308, 1.0], [1e308, -1.0]],
+            np.full((4, 4), 0.6e308) + np.diag([1.0, 2.0, 3.0, 4.0]),
+            np.diag(np.full(5, 1.7e308)) + np.triu(np.full((5, 5), 1e308), 1),
+        ],
+        ids=["2x2", "full-4x4", "triangular-5x5"],
+    )
+    def test_norm_overflow_is_non_finite(self, matrix, over):
+        # finite entries whose column sums overflow: one NonFinite, whatever
+        # the caller's floating-point error state
+        system = StabilizedSystem(np.array(matrix), np.ones(len(matrix)), 1, len(matrix) - 1, 0.0)
+        with np.errstate(over=over), pytest.raises(NonFinite, match="1-norm overflows"):
+            solve(system)
+
+    @pytest.mark.parametrize("layout", ["c", "strided"])
+    def test_screen_reads_numpy_one_norm_bit_for_bit(self, monkeypatch, layout):
+        # dgecon gets the 1-norm of the matrix as np.linalg.norm(m, 1) has it,
+        # over sizes, magnitudes from 1e-200 to 1e200, C-ordered (as every
+        # assembled system is) and non-contiguous; both sum each column in
+        # row order (numpy sums a contiguous F-ordered column pairwise, so
+        # there the two agree to roundoff only)
+        class Screened(Exception):
+            pass
+
+        norms = []
+
+        def recorded(lu, anorm, *args, **kwargs):
+            norms.append(anorm)
+            raise Screened
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgecon", recorded)
+        rng = np.random.default_rng(14)
+        expected = []
+        for _ in range(100):
+            n = int(rng.integers(1, 60))
+            a = rng.standard_normal((2 * n, 3 * n)) * 10.0 ** rng.uniform(-200.0, 200.0)
+            a *= 10.0 ** rng.uniform(-3.0, 3.0, a.shape)
+            m = np.ascontiguousarray(a[:n, :n]) if layout == "c" else a[::2, ::3]
+            expected.append(np.linalg.norm(m, 1))
+            with pytest.raises(Screened):
+                solve(StabilizedSystem(m, np.ones(n), 1, n - 1, 0.0))
+        assert len(norms) == 100
+        assert [float(x) for x in norms] == [float(x) for x in expected]
+
     def test_nan_residual_is_not_a_solution(self, monkeypatch):
         # a residual that is not a number fails the guard, it does not pass it
         cfg, pb, d = build(gamma=0.25)
@@ -231,6 +278,21 @@ class TestScreenOracle:
         gamma = constants(pb, d).gamma0 / 2.0
         stabilized = assemble_stabilized(pb, Discretization(pb, d.U, d.dp, gamma))
         assert not svd_singular(stabilized.matrix) and not lu_singular(stabilized)
+
+    def test_maximal_level_with_w_same_is_w_truth(self):
+        # condense-check's maximal level: at coarse = truth, U is the whole
+        # truth space and W = U assembles the system of W = truth bit for bit
+        systems = []
+        for w in ("same", "truth"):
+            cfg = models.ModelConfig(
+                truth_elems=64, coarse_elems=64, pressure_kind="p0", w_kind=w, gamma=0.0
+            )
+            pb = models.build_truth(cfg)
+            d = models.build_spaces(cfg, pb)
+            systems.append(assemble_three_field(pb, Discretization(pb, d.U, d.dp, 0.1)))
+        same, truth = systems
+        assert np.array_equal(same.matrix, truth.matrix)
+        assert np.array_equal(same.rhs, truth.rhs)
 
     def test_condense_check_maximal_systems(self):
         # the U = W = truth three-field systems of condense-check on the
