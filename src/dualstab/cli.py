@@ -5,7 +5,8 @@ line flags override file values.  Exit codes: 0 all checks pass, 1 a
 mathematical check failed, 2 config error, 3 numerical failure (a kernel
 failure, running out of memory, or an overflow or invalid value anywhere in a
 command).  A config whose truth mesh is above ``models.DENSE_TRUTH_LIMIT`` is
-a config error when it needs a dense truth path: ``w = truth``,
+a config error when it needs a dense truth path: a W on the whole truth mesh
+(``w = truth``, or a ``refined:k`` or ``same`` that reaches it),
 ``reaction > 0`` or the command ``condense-check``.
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -147,10 +148,10 @@ def build_run_config(file_values, overrides):
     """Merge config file values and command-line overrides into a RunConfig."""
     merged = dict(file_values)
     merged.update({k: v for k, v in overrides.items() if v is not None})
-    fields = {}
+    parsed = {}
     for key, raw in merged.items():
-        fields[key] = _PARSERS[key](raw) if isinstance(raw, str) else raw
-    cfg = RunConfig(**fields)
+        parsed[key] = _PARSERS[key](raw) if isinstance(raw, str) else raw
+    cfg = RunConfig(**parsed)
     if cfg.pressure not in ("p1", "p0"):
         raise ConfigError(f"pressure: must be 'p1' or 'p0', got {cfg.pressure!r}")
     if cfg.format not in ("csv", "json"):
@@ -223,24 +224,8 @@ def _config_echo(cfg):
 
 def cmd_constants(cfg):
     """One row of measured constants per mesh level."""
-    columns = [
-        "level",
-        "coarse_elems",
-        "alpha",
-        "norm_A",
-        "norm_B",
-        "beta",
-        "kappa_star",
-        "K_star",
-        "c_star",
-        "C_star",
-        "alpha_hat",
-        "beta_hat",
-        "gamma0",
-        "gamma_tilde0",
-        "gamma",
-        "beta_gamma",
-    ]
+    measured = [f.name for f in fields(saddle.ConstantsReport)]
+    columns = ["level", "coarse_elems", *measured, "gamma", "beta_gamma"]
     report = Report("constants", _config_echo(cfg), cfg.seed, columns)
     truth = _truth(cfg)
     for level, coarse in enumerate(_levels(cfg)):

@@ -109,9 +109,11 @@ class DualProduct:
     stiffness: StiffnessForm
 
     def __post_init__(self):
-        if self.stiffness.fact.dim != self.aux.dim:
+        # S is a matrix in W's own basis, so it must be built on this very subspace
+        if self.stiffness.aux is not self.aux:
             raise DimensionMismatch(
-                f"stiffness dim {self.stiffness.fact.dim} does not match subspace dim {self.aux.dim}"
+                f"stiffness of dim {self.stiffness.fact.dim} is built on another subspace "
+                f"than W of dim {self.aux.dim}"
             )
 
 

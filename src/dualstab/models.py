@@ -18,6 +18,10 @@ constraint matrix
 which is closed-form for nested piecewise-linear/constant bases.  Data for a
 manufactured solution are assembled by 5-point Gauss quadrature per truth
 element, which is exact to machine precision at these mesh sizes.
+
+The auxiliary space W is P1 on a nested mesh from the coarse to the truth
+mesh.  ``ModelConfig.w_elems`` resolves ``w_kind`` to its element count, and
+``build_spaces`` and the dense limit read only that count, not the spelling.
 """
 
 from __future__ import annotations
@@ -36,10 +40,11 @@ from .saddle import Discretization, SaddleProblem, error_norms, split_truth  # n
 GAUSS_POINTS = 5
 
 # Largest truth mesh of the paths that still build n × n truth matrices:
-# w = truth (a truth-sized W), the maximal system of condense-check and the
-# (M, G) extremes at reaction > 0, a dense eigensolve.  The heaviest of them,
-# condense-check at truth 2048, peaks at 982 MB of RSS (2 cores, one BLAS
-# thread); its matrices grow as the square of the mesh.
+# a W on the whole truth mesh (w = truth, or a refined:k or same that reaches
+# it), the maximal system of condense-check and the (M, G) extremes at
+# reaction > 0, a dense eigensolve.  The heaviest of them, condense-check at
+# truth 2048, peaks at 982 MB of RSS (2 cores, one BLAS thread); its matrices
+# grow as the square of the mesh.
 DENSE_TRUTH_LIMIT = 2048
 
 
@@ -88,14 +93,14 @@ class ModelConfig:
             raise NestingViolated("coarse mesh cannot be finer than the truth mesh")
         if self.pressure_kind not in ("p1", "p0"):
             raise ValueError(f"pressure_kind must be 'p1' or 'p0', got {self.pressure_kind!r}")
-        self.w_elems()  # validates w_kind and nesting
+        w_elems = self.w_elems()  # validates w_kind and nesting
         stiffness_scale(self.s_choice)  # the parser make_stiffness uses
         if not np.isfinite(self.gamma) or self.gamma < 0.0:
             raise ValueError("gamma must be a finite nonnegative real")
         if not np.isfinite(self.reaction) or self.reaction < 0.0:
             raise ValueError("reaction coefficient must be a finite nonnegative real")
-        if self.w_kind == "truth":
-            require_dense_truth(self.truth_elems, "w = truth")
+        if w_elems == self.truth_elems:
+            require_dense_truth(self.truth_elems, f"w = {self.w_kind}")
         if self.reaction > 0.0:
             require_dense_truth(self.truth_elems, "reaction > 0")
 
@@ -110,9 +115,9 @@ class ModelConfig:
             try:
                 factor = int(kind.split(":", 1)[1])
             except ValueError:
-                raise ValueError(f"invalid w_kind {kind!r}") from None
+                raise ValueError(f"w_kind: invalid refinement factor in {kind!r}") from None
             if factor < 1:
-                raise ValueError("refinement factor must be ≥ 1")
+                raise ValueError(f"w_kind: refinement factor must be ≥ 1, got {kind!r}")
             n = self.coarse_elems * factor
             if n > self.truth_elems or self.truth_elems % n != 0:
                 raise NestingViolated(
@@ -309,12 +314,10 @@ def build_level(cfg, truth):
 def build_spaces(cfg, pb):
     """Build (U, W, dual product, gamma) for a configuration and problem."""
     u_sub = Subspace(pb.truth, prolongation_p1(cfg.truth_elems, cfg.coarse_elems))
-    kind = cfg.w_kind
-    if kind == "truth":
-        w_sub = Subspace(pb.truth, np.eye(pb.truth.dim))
-    elif kind == "same":
+    w_elems = cfg.w_elems()
+    if w_elems == cfg.coarse_elems:
         w_sub = u_sub
     else:
-        w_sub = Subspace(pb.truth, prolongation_p1(cfg.truth_elems, cfg.w_elems()))
+        w_sub = Subspace(pb.truth, prolongation_p1(cfg.truth_elems, w_elems))
     dp = DualProduct(aux=w_sub, stiffness=make_stiffness(w_sub, cfg.s_choice))
     return Discretization(pb, u_sub, dp, cfg.gamma)

@@ -100,6 +100,8 @@ class TestRunConfig:
             ({"seed": "-2"}, "seed"),
             ({"gammas": "0.1,0"}, "gammas"),
             ({"levels": ""}, "levels"),
+            ({"w": "refined:0"}, "w_kind"),
+            ({"w": "refined:two"}, "w_kind"),
         ],
     )
     def test_invalid_field_named_in_message(self, values, field):
@@ -129,6 +131,11 @@ class TestRunConfig:
         # w = refined:2 cannot nest once the coarse mesh reaches truth/2
         cfg = RunConfig(truth_elems=16, coarse_elems=4)
         assert cli._default_sweep(cfg) == (4, 8)
+
+    def test_default_sweep_stops_at_dense_limit(self):
+        # at coarse 2048, w = refined:2 is the whole truth mesh, a dense path at truth 4096
+        cfg = RunConfig(truth_elems=2 * models.DENSE_TRUTH_LIMIT, coarse_elems=512)
+        assert cli._default_sweep(cfg) == (512, 1024)
 
 
 class TestExitCodes:
@@ -750,6 +757,25 @@ class TestDenseLimit:
         "command, extra, path",
         [
             pytest.param("constants", "w = truth\n", "w = truth", id="w-truth"),
+            # W contains U's mesh, so these W are the whole truth mesh too
+            pytest.param(
+                "infsup",
+                f"coarse_elems = {models.DENSE_TRUTH_LIMIT}\nw = refined:2\n",
+                "w = refined:2",
+                id="w-refined-reaches-truth",
+            ),
+            pytest.param(
+                "infsup",
+                f"coarse_elems = {2 * models.DENSE_TRUTH_LIMIT}\nw = same\n",
+                "w = same",
+                id="w-same-at-truth",
+            ),
+            pytest.param(
+                "solve",
+                f"coarse_elems = {2 * models.DENSE_TRUTH_LIMIT}\nw = refined:1\n",
+                "w = refined:1",
+                id="w-refined-1-at-truth",
+            ),
             pytest.param("solve", "reaction = 0.5\n", "reaction > 0", id="reaction"),
             pytest.param("condense-check", "", "condense-check", id="condense-check"),
         ],
@@ -773,6 +799,13 @@ class TestDenseLimit:
         models.ModelConfig(truth_elems=models.DENSE_TRUTH_LIMIT, w_kind="truth", reaction=1.0)
         with pytest.raises(ValueError, match="truth_elems"):
             models.ModelConfig(truth_elems=2 * models.DENSE_TRUTH_LIMIT, w_kind="truth")
+        # so do the other spellings of a W on the whole truth mesh
+        coarse = models.DENSE_TRUTH_LIMIT // 4
+        models.ModelConfig(truth_elems=models.DENSE_TRUTH_LIMIT, coarse_elems=coarse, w_kind="refined:4")
+        with pytest.raises(ValueError, match="w = refined:4"):
+            models.ModelConfig(
+                truth_elems=2 * models.DENSE_TRUTH_LIMIT, coarse_elems=2 * coarse, w_kind="refined:4"
+            )
 
     def test_out_of_memory_exits_3_in_one_line(self, tmp_path, monkeypatch, capsys):
         # numpy refuses an 8 PiB array without allocating it

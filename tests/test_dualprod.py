@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from dualstab import dualprod
-from dualstab.algebra import NotSpd, spd_solve
+from dualstab.algebra import DimensionMismatch, NotSpd, spd_solve
 from dualstab.dualprod import (
     SWEEP_SAMPLES,
     BoundViolated,
@@ -135,6 +135,16 @@ class TestStiffnessChoices:
         other = Subspace(ts, rng.standard_normal((10, 3)))
         with pytest.raises(Exception):
             DualProduct(aux=sub, stiffness=make_stiffness(other))
+
+    def test_stiffness_must_be_built_on_the_same_subspace(self):
+        # a re-based copy of W has W's dimension, but S in its basis is not S in W's:
+        # the product would read kappa_star = K_star = 1 and a wrong c(f, f)
+        ts = TruthSpace(p1_stiffness(64))
+        sub = Subspace(ts, prolongation_p1(64, 16))
+        rebased = Subspace(ts, sub.embedding @ (np.eye(15) + np.triu(np.ones((15, 15)), 1)))
+        with pytest.raises(DimensionMismatch, match="another subspace"):
+            DualProduct(aux=sub, stiffness=make_stiffness(rebased))
+        DualProduct(aux=sub, stiffness=make_stiffness(sub))
 
 
 class TestCApply:

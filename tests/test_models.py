@@ -144,7 +144,9 @@ class TestProlongation:
         np.testing.assert_allclose(e[:, 0], [0.5, 1.0, 0.5])
 
     def test_identity_at_same_mesh(self):
-        np.testing.assert_array_equal(prolongation_p1(16, 16), np.eye(15))
+        # exactly, so a W on the whole truth mesh needs no identity basis of its own
+        for n in (2**k for k in range(1, 12)):
+            np.testing.assert_array_equal(prolongation_p1(n, n), np.eye(n - 1))
 
     def test_nesting_identity(self):
         # E^T G E equals the directly assembled coarse stiffness
@@ -298,6 +300,15 @@ class TestBuilders:
         pb = models.build_truth(cfg)
         d = models.build_spaces(cfg, pb)
         np.testing.assert_array_equal(d.U.embedding, np.eye(15))
+
+    @pytest.mark.parametrize(
+        "coarse, kind", [(8, "same"), (8, "refined:1"), (64, "truth")], ids=["same", "refined-1", "truth"]
+    )
+    def test_w_on_the_coarse_mesh_is_u(self, coarse, kind):
+        # a W on U's own mesh is U's subspace, whatever the spelling
+        cfg = ModelConfig(truth_elems=64, coarse_elems=coarse, w_kind=kind)
+        d = models.build_spaces(cfg, models.build_truth(cfg))
+        assert d.W is d.U
 
     def test_w_choices_change_dimension(self):
         cfg = ModelConfig(truth_elems=64, coarse_elems=8)
