@@ -2,9 +2,11 @@
 
 Everything downstream (dual norms, spectral equivalence constants, coercivity
 pencils) reduces to SPD factorizations and symmetric generalized eigenproblems.
-The heavy lifting is delegated to LAPACK through numpy/scipy; this module owns
-the contracts: validation, pivot screening, Cholesky reduction of pencils, and
-the error taxonomy.
+The heavy lifting is delegated to LAPACK: eigensolves to numpy's, and
+factorizations and triangular solves to scipy's f2py LAPACK module
+(``lapack``, loaded without importing ``scipy.linalg``).  This module owns the
+contracts: validation, pivot screening, Cholesky reduction of pencils, and the
+error taxonomy.
 
 Matrices are plain float64 ndarrays.  Sizes are desk scale (a few thousand at
 most), so dense storage and full spectra are the right trade-off, with one
@@ -16,12 +18,13 @@ for i ≤ j with u superdiagonals, and factored and solved there in O(n u²).
 from __future__ import annotations
 
 import ctypes
+import importlib.machinery
+import importlib.util
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
-import scipy.linalg
 
 # relative pivot threshold separating rank deficiency from roundoff
 PIVOT_RTOL = 1e-12
@@ -31,6 +34,40 @@ SYMMETRY_RTOL = 1e-12
 
 # thread-count setters of an OpenBLAS that scipy bundles, newest wheels first
 SCIPY_BLAS_SETTERS = ("scipy_openblas_set_num_threads", "openblas_set_num_threads")
+
+
+def _load_lapack():
+    """scipy's f2py LAPACK module, the one behind ``scipy.linalg.lapack``.
+
+    Importing ``scipy.linalg`` takes about 0.2 s, most of it in modules this
+    package never calls; the extension itself loads in milliseconds.  It is
+    loaded from scipy's directory, found without importing scipy, and
+    registered in ``sys.modules`` under its own name, so a later
+    ``import scipy.linalg`` reuses it, as this reuses an earlier one.  Where
+    the file is missing or does not load on its own, the module is imported
+    the normal way: the same module, imported slowly.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is not None and scipy_spec.submodule_search_locations:
+        suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+        path = os.path.join(scipy_spec.submodule_search_locations[0], "linalg", "_flapack" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(name, path)
+            try:
+                module = importlib.util.module_from_spec(spec)
+                sys.modules[name] = module
+                spec.loader.exec_module(module)
+                return module
+            except ImportError:
+                # e.g. on Windows, where scipy's __init__ adds its bundled DLLs' directory
+                sys.modules.pop(name, None)
+    return importlib.import_module(name)
+
+
+lapack = _load_lapack()
 
 
 class NotSpd(Exception):
@@ -102,10 +139,9 @@ def cholesky(m, name="matrix"):
     in double precision.
     """
     m = require_symmetric(m, name)
-    try:
-        lower = scipy.linalg.cholesky(m, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        raise NotSpd(f"{name} is not positive definite") from None
+    lower, info = lapack.dpotrf(m, lower=1, clean=1)
+    if info > 0:
+        raise NotSpd(f"{name} is not positive definite")
     pivots = np.diag(lower) ** 2
     if pivots.min() <= PIVOT_RTOL * np.diag(m).max():
         raise NotSpd(f"{name} is numerically singular (pivot below threshold)")
@@ -119,10 +155,9 @@ def cholesky_band(band, name="matrix"):
     ``PIVOT_RTOL`` times the largest diagonal entry raises NotSpd.
     """
     band = as_matrix(band, name)
-    try:
-        upper = scipy.linalg.cholesky_banded(band, lower=False, check_finite=False)
-    except np.linalg.LinAlgError:
-        raise NotSpd(f"{name} is not positive definite") from None
+    upper, info = lapack.dpbtrf(band, lower=0)
+    if info > 0:
+        raise NotSpd(f"{name} is not positive definite")
     if (upper[-1] ** 2).min() <= PIVOT_RTOL * band[-1].max():
         raise NotSpd(f"{name} is numerically singular (pivot below threshold)")
     return BandedSpdFactorization(dim=band.shape[1], upper=upper)
@@ -154,6 +189,22 @@ def band_to_dense(band):
     return m
 
 
+def _solve_triangular(a, b, lower):
+    """Solve a x = b for a triangular a, as ``scipy.linalg.solve_triangular``.
+
+    LAPACK trtrs reads Fortran order, so a C-ordered a is passed as its
+    transpose with the triangle and the operation flipped: scipy's branch,
+    hence the same kernel on the same memory and the same bits.
+    """
+    if a.flags.f_contiguous:
+        x, info = lapack.dtrtrs(a, b, lower=lower)
+    else:
+        x, info = lapack.dtrtrs(a.T, b, lower=not lower, trans=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    return x
+
+
 def spd_solve(fact, rhs):
     """Solve M x = rhs from the Cholesky factorization of M, dense or banded.
 
@@ -165,9 +216,9 @@ def spd_solve(fact, rhs):
             f"rhs of shape {rhs.shape} does not match factorization of dim {fact.dim}"
         )
     if isinstance(fact, BandedSpdFactorization):
-        return scipy.linalg.cho_solve_banded((fact.upper, False), rhs, check_finite=False)
-    y = scipy.linalg.solve_triangular(fact.lower, rhs, lower=True, check_finite=False)
-    return scipy.linalg.solve_triangular(fact.lower.T, y, lower=False, check_finite=False)
+        return lapack.dpbtrs(fact.upper, rhs, lower=0)[0]
+    y = _solve_triangular(fact.lower, rhs, lower=True)
+    return _solve_triangular(fact.lower.T, y, lower=False)
 
 
 def _reduce_pencil(a, b_fact):
@@ -178,8 +229,8 @@ def _reduce_pencil(a, b_fact):
             f"pencil matrix dim {a.shape[0]} does not match factorization dim {b_fact.dim}"
         )
     lower = b_fact.lower
-    y = scipy.linalg.solve_triangular(lower, a, lower=True, check_finite=False)
-    c = scipy.linalg.solve_triangular(lower, y.T, lower=True, check_finite=False)
+    y = _solve_triangular(lower, a, lower=True)
+    c = _solve_triangular(lower, y.T, lower=True)
     return 0.5 * (c + c.T)
 
 
@@ -191,7 +242,7 @@ def sym_generalized_eig(a, b_fact):
     mapped back as x = L⁻ᵀ y, which makes them B-orthonormal.
     """
     eigenvalues, v = np.linalg.eigh(_reduce_pencil(a, b_fact))
-    x = scipy.linalg.solve_triangular(b_fact.lower.T, v, lower=False, check_finite=False)
+    x = _solve_triangular(b_fact.lower.T, v, lower=False)
     return EigResult(eigenvalues=eigenvalues, eigenvectors=x)
 
 
@@ -241,7 +292,7 @@ def limit_scipy_blas_threads():
     ``/proc/self/maps`` (not Linux) or a known setter this does nothing; it
     never raises.
     """
-    scipy_dir = os.path.dirname(scipy.__file__)
+    scipy_dir = os.path.dirname(os.path.dirname(lapack.__file__))
     prefixes = (scipy_dir + os.sep, scipy_dir + ".libs" + os.sep)
     try:
         with open("/proc/self/maps", "rb") as maps:

@@ -22,14 +22,13 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import lapack
 
 from .algebra import (
     DimensionMismatch,
     NonFinite,
     as_matrix,
     cholesky,
+    lapack,
     require_symmetric,
     spd_solve,
     sym_generalized_eigvals,
@@ -460,7 +459,9 @@ def verify_coercivity(pb, d, report=None):
     _require_below_gamma0(d.gamma, rep)
     system = assemble_stabilized(pb, d)
     sym_k = 0.5 * (system.matrix + system.matrix.T)
-    norms = scipy.linalg.block_diag(d.U.gram_sub, pb.pressures.q_eff)
+    g_u, q_eff = d.U.gram_sub, pb.pressures.q_eff
+    off = np.zeros((len(g_u), len(q_eff)))
+    norms = np.block([[g_u, off], [off.T, q_eff]])
     measured = float(sym_generalized_eigvals(sym_k, cholesky(norms, "norm block"))[0])
     predicted = rep.beta_gamma(d.gamma)
     if measured < predicted - COERCIVITY_TOL * max(1.0, abs(predicted)):

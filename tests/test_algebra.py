@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import dualstab
 from dualstab import algebra
@@ -13,6 +14,7 @@ from dualstab.algebra import (
     BandedSpdFactorization,
     DimensionMismatch,
     NotSpd,
+    SpdFactorization,
     band_apply,
     band_to_dense,
     cholesky,
@@ -305,19 +307,20 @@ print(json.dumps({"limited": limited, "before": before, "after": after,
 """
 
 
+def _run_child(code, *args, **env):
+    """Run ``python -c code *args`` on this src/, with ``env`` added to the environment."""
+    src = str(Path(dualstab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, **env)
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
 class TestScipyBlasThreads:
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
     def test_limits_scipy_copy_only(self):
         # in a child, so this process's thread pools stay as they are
-        src = str(Path(dualstab.__file__).resolve().parents[1])
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-c", _LIMITER_PROBE],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        proc = _run_child(_LIMITER_PROBE, OPENBLAS_NUM_THREADS="2")
         assert proc.returncode == 0, proc.stderr[-2000:]
         probe = json.loads(proc.stdout)
         if not probe["limited"]:
@@ -332,7 +335,8 @@ class TestScipyBlasThreads:
 
     def test_blas_outside_scipy_left_alone(self, monkeypatch, tmp_path):
         # as a BLAS that numpy and scipy share would be
-        monkeypatch.setattr(algebra.scipy, "__file__", str(tmp_path / "scipy" / "__init__.py"))
+        elsewhere = tmp_path / "scipy" / "linalg" / "_flapack.so"
+        monkeypatch.setattr(algebra.lapack, "__file__", str(elsewhere))
         assert limit_scipy_blas_threads() == ()
 
     def test_no_process_maps_does_nothing(self, monkeypatch):
@@ -341,3 +345,110 @@ class TestScipyBlasThreads:
 
         monkeypatch.setattr(algebra, "open", no_maps, raising=False)
         assert limit_scipy_blas_threads() == ()
+
+
+# The LAPACK routines src calls, all from scipy's f2py LAPACK module.
+LAPACK_ROUTINES = ("dpotrf", "dpbtrf", "dpbtrs", "dtrtrs", "dlange", "dgetrf", "dgecon", "dgetrs")
+
+_SAME_KERNELS_PROBE = """
+import sys
+if sys.argv[1] == "dualstab-first":
+    from dualstab import algebra
+    import scipy.linalg.lapack as lapack
+else:
+    import scipy.linalg.lapack as lapack
+    from dualstab import algebra
+assert algebra.lapack is sys.modules["scipy.linalg._flapack"] is lapack._flapack
+different = [n for n in sys.argv[2:] if getattr(algebra.lapack, n) is not getattr(lapack, n)]
+sys.exit(f"different objects: {different}" if different else 0)
+"""
+
+_CLI_IMPORTS_PROBE = """
+import sys
+import dualstab.cli as cli
+for command in ("constants", "solve"):
+    code = cli.main([command, "--config", sys.argv[1], "--out", sys.argv[2] + "." + command])
+    assert code == 0, (command, code)
+sys.exit("scipy.linalg imported" if "scipy.linalg" in sys.modules else 0)
+"""
+
+
+class TestLapackModule:
+    @pytest.mark.parametrize("order", ["dualstab-first", "scipy-first"])
+    def test_one_set_of_kernels(self, order):
+        # whichever imports first, src and scipy.linalg.lapack call the same objects
+        proc = _run_child(_SAME_KERNELS_PROBE, order, *LAPACK_ROUTINES)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+
+    def test_cli_does_not_import_scipy_linalg(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("truth_elems = 64\ncoarse_elems = 8\n")
+        proc = _run_child(_CLI_IMPORTS_PROBE, str(cfg), str(tmp_path / "report"))
+        assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+SIZES = (1, 2, 3, 17, 64, 200)
+
+
+class TestBitForBitWithScipy:
+    """Each kernel returns exactly the bits of scipy's public wrapper."""
+
+    @staticmethod
+    def rhs_cases(rng, n):
+        mat = rng.standard_normal((n, 3))
+        return (rng.standard_normal(n), mat, np.asfortranarray(mat))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_cholesky_and_dense_solve(self, order):
+        rng = np.random.default_rng(21)
+        for n in SIZES:
+            m = random_spd(rng, n)
+            m = np.asarray(0.5 * (m + m.T), order=order)
+            fact = cholesky(m, "m")
+            assert np.array_equal(fact.lower, scipy.linalg.cholesky(m, lower=True))
+            # dpotrf returns an F-ordered factor; a C-ordered one takes the other trtrs branch
+            for lower in (fact.lower, np.ascontiguousarray(fact.lower)):
+                f = SpdFactorization(dim=n, lower=lower)
+                for b in self.rhs_cases(rng, n):
+                    y = scipy.linalg.solve_triangular(lower, b, lower=True)
+                    x = scipy.linalg.solve_triangular(lower.T, y, lower=False)
+                    assert np.array_equal(spd_solve(f, b), x)
+
+    @pytest.mark.parametrize("u", [0, 1, 3])
+    def test_band_factor_and_solve(self, u):
+        rng = np.random.default_rng(22 + u)
+        for n in SIZES:
+            band = random_band(rng, n, u)
+            fact = cholesky_band(band, "band")
+            upper = scipy.linalg.cholesky_banded(band, lower=False)
+            assert np.array_equal(fact.upper, upper)
+            for b in self.rhs_cases(rng, n):
+                x = scipy.linalg.cho_solve_banded((upper, False), b)
+                assert np.array_equal(spd_solve(fact, b), x)
+
+    def test_generalized_eig(self):
+        rng = np.random.default_rng(23)
+        for n in SIZES:
+            a = random_spd(rng, n) - 2.0 * np.eye(n)
+            a = 0.5 * (a + a.T)
+            fact = cholesky(random_spd(rng, n), "b")
+            lower = fact.lower
+            y = scipy.linalg.solve_triangular(lower, a, lower=True)
+            c = scipy.linalg.solve_triangular(lower, y.T, lower=True)
+            c = 0.5 * (c + c.T)
+            assert np.array_equal(sym_generalized_eigvals(a, fact), np.linalg.eigvalsh(c))
+            w, v = np.linalg.eigh(c)
+            res = sym_generalized_eig(a, fact)
+            assert np.array_equal(res.eigenvalues, w)
+            x = scipy.linalg.solve_triangular(lower.T, v, lower=False)
+            assert np.array_equal(res.eigenvectors, x)
+
+    def test_not_spd_messages(self):
+        indefinite = np.array([[0.0, 2.0], [1.0, 1.0]])  # [[1, 2], [2, 1]]
+        singular = np.array([[0.0, 1.0], [1.0, 1.0 + 1e-15]])  # last pivot at roundoff
+        for factor, storage in ((cholesky, band_to_dense), (cholesky_band, np.asarray)):
+            with pytest.raises(NotSpd, match=r"^m is not positive definite$"):
+                factor(storage(indefinite), "m")
+            singular_message = r"^m is numerically singular \(pivot below threshold\)$"
+            with pytest.raises(NotSpd, match=singular_message):
+                factor(storage(singular), "m")

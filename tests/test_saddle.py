@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 from dataclasses import replace
 from hypothesis import HealthCheck, given, settings
 
@@ -180,7 +179,7 @@ class TestSolve:
             norms.append(anorm)
             raise Screened
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dgecon", recorded)
+        monkeypatch.setattr(saddle.lapack, "dgecon", recorded)
         rng = np.random.default_rng(14)
         expected = []
         for _ in range(100):
@@ -205,7 +204,7 @@ class TestSolve:
     def test_factors_each_system_once(self, monkeypatch):
         # one LU factorization screens and solves; no SVD, no second factorization
         calls = []
-        original = scipy.linalg.lapack.dgetrf
+        original = saddle.lapack.dgetrf
 
         def counted(a, *args, **kwargs):
             calls.append(a.shape)
@@ -217,7 +216,7 @@ class TestSolve:
         cfg, pb, d = build(gamma=0.25)
         stab = assemble_stabilized(pb, d)
         tf = assemble_three_field(pb, d)
-        monkeypatch.setattr(scipy.linalg.lapack, "dgetrf", counted)
+        monkeypatch.setattr(saddle.lapack, "dgetrf", counted)
         for name in ("svd", "solve", "lstsq"):
             monkeypatch.setattr(np.linalg, name, forbidden)
         solve(stab)
