@@ -70,7 +70,11 @@ def _load_lapack():
 lapack = _load_lapack()
 
 
-class NotSpd(Exception):
+class NumericalFailure(Exception):
+    """A computation failed numerically; every command exits 3 on one."""
+
+
+class NotSpd(NumericalFailure):
     """Matrix is not symmetric positive definite (or numerically singular)."""
 
 
@@ -78,7 +82,7 @@ class DimensionMismatch(Exception):
     """Operand shapes do not conform."""
 
 
-class NonFinite(ValueError):
+class NonFinite(NumericalFailure, ValueError):
     """Matrix has an infinite or NaN entry, e.g. after an overflow."""
 
 

@@ -2,12 +2,12 @@
 
 Config files are flat ``key = value`` text ('#' starts a comment); command
 line flags override file values.  Exit codes: 0 all checks pass, 1 a
-mathematical check failed, 2 config error, 3 numerical failure (a kernel
-failure, running out of memory, or an overflow or invalid value anywhere in a
-command).  A config whose truth mesh is above ``models.DENSE_TRUTH_LIMIT`` is
-a config error when it needs a dense truth path: a W on the whole truth mesh
-(``w = truth``, or a ``refined:k`` or ``same`` that reaches it),
-``reaction > 0`` or the command ``condense-check``.
+mathematical check failed, 2 config error, 3 numerical failure (any
+``algebra.NumericalFailure`` or LAPACK error, running out of memory, or an
+overflow or invalid value anywhere in a command).  A config whose truth mesh
+is above ``models.DENSE_TRUTH_LIMIT`` is a config error when it needs a dense
+truth path: a W on the whole truth mesh (``w = truth``, or a ``refined:k`` or
+``same`` that reaches it), ``reaction > 0`` or the command ``condense-check``.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import models, saddle
-from .algebra import NonFinite, NotSpd, limit_scipy_blas_threads
-from .dualprod import BoundViolated, DegeneratePencil, spectral_checks, stiffness_scale, truth_constants
+from .algebra import NumericalFailure, limit_scipy_blas_threads
+from .dualprod import BoundViolated, spectral_checks, stiffness_scale, truth_constants
 from .models import ModelConfig, NestingViolated
 from .report import Report, write_report
-from .saddle import DegenerateDenominator, GammaTooLarge, GammaZero, SingularSystem
+from .saddle import GammaTooLarge, SingularSystem
 
 # pass/fail thresholds of the sweep verdicts
 RATE_FLOOR = 0.9
@@ -525,18 +525,8 @@ def main(argv=None):
     except BoundViolated as exc:
         print(f"dualstab: check failed: {exc}", file=sys.stderr)
         return 1
-    except (
-        NotSpd,
-        DegeneratePencil,
-        DegenerateDenominator,
-        GammaZero,
-        SingularSystem,
-        np.linalg.LinAlgError,
-        NonFinite,
-        OverflowError,
-        FloatingPointError,
-        ZeroDivisionError,
-    ) as exc:
+    # ArithmeticError is OverflowError, ZeroDivisionError and FloatingPointError
+    except (NumericalFailure, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"dualstab: numerical failure: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:

@@ -228,7 +228,7 @@ def _gauss_on_elements(n):
     return pts, wts
 
 
-def load_vector(truth_elems, solution, reaction=0.0):
+def load_vector(truth_elems, solution, reaction):
     """Truth actions ⟨F, φ_i⟩ = ∫ (u' − p) φ_i' + reaction ∫ u φ_i."""
     n = truth_elems
     pts, wts = _gauss_on_elements(n)

@@ -26,6 +26,7 @@ import numpy as np
 from .algebra import (
     DimensionMismatch,
     NonFinite,
+    NumericalFailure,
     as_matrix,
     cholesky,
     lapack,
@@ -35,7 +36,6 @@ from .algebra import (
 )
 from .dualprod import (
     KERNEL_RTOL,
-    BoundViolated,
     Check,
     DualProduct,
     deflate_pressures,
@@ -60,7 +60,7 @@ RESIDUAL_RTOL = 1e-10
 COERCIVITY_TOL = 1e-9
 
 
-class SingularSystem(Exception):
+class SingularSystem(NumericalFailure):
     """Assembled system is numerically singular, or its solve misses RESIDUAL_RTOL.
 
     ``rcond`` is the reciprocal 1-norm condition estimate of the matrix:
@@ -72,7 +72,7 @@ class SingularSystem(Exception):
         self.rcond = rcond
 
 
-class GammaZero(Exception):
+class GammaZero(NumericalFailure):
     """Operation requires a positive stabilization parameter."""
 
 
@@ -80,7 +80,7 @@ class GammaTooLarge(ValueError):
     """Stabilization parameter is not below gamma0; no coercivity is predicted."""
 
 
-class DegenerateDenominator(Exception):
+class DegenerateDenominator(NumericalFailure):
     """Best-approximation denominator vanishes: exact solution is discrete."""
 
 
@@ -449,26 +449,23 @@ def _require_below_gamma0(gamma, rep):
         )
 
 
-def verify_coercivity(pb, d, report=None):
+def verify_coercivity(pb, d, report):
     """Measured vs predicted coercivity of the stabilized form.
 
     measured = smallest eigenvalue of (sym K, blockdiag(G_U, G_Q-deflated));
-    asserts measured ≥ beta_gamma(γ) − tol.  Returns (measured, predicted).
+    predicted = beta_gamma(γ) of ``report``, the level's ConstantsReport.
+    BoundViolated from the ``coercivity`` check row when measured falls below
+    predicted beyond COERCIVITY_TOL.  Returns (measured, predicted).
     """
-    rep = constants(pb, d) if report is None else report
-    _require_below_gamma0(d.gamma, rep)
+    _require_below_gamma0(d.gamma, report)
     system = assemble_stabilized(pb, d)
     sym_k = 0.5 * (system.matrix + system.matrix.T)
     g_u, q_eff = d.U.gram_sub, pb.pressures.q_eff
     off = np.zeros((len(g_u), len(q_eff)))
     norms = np.block([[g_u, off], [off.T, q_eff]])
     measured = float(sym_generalized_eigvals(sym_k, cholesky(norms, "norm block"))[0])
-    predicted = rep.beta_gamma(d.gamma)
-    if measured < predicted - COERCIVITY_TOL * max(1.0, abs(predicted)):
-        raise BoundViolated(
-            f"stabilized coercivity {measured:.6e} below predicted {predicted:.6e}",
-            value=measured,
-        )
+    predicted = report.beta_gamma(d.gamma)
+    raise_failed([Check("coercivity", measured, predicted, None, COERCIVITY_TOL)])
     return measured, predicted
 
 
@@ -545,15 +542,15 @@ class QuasiOptimality:
     ratio: float
 
 
-def quasi_optimality(pb, d, exact, report=None):
+def quasi_optimality(pb, d, exact, report):
     """Solve and compare the error against the best-approximation error.
 
     ``exact`` is the pair (truth velocity coefficients, raw pressure
-    coefficients).  Best approximations are the G- and G_Q-orthogonal
+    coefficients); ``report`` is the level's ConstantsReport, whose gamma0
+    bounds d.gamma.  Best approximations are the G- and G_Q-orthogonal
     projections onto U and the deflated pressure space.
     """
-    rep = constants(pb, d) if report is None else report
-    _require_below_gamma0(d.gamma, rep)
+    _require_below_gamma0(d.gamma, report)
     xe, ye = (np.asarray(v, dtype=float) for v in exact)
     y_ref = project_pressure(pb, ye)
     u_err, p_err = _error_norms(pb, d, solve(assemble_stabilized(pb, d)), xe, y_ref)

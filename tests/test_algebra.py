@@ -373,6 +373,16 @@ sys.exit("scipy.linalg imported" if "scipy.linalg" in sys.modules else 0)
 """
 
 
+class TestPackageRoot:
+    def test_defines_no_public_name_but_the_version(self):
+        # in a child, where no test has imported a submodule yet
+        code = "import dualstab; print(*sorted(n for n in vars(dualstab) if not n.startswith('_')))"
+        proc = _run_child(code)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.split() == []
+        assert "__version__" in vars(dualstab)
+
+
 class TestLapackModule:
     @pytest.mark.parametrize("order", ["dualstab-first", "scipy-first"])
     def test_one_set_of_kernels(self, order):

@@ -193,6 +193,20 @@ class TestExitCodes:
         assert code == 3
         assert "dualstab: numerical failure:" in capsys.readouterr().err
 
+    def test_any_numerical_failure_exits_3_in_one_line(self, tmp_path, monkeypatch, capsys):
+        # a failure class cli does not name exits 3 through the common base
+        class NewFailure(algebra.NumericalFailure):
+            pass
+
+        def boom(cfg):
+            raise NewFailure("a new kind of breakdown")
+
+        monkeypatch.setitem(cli._COMMANDS, "constants", boom)
+        assert main(["constants", "--config", write_cfg(tmp_path, SMALL)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["dualstab: numerical failure: a new kind of breakdown"]
+
     def test_bound_violation_exits_1(self, tmp_path, monkeypatch, capsys):
         def boom(cfg):
             raise BoundViolated("spectral bound breached", value=0.5)

@@ -134,7 +134,7 @@ class TestStiffnessChoices:
         sub = Subspace(ts, rng.standard_normal((10, 4)))
         other = Subspace(ts, rng.standard_normal((10, 3)))
         with pytest.raises(Exception):
-            DualProduct(aux=sub, stiffness=make_stiffness(other))
+            DualProduct(aux=sub, stiffness=make_stiffness(other, "gramian"))
 
     def test_stiffness_must_be_built_on_the_same_subspace(self):
         # a re-based copy of W has W's dimension, but S in its basis is not S in W's:
@@ -143,8 +143,8 @@ class TestStiffnessChoices:
         sub = Subspace(ts, prolongation_p1(64, 16))
         rebased = Subspace(ts, sub.embedding @ (np.eye(15) + np.triu(np.ones((15, 15)), 1)))
         with pytest.raises(DimensionMismatch, match="another subspace"):
-            DualProduct(aux=sub, stiffness=make_stiffness(rebased))
-        DualProduct(aux=sub, stiffness=make_stiffness(sub))
+            DualProduct(aux=sub, stiffness=make_stiffness(rebased, "gramian"))
+        DualProduct(aux=sub, stiffness=make_stiffness(sub, "gramian"))
 
 
 class TestCApply:

@@ -487,11 +487,24 @@ class TestCoercivity:
         with pytest.raises(ValueError, match="gamma .* is not below gamma0 .*; no coercivity"):
             getattr(saddle, check)(*args, report=rep)
 
+    def test_violation_raises_from_check_row(self):
+        # a report whose prediction exceeds the measured constant fails the
+        # coercivity row, in the check-table form
+        cfg, pb, d = build(gamma=0.0)
+        rep = constants(pb, d)
+        d2 = models.build_spaces(replace(cfg, gamma=rep.gamma0 / 2), pb)
+        measured, _ = verify_coercivity(pb, d2, report=rep)
+        inflated = replace(rep, alpha=10.0 * rep.alpha, c_star=10.0 * rep.c_star)
+        assert inflated.beta_gamma(d2.gamma) > measured
+        with pytest.raises(BoundViolated, match=r"^coercivity ") as exc:
+            verify_coercivity(pb, d2, report=inflated)
+        assert exc.value.value == measured
+
     def test_gamma_zero_predicts_nothing(self):
         # at gamma = 0 the symmetric part has a zero pressure block: the
         # measured constant is 0 and so is the prediction
         cfg, pb, d = build(gamma=0.0)
-        measured, predicted = verify_coercivity(pb, d)
+        measured, predicted = verify_coercivity(pb, d, report=saddle.constants(pb, d))
         assert predicted == 0.0
         assert abs(measured) <= 1e-9
 
@@ -540,7 +553,7 @@ class TestQuasiOptimality:
     def test_ratio_bounded_on_manufactured_solution(self):
         cfg, pb, d = build(truth=256, coarse=16, gamma=0.3)
         exact = models.exact_coefficients(cfg, models.default_solution())
-        qo = quasi_optimality(pb, d, exact)
+        qo = quasi_optimality(pb, d, exact, report=saddle.constants(pb, d))
         assert qo.u_err >= qo.best_u - 1e-12
         assert 1.0 - 1e-9 <= qo.ratio < 3.0
 
@@ -550,7 +563,7 @@ class TestQuasiOptimality:
         xe = d.U.embedding @ rng.standard_normal(d.U.dim)
         ye = pb.pressures.basis @ rng.standard_normal(d.p_dim)
         with pytest.raises(DegenerateDenominator):
-            quasi_optimality(pb, d, (xe, ye))
+            quasi_optimality(pb, d, (xe, ye), report=saddle.constants(pb, d))
 
 
 class TestValidation:
