@@ -4,9 +4,10 @@ Everything downstream (dual norms, spectral equivalence constants, coercivity
 pencils) reduces to SPD factorizations and symmetric generalized eigenproblems.
 The heavy lifting is delegated to LAPACK: eigensolves to numpy's, and
 factorizations and triangular solves to scipy's f2py LAPACK module
-(``lapack``, loaded without importing ``scipy.linalg``).  This module owns the
-contracts: validation, pivot screening, Cholesky reduction of pencils, and the
-error taxonomy.
+(``lapack``, loaded without importing ``scipy.linalg``, with the OpenBLAS
+that scipy bundles started on one thread).  This module owns the contracts:
+validation, pivot screening, Cholesky reduction of pencils, and the error
+taxonomy.
 
 Matrices are plain float64 ndarrays.  Sizes are desk scale (a few thousand at
 most), so dense storage and full spectra are the right trade-off, with one
@@ -17,7 +18,6 @@ for i ≤ j with u superdiagonals, and factored and solved there in O(n u²).
 
 from __future__ import annotations
 
-import ctypes
 import importlib.machinery
 import importlib.util
 import os
@@ -32,9 +32,6 @@ PIVOT_RTOL = 1e-12
 # relative tolerance when an input is required to be symmetric
 SYMMETRY_RTOL = 1e-12
 
-# thread-count setters of an OpenBLAS that scipy bundles, newest wheels first
-SCIPY_BLAS_SETTERS = ("scipy_openblas_set_num_threads", "openblas_set_num_threads")
-
 
 def _load_lapack():
     """scipy's f2py LAPACK module, the one behind ``scipy.linalg.lapack``.
@@ -46,27 +43,47 @@ def _load_lapack():
     ``import scipy.linalg`` reuses it, as this reuses an earlier one.  Where
     the file is missing or does not load on its own, the module is imported
     the normal way: the same module, imported slowly.
+
+    numpy and scipy wheels each bundle their own OpenBLAS, each with its own
+    thread pool.  A level alternates small numpy gemms and eigensolves with
+    small scipy factorizations and triangular solves, and at more than one
+    thread the idle workers of one pool spin on the cores the other needs.
+    OpenBLAS reads ``OPENBLAS_NUM_THREADS`` once, when it is loaded, so the
+    variable reads 1 while the extension is created (creating it loads
+    scipy's OpenBLAS) and is put back as the caller had it right after.  A
+    BLAS that numpy and scipy share is already loaded, and keeps its count.
+    So does scipy's copy when scipy's LAPACK was loaded before this module.
     """
     name = "scipy.linalg._flapack"
     if name in sys.modules:
         return sys.modules[name]
-    scipy_spec = importlib.util.find_spec("scipy")
-    if scipy_spec is not None and scipy_spec.submodule_search_locations:
-        suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
-        path = os.path.join(scipy_spec.submodule_search_locations[0], "linalg", "_flapack" + suffix)
-        if os.path.isfile(path):
-            spec = importlib.util.spec_from_file_location(name, path)
-            try:
-                module = importlib.util.module_from_spec(spec)
-                sys.modules[name] = module
-                spec.loader.exec_module(module)
-                return module
-            except ImportError:
-                # e.g. on Windows, where scipy's __init__ adds its bundled DLLs' directory
-                sys.modules.pop(name, None)
-    return importlib.import_module(name)
+    caller_threads = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        scipy_spec = importlib.util.find_spec("scipy")
+        if scipy_spec is not None and scipy_spec.submodule_search_locations:
+            suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+            path = os.path.join(scipy_spec.submodule_search_locations[0], "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                spec = importlib.util.spec_from_file_location(name, path)
+                try:
+                    module = importlib.util.module_from_spec(spec)
+                    sys.modules[name] = module
+                    spec.loader.exec_module(module)
+                    return module
+                except ImportError:
+                    # e.g. on Windows, where scipy's __init__ adds its bundled DLLs' directory
+                    sys.modules.pop(name, None)
+        return importlib.import_module(name)
+    finally:
+        if caller_threads is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = caller_threads
 
 
+# numpy must be imported first (it is, above): its OpenBLAS then starts at the
+# caller's thread count, before this loads scipy's on one thread
 lapack = _load_lapack()
 
 
@@ -277,46 +294,3 @@ def operator_norm(a, test_fact, trial_fact):
     m = 0.5 * (m + m.T)
     top = sym_generalized_eigvals(m, trial_fact)[-1]
     return float(np.sqrt(max(top, 0.0)))
-
-
-def limit_scipy_blas_threads():
-    """Run the OpenBLAS that scipy bundles on one thread; return the paths limited.
-
-    numpy and scipy wheels each bundle their own OpenBLAS, each with its own
-    thread pool.  A level alternates small numpy gemms and eigensolves with
-    small scipy factorizations and triangular solves, and at more than one
-    thread the idle workers of one pool spin on the cores the other needs.
-    numpy's copy keeps the thread count ``OPENBLAS_NUM_THREADS`` gives it.
-
-    A library is limited when it is mapped into this process, its file name
-    contains ``openblas``, and it lies in scipy's package directory or in
-    the ``scipy.libs`` directory beside it.  The first setter of
-    ``SCIPY_BLAS_SETTERS`` it exports is called with 1.  A BLAS that numpy
-    and scipy share lies elsewhere and is left alone.  Without
-    ``/proc/self/maps`` (not Linux) or a known setter this does nothing; it
-    never raises.
-    """
-    scipy_dir = os.path.dirname(os.path.dirname(lapack.__file__))
-    prefixes = (scipy_dir + os.sep, scipy_dir + ".libs" + os.sep)
-    try:
-        with open("/proc/self/maps", "rb") as maps:
-            # address perms offset dev inode [path]
-            fields = [line.split(maxsplit=5) for line in maps]
-    except OSError:
-        return ()
-    paths = {os.fsdecode(f[5].rstrip()) for f in fields if len(f) == 6}
-    limited = []
-    for path in sorted(paths):
-        if "openblas" not in os.path.basename(path) or not path.startswith(prefixes):
-            continue
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        setters = [getattr(lib, name) for name in SCIPY_BLAS_SETTERS if hasattr(lib, name)]
-        if setters:
-            setters[0].argtypes = [ctypes.c_int]
-            setters[0].restype = None
-            setters[0](1)
-            limited.append(path)
-    return tuple(limited)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import models, saddle
-from .algebra import NumericalFailure, limit_scipy_blas_threads
+from .algebra import NumericalFailure
 from .dualprod import BoundViolated, spectral_checks, stiffness_scale, truth_constants
 from .models import ModelConfig, NestingViolated
 from .report import Report, write_report
@@ -480,11 +480,7 @@ _COMMANDS = {
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="dualstab",
-        description="Stabilized saddle point experiments with verified spectral bounds.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    """One parser for every command: all commands take the same options."""
     helps = {
         "constants": "measured stability and stabilization constants per level",
         "spectral": "verify every spectral bound of the dual product",
@@ -493,23 +489,29 @@ def _build_parser():
         "converge": "error sweep over dyadic coarse meshes",
         "condense-check": "static-condensation and auxiliary-field diagnostics",
     }
-    for name in _COMMANDS:
-        sp = sub.add_parser(name, help=helps[name])
-        sp.add_argument("--config", required=True, help="flat key = value config file")
-        sp.add_argument("--out", help="output path (default: stdout)")
-        sp.add_argument("--format", choices=("csv", "json"), help="report format (default csv)")
-        sp.add_argument("--seed", help="seed of randomized sweeps (default 0)")
-        sp.add_argument("--gamma", help="stabilization parameter, or 'auto' for gamma0/2")
-        sp.add_argument("--truth-elems", dest="truth_elems", help="truth mesh element count")
-        sp.add_argument("--coarse-elems", dest="coarse_elems", help="coarse mesh element count")
-        sp.add_argument("--pressure", choices=("p1", "p0"), help="pressure basis kind")
-        sp.add_argument("--w", help="auxiliary space: refined:<k>, truth, or same")
-        sp.add_argument("--s", help="stiffness choice: gramian, scaled:<s>, or lumped")
+    parser = argparse.ArgumentParser(
+        prog="dualstab",
+        description="Stabilized saddle point experiments with verified spectral bounds.",
+        epilog="commands:\n" + "".join(f"  {name:<16}{helps[name]}\n" for name in _COMMANDS),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument(
+        "command", choices=tuple(_COMMANDS), metavar="command", help="one of the commands below"
+    )
+    parser.add_argument("--config", required=True, help="flat key = value config file")
+    parser.add_argument("--out", help="output path (default: stdout)")
+    parser.add_argument("--format", choices=("csv", "json"), help="report format (default csv)")
+    parser.add_argument("--seed", help="seed of randomized sweeps (default 0)")
+    parser.add_argument("--gamma", help="stabilization parameter, or 'auto' for gamma0/2")
+    parser.add_argument("--truth-elems", dest="truth_elems", help="truth mesh element count")
+    parser.add_argument("--coarse-elems", dest="coarse_elems", help="coarse mesh element count")
+    parser.add_argument("--pressure", choices=("p1", "p0"), help="pressure basis kind")
+    parser.add_argument("--w", help="auxiliary space: refined:<k>, truth, or same")
+    parser.add_argument("--s", help="stiffness choice: gramian, scaled:<s>, or lumped")
     return parser
 
 
 def main(argv=None):
-    limit_scipy_blas_threads()
     args = _build_parser().parse_args(argv)
     overrides = {
         key: getattr(args, key)

@@ -37,7 +37,12 @@ from .hilbert import BandedTruthSpace, Functional, Subspace
 # error_norms is defined beside quasi_optimality, which shares it
 from .saddle import Discretization, SaddleProblem, error_norms, split_truth  # noqa: F401
 
-GAUSS_POINTS = 5
+# the 5-point Gauss-Legendre rule on [-1, 1]: the round-trip values of
+# numpy.polynomial.legendre.leggauss(5), which would cost every command the
+# numpy.polynomial import; the closed forms (128/225, ...) differ in last bits
+GAUSS_NODES = (-0.906179845938664, -0.5384693101056831, 0.0, 0.5384693101056831, 0.906179845938664)
+GAUSS_WEIGHTS = (0.23692688505618928, 0.4786286704993663, 0.5688888888888887, 0.4786286704993663,
+                 0.23692688505618928)
 
 # Largest truth mesh of the paths that still build n × n truth matrices:
 # a W on the whole truth mesh (w = truth, or a refined:k or same that reaches
@@ -221,7 +226,7 @@ def constraint_matrix(truth_elems, coarse_elems, kind):
 
 def _gauss_on_elements(n):
     """Gauss points and weights per element of a uniform n-element mesh."""
-    gx, gw = np.polynomial.legendre.leggauss(GAUSS_POINTS)
+    gx, gw = np.array(GAUSS_NODES), np.array(GAUSS_WEIGHTS)
     elems = np.arange(n)[:, None]
     pts = (elems + 0.5 * (gx[None, :] + 1.0)) / n
     wts = np.broadcast_to(gw[None, :] / (2.0 * n), pts.shape)

@@ -9,7 +9,6 @@ import pytest
 import scipy.linalg
 
 import dualstab
-from dualstab import algebra
 from dualstab.algebra import (
     BandedSpdFactorization,
     DimensionMismatch,
@@ -19,7 +18,6 @@ from dualstab.algebra import (
     band_to_dense,
     cholesky,
     cholesky_band,
-    limit_scipy_blas_threads,
     operator_norm,
     require_symmetric,
     spd_solve,
@@ -277,13 +275,16 @@ class TestRequireSymmetric:
             require_symmetric(np.zeros((2, 3)), "m")
 
 
-# Reads every mapped OpenBLAS's thread count before and after the limiter.
+# Reads, after import dualstab.cli, the thread count of every mapped OpenBLAS
+# of scipy's and of numpy's, the thread variable and this process's OS threads.
 # The OpenBLAS of numpy wheels has 64-bit integers and a 64_ symbol suffix.
-_LIMITER_PROBE = """
+_THREADS_PROBE = """
 import ctypes, json, os
 import numpy
-from dualstab.algebra import limit_scipy_blas_threads
+import dualstab.cli
+from dualstab import algebra
 
+os_threads = len(os.listdir("/proc/self/task"))
 GETTERS = ("scipy_openblas_get_num_threads", "openblas_get_num_threads",
            "scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_")
 
@@ -298,53 +299,60 @@ def threads(path):
 
 with open("/proc/self/maps") as maps:
     mapped = sorted({line.split(maxsplit=5)[5].rstrip() for line in maps if "openblas" in line})
-before = {path: threads(path) for path in mapped}
-limited = limit_scipy_blas_threads()
-after = {path: threads(path) for path in mapped}
-print(json.dumps({"limited": limited, "before": before, "after": after,
-                  "cores": len(os.sched_getaffinity(0)),
-                  "numpy_dir": os.path.dirname(numpy.__file__)}))
+scipy_dir = os.path.dirname(os.path.dirname(algebra.lapack.__file__))
+scipy_prefixes = (scipy_dir + os.sep, scipy_dir + ".libs" + os.sep)
+# numpy's copy lies in numpy/ or numpy.libs/
+numpy_dir = os.path.dirname(numpy.__file__)
+print(json.dumps({"scipy": [threads(p) for p in mapped if p.startswith(scipy_prefixes)],
+                  "numpy": [threads(p) for p in mapped if p.startswith(numpy_dir)],
+                  "variable": os.environ.get("OPENBLAS_NUM_THREADS"),
+                  "os_threads": os_threads,
+                  "cores": len(os.sched_getaffinity(0))}))
 """
 
 
 def _run_child(code, *args, **env):
-    """Run ``python -c code *args`` on this src/, with ``env`` added to the environment."""
+    """Run ``python -c code *args`` on this src/, with ``env`` added to the environment.
+
+    A variable given as None is removed from the child's environment.
+    """
     src = str(Path(dualstab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src, **env)
+    env = {k: v for k, v in dict(os.environ, PYTHONPATH=src, **env).items() if v is not None}
     return subprocess.run(
         [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=60
     )
 
 
-class TestScipyBlasThreads:
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
-    def test_limits_scipy_copy_only(self):
+def _threads_probe(threads):
+    """The thread probe of a child started with OPENBLAS_NUM_THREADS = threads (None: unset)."""
+    proc = _run_child(_THREADS_PROBE, OPENBLAS_NUM_THREADS=threads)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+class TestScipyBlasStartsOnOneThread:
+    """scipy's bundled OpenBLAS starts single-threaded when algebra loads it."""
+
+    @pytest.fixture(scope="class")
+    def probe(self):
         # in a child, so this process's thread pools stay as they are
-        proc = _run_child(_LIMITER_PROBE, OPENBLAS_NUM_THREADS="2")
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        probe = json.loads(proc.stdout)
-        if not probe["limited"]:
+        probe = _threads_probe("2")
+        if not probe["scipy"]:
             pytest.skip("no separate OpenBLAS bundled with scipy in this install")
-        for path in probe["limited"]:
-            assert probe["after"][path] == 1
-        # numpy's copy lies in numpy/ or numpy.libs/
-        for path in probe["after"]:
-            if path.startswith(probe["numpy_dir"]):
-                assert path not in probe["limited"]
-                assert probe["after"][path] == probe["before"][path] == min(2, probe["cores"])
+        return probe
 
-    def test_blas_outside_scipy_left_alone(self, monkeypatch, tmp_path):
-        # as a BLAS that numpy and scipy share would be
-        elsewhere = tmp_path / "scipy" / "linalg" / "_flapack.so"
-        monkeypatch.setattr(algebra.lapack, "__file__", str(elsewhere))
-        assert limit_scipy_blas_threads() == ()
+    def test_scipy_copy_on_one_thread_numpy_copy_on_callers(self, probe):
+        assert probe["scipy"] == [1] * len(probe["scipy"])
+        assert probe["numpy"] == [min(2, probe["cores"])]
 
-    def test_no_process_maps_does_nothing(self, monkeypatch):
-        def no_maps(*args, **kwargs):
-            raise FileNotFoundError("no /proc on this system")
+    def test_thread_variable_put_back(self, probe):
+        assert probe["variable"] == "2"
+        assert _threads_probe(None)["variable"] is None
 
-        monkeypatch.setattr(algebra, "open", no_maps, raising=False)
-        assert limit_scipy_blas_threads() == ()
+    def test_no_scipy_blas_worker(self, probe):
+        # the main thread and numpy's workers; scipy's pool has none
+        assert probe["os_threads"] == 1 + (probe["numpy"][0] - 1)
 
 
 # The LAPACK routines src calls, all from scipy's f2py LAPACK module.

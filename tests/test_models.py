@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
-from dataclasses import replace
 
 from dualstab import hilbert, models, saddle
 from dualstab.algebra import cholesky
@@ -253,6 +258,31 @@ class TestData:
         _, y0 = models.exact_coefficients(cfg0, sol)
         assert y0.shape == (8,)
         assert y0[0] == pytest.approx(np.cos(np.pi / 16))
+
+    def test_gauss_rule_is_leggauss_bit_for_bit(self):
+        gx, gw = np.polynomial.legendre.leggauss(5)
+        assert np.array(models.GAUSS_NODES).tobytes() == gx.tobytes()
+        assert np.array(models.GAUSS_WEIGHTS).tobytes() == gw.tobytes()
+
+    def test_command_does_not_import_numpy_polynomial(self, tmp_path):
+        # in a child, where no test has imported numpy.polynomial yet
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("truth_elems = 64\ncoarse_elems = 8\n")
+        code = (
+            "import sys; from dualstab.cli import main\n"
+            "assert main(['constants', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
+        )
+        src = str(Path(models.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(cfg), str(tmp_path / "report.csv")],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.split() == []
 
     def test_manufactured_solution_boundary_and_mean(self):
         sol = default_solution()
