@@ -408,45 +408,15 @@ def _default_sweep(cfg):
     return tuple(levels)
 
 
-def _maximal_w_ratios(cfg, truth):
-    """w_ratio per gamma on the maximal level U = W = truth, where w must vanish.
-
-    U is the whole truth space, so W = U is the same subspace.  A singular
-    system is re-raised naming the system and its gamma.
-    """
-    _, pb, spaces = _level(replace(cfg, w="same"), truth, cfg.truth_elems)
-    ratios = []
-    for gamma in cfg.gammas:
-        d = saddle.Discretization(pb, spaces.U, spaces.dp, gamma)
-        try:
-            x, z, _ = saddle.solve(saddle.assemble_three_field(pb, d))
-        except SingularSystem as exc:
-            raise SingularSystem(
-                f"maximal system (U = W = truth) at gamma {float(gamma)!r}: {exc}", exc.rcond
-            ) from exc
-        ratios.append(pb.truth.norm(z) / (1.0 + pb.truth.norm(d.U.embedding @ x)))
-    return ratios
-
-
-def _condensation_discrepancies(cfg, truth):
-    """Condensation discrepancy per gamma on the configured level."""
-    # the spaces do not depend on gamma: build them once, vary gamma only
-    _, pb, spaces = _level(cfg, truth, cfg.coarse_elems)
-    discs = []
-    for gamma in cfg.gammas:
-        d = saddle.Discretization(pb, spaces.U, spaces.dp, gamma)
-        tf = saddle.assemble_three_field(pb, d)
-        stab = saddle.assemble_stabilized(pb, d)
-        discs.append(condensation_discrepancy(stab, saddle.static_condense(tf)))
-    return discs
-
-
 def cmd_condense_check(cfg):
     """Condensation agreement per gamma, plus the maximal-space w ≈ 0 test.
 
-    The maximal phase, which can end the command, runs first.  Each phase
-    returns only its per-gamma floats, so its level is freed before the next
-    one is built.
+    One level, the configured one, is built.  W ⊆ U forces w = 0 whatever the
+    pressures, so the maximal systems (U = W = truth) run on the configured
+    problem: on its W where that spans the truth mesh, on a truth subspace
+    otherwise.  They run first, since a singular one ends the command with
+    its gamma named, and their spaces are dropped before the condensation
+    discrepancy is measured on the configured spaces.
     """
     columns = ["gamma", "discrepancy", "w_ratio", "status"]
     try:
@@ -454,9 +424,29 @@ def cmd_condense_check(cfg):
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     report = Report("condense-check", _config_echo(cfg), cfg.seed, columns)
-    truth = _truth(cfg)
-    ratios = _maximal_w_ratios(cfg, truth)
-    discs = _condensation_discrepancies(cfg, truth)
+    mc, pb, spaces = _level(cfg, _truth(cfg), cfg.coarse_elems)
+    if mc.w_elems() == cfg.truth_elems:
+        maximal = spaces
+    else:
+        maximal = models.build_spaces(replace(mc, coarse_elems=cfg.truth_elems, w_kind="same"), pb)
+    ratios = []
+    for gamma in cfg.gammas:
+        d = saddle.Discretization(pb, maximal.W, maximal.dp, gamma)
+        try:
+            x, z, _ = saddle.solve(saddle.assemble_three_field(pb, d))
+        except SingularSystem as exc:
+            raise SingularSystem(
+                f"maximal system (U = W = truth) at gamma {float(gamma)!r}: {exc}", exc.rcond
+            ) from exc
+        ratios.append(pb.truth.norm(z) / (1.0 + pb.truth.norm(d.U.embedding @ x)))
+    del maximal, d
+    # the spaces do not depend on gamma: vary gamma only
+    discs = []
+    for gamma in cfg.gammas:
+        d = saddle.Discretization(pb, spaces.U, spaces.dp, gamma)
+        tf = saddle.assemble_three_field(pb, d)
+        stab = saddle.assemble_stabilized(pb, d)
+        discs.append(condensation_discrepancy(stab, saddle.static_condense(tf)))
     for gamma, disc, w_ratio in zip(cfg.gammas, discs, ratios):
         status = "pass" if disc <= CONDENSE_TOL and w_ratio <= W_VANISH_TOL else "fail"
         if status == "fail":

@@ -47,9 +47,11 @@ GAUSS_WEIGHTS = (0.23692688505618928, 0.4786286704993663, 0.5688888888888887, 0.
 # Largest truth mesh of the paths that still build n × n truth matrices:
 # a W on the whole truth mesh (w = truth, or a refined:k or same that reaches
 # it), the maximal system of condense-check and the (M, G) extremes at
-# reaction > 0, a dense eigensolve.  The heaviest of them, condense-check at
-# truth 2048, peaks at 982 MB of RSS (2 cores, one BLAS thread); its matrices
-# grow as the square of the mesh.
+# reaction > 0, a dense eigensolve.  The maximal system of condense-check
+# carries the configured pressures, so at truth 2048 the default config peaks
+# at 442 MB of RSS and the heaviest one, coarse_elems = 2048 with P1
+# pressures, at 957 MB (2 cores, one BLAS thread); its matrices grow as the
+# square of the mesh.
 DENSE_TRUTH_LIMIT = 2048
 
 

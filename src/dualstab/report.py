@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 import tempfile
 from dataclasses import dataclass, field
 
@@ -73,17 +74,38 @@ class Report:
 
 
 def write_report(report, out, fmt):
-    """Serialize to `out` atomically (temp file + rename), or stdout if None."""
+    """Serialize to `out`, or stdout if None.
+
+    A regular file, new or existing, is written atomically: a temp file in
+    the directory of the resolved path, renamed onto it, with the mode the
+    file had (``0o666`` less the umask for a new one).  A symlink is
+    followed, so the link stays and its target gets the table.  Another
+    existing target, such as a device or a FIFO, is written in place, since
+    a rename would replace it with a regular file.
+    """
     text = report.render(fmt)
     if out is None:
         print(text, end="")
         return
-    directory = os.path.dirname(os.path.abspath(out)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".dualstab-", suffix=".tmp")
+    path = os.path.realpath(out)
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        return
+    if mode is None:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".dualstab-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
-        os.replace(tmp, out)
+        os.chmod(tmp, stat.S_IMODE(mode))
+        os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

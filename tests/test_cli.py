@@ -3,7 +3,6 @@ import os
 import resource
 import subprocess
 import sys
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -521,12 +520,12 @@ class TestTruthLevelWork:
 
 
 class TestCondenseCheckPhases:
-    # condense-check runs its maximal level, then its configured level, and
-    # keeps only the per-gamma floats of the first while the second runs
+    # condense-check builds one level, the configured one; W ⊆ U forces w = 0
+    # whatever the pressures, so its maximal systems (U = W = truth) run on
+    # the configured problem, before the condensation is measured
 
     def test_maximal_level_has_one_subspace(self, tmp_path, monkeypatch):
-        # U is the whole truth space there, so W = U is the same subspace
-        subspaces, levels = [], []
+        subspaces, levels, maximal = [], [], []
         original_init = hilbert.Subspace.__init__
         original_spaces = models.build_spaces
 
@@ -538,44 +537,81 @@ class TestCondenseCheckPhases:
             levels.append(original_spaces(cfg, pb))
             return levels[-1]
 
+        class Recorded(saddle.Discretization):
+            def __init__(self, *args):
+                super().__init__(*args)
+                if self.U.dim == 63:
+                    maximal.append(self)
+
         monkeypatch.setattr(hilbert.Subspace, "__init__", counted)
         monkeypatch.setattr(models, "build_spaces", recorded)
+        monkeypatch.setattr(saddle, "Discretization", Recorded)
+        # W of coarse 8 is coarser than the truth mesh: U and W of coarse 8,
+        # and one U = W on the truth mesh
         path = write_cfg(tmp_path, "truth_elems = 64\ncoarse_elems = 8\n")
         code, _, rows = run_csv(tmp_path, ["condense-check", "--config", path])
         assert code == 0 and len(rows) == 3
-        # U and W of coarse 8, and one U = W of the truth level
         assert len(subspaces) == 3
-        (maximal,) = [d for d in levels if d.U.dim == 63]
-        assert maximal.dp.aux is maximal.U
+        (truth_level,) = [d for d in levels if d.U.dim == 63]
+        assert truth_level.dp.aux is truth_level.U
+        assert len(maximal) == 3
+        assert all(d.U is d.W is truth_level.U for d in maximal)
+        # refined:2 of coarse 32 spans the truth mesh: the maximal U is the
+        # configured W, and no truth subspace is built beside it
+        for recorded_list in (subspaces, levels, maximal):
+            recorded_list.clear()
+        path = write_cfg(tmp_path, "truth_elems = 64\ncoarse_elems = 32\nw = refined:2\n")
+        code, _, rows = run_csv(tmp_path, ["condense-check", "--config", path])
+        assert code == 0 and len(rows) == 3
+        assert len(subspaces) == 2
+        (configured,) = levels
+        assert configured.U.dim == 31 and configured.W.dim == 63
+        assert len(maximal) == 3
+        assert all(d.U is d.W is configured.W and d.dp is configured.dp for d in maximal)
 
-    def test_maximal_problem_freed_before_configured_level(self, tmp_path, monkeypatch):
-        problems, labels, alive = [], [], []
-        original = models.build_level
+    def test_one_level_and_one_deflation(self, tmp_path, monkeypatch):
+        labels, deflations = [], []
+        original_level = models.build_level
+        original_deflate = dualprod.deflate_pressures
 
         def recorded(cfg, truth):
-            alive.append([ref() is not None for ref in problems])
-            pb = original(cfg, truth)
-            problems.append(weakref.ref(pb))
+            pb = original_level(cfg, truth)
             labels.append(pb.label)
             return pb
 
+        def counted(b_t, q_gram):
+            deflations.append(b_t.shape)
+            return original_deflate(b_t, q_gram)
+
         monkeypatch.setattr(models, "build_level", recorded)
+        for module in (dualprod, saddle):
+            monkeypatch.setattr(module, "deflate_pressures", counted)
         path = write_cfg(tmp_path, "truth_elems = 64\ncoarse_elems = 8\n")
         code, _, rows = run_csv(tmp_path, ["condense-check", "--config", path])
         assert code == 0 and len(rows) == 3
-        # the first level is gone when the second is built; the first is the
-        # maximal one
-        assert alive == [[], [False]]
-        assert labels == ["p1-64-on-64", "p1-8-on-64"]
+        assert labels == ["p1-8-on-64"]
+        assert deflations == [(63, 9)]
+
+    @pytest.mark.parametrize("pressure", ["p1", "p0"])
+    @pytest.mark.parametrize("coarse", [4, 8, 16, 32, 64])
+    def test_w_vanishes_whatever_the_pressures(self, tmp_path, pressure, coarse):
+        # the maximal U = W = truth on pressures of every coarse mesh; refined:2
+        # does not nest at coarse = truth, where W = U spans the truth mesh
+        w = "same" if coarse == 64 else "refined:2"
+        text = f"truth_elems = 64\ncoarse_elems = {coarse}\npressure = {pressure}\nw = {w}\n"
+        code, _, rows = run_csv(tmp_path, ["condense-check", "--config", write_cfg(tmp_path, text)])
+        assert code == 0 and len(rows) == 3
+        for row in rows:
+            assert 0.0 <= float(row["w_ratio"]) <= cli.W_VANISH_TOL
 
     def test_singular_maximal_system_named_with_its_gamma(self, tmp_path, capsys):
-        path = write_cfg(tmp_path, "truth_elems = 256\ncoarse_elems = 8\ngammas = 1e-6\n")
+        path = write_cfg(tmp_path, "truth_elems = 256\ncoarse_elems = 8\ngammas = 1e-10\n")
         assert main(["condense-check", "--config", path]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith(
-            "dualstab: numerical failure: maximal system (U = W = truth) at gamma 1e-06: "
+            "dualstab: numerical failure: maximal system (U = W = truth) at gamma 1e-10: "
             "system is singular: reciprocal condition estimate "
         )
         # the re-raised exception keeps the estimate and the original

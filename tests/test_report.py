@@ -1,5 +1,7 @@
 import json
 import os
+import stat
+import threading
 
 import numpy as np
 import pytest
@@ -94,3 +96,57 @@ class TestWrite:
         with pytest.raises(OSError):
             write_report(make_report(), str(target), "csv")
         assert os.listdir(tmp_path) == []
+
+    def test_symlink_kept_and_its_target_written(self, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_text("stale")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        write_report(make_report(), str(link), "csv")
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        assert target.read_text() == make_report().to_csv()
+        assert sorted(os.listdir(tmp_path)) == ["link.csv", "target.csv"]
+
+    def test_new_file_gets_umask_mode(self, tmp_path):
+        target = tmp_path / "new.csv"
+        old = os.umask(0o027)
+        try:
+            write_report(make_report(), str(target), "csv")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+    def test_existing_file_keeps_its_mode(self, tmp_path):
+        target = tmp_path / "kept.csv"
+        target.write_text("stale")
+        target.chmod(0o604)
+        write_report(make_report(), str(target), "csv")
+        assert stat.S_IMODE(target.stat().st_mode) == 0o604
+        assert target.read_text() == make_report().to_csv()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_fifo_written_in_place(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        # a read-write end keeps the pipe open, so the reader's open does not
+        # block and its read ends once this end closes, whatever happens to
+        # the path; the table is written once the reader holds the pipe
+        keeper = os.open(fifo, os.O_RDWR)
+        received, opened = [], threading.Event()
+
+        def read():
+            with open(fifo, "rb") as handle:
+                opened.set()
+                received.append(handle.read())
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        try:
+            assert opened.wait(timeout=30)
+            write_report(make_report(), str(fifo), "csv")
+        finally:
+            os.close(keeper)
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert received == [make_report().to_csv().encode()]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)

@@ -294,17 +294,26 @@ class TestScreenOracle:
         assert np.array_equal(same.rhs, truth.rhs)
 
     def test_condense_check_maximal_systems(self):
-        # the U = W = truth three-field systems of condense-check on the
-        # fine-coarse benchmark config (truth 512, p0): n = 1533
-        cfg = models.ModelConfig(
-            truth_elems=512, coarse_elems=512, pressure_kind="p0", w_kind="truth", gamma=0.0
-        )
-        pb = models.build_truth(cfg)
-        d = models.build_spaces(cfg, pb)
-        for gamma in (0.01, 0.1, 1.0):
-            tf = assemble_three_field(pb, Discretization(pb, d.U, d.dp, gamma))
-            assert tf.matrix.shape == (1533, 1533)
-            assert not svd_singular(tf.matrix) and not lu_singular(tf)
+        # U = W = truth three-field systems at truth 512 with p0 pressures
+        cases = [
+            # the two-level design's, pressures on the truth mesh:
+            # n = 511 + 511 + 511
+            (512, "truth", 1533),
+            # condense-check's on the fine-coarse benchmark config, pressures
+            # on 256; the configured refined:2 W spans the truth mesh and is
+            # the maximal U: n = 511 + 511 + 255
+            (256, "refined:2", 1277),
+        ]
+        for coarse, w, n in cases:
+            cfg = models.ModelConfig(
+                truth_elems=512, coarse_elems=coarse, pressure_kind="p0", w_kind=w, gamma=0.0
+            )
+            pb = models.build_truth(cfg)
+            d = models.build_spaces(cfg, pb)
+            for gamma in (0.01, 0.1, 1.0):
+                tf = assemble_three_field(pb, Discretization(pb, d.W, d.dp, gamma))
+                assert tf.matrix.shape == (n, n)
+                assert not svd_singular(tf.matrix) and not lu_singular(tf)
 
     def test_fuzz_grammar_solve_systems(self, monkeypatch, tmp_path):
         # every finite system that solve() meets in `solve` runs on configs
