@@ -1,8 +1,9 @@
 """Command-line driver for measured constants, spectral checks, and sweeps.
 
 Config files are flat ``key = value`` text ('#' starts a comment); command
-line flags override file values.  Exit codes: 0 all checks pass, 1 a
-mathematical check failed, 2 config error, 3 numerical failure (any
+line flags override file values and are checked by the same parsers.  Exit
+codes: 0 all checks pass, 1 a mathematical check failed, 2 config error (an
+``--out`` that cannot be written is one), 3 numerical failure (any
 ``algebra.NumericalFailure`` or LAPACK error, running out of memory, or an
 overflow or invalid value anywhere in a command).  A config whose truth mesh
 is above ``models.DENSE_TRUTH_LIMIT`` is a config error when it needs a dense
@@ -78,14 +79,19 @@ def parse_config_file(path):
     return values
 
 
-def _parse_pos_int(field, text):
+def _parse_int(field, text, minimum):
     try:
         value = int(text)
     except ValueError:
         raise ConfigError(f"{field}: expected an integer, got {text!r}") from None
-    if value <= 0:
-        raise ConfigError(f"{field}: must be positive, got {value}")
+    if value < minimum:
+        floor = "positive" if minimum else "nonnegative"
+        raise ConfigError(f"{field}: must be {floor}, got {value}")
     return value
+
+
+def _parse_pos_int(field, text):
+    return _parse_int(field, text, 1)
 
 
 def _parse_nonneg_float(field, text):
@@ -104,14 +110,18 @@ def _parse_gamma(text):
     return _parse_nonneg_float("gamma", text)
 
 
-def _parse_seed(text):
+def _parse_choice(field, text, choices):
+    if text not in choices:
+        raise ConfigError(f"{field}: must be {' or '.join(map(repr, choices))}, got {text!r}")
+    return text
+
+
+def _parse_stiffness(text):
     try:
-        value = int(text)
-    except ValueError:
-        raise ConfigError(f"seed: expected an integer, got {text!r}") from None
-    if value < 0:
-        raise ConfigError(f"seed: must be nonnegative, got {value}")
-    return value
+        stiffness_scale(text)
+    except ValueError as exc:
+        raise ConfigError(f"s: {exc}") from None
+    return text
 
 
 def _parse_list(field, text, parse):
@@ -128,18 +138,19 @@ def _parse_float_list(field, text):
     return values
 
 
+# one parser per config key; file values and command-line flags both go through it
 _PARSERS = {
     "truth_elems": lambda s: _parse_pos_int("truth_elems", s),
     "coarse_elems": lambda s: _parse_pos_int("coarse_elems", s),
-    "pressure": lambda s: s,
+    "pressure": lambda s: _parse_choice("pressure", s, ("p1", "p0")),
     "w": lambda s: s,
-    "s": lambda s: s,
+    "s": _parse_stiffness,
     "gamma": _parse_gamma,
     "reaction": lambda s: _parse_nonneg_float("reaction", s),
     "levels": lambda s: _parse_list("levels", s, _parse_pos_int),
     "gammas": lambda s: _parse_float_list("gammas", s),
-    "seed": _parse_seed,
-    "format": lambda s: s,
+    "seed": lambda s: _parse_int("seed", s, 0),
+    "format": lambda s: _parse_choice("format", s, ("csv", "json")),
     "out": lambda s: s,
 }
 
@@ -148,18 +159,7 @@ def build_run_config(file_values, overrides):
     """Merge config file values and command-line overrides into a RunConfig."""
     merged = dict(file_values)
     merged.update({k: v for k, v in overrides.items() if v is not None})
-    parsed = {}
-    for key, raw in merged.items():
-        parsed[key] = _PARSERS[key](raw) if isinstance(raw, str) else raw
-    cfg = RunConfig(**parsed)
-    if cfg.pressure not in ("p1", "p0"):
-        raise ConfigError(f"pressure: must be 'p1' or 'p0', got {cfg.pressure!r}")
-    if cfg.format not in ("csv", "json"):
-        raise ConfigError(f"format: must be 'csv' or 'json', got {cfg.format!r}")
-    try:
-        stiffness_scale(cfg.s)
-    except ValueError as exc:
-        raise ConfigError(f"s: {exc}") from None
+    cfg = RunConfig(**{key: _PARSERS[key](raw) for key, raw in merged.items()})
     # the model config validates mesh sizes, w and reaction up front
     _model_config(cfg, cfg.coarse_elems)
     for level in cfg.levels:
@@ -182,16 +182,16 @@ def _model_config(cfg, coarse):
         raise ConfigError(str(exc)) from None
 
 
-def _truth(cfg):
-    """The truth record every level of one command shares."""
-    return models.truth_record(_model_config(cfg, cfg.coarse_elems))
+def _each_level(cfg, levels):
+    """(level, coarse, model config, problem, spaces at gamma 0) of each mesh level in turn.
 
-
-def _level(cfg, truth, coarse):
-    """Model config, problem and spaces (at gamma 0) of one mesh level on the truth record."""
-    mc = _model_config(cfg, coarse)
-    pb = models.build_level(mc, truth)
-    return mc, pb, models.build_spaces(mc, pb)
+    The truth record is built once, and every level's problem is built on it.
+    """
+    truth = models.truth_record(_model_config(cfg, cfg.coarse_elems))
+    for level, coarse in enumerate(levels):
+        mc = _model_config(cfg, coarse)
+        pb = models.build_level(mc, truth)
+        yield level, coarse, mc, pb, models.build_spaces(mc, pb)
 
 
 def _gamma(cfg, rep):
@@ -227,9 +227,7 @@ def cmd_constants(cfg):
     measured = [f.name for f in fields(saddle.ConstantsReport)]
     columns = ["level", "coarse_elems", *measured, "gamma", "beta_gamma"]
     report = Report("constants", _config_echo(cfg), cfg.seed, columns)
-    truth = _truth(cfg)
-    for level, coarse in enumerate(_levels(cfg)):
-        _, pb, d = _level(cfg, truth, coarse)
+    for level, coarse, _, pb, d in _each_level(cfg, _levels(cfg)):
         rep = saddle.constants(pb, d)
         gamma = _gamma(cfg, rep)
         report.add_row(
@@ -246,16 +244,12 @@ def cmd_spectral(cfg):
     """Per-level verification rows for every spectral bound."""
     columns = ["level", "coarse_elems", "check", "value", "lower", "upper", "status"]
     report = Report("spectral", _config_echo(cfg), cfg.seed, columns)
-    truth = _truth(cfg)
-    for level, coarse in enumerate(_levels(cfg)):
-        _, pb, d = _level(cfg, truth, coarse)
+    for level, coarse, _, pb, d in _each_level(cfg, _levels(cfg)):
         rng = np.random.default_rng([cfg.seed, level, 1])
         _, rows = spectral_checks(d.dp, pb.pressures, rng)
         for row in rows:
             cells = {key: getattr(row, key) for key in ("check", "value", "lower", "upper", "status")}
             report.add_row(level=level, coarse_elems=coarse, **cells)
-    if any(r["status"] == "fail" for r in report.rows):
-        report.verdict = "fail"
     return report
 
 
@@ -273,14 +267,10 @@ def cmd_infsup(cfg):
         "status",
     ]
     report = Report("infsup", _config_echo(cfg), cfg.seed, columns)
-    truth = _truth(cfg)
-    for level, coarse in enumerate(_levels(cfg)):
-        _, pb, d = _level(cfg, truth, coarse)
+    for level, coarse, _, pb, d in _each_level(cfg, _levels(cfg)):
         # the inf-sup constants read the pressure pencils only, not S, alpha or norm_A;
         # the check row's floor is beta_hat
         row = saddle.relaxed_infsup_check(pb, d)
-        if row.status == "fail":
-            report.verdict = "fail"
         report.add_row(
             level=level,
             coarse_elems=coarse,
@@ -307,8 +297,7 @@ def cmd_solve(cfg):
     """Solve one level through both assembly routes and compare them."""
     columns = ["route", "status", "residual", "u_err", "p_err", "w_norm", "discrepancy"]
     report = Report("solve", _config_echo(cfg), cfg.seed, columns)
-    truth = _truth(cfg)
-    mc, pb, d = _level(cfg, truth, cfg.coarse_elems)
+    [(_, _, mc, pb, d)] = _each_level(cfg, (cfg.coarse_elems,))
     # only gamma = auto reads the level's constants
     rep = saddle.constants(pb, d) if cfg.gamma == "auto" else None
     d = saddle.Discretization(pb, d.U, d.dp, _gamma(cfg, rep))
@@ -342,8 +331,6 @@ def cmd_solve(cfg):
         disc = condensation_discrepancy(stab, saddle.static_condense(tf))
         status = "pass" if disc <= CONDENSE_TOL else "fail"
         report.add_row(route="condensed_vs_stabilized", status=status, discrepancy=disc)
-        if status == "fail":
-            report.verdict = "fail"
     return report
 
 
@@ -363,10 +350,8 @@ def cmd_converge(cfg):
     ]
     report = Report("converge", _config_echo(cfg), cfg.seed, columns)
     levels = cfg.levels if cfg.levels else _default_sweep(cfg)
-    truth = _truth(cfg)
     totals = []
-    for level, coarse in enumerate(levels):
-        mc, pb, d = _level(cfg, truth, coarse)
+    for level, coarse, mc, pb, d in _each_level(cfg, levels):
         rep = saddle.constants(pb, d)
         gamma = _gamma(cfg, rep)
         exact = models.exact_coefficients(mc, models.default_solution())
@@ -424,7 +409,7 @@ def cmd_condense_check(cfg):
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     report = Report("condense-check", _config_echo(cfg), cfg.seed, columns)
-    mc, pb, spaces = _level(cfg, _truth(cfg), cfg.coarse_elems)
+    [(_, _, mc, pb, spaces)] = _each_level(cfg, (cfg.coarse_elems,))
     if mc.w_elems() == cfg.truth_elems:
         maximal = spaces
     else:
@@ -449,8 +434,6 @@ def cmd_condense_check(cfg):
         discs.append(condensation_discrepancy(stab, saddle.static_condense(tf)))
     for gamma, disc, w_ratio in zip(cfg.gammas, discs, ratios):
         status = "pass" if disc <= CONDENSE_TOL and w_ratio <= W_VANISH_TOL else "fail"
-        if status == "fail":
-            report.verdict = "fail"
         report.add_row(gamma=gamma, discrepancy=disc, w_ratio=w_ratio, status=status)
     return report
 
@@ -490,12 +473,12 @@ def _build_parser():
     )
     parser.add_argument("--config", required=True, help="flat key = value config file")
     parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), help="report format (default csv)")
+    parser.add_argument("--format", help="report format: csv (default) or json")
     parser.add_argument("--seed", help="seed of randomized sweeps (default 0)")
     parser.add_argument("--gamma", help="stabilization parameter, or 'auto' for gamma0/2")
     parser.add_argument("--truth-elems", dest="truth_elems", help="truth mesh element count")
     parser.add_argument("--coarse-elems", dest="coarse_elems", help="coarse mesh element count")
-    parser.add_argument("--pressure", choices=("p1", "p0"), help="pressure basis kind")
+    parser.add_argument("--pressure", help="pressure basis kind: p1 or p0")
     parser.add_argument("--w", help="auxiliary space: refined:<k>, truth, or same")
     parser.add_argument("--s", help="stiffness choice: gramian, scaled:<s>, or lumped")
     return parser
@@ -503,10 +486,7 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    overrides = {
-        key: getattr(args, key)
-        for key in ("truth_elems", "coarse_elems", "pressure", "w", "s", "gamma", "seed", "format", "out")
-    }
+    overrides = {key: value for key, value in vars(args).items() if key in _PARSERS}
     try:
         cfg = build_run_config(parse_config_file(args.config), overrides)
         with np.errstate(over="raise", invalid="raise"):
@@ -524,7 +504,13 @@ def main(argv=None):
     except MemoryError as exc:
         print(f"dualstab: numerical failure: out of memory: {exc}", file=sys.stderr)
         return 3
-    write_report(report, cfg.out, cfg.format)
+    try:
+        write_report(report, cfg.out, cfg.format)
+    except OSError as exc:
+        target = "stdout" if cfg.out is None else repr(cfg.out)
+        reason = exc.strerror or exc
+        print(f"dualstab: config error: out: cannot write {target}: {reason}", file=sys.stderr)
+        return 2
     return 0 if report.verdict == "pass" else 1
 
 

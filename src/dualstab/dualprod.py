@@ -67,10 +67,6 @@ SWEEP_SAMPLES = 100
 class BoundViolated(Exception):
     """A verified spectral bound failed beyond tolerance."""
 
-    def __init__(self, message, value=None):
-        super().__init__(message)
-        self.value = value
-
 
 class DegeneratePencil(NumericalFailure):
     """A deflated pencil denominator is singular; constants are undefined."""
@@ -392,7 +388,7 @@ def raise_failed(rows):
     for row in rows:
         if row.status == "fail":
             bounds = ", ".join("-" if b is None else f"{b:.6e}" for b in (row.lower, row.upper))
-            raise BoundViolated(f"{row.check} {row.value:.6e} outside [{bounds}]", value=row.value)
+            raise BoundViolated(f"{row.check} {row.value:.6e} outside [{bounds}]")
 
 
 def _equivalence_rows(dp):

@@ -46,10 +46,15 @@ class Report:
     verdict: str = "pass"
 
     def add_row(self, **values):
-        """Append a row; a column it leaves out renders blank, a key that is no column raises."""
+        """Append a row; a column it leaves out renders blank, a key that is no column raises.
+
+        A row whose ``status`` is ``"fail"`` fails the verdict.
+        """
         if not values.keys() <= set(self.columns):
             raise ValueError(f"row keys {sorted(values.keys() - set(self.columns))} are not columns")
         self.rows.append(values)
+        if values.get("status") == "fail":
+            self.verdict = "fail"
 
     def to_csv(self):
         lines = [",".join(self.columns)]

@@ -164,7 +164,6 @@ class StabilizedSystem:
     rhs: np.ndarray
     u_dim: int
     p_dim: int
-    gamma: float
 
 
 @dataclass(frozen=True)
@@ -176,7 +175,6 @@ class ThreeFieldSystem:
     u_dim: int
     w_dim: int
     p_dim: int
-    gamma: float
 
 
 def _blocks(pb, d):
@@ -217,9 +215,7 @@ def assemble_stabilized(pb, d):
         rhs_q = pb.g_eff - gamma * (b_wq.T @ s_inv_f)
     matrix = np.block([[a_uu, -b_uq], [bottom_left, bottom_right]])
     rhs = np.concatenate([f_u, rhs_q])
-    return StabilizedSystem(
-        matrix=matrix, rhs=rhs, u_dim=d.U.dim, p_dim=l, gamma=gamma
-    )
+    return StabilizedSystem(matrix=matrix, rhs=rhs, u_dim=d.U.dim, p_dim=l)
 
 
 def assemble_three_field(pb, d):
@@ -242,7 +238,7 @@ def assemble_three_field(pb, d):
         ]
     )
     rhs = np.concatenate([f_u, f_w, pb.g_eff])
-    return ThreeFieldSystem(matrix=matrix, rhs=rhs, u_dim=k, w_dim=n, p_dim=l, gamma=d.gamma)
+    return ThreeFieldSystem(matrix=matrix, rhs=rhs, u_dim=k, w_dim=n, p_dim=l)
 
 
 def _three_field_slices(tf):
@@ -271,9 +267,7 @@ def static_condense(tf):
     rhs_q = rhs[ip] - b_wqt @ spd_solve(s_fact, rhs[iw])
     matrix = np.block([[a_uu, -b_uq], [bottom_left, bottom_right]])
     out_rhs = np.concatenate([rhs[iu], rhs_q])
-    return StabilizedSystem(
-        matrix=matrix, rhs=out_rhs, u_dim=tf.u_dim, p_dim=tf.p_dim, gamma=tf.gamma
-    )
+    return StabilizedSystem(matrix=matrix, rhs=out_rhs, u_dim=tf.u_dim, p_dim=tf.p_dim)
 
 
 def relative_residual(system, sol):

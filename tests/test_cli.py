@@ -149,6 +149,41 @@ class TestExitCodes:
         assert code == 2
         assert "truth_elems" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, flag, value, message",
+        [
+            ("pressure", "--pressure", "p2", "pressure: must be 'p1' or 'p0', got 'p2'"),
+            ("format", "--format", "xml", "format: must be 'csv' or 'json', got 'xml'"),
+        ],
+        ids=["pressure", "format"],
+    )
+    def test_bad_flag_value_is_the_config_error_of_the_file(
+        self, tmp_path, capsys, key, flag, value, message
+    ):
+        # a flag value goes through the parser of its config key, not argparse
+        expected = [f"dualstab: config error: {message}"]
+        assert main(["constants", "--config", write_cfg(tmp_path, SMALL), flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.splitlines() == expected
+        path = write_cfg(tmp_path, SMALL + f"{key} = {value}\n", name="bad.cfg")
+        assert main(["constants", "--config", path]) == 2
+        assert capsys.readouterr().err.splitlines() == expected
+
+    @pytest.mark.parametrize("where", ["directory", "missing directory"])
+    def test_unwritable_out_exits_2_in_one_line(self, tmp_path, capsys, where):
+        out = tmp_path / "reports"
+        out.mkdir()
+        target = out if where == "directory" else out / "nodir" / "x.csv"
+        reason = "Is a directory" if where == "directory" else "No such file or directory"
+        code = main(["constants", "--config", write_cfg(tmp_path, SMALL), "--out", str(target)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"dualstab: config error: out: cannot write {str(target)!r}: {reason}"
+        ]
+        assert "Traceback" not in err
+        assert list(tmp_path.rglob(".dualstab-*.tmp")) == []
+
     def test_unknown_command_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["bogus", "--config", write_cfg(tmp_path, SMALL)])
@@ -208,7 +243,7 @@ class TestExitCodes:
 
     def test_bound_violation_exits_1(self, tmp_path, monkeypatch, capsys):
         def boom(cfg):
-            raise BoundViolated("spectral bound breached", value=0.5)
+            raise BoundViolated("spectral bound breached")
 
         monkeypatch.setitem(cli._COMMANDS, "constants", boom)
         code = main(["constants", "--config", write_cfg(tmp_path, SMALL)])

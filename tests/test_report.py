@@ -50,6 +50,23 @@ class TestCsv:
         assert make_report().to_csv().endswith("\n")
 
 
+class TestVerdict:
+    def test_failing_status_row_fails_the_verdict(self):
+        r = Report(command="c", config={}, seed=0, columns=["check", "status"])
+        r.add_row(check="a", status="pass")
+        assert r.verdict == "pass"
+        r.add_row(check="b", status="fail")
+        r.add_row(check="c", status="pass")
+        assert r.verdict == "fail"
+
+    @pytest.mark.parametrize("status", ["singular", "ok", None])
+    def test_other_statuses_pass(self, status):
+        r = Report(command="c", config={}, seed=0, columns=["route", "status"])
+        r.add_row(route="stabilized", status=status)
+        r.add_row(route="other")
+        assert r.verdict == "pass"
+
+
 class TestJson:
     def test_structure(self):
         payload = json.loads(make_report().to_json())
