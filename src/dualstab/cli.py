@@ -8,7 +8,8 @@ codes: 0 all checks pass, 1 a mathematical check failed, 2 config error (an
 overflow or invalid value anywhere in a command).  A config whose truth mesh
 is above ``models.DENSE_TRUTH_LIMIT`` is a config error when it needs a dense
 truth path: a W on the whole truth mesh (``w = truth``, or a ``refined:k`` or
-``same`` that reaches it), ``reaction > 0`` or the command ``condense-check``.
+``same`` that reaches it) or the command ``condense-check``.  Any reaction
+runs at any truth mesh: the truth constants are closed-form.
 """
 
 from __future__ import annotations

@@ -27,7 +27,6 @@ from .algebra import (
     DimensionMismatch,
     as_matrix,
     band_apply,
-    band_to_dense,
     cholesky,
     cholesky_band,
     require_symmetric,
@@ -62,10 +61,6 @@ class TruthSpace:
         x = np.asarray(x, dtype=float)
         return float(np.sqrt(max(x @ self.apply(x), 0.0)))
 
-    def to_dense(self):
-        """The Gramian as a dense n × n matrix."""
-        return self.gramian
-
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim}, label={self.label!r})"
 
@@ -76,7 +71,6 @@ class BandedTruthSpace(TruthSpace):
     No n × n matrix is formed: products are O(n) per column, and the banded
     Cholesky factor ``fact`` is computed on first solve, under the pivot
     screen of ``algebra.cholesky`` (NotSpd for a singular band).
-    ``to_dense`` builds the n × n Gramian for the paths that need it.
     """
 
     def __init__(self, band, label=""):
@@ -90,9 +84,6 @@ class BandedTruthSpace(TruthSpace):
 
     def apply(self, x):
         return band_apply(self.band, x)
-
-    def to_dense(self):
-        return band_to_dense(self.band)
 
 
 class Subspace:

@@ -6,12 +6,13 @@ a-form is A = G + r·M with the interior mass matrix M and the reaction
 coefficient r.  G and M are tridiagonal, and the truth record keeps both as
 bands (``BandedTruthSpace``), so a level builds no n × n truth matrix.  The
 truth record (``saddle.split_truth``) is built from that split: alpha and
-‖A‖ are 1 + r·μ_min and 1 + r·μ_max of the pencil (M, G), exactly 1 at
-r = 0, where A is the scalar product and no eigensolve runs.  Every problem
-a configuration builds owns that record, and ``saddle.constants`` reads
-alpha and ‖A‖ from it.  The pressure basis lives on the coarse mesh
-(P1-continuous or P0) and couples to truth velocities through the exact
-constraint matrix
+‖A‖ are 1 + r·μ_min and 1 + r·μ_max of the pencil (M, G), whose spectrum is
+known in closed form on the uniform mesh (``truth_record``), so no
+eigensolve runs at any r; both are exactly 1 at r = 0, where A is the scalar
+product.  Every problem a configuration builds owns that record, and
+``saddle.constants`` reads alpha and ‖A‖ from it.  The pressure basis lives
+on the coarse mesh (P1-continuous or P0) and couples to truth velocities
+through the exact constraint matrix
 
     b(q, v) = ∫ q v',
 
@@ -21,7 +22,8 @@ element, which is exact to machine precision at these mesh sizes.
 
 The auxiliary space W is P1 on a nested mesh from the coarse to the truth
 mesh.  ``ModelConfig.w_elems`` resolves ``w_kind`` to its element count, and
-``build_spaces`` and the dense limit read only that count, not the spelling.
+``build_spaces`` and the dense limit, which guards a W that spans the truth
+mesh, read only that count, not the spelling.
 """
 
 from __future__ import annotations
@@ -44,14 +46,10 @@ GAUSS_NODES = (-0.906179845938664, -0.5384693101056831, 0.0, 0.5384693101056831,
 GAUSS_WEIGHTS = (0.23692688505618928, 0.4786286704993663, 0.5688888888888887, 0.4786286704993663,
                  0.23692688505618928)
 
-# Largest truth mesh of the paths that still build n × n truth matrices:
-# a W on the whole truth mesh (w = truth, or a refined:k or same that reaches
-# it), the maximal system of condense-check and the (M, G) extremes at
-# reaction > 0, a dense eigensolve.  The maximal system of condense-check
-# carries the configured pressures, so at truth 2048 the default config peaks
-# at 442 MB of RSS and the heaviest one, coarse_elems = 2048 with P1
-# pressures, at 957 MB (2 cores, one BLAS thread); its matrices grow as the
-# square of the mesh.
+# Largest truth mesh of a W that spans it (w = truth, or a refined:k or same
+# that reaches it), such as the maximal system of condense-check, which builds
+# n × n truth matrices: at truth 2048 the heaviest one, coarse_elems = 2048
+# with P1 pressures, peaks at 957 MB of RSS (2 cores, one BLAS thread).
 DENSE_TRUTH_LIMIT = 2048
 
 
@@ -108,8 +106,6 @@ class ModelConfig:
             raise ValueError("reaction coefficient must be a finite nonnegative real")
         if w_elems == self.truth_elems:
             require_dense_truth(self.truth_elems, f"w = {self.w_kind}")
-        if self.reaction > 0.0:
-            require_dense_truth(self.truth_elems, "reaction > 0")
 
     def w_elems(self):
         """Element count of the auxiliary mesh implied by w_kind."""
@@ -293,17 +289,23 @@ def truth_record(cfg):
     """Truth record of the split a-form A = G + reaction·M of a configuration.
 
     G is the H¹₀ stiffness and M the interior P1 mass on the truth mesh, both
-    kept as bands; M is not assembled at reaction 0.  alpha and norm_A are
-    computed on first read from the pencil (M, G), and are exactly 1 at
-    reaction 0.  They depend only on ``truth_elems`` and ``reaction``, so
-    every coarse level of a run shares one record through ``build_level``.
+    kept as bands; M is not assembled at reaction 0.  M and G share the
+    discrete sine eigenvectors, so the pencil (M, G) has the closed form
+
+        μ_k = (2 + cos θ_k) / (12 n² sin²(θ_k/2)),   θ_k = kπ/n,
+
+    smallest at k = n − 1 and largest at k = 1: alpha and norm_A need no
+    solve.  They depend only on ``truth_elems`` and ``reaction``, so every
+    coarse level of a run shares one record through ``build_level``.
     """
     n = cfg.truth_elems
     space = BandedTruthSpace(p1_stiffness_band(n), label=f"p1-h10-{n}")
     if cfg.reaction == 0.0:
-        return split_truth(space, 0.0)
+        return split_truth(space, 0.0, None, None)
     mass = BandedTruthSpace(p1_interior_mass_band(n), label=f"p1-l2-{n}")
-    return split_truth(space, cfg.reaction, mass)
+    theta = np.array([n - 1, 1]) * np.pi / n
+    mu = (2.0 + np.cos(theta)) / (12.0 * n * n * np.sin(theta / 2.0) ** 2)
+    return split_truth(space, cfg.reaction, mass, mu)
 
 
 def build_level(cfg, truth):

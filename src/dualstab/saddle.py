@@ -359,46 +359,30 @@ class TruthRecord:
     ``apply``, the product with A, computes G x + reaction·M x in the storage
     of the two spaces and forms no A.  alpha (the smallest eigenvalue of
     (sym A, G)) and norm_A (the operator norm of A) depend on no coarse space:
-    both are read as 1 + reaction·μ_min and 1 + reaction·μ_max of the pencil
-    (M, G) from one eigenvalues-only solve on the dense G and M, computed on
-    first read, so a command solves it at most once per truth mesh, and only
-    when it reads either.  At reaction 0, where ``mass`` is None, both are
-    exactly 1 and no solve runs.  Both are Python floats.  ``split_truth``
-    builds a record.
+    they are the Python floats 1 + reaction·μ_min and 1 + reaction·μ_max of
+    the extremes of the pencil (M, G) given to ``split_truth``, exactly 1 at
+    reaction 0, where ``mass`` is None.  ``split_truth`` builds a record.
     """
 
     space: TruthSpace
     reaction: float
     mass: TruthSpace | None
+    alpha: float
+    norm_A: float
 
     def apply(self, x):
         """A x, for a truth vector or a matrix of truth columns."""
         ax = self.space.apply(x)
         return ax if self.reaction == 0.0 else ax + self.reaction * self.mass.apply(x)
 
-    @cached_property
-    def _extremes(self):
-        if self.reaction == 0.0:
-            return 1.0, 1.0
-        g_fact = cholesky(self.space.to_dense(), "truth Gramian")
-        mu = sym_generalized_eigvals(self.mass.to_dense(), g_fact)
-        return 1.0 + self.reaction * float(mu[0]), 1.0 + self.reaction * float(mu[-1])
 
-    @property
-    def alpha(self):
-        return self._extremes[0]
-
-    @property
-    def norm_A(self):
-        return self._extremes[1]
-
-
-def split_truth(space, reaction, mass=None):
+def split_truth(space, reaction, mass, mu):
     """Truth record of the a-form A = G + reaction·M.
 
     ``space`` is the TruthSpace whose Gramian is G; ``mass`` is a TruthSpace
-    on its basis whose Gramian is M, required for reaction > 0 and ignored at
-    reaction 0, where A is G.
+    on its basis whose Gramian is M and ``mu`` the pair (μ_min, μ_max) of the
+    extreme eigenvalues of the pencil (M, G), both required for reaction > 0
+    and ignored at reaction 0, where A is G.
     """
     if not isinstance(space, TruthSpace):
         raise TypeError("space must be a TruthSpace")
@@ -406,23 +390,26 @@ def split_truth(space, reaction, mass=None):
     if not np.isfinite(reaction) or reaction < 0.0:
         raise ValueError("reaction coefficient must be a finite nonnegative real")
     if reaction == 0.0:
-        return TruthRecord(space=space, reaction=0.0, mass=None)
+        return TruthRecord(space=space, reaction=0.0, mass=None, alpha=1.0, norm_A=1.0)
     if not isinstance(mass, TruthSpace):
         raise TypeError("mass must be a TruthSpace on the basis of the truth space")
     if mass.dim != space.dim:
         raise DimensionMismatch("mass matrix does not match the truth space")
-    return TruthRecord(space=space, reaction=reaction, mass=mass)
+    mu_min, mu_max = (float(m) for m in mu)
+    if not 0.0 < mu_min <= mu_max < float("inf"):
+        raise ValueError("the (M, G) extremes must satisfy 0 < mu_min <= mu_max < inf")
+    alpha, norm_a = 1.0 + reaction * mu_min, 1.0 + reaction * mu_max
+    return TruthRecord(space=space, reaction=reaction, mass=mass, alpha=alpha, norm_A=norm_a)
 
 
 def constants(pb, d):
     """Measure every constant entering the stabilization bounds.
 
     alpha and norm_A are truth-level properties of the a-form, read from the
-    problem's TruthRecord ``pb.record``: measured there at most once for
-    every level built on it.  Every other constant is measured on the problem's
-    deflated pressures ``pb.pressures``: beta and norm_B are the truth inf-sup
-    constants, c_star, alpha_hat and beta_hat go through the configured dual
-    product.
+    problem's TruthRecord ``pb.record``, which every level of a run shares.
+    Every other constant is measured on the problem's deflated pressures
+    ``pb.pressures``: beta and norm_B are the truth inf-sup constants, c_star,
+    alpha_hat and beta_hat go through the configured dual product.
     """
     alpha, norm_a = pb.record.alpha, pb.record.norm_A
     er = measure_equivalence(d.dp, pb.pressures)[0]

@@ -3,15 +3,15 @@
 from dualstab.algebra import as_matrix, cholesky, operator_norm, sym_generalized_eigvals
 
 
-def dense_truth_extremes(space, a_form):
-    """(alpha, norm_A) of a general a-form A on a truth space, measured densely.
+def dense_truth_extremes(gramian, a_form):
+    """(alpha, norm_A) of a general a-form A against a dense truth Gramian G.
 
     alpha is the smallest eigenvalue of (sym A, G) and norm_A the square root
-    of the largest of (Aᵀ G⁻¹ A, G), both on the dense Cholesky factor of the
-    Gramian G: the oracle of the split record's 1 + r·μ_min and 1 + r·μ_max.
+    of the largest of (Aᵀ G⁻¹ A, G), both on the dense Cholesky factor of G:
+    the oracle of the split record's 1 + r·μ_min and 1 + r·μ_max.
     """
     a_form = as_matrix(a_form, "a-form matrix")
-    fact = cholesky(space.to_dense(), "truth Gramian")
+    fact = cholesky(gramian, "truth Gramian")
     sym_a = 0.5 * (a_form + a_form.T)
     alpha = float(sym_generalized_eigvals(sym_a, fact)[0])
     return alpha, operator_norm(a_form, fact, fact)

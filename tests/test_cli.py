@@ -391,28 +391,28 @@ class TestCommands:
 
 
 class TestTruthLevelWork:
-    # alpha and norm_A enter gamma0 and beta_gamma only: a command solves the
-    # truth pencil (M, G) once if it prints either and reaction > 0, and never
-    # otherwise; at reaction 0 both are exactly 1 without a solve
+    # alpha and norm_A enter gamma0 and beta_gamma only, and the truth record
+    # reads them from the closed-form spectrum of (M, G): no command solves
+    # the truth pencil, at any reaction
     @pytest.mark.parametrize(
-        "command, extra, n_rows, reaction, expected",
+        "command, extra, n_rows, reaction",
         [
-            pytest.param("constants", [], 4, 2.5, 1, id="constants"),
-            pytest.param("converge", [], 4, 2.5, 1, id="converge"),
-            pytest.param("spectral", [], 4 * 8, 2.5, 0, id="spectral"),
-            pytest.param("infsup", [], 4, 2.5, 0, id="infsup"),
-            pytest.param("solve", [], 3, 2.5, 0, id="solve"),
-            pytest.param("solve", ["--gamma", "auto"], 3, 2.5, 1, id="solve-auto"),
-            pytest.param("constants", [], 4, 0.0, 0, id="constants-reaction0"),
-            pytest.param("converge", [], 4, 0.0, 0, id="converge-reaction0"),
-            pytest.param("spectral", [], 4 * 8, 0.0, 0, id="spectral-reaction0"),
-            pytest.param("infsup", [], 4, 0.0, 0, id="infsup-reaction0"),
-            pytest.param("solve", [], 3, 0.0, 0, id="solve-reaction0"),
-            pytest.param("solve", ["--gamma", "auto"], 3, 0.0, 0, id="solve-auto-reaction0"),
+            pytest.param("constants", [], 4, 2.5, id="constants"),
+            pytest.param("converge", [], 4, 2.5, id="converge"),
+            pytest.param("spectral", [], 4 * 8, 2.5, id="spectral"),
+            pytest.param("infsup", [], 4, 2.5, id="infsup"),
+            pytest.param("solve", [], 3, 2.5, id="solve"),
+            pytest.param("solve", ["--gamma", "auto"], 3, 2.5, id="solve-auto"),
+            pytest.param("constants", [], 4, 0.0, id="constants-reaction0"),
+            pytest.param("converge", [], 4, 0.0, id="converge-reaction0"),
+            pytest.param("spectral", [], 4 * 8, 0.0, id="spectral-reaction0"),
+            pytest.param("infsup", [], 4, 0.0, id="infsup-reaction0"),
+            pytest.param("solve", [], 3, 0.0, id="solve-reaction0"),
+            pytest.param("solve", ["--gamma", "auto"], 3, 0.0, id="solve-auto-reaction0"),
         ],
     )
     def test_truth_pencil_measured_once_per_command(
-        self, tmp_path, monkeypatch, command, extra, n_rows, reaction, expected
+        self, tmp_path, monkeypatch, command, extra, n_rows, reaction
     ):
         # counted by the pencil's matrix, the dense truth mass, not by shape:
         # at level 32, refined:2 gives a W of the truth dimension 63
@@ -444,7 +444,7 @@ class TestTruthLevelWork:
         assert code == 0
         assert len(rows) == n_rows
         assert len(records) == 1
-        assert calls == [(63, 63)] * expected
+        assert calls == []
 
     # kappa_star and K_star enter C_star, gamma0 and the spectral rows only:
     # a command solves the pencil (S, G_W) once per level if it reads them,
@@ -473,17 +473,20 @@ class TestTruthLevelWork:
             return forms[-1]
 
         def counted(a, b_fact):
-            calls.append(a)
+            calls.append((a, b_fact))
             return original_eig(a, b_fact)
 
         monkeypatch.setattr(models, "make_stiffness", recorded)
         monkeypatch.setattr(dualprod, "sym_generalized_eigvals", counted)
-        path = write_cfg(tmp_path, "truth_elems = 64\nlevels = 4, 8, 16, 32\n")
+        # at s = gramian, S is G_W with G_W's factor, so (S, G_W) would be the
+        # very call of the (G_W, S) pencil that spectral's equivalence rows solve
+        path = write_cfg(tmp_path, "truth_elems = 64\nlevels = 4, 8, 16, 32\ns = scaled:2\n")
         code, _, _ = run_csv(tmp_path, [command, "--config", path] + extra)
         assert code == 0
         assert len(forms) == n_forms
         # counted afterwards: a form may solve its pencil before it is recorded
-        assert sum(any(a is f.matrix for f in forms) for a in calls) == expected
+        solved = [any(a is f.matrix and b is f.aux.fact for f in forms) for a, b in calls]
+        assert sum(solved) == expected
 
     @pytest.mark.parametrize(
         "command", ["constants", "spectral", "infsup", "solve", "converge", "condense-check"]
@@ -861,7 +864,6 @@ class TestDenseLimit:
                 "w = refined:1",
                 id="w-refined-1-at-truth",
             ),
-            pytest.param("solve", "reaction = 0.5\n", "reaction > 0", id="reaction"),
             pytest.param("condense-check", "", "condense-check", id="condense-check"),
         ],
     )
@@ -882,6 +884,9 @@ class TestDenseLimit:
         assert cfg.truth_elems == n
         # at the limit the dense paths stay open
         models.ModelConfig(truth_elems=models.DENSE_TRUTH_LIMIT, w_kind="truth", reaction=1.0)
+        # the truth constants are closed-form: a reaction has no limit
+        cfg = build_run_config({"truth_elems": str(n), "reaction": "2.5"}, {})
+        assert cfg.reaction == 2.5
         with pytest.raises(ValueError, match="truth_elems"):
             models.ModelConfig(truth_elems=2 * models.DENSE_TRUTH_LIMIT, w_kind="truth")
         # so do the other spellings of a W on the whole truth mesh
@@ -906,10 +911,15 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (10**9, 10**9))
 
 
-@pytest.mark.parametrize("command", ["constants", "spectral", "infsup", "solve", "converge"])
-def test_truth_16384_runs_in_1gb_of_address_space(tmp_path, command):
-    # the banded truth builds no n × n matrix: 16383² doubles alone are 2.1 GB
-    path = write_cfg(tmp_path, "truth_elems = 16384\nw = refined:2\nreaction = 0\n")
+@pytest.mark.parametrize(
+    "command, reaction",
+    [pytest.param(c, 0.0, id=c) for c in ("constants", "spectral", "infsup", "solve", "converge")]
+    + [pytest.param(c, 2.5, id=f"{c}-reaction") for c in ("constants", "converge")],
+)
+def test_truth_16384_runs_in_1gb_of_address_space(tmp_path, command, reaction):
+    # the banded truth builds no n × n matrix: 16383² doubles alone are 2.1 GB;
+    # at reaction > 0 the truth constants are closed-form
+    path = write_cfg(tmp_path, f"truth_elems = 16384\nw = refined:2\nreaction = {reaction}\n")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
     proc = subprocess.run(

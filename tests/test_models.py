@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dualstab import hilbert, models, saddle
-from dualstab.algebra import cholesky
+from scipy.linalg.lapack import dpttrf
+
+from dualstab import algebra, dualprod, hilbert, models, saddle
 from dualstab.hilbert import TruthSpace
 from dualstab.dualprod import DualProduct, equivalence_report, make_stiffness
 from dualstab.models import (
@@ -311,9 +312,7 @@ class TestBuilders:
         np.testing.assert_array_equal(pb.load.action, ref.load.action)
         eye = np.eye(31)
         np.testing.assert_array_equal(pb.record.apply(eye), ref.record.apply(eye))
-        oracle = dense_truth_extremes(
-            TruthSpace(p1_stiffness(32)), p1_stiffness(32) + 2.0 * p1_interior_mass(32)
-        )
+        oracle = dense_truth_extremes(p1_stiffness(32), p1_stiffness(32) + 2.0 * p1_interior_mass(32))
         closed = closed_form_extremes(32, 2.0)
         assert (truth.alpha, truth.norm_A) == pytest.approx(closed, rel=1e-12, abs=0.0)
         assert (truth.alpha, truth.norm_A) == pytest.approx(oracle, rel=1e-12, abs=0.0)
@@ -350,12 +349,13 @@ class TestBuilders:
         assert dims["same"] == 7 and dims["refined:2"] == 15 and dims["truth"] == 63
 
 
-def no_dense_route(*args):
-    raise AssertionError("a reaction-0 record solves no pencil")
+def no_solve(*args):
+    raise AssertionError("a truth record factors and solves nothing")
 
 
 class TestTruthRecord:
-    # alpha and norm_A of the split A = G + r·M come from the pencil (M, G)
+    # alpha and norm_A of the split A = G + r·M come from the closed-form
+    # spectrum of the P1 pencil (M, G): no record solves an eigenproblem
 
     def test_extremes_match_closed_form_at_truth_2048(self):
         # the dense (A, G) route is 7.6e-11 off here in norm_A
@@ -365,11 +365,45 @@ class TestTruthRecord:
         assert truth.norm_A == pytest.approx(closed[1], rel=1e-12, abs=0.0)
 
     def test_reaction_zero_is_exactly_one_without_a_solve(self, monkeypatch):
-        monkeypatch.setattr(saddle, "sym_generalized_eigvals", no_dense_route)
+        monkeypatch.setattr(saddle, "sym_generalized_eigvals", no_solve)
         truth = models.truth_record(ModelConfig(truth_elems=64, coarse_elems=8))
         assert truth.mass is None
         for value in (truth.alpha, truth.norm_A):
             assert type(value) is float and value == 1.0
+
+    @pytest.mark.parametrize("reaction", [2.5, 1e300])
+    def test_no_eigensolve_at_any_reaction(self, monkeypatch, reaction):
+        for module in (algebra, dualprod, saddle):
+            monkeypatch.setattr(module, "sym_generalized_eigvals", no_solve)
+        for module in (algebra, saddle):
+            monkeypatch.setattr(module, "cholesky", no_solve)
+        monkeypatch.setattr(hilbert, "cholesky_band", no_solve)
+        # above the dense limit: the record builds no n × n matrix either
+        cfg = ModelConfig(truth_elems=16384, coarse_elems=8, reaction=reaction)
+        truth = models.truth_record(cfg)
+        assert truth.reaction == reaction and truth.mass.dim == 16383
+        # Python floats, so norm_A**2 in gamma0 overflows as OverflowError
+        assert all(type(v) is float for v in (truth.alpha, truth.norm_A))
+        assert 1.0 <= truth.alpha <= truth.norm_A < float("inf")
+        assert "fact" not in vars(truth.space)
+
+    def test_inertia_certifies_the_closed_form_at_truth_65536(self):
+        # M − λG is positive definite exactly when λ < μ_min, and λG − M
+        # exactly when λ > μ_max; LAPACK's dpttrf decides each in O(n).
+        # At r = 1e10, (alpha − 1)/r reads μ back to about 1e-15
+        n, r = 65536, 1e10
+        truth = models.truth_record(ModelConfig(truth_elems=n, coarse_elems=2, reaction=r))
+        mu_min, mu_max = (truth.alpha - 1.0) / r, (truth.norm_A - 1.0) / r
+        g, m = models.p1_stiffness_band(n), models.p1_interior_mass_band(n)
+
+        def definite(band):
+            *_, info = dpttrf(band[1], band[0, 1:])
+            return info == 0
+
+        assert definite(m - mu_min * (1.0 - 1e-9) * g)
+        assert not definite(m - mu_min * (1.0 + 1e-9) * g)
+        assert definite(mu_max * (1.0 + 1e-9) * g - m)
+        assert not definite(mu_max * (1.0 - 1e-9) * g - m)
 
     def test_reaction_zero_builds_no_truth_factor(self, monkeypatch):
         calls = []
@@ -388,38 +422,25 @@ class TestTruthRecord:
         pb.truth.solve(np.ones(63))
         assert calls == ["truth Gramian"]
 
-    def test_one_solve_serves_both_and_is_cached(self, monkeypatch):
-        calls = []
-        original = saddle.sym_generalized_eigvals
-
-        def counted(a, b_fact):
-            calls.append((a, b_fact))
-            return original(a, b_fact)
-
-        monkeypatch.setattr(saddle, "sym_generalized_eigvals", counted)
-        truth = models.truth_record(ModelConfig(truth_elems=64, coarse_elems=8, reaction=2.5))
-        assert calls == []
-        values = (truth.alpha, truth.norm_A)
-        assert len(calls) == 1
-        # the dense (M, G) pencil: step 3 of the banded truth is not done
-        np.testing.assert_array_equal(calls[0][0], p1_interior_mass(64))
-        np.testing.assert_array_equal(calls[0][1].lower, cholesky(p1_stiffness(64)).lower)
-        assert (truth.norm_A, truth.alpha) == values[::-1]
-        assert len(calls) == 1
-        assert all(type(v) is float for v in values)
-
     def test_split_truth_validates(self):
         space = models.truth_record(ModelConfig(truth_elems=8, coarse_elems=2)).space
         mass = TruthSpace(p1_interior_mass(8))
+        mu = (0.1, 0.2)
         with pytest.raises(ValueError):
-            saddle.split_truth(space, -1.0, mass)
+            saddle.split_truth(space, -1.0, mass, mu)
         with pytest.raises(ValueError):
-            saddle.split_truth(space, float("inf"), mass)
+            saddle.split_truth(space, float("inf"), mass, mu)
         with pytest.raises(saddle.DimensionMismatch):
-            saddle.split_truth(space, 1.0, TruthSpace(p1_interior_mass(16)))
+            saddle.split_truth(space, 1.0, TruthSpace(p1_interior_mass(16)), mu)
         # the mass is a truth space on the same basis, not a bare matrix
         with pytest.raises(TypeError):
-            saddle.split_truth(space, 1.0, p1_interior_mass(8))
+            saddle.split_truth(space, 1.0, p1_interior_mass(8), mu)
+        # the (M, G) extremes of an SPD M are positive, finite and ordered
+        for bad in ((0.0, 0.2), (0.2, 0.1), (0.1, float("inf")), (float("nan"), 0.2)):
+            with pytest.raises(ValueError):
+                saddle.split_truth(space, 1.0, mass, bad)
+        record = saddle.split_truth(space, 2.0, mass, mu)
+        assert (record.alpha, record.norm_A) == (1.2, 1.4)
 
 
 class TestModelInvariants:

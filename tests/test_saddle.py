@@ -391,16 +391,15 @@ class TestConstants:
     @pytest.mark.parametrize("reaction", [0.0, 2.5])
     def test_split_record_matches_dense_oracle(self, reaction):
         # the dense (sym A, G) and operator-norm route is the oracle of the
-        # split record's alpha and norm_A, and so of gamma0 and gamma_tilde0;
-        # no other constant reads the a-form, so each equals that of the
-        # reaction-0 record on the same dense truth space
+        # closed-form record's alpha and norm_A, and so of gamma0 and
+        # gamma_tilde0; no other constant reads the a-form, so each equals
+        # that of the reaction-0 record on the same truth space
         cfg = models.ModelConfig(truth_elems=1024, coarse_elems=16, gamma=0.0, reaction=reaction)
-        space = TruthSpace(p1_stiffness(1024))
-        mass = p1_interior_mass(1024)
-        split = saddle.split_truth(space, reaction, TruthSpace(mass) if reaction else None)
-        alpha, norm_a = dense_truth_extremes(space, p1_stiffness(1024) + reaction * mass)
+        split = models.truth_record(cfg)
+        gram = p1_stiffness(1024)
+        alpha, norm_a = dense_truth_extremes(gram, gram + reaction * p1_interior_mass(1024))
         reps = []
-        for record in (split, saddle.split_truth(space, 0.0)):
+        for record in (split, saddle.split_truth(split.space, 0.0, None, None)):
             pb = models.build_level(cfg, record)
             reps.append(constants(pb, models.build_spaces(cfg, pb)))
         measured, base = (vars(r) for r in reps)
@@ -425,7 +424,7 @@ class TestConstants:
         cfg = models.ModelConfig(truth_elems=truth, coarse_elems=16, gamma=0.0)
         banded = models.build_truth(cfg)
         dense = models.build_level(
-            cfg, saddle.split_truth(TruthSpace(p1_stiffness(truth)), 0.0)
+            cfg, saddle.split_truth(TruthSpace(p1_stiffness(truth)), 0.0, None, None)
         )
         assert isinstance(banded.truth, BandedTruthSpace)
         measured, oracle = (
@@ -433,27 +432,6 @@ class TestConstants:
         )
         for name, value in measured.items():
             assert value == pytest.approx(oracle[name], rel=1e-10, abs=0.0), name
-
-    def test_truth_record_measures_on_first_read(self, monkeypatch):
-        # counts the (M, G) solves of split records at reaction > 0
-        calls = []
-        original = saddle.sym_generalized_eigvals
-
-        def counted(a, b_fact):
-            calls.append(a.shape)
-            return original(a, b_fact)
-
-        monkeypatch.setattr(saddle, "sym_generalized_eigvals", counted)
-        cfg, pb, d = build(reaction=5.0)
-        truth = models.truth_record(cfg)
-        other = models.truth_record(cfg)
-        assert calls == []
-        assert truth.norm_A == truth.norm_A == other.norm_A
-        # once per record: a second read reuses it, another record measures again
-        assert calls == [(63, 63)] * 2
-        # a problem on the record reads it: no third measurement
-        assert truth.alpha == constants(models.build_level(cfg, truth), d).alpha
-        assert calls == [(63, 63)] * 2
 
     def test_c_hat_is_read_from_beta(self):
         cfg, pb, d = build()
@@ -582,7 +560,7 @@ class TestValidation:
         # the a-form is validated once, by the record the problem is built on:
         # its truth space is a TruthSpace, not a bare Gramian
         with pytest.raises(TypeError):
-            saddle.split_truth(p1_stiffness(16), 0.0)
+            saddle.split_truth(p1_stiffness(16), 0.0, None, None)
         with pytest.raises(TypeError):
             SaddleProblem(pb.truth, pb.b_form, pb.q_gram, pb.load, pb.constraint_rhs)
         with pytest.raises(DimensionMismatch):
