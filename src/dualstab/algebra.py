@@ -140,18 +140,6 @@ class BandedSpdFactorization:
     upper: np.ndarray
 
 
-@dataclass(frozen=True)
-class EigResult:
-    """Full spectrum of a symmetric pencil (A, B).
-
-    Eigenvalues are ascending; eigenvector k is ``eigenvectors[:, k]`` and the
-    set is B-orthonormal.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def cholesky(m, name="matrix"):
     """Factor an SPD matrix as L Lᵀ with L lower triangular.
 
@@ -260,11 +248,12 @@ def sym_generalized_eig(a, b_fact):
 
     B is supplied as its Cholesky factorization; the pencil is reduced to the
     standard symmetric problem L⁻¹ A L⁻ᵀ y = λ y and the eigenvectors are
-    mapped back as x = L⁻ᵀ y, which makes them B-orthonormal.
+    mapped back as x = L⁻ᵀ y, which makes them B-orthonormal.  Returns the
+    pair (eigenvalues, eigenvectors) in the order of ``np.linalg.eigh``:
+    ascending eigenvalues, eigenvector k in column k.
     """
     eigenvalues, v = np.linalg.eigh(_reduce_pencil(a, b_fact))
-    x = _solve_triangular(b_fact.lower.T, v, lower=False)
-    return EigResult(eigenvalues=eigenvalues, eigenvectors=x)
+    return eigenvalues, _solve_triangular(b_fact.lower.T, v, lower=False)
 
 
 def sym_generalized_eigvals(a, b_fact):

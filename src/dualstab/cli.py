@@ -59,7 +59,7 @@ class RunConfig:
 def parse_config_file(path):
     """Read a flat key = value file into a dict of raw strings."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             text = handle.read()
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path!r}: {exc.strerror or exc}") from None
@@ -302,7 +302,8 @@ def cmd_solve(cfg):
     # only gamma = auto reads the level's constants
     rep = saddle.constants(pb, d) if cfg.gamma == "auto" else None
     d = saddle.Discretization(pb, d.U, d.dp, _gamma(cfg, rep))
-    exact = models.exact_coefficients(mc, models.default_solution())
+    xe, ye = models.exact_coefficients(mc, models.default_solution())
+    exact = (xe, saddle.project_pressure(pb, ye))
     stab = saddle.assemble_stabilized(pb, d)
     try:
         x, y = saddle.solve(stab)

@@ -37,11 +37,10 @@ from .algebra import (
 class TruthSpace:
     """Reference space: an SPD Gramian fixing norm and dual norm, stored dense."""
 
-    def __init__(self, gramian, label=""):
+    def __init__(self, gramian):
         self.gramian = require_symmetric(gramian, "truth Gramian")
         self.fact = cholesky(self.gramian, "truth Gramian")
         self.dim = self.gramian.shape[0]
-        self.label = label
 
     def apply(self, x):
         """G x, for a truth vector or a matrix of truth columns."""
@@ -62,7 +61,7 @@ class TruthSpace:
         return float(np.sqrt(max(x @ self.apply(x), 0.0)))
 
     def __repr__(self):
-        return f"{type(self).__name__}(dim={self.dim}, label={self.label!r})"
+        return f"{type(self).__name__}(dim={self.dim})"
 
 
 class BandedTruthSpace(TruthSpace):
@@ -73,10 +72,9 @@ class BandedTruthSpace(TruthSpace):
     screen of ``algebra.cholesky`` (NotSpd for a singular band).
     """
 
-    def __init__(self, band, label=""):
+    def __init__(self, band):
         self.band = as_matrix(band, "truth Gramian band")
         self.dim = self.band.shape[1]
-        self.label = label
 
     @cached_property
     def fact(self):

@@ -164,11 +164,6 @@ def p1_interior_mass_band(n):
     return _tridiagonal_band(n, 2.0 * h / 3.0, h / 6.0)
 
 
-def p1_stiffness(n):
-    """H¹₀ stiffness matrix of P1 on n uniform elements (interior nodes)."""
-    return band_to_dense(p1_stiffness_band(n))
-
-
 def p1_interior_mass(n):
     """L² mass matrix of interior P1 hats on n uniform elements."""
     return band_to_dense(p1_interior_mass_band(n))
@@ -299,10 +294,10 @@ def truth_record(cfg):
     coarse level of a run shares one record through ``build_level``.
     """
     n = cfg.truth_elems
-    space = BandedTruthSpace(p1_stiffness_band(n), label=f"p1-h10-{n}")
+    space = BandedTruthSpace(p1_stiffness_band(n))
     if cfg.reaction == 0.0:
         return split_truth(space, 0.0, None, None)
-    mass = BandedTruthSpace(p1_interior_mass_band(n), label=f"p1-l2-{n}")
+    mass = BandedTruthSpace(p1_interior_mass_band(n))
     theta = np.array([n - 1, 1]) * np.pi / n
     mu = (2.0 + np.cos(theta)) / (12.0 * n * n * np.sin(theta / 2.0) ** 2)
     return split_truth(space, cfg.reaction, mass, mu)

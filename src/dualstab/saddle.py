@@ -2,11 +2,12 @@
 
 The mixed problem  a(u,v) − b(p,v) + b(q,u) = ⟨F,v⟩ + ⟨G,q⟩  is posed with a
 truth velocity space, a pressure basis, and a discretization (U, Q, W, c, γ)
-where c is the surrogate dual product on W.  Two equivalent assemblies are
-provided: the condensed stabilized system on U×Q obtained by augmenting the
-constraint equation with the γ-weighted residual term, and the three-field
-system on U×W×Q whose middle block is (1/γ)S.  Static condensation of the
-latter must reproduce the former entrywise; the acceptance suite pins that.
+where c is the surrogate dual product on W.  Two equivalent assemblies give
+one ``BlockSystem``, seen with and without its auxiliary block: the
+condensed stabilized system on U×Q obtained by augmenting the constraint
+equation with the γ-weighted residual term, and the three-field system on
+U×W×Q whose middle block is (1/γ)S.  Static condensation of the latter must
+reproduce the former entrywise; the acceptance suite pins that.
 
 A problem owns the TruthRecord of its truth space and split a-form
 A = G + r·M (``split_truth``), from which ``constants`` reads alpha and
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -157,24 +159,17 @@ class Discretization:
 
 
 @dataclass(frozen=True)
-class StabilizedSystem:
-    """Condensed system on U × Q (deflated pressure coordinates)."""
+class BlockSystem:
+    """Assembled block system: (k, l) for U × Q, (k, n, l) for U × W × Q."""
 
     matrix: np.ndarray
     rhs: np.ndarray
-    u_dim: int
-    p_dim: int
+    sizes: tuple
 
-
-@dataclass(frozen=True)
-class ThreeFieldSystem:
-    """Equivalent system on U × W × Q with middle block (1/γ) S."""
-
-    matrix: np.ndarray
-    rhs: np.ndarray
-    u_dim: int
-    w_dim: int
-    p_dim: int
+    def blocks(self):
+        """Slices of the unknowns of each block, in order."""
+        ends = list(accumulate(self.sizes, initial=0))
+        return tuple(slice(a, b) for a, b in zip(ends, ends[1:]))
 
 
 def _blocks(pb, d):
@@ -215,7 +210,7 @@ def assemble_stabilized(pb, d):
         rhs_q = pb.g_eff - gamma * (b_wq.T @ s_inv_f)
     matrix = np.block([[a_uu, -b_uq], [bottom_left, bottom_right]])
     rhs = np.concatenate([f_u, rhs_q])
-    return StabilizedSystem(matrix=matrix, rhs=rhs, u_dim=d.U.dim, p_dim=l)
+    return BlockSystem(matrix=matrix, rhs=rhs, sizes=(d.U.dim, l))
 
 
 def assemble_three_field(pb, d):
@@ -238,12 +233,7 @@ def assemble_three_field(pb, d):
         ]
     )
     rhs = np.concatenate([f_u, f_w, pb.g_eff])
-    return ThreeFieldSystem(matrix=matrix, rhs=rhs, u_dim=k, w_dim=n, p_dim=l)
-
-
-def _three_field_slices(tf):
-    k, n = tf.u_dim, tf.w_dim
-    return slice(0, k), slice(k, k + n), slice(k + n, k + n + tf.p_dim)
+    return BlockSystem(matrix=matrix, rhs=rhs, sizes=(k, n, l))
 
 
 def static_condense(tf):
@@ -252,7 +242,7 @@ def static_condense(tf):
     Works from the assembled matrix alone, so the result is an independent
     route to the stabilized system and must agree with it entrywise.
     """
-    iu, iw, ip = _three_field_slices(tf)
+    iu, iw, ip = tf.blocks()
     m, rhs = tf.matrix, tf.rhs
     a_uu = m[iu, iu]
     b_uq = -m[iu, ip]
@@ -267,7 +257,7 @@ def static_condense(tf):
     rhs_q = rhs[ip] - b_wqt @ spd_solve(s_fact, rhs[iw])
     matrix = np.block([[a_uu, -b_uq], [bottom_left, bottom_right]])
     out_rhs = np.concatenate([rhs[iu], rhs_q])
-    return StabilizedSystem(matrix=matrix, rhs=out_rhs, u_dim=tf.u_dim, p_dim=tf.p_dim)
+    return BlockSystem(matrix=matrix, rhs=out_rhs, sizes=(tf.sizes[0], tf.sizes[2]))
 
 
 def relative_residual(system, sol):
@@ -285,8 +275,9 @@ def solve(system):
     factored once (LAPACK getrf); SingularSystem is raised when the gecon
     estimate of its reciprocal 1-norm condition number is at or below
     SINGULAR_RTOL (0 for an exactly zero pivot), or when the relative
-    residual of the getrs solution exceeds RESIDUAL_RTOL.  Returns (x, y) for
-    a stabilized system and (x, z, y) for a three-field system.
+    residual of the getrs solution exceeds RESIDUAL_RTOL.  Returns one block
+    of the solution per entry of ``system.sizes``: (x, y) for a stabilized
+    system and (x, z, y) for a three-field system.
     """
     m = as_matrix(system.matrix, "system matrix")
     rhs = as_matrix(np.reshape(system.rhs, (-1, 1)), "right-hand side")
@@ -306,11 +297,7 @@ def solve(system):
     resid = relative_residual(system, sol)
     if not resid <= RESIDUAL_RTOL:
         raise SingularSystem(f"relative solver residual {resid:.3e} exceeds tolerance", rcond)
-    if isinstance(system, ThreeFieldSystem):
-        iu, iw, ip = _three_field_slices(system)
-        return sol[iu], sol[iw], sol[ip]
-    k = system.u_dim
-    return sol[:k], sol[k:]
+    return tuple(sol[b] for b in system.blocks())
 
 
 @dataclass(frozen=True)
@@ -495,17 +482,12 @@ def error_norms(pb, d, numeric, exact):
     """Errors of a solve against the interpolated exact pair.
 
     ``numeric`` is the (x, y) pair returned by solve; ``exact`` the pair of
-    truth velocity and raw pressure coefficients.  Velocity error in the
-    truth norm, pressure error in the deflated G_Q norm.
+    truth velocity coefficients and the exact pressure in deflated
+    coordinates, ``project_pressure`` of its raw coefficients.  Velocity
+    error in the truth norm, pressure error in the deflated G_Q norm.
     """
-    xe, ye = exact
-    return _error_norms(pb, d, numeric, np.asarray(xe, dtype=float), project_pressure(pb, ye))
-
-
-def _error_norms(pb, d, numeric, xe, y_ref):
-    """``error_norms`` with the exact pressure given projected, as ``y_ref``."""
-    x, y = numeric
-    du = d.U.embedding @ np.asarray(x, dtype=float) - xe
+    (x, y), (xe, y_ref) = numeric, exact
+    du = d.U.embedding @ np.asarray(x, dtype=float) - np.asarray(xe, dtype=float)
     u_err = pb.truth.norm(du)
     dp_vec = y_ref - np.asarray(y, dtype=float)
     p_err = float(np.sqrt(max(dp_vec @ (pb.pressures.q_eff @ dp_vec), 0.0)))
@@ -534,7 +516,7 @@ def quasi_optimality(pb, d, exact, report):
     _require_below_gamma0(d.gamma, report)
     xe, ye = (np.asarray(v, dtype=float) for v in exact)
     y_ref = project_pressure(pb, ye)
-    u_err, p_err = _error_norms(pb, d, solve(assemble_stabilized(pb, d)), xe, y_ref)
+    u_err, p_err = error_norms(pb, d, solve(assemble_stabilized(pb, d)), (xe, y_ref))
     ru = xe - d.U.embedding @ orthogonal_project(d.U, xe)
     best_u = pb.truth.norm(ru)
     rp = ye - pb.pressures.basis @ y_ref

@@ -1,6 +1,13 @@
 """Dense oracles that tests compare the package's split routes with."""
 
-from dualstab.algebra import as_matrix, cholesky, operator_norm, sym_generalized_eigvals
+from dualstab.algebra import (
+    as_matrix,
+    band_to_dense,
+    cholesky,
+    operator_norm,
+    sym_generalized_eigvals,
+)
+from dualstab.models import p1_stiffness_band
 
 
 def dense_truth_extremes(gramian, a_form):
@@ -15,3 +22,8 @@ def dense_truth_extremes(gramian, a_form):
     sym_a = 0.5 * (a_form + a_form.T)
     alpha = float(sym_generalized_eigvals(sym_a, fact)[0])
     return alpha, operator_norm(a_form, fact, fact)
+
+
+def p1_stiffness(n):
+    """H¹₀ stiffness matrix of P1 on n uniform elements (interior nodes)."""
+    return band_to_dense(p1_stiffness_band(n))

@@ -46,6 +46,15 @@ class TestConfigParsing:
             "levels": "4, 8",
         }
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # a UTF-8 file saved with a byte-order mark parses as the same file without one
+        text = "truth_elems = 64\ngamma = auto\n"
+        plain = write_cfg(tmp_path, text)
+        marked = tmp_path / "bom.cfg"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert parse_config_file(str(marked)) == parse_config_file(plain)
+        assert parse_config_file(plain) == {"truth_elems": "64", "gamma": "auto"}
+
     def test_unknown_key_reports_line(self, tmp_path):
         path = write_cfg(tmp_path, "truth_elems = 64\nmesh = 4\n")
         with pytest.raises(ConfigError, match=r"line 2.*mesh"):
@@ -818,6 +827,23 @@ class TestCheckTable:
         code, _, rows = run_csv(tmp_path, ["converge", "--config", path])
         assert code == 0 and len(rows) == 2
         assert labels == ["p1-4-on-64", "p1-8-on-64"]
+
+    def test_solve_projects_its_exact_pressure_once(self, tmp_path, monkeypatch):
+        # the exact pressure of solve is projected once, for the errors of
+        # both assembly routes
+        labels = []
+        original = saddle.project_pressure
+
+        def counted(pb, y_raw):
+            labels.append(pb.label)
+            return original(pb, y_raw)
+
+        monkeypatch.setattr(saddle, "project_pressure", counted)
+        path = write_cfg(tmp_path, "truth_elems = 64\ncoarse_elems = 8\ngamma = 0.1\n")
+        code, _, rows = run_csv(tmp_path, ["solve", "--config", path])
+        assert code == 0
+        assert [r["route"] for r in rows] == ["stabilized", "three_field", "condensed_vs_stabilized"]
+        assert labels == ["p1-8-on-64"]
 
     def test_failing_row_sets_verdict(self, tmp_path, monkeypatch):
         from dualstab import dualprod

@@ -32,10 +32,10 @@ from dualstab.hilbert import Functional, Subspace, TruthSpace, dual_norm
 from dualstab.models import (
     constraint_matrix,
     p1_interior_mass,
-    p1_stiffness,
     pressure_mass,
     prolongation_p1,
 )
+from oracles import p1_stiffness
 
 
 def random_truth(rng, n, lo=0.1, hi=10.0):
@@ -46,7 +46,7 @@ def random_truth(rng, n, lo=0.1, hi=10.0):
 
 def mass_pair(truth_elems=64, coarse_elems=8):
     """Coarse P1 space inside a fine P1 mass space; lumping is SPD here."""
-    ts = TruthSpace(p1_interior_mass(truth_elems), label="mass")
+    ts = TruthSpace(p1_interior_mass(truth_elems))
     return ts, Subspace(ts, prolongation_p1(truth_elems, coarse_elems))
 
 

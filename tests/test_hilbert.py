@@ -72,7 +72,7 @@ class TestBandedTruthSpace:
         rng = np.random.default_rng(n)
         band = np.vstack([rng.uniform(-1.0, 1.0, n), np.full(n, 4.0)])
         band[0, 0] = 0.0
-        return rng, BandedTruthSpace(band, label="band"), TruthSpace(band_to_dense(band))
+        return rng, BandedTruthSpace(band), TruthSpace(band_to_dense(band))
 
     def test_apply_solve_gram_norm_match_dense(self):
         rng, banded, dense = self.pair()

@@ -8,16 +8,16 @@ from dualstab.algebra import DimensionMismatch, NonFinite, spd_solve
 from dualstab.cli import main
 from dualstab.dualprod import BoundViolated, DegeneratePencil, pressure_infsup
 from dualstab.hilbert import BandedTruthSpace, Subspace, TruthSpace
-from dualstab.models import p1_interior_mass, p1_stiffness
+from dualstab.models import p1_interior_mass
 from dualstab.saddle import (
     SINGULAR_RTOL,
+    BlockSystem,
     ConstantsReport,
     DegenerateDenominator,
     Discretization,
     GammaZero,
     SaddleProblem,
     SingularSystem,
-    StabilizedSystem,
     assemble_stabilized,
     assemble_three_field,
     combined_subspace,
@@ -29,7 +29,7 @@ from dualstab.saddle import (
     verify_coercivity,
     verify_relaxed_infsup,
 )
-from oracles import dense_truth_extremes
+from oracles import dense_truth_extremes, p1_stiffness
 from test_cli_fuzz import runs
 
 
@@ -127,7 +127,7 @@ class TestSolve:
     )
     def test_exactly_singular_has_rcond_zero(self, matrix):
         # an exactly zero pivot: no condition estimate, and no warning
-        system = StabilizedSystem(np.array(matrix), np.ones(len(matrix)), 1, len(matrix) - 1)
+        system = BlockSystem(np.array(matrix), np.ones(len(matrix)), (1, len(matrix) - 1))
         with pytest.raises(SingularSystem) as exc:
             solve(system)
         assert exc.value.rcond == 0.0
@@ -144,7 +144,7 @@ class TestSolve:
     )
     def test_non_finite_system_rejected(self, matrix, rhs):
         with pytest.raises(NonFinite):
-            solve(StabilizedSystem(np.array(matrix), np.array(rhs), 1, 1))
+            solve(BlockSystem(np.array(matrix), np.array(rhs), (1, 1)))
 
     @pytest.mark.parametrize("over", ["ignore", "raise"])
     @pytest.mark.parametrize(
@@ -159,7 +159,7 @@ class TestSolve:
     def test_norm_overflow_is_non_finite(self, matrix, over):
         # finite entries whose column sums overflow: one NonFinite, whatever
         # the caller's floating-point error state
-        system = StabilizedSystem(np.array(matrix), np.ones(len(matrix)), 1, len(matrix) - 1)
+        system = BlockSystem(np.array(matrix), np.ones(len(matrix)), (1, len(matrix) - 1))
         with np.errstate(over=over), pytest.raises(NonFinite, match="1-norm overflows"):
             solve(system)
 
@@ -189,7 +189,7 @@ class TestSolve:
             m = np.ascontiguousarray(a[:n, :n]) if layout == "c" else a[::2, ::3]
             expected.append(np.linalg.norm(m, 1))
             with pytest.raises(Screened):
-                solve(StabilizedSystem(m, np.ones(n), 1, n - 1))
+                solve(BlockSystem(m, np.ones(n), (1, n - 1)))
         assert len(norms) == 100
         assert [float(x) for x in norms] == [float(x) for x in expected]
 
@@ -243,6 +243,21 @@ class TestSolve:
         x, y = solve(assemble_stabilized(pb2, d2))
         np.testing.assert_allclose(d2.U.embedding @ x, xe, atol=1e-9)
         np.testing.assert_allclose(pb2.pressures.basis @ y, ye_def, atol=1e-9)
+
+
+class TestBlockSystem:
+    @pytest.mark.parametrize("sizes", [(5,), (2, 3), (1, 2, 2)], ids=["one", "two", "three"])
+    def test_solve_returns_one_block_per_size(self, sizes):
+        # a regular random system: one block per entry of sizes, and their
+        # concatenation solves the system
+        rng = np.random.default_rng(31)
+        n = sum(sizes)
+        m = rng.standard_normal((n, n)) + n * np.eye(n)
+        rhs = rng.standard_normal(n)
+        blocks = solve(BlockSystem(m, rhs, sizes))
+        assert tuple(len(b) for b in blocks) == sizes
+        sol = np.concatenate(blocks)
+        assert np.linalg.norm(m @ sol - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
 def svd_singular(matrix):
