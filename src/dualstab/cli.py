@@ -22,7 +22,13 @@ import numpy as np
 
 from . import models, saddle
 from .algebra import NumericalFailure
-from .dualprod import BoundViolated, spectral_checks, stiffness_scale, truth_constants
+from .dualprod import (
+    BoundViolated,
+    EquivalenceReport,
+    spectral_checks,
+    stiffness_scale,
+    truth_constants,
+)
 from .models import ModelConfig, NestingViolated
 from .report import Report, write_report
 from .saddle import GammaTooLarge, SingularSystem
@@ -161,9 +167,11 @@ def build_run_config(file_values, overrides):
     merged = dict(file_values)
     merged.update({k: v for k, v in overrides.items() if v is not None})
     cfg = RunConfig(**{key: _PARSERS[key](raw) for key, raw in merged.items()})
-    # the model config validates mesh sizes, w and reaction up front
+    # the model config validates mesh sizes, w and reaction up front; no level repeats
     _model_config(cfg, cfg.coarse_elems)
-    for level in cfg.levels:
+    for i, level in enumerate(cfg.levels):
+        if level in cfg.levels[:i]:
+            raise ConfigError(f"levels: entry {level} is repeated")
         _model_config(cfg, level)
     return cfg
 
@@ -205,15 +213,8 @@ def _levels(cfg):
 
 
 def _config_echo(cfg):
-    echo = {
-        "truth_elems": cfg.truth_elems,
-        "coarse_elems": cfg.coarse_elems,
-        "pressure": cfg.pressure,
-        "w": cfg.w,
-        "s": cfg.s,
-        "gamma": cfg.gamma,
-        "reaction": cfg.reaction,
-    }
+    keys = ("truth_elems", "coarse_elems", "pressure", "w", "s", "gamma", "reaction")
+    echo = {key: getattr(cfg, key) for key in keys}
     if cfg.levels:
         echo["levels"] = ",".join(str(n) for n in cfg.levels)
     return echo
@@ -225,8 +226,9 @@ def _config_echo(cfg):
 
 def cmd_constants(cfg):
     """One row of measured constants per mesh level."""
-    measured = [f.name for f in fields(saddle.ConstantsReport)]
-    columns = ["level", "coarse_elems", *measured, "gamma", "beta_gamma"]
+    measured = [f.name for f in fields(EquivalenceReport)]
+    columns = ["level", "coarse_elems", "alpha", "norm_A", *measured, "gamma0", "gamma_tilde0"]
+    columns += ["gamma", "beta_gamma"]
     report = Report("constants", _config_echo(cfg), cfg.seed, columns)
     for level, coarse, _, pb, d in _each_level(cfg, _levels(cfg)):
         rep = saddle.constants(pb, d)
@@ -383,15 +385,14 @@ def cmd_converge(cfg):
 
 
 def _default_sweep(cfg):
-    levels = []
-    coarse = cfg.coarse_elems
-    for _ in range(4):
+    """Up to four dyadic levels from coarse_elems, below the truth mesh: it holds the exact pair."""
+    levels = [cfg.coarse_elems]
+    while len(levels) < 4 and 2 * levels[-1] < cfg.truth_elems:
         try:
-            _model_config(cfg, coarse)
+            _model_config(cfg, 2 * levels[-1])
         except ConfigError:
             break
-        levels.append(coarse)
-        coarse *= 2
+        levels.append(2 * levels[-1])
     return tuple(levels)
 
 
@@ -440,13 +441,14 @@ def cmd_condense_check(cfg):
     return report
 
 
+# each command's function and its line in --help
 _COMMANDS = {
-    "constants": cmd_constants,
-    "spectral": cmd_spectral,
-    "infsup": cmd_infsup,
-    "solve": cmd_solve,
-    "converge": cmd_converge,
-    "condense-check": cmd_condense_check,
+    "constants": (cmd_constants, "measured stability and stabilization constants per level"),
+    "spectral": (cmd_spectral, "verify every spectral bound of the dual product"),
+    "infsup": (cmd_infsup, "mixed-form inf-sup constants of W and U + W"),
+    "solve": (cmd_solve, "solve one level through both assembly routes"),
+    "converge": (cmd_converge, "error sweep over dyadic coarse meshes"),
+    "condense-check": (cmd_condense_check, "static-condensation and auxiliary-field diagnostics"),
 }
 
 
@@ -456,18 +458,10 @@ _COMMANDS = {
 
 def _build_parser():
     """One parser for every command: all commands take the same options."""
-    helps = {
-        "constants": "measured stability and stabilization constants per level",
-        "spectral": "verify every spectral bound of the dual product",
-        "infsup": "mixed-form inf-sup constants of W and U + W",
-        "solve": "solve one level through both assembly routes",
-        "converge": "error sweep over dyadic coarse meshes",
-        "condense-check": "static-condensation and auxiliary-field diagnostics",
-    }
     parser = argparse.ArgumentParser(
         prog="dualstab",
         description="Stabilized saddle point experiments with verified spectral bounds.",
-        epilog="commands:\n" + "".join(f"  {name:<16}{helps[name]}\n" for name in _COMMANDS),
+        epilog="commands:\n" + "".join(f"  {n:<16}{line}\n" for n, (_, line) in _COMMANDS.items()),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument(
@@ -492,7 +486,7 @@ def main(argv=None):
     try:
         cfg = build_run_config(parse_config_file(args.config), overrides)
         with np.errstate(over="raise", invalid="raise"):
-            report = _COMMANDS[args.command](cfg)
+            report = _COMMANDS[args.command][0](cfg)
     except (ConfigError, GammaTooLarge) as exc:
         print(f"dualstab: config error: {exc}", file=sys.stderr)
         return 2

@@ -119,14 +119,14 @@ class DualProduct:
 class EquivalenceReport:
     """Measured spectral constants of one configuration."""
 
+    norm_B: float
+    beta: float
     kappa_star: float
     K_star: float
     c_star: float
     C_star: float
     alpha_hat: float
     beta_hat: float
-    beta: float
-    norm_B: float
 
 
 def stiffness_from_matrix(sub, s):

@@ -40,6 +40,7 @@ from .dualprod import (
     KERNEL_RTOL,
     Check,
     DualProduct,
+    EquivalenceReport,
     deflate_pressures,
     measure_equivalence,
     pressure_infsup,
@@ -301,19 +302,11 @@ def solve(system):
 
 
 @dataclass(frozen=True)
-class ConstantsReport:
-    """Measured problem and stabilization constants."""
+class ConstantsReport(EquivalenceReport):
+    """The level's EquivalenceReport, alpha and norm_A of its a-form, and gamma0, gamma_tilde0."""
 
     alpha: float
     norm_A: float
-    norm_B: float
-    beta: float
-    kappa_star: float
-    K_star: float
-    c_star: float
-    C_star: float
-    alpha_hat: float
-    beta_hat: float
     gamma0: float
     gamma_tilde0: float
 
@@ -323,18 +316,16 @@ class ConstantsReport:
         return min(1.0, self.beta**2)
 
     def beta_gamma(self, gamma):
-        """Guaranteed coercivity constant of the stabilized form at this gamma."""
+        """Coercivity bound c_hat · min(γ c_star / 2, alpha (1 − γ / gamma0)) at this gamma."""
         gamma = float(gamma)
         if gamma < 0.0:
             raise ValueError("gamma must be nonnegative")
         if gamma == 0.0:
             return 0.0
-        if self.c_star <= 0.0:
+        # gamma0 vanishes with c_star, or underflows to 0 at an extreme scale
+        if self.c_star <= 0.0 or self.gamma0 == 0.0:
             return float("-inf")
-        margin = min(
-            gamma * self.c_star / 2.0,
-            self.alpha - gamma * self.C_star**2 * self.norm_A**2 / (2.0 * self.c_star),
-        )
+        margin = min(gamma * self.c_star / 2.0, self.alpha * (1.0 - gamma / self.gamma0))
         return margin * self.c_hat
 
 
@@ -400,11 +391,13 @@ def constants(pb, d):
     """
     alpha, norm_a = pb.record.alpha, pb.record.norm_A
     er = measure_equivalence(d.dp, pb.pressures)[0]
+    # 2 alpha c_star / (norm_A C_star)² and 2 kappa_star alpha / norm_A², squaring nothing
+    ratio = alpha / norm_a
     return ConstantsReport(
         alpha=alpha,
         norm_A=norm_a,
-        gamma0=2.0 * alpha * er.c_star / (norm_a**2 * er.C_star**2),
-        gamma_tilde0=2.0 * er.kappa_star * alpha / norm_a**2,
+        gamma0=2.0 * ratio * (er.c_star / er.C_star) / (norm_a * er.C_star),
+        gamma_tilde0=2.0 * er.kappa_star * ratio / norm_a,
         **vars(er),
     )
 

@@ -110,6 +110,7 @@ class TestRunConfig:
             ({"levels": ""}, "levels"),
             ({"w": "refined:0"}, "w_kind"),
             ({"w": "refined:two"}, "w_kind"),
+            ({"truth_elems": "64", "levels": "8, 16, 8"}, "levels: entry 8 is repeated"),
         ],
     )
     def test_invalid_field_named_in_message(self, values, field):
@@ -244,7 +245,7 @@ class TestExitCodes:
         def boom(cfg):
             raise NewFailure("a new kind of breakdown")
 
-        monkeypatch.setitem(cli._COMMANDS, "constants", boom)
+        monkeypatch.setitem(cli._COMMANDS, "constants", (boom, ""))
         assert main(["constants", "--config", write_cfg(tmp_path, SMALL)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -254,7 +255,7 @@ class TestExitCodes:
         def boom(cfg):
             raise BoundViolated("spectral bound breached")
 
-        monkeypatch.setitem(cli._COMMANDS, "constants", boom)
+        monkeypatch.setitem(cli._COMMANDS, "constants", (boom, ""))
         code = main(["constants", "--config", write_cfg(tmp_path, SMALL)])
         assert code == 1
         assert "check failed" in capsys.readouterr().err
@@ -266,7 +267,7 @@ class TestExitCodes:
             report.verdict = "fail"
             return report
 
-        monkeypatch.setitem(cli._COMMANDS, "constants", fake)
+        monkeypatch.setitem(cli._COMMANDS, "constants", (fake, ""))
         out = tmp_path / "report.csv"
         code = main(["constants", "--config", write_cfg(tmp_path, SMALL), "--out", str(out)])
         assert code == 1
@@ -287,7 +288,13 @@ class TestCommands:
         path = write_cfg(tmp_path, SMALL)
         code, header, rows = run_csv(tmp_path, ["constants", "--config", path])
         assert code == 0
-        assert header[:2] == ["level", "coarse_elems"]
+        # ConstantsReport extends EquivalenceReport, but the column order is the a-form's
+        # constants first and the thresholds last
+        assert header == [
+            "level", "coarse_elems", "alpha", "norm_A", "norm_B", "beta", "kappa_star",
+            "K_star", "c_star", "C_star", "alpha_hat", "beta_hat", "gamma0", "gamma_tilde0",
+            "gamma", "beta_gamma",
+        ]  # fmt: skip
         assert len(rows) == 1
         assert rows[0]["coarse_elems"] == "4"
         assert float(rows[0]["alpha"]) == pytest.approx(1.0)
@@ -370,6 +377,14 @@ class TestCommands:
         assert [r["coarse_elems"] for r in rows] == ["4", "8"]
         assert rows[0]["rate"] == ""
         assert float(rows[1]["rate"]) > 0.0
+
+    def test_converge_default_sweep_stops_below_truth(self, tmp_path):
+        # the exact pair is discrete on the truth mesh, where the sweep would
+        # end in DegenerateDenominator
+        path = write_cfg(tmp_path, "truth_elems = 64\ncoarse_elems = 16\nw = truth\n")
+        code, _, rows = run_csv(tmp_path, ["converge", "--config", path])
+        assert code == 0
+        assert [r["coarse_elems"] for r in rows] == ["16", "32"]
 
     def test_converge_explicit_levels(self, tmp_path):
         path = write_cfg(tmp_path, "truth_elems = 64\nlevels = 4, 8, 16\ngamma = auto\n")
@@ -671,14 +686,21 @@ class TestCondenseCheckPhases:
 
 
 class TestEdgeExits:
-    # 1e-300: C_star = 1e300 squares past the float range in gamma0;
-    # 1e300: C_star = 1e-300 squares to 0 there; 1.7e308: S overflows to inf;
-    # 5e-324: S is subnormal and S⁻¹ overflows to inf
+    # 1e-300 and 1e300: gamma0 squares nothing, so it scales with S inside the
+    # float range; 1.7e308: S overflows to inf; 5e-324: S is subnormal and S⁻¹
+    # overflows to inf
     @pytest.mark.parametrize(
         "scale", ["scaled:1e-300", "scaled:1e300", "scaled:1.7e308", "scaled:5e-324"]
     )
     def test_stiffness_scale_overflow_exits_3(self, tmp_path, capsys, scale):
         path = write_cfg(tmp_path, "truth_elems = 64\n")
+        if scale in ("scaled:1e-300", "scaled:1e300"):
+            code, _, (row,) = run_csv(tmp_path, ["constants", "--config", path, "--s", scale])
+            assert code == 0
+            _, _, (base,) = run_csv(tmp_path, ["constants", "--config", path])
+            expected = float(scale.split(":")[1]) * float(base["gamma0"])
+            assert float(row["gamma0"]) == pytest.approx(expected, rel=1e-12, abs=0.0)
+            return
         code = main(["constants", "--config", path, "--s", scale])
         assert code == 3
         err = capsys.readouterr().err
@@ -687,25 +709,35 @@ class TestEdgeExits:
 
     @pytest.mark.parametrize("reaction", ["1e300", "1.7e308"])
     @pytest.mark.parametrize(
-        "command, extra",
+        "command, extra, code",
         [
-            pytest.param("constants", [], id="constants"),
-            pytest.param("converge", [], id="converge"),
-            pytest.param("solve", ["--gamma", "auto"], id="solve-auto"),
+            pytest.param("constants", [], 0, id="constants"),
+            pytest.param("converge", [], 2, id="converge"),
+            pytest.param("solve", ["--gamma", "auto"], 0, id="solve-auto"),
         ],
     )
     def test_huge_reaction_overflows_gamma0_exits_3(
-        self, tmp_path, capsys, command, extra, reaction
+        self, tmp_path, capsys, command, extra, code, reaction
     ):
-        # norm_A = 1 + reaction·μ_max(M, G) is finite, but norm_A**2 in gamma0
-        # leaves the float range: one message, no numpy warning
+        # norm_A = 1 + reaction·μ_max(M, G) is finite, and so is gamma0, which
+        # squares nothing: constants reports it with beta_gamma = -inf, converge
+        # refuses gamma 0.1 above it, and the auto gamma0 / 2 leaves a singular system
         path = write_cfg(tmp_path, f"truth_elems = 16\ncoarse_elems = 4\nreaction = {reaction}\n")
-        code = main([command, "--config", path] + extra)
-        assert code == 3
+        assert main([command, "--config", path] + extra) == code
         captured = capsys.readouterr()
-        assert captured.out == ""
-        (line,) = captured.err.splitlines()
-        assert line.startswith("dualstab: numerical failure:")
+        if command == "converge":
+            assert captured.out == ""
+            (line,) = captured.err.splitlines()
+            assert line.startswith("dualstab: config error: gamma 0.1 is not below gamma0")
+            return
+        assert captured.err == ""
+        header, *lines = captured.out.splitlines()
+        (row,) = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        if command == "constants":
+            assert 0.0 < float(row["gamma0"]) < 1e-300
+            assert row["beta_gamma"] == "-inf"
+        else:
+            assert row["route"] == "stabilized" and row["status"] == "singular"
 
     @pytest.mark.parametrize(
         "command, text",
@@ -925,7 +957,7 @@ class TestDenseLimit:
 
     def test_out_of_memory_exits_3_in_one_line(self, tmp_path, monkeypatch, capsys):
         # numpy refuses an 8 PiB array without allocating it
-        monkeypatch.setitem(cli._COMMANDS, "constants", lambda cfg: np.empty(2**50))
+        monkeypatch.setitem(cli._COMMANDS, "constants", (lambda cfg: np.empty(2**50), ""))
         assert main(["constants", "--config", write_cfg(tmp_path, SMALL)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -381,7 +381,8 @@ class TestTruthRecord:
         cfg = ModelConfig(truth_elems=16384, coarse_elems=8, reaction=reaction)
         truth = models.truth_record(cfg)
         assert truth.reaction == reaction and truth.mass.dim == 16383
-        # Python floats, so norm_A**2 in gamma0 overflows as OverflowError
+        # Python floats: beta_gamma's product overflows to -inf, where a numpy
+        # float would raise FloatingPointError under the CLI's errstate
         assert all(type(v) is float for v in (truth.alpha, truth.norm_A))
         assert 1.0 <= truth.alpha <= truth.norm_A < float("inf")
         assert "fact" not in vars(truth.space)

@@ -465,8 +465,28 @@ class TestConstants:
         assert rep.beta_gamma(0.5) == pytest.approx(0.125)
         degenerate = replace(rep, c_star=0.0)
         assert degenerate.beta_gamma(0.5) == -np.inf
+        # a gamma0 that underflows to 0 with c_star > 0 predicts no coercivity either
+        assert replace(rep, gamma0=0.0).beta_gamma(0.5) == -np.inf
         with pytest.raises(ValueError):
             rep.beta_gamma(-0.1)
+
+    @pytest.mark.parametrize("j", [-300, -100, 100, 300])
+    def test_constants_are_scale_covariant(self, j):
+        # S = 4^j G_W: S's extremes and the thresholds scale by 4^j, c_star and
+        # C_star by 4^-j, everything else stays, and beta_gamma reads gamma / gamma0
+        base, scaled = (
+            constants(pb, d)
+            for _, pb, d in (build(gamma=0.0), build(gamma=0.0, s_choice=f"scaled:{4.0**j!r}"))
+        )
+        factors = dict.fromkeys(("kappa_star", "K_star", "gamma0", "gamma_tilde0"), 4.0**j)
+        factors.update(c_star=4.0**-j, C_star=4.0**-j)
+        for name, value in vars(scaled).items():
+            expected = factors.get(name, 1.0) * vars(base)[name]
+            assert value == pytest.approx(expected, rel=1e-12, abs=0.0), name
+        for gamma in (base.gamma0 / 4, base.gamma0 / 2, 0.9 * base.gamma0):
+            assert scaled.beta_gamma(4.0**j * gamma) == pytest.approx(
+                base.beta_gamma(gamma), rel=1e-12, abs=0.0
+            )
 
 
 class TestCoercivity:
