@@ -303,7 +303,8 @@ def cmd_solve(cfg):
     [(_, _, mc, pb, d)] = _each_level(cfg, (cfg.coarse_elems,))
     # only gamma = auto reads the level's constants
     rep = saddle.constants(pb, d) if cfg.gamma == "auto" else None
-    d = saddle.Discretization(pb, d.U, d.dp, _gamma(cfg, rep))
+    # both routes read one set of gamma-free blocks
+    d = d.with_gamma(_gamma(cfg, rep))
     xe, ye = models.exact_coefficients(mc, models.default_solution())
     exact = (xe, saddle.project_pressure(pb, ye))
     stab = saddle.assemble_stabilized(pb, d)
@@ -339,7 +340,11 @@ def cmd_solve(cfg):
 
 
 def cmd_converge(cfg):
-    """Error sweep over dyadic coarse meshes at a fixed truth mesh."""
+    """Error sweep over dyadic coarse meshes at a fixed truth mesh.
+
+    No level may be the truth mesh, where the interpolated exact pair is
+    discrete and has no quasi-optimality ratio: that is a config error.
+    """
     columns = [
         "level",
         "coarse_elems",
@@ -352,14 +357,20 @@ def cmd_converge(cfg):
         "qratio",
         "rate",
     ]
-    report = Report("converge", _config_echo(cfg), cfg.seed, columns)
     levels = cfg.levels if cfg.levels else _default_sweep(cfg)
+    if cfg.truth_elems in levels:
+        field = "levels: entry" if cfg.levels else "coarse_elems:"
+        raise ConfigError(
+            f"{field} {cfg.truth_elems} is the truth mesh, where the exact pair is discrete; "
+            "converge needs levels below it"
+        )
+    report = Report("converge", _config_echo(cfg), cfg.seed, columns)
     totals = []
     for level, coarse, mc, pb, d in _each_level(cfg, levels):
         rep = saddle.constants(pb, d)
         gamma = _gamma(cfg, rep)
         exact = models.exact_coefficients(mc, models.default_solution())
-        d = saddle.Discretization(pb, d.U, d.dp, gamma)
+        d = d.with_gamma(gamma)
         qo = saddle.quasi_optimality(pb, d, exact, report=rep)
         total = qo.u_err + qo.p_err
         rate = None if not totals else float(np.log2(totals[-1] / total))
@@ -414,12 +425,13 @@ def cmd_condense_check(cfg):
     report = Report("condense-check", _config_echo(cfg), cfg.seed, columns)
     [(_, _, mc, pb, spaces)] = _each_level(cfg, (cfg.coarse_elems,))
     if mc.w_elems() == cfg.truth_elems:
-        maximal = spaces
+        maximal = saddle.Discretization(pb, spaces.W, spaces.dp, 0.0)
     else:
         maximal = models.build_spaces(replace(mc, coarse_elems=cfg.truth_elems, w_kind="same"), pb)
+    # every gamma restates the maximal discretization, U = W, and reads its blocks
     ratios = []
     for gamma in cfg.gammas:
-        d = saddle.Discretization(pb, maximal.W, maximal.dp, gamma)
+        d = maximal.with_gamma(gamma)
         try:
             x, z, _ = saddle.solve(saddle.assemble_three_field(pb, d))
         except SingularSystem as exc:
@@ -427,11 +439,11 @@ def cmd_condense_check(cfg):
                 f"maximal system (U = W = truth) at gamma {float(gamma)!r}: {exc}", exc.rcond
             ) from exc
         ratios.append(pb.truth.norm(z) / (1.0 + pb.truth.norm(d.U.embedding @ x)))
+    # the maximal blocks go with the last discretization that shares them
     del maximal, d
-    # the spaces do not depend on gamma: vary gamma only
     discs = []
     for gamma in cfg.gammas:
-        d = saddle.Discretization(pb, spaces.U, spaces.dp, gamma)
+        d = spaces.with_gamma(gamma)
         tf = saddle.assemble_three_field(pb, d)
         stab = saddle.assemble_stabilized(pb, d)
         discs.append(condensation_discrepancy(stab, saddle.static_condense(tf)))

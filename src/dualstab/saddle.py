@@ -11,10 +11,18 @@ reproduce the former entrywise; the acceptance suite pins that.
 
 A problem owns the TruthRecord of its truth space and split a-form
 A = G + r·M (``split_truth``), from which ``constants`` reads alpha and
-norm_A and ``_blocks`` applies A, and its pressures, deflated against
+norm_A and ``GammaFreeBlocks`` applies A, and its pressures, deflated against
 ker B_T (see dualprod) on first read as ``pb.pressures``: once per problem,
-however many discretizations are built on it.  A discretization is only
-(U, dual product, gamma); assembled systems live in deflated coordinates.
+however many discretizations are built on it.  A discretization is
+(problem, U, dual product, gamma), and it owns the γ-free blocks of its
+(problem, U, dual product), built on first read as ``d.blocks``: A_UU, A_WU,
+B_UQ, B_WQ, F_U, F_W, one set of rows when U is W, and, on first read, the
+B_WQᵀ S⁻¹ products of the stabilized route.  ``d.with_gamma`` restates γ and
+keeps them, so every γ and both assemblies read one set, which lives as long
+as the discretizations that share it.  Only the (1/γ)S block, the γ-scaled
+products and ``static_condense``, which factors S/γ from the assembled matrix
+as the independent route, depend on γ.  Assembled systems live in deflated
+coordinates.
 """
 
 from __future__ import annotations
@@ -136,7 +144,8 @@ class Discretization:
 
     Building one reads the problem's pressures, so a degenerate constraint
     fails here; ``b_eff``, ``q_eff`` and ``p_dim`` are theirs, ``b_sel`` and
-    ``q_sel`` the problem's B_T and G_Q.
+    ``q_sel`` the problem's B_T and G_Q.  ``blocks`` are the γ-free blocks of
+    (problem, U, dual product), built on first read; ``with_gamma`` shares them.
     """
 
     def __init__(self, pb, u, dp, gamma):
@@ -144,6 +153,7 @@ class Discretization:
             raise TypeError("dp must be a DualProduct")
         if u.parent is not pb.truth or dp.aux.parent is not pb.truth:
             raise DimensionMismatch("subspaces must embed into the problem's truth space")
+        self.problem = pb
         self.U = u
         self.dp = dp
         gamma = float(gamma)
@@ -157,6 +167,49 @@ class Discretization:
     @property
     def W(self):
         return self.dp.aux
+
+    @cached_property
+    def blocks(self):
+        return GammaFreeBlocks(self.problem, self.U, self.dp)
+
+    def with_gamma(self, gamma):
+        """The same problem, U and dual product at another gamma, sharing ``blocks``.
+
+        The blocks are built here if they are unread, so the two share one set.
+        """
+        other = Discretization(self.problem, self.U, self.dp, gamma)
+        other.blocks = self.blocks
+        return other
+
+
+class GammaFreeBlocks:
+    """The blocks of one (problem, U, dual product) that no gamma scales.
+
+    A_UU, A_WU, B_UQ, B_WQ, F_U and F_W are built with the set; when U is W,
+    one set of rows serves both (A_WU is A_UU, and so on).  ``products``, the
+    B_WQᵀ S⁻¹ products of the stabilized route, solve S on first read.
+    """
+
+    def __init__(self, pb, u, dp):
+        e_u = u.embedding
+        a_e_u = pb.record.apply(e_u)
+        self.a_uu = e_u.T @ a_e_u
+        self.b_uq = e_u.T @ pb.pressures.b_eff
+        self.f_u = e_u.T @ pb.load.action
+        if u is dp.aux:
+            self.a_wu, self.b_wq, self.f_w = self.a_uu, self.b_uq, self.f_u
+        else:
+            e_w = dp.aux.embedding
+            self.a_wu = e_w.T @ a_e_u
+            self.b_wq = e_w.T @ pb.pressures.b_eff
+            self.f_w = e_w.T @ pb.load.action
+        self.stiffness = dp.stiffness
+
+    @cached_property
+    def products(self):
+        """(B_WQᵀ S⁻¹ A_WU, B_WQᵀ S⁻¹ B_WQ, B_WQᵀ S⁻¹ F_W)."""
+        s_fact, b_wqt = self.stiffness.fact, self.b_wq.T
+        return tuple(b_wqt @ spd_solve(s_fact, x) for x in (self.a_wu, self.b_wq, self.f_w))
 
 
 @dataclass(frozen=True)
@@ -174,16 +227,9 @@ class BlockSystem:
 
 
 def _blocks(pb, d):
-    e_u = d.U.embedding
-    e_w = d.W.embedding
-    a_e_u = pb.record.apply(e_u)
-    a_uu = e_u.T @ a_e_u
-    a_wu = e_w.T @ a_e_u
-    b_uq = e_u.T @ pb.pressures.b_eff
-    b_wq = e_w.T @ pb.pressures.b_eff
-    f_u = e_u.T @ pb.load.action
-    f_w = e_w.T @ pb.load.action
-    return a_uu, a_wu, b_uq, b_wq, f_u, f_w
+    if pb is not d.problem:
+        raise ValueError("the discretization is built on another problem")
+    return d.blocks
 
 
 def assemble_stabilized(pb, d):
@@ -193,24 +239,21 @@ def assemble_stabilized(pb, d):
     Bottom row:  [B_UQᵀ − γ B_WQᵀ S⁻¹ A_WU,  γ B_WQᵀ S⁻¹ B_WQ]
     rhs:         (F_U,  G − γ B_WQᵀ S⁻¹ F_W)
 
-    At γ = 0 this is the plain Galerkin block form.
+    At γ = 0 this is the plain Galerkin block form, and S is not solved.
     """
-    a_uu, a_wu, b_uq, b_wq, f_u, f_w = _blocks(pb, d)
-    gamma, l = d.gamma, b_uq.shape[1]
+    blk = _blocks(pb, d)
+    gamma, l = d.gamma, blk.b_uq.shape[1]
     if gamma == 0.0:
-        bottom_left = b_uq.T
+        bottom_left = blk.b_uq.T
         bottom_right = np.zeros((l, l))
         rhs_q = pb.g_eff
     else:
-        s_fact = d.dp.stiffness.fact
-        s_inv_a = spd_solve(s_fact, a_wu)
-        s_inv_b = spd_solve(s_fact, b_wq)
-        s_inv_f = spd_solve(s_fact, f_w)
-        bottom_left = b_uq.T - gamma * (b_wq.T @ s_inv_a)
-        bottom_right = gamma * (b_wq.T @ s_inv_b)
-        rhs_q = pb.g_eff - gamma * (b_wq.T @ s_inv_f)
-    matrix = np.block([[a_uu, -b_uq], [bottom_left, bottom_right]])
-    rhs = np.concatenate([f_u, rhs_q])
+        bt_s_a, bt_s_b, bt_s_f = blk.products
+        bottom_left = blk.b_uq.T - gamma * bt_s_a
+        bottom_right = gamma * bt_s_b
+        rhs_q = pb.g_eff - gamma * bt_s_f
+    matrix = np.block([[blk.a_uu, -blk.b_uq], [bottom_left, bottom_right]])
+    rhs = np.concatenate([blk.f_u, rhs_q])
     return BlockSystem(matrix=matrix, rhs=rhs, sizes=(d.U.dim, l))
 
 
@@ -220,21 +263,28 @@ def assemble_three_field(pb, d):
         [A_UU    0       −B_UQ ] (x)   (F_U)
         [A_WU  (1/γ)S    −B_WQ ] (z) = (F_W)
         [B_UQᵀ  B_WQᵀ      0   ] (y)   (G)
+
+    Each block is written into the matrix in place, with no row temporaries.
     """
     if d.gamma <= 0.0:
         raise GammaZero("three-field assembly requires gamma > 0")
-    a_uu, a_wu, b_uq, b_wq, f_u, f_w = _blocks(pb, d)
-    k, n, l = d.U.dim, d.W.dim, b_uq.shape[1]
-    s_block = d.dp.stiffness.matrix / d.gamma
-    matrix = np.block(
-        [
-            [a_uu, np.zeros((k, n)), -b_uq],
-            [a_wu, s_block, -b_wq],
-            [b_uq.T, b_wq.T, np.zeros((l, l))],
-        ]
+    blk = _blocks(pb, d)
+    sizes = (d.U.dim, d.W.dim, blk.b_uq.shape[1])
+    system = BlockSystem(
+        matrix=np.zeros((sum(sizes), sum(sizes))),
+        rhs=np.concatenate([blk.f_u, blk.f_w, pb.g_eff]),
+        sizes=sizes,
     )
-    rhs = np.concatenate([f_u, f_w, pb.g_eff])
-    return BlockSystem(matrix=matrix, rhs=rhs, sizes=(k, n, l))
+    iu, iw, ip = system.blocks()
+    m = system.matrix
+    m[iu, iu] = blk.a_uu
+    m[iu, ip] = -blk.b_uq
+    m[iw, iu] = blk.a_wu
+    m[iw, iw] = d.dp.stiffness.matrix / d.gamma
+    m[iw, ip] = -blk.b_wq
+    m[ip, iu] = blk.b_uq.T
+    m[ip, iw] = blk.b_wq.T
+    return system
 
 
 def static_condense(tf):

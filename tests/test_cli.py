@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -230,12 +231,18 @@ class TestExitCodes:
         assert err.startswith("dualstab: config error: gamma 50 ")
         assert "gamma0" in err and "Traceback" not in err
 
-    def test_converge_discrete_exact_solution_exits_3(self, tmp_path, capsys):
-        # U = W = truth: the exact solution is discrete, the ratio undefined
+    def test_converge_level_at_truth_mesh_exits_2(self, tmp_path, capsys):
+        # U = W = truth: the exact solution is discrete, the ratio undefined,
+        # so the level is refused before it is solved (saddle.quasi_optimality
+        # still raises DegenerateDenominator on it)
         path = write_cfg(tmp_path, "truth_elems = 64\n")
         code = main(["converge", "--config", path, "--coarse-elems", "64", "--w", "truth"])
-        assert code == 3
-        assert "dualstab: numerical failure:" in capsys.readouterr().err
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "dualstab: config error: coarse_elems: 64 is the truth mesh, where the exact pair "
+            "is discrete; converge needs levels below it"
+        ]
 
     def test_any_numerical_failure_exits_3_in_one_line(self, tmp_path, monkeypatch, capsys):
         # a failure class cli does not name exits 3 through the common base
@@ -385,6 +392,31 @@ class TestCommands:
         code, _, rows = run_csv(tmp_path, ["converge", "--config", path])
         assert code == 0
         assert [r["coarse_elems"] for r in rows] == ["16", "32"]
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            # swept from coarse_elems; ended in DegenerateDenominator after solving
+            ("coarse_elems = 16\n", "coarse_elems: 16 is the truth mesh"),
+            # an explicit level; ended in a singular system after solving level 8
+            ("levels = 8, 16\n", "levels: entry 16 is the truth mesh"),
+        ],
+        ids=["coarse", "levels"],
+    )
+    def test_converge_rejects_a_level_at_the_truth_mesh(
+        self, tmp_path, capsys, monkeypatch, text, named
+    ):
+        built = []
+        monkeypatch.setattr(models, "build_level", lambda *args: built.append(args))
+        path = write_cfg(tmp_path, "truth_elems = 16\nw = same\ngamma = auto\n" + text)
+        assert main(["converge", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and built == []
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"dualstab: config error: {named}")
+        # the other commands keep accepting the level
+        monkeypatch.undo()
+        assert main(["solve", "--config", path, "--out", str(tmp_path / "solve.csv")]) == 0
 
     def test_converge_explicit_levels(self, tmp_path):
         path = write_cfg(tmp_path, "truth_elems = 64\nlevels = 4, 8, 16\ngamma = auto\n")
@@ -616,8 +648,10 @@ class TestCondenseCheckPhases:
         assert len(subspaces) == 3
         (truth_level,) = [d for d in levels if d.U.dim == 63]
         assert truth_level.dp.aux is truth_level.U
+        # one restatement of the truth level per gamma, all on its blocks
         assert len(maximal) == 3
         assert all(d.U is d.W is truth_level.U for d in maximal)
+        assert all(d.blocks is truth_level.blocks for d in maximal)
         # refined:2 of coarse 32 spans the truth mesh: the maximal U is the
         # configured W, and no truth subspace is built beside it
         for recorded_list in (subspaces, levels, maximal):
@@ -628,8 +662,11 @@ class TestCondenseCheckPhases:
         assert len(subspaces) == 2
         (configured,) = levels
         assert configured.U.dim == 31 and configured.W.dim == 63
-        assert len(maximal) == 3
+        # the maximal discretization on the configured W and one restatement
+        # per gamma, all on its blocks
+        assert len(maximal) == 4
         assert all(d.U is d.W is configured.W and d.dp is configured.dp for d in maximal)
+        assert all(d.blocks is maximal[0].blocks for d in maximal)
 
     def test_one_level_and_one_deflation(self, tmp_path, monkeypatch):
         labels, deflations = [], []
@@ -683,6 +720,76 @@ class TestCondenseCheckPhases:
         assert 0.0 < exc.value.rcond <= saddle.SINGULAR_RTOL
         assert exc.value.rcond == exc.value.__cause__.rcond
         assert str(exc.value).endswith(str(exc.value.__cause__))
+
+
+class TestGammaFreeBlocks:
+    # every gamma and both assemblies of one (problem, U, dual product) read
+    # one set of gamma-free blocks, built once
+
+    @staticmethod
+    def record_builds(monkeypatch):
+        """Weak references to every block set built, and for each build the
+        liveness of the sets built before it."""
+        built, alive = [], []
+        original = saddle.GammaFreeBlocks
+
+        def recorded(pb, u, dp):
+            alive.append([ref() is not None for ref in built])
+            blocks = original(pb, u, dp)
+            built.append(weakref.ref(blocks))
+            return blocks
+
+        monkeypatch.setattr(saddle, "GammaFreeBlocks", recorded)
+        return built, alive
+
+    @pytest.mark.parametrize(
+        "text", ["coarse_elems = 8\n", "coarse_elems = 32\nw = refined:2\n"], ids=["w8", "w64"]
+    )
+    def test_condense_check_builds_two_sets(self, tmp_path, monkeypatch, text):
+        # the maximal set, whether or not the configured W spans the truth
+        # mesh, and the configured one; the maximal set is freed before the
+        # configured one is built, and only the stabilized route solves S
+        built, alive = self.record_builds(monkeypatch)
+        stiffness, solved = [], []
+        original_stiffness, original_solve = models.make_stiffness, saddle.spd_solve
+
+        def made(sub, choice):
+            stiffness.append(original_stiffness(sub, choice))
+            return stiffness[-1]
+
+        def counted(fact, rhs):
+            solved.append(any(fact is s.fact for s in stiffness))
+            return original_solve(fact, rhs)
+
+        monkeypatch.setattr(models, "make_stiffness", made)
+        monkeypatch.setattr(saddle, "spd_solve", counted)
+        path = write_cfg(tmp_path, "truth_elems = 64\n" + text)
+        code, _, rows = run_csv(tmp_path, ["condense-check", "--config", path])
+        assert code == 0 and len(rows) == 3
+        assert len(built) == 2
+        assert alive == [[], [False]]
+        assert solved.count(True) == 3
+
+    @pytest.mark.parametrize(
+        "command, text, builds",
+        [
+            ("solve", "truth_elems = 64\ncoarse_elems = 8\n", 1),
+            ("solve", "truth_elems = 64\ncoarse_elems = 8\ngamma = auto\n", 1),
+            ("converge", "truth_elems = 64\nlevels = 4, 8, 16\n", 3),
+        ],
+        ids=["solve", "solve-auto", "converge"],
+    )
+    def test_one_set_per_level(self, tmp_path, monkeypatch, command, text, builds):
+        built, _ = self.record_builds(monkeypatch)
+        code, _, _ = run_csv(tmp_path, [command, "--config", write_cfg(tmp_path, text)])
+        assert code == 0
+        assert len(built) == builds
+
+    @pytest.mark.parametrize("command", ["constants", "spectral", "infsup"])
+    def test_no_assembly_no_set(self, tmp_path, monkeypatch, command):
+        built, _ = self.record_builds(monkeypatch)
+        code, _, _ = run_csv(tmp_path, [command, "--config", write_cfg(tmp_path, SMALL)])
+        assert code == 0 and built == []
 
 
 class TestEdgeExits:

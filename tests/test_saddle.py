@@ -6,7 +6,13 @@ from hypothesis import HealthCheck, given, settings
 from dualstab import models, saddle
 from dualstab.algebra import DimensionMismatch, NonFinite, spd_solve
 from dualstab.cli import main
-from dualstab.dualprod import BoundViolated, DegeneratePencil, pressure_infsup
+from dualstab.dualprod import (
+    BoundViolated,
+    DegeneratePencil,
+    DualProduct,
+    pressure_infsup,
+    stiffness_from_matrix,
+)
 from dualstab.hilbert import BandedTruthSpace, Subspace, TruthSpace
 from dualstab.models import p1_interior_mass
 from dualstab.saddle import (
@@ -243,6 +249,62 @@ class TestSolve:
         x, y = solve(assemble_stabilized(pb2, d2))
         np.testing.assert_allclose(d2.U.embedding @ x, xe, atol=1e-9)
         np.testing.assert_allclose(pb2.pressures.basis @ y, ye_def, atol=1e-9)
+
+
+class TestGammaFreeBlocks:
+    # a discretization owns the gamma-free blocks of its (problem, U, dual
+    # product); restating gamma keeps them, and both assemblies read them
+
+    @pytest.mark.parametrize(
+        "coarse, w", [(8, "refined:2"), (8, "same"), (64, "same")], ids=["u-w", "u-is-w", "maximal"]
+    )
+    def test_shared_set_assembles_the_fresh_systems(self, coarse, w):
+        # acceptance test 06's path builds fresh spaces per gamma; one shared
+        # set gives the same bytes, also when U is W
+        cfg = models.ModelConfig(truth_elems=64, coarse_elems=coarse, w_kind=w, gamma=0.0)
+        pb = models.build_truth(cfg)
+        base = models.build_spaces(cfg, pb)
+        for gamma in (0.01, 0.1, 1.0):
+            d = base.with_gamma(gamma)
+            assert d.gamma == gamma and d.blocks is base.blocks
+            fresh = models.build_spaces(replace(cfg, gamma=gamma), pb)
+            for assemble in (assemble_stabilized, assemble_three_field):
+                shared, own = assemble(pb, d), assemble(pb, fresh)
+                assert np.array_equal(shared.matrix, own.matrix)
+                assert np.array_equal(shared.rhs, own.rhs)
+        blk = base.blocks
+        assert (blk.a_wu is blk.a_uu) == (w == "same")
+
+    def test_second_dual_product_gets_its_own_set(self):
+        # acceptance test 10's rotated W basis on the same U
+        cfg = models.ModelConfig(truth_elems=128, coarse_elems=8, s_choice="scaled:2", gamma=0.1)
+        pb = models.build_truth(cfg)
+        d = models.build_spaces(cfg, pb)
+        rng = np.random.default_rng(1010)
+        n = d.W.dim
+        q1 = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        q2 = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        r = q1 @ (np.exp(rng.uniform(np.log(0.5), np.log(2.0), n))[:, None] * q2)
+        w2 = Subspace(pb.truth, d.W.embedding @ r)
+        s2 = stiffness_from_matrix(w2, r.T @ (d.dp.stiffness.matrix @ r))
+        d2 = Discretization(pb, d.U, DualProduct(aux=w2, stiffness=s2), cfg.gamma)
+        assert d2.blocks is not d.blocks
+        np.testing.assert_allclose(d2.blocks.a_wu, r.T @ d.blocks.a_wu, rtol=1e-10, atol=1e-10)
+        assert d2.with_gamma(0.5).blocks is d2.blocks
+        base = static_condense(assemble_three_field(pb, d))
+        rotated = static_condense(assemble_three_field(pb, d2))
+        np.testing.assert_allclose(rotated.matrix, base.matrix, rtol=1e-11, atol=1e-11)
+        # the stabilized route reads each set's own S solves
+        np.testing.assert_allclose(
+            assemble_stabilized(pb, d2).matrix, assemble_stabilized(pb, d).matrix, atol=1e-10
+        )
+
+    def test_assembly_on_another_problem_is_refused(self):
+        cfg, pb, d = build(truth=16, coarse=4)
+        other = models.build_truth(cfg)
+        for assemble in (assemble_stabilized, assemble_three_field):
+            with pytest.raises(ValueError, match="another problem"):
+                assemble(other, d)
 
 
 class TestBlockSystem:
@@ -605,6 +667,9 @@ class TestValidation:
         cfg, pb, d = build(truth=16, coarse=4)
         with pytest.raises(ValueError):
             Discretization(pb, d.U, d.dp, -1.0)
+        # restating gamma validates it the same way
+        with pytest.raises(ValueError):
+            d.with_gamma(-1.0)
 
     def test_deflates_whole_pressure_space(self):
         # one pressure space per level: the problem's own B_T and G_Q
