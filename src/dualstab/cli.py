@@ -438,7 +438,7 @@ def cmd_condense_check(cfg):
             raise SingularSystem(
                 f"maximal system (U = W = truth) at gamma {float(gamma)!r}: {exc}", exc.rcond
             ) from exc
-        ratios.append(pb.truth.norm(z) / (1.0 + pb.truth.norm(d.U.embedding @ x)))
+        ratios.append(pb.truth.norm(z) / (1.0 + pb.truth.norm(d.U.embed(x))))
     # the maximal blocks go with the last discretization that shares them
     del maximal, d
     discs = []

@@ -184,9 +184,8 @@ def c_apply(dp, f, g):
     """Evaluate the surrogate dual product c(f, g) = (Eᵀf)ᵀ S⁻¹ (Eᵀg)."""
     if f.dim != dp.aux.parent.dim or g.dim != dp.aux.parent.dim:
         raise DimensionMismatch("functionals do not live on the truth space of W")
-    e = dp.aux.embedding
-    wf = e.T @ f.action
-    wg = e.T @ g.action
+    wf = dp.aux.restrict(f.action)
+    wg = dp.aux.restrict(g.action)
     return float(wf @ spd_solve(dp.stiffness.fact, wg))
 
 
@@ -275,7 +274,7 @@ def _sup_gram(sub, pressures):
     """B_W = E_Wᵀ B_eff and B_Wᵀ G_W⁻¹ B_W, the squared sups of b(q, ·) over W."""
     if pressures.b_eff.shape[0] != sub.parent.dim:
         raise DimensionMismatch("constraint matrix rows do not match the truth space")
-    b_w = sub.embedding.T @ pressures.b_eff
+    b_w = sub.restrict(pressures.b_eff)
     sup_w = b_w.T @ spd_solve(sub.fact, b_w)
     return b_w, 0.5 * (sup_w + sup_w.T)
 

@@ -6,14 +6,20 @@ it.  The truth space is used only through its operator: products with G
 (``apply``, ``gram``, ``norm``) and solves with it (``solve``).  Its Gramian
 is stored dense (``TruthSpace``) or, when it is banded as on a P1 mesh, in
 band storage (``BandedTruthSpace``), where a product and a solve cost O(n).
-A subspace is a full-rank column embedding E into truth coordinates, a
-functional is its vector of actions on the truth basis, and the dual basis of
-a subspace consists of the functionals biorthogonal to its columns:
+A subspace is a full-rank column embedding E into truth coordinates, and it
+too is used only through its operator (``Embedding``): the products E c and
+Eᵀ y, and the Gram Eᵀ M F of two embeddings against a truth Gramian M, which
+the truth space forms (``gram``).  ``DenseEmbedding`` stores E as a matrix;
+the nested P1 prolongation ``models.P1Prolongation``, with at most two
+nonzeros per truth row, gives the products and the Gram of a banded M in
+O(n) and forms no n × m matrix.  A functional is its vector of actions on
+the truth basis, and the dual basis of a subspace consists of the
+functionals biorthogonal to its columns:
 
     reps = G E (EᵀGE)⁻¹,   so   repsᵀ E = I.
 
 With those, the truth-orthogonal projector P onto the subspace and its adjoint
-P* (a projector on the dual side) are plain matrix products.
+P* (a projector on the dual side) are products with E, Eᵀ, G and (EᵀGE)⁻¹.
 """
 
 from __future__ import annotations
@@ -50,10 +56,20 @@ class TruthSpace:
         """G⁻¹ rhs, for a vector or a matrix of stacked right-hand sides."""
         return spd_solve(self.fact, rhs)
 
-    def gram(self, e):
-        """The Gramian Eᵀ G E of the columns of an embedding, symmetrized."""
-        g = e.T @ self.apply(e)
-        return 0.5 * (g + g.T)
+    def gram(self, e, f=None):
+        """Eᵀ G F of two embeddings, or the Gramian Eᵀ G E, symmetrized, without F.
+
+        ``e`` and ``f`` are Embeddings or matrices.
+        """
+        e = _as_embedding(e)
+        if f is None:
+            g = self._cross(e, e)
+            return 0.5 * (g + g.T)
+        return self._cross(e, _as_embedding(f))
+
+    def _cross(self, e, f):
+        # F is reached through Fᵀ G, which is (G F)ᵀ because G is symmetric
+        return e.apply_t(f.apply_t(self.gramian).T)
 
     def norm(self, x):
         """Norm induced by the Gramian."""
@@ -83,24 +99,85 @@ class BandedTruthSpace(TruthSpace):
     def apply(self, x):
         return band_apply(self.band, x)
 
+    def _cross(self, e, f):
+        return e.band_gram(self.band, f)
+
+
+class Embedding:
+    """An n × m embedding E of subspace coordinates into truth coordinates.
+
+    It is read only through its products, each for a vector or for stacked
+    columns: ``apply(c)`` is E c, ``apply_t(y)`` is Eᵀ y, and
+    ``band_gram(band, other)`` is Eᵀ M F for a symmetric M in LAPACK upper band
+    storage and another Embedding F.  ``to_dense()`` forms the n × m matrix.
+    ``shape`` is (n, m).
+    """
+
+    shape: tuple
+
+
+class DenseEmbedding(Embedding):
+    """An embedding stored as its n × m matrix."""
+
+    def __init__(self, matrix):
+        self.matrix = as_matrix(matrix, "embedding")
+        self.shape = self.matrix.shape
+
+    def apply(self, c):
+        return self.matrix @ c
+
+    def apply_t(self, y):
+        return self.matrix.T @ y
+
+    def band_gram(self, band, other):
+        # M E is as dense as E, so F is reached through Fᵀ (M E) = (Eᵀ M F)ᵀ
+        return other.apply_t(band_apply(band, self.matrix)).T
+
+    def to_dense(self):
+        return self.matrix
+
+
+def _as_embedding(e):
+    """``e`` itself if it is an Embedding, else the DenseEmbedding of the matrix ``e``."""
+    return e if isinstance(e, Embedding) else DenseEmbedding(e)
+
 
 class Subspace:
-    """Subspace given by a full-column-rank embedding into truth coordinates."""
+    """Subspace given by a full-column-rank embedding into truth coordinates.
+
+    ``embedding`` is an Embedding or a matrix, which becomes a DenseEmbedding;
+    either is kept as ``op``, and the package reads the subspace through it:
+    ``embed(c)`` is E c, ``restrict(y)`` is Eᵀ y, and ``gram_sub`` is the truth
+    space's Gram of ``op``.  The ``embedding`` property forms the n × m matrix
+    of a structured ``op`` on each read.
+    """
 
     def __init__(self, parent, embedding):
         self.parent = parent
-        e = as_matrix(embedding, "embedding")
-        if e.shape[0] != parent.dim:
-            raise DimensionMismatch(
-                f"embedding has {e.shape[0]} rows, truth space has dim {parent.dim}"
-            )
-        if e.shape[1] > e.shape[0]:
+        op = _as_embedding(embedding)
+        n, m = op.shape
+        if n != parent.dim:
+            raise DimensionMismatch(f"embedding has {n} rows, truth space has dim {parent.dim}")
+        if m > n:
             raise DimensionMismatch("embedding cannot have more columns than rows")
-        self.embedding = e
-        self.gram_sub = parent.gram(e)
+        self.op = op
+        self.gram_sub = parent.gram(op)
         # cholesky rejects rank-deficient embeddings (NotSpd)
         self.fact = cholesky(self.gram_sub, "subspace Gramian")
-        self.dim = e.shape[1]
+        self.dim = m
+
+    @property
+    def embedding(self):
+        """The n × m matrix E."""
+        return self.op.to_dense()
+
+    def embed(self, c):
+        """E c: truth coordinates of subspace coefficients (a vector or stacked columns)."""
+        return self.op.apply(c)
+
+    def restrict(self, y):
+        """Eᵀ y: the actions of truth functionals (a vector or stacked columns) on the basis."""
+        return self.op.apply_t(y)
 
     def norm(self, c):
         c = np.asarray(c, dtype=float)
@@ -145,12 +222,12 @@ def orthogonal_project(sub, x):
     """Coefficients of the truth-orthogonal projection of x onto the subspace.
 
     Solves (EᵀGE) c = EᵀG x; the projected element in truth coordinates is
-    ``sub.embedding @ c``.
+    ``sub.embed(c)``.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (sub.parent.dim,):
         raise DimensionMismatch(f"vector of shape {x.shape} is not in the truth space")
-    return spd_solve(sub.fact, sub.embedding.T @ sub.parent.apply(x))
+    return spd_solve(sub.fact, sub.restrict(sub.parent.apply(x)))
 
 
 def dual_norm(space, f):
@@ -161,10 +238,9 @@ def dual_norm(space, f):
 
 
 def dual_basis(sub):
-    """Biorthogonal dual basis of the subspace: reps = G E (EᵀGE)⁻¹."""
-    t = sub.parent.apply(sub.embedding)
-    reps = spd_solve(sub.fact, t.T).T
-    return DualBasis(reps=reps)
+    """Biorthogonal dual basis of the subspace: reps = G E (EᵀGE)⁻¹, formed as G (E (EᵀGE)⁻¹)."""
+    inverse = spd_solve(sub.fact, np.eye(sub.dim))
+    return DualBasis(reps=sub.parent.apply(sub.embed(inverse)))
 
 
 def adjoint_project(sub, f, basis=None):
@@ -176,4 +252,4 @@ def adjoint_project(sub, f, basis=None):
     _check_space(sub.parent, f)
     if basis is None:
         basis = dual_basis(sub)
-    return Functional(basis.reps @ (sub.embedding.T @ f.action))
+    return Functional(basis.reps @ sub.restrict(f.action))

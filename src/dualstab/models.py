@@ -35,7 +35,7 @@ import numpy as np
 
 from .algebra import band_to_dense
 from .dualprod import DualProduct, make_stiffness, stiffness_scale
-from .hilbert import BandedTruthSpace, Functional, Subspace
+from .hilbert import BandedTruthSpace, Embedding, Functional, Subspace
 # error_norms is defined beside quasi_optimality, which shares it
 from .saddle import Discretization, SaddleProblem, error_norms, split_truth  # noqa: F401
 
@@ -180,17 +180,91 @@ def pressure_mass(n, kind):
     return np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
 
 
-def prolongation_p1(truth_elems, sub_elems):
+class P1Prolongation(Embedding):
     """Embedding of interior P1 hats on a nested coarser mesh into truth P1.
 
-    Exact because a coarse hat is linear on every truth element; the embedding
-    column is simply the hat evaluated at the truth nodes.
+    Exact because a coarse hat is linear on every truth element: truth node i
+    lies in coarse cell ``cell[i]`` at local coordinate ``t[i]``, where only
+    the hats of the cell's end nodes ``cell[i]`` and ``cell[i] + 1`` are
+    nonzero, with the values 1 − t and t.  Coarse nodes are counted in padded
+    form, 0 to sub_elems, so the two boundary nodes are indices too.  With
+    r = truth_elems / sub_elems truth elements per cell, E c and Eᵀ y reshape
+    the truth nodes into (cell, local node) blocks of r, in O(n·k) for k
+    columns, and the Gram of a banded M sums the four hat products of each
+    band entry with ``np.bincount``, in O(n) and no n × m temporary.
     """
-    if truth_elems % sub_elems != 0:
-        raise NestingViolated(f"{sub_elems} elements do not nest into {truth_elems}")
-    xi = np.arange(1, truth_elems) / truth_elems
-    xc = np.arange(1, sub_elems) / sub_elems
-    return np.maximum(0.0, 1.0 - np.abs(xi[:, None] - xc[None, :]) * sub_elems)
+
+    def __init__(self, truth_elems, sub_elems):
+        if truth_elems % sub_elems != 0:
+            raise NestingViolated(f"{sub_elems} elements do not nest into {truth_elems}")
+        self.sub_elems = sub_elems
+        self.ratio = truth_elems // sub_elems
+        self.shape = (truth_elems - 1, sub_elems - 1)
+        nodes = np.arange(1, truth_elems)
+        self.cell = nodes // self.ratio
+        self.t = (nodes % self.ratio) / self.ratio
+
+    def _local(self):
+        """Local coordinates k / r of the nodes of one cell, k = 0, …, r − 1."""
+        return np.arange(self.ratio) / self.ratio
+
+    def _hats(self, rows):
+        """Padded coarse nodes and hat values, (len(rows), 2) each, at truth rows."""
+        t = self.t[rows]
+        return self.cell[rows][:, None] + (0, 1), np.stack([1.0 - t, t], axis=1)
+
+    def apply(self, c):
+        c = np.asarray(c, dtype=float)
+        r, t = self.ratio, self._local()
+        cols = c.reshape(c.shape[0], -1)
+        out = np.empty((self.shape[0], cols.shape[1]))
+        # cell 0 holds truth nodes 1..r−1 and cell j ≥ 1 nodes j·r..j·r + r − 1;
+        # in cell j the left hat is coarse node j and the right one j + 1
+        out[: r - 1] = t[1:, None] * cols[0]
+        right = np.vstack([cols[1:], np.zeros((1, cols.shape[1]))])
+        blocks = out[r - 1 :].reshape(cols.shape[0], r, -1)
+        np.multiply((1.0 - t)[:, None], cols[:, None, :], out=blocks)
+        blocks += t[:, None] * right[:, None, :]
+        return out.reshape((self.shape[0],) + c.shape[1:])
+
+    def apply_t(self, y):
+        y = np.asarray(y, dtype=float)
+        r, t = self.ratio, self._local()
+        rows = y.reshape(y.shape[0], -1)
+        blocks = rows[r - 1 :].reshape(self.shape[1], r, -1)
+        # coarse node j is the left hat of cell j and the right hat of cell j − 1
+        out = (1.0 - t) @ blocks
+        out[0] += t[1:] @ rows[: r - 1]
+        out[1:] += (t @ blocks)[:-1]
+        return out.reshape((self.shape[1],) + y.shape[1:])
+
+    def band_gram(self, band, other):
+        if not isinstance(other, P1Prolongation):
+            return other.band_gram(band, self).T
+        u = band.shape[0] - 1
+        n, size = self.shape[0], other.sub_elems + 1
+        gram = np.zeros((self.sub_elems + 1) * size)
+        for d in range(-u, u + 1):
+            # the band entries M[i, i + d]; M is symmetric, band[u − |d|] holds both
+            i = np.arange(max(0, -d), n - max(0, d))
+            m = band[u - abs(d), i + max(0, d)]
+            (ja, wa), (jb, wb) = self._hats(i), other._hats(i + d)
+            index = ja[:, :, None] * size + jb[:, None, :]
+            value = (wa * m[:, None])[:, :, None] * wb[:, None, :]
+            gram += np.bincount(index.ravel(), value.ravel(), gram.size)
+        return gram.reshape(-1, size)[1:-1, 1:-1]
+
+    def to_dense(self):
+        rows = np.arange(self.shape[0])
+        nodes, values = self._hats(rows)
+        e = np.zeros((self.shape[0], self.sub_elems + 1))
+        e[rows[:, None], nodes] = values
+        return np.ascontiguousarray(e[:, 1:-1])
+
+
+def prolongation_p1(truth_elems, sub_elems):
+    """The n × m matrix of ``P1Prolongation(truth_elems, sub_elems)``."""
+    return P1Prolongation(truth_elems, sub_elems).to_dense()
 
 
 def constraint_matrix(truth_elems, coarse_elems, kind):
@@ -316,12 +390,17 @@ def build_level(cfg, truth):
 
 
 def build_spaces(cfg, pb):
-    """Build (U, W, dual product, gamma) for a configuration and problem."""
-    u_sub = Subspace(pb.truth, prolongation_p1(cfg.truth_elems, cfg.coarse_elems))
+    """Build (U, W, dual product, gamma) for a configuration and problem.
+
+    U and W are the subspaces of their P1Prolongation: each stores two arrays
+    of truth length and its m × m Gramian, so a level's spaces take O(n + m²)
+    memory, and U nests in W because W's mesh refines U's.
+    """
+    u_sub = Subspace(pb.truth, P1Prolongation(cfg.truth_elems, cfg.coarse_elems))
     w_elems = cfg.w_elems()
     if w_elems == cfg.coarse_elems:
         w_sub = u_sub
     else:
-        w_sub = Subspace(pb.truth, prolongation_p1(cfg.truth_elems, w_elems))
+        w_sub = Subspace(pb.truth, P1Prolongation(cfg.truth_elems, w_elems))
     dp = DualProduct(aux=w_sub, stiffness=make_stiffness(w_sub, cfg.s_choice))
     return Discretization(pb, u_sub, dp, cfg.gamma)

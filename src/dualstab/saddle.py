@@ -11,18 +11,24 @@ reproduce the former entrywise; the acceptance suite pins that.
 
 A problem owns the TruthRecord of its truth space and split a-form
 A = G + r·M (``split_truth``), from which ``constants`` reads alpha and
-norm_A and ``GammaFreeBlocks`` applies A, and its pressures, deflated against
-ker B_T (see dualprod) on first read as ``pb.pressures``: once per problem,
-however many discretizations are built on it.  A discretization is
-(problem, U, dual product, gamma), and it owns the γ-free blocks of its
-(problem, U, dual product), built on first read as ``d.blocks``: A_UU, A_WU,
-B_UQ, B_WQ, F_U, F_W, one set of rows when U is W, and, on first read, the
-B_WQᵀ S⁻¹ products of the stabilized route.  ``d.with_gamma`` restates γ and
-keeps them, so every γ and both assemblies read one set, which lives as long
-as the discretizations that share it.  Only the (1/γ)S block, the γ-scaled
-products and ``static_condense``, which factors S/γ from the assembled matrix
-as the independent route, depend on γ.  Assembled systems live in deflated
-coordinates.
+norm_A and whose Gram of A (``TruthRecord.gram``) gives ``GammaFreeBlocks``
+its A blocks, and its pressures, deflated against ker B_T (see dualprod) on
+first read as ``pb.pressures``: once per problem, however many
+discretizations are built on it.  A discretization is (problem, U, dual
+product, gamma), and it owns the γ-free blocks of its (problem, U, dual
+product), built on first read as ``d.blocks``: A_UU, A_WU, B_UQ, B_WQ, F_U,
+F_W, one set of rows when U is W, and, on first read, the B_WQᵀ S⁻¹ products
+of the stabilized route.  ``d.with_gamma`` restates γ and keeps them, so
+every γ and both assemblies read one set, which lives as long as the
+discretizations that share it.  Only the (1/γ)S block, the γ-scaled products
+and ``static_condense``, which factors S/γ from the assembled matrix as the
+independent route, depend on γ.  Assembled systems live in deflated
+coordinates.  The blocks read U and W only through their products E c, Eᵀ y
+and the Gram of A, so structured embeddings keep them level-sized.
+
+U nests in W in every configuration the models build, so the joint space
+U + W of the relaxed inf-sup check is W: ``relaxed_infsup_check`` checks the
+nesting (``require_nested``) and reads W's pencil.
 """
 
 from __future__ import annotations
@@ -45,7 +51,6 @@ from .algebra import (
     sym_generalized_eigvals,
 )
 from .dualprod import (
-    KERNEL_RTOL,
     Check,
     DualProduct,
     EquivalenceReport,
@@ -54,7 +59,7 @@ from .dualprod import (
     pressure_infsup,
     raise_failed,
 )
-from .hilbert import Functional, Subspace, TruthSpace, orthogonal_project
+from .hilbert import Functional, TruthSpace, orthogonal_project
 
 # reciprocal condition estimate at or below this flags a singular system:
 # LAPACK's dgecon estimates 1/κ₁(M) from the LU factors solve() uses, and
@@ -69,6 +74,11 @@ RESIDUAL_RTOL = 1e-10
 
 # tolerance for the verified coercivity and relaxed inf-sup bounds
 COERCIVITY_TOL = 1e-9
+
+# largest entry of the Gramian of U's G-orthogonal residuals against W,
+# relative to the largest of G_U, at or below which U nests in W: nested P1
+# pairs read at most 1.9e-13 (W 1024 times finer than U), a non-nested pair 1
+NESTING_RTOL = 1e-9
 
 
 class SingularSystem(NumericalFailure):
@@ -89,6 +99,10 @@ class GammaZero(NumericalFailure):
 
 class GammaTooLarge(ValueError):
     """Stabilization parameter is not below gamma0; no coercivity is predicted."""
+
+
+class NotNested(ValueError):
+    """A subspace does not lie in another that must contain it."""
 
 
 class DegenerateDenominator(NumericalFailure):
@@ -185,24 +199,25 @@ class Discretization:
 class GammaFreeBlocks:
     """The blocks of one (problem, U, dual product) that no gamma scales.
 
-    A_UU, A_WU, B_UQ, B_WQ, F_U and F_W are built with the set; when U is W,
-    one set of rows serves both (A_WU is A_UU, and so on).  ``products``, the
-    B_WQᵀ S⁻¹ products of the stabilized route, solve S on first read.
+    A_UU, A_WU, B_UQ, B_WQ, F_U and F_W are built with the set, through the
+    subspaces' products: A_UU and A_WU are the record's Grams of A, the
+    others Eᵀ B_eff and Eᵀ F.  When U is W, one set of rows serves both (A_WU
+    is A_UU, and so on).  ``products``, the B_WQᵀ S⁻¹ products of the
+    stabilized route, solve S on first read.
     """
 
     def __init__(self, pb, u, dp):
-        e_u = u.embedding
-        a_e_u = pb.record.apply(e_u)
-        self.a_uu = e_u.T @ a_e_u
-        self.b_uq = e_u.T @ pb.pressures.b_eff
-        self.f_u = e_u.T @ pb.load.action
-        if u is dp.aux:
+        b_eff, load = pb.pressures.b_eff, pb.load.action
+        self.a_uu = pb.record.gram(u.op)
+        self.b_uq = u.restrict(b_eff)
+        self.f_u = u.restrict(load)
+        w = dp.aux
+        if u is w:
             self.a_wu, self.b_wq, self.f_w = self.a_uu, self.b_uq, self.f_u
         else:
-            e_w = dp.aux.embedding
-            self.a_wu = e_w.T @ a_e_u
-            self.b_wq = e_w.T @ pb.pressures.b_eff
-            self.f_w = e_w.T @ pb.load.action
+            self.a_wu = pb.record.gram(w.op, u.op)
+            self.b_wq = w.restrict(b_eff)
+            self.f_w = w.restrict(load)
         self.stiffness = dp.stiffness
 
     @cached_property
@@ -403,6 +418,11 @@ class TruthRecord:
         ax = self.space.apply(x)
         return ax if self.reaction == 0.0 else ax + self.reaction * self.mass.apply(x)
 
+    def gram(self, e, f=None):
+        """Eᵀ A F of two embeddings, or E's Gramian without F: G's Gram plus reaction·M's."""
+        g = self.space.gram(e, f)
+        return g if self.reaction == 0.0 else g + self.reaction * self.mass.gram(e, f)
+
 
 def split_truth(space, reaction, mass, mu):
     """Truth record of the a-form A = G + reaction·M.
@@ -480,29 +500,31 @@ def verify_coercivity(pb, d, report):
     return measured, predicted
 
 
-def combined_subspace(truth, *embeddings):
-    """Subspace spanned jointly by several embeddings, deduplicated.
+def require_nested(u, w):
+    """NotNested unless the subspace u lies in the subspace w of the same truth space.
 
-    Columns are merged and G-orthonormalized through the eigendecomposition of
-    their Gramian; directions at or below KERNEL_RTOL times the top eigenvalue
-    are dropped, so nested or overlapping spaces do not inflate the dimension.
+    The G-orthogonal residuals of u's basis against w have the Gramian
+    G_U − Xᵀ G_W⁻¹ X, X = E_Wᵀ G E_U; u nests in w when its largest entry is
+    at most NESTING_RTOL times the largest of G_U.
     """
-    cat = np.hstack(embeddings)
-    w, v = np.linalg.eigh(truth.gram(cat))
-    keep = w > KERNEL_RTOL * w[-1]
-    basis = cat @ (v[:, keep] / np.sqrt(w[keep]))
-    return Subspace(truth, basis)
+    if u is w:
+        return
+    cross = w.parent.gram(w.op, u.op)
+    resid = u.gram_sub - cross.T @ spd_solve(w.fact, cross)
+    if np.abs(resid).max() > NESTING_RTOL * np.abs(u.gram_sub).max():
+        raise NotNested("U does not lie in W: the joint space U + W is not W")
 
 
 def relaxed_infsup_check(pb, d):
     """Check row of the inf-sup constant of the pair (Q, U+W) against its floor.
 
     The floor (``lower``) is the W-only constant beta_hat, which the relaxed
-    one may never fall below; each pencil is solved once.
+    one may never fall below.  U nests in W (``require_nested``), so U + W is
+    W and the relaxed constant is beta_hat itself: W's pencil is solved once.
     """
-    joint = combined_subspace(pb.truth, d.U.embedding, d.W.embedding)
-    value = pressure_infsup(pb.pressures, joint)
-    return Check("relaxed_infsup", value, pressure_infsup(pb.pressures, d.W), None, COERCIVITY_TOL)
+    require_nested(d.U, d.W)
+    beta_hat = pressure_infsup(pb.pressures, d.W)
+    return Check("relaxed_infsup", beta_hat, beta_hat, None, COERCIVITY_TOL)
 
 
 def verify_relaxed_infsup(pb, d):
@@ -530,7 +552,7 @@ def error_norms(pb, d, numeric, exact):
     error in the truth norm, pressure error in the deflated G_Q norm.
     """
     (x, y), (xe, y_ref) = numeric, exact
-    du = d.U.embedding @ np.asarray(x, dtype=float) - np.asarray(xe, dtype=float)
+    du = d.U.embed(np.asarray(x, dtype=float)) - np.asarray(xe, dtype=float)
     u_err = pb.truth.norm(du)
     dp_vec = y_ref - np.asarray(y, dtype=float)
     p_err = float(np.sqrt(max(dp_vec @ (pb.pressures.q_eff @ dp_vec), 0.0)))
@@ -560,7 +582,7 @@ def quasi_optimality(pb, d, exact, report):
     xe, ye = (np.asarray(v, dtype=float) for v in exact)
     y_ref = project_pressure(pb, ye)
     u_err, p_err = error_norms(pb, d, solve(assemble_stabilized(pb, d)), (xe, y_ref))
-    ru = xe - d.U.embedding @ orthogonal_project(d.U, xe)
+    ru = xe - d.U.embed(orthogonal_project(d.U, xe))
     best_u = pb.truth.norm(ru)
     rp = ye - pb.pressures.basis @ y_ref
     best_p = float(np.sqrt(max(rp @ (pb.q_gram @ rp), 0.0)))

@@ -1,5 +1,7 @@
 """Dense oracles that tests compare the package's split routes with."""
 
+import numpy as np
+
 from dualstab.algebra import (
     as_matrix,
     band_to_dense,
@@ -7,6 +9,8 @@ from dualstab.algebra import (
     operator_norm,
     sym_generalized_eigvals,
 )
+from dualstab.dualprod import KERNEL_RTOL
+from dualstab.hilbert import Subspace
 from dualstab.models import p1_stiffness_band
 
 
@@ -27,3 +31,28 @@ def dense_truth_extremes(gramian, a_form):
 def p1_stiffness(n):
     """H¹₀ stiffness matrix of P1 on n uniform elements (interior nodes)."""
     return band_to_dense(p1_stiffness_band(n))
+
+
+def hat_prolongation(truth_elems, sub_elems):
+    """Dense embedding of the interior P1 hats on sub_elems elements into truth P1.
+
+    Each column is its coarse hat evaluated at the truth nodes: the oracle of
+    ``models.P1Prolongation`` and its dense form ``models.prolongation_p1``.
+    """
+    xi = np.arange(1, truth_elems) / truth_elems
+    xc = np.arange(1, sub_elems) / sub_elems
+    return np.maximum(0.0, 1.0 - np.abs(xi[:, None] - xc[None, :]) * sub_elems)
+
+
+def combined_subspace(truth, *embeddings):
+    """Subspace spanned jointly by several dense embeddings, deduplicated.
+
+    Columns are merged and G-orthonormalized through the eigendecomposition of
+    their Gramian; directions at or below KERNEL_RTOL times the top eigenvalue
+    are dropped, so nested or overlapping spaces do not inflate the dimension.
+    """
+    cat = np.hstack(embeddings)
+    w, v = np.linalg.eigh(truth.gram(cat))
+    keep = w > KERNEL_RTOL * w[-1]
+    basis = cat @ (v[:, keep] / np.sqrt(w[keep]))
+    return Subspace(truth, basis)

@@ -568,8 +568,9 @@ class TestTruthLevelWork:
         assert code == 0
         assert len(records) == len(spaces) == 1
 
-    def test_infsup_solves_two_pressure_pencils_per_level(self, tmp_path, monkeypatch):
-        # the W-only pencil gives beta_hat and the floor of the relaxed check
+    def test_infsup_solves_one_pressure_pencil_per_level(self, tmp_path, monkeypatch):
+        # the W-only pencil gives beta_hat, the floor of the relaxed check, and,
+        # since U nests in W, the relaxed constant of U + W = W too
         dims = []
         original = dualprod.pressure_infsup
 
@@ -583,8 +584,20 @@ class TestTruthLevelWork:
         path = write_cfg(tmp_path, "truth_elems = 64\nlevels = 4, 8\n")
         code, _, rows = run_csv(tmp_path, ["infsup", "--config", path])
         assert code == 0 and len(rows) == 2
-        # W and U + W per level; U nests in W, so both have W's dimension
-        assert dims == [7, 7, 15, 15]
+        # W only, once per level
+        assert dims == [7, 15]
+
+    def test_infsup_closed_form_at_truth_2_18(self, tmp_path):
+        # W's derivatives are the piecewise constants on the halved mesh, so
+        # beta_hat is the least ratio ‖Π₀q‖/‖q‖ over zero-mean P1 pressures,
+        # √3/2, attained by the alternating pressure; U + W is W, so the
+        # relaxed constant is the same value.  A dense n × m embedding of this
+        # truth mesh would not fit the level path
+        path = write_cfg(tmp_path, "truth_elems = 262144\ncoarse_elems = 16\n")
+        code, _, rows = run_csv(tmp_path, ["infsup", "--config", path])
+        assert code == 0 and len(rows) == 1
+        assert rows[0]["relaxed"] == rows[0]["beta_hat"]
+        assert float(rows[0]["beta_hat"]) == pytest.approx(np.sqrt(3.0) / 2.0, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("reaction", [0.0, 2.5])
     def test_library_constants_read_the_cli_record(self, tmp_path, reaction):

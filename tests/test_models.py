@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from dualstab.models import (
     prolongation_p1,
 )
 from dualstab.saddle import SingularSystem, project_pressure, solve, assemble_stabilized
-from oracles import dense_truth_extremes, p1_stiffness
+from oracles import dense_truth_extremes, hat_prolongation, p1_stiffness
 
 
 def gauss_rule(n, order=12):
@@ -168,6 +169,118 @@ class TestProlongation:
     def test_non_nested_rejected(self):
         with pytest.raises(NestingViolated):
             prolongation_p1(64, 48)
+
+    @pytest.mark.parametrize("nt, nc", [(4, 2), (64, 8), (64, 64), (1024, 128), (256, 16)])
+    def test_dense_form_is_the_hat_oracle(self, nt, nc):
+        # hat values k/r on power-of-two meshes are exact in both formulas
+        np.testing.assert_array_equal(prolongation_p1(nt, nc), hat_prolongation(nt, nc))
+
+
+def dense_forms(n):
+    """Dense G, M and A = G + 2.5·M on n elements, A's Gram oracle being G's plus 2.5 M's."""
+    g, m = p1_stiffness(n), p1_interior_mass(n)
+    return {"stiffness": (g,), "mass": (m,), "a-form": (g, m)}
+
+
+def close_to(actual, oracle, rtol=1e-14):
+    """Entrywise agreement to rtol times the largest entry of the oracle."""
+    np.testing.assert_allclose(actual, oracle, rtol=0.0, atol=rtol * np.abs(oracle).max())
+
+
+class TestP1Prolongation:
+    # (truth, U, W): same-mesh pairs, r = 1, a large ratio, and a cross pair
+    PAIRS = [(4, 2, 2), (64, 8, 8), (64, 64, 64), (1024, 128, 128), (256, 16, 32)]
+
+    @pytest.mark.parametrize("nt, nu, nw", PAIRS)
+    def test_products_match_the_oracle(self, nt, nu, nw):
+        rng = np.random.default_rng(nt + nu + nw)
+        for nc in (nu, nw):
+            op, e = models.P1Prolongation(nt, nc), hat_prolongation(nt, nc)
+            assert op.shape == e.shape
+            c, cs = rng.standard_normal(nc - 1), rng.standard_normal((nc - 1, 3))
+            y, ys = rng.standard_normal(nt - 1), rng.standard_normal((nt - 1, 5))
+            close_to(op.apply(c), e @ c)
+            close_to(op.apply(cs), e @ cs)
+            close_to(op.apply_t(y), e.T @ y)
+            close_to(op.apply_t(ys), e.T @ ys)
+            assert op.apply(c).shape == (nt - 1,) and op.apply_t(ys).shape == (nc - 1, 5)
+
+    @pytest.mark.parametrize("nt, nu, nw", PAIRS)
+    @pytest.mark.parametrize("form", ["stiffness", "mass", "a-form"])
+    def test_pair_gram_matches_the_oracle(self, nt, nu, nw, form):
+        # the a-form's Gram is the truth record's, G's Gram plus 2.5 times M's
+        record = models.truth_record(ModelConfig(truth_elems=nt, coarse_elems=2, reaction=2.5))
+        gram = {
+            "stiffness": record.space.gram,
+            "mass": record.mass.gram,
+            "a-form": record.gram,
+        }[form]
+        eu, ew = hat_prolongation(nt, nu), hat_prolongation(nt, nw)
+        u, w = models.P1Prolongation(nt, nu), models.P1Prolongation(nt, nw)
+        for (a, ea), (b, eb) in (((w, ew), (u, eu)), ((u, eu), (w, ew)), ((u, eu), (u, eu))):
+            parts = [ea.T @ m @ eb for m in dense_forms(nt)[form]]
+            oracle = parts[0] if len(parts) == 1 else parts[0] + 2.5 * parts[1]
+            close_to(gram(a, b), oracle)
+
+    def test_gram_of_a_wider_band(self):
+        # a symmetric pentadiagonal M: every diagonal of the band is summed
+        rng = np.random.default_rng(5)
+        band = rng.standard_normal((3, 127))
+        u, w = models.P1Prolongation(128, 8), models.P1Prolongation(128, 32)
+        oracle = hat_prolongation(128, 32).T @ algebra.band_to_dense(band) @ hat_prolongation(128, 8)
+        close_to(w.band_gram(band, u), oracle)
+
+    def test_stiffness_gram_is_the_coarse_stiffness_exactly(self):
+        # dyadic hat values times the integer stiffness: every sum is exact
+        band = models.p1_stiffness_band(1024)
+        for nc in (16, 128, 1024):
+            op = models.P1Prolongation(1024, nc)
+            np.testing.assert_array_equal(op.band_gram(band, op), p1_stiffness(nc))
+
+    def test_mixed_with_a_dense_embedding(self):
+        # a structured and a dense embedding meet through the dense one's product
+        rng = np.random.default_rng(6)
+        band = models.p1_stiffness_band(64) + 2.5 * models.p1_interior_mass_band(64)
+        op, dense = models.P1Prolongation(64, 8), hilbert.DenseEmbedding(rng.standard_normal((63, 4)))
+        oracle = hat_prolongation(64, 8).T @ algebra.band_to_dense(band) @ dense.matrix
+        close_to(op.band_gram(band, dense), oracle)
+        close_to(dense.band_gram(band, op), oracle.T)
+
+    @pytest.mark.parametrize("truth", ["banded", "dense"])
+    def test_subspace_reads_match_the_dense_embedding(self, truth):
+        band = models.p1_stiffness_band(128)
+        ts = (
+            hilbert.BandedTruthSpace(band)
+            if truth == "banded"
+            else TruthSpace(algebra.band_to_dense(band))
+        )
+        structured = hilbert.Subspace(ts, models.P1Prolongation(128, 16))
+        dense = hilbert.Subspace(ts, hat_prolongation(128, 16))
+        close_to(structured.gram_sub, dense.gram_sub)
+        np.testing.assert_array_equal(structured.embedding, dense.embedding)
+        x = np.random.default_rng(7).standard_normal(127)
+        f = hilbert.Functional(x)
+        close_to(hilbert.orthogonal_project(structured, x), hilbert.orthogonal_project(dense, x), 1e-12)
+        close_to(hilbert.dual_basis(structured).reps, hilbert.dual_basis(dense).reps, 1e-12)
+        close_to(
+            hilbert.adjoint_project(structured, f).action,
+            hilbert.adjoint_project(dense, f).action,
+            1e-12,
+        )
+
+    def test_build_spaces_memory_stays_level_sized(self):
+        # truth 65536, coarse 128: the dense prolongations and G E of U and W
+        # peaked at 468 MB; the structured spaces hold O(n) arrays and m × m Grams
+        cfg = ModelConfig(truth_elems=65536, coarse_elems=128)
+        pb = models.build_truth(cfg)
+        pb.pressures  # the deflation is the problem's, not the spaces'
+        tracemalloc.start()
+        try:
+            models.build_spaces(cfg, pb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6, f"build_spaces peaked at {peak / 1e6:.1f} MB"
 
 
 class TestConstraintMatrix:

@@ -26,7 +26,6 @@ from dualstab.saddle import (
     SingularSystem,
     assemble_stabilized,
     assemble_three_field,
-    combined_subspace,
     constants,
     project_pressure,
     quasi_optimality,
@@ -35,7 +34,7 @@ from dualstab.saddle import (
     verify_coercivity,
     verify_relaxed_infsup,
 )
-from oracles import dense_truth_extremes, p1_stiffness
+from oracles import combined_subspace, dense_truth_extremes, p1_stiffness
 from test_cli_fuzz import runs
 
 
@@ -617,6 +616,45 @@ class TestSubspaceCombination:
         # the W-only floor and beta_hat are one pencil on one deflation
         cfg, pb, d = build()
         assert pressure_infsup(pb.pressures, d.W) == constants(pb, d).beta_hat
+
+    @pytest.mark.parametrize("w_kind", ["same", "refined:2", "refined:4", "truth"])
+    def test_joint_space_is_w_for_every_w_kind(self, w_kind):
+        # the dense joint space of the oracle has W's dimension and W's constant,
+        # which the check row reads from W's pencil as beta_hat
+        cfg, pb, d = build(w_kind=w_kind)
+        joint = combined_subspace(pb.truth, d.U.embedding, d.W.embedding)
+        assert joint.dim == d.W.dim
+        row = saddle.relaxed_infsup_check(pb, d)
+        beta_hat = constants(pb, d).beta_hat
+        assert row.value == row.lower == beta_hat
+        assert pressure_infsup(pb.pressures, joint) == pytest.approx(beta_hat, rel=1e-12, abs=1e-12)
+
+    @staticmethod
+    def hand_built(pb, u_op, w_op):
+        u, w = Subspace(pb.truth, u_op), Subspace(pb.truth, w_op)
+        dp = DualProduct(aux=w, stiffness=stiffness_from_matrix(w, w.gram_sub))
+        return Discretization(pb, u, dp, 0.1)
+
+    def test_u_outside_w_is_refused(self):
+        # U on 16 elements does not lie in W on 8, nor in a random W
+        cfg, pb, _ = build()
+        rng = np.random.default_rng(11)
+        for w_op in (models.P1Prolongation(64, 8), rng.standard_normal((63, 20))):
+            d = self.hand_built(pb, models.P1Prolongation(64, 16), w_op)
+            with pytest.raises(saddle.NotNested):
+                saddle.relaxed_infsup_check(pb, d)
+            with pytest.raises(saddle.NotNested):
+                verify_relaxed_infsup(pb, d)
+
+    def test_u_inside_a_dense_w_passes(self):
+        # a dense W spanning U's hats and more directions contains U
+        cfg, pb, _ = build()
+        rng = np.random.default_rng(12)
+        e_u = models.prolongation_p1(64, 8)
+        w_mat = np.hstack([e_u @ rng.standard_normal((7, 7)), rng.standard_normal((63, 9))])
+        d = self.hand_built(pb, models.P1Prolongation(64, 8), w_mat)
+        row = saddle.relaxed_infsup_check(pb, d)
+        assert row.value == row.lower == pressure_infsup(pb.pressures, d.W)
 
 
 class TestPressureProjection:
