@@ -177,7 +177,7 @@ class TestProlongation:
 
 
 def dense_forms(n):
-    """Dense G, M and A = G + 2.5·M on n elements, A's Gram oracle being G's plus 2.5 M's."""
+    """The dense matrices of each form on n elements: A's Gram is G's plus 2.5 times M's."""
     g, m = p1_stiffness(n), p1_interior_mass(n)
     return {"stiffness": (g,), "mass": (m,), "a-form": (g, m)}
 
