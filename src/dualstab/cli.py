@@ -373,7 +373,9 @@ def cmd_converge(cfg):
         d = d.with_gamma(gamma)
         qo = saddle.quasi_optimality(pb, d, exact, report=rep)
         total = qo.u_err + qo.p_err
-        rate = None if not totals else float(np.log2(totals[-1] / total))
+        rate = None
+        if totals:  # the order in h since the previous level, whose mesh need not be half as fine
+            rate = float(np.log2(totals[-1] / total) / np.log2(coarse / levels[level - 1]))
         totals.append(total)
         report.add_row(
             level=level,

@@ -12,13 +12,13 @@ eigensolve runs at any r; both are exactly 1 at r = 0, where A is the scalar
 product.  Every problem a configuration builds owns that record, and
 ``saddle.constants`` reads alpha and ‖A‖ from it.  The pressure basis lives
 on the coarse mesh (P1-continuous or P0) and couples to truth velocities
-through the exact constraint matrix
-
-    b(q, v) = ∫ q v',
-
-which is closed-form for nested piecewise-linear/constant bases.  Data for a
-manufactured solution are assembled by 5-point Gauss quadrature per truth
-element, which is exact to machine precision at these mesh sizes.
+through the exact constraint matrix of b(q, v) = ∫ q v'.  Every coarse
+basis is read through one evaluator, ``coarse_basis``, the (index, value)
+pairs of the basis functions nonzero at a point: the P1 prolongation stores
+them at the truth nodes, B_T reads them at the truth-element midpoints and
+the constraint rhs at its Gauss points.  Data for a manufactured solution
+are assembled by 5-point Gauss quadrature per truth element, which is exact
+to machine precision at these mesh sizes.
 
 The auxiliary space W is P1 on a nested mesh from the coarse to the truth
 mesh.  ``ModelConfig.w_elems`` resolves ``w_kind`` to its element count, and
@@ -180,58 +180,65 @@ def pressure_mass(n, kind):
     return np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
 
 
+def nested_ratio(truth_elems, coarse_elems):
+    """Truth elements per coarse cell; NestingViolated unless the meshes nest."""
+    if truth_elems % coarse_elems != 0:
+        raise NestingViolated(f"{coarse_elems} elements do not nest into {truth_elems}")
+    return truth_elems // coarse_elems
+
+
+def coarse_basis(x, coarse_elems, kind):
+    """(index, value) of the coarse basis functions nonzero at points x of [0, 1].
+
+    Point x lies in coarse cell c = ⌊x·m⌋ (the last cell at x = 1), at local
+    coordinate t = x·m − c, where only the P1 hats of the padded nodes c and
+    c + 1, with the values 1 − t and t, or the P0 indicator of c, with the
+    value 1, are nonzero: two columns each for ``kind == "p1"``, one for P0.
+    """
+    x = np.asarray(x, dtype=float)
+    cell = np.clip((x * coarse_elems).astype(int), 0, coarse_elems - 1)
+    if kind != "p1":
+        return cell[:, None], np.ones((cell.size, 1))
+    # built as rows, so that each pair column is contiguous; t = x·m − c in place
+    index, value = np.stack([cell, cell + 1]), np.empty((2, cell.size))
+    np.subtract(np.multiply(x, coarse_elems, out=value[1]), cell, out=value[1])
+    np.subtract(1.0, value[1], out=value[0])
+    return index.T, value.T
+
+
 class P1Prolongation(Embedding):
     """Embedding of interior P1 hats on a nested coarser mesh into truth P1.
 
-    Exact because a coarse hat is linear on every truth element: truth node i
-    lies in coarse cell ``cell[i]`` at local coordinate ``t[i]``, where only
-    the hats of the cell's end nodes ``cell[i]`` and ``cell[i] + 1`` are
-    nonzero, with the values 1 − t and t.  Coarse nodes are counted in padded
-    form, 0 to sub_elems, so the two boundary nodes are indices too.  With
-    r = truth_elems / sub_elems truth elements per cell, E c and Eᵀ y reshape
-    the truth nodes into (cell, local node) blocks of r, in O(n·k) for k
-    columns, and the Gram of a banded M sums the four hat products of each
-    band entry with ``np.bincount``, in O(n) and no n × m temporary.
+    Exact because a coarse hat is linear on every truth element.  Row i of E
+    is the ``coarse_basis`` pair of truth node i: padded coarse nodes
+    ``index[i]`` (0 to sub_elems) and hat values ``value[i]``.  E c gathers
+    two terms per node from the zero-padded coefficients, Eᵀ y reshapes the
+    nodes into (cell, local node) blocks of r = truth_elems / sub_elems, both
+    in O(n·k) for k columns, and the Gram of a banded M sums the four hat
+    products of each band entry with ``np.bincount``, in O(n).
     """
 
     def __init__(self, truth_elems, sub_elems):
-        if truth_elems % sub_elems != 0:
-            raise NestingViolated(f"{sub_elems} elements do not nest into {truth_elems}")
+        self.ratio = nested_ratio(truth_elems, sub_elems)
         self.sub_elems = sub_elems
-        self.ratio = truth_elems // sub_elems
         self.shape = (truth_elems - 1, sub_elems - 1)
-        nodes = np.arange(1, truth_elems)
-        self.cell = nodes // self.ratio
-        self.t = (nodes % self.ratio) / self.ratio
-
-    def _local(self):
-        """Local coordinates k / r of the nodes of one cell, k = 0, …, r − 1."""
-        return np.arange(self.ratio) / self.ratio
-
-    def _hats(self, rows):
-        """Padded coarse nodes and hat values, (len(rows), 2) each, at truth rows."""
-        t = self.t[rows]
-        return self.cell[rows][:, None] + (0, 1), np.stack([1.0 - t, t], axis=1)
+        nodes = np.arange(1, truth_elems) / truth_elems
+        self.index, self.value = coarse_basis(nodes, sub_elems, "p1")
 
     def apply(self, c):
         c = np.asarray(c, dtype=float)
-        r, t = self.ratio, self._local()
-        cols = c.reshape(c.shape[0], -1)
-        out = np.empty((self.shape[0], cols.shape[1]))
-        # cell 0 holds truth nodes 1..r−1 and cell j ≥ 1 nodes j·r..j·r + r − 1;
-        # in cell j the left hat is coarse node j and the right one j + 1
-        out[: r - 1] = t[1:, None] * cols[0]
-        right = np.vstack([cols[1:], np.zeros((1, cols.shape[1]))])
-        blocks = out[r - 1 :].reshape(cols.shape[0], r, -1)
-        np.multiply((1.0 - t)[:, None], cols[:, None, :], out=blocks)
-        blocks += t[:, None] * right[:, None, :]
-        return out.reshape((self.shape[0],) + c.shape[1:])
+        padded = np.zeros((self.sub_elems + 1,) + c.shape[1:])
+        padded[1:-1] = c
+        value = self.value.reshape(self.value.shape + (1,) * (c.ndim - 1))
+        return value[:, 0] * padded[self.index[:, 0]] + value[:, 1] * padded[self.index[:, 1]]
 
     def apply_t(self, y):
         y = np.asarray(y, dtype=float)
-        r, t = self.ratio, self._local()
+        r = self.ratio
+        t = np.arange(r) / r  # the local coordinates of one cell's nodes
         rows = y.reshape(y.shape[0], -1)
         blocks = rows[r - 1 :].reshape(self.shape[1], r, -1)
+        # cell 0 holds truth nodes 1..r−1 and cell j ≥ 1 nodes j·r..j·r + r − 1;
         # coarse node j is the left hat of cell j and the right hat of cell j − 1
         out = (1.0 - t) @ blocks
         out[0] += t[1:] @ rows[: r - 1]
@@ -245,20 +252,19 @@ class P1Prolongation(Embedding):
         n, size = self.shape[0], other.sub_elems + 1
         gram = np.zeros((self.sub_elems + 1) * size)
         for d in range(-u, u + 1):
-            # the band entries M[i, i + d]; M is symmetric, band[u − |d|] holds both
-            i = np.arange(max(0, -d), n - max(0, d))
-            m = band[u - abs(d), i + max(0, d)]
-            (ja, wa), (jb, wb) = self._hats(i), other._hats(i + d)
+            # M[i, i + d] for lo ≤ i < hi; M is symmetric, band[u − |d|] holds both
+            lo, hi = max(0, -d), n - max(0, d)
+            m = band[u - abs(d), abs(d) :]
+            ja, wa = self.index[lo:hi], self.value[lo:hi]
+            jb, wb = other.index[lo + d : hi + d], other.value[lo + d : hi + d]
             index = ja[:, :, None] * size + jb[:, None, :]
             value = (wa * m[:, None])[:, :, None] * wb[:, None, :]
             gram += np.bincount(index.ravel(), value.ravel(), gram.size)
         return gram.reshape(-1, size)[1:-1, 1:-1]
 
     def to_dense(self):
-        rows = np.arange(self.shape[0])
-        nodes, values = self._hats(rows)
         e = np.zeros((self.shape[0], self.sub_elems + 1))
-        e[rows[:, None], nodes] = values
+        e[np.arange(self.shape[0])[:, None], self.index] = self.value
         return np.ascontiguousarray(e[:, 1:-1])
 
 
@@ -268,22 +274,21 @@ def prolongation_p1(truth_elems, sub_elems):
 
 
 def constraint_matrix(truth_elems, coarse_elems, kind):
-    """Exact matrix of b(q, v) = ∫ q v' for truth hats v and coarse pressures q."""
-    if truth_elems % coarse_elems != 0:
-        raise NestingViolated(f"{coarse_elems} elements do not nest into {truth_elems}")
-    if kind == "p1":
-        xi = np.linspace(0.0, 1.0, truth_elems + 1)
-        xc = np.arange(coarse_elems + 1) / coarse_elems
-        psi = np.maximum(0.0, 1.0 - np.abs(xi[:, None] - xc[None, :]) * coarse_elems)
-        return 0.5 * (psi[:-2] - psi[2:])
-    # P0: each truth element lies inside exactly one coarse element
-    parent = np.arange(truth_elems) * coarse_elems // truth_elems
-    left = parent[:-1]
-    right = parent[1:]
-    b = np.zeros((truth_elems - 1, coarse_elems))
-    rows = np.arange(truth_elems - 1)
-    np.add.at(b, (rows, left), 1.0)
-    np.add.at(b, (rows, right), -1.0)
+    """Exact matrix of b(q, v) = ∫ q v' for truth hats v and coarse pressures q.
+
+    Truth hat i + 1 has slope n on element i and −n on element i + 1, so
+    b(ψ, φ_{i+1}) is ψ's mean on element i minus its mean on i + 1; a nested
+    pressure is linear on each truth element, so a mean is its midpoint value.
+    Row i is Ψ(mid_i) − Ψ(mid_{i+1}), from the midpoints' ``coarse_basis``.
+    """
+    nested_ratio(truth_elems, coarse_elems)
+    mids = (np.arange(truth_elems) + 0.5) / truth_elems
+    index, value = coarse_basis(mids, coarse_elems, kind)
+    # a P1 basis has one function more than the mesh has cells, P0 none
+    b = np.zeros((truth_elems - 1, coarse_elems + index.shape[1] - 1))
+    rows = np.arange(truth_elems - 1)[:, None]
+    b[rows, index[:-1]] = value[:-1]
+    b[rows, index[1:]] -= value[1:]
     return b
 
 
@@ -319,19 +324,15 @@ def load_vector(truth_elems, solution, reaction):
 def constraint_rhs(truth_elems, coarse_elems, kind, solution):
     """Pressure actions ⟨G, ψ_ℓ⟩ = ∫ ψ_ℓ u'.
 
-    Each Gauss point lies in one coarse cell c, at local coordinate t, where
-    only the P0 indicator of c, or the P1 hats of nodes c and c + 1 with the
-    values 1 − t and t, are nonzero.
+    Each Gauss point's weighted u' goes to its ``coarse_basis`` pairs, with
+    one ``np.bincount`` per pair column.
     """
+    nested_ratio(truth_elems, coarse_elems)
     pts, wts = _gauss_on_elements(truth_elems)
     vals = (solution.du(pts) * wts).ravel()
-    scaled = pts.ravel() * coarse_elems
-    cell = np.clip(scaled.astype(int), 0, coarse_elems - 1)
-    if kind == "p1":
-        t = scaled - cell
-        size = coarse_elems + 1
-        return np.bincount(cell, vals * (1.0 - t), size) + np.bincount(cell + 1, vals * t, size)
-    return np.bincount(cell, vals, coarse_elems)
+    index, value = coarse_basis(pts.ravel(), coarse_elems, kind)
+    size = coarse_elems + index.shape[1] - 1
+    return sum(np.bincount(nodes, vals * weights, size) for nodes, weights in zip(index.T, value.T))
 
 
 def exact_coefficients(cfg, solution):

@@ -399,8 +399,8 @@ class TruthRecord:
     """Truth space and the split a-form A = G + reaction·M, shared by every level.
 
     M is the Gramian of ``mass``, a second truth space on the same basis, and
-    ``apply``, the product with A, computes G x + reaction·M x in the storage
-    of the two spaces and forms no A.  alpha (the smallest eigenvalue of
+    A is read only through ``gram``, which adds the two spaces' Grams in their
+    own storage and forms no A.  alpha (the smallest eigenvalue of
     (sym A, G)) and norm_A (the operator norm of A) depend on no coarse space:
     they are the Python floats 1 + reaction·μ_min and 1 + reaction·μ_max of
     the extremes of the pencil (M, G) given to ``split_truth``, exactly 1 at
@@ -412,11 +412,6 @@ class TruthRecord:
     mass: TruthSpace | None
     alpha: float
     norm_A: float
-
-    def apply(self, x):
-        """A x, for a truth vector or a matrix of truth columns."""
-        ax = self.space.apply(x)
-        return ax if self.reaction == 0.0 else ax + self.reaction * self.mass.apply(x)
 
     def gram(self, e, f=None):
         """Eᵀ A F of two embeddings, or E's Gramian without F: G's Gram plus reaction·M's."""

@@ -28,6 +28,15 @@ def dense_truth_extremes(gramian, a_form):
     return alpha, operator_norm(a_form, fact, fact)
 
 
+def a_form_apply(record, x):
+    """A x = G x + reaction·M x of a truth record, for a truth vector or truth columns.
+
+    The A-form oracle: the package reads A only through the record's ``gram``.
+    """
+    ax = record.space.apply(x)
+    return ax if record.reaction == 0.0 else ax + record.reaction * record.mass.apply(x)
+
+
 def p1_stiffness(n):
     """H¹₀ stiffness matrix of P1 on n uniform elements (interior nodes)."""
     return band_to_dense(p1_stiffness_band(n))
@@ -42,6 +51,27 @@ def hat_prolongation(truth_elems, sub_elems):
     xi = np.arange(1, truth_elems) / truth_elems
     xc = np.arange(1, sub_elems) / sub_elems
     return np.maximum(0.0, 1.0 - np.abs(xi[:, None] - xc[None, :]) * sub_elems)
+
+
+def hat_constraint_matrix(truth_elems, coarse_elems, kind):
+    """B_T of b(q, v) = ∫ q v' from dense tables of the coarse basis.
+
+    For P1, every coarse hat is evaluated at every truth node, and row i is
+    half the difference of the hat values at nodes i and i + 2; for P0, ±1
+    goes to the parent cells of the two truth elements of each hat.  The
+    bit-level oracle of ``models.constraint_matrix``.
+    """
+    if kind == "p1":
+        xi = np.linspace(0.0, 1.0, truth_elems + 1)
+        xc = np.arange(coarse_elems + 1) / coarse_elems
+        psi = np.maximum(0.0, 1.0 - np.abs(xi[:, None] - xc[None, :]) * coarse_elems)
+        return 0.5 * (psi[:-2] - psi[2:])
+    parent = np.arange(truth_elems) * coarse_elems // truth_elems
+    b = np.zeros((truth_elems - 1, coarse_elems))
+    rows = np.arange(truth_elems - 1)
+    np.add.at(b, (rows, parent[:-1]), 1.0)
+    np.add.at(b, (rows, parent[1:]), -1.0)
+    return b
 
 
 def combined_subspace(truth, *embeddings):

@@ -429,6 +429,25 @@ class TestCommands:
                 float(row["u_err"]) + float(row["p_err"])
             )
 
+    def test_converge_rate_divides_by_the_mesh_ratio(self, tmp_path):
+        # a rate is the order in h between a level and the one before it: a
+        # skipped mesh reads the mean of the dyadic steps it spans, and a
+        # reversed one the same order; dividing by one halving read 2.156 and
+        # -2.156 for this first-order method
+        def rates(levels):
+            path = write_cfg(tmp_path, f"truth_elems = 256\nlevels = {levels}\n")
+            code, _, rows = run_csv(tmp_path, ["converge", "--config", path])
+            assert code == 0 and rows[0]["rate"] == ""
+            return [float(r["rate"]) for r in rows[1:]]
+
+        r16, r32 = rates("8, 16, 32")
+        (skip,) = rates("8, 32")
+        back, ahead = rates("32, 8, 16")
+        assert 0.9 < skip < 1.2
+        assert skip == pytest.approx((r16 + r32) / 2, rel=1e-12)
+        assert back == pytest.approx(skip, rel=1e-12)
+        assert ahead == r16
+
     def test_condense_check_row_per_gamma(self, tmp_path):
         path = write_cfg(tmp_path, SMALL + "gammas = 0.05, 0.5\n")
         code, _, rows = run_csv(tmp_path, ["condense-check", "--config", path])

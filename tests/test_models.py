@@ -27,7 +27,13 @@ from dualstab.models import (
     prolongation_p1,
 )
 from dualstab.saddle import SingularSystem, project_pressure, solve, assemble_stabilized
-from oracles import dense_truth_extremes, hat_prolongation, p1_stiffness
+from oracles import (
+    a_form_apply,
+    dense_truth_extremes,
+    hat_constraint_matrix,
+    hat_prolongation,
+    p1_stiffness,
+)
 
 
 def gauss_rule(n, order=12):
@@ -320,6 +326,29 @@ class TestConstraintMatrix:
             b = constraint_matrix(64, 8, kind)
             np.testing.assert_allclose(b @ np.ones(b.shape[1]), 0.0, atol=1e-13)
 
+    @pytest.mark.parametrize("kind", ["p1", "p0"])
+    def test_bit_identical_to_the_hat_tables(self, kind):
+        # converge's best_p sits at roundoff and depends only on B_T and G_Q, so
+        # every entry and the sign of every zero must match, on every nested pair
+        for nt in (2**k for k in range(1, 13)):
+            for nc in (2**j for j in range(1, nt.bit_length())):
+                b = constraint_matrix(nt, nc, kind)
+                oracle = hat_constraint_matrix(nt, nc, kind)
+                assert np.array_equal(b, oracle), (nt, nc)
+                assert np.array_equal(np.signbit(b), np.signbit(oracle)), (nt, nc)
+                del b, oracle  # the largest pair's tables are 134 MB each
+
+    def test_memory_stays_at_the_result(self):
+        # truth 65536, coarse 128: the dense hat table and its shifted difference
+        # peaked at 2.0 times B_T; the midpoints' basis pairs take O(n)
+        tracemalloc.start()
+        try:
+            b = constraint_matrix(65536, 128, "p1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * b.nbytes, f"peak {peak / b.nbytes:.2f} times B_T's {b.nbytes} bytes"
+
 
 class TestData:
     def test_load_vector_matches_weak_form(self):
@@ -410,7 +439,7 @@ class TestBuilders:
         cfg = ModelConfig(truth_elems=32, coarse_elems=8)
         pb = models.build_truth(cfg)
         eye = np.eye(31)
-        np.testing.assert_array_equal(pb.record.apply(eye), p1_stiffness(32))
+        np.testing.assert_array_equal(a_form_apply(pb.record, eye), p1_stiffness(32))
         np.testing.assert_array_equal(pb.truth.apply(eye), p1_stiffness(32))
 
     def test_level_on_truth_record_matches_build_truth(self):
@@ -423,7 +452,7 @@ class TestBuilders:
             np.testing.assert_array_equal(getattr(pb, name), getattr(ref, name))
         np.testing.assert_array_equal(pb.load.action, ref.load.action)
         eye = np.eye(31)
-        np.testing.assert_array_equal(pb.record.apply(eye), ref.record.apply(eye))
+        np.testing.assert_array_equal(a_form_apply(pb.record, eye), a_form_apply(ref.record, eye))
         oracle = dense_truth_extremes(p1_stiffness(32), p1_stiffness(32) + 2.0 * p1_interior_mass(32))
         closed = closed_form_extremes(32, 2.0)
         assert (truth.alpha, truth.norm_A) == pytest.approx(closed, rel=1e-12, abs=0.0)
@@ -433,7 +462,7 @@ class TestBuilders:
         cfg = ModelConfig(truth_elems=32, coarse_elems=8, reaction=3.0)
         pb = models.build_truth(cfg)
         np.testing.assert_allclose(
-            pb.record.apply(np.eye(31)), p1_stiffness(32) + 3.0 * p1_interior_mass(32), atol=1e-14
+            a_form_apply(pb.record, np.eye(31)), p1_stiffness(32) + 3.0 * p1_interior_mass(32), atol=1e-14
         )
 
     def test_embedding_identity_at_truth(self):

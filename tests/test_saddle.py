@@ -34,7 +34,7 @@ from dualstab.saddle import (
     verify_coercivity,
     verify_relaxed_infsup,
 )
-from oracles import combined_subspace, dense_truth_extremes, p1_stiffness
+from oracles import a_form_apply, combined_subspace, dense_truth_extremes, p1_stiffness
 from test_cli_fuzz import runs
 
 
@@ -109,7 +109,7 @@ class TestSolve:
         x, z, y = solve(tf)
         e_w = d.W.embedding
         f_w = e_w.T @ pb.load.action
-        a_wu = e_w.T @ pb.record.apply(d.U.embedding)
+        a_wu = e_w.T @ a_form_apply(pb.record, d.U.embedding)
         b_wq = e_w.T @ d.b_eff
         res = f_w - a_wu @ x + b_wq @ y
         np.testing.assert_allclose(z, 0.25 * spd_solve(d.dp.stiffness.fact, res), atol=1e-11)
@@ -241,7 +241,7 @@ class TestSolve:
         xe = d.U.embedding @ rng.standard_normal(d.U.dim)
         ye_def = rng.standard_normal(d.p_dim)
         # consistent data: F = A xe - B (Z ye), G = B^T xe
-        f = pb.record.apply(xe) - d.b_eff @ ye_def
+        f = a_form_apply(pb.record, xe) - d.b_eff @ ye_def
         g_rhs_eff = d.b_eff.T @ xe
         pb2 = SaddleProblem(pb.record, d.b_eff, d.q_eff, f, g_rhs_eff, label="member")
         d2 = Discretization(pb2, d.U, d.dp, d.gamma)
