@@ -11,8 +11,9 @@ reproduce the former entrywise; the acceptance suite pins that.
 
 A problem owns the TruthRecord of its truth space and split a-form
 A = G + r·M (``split_truth``), from which ``constants`` reads alpha and
-norm_A and whose Gram of A (``TruthRecord.gram``) gives ``GammaFreeBlocks``
-its A blocks, and its pressures, deflated against ker B_T (see dualprod) on
+norm_A and whose Grams of A (``TruthRecord.sub_gram`` on U's own G-Gram,
+``TruthRecord.gram`` for the cross block) give ``GammaFreeBlocks`` its A
+blocks, and its pressures, deflated against ker B_T (see dualprod) on
 first read as ``pb.pressures``: once per problem, however many
 discretizations are built on it.  A discretization is (problem, U, dual
 product, gamma), and it owns the γ-free blocks of its (problem, U, dual
@@ -200,15 +201,17 @@ class GammaFreeBlocks:
     """The blocks of one (problem, U, dual product) that no gamma scales.
 
     A_UU, A_WU, B_UQ, B_WQ, F_U and F_W are built with the set, through the
-    subspaces' products: A_UU and A_WU are the record's Grams of A, the
-    others Eᵀ B_eff and Eᵀ F.  When U is W, one set of rows serves both (A_WU
-    is A_UU, and so on).  ``products``, the B_WQᵀ S⁻¹ products of the
-    stabilized route, solve S on first read.
+    subspaces' products: A_UU is the record's ``sub_gram`` of U, which at
+    reaction 0 is U's own ``gram_sub`` array, A_WU the record's cross Gram of
+    A, the others Eᵀ B_eff and Eᵀ F.  When U is W, one set of rows serves both
+    (A_WU is A_UU, and so on).  No block is written in place: the assemblies
+    copy them, and A_UU may be the subspace's own Gramian.  ``products``, the
+    B_WQᵀ S⁻¹ products of the stabilized route, solve S on first read.
     """
 
     def __init__(self, pb, u, dp):
         b_eff, load = pb.pressures.b_eff, pb.load.action
-        self.a_uu = pb.record.gram(u.op)
+        self.a_uu = pb.record.sub_gram(u)
         self.b_uq = u.restrict(b_eff)
         self.f_u = u.restrict(load)
         w = dp.aux
@@ -399,12 +402,13 @@ class TruthRecord:
     """Truth space and the split a-form A = G + reaction·M, shared by every level.
 
     M is the Gramian of ``mass``, a second truth space on the same basis, and
-    A is read only through ``gram``, which adds the two spaces' Grams in their
-    own storage and forms no A.  alpha (the smallest eigenvalue of
-    (sym A, G)) and norm_A (the operator norm of A) depend on no coarse space:
-    they are the Python floats 1 + reaction·μ_min and 1 + reaction·μ_max of
-    the extremes of the pencil (M, G) given to ``split_truth``, exactly 1 at
-    reaction 0, where ``mass`` is None.  ``split_truth`` builds a record.
+    A is read only through ``gram`` and ``sub_gram``, which add the two
+    spaces' Grams in their own storage and form no A.  alpha (the smallest
+    eigenvalue of (sym A, G)) and norm_A (the operator norm of A) depend on
+    no coarse space: they are the Python floats 1 + reaction·μ_min and
+    1 + reaction·μ_max of the extremes of the pencil (M, G) given to
+    ``split_truth``, exactly 1 at reaction 0, where ``mass`` is None.
+    ``split_truth`` builds a record.
     """
 
     space: TruthSpace
@@ -417,6 +421,15 @@ class TruthRecord:
         """Eᵀ A F of two embeddings, or E's Gramian without F: G's Gram plus reaction·M's."""
         g = self.space.gram(e, f)
         return g if self.reaction == 0.0 else g + self.reaction * self.mass.gram(e, f)
+
+    def sub_gram(self, sub):
+        """Eᵀ A E of a Subspace of ``space``: its own G-Gram ``gram_sub`` plus reaction·M's.
+
+        ``gram_sub`` comes from the same ``space.gram`` call as ``gram(sub.op)``,
+        so the two agree bit for bit; at reaction 0 it is returned itself.
+        """
+        g = sub.gram_sub
+        return g if self.reaction == 0.0 else g + self.reaction * self.mass.gram(sub.op)
 
 
 def split_truth(space, reaction, mass, mu):

@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -802,6 +803,22 @@ class TestGammaFreeBlocks:
         assert alive == [[], [False]]
         assert solved.count(True) == 3
 
+    def test_condense_check_forms_each_g_gram_once(self, tmp_path, monkeypatch):
+        # the Grams of U and W, and the cross Gram A_WU; A_UU is U's own Gram,
+        # in the configured set and in the maximal one on the configured W
+        calls, original = [], models.P1Prolongation.band_gram
+
+        def counted(self, band, other):
+            calls.append((self.shape, other.shape))
+            return original(self, band, other)
+
+        monkeypatch.setattr(models.P1Prolongation, "band_gram", counted)
+        path = write_cfg(tmp_path, "truth_elems = 64\ncoarse_elems = 32\nw = refined:2\n")
+        code, _, rows = run_csv(tmp_path, ["condense-check", "--config", path])
+        assert code == 0 and len(rows) == 3
+        u, w = (63, 31), (63, 63)
+        assert calls == [(u, u), (w, w), (w, u)]
+
     @pytest.mark.parametrize(
         "command, text, builds",
         [
@@ -822,6 +839,88 @@ class TestGammaFreeBlocks:
         built, _ = self.record_builds(monkeypatch)
         code, _, _ = run_csv(tmp_path, [command, "--config", write_cfg(tmp_path, SMALL)])
         assert code == 0 and built == []
+
+
+class TestSystemLifetimes:
+    # a command holds one gamma's assembled systems at a time, so the largest
+    # of them, not their sum, sets its peak memory
+
+    @staticmethod
+    def record_systems(monkeypatch, *names):
+        """Weak references to every system the named saddle functions return."""
+        made = []
+        for name in names:
+            original = getattr(saddle, name)
+
+            def recorded(*args, _original=original):
+                system = _original(*args)
+                made.append(weakref.ref(system))
+                return system
+
+            monkeypatch.setattr(saddle, name, recorded)
+        return made
+
+    def test_condense_check_frees_each_gamma_before_the_next(self, tmp_path, monkeypatch):
+        made = self.record_systems(
+            monkeypatch, "assemble_three_field", "assemble_stabilized", "static_condense"
+        )
+        alive, original = [], saddle.assemble_three_field
+
+        def assembled(pb, d):
+            alive.append([ref() is not None for ref in made])
+            return original(pb, d)
+
+        monkeypatch.setattr(saddle, "assemble_three_field", assembled)
+        path = write_cfg(tmp_path, "truth_elems = 64\ncoarse_elems = 8\n")
+        code, _, rows = run_csv(tmp_path, ["condense-check", "--config", path])
+        assert code == 0 and len(rows) == 3
+        # three maximal gammas, then three configured ones
+        assert len(alive) == 6
+        assert not any(any(flags) for flags in alive)
+        assert len(made) == 12
+
+    def test_solve_frees_the_stabilized_system_before_the_three_field_solve(
+        self, tmp_path, monkeypatch
+    ):
+        made = self.record_systems(monkeypatch, "assemble_stabilized")
+        alive, original = [], saddle.solve
+
+        def solved(system):
+            if len(system.sizes) == 3:
+                alive.append([ref() is not None for ref in made])
+            return original(system)
+
+        monkeypatch.setattr(saddle, "solve", solved)
+        path = write_cfg(tmp_path, "truth_elems = 64\ncoarse_elems = 8\n")
+        code, _, rows = run_csv(tmp_path, ["solve", "--config", path])
+        assert code == 0
+        assert [row["route"] for row in rows] == [
+            "stabilized",
+            "three_field",
+            "condensed_vs_stabilized",
+        ]
+        assert alive == [[False]]
+
+    def test_condense_check_traced_peak(self, tmp_path):
+        # the fine-coarse shape at half size: truth-sized W, P0 pressures on
+        # half the truth mesh; the peak is 8.93 MiB, and 9.43 MiB when A_UU
+        # was a second Gram and each gamma's systems outlived the next gamma's
+        path = write_cfg(
+            tmp_path, "truth_elems = 256\ncoarse_elems = 128\npressure = p0\nw = refined:2\n"
+        )
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            code, _, rows = run_csv(tmp_path, ["condense-check", "--config", path])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert code == 0 and len(rows) == 3
+        assert peak <= 9.1 * 2**20
 
 
 class TestEdgeExits:

@@ -274,6 +274,36 @@ class TestGammaFreeBlocks:
         blk = base.blocks
         assert (blk.a_wu is blk.a_uu) == (w == "same")
 
+    @pytest.mark.parametrize("w", ["refined:2", "same"], ids=["u-w", "u-is-w"])
+    def test_a_uu_is_u_own_gram_at_reaction_zero(self, w):
+        # A is G, so A_UU is the Gram U already holds, not a second one; the
+        # assemblies copy it and leave it as it was
+        _, pb, d = build(w_kind=w)
+        gram = d.U.gram_sub.copy()
+        assert d.blocks.a_uu is d.U.gram_sub
+        assert (d.blocks.a_wu is d.U.gram_sub) == (w == "same")
+        static_condense(assemble_three_field(pb, d))
+        assemble_stabilized(pb, d)
+        assert np.array_equal(d.U.gram_sub, gram)
+
+    def test_a_uu_at_reaction_adds_m_to_u_own_gram(self, monkeypatch):
+        # no second G-Gram of U: the truth space forms only the cross Gram
+        # A_WU, and A_UU is bit for bit the record's Gram of U, signs of zero too
+        _, pb, d = build(reaction=2.5)
+        calls, original = [], pb.truth.gram
+
+        def recorded(e, f=None):
+            calls.append((e, f))
+            return original(e, f)
+
+        monkeypatch.setattr(pb.truth, "gram", recorded)
+        a_uu = d.blocks.a_uu
+        assert calls == [(d.W.op, d.U.op)]
+        expected = pb.record.gram(d.U.op)
+        assert a_uu is not d.U.gram_sub
+        assert np.array_equal(a_uu, expected)
+        assert np.array_equal(np.signbit(a_uu), np.signbit(expected))
+
     def test_second_dual_product_gets_its_own_set(self):
         # acceptance test 10's rotated W basis on the same U
         cfg = models.ModelConfig(truth_elems=128, coarse_elems=8, s_choice="scaled:2", gamma=0.1)
