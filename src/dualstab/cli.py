@@ -167,10 +167,10 @@ def build_run_config(file_values, overrides):
     merged = dict(file_values)
     merged.update({k: v for k, v in overrides.items() if v is not None})
     cfg = RunConfig(**{key: _PARSERS[key](raw) for key, raw in merged.items()})
-    # the model config validates mesh sizes, w and reaction up front; no level repeats
-    _model_config(cfg, cfg.coarse_elems)
-    for i, level in enumerate(cfg.levels):
-        if level in cfg.levels[:i]:
+    # the model config validates mesh sizes, w and reaction of each level up front; none repeats
+    levels = _levels(cfg)
+    for i, level in enumerate(levels):
+        if level in levels[:i]:
             raise ConfigError(f"levels: entry {level} is repeated")
         _model_config(cfg, level)
     return cfg
@@ -194,9 +194,9 @@ def _model_config(cfg, coarse):
 def _each_level(cfg, levels):
     """(level, coarse, model config, problem, spaces at gamma 0) of each mesh level in turn.
 
-    The truth record is built once, and every level's problem is built on it.
+    The truth record is built once, from the first, and every level's problem is built on it.
     """
-    truth = models.truth_record(_model_config(cfg, cfg.coarse_elems))
+    truth = models.truth_record(_model_config(cfg, levels[0]))
     for level, coarse in enumerate(levels):
         mc = _model_config(cfg, coarse)
         pb = models.build_level(mc, truth)

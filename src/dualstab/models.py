@@ -3,22 +3,22 @@
 The truth velocity space is P1 on a fine uniform mesh with homogeneous
 Dirichlet conditions; its Gramian G is the H¹₀ stiffness matrix, and the
 a-form is A = G + r·M with the interior mass matrix M and the reaction
-coefficient r.  G and M are tridiagonal, and the truth record keeps both as
-bands (``BandedTruthSpace``), so a level builds no n × n truth matrix.  The
-truth record (``saddle.split_truth``) is built from that split: alpha and
-‖A‖ are 1 + r·μ_min and 1 + r·μ_max of the pencil (M, G), whose spectrum is
-known in closed form on the uniform mesh (``truth_record``), so no
-eigensolve runs at any r; both are exactly 1 at r = 0, where A is the scalar
-product.  Every problem a configuration builds owns that record, and
-``saddle.constants`` reads alpha and ‖A‖ from it.  The pressure basis lives
-on the coarse mesh (P1-continuous or P0) and couples to truth velocities
-through the exact constraint matrix of b(q, v) = ∫ q v'.  Every coarse
-basis is read through one evaluator, ``coarse_basis``, the (index, value)
-pairs of the basis functions nonzero at a point: the P1 prolongation stores
-them at the truth nodes, B_T reads them at the truth-element midpoints and
-the constraint rhs at its Gauss points.  Data for a manufactured solution
-are assembled by 5-point Gauss quadrature per truth element, which is exact
-to machine precision at these mesh sizes.
+coefficient r.  G and M are tridiagonal, and the truth record
+(``TruthRecord``) keeps A split into both as bands (``BandedTruthSpace``):
+a level builds no n × n truth matrix, and G's Gram of a nested P1 space stays
+exact.  alpha and ‖A‖ are 1 + r·μ_min and 1 + r·μ_max of the pencil (M, G),
+whose spectrum is known in closed form on the uniform mesh (``truth_record``),
+so no eigensolve runs at any r; both are exactly 1 at r = 0, where A is the
+scalar product.  Every problem a configuration builds owns that record, and
+``saddle`` reads it only through its space, its Grams of A, alpha and ‖A‖.
+The pressure basis lives on the coarse mesh (P1-continuous or P0) and couples
+to truth velocities through the exact constraint matrix of b(q, v) = ∫ q v'.
+Every coarse basis is read through one evaluator, ``coarse_basis``, the
+(index, value) pairs of the basis functions nonzero at a point: the P1
+prolongation stores them at the truth nodes, B_T reads them at the
+truth-element midpoints and the constraint rhs at its Gauss points.  Data for
+a manufactured solution are assembled by 5-point Gauss quadrature per truth
+element, which is exact to machine precision at these mesh sizes.
 
 The auxiliary space W is P1 on a nested mesh from the coarse to the truth
 mesh.  ``ModelConfig.w_elems`` resolves ``w_kind`` to its element count, and
@@ -33,11 +33,11 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import band_to_dense
+from .algebra import DimensionMismatch, band_to_dense
 from .dualprod import DualProduct, make_stiffness, stiffness_scale
-from .hilbert import BandedTruthSpace, Embedding, Functional, Subspace
+from .hilbert import BandedTruthSpace, Embedding, Functional, Subspace, TruthSpace
 # error_norms is defined beside quasi_optimality, which shares it
-from .saddle import Discretization, SaddleProblem, error_norms, split_truth  # noqa: F401
+from .saddle import Discretization, SaddleProblem, error_norms  # noqa: F401
 
 # the 5-point Gauss-Legendre rule on [-1, 1]: the round-trip values of
 # numpy.polynomial.legendre.leggauss(5), which would cost every command the
@@ -355,8 +355,53 @@ def build_truth(cfg):
     return build_level(cfg, truth_record(cfg))
 
 
+@dataclass(frozen=True)
+class TruthRecord:
+    """Truth space and the split a-form A = G + reaction·M, shared by every level.
+
+    M is the Gramian of ``mass``, a truth space on the same basis, None at
+    reaction 0.  ``gram`` and ``sub_gram`` add G's and M's Grams and form no A,
+    since G's Gram of a nested P1 space is exact and one band of G + reaction·M
+    is not.  alpha (the least eigenvalue of (sym A, G)) and norm_A (‖A‖) are
+    Python floats, 1 ≤ alpha ≤ norm_A < ∞, checked with the rest when it is built.
+    """
+
+    space: TruthSpace
+    reaction: float
+    mass: TruthSpace | None
+    alpha: float
+    norm_A: float
+
+    def __post_init__(self):
+        if not isinstance(self.space, TruthSpace):
+            raise TypeError("space must be a TruthSpace")
+        if not np.isfinite(self.reaction) or self.reaction < 0.0:
+            raise ValueError("reaction coefficient must be a finite nonnegative real")
+        if self.reaction > 0.0 and not isinstance(self.mass, TruthSpace):
+            raise TypeError("mass must be a TruthSpace on the basis of the truth space")
+        if self.reaction > 0.0 and self.mass.dim != self.space.dim:
+            raise DimensionMismatch("mass matrix does not match the truth space")
+        alpha, norm_a = self.alpha, self.norm_A
+        if {type(alpha), type(norm_a)} != {float} or not 1.0 <= alpha <= norm_a < np.inf:
+            raise ValueError("alpha and norm_A must be floats with 1 <= alpha <= norm_A < inf")
+
+    def gram(self, e, f=None):
+        """Eᵀ A F of two embeddings, or E's Gramian without F: G's Gram plus reaction·M's."""
+        g = self.space.gram(e, f)
+        return g if self.reaction == 0.0 else g + self.reaction * self.mass.gram(e, f)
+
+    def sub_gram(self, sub):
+        """Eᵀ A E of a Subspace of ``space``: its own G-Gram ``gram_sub`` plus reaction·M's.
+
+        ``gram_sub`` comes from the same ``space.gram`` call as ``gram(sub.op)``,
+        so the two agree bit for bit; at reaction 0 it is returned itself.
+        """
+        g = sub.gram_sub
+        return g if self.reaction == 0.0 else g + self.reaction * self.mass.gram(sub.op)
+
+
 def truth_record(cfg):
-    """Truth record of the split a-form A = G + reaction·M of a configuration.
+    """TruthRecord of the split a-form A = G + reaction·M of a configuration.
 
     G is the H¹₀ stiffness and M the interior P1 mass on the truth mesh, both
     kept as bands; M is not assembled at reaction 0.  M and G share the
@@ -368,14 +413,14 @@ def truth_record(cfg):
     solve.  They depend only on ``truth_elems`` and ``reaction``, so every
     coarse level of a run shares one record through ``build_level``.
     """
-    n = cfg.truth_elems
+    n, r = cfg.truth_elems, float(cfg.reaction)
     space = BandedTruthSpace(p1_stiffness_band(n))
-    if cfg.reaction == 0.0:
-        return split_truth(space, 0.0, None, None)
-    mass = BandedTruthSpace(p1_interior_mass_band(n))
+    if r == 0.0:
+        return TruthRecord(space, 0.0, None, 1.0, 1.0)
     theta = np.array([n - 1, 1]) * np.pi / n
-    mu = (2.0 + np.cos(theta)) / (12.0 * n * n * np.sin(theta / 2.0) ** 2)
-    return split_truth(space, cfg.reaction, mass, mu)
+    mu_min, mu_max = (2.0 + np.cos(theta)) / (12.0 * n * n * np.sin(theta / 2.0) ** 2)
+    mass = BandedTruthSpace(p1_interior_mass_band(n))
+    return TruthRecord(space, r, mass, 1.0 + r * float(mu_min), 1.0 + r * float(mu_max))
 
 
 def build_level(cfg, truth):

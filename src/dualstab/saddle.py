@@ -9,13 +9,13 @@ equation with the γ-weighted residual term, and the three-field system on
 U×W×Q whose middle block is (1/γ)S.  Static condensation of the latter must
 reproduce the former entrywise; the acceptance suite pins that.
 
-A problem owns the TruthRecord of its truth space and split a-form
-A = G + r·M (``split_truth``), from which ``constants`` reads alpha and
-norm_A and whose Grams of A (``TruthRecord.sub_gram`` on U's own G-Gram,
-``TruthRecord.gram`` for the cross block) give ``GammaFreeBlocks`` its A
-blocks, and its pressures, deflated against ker B_T (see dualprod) on
-first read as ``pb.pressures``: once per problem, however many
-discretizations are built on it.  A discretization is (problem, U, dual
+A problem owns a truth record, which the models build: its truth ``space``,
+the Grams of its a-form A (``gram`` of two embeddings and ``sub_gram`` of a
+subspace), which give ``GammaFreeBlocks`` its A blocks, and A's constants
+``alpha`` and ``norm_A``, which ``constants`` reads.  It also owns its
+pressures, deflated against ker B_T (see dualprod) on first read as
+``pb.pressures``: once per problem, however many discretizations are built
+on it.  A discretization is (problem, U, dual
 product, gamma), and it owns the γ-free blocks of its (problem, U, dual
 product), built on first read as ``d.blocks``: A_UU, A_WU, B_UQ, B_WQ, F_U,
 F_W, one set of rows when U is W, and, on first read, the B_WQᵀ S⁻¹ products
@@ -111,17 +111,17 @@ class DegenerateDenominator(NumericalFailure):
 
 
 class SaddleProblem:
-    """Truth-level mixed problem data on the TruthRecord of its truth space and a-form.
+    """Truth-level mixed problem data on the truth record of its truth space and a-form.
 
-    ``truth`` is the record's space; ``split_truth`` validated it and the
-    a-form when the record was built.  ``pressures`` (the DeflatedPressures
-    of (B_T, G_Q)) and ``g_eff`` (the constraint rhs in their coordinates)
-    are measured on first read, once per problem.
+    The record validates itself when it is built; its ``space`` must be a
+    TruthSpace, which is ``truth``.  ``pressures`` (the DeflatedPressures of
+    (B_T, G_Q)) and ``g_eff`` (the constraint rhs in their coordinates) are
+    measured on first read, once per problem.
     """
 
     def __init__(self, record, b_form, q_gram, load, constraint_rhs, label=""):
-        if not isinstance(record, TruthRecord):
-            raise TypeError("record must be a TruthRecord")
+        if not isinstance(getattr(record, "space", None), TruthSpace):
+            raise TypeError("record must be a truth record on a TruthSpace")
         self.record = record
         self.truth = truth = record.space
         self.b_form = as_matrix(b_form, "constraint matrix")
@@ -201,9 +201,9 @@ class GammaFreeBlocks:
     """The blocks of one (problem, U, dual product) that no gamma scales.
 
     A_UU, A_WU, B_UQ, B_WQ, F_U and F_W are built with the set, through the
-    subspaces' products: A_UU is the record's ``sub_gram`` of U, which at
-    reaction 0 is U's own ``gram_sub`` array, A_WU the record's cross Gram of
-    A, the others Eᵀ B_eff and Eᵀ F.  When U is W, one set of rows serves both
+    subspaces' products: A_UU is the record's ``sub_gram`` of U, which may
+    be U's own ``gram_sub`` array, A_WU the record's cross Gram of A, the
+    others Eᵀ B_eff and Eᵀ F.  When U is W, one set of rows serves both
     (A_WU is A_UU, and so on).  No block is written in place: the assemblies
     copy them, and A_UU may be the subspace's own Gramian.  ``products``, the
     B_WQᵀ S⁻¹ products of the stabilized route, solve S on first read.
@@ -397,72 +397,11 @@ class ConstantsReport(EquivalenceReport):
         return margin * self.c_hat
 
 
-@dataclass(frozen=True)
-class TruthRecord:
-    """Truth space and the split a-form A = G + reaction·M, shared by every level.
-
-    M is the Gramian of ``mass``, a second truth space on the same basis, and
-    A is read only through ``gram`` and ``sub_gram``, which add the two
-    spaces' Grams in their own storage and form no A.  alpha (the smallest
-    eigenvalue of (sym A, G)) and norm_A (the operator norm of A) depend on
-    no coarse space: they are the Python floats 1 + reaction·μ_min and
-    1 + reaction·μ_max of the extremes of the pencil (M, G) given to
-    ``split_truth``, exactly 1 at reaction 0, where ``mass`` is None.
-    ``split_truth`` builds a record.
-    """
-
-    space: TruthSpace
-    reaction: float
-    mass: TruthSpace | None
-    alpha: float
-    norm_A: float
-
-    def gram(self, e, f=None):
-        """Eᵀ A F of two embeddings, or E's Gramian without F: G's Gram plus reaction·M's."""
-        g = self.space.gram(e, f)
-        return g if self.reaction == 0.0 else g + self.reaction * self.mass.gram(e, f)
-
-    def sub_gram(self, sub):
-        """Eᵀ A E of a Subspace of ``space``: its own G-Gram ``gram_sub`` plus reaction·M's.
-
-        ``gram_sub`` comes from the same ``space.gram`` call as ``gram(sub.op)``,
-        so the two agree bit for bit; at reaction 0 it is returned itself.
-        """
-        g = sub.gram_sub
-        return g if self.reaction == 0.0 else g + self.reaction * self.mass.gram(sub.op)
-
-
-def split_truth(space, reaction, mass, mu):
-    """Truth record of the a-form A = G + reaction·M.
-
-    ``space`` is the TruthSpace whose Gramian is G; ``mass`` is a TruthSpace
-    on its basis whose Gramian is M and ``mu`` the pair (μ_min, μ_max) of the
-    extreme eigenvalues of the pencil (M, G), both required for reaction > 0
-    and ignored at reaction 0, where A is G.
-    """
-    if not isinstance(space, TruthSpace):
-        raise TypeError("space must be a TruthSpace")
-    reaction = float(reaction)
-    if not np.isfinite(reaction) or reaction < 0.0:
-        raise ValueError("reaction coefficient must be a finite nonnegative real")
-    if reaction == 0.0:
-        return TruthRecord(space=space, reaction=0.0, mass=None, alpha=1.0, norm_A=1.0)
-    if not isinstance(mass, TruthSpace):
-        raise TypeError("mass must be a TruthSpace on the basis of the truth space")
-    if mass.dim != space.dim:
-        raise DimensionMismatch("mass matrix does not match the truth space")
-    mu_min, mu_max = (float(m) for m in mu)
-    if not 0.0 < mu_min <= mu_max < float("inf"):
-        raise ValueError("the (M, G) extremes must satisfy 0 < mu_min <= mu_max < inf")
-    alpha, norm_a = 1.0 + reaction * mu_min, 1.0 + reaction * mu_max
-    return TruthRecord(space=space, reaction=reaction, mass=mass, alpha=alpha, norm_A=norm_a)
-
-
 def constants(pb, d):
     """Measure every constant entering the stabilization bounds.
 
     alpha and norm_A are truth-level properties of the a-form, read from the
-    problem's TruthRecord ``pb.record``, which every level of a run shares.
+    problem's truth record ``pb.record``, which every level of a run shares.
     Every other constant is measured on the problem's deflated pressures
     ``pb.pressures``: beta and norm_B are the truth inf-sup constants, c_star,
     alpha_hat and beta_hat go through the configured dual product.

@@ -138,6 +138,29 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="nest"):
             build_run_config({"truth_elems": "32", "levels": "4,32"}, {})
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("truth_elems = 8\nlevels = 2, 4\n", "coarse mesh cannot be finer than the truth mesh"),
+            (
+                "truth_elems = 32\nlevels = 4, 8\nw = refined:4\n",
+                "auxiliary mesh with 64 elements does not nest into truth mesh with 32",
+            ),
+        ],
+        ids=["coarse-above-truth", "w-beyond-truth"],
+    )
+    def test_levels_replace_an_invalid_coarse_mesh(self, tmp_path, capsys, text, error):
+        # the default coarse_elems = 16 fails here; the level commands never
+        # run it, while solve and condense-check run only it
+        path = write_cfg(tmp_path, text)
+        for command in ("constants", "spectral", "infsup", "converge"):
+            assert main([command, "--config", path, "--out", str(tmp_path / "out.csv")]) == 0
+        assert capsys.readouterr().err == ""
+        for command in ("solve", "condense-check"):
+            assert main([command, "--config", path]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == f"dualstab: config error: {error}\n"
+
     def test_default_sweep_stops_at_nesting_limit(self):
         # w = refined:2 cannot nest once the coarse mesh reaches truth/2
         cfg = RunConfig(truth_elems=16, coarse_elems=4)

@@ -17,6 +17,7 @@ from dualstab.models import (
     ManufacturedSolution,
     ModelConfig,
     NestingViolated,
+    TruthRecord,
     constraint_matrix,
     constraint_rhs,
     default_solution,
@@ -242,6 +243,22 @@ class TestP1Prolongation:
         for nc in (16, 128, 1024):
             op = models.P1Prolongation(1024, nc)
             np.testing.assert_array_equal(op.band_gram(band, op), p1_stiffness(nc))
+        # the record keeps A = G + 2.5 M split, so its Gram is the coarse a-form
+        # to rounding (2.2e-16) at truth 65536, where the Gram of one band
+        # G + 2.5 M misses it by 5.5e-8 (U on 16 elements) and 1.2e-8 (W on 32)
+        n = 65536
+        record = models.truth_record(ModelConfig(truth_elems=n, coarse_elems=2, reaction=2.5))
+        for m in (16, 128):
+            u, w = models.P1Prolongation(n, m), models.P1Prolongation(n, 2 * m)
+            a_u, a_w = (
+                algebra.band_to_dense(
+                    models.p1_stiffness_band(k) + 2.5 * models.p1_interior_mass_band(k)
+                )
+                for k in (m, 2 * m)
+            )
+            pairs = ((record.gram(u), a_u), (record.gram(w, u), a_w @ prolongation_p1(2 * m, m)))
+            for gram, oracle in pairs:
+                assert np.abs(gram - oracle).max() <= 1e-15 * np.abs(oracle).max()
 
     def test_mixed_with_a_dense_embedding(self):
         # a structured and a dense embedding meet through the dense one's product
@@ -564,24 +581,27 @@ class TestTruthRecord:
         pb.truth.solve(np.ones(63))
         assert calls == ["truth Gramian"]
 
-    def test_split_truth_validates(self):
+    def test_truth_record_validates(self):
         space = models.truth_record(ModelConfig(truth_elems=8, coarse_elems=2)).space
         mass = TruthSpace(p1_interior_mass(8))
-        mu = (0.1, 0.2)
         with pytest.raises(ValueError):
-            saddle.split_truth(space, -1.0, mass, mu)
+            TruthRecord(space, -1.0, mass, 1.2, 1.4)
         with pytest.raises(ValueError):
-            saddle.split_truth(space, float("inf"), mass, mu)
+            TruthRecord(space, float("inf"), mass, 1.2, 1.4)
         with pytest.raises(saddle.DimensionMismatch):
-            saddle.split_truth(space, 1.0, TruthSpace(p1_interior_mass(16)), mu)
-        # the mass is a truth space on the same basis, not a bare matrix
+            TruthRecord(space, 1.0, TruthSpace(p1_interior_mass(16)), 1.2, 1.4)
+        # the truth space and the mass are truth spaces on one basis, not bare matrices
         with pytest.raises(TypeError):
-            saddle.split_truth(space, 1.0, p1_interior_mass(8), mu)
-        # the (M, G) extremes of an SPD M are positive, finite and ordered
-        for bad in ((0.0, 0.2), (0.2, 0.1), (0.1, float("inf")), (float("nan"), 0.2)):
+            TruthRecord(space, 1.0, p1_interior_mass(8), 1.2, 1.4)
+        with pytest.raises(TypeError):
+            TruthRecord(p1_interior_mass(8), 0.0, None, 1.0, 1.0)
+        # alpha and norm_A are Python floats, ordered, at least 1 and finite
+        inf, nan = float("inf"), float("nan")
+        bads = ((0.5, 1.4), (1.4, 1.2), (1.2, inf), (nan, 1.4), (np.float64(1.2), 1.4), (1, 1.4))
+        for bad in bads:
             with pytest.raises(ValueError):
-                saddle.split_truth(space, 1.0, mass, bad)
-        record = saddle.split_truth(space, 2.0, mass, mu)
+                TruthRecord(space, 1.0, mass, *bad)
+        record = TruthRecord(space, 2.0, mass, 1.2, 1.4)
         assert (record.alpha, record.norm_A) == (1.2, 1.4)
 
 

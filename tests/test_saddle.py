@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from types import SimpleNamespace
 from hypothesis import HealthCheck, given, settings
 
 from dualstab import models, saddle
@@ -490,9 +491,18 @@ class TestConstants:
         assert rep.norm_A > rep.alpha * 1.01
 
     def test_shared_truth_record_gives_same_constants(self):
+        # so does a record with nothing but what saddle reads: the space, the
+        # Grams of A, alpha and norm_A
         cfg, pb, d = build(reaction=5.0)
-        level = models.build_level(cfg, models.truth_record(cfg))
-        assert constants(level, models.build_spaces(cfg, level)) == constants(pb, d)
+        record = models.truth_record(cfg)
+        names = ("space", "gram", "sub_gram", "alpha", "norm_A")
+        abstract = SimpleNamespace(**{name: getattr(record, name) for name in names})
+        for truth in (record, abstract):
+            level = models.build_level(cfg, truth)
+            ld = models.build_spaces(cfg, level)
+            assert constants(level, ld) == constants(pb, d)
+            np.testing.assert_array_equal(ld.blocks.a_uu, d.blocks.a_uu)
+            np.testing.assert_array_equal(ld.blocks.a_wu, d.blocks.a_wu)
 
     @pytest.mark.parametrize("reaction", [0.0, 2.5])
     def test_split_record_matches_dense_oracle(self, reaction):
@@ -505,7 +515,7 @@ class TestConstants:
         gram = p1_stiffness(1024)
         alpha, norm_a = dense_truth_extremes(gram, gram + reaction * p1_interior_mass(1024))
         reps = []
-        for record in (split, saddle.split_truth(split.space, 0.0, None, None)):
+        for record in (split, models.TruthRecord(split.space, 0.0, None, 1.0, 1.0)):
             pb = models.build_level(cfg, record)
             reps.append(constants(pb, models.build_spaces(cfg, pb)))
         measured, base = (vars(r) for r in reps)
@@ -530,7 +540,7 @@ class TestConstants:
         cfg = models.ModelConfig(truth_elems=truth, coarse_elems=16, gamma=0.0)
         banded = models.build_truth(cfg)
         dense = models.build_level(
-            cfg, saddle.split_truth(TruthSpace(p1_stiffness(truth)), 0.0, None, None)
+            cfg, models.TruthRecord(TruthSpace(p1_stiffness(truth)), 0.0, None, 1.0, 1.0)
         )
         assert isinstance(banded.truth, BandedTruthSpace)
         measured, oracle = (
@@ -725,9 +735,13 @@ class TestValidation:
         # the a-form is validated once, by the record the problem is built on:
         # its truth space is a TruthSpace, not a bare Gramian
         with pytest.raises(TypeError):
-            saddle.split_truth(p1_stiffness(16), 0.0, None, None)
+            models.TruthRecord(p1_stiffness(16), 0.0, None, 1.0, 1.0)
         with pytest.raises(TypeError):
             SaddleProblem(pb.truth, pb.b_form, pb.q_gram, pb.load, pb.constraint_rhs)
+        # any record is read, but its space must be a TruthSpace too
+        record = SimpleNamespace(space=p1_stiffness(16))
+        with pytest.raises(TypeError):
+            SaddleProblem(record, pb.b_form, pb.q_gram, pb.load, pb.constraint_rhs)
         with pytest.raises(DimensionMismatch):
             SaddleProblem(pb.record, pb.b_form, np.eye(2), pb.load, pb.constraint_rhs)
 
