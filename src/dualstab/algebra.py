@@ -118,10 +118,17 @@ def require_symmetric(a, name="matrix"):
     a = as_matrix(a, name)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got {a.shape}")
-    scale = np.abs(a).max()
-    if scale > 0.0 and np.abs(a - a.T).max() > SYMMETRY_RTOL * scale:
+    # one n² temporary at a time: the scale reads no |a|, and the difference
+    # and the sum are each made once and then worked on in place
+    scale = max(a.max(), -a.min())
+    skew = a - a.T
+    np.abs(skew, out=skew)
+    if scale > 0.0 and skew.max() > SYMMETRY_RTOL * scale:
         raise ValueError(f"{name} is not symmetric within relative tolerance {SYMMETRY_RTOL:g}")
-    return 0.5 * (a + a.T)
+    del skew
+    sym = a + a.T
+    sym *= 0.5
+    return sym
 
 
 @dataclass(frozen=True)

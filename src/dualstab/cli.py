@@ -290,8 +290,9 @@ def cmd_infsup(cfg):
 
 def condensation_discrepancy(stabilized, condensed):
     """Largest entrywise difference of the two routes, relative to the direct one."""
-    scale = max(np.abs(stabilized.matrix).max(), np.abs(stabilized.rhs).max(), 1.0)
-    dm = np.abs(condensed.matrix - stabilized.matrix).max()
+    direct = stabilized.matrix
+    scale = max(np.abs(direct).max(), np.abs(stabilized.rhs).max(), 1.0)
+    dm = np.abs(condensed.matrix - direct).max()
     dr = np.abs(condensed.rhs - stabilized.rhs).max()
     return float(max(dm, dr) / scale)
 

@@ -49,7 +49,8 @@ GAUSS_WEIGHTS = (0.23692688505618928, 0.4786286704993663, 0.5688888888888887, 0.
 # Largest truth mesh of a W that spans it (w = truth, or a refined:k or same
 # that reaches it), such as the maximal system of condense-check, which builds
 # n × n truth matrices: at truth 2048 the heaviest one, coarse_elems = 2048
-# with P1 pressures, peaks at 1020 MB of RSS (2 cores, one BLAS thread).
+# with P1 pressures and w = same, peaks at 737 MB of RSS (2 cores, one BLAS
+# thread) before its 6142² maximal system screens singular.
 DENSE_TRUTH_LIMIT = 2048
 
 

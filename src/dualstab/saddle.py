@@ -3,7 +3,7 @@
 The mixed problem  a(u,v) − b(p,v) + b(q,u) = ⟨F,v⟩ + ⟨G,q⟩  is posed with a
 truth velocity space, a pressure basis, and a discretization (U, Q, W, c, γ)
 where c is the surrogate dual product on W.  Two equivalent assemblies give
-one ``BlockSystem``, seen with and without its auxiliary block: the
+one ``BlockSystem``, a grid of blocks with and without the auxiliary one: the
 condensed stabilized system on U×Q obtained by augmenting the constraint
 equation with the γ-weighted residual term, and the three-field system on
 U×W×Q whose middle block is (1/γ)S.  Static condensation of the latter must
@@ -22,10 +22,11 @@ F_W, one set of rows when U is W, and, on first read, the B_WQᵀ S⁻¹ product
 of the stabilized route.  ``d.with_gamma`` restates γ and keeps them, so
 every γ and both assemblies read one set, which lives as long as the
 discretizations that share it.  Only the (1/γ)S block, the γ-scaled products
-and ``static_condense``, which factors S/γ from the assembled matrix as the
-independent route, depend on γ.  Assembled systems live in deflated
-coordinates.  The blocks read U and W only through their products E c, Eᵀ y
-and the Gram of A, so structured embeddings keep them level-sized.
+and ``static_condense``, which factors S/γ from its blocks as the
+independent route, depend on γ.  Systems live in deflated coordinates, and
+``solve`` writes a system's blocks into the one n × n buffer it factors.  The
+blocks read U and W only through their products E c, Eᵀ y and the Gram of A,
+so structured embeddings keep them level-sized.
 
 U nests in W in every configuration the models build, so the joint space
 U + W of the relaxed inf-sup check is W: ``relaxed_infsup_check`` checks the
@@ -204,8 +205,8 @@ class GammaFreeBlocks:
     subspaces' products: A_UU is the record's ``sub_gram`` of U, which may
     be U's own ``gram_sub`` array, A_WU the record's cross Gram of A, the
     others Eᵀ B_eff and Eᵀ F.  When U is W, one set of rows serves both
-    (A_WU is A_UU, and so on).  No block is written in place: the assemblies
-    copy them, and A_UU may be the subspace's own Gramian.  ``products``, the
+    (A_WU is A_UU, and so on).  No block is written in place: the systems
+    hold them, and A_UU may be the subspace's own Gramian.  ``products``, the
     B_WQᵀ S⁻¹ products of the stabilized route, solve S on first read.
     """
 
@@ -232,16 +233,59 @@ class GammaFreeBlocks:
 
 @dataclass(frozen=True)
 class BlockSystem:
-    """Assembled block system: (k, l) for U × Q, (k, n, l) for U × W × Q."""
+    """Block system: ``sizes`` (k, l) for U × Q, (k, n, l) for U × W × Q.
 
-    matrix: np.ndarray
+    ``grid[i][j]`` is the block of equation block i and unknown block j, an
+    array of shape (sizes[i], sizes[j]), or None for a zero block; ``rhs`` is
+    the whole right-hand side.  Blocks may be views, and may be the
+    discretization's own γ-free blocks, so nothing writes into them.
+    ``matrix`` assembles the system on each read.
+    """
+
+    grid: tuple
     rhs: np.ndarray
     sizes: tuple
+
+    def __post_init__(self):
+        b = len(self.sizes)
+        if len(self.grid) != b or any(len(row) != b for row in self.grid):
+            raise DimensionMismatch(f"block grid must be {b} × {b}")
+        for rows, cols, block in self.entries():
+            slot = (rows.stop - rows.start, cols.stop - cols.start)
+            if np.shape(block) != slot:
+                raise DimensionMismatch(f"block of shape {np.shape(block)} in a {slot} slot")
+        if np.shape(self.rhs) != (sum(self.sizes),):
+            raise DimensionMismatch(f"rhs of shape {np.shape(self.rhs)} does not fit {self.sizes}")
 
     def blocks(self):
         """Slices of the unknowns of each block, in order."""
         ends = list(accumulate(self.sizes, initial=0))
         return tuple(slice(a, b) for a, b in zip(ends, ends[1:]))
+
+    def entries(self):
+        """(row slice, column slice, block) of each nonzero block."""
+        s = self.blocks()
+        return [
+            (s[i], s[j], b)
+            for i, row in enumerate(self.grid)
+            for j, b in enumerate(row)
+            if b is not None
+        ]
+
+    def write(self, out):
+        """Write the blocks into ``out``, a zeroed n × n array, and return it.
+
+        The one assembly writer: ``matrix`` and ``solve`` both read it.
+        """
+        for rows, cols, block in self.entries():
+            out[rows, cols] = block
+        return out
+
+    @property
+    def matrix(self):
+        """The assembled n × n matrix, C-ordered, written anew on each read."""
+        n = sum(self.sizes)
+        return self.write(np.zeros((n, n)))
 
 
 def _blocks(pb, d):
@@ -263,16 +307,16 @@ def assemble_stabilized(pb, d):
     gamma, l = d.gamma, blk.b_uq.shape[1]
     if gamma == 0.0:
         bottom_left = blk.b_uq.T
-        bottom_right = np.zeros((l, l))
+        bottom_right = None
         rhs_q = pb.g_eff
     else:
         bt_s_a, bt_s_b, bt_s_f = blk.products
         bottom_left = blk.b_uq.T - gamma * bt_s_a
         bottom_right = gamma * bt_s_b
         rhs_q = pb.g_eff - gamma * bt_s_f
-    matrix = np.block([[blk.a_uu, -blk.b_uq], [bottom_left, bottom_right]])
+    grid = ((blk.a_uu, -blk.b_uq), (bottom_left, bottom_right))
     rhs = np.concatenate([blk.f_u, rhs_q])
-    return BlockSystem(matrix=matrix, rhs=rhs, sizes=(d.U.dim, l))
+    return BlockSystem(grid=grid, rhs=rhs, sizes=(d.U.dim, l))
 
 
 def assemble_three_field(pb, d):
@@ -282,87 +326,89 @@ def assemble_three_field(pb, d):
         [A_WU  (1/γ)S    −B_WQ ] (z) = (F_W)
         [B_UQᵀ  B_WQᵀ      0   ] (y)   (G)
 
-    Each block is written into the matrix in place, with no row temporaries.
+    The system holds the γ-free blocks themselves, B_UQᵀ and B_WQᵀ as views;
+    only (1/γ)S and the negated B blocks are new arrays.
     """
     if d.gamma <= 0.0:
         raise GammaZero("three-field assembly requires gamma > 0")
     blk = _blocks(pb, d)
-    sizes = (d.U.dim, d.W.dim, blk.b_uq.shape[1])
-    system = BlockSystem(
-        matrix=np.zeros((sum(sizes), sum(sizes))),
-        rhs=np.concatenate([blk.f_u, blk.f_w, pb.g_eff]),
-        sizes=sizes,
+    grid = (
+        (blk.a_uu, None, -blk.b_uq),
+        (blk.a_wu, d.dp.stiffness.matrix / d.gamma, -blk.b_wq),
+        (blk.b_uq.T, blk.b_wq.T, None),
     )
-    iu, iw, ip = system.blocks()
-    m = system.matrix
-    m[iu, iu] = blk.a_uu
-    m[iu, ip] = -blk.b_uq
-    m[iw, iu] = blk.a_wu
-    m[iw, iw] = d.dp.stiffness.matrix / d.gamma
-    m[iw, ip] = -blk.b_wq
-    m[ip, iu] = blk.b_uq.T
-    m[ip, iw] = blk.b_wq.T
-    return system
+    return BlockSystem(
+        grid=grid,
+        rhs=np.concatenate([blk.f_u, blk.f_w, pb.g_eff]),
+        sizes=(d.U.dim, d.W.dim, blk.b_uq.shape[1]),
+    )
 
 
 def static_condense(tf):
-    """Eliminate the auxiliary field from an assembled three-field system.
+    """Eliminate the auxiliary field from a three-field system.
 
-    Works from the assembled matrix alone, so the result is an independent
-    route to the stabilized system and must agree with it entrywise.
+    Works from the system's blocks alone, and factors its own (1/γ)S block,
+    not the dual product's stiffness, so the result is an independent route
+    to the stabilized system and must agree with it entrywise.
     """
+    (a_uu, _, neg_b_uq), (a_wu, s_block, neg_b_wq), (b_uqt, b_wqt, _) = tf.grid
     iu, iw, ip = tf.blocks()
-    m, rhs = tf.matrix, tf.rhs
-    a_uu = m[iu, iu]
-    b_uq = -m[iu, ip]
-    a_wu = m[iw, iu]
-    s_block = m[iw, iw]
-    b_wq = -m[iw, ip]
-    b_uqt = m[ip, iu]
-    b_wqt = m[ip, iw]
+    rhs = tf.rhs
     s_fact = cholesky(s_block, "auxiliary block")
     bottom_left = b_uqt - b_wqt @ spd_solve(s_fact, a_wu)
-    bottom_right = b_wqt @ spd_solve(s_fact, b_wq)
+    bottom_right = b_wqt @ spd_solve(s_fact, -neg_b_wq)
     rhs_q = rhs[ip] - b_wqt @ spd_solve(s_fact, rhs[iw])
-    matrix = np.block([[a_uu, -b_uq], [bottom_left, bottom_right]])
+    grid = ((a_uu, neg_b_uq), (bottom_left, bottom_right))
     out_rhs = np.concatenate([rhs[iu], rhs_q])
-    return BlockSystem(matrix=matrix, rhs=out_rhs, sizes=(tf.sizes[0], tf.sizes[2]))
+    return BlockSystem(grid=grid, rhs=out_rhs, sizes=(tf.sizes[0], tf.sizes[2]))
 
 
 def relative_residual(system, sol):
-    """‖M x − b‖ / (‖M‖_F ‖x‖ + ‖b‖) of a solution of an assembled system."""
-    m, rhs = system.matrix, system.rhs
-    resid = np.linalg.norm(m @ sol - rhs)
-    scale = np.linalg.norm(m, "fro") * np.linalg.norm(sol) + np.linalg.norm(rhs)
-    return float(resid / max(scale, np.finfo(float).tiny))
+    """‖M x − b‖ / (‖M‖_F ‖x‖ + ‖b‖) of a solution, read from the blocks of M.
+
+    The normwise backward error of Rigal and Gaches: M x and ‖M‖_F are summed
+    block by block, so M is never assembled.
+    """
+    sol = np.asarray(sol, dtype=float)
+    resid = -np.asarray(system.rhs, dtype=float)
+    fro_sq = 0.0
+    for rows, cols, block in system.entries():
+        resid[rows] += block @ sol[cols]
+        flat = block.ravel(order="K")
+        fro_sq += flat @ flat
+    scale = np.sqrt(fro_sq) * np.linalg.norm(sol) + np.linalg.norm(system.rhs)
+    return float(np.linalg.norm(resid) / max(scale, np.finfo(float).tiny))
 
 
 def solve(system):
     """Dense LU solve, screened for singularity on the same factors.
 
-    The matrix and rhs must be finite (NonFinite otherwise).  The matrix is
-    factored once (LAPACK getrf); SingularSystem is raised when the gecon
-    estimate of its reciprocal 1-norm condition number is at or below
-    SINGULAR_RTOL (0 for an exactly zero pivot), or when the relative
-    residual of the getrs solution exceeds RESIDUAL_RTOL.  Returns one block
-    of the solution per entry of ``system.sizes``: (x, y) for a stabilized
-    system and (x, z, y) for a three-field system.
+    The blocks and rhs must be finite (NonFinite otherwise).  The blocks are
+    written once into a Fortran-ordered n × n buffer, which LAPACK getrf
+    factors in place, so the system holds one n² array while it is solved.
+    SingularSystem is raised when the gecon estimate of its reciprocal
+    1-norm condition number is at or below SINGULAR_RTOL (0 for an exactly
+    zero pivot), or when the relative residual of the getrs solution, read
+    from the blocks, exceeds RESIDUAL_RTOL.  Returns one block of the
+    solution per entry of ``system.sizes``: (x, y) for a stabilized system
+    and (x, z, y) for a three-field system.
     """
-    m = as_matrix(system.matrix, "system matrix")
+    if not all(np.all(np.isfinite(block)) for _, _, block in system.entries()):
+        raise NonFinite("system matrix contains non-finite entries")
     rhs = as_matrix(np.reshape(system.rhs, (-1, 1)), "right-hand side")
-    # the 1-norm of m is the inf-norm of its F-ordered transpose, with no n²
-    # temporary; an overflow to inf is reported once, as NonFinite: gecon
-    # would read an infinite norm as rcond 0 and call a regular system singular
-    anorm = lapack.dlange("I", m.T)
+    n = sum(system.sizes)
+    m = system.write(np.zeros((n, n), order="F"))
+    # the 1-norm of the Fortran buffer, read in place; an overflow to inf is
+    # reported once, as NonFinite: gecon would read an infinite norm as
+    # rcond 0 and call a regular system singular
+    anorm = lapack.dlange("1", m)
     if not np.isfinite(anorm):
         raise NonFinite("system matrix 1-norm overflows")
-    lu, piv, info = lapack.dgetrf(m)
+    lu, piv, info = lapack.dgetrf(m, overwrite_a=1)
     rcond = float(lapack.dgecon(lu, anorm)[0]) if info == 0 else 0.0
     if not rcond > SINGULAR_RTOL:
         raise SingularSystem(f"system is singular: reciprocal condition estimate {rcond:.3e}", rcond)
     sol = lapack.dgetrs(lu, piv, rhs)[0][:, 0]
-    # the factors go before the residual allocates its n² temporaries
-    del lu
     resid = relative_residual(system, sol)
     if not resid <= RESIDUAL_RTOL:
         raise SingularSystem(f"relative solver residual {resid:.3e} exceeds tolerance", rcond)
@@ -436,8 +482,8 @@ def verify_coercivity(pb, d, report):
     predicted beyond COERCIVITY_TOL.  Returns (measured, predicted).
     """
     _require_below_gamma0(d.gamma, report)
-    system = assemble_stabilized(pb, d)
-    sym_k = 0.5 * (system.matrix + system.matrix.T)
+    k = assemble_stabilized(pb, d).matrix
+    sym_k = 0.5 * (k + k.T)
     g_u, q_eff = d.U.gram_sub, pb.pressures.q_eff
     off = np.zeros((len(g_u), len(q_eff)))
     norms = np.block([[g_u, off], [off.T, q_eff]])

@@ -3,15 +3,19 @@
 import numpy as np
 
 from dualstab.algebra import (
+    NonFinite,
     as_matrix,
     band_to_dense,
     cholesky,
+    lapack,
     operator_norm,
+    spd_solve,
     sym_generalized_eigvals,
 )
 from dualstab.dualprod import KERNEL_RTOL
 from dualstab.hilbert import Subspace
 from dualstab.models import p1_stiffness_band
+from dualstab.saddle import RESIDUAL_RTOL, SINGULAR_RTOL, BlockSystem, SingularSystem
 
 
 def dense_truth_extremes(gramian, a_form):
@@ -86,3 +90,59 @@ def combined_subspace(truth, *embeddings):
     keep = w > KERNEL_RTOL * w[-1]
     basis = cat @ (v[:, keep] / np.sqrt(w[keep]))
     return Subspace(truth, basis)
+
+
+def dense_system(matrix, rhs, sizes):
+    """BlockSystem whose blocks are the views of a dense matrix cut at ``sizes``."""
+    matrix = np.asarray(matrix, dtype=float)
+    ends = np.cumsum((0,) + tuple(sizes))
+    cuts = [slice(a, b) for a, b in zip(ends, ends[1:])]
+    grid = tuple(tuple(matrix[r, c] for c in cuts) for r in cuts)
+    return BlockSystem(grid, np.asarray(rhs, dtype=float), tuple(sizes))
+
+
+def dense_residual(matrix, rhs, sol):
+    """‖M x − b‖ / (‖M‖_F ‖x‖ + ‖b‖) from the assembled matrix M."""
+    resid = np.linalg.norm(matrix @ sol - rhs)
+    scale = np.linalg.norm(matrix, "fro") * np.linalg.norm(sol) + np.linalg.norm(rhs)
+    return float(resid / max(scale, np.finfo(float).tiny))
+
+
+def dense_solve(system):
+    """Copy-and-factor solve of the assembled matrix: (solution blocks, dense residual).
+
+    ``saddle.solve``'s screen and solve as they read the C-ordered matrix:
+    getrf factors a Fortran copy, the matrix stays alive, and the relative
+    residual ‖M x − b‖ / (‖M‖_F ‖x‖ + ‖b‖) is formed from it.  The oracle of
+    the blockwise solve, which must give the same bits.
+    """
+    m = as_matrix(system.matrix, "system matrix")
+    rhs = as_matrix(np.reshape(system.rhs, (-1, 1)), "right-hand side")
+    anorm = lapack.dlange("I", m.T)
+    if not np.isfinite(anorm):
+        raise NonFinite("system matrix 1-norm overflows")
+    lu, piv, info = lapack.dgetrf(m)
+    rcond = float(lapack.dgecon(lu, anorm)[0]) if info == 0 else 0.0
+    if not rcond > SINGULAR_RTOL:
+        raise SingularSystem(f"system is singular: reciprocal condition estimate {rcond:.3e}", rcond)
+    sol = lapack.dgetrs(lu, piv, rhs)[0][:, 0]
+    resid = dense_residual(m, system.rhs, sol)
+    if not resid <= RESIDUAL_RTOL:
+        raise SingularSystem(f"relative solver residual {resid:.3e} exceeds tolerance", rcond)
+    return tuple(sol[b] for b in system.blocks()), resid
+
+
+def dense_condense(tf):
+    """(matrix, rhs) of the static condensation of a three-field system, sliced from its matrix.
+
+    The oracle of ``saddle.static_condense``, which reads the blocks.
+    """
+    iu, iw, ip = tf.blocks()
+    m, rhs = tf.matrix, tf.rhs
+    s_fact = cholesky(m[iw, iw], "auxiliary block")
+    b_wqt = m[ip, iw]
+    bottom_left = m[ip, iu] - b_wqt @ spd_solve(s_fact, m[iw, iu])
+    bottom_right = b_wqt @ spd_solve(s_fact, -m[iw, ip])
+    rhs_q = rhs[ip] - b_wqt @ spd_solve(s_fact, rhs[iw])
+    matrix = np.block([[m[iu, iu], m[iu, ip]], [bottom_left, bottom_right]])
+    return matrix, np.concatenate([rhs[iu], rhs_q])

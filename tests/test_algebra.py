@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import scipy.linalg
 
 import dualstab
 from dualstab.algebra import (
+    SYMMETRY_RTOL,
     BandedSpdFactorization,
     DimensionMismatch,
     NotSpd,
@@ -272,6 +274,51 @@ class TestRequireSymmetric:
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionMismatch):
             require_symmetric(np.zeros((2, 3)), "m")
+
+    def test_bits_and_verdict_of_the_symmetrized_sum(self):
+        # the scale, the asymmetry test and the result read as the formulas
+        # np.abs(a).max(), np.abs(a - a.T).max() and 0.5 * (a + a.T) do, bit
+        # for bit and sign of zero included, on both sides of the tolerance
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            a = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-150.0, 150.0)
+            a = a + a.T
+            a += rng.standard_normal((n, n)) * np.abs(a).max() * 10.0 ** rng.uniform(-17.0, -11.0)
+            zeros = rng.random((n, n)) < 0.1
+            zeros |= zeros.T
+            a[zeros] = -0.0
+            a[zeros & (rng.random((n, n)) < 0.5)] = 0.0
+            scale = np.abs(a).max()
+            expected_ok = not (scale > 0.0 and np.abs(a - a.T).max() > SYMMETRY_RTOL * scale)
+            if not expected_ok:
+                with pytest.raises(ValueError, match="not symmetric"):
+                    require_symmetric(a, "a")
+                continue
+            out, expected = require_symmetric(a, "a"), 0.5 * (a + a.T)
+            assert np.array_equal(out, expected)
+            assert np.array_equal(np.signbit(out), np.signbit(expected))
+
+    def test_holds_one_temporary_at_a_time(self):
+        # above the input, the traced peak is the returned copy and the
+        # finiteness mask; |a|, |a − aᵀ| and 0.5·(a + aᵀ) alive beside their
+        # operands took it to two copies
+        rng = np.random.default_rng(42)
+        a = rng.standard_normal((400, 400))
+        a = a + a.T
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = require_symmetric(a, "a")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert out.shape == a.shape
+        assert peak <= 1.25 * a.nbytes
 
 
 # Reads, after import dualstab.cli, the thread count of every mapped OpenBLAS

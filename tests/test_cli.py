@@ -924,10 +924,13 @@ class TestSystemLifetimes:
         ]
         assert alive == [[False]]
 
-    def test_condense_check_traced_peak(self, tmp_path):
-        # the fine-coarse shape at half size: truth-sized W, P0 pressures on
-        # half the truth mesh; the peak is 8.93 MiB, and 9.43 MiB when A_UU
-        # was a second Gram and each gamma's systems outlived the next gamma's
+    @staticmethod
+    def traced_peak(tmp_path, command):
+        """(exit code, rows, tracemalloc peak in bytes) of one command on the fine-coarse shape.
+
+        The fine-coarse shape at half size: truth-sized W, P0 pressures on
+        half the truth mesh.
+        """
         path = write_cfg(
             tmp_path, "truth_elems = 256\ncoarse_elems = 128\npressure = p0\nw = refined:2\n"
         )
@@ -937,13 +940,28 @@ class TestSystemLifetimes:
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            code, _, rows = run_csv(tmp_path, ["condense-check", "--config", path])
+            code, _, rows = run_csv(tmp_path, [command, "--config", path])
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             if not tracing:
                 tracemalloc.stop()
+        return code, rows, peak
+
+    def test_condense_check_traced_peak(self, tmp_path):
+        # 6.83 MiB cold (6.64 warm), with each system solved in one buffer;
+        # 8.93 MiB when solve() factored a copy of an assembled matrix, and
+        # 9.43 MiB when A_UU was a second Gram and each gamma's systems
+        # outlived the next gamma's
+        code, rows, peak = self.traced_peak(tmp_path, "condense-check")
         assert code == 0 and len(rows) == 3
-        assert peak <= 9.1 * 2**20
+        assert peak <= 7.04 * 2**20
+
+    def test_solve_traced_peak(self, tmp_path):
+        # 6.21 MiB cold (6.02 warm); 8.04 MiB when solve() factored a copy of
+        # an assembled matrix
+        code, rows, peak = self.traced_peak(tmp_path, "solve")
+        assert code == 0 and len(rows) == 3
+        assert peak <= 6.40 * 2**20
 
 
 class TestEdgeExits:

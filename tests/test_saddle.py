@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -35,7 +37,16 @@ from dualstab.saddle import (
     verify_coercivity,
     verify_relaxed_infsup,
 )
-from oracles import a_form_apply, combined_subspace, dense_truth_extremes, p1_stiffness
+from oracles import (
+    a_form_apply,
+    combined_subspace,
+    dense_condense,
+    dense_residual,
+    dense_solve,
+    dense_system,
+    dense_truth_extremes,
+    p1_stiffness,
+)
 from test_cli_fuzz import runs
 
 
@@ -133,7 +144,7 @@ class TestSolve:
     )
     def test_exactly_singular_has_rcond_zero(self, matrix):
         # an exactly zero pivot: no condition estimate, and no warning
-        system = BlockSystem(np.array(matrix), np.ones(len(matrix)), (1, len(matrix) - 1))
+        system = dense_system(matrix, np.ones(len(matrix)), (1, len(matrix) - 1))
         with pytest.raises(SingularSystem) as exc:
             solve(system)
         assert exc.value.rcond == 0.0
@@ -150,7 +161,7 @@ class TestSolve:
     )
     def test_non_finite_system_rejected(self, matrix, rhs):
         with pytest.raises(NonFinite):
-            solve(BlockSystem(np.array(matrix), np.array(rhs), (1, 1)))
+            solve(dense_system(matrix, rhs, (1, 1)))
 
     @pytest.mark.parametrize("over", ["ignore", "raise"])
     @pytest.mark.parametrize(
@@ -165,7 +176,7 @@ class TestSolve:
     def test_norm_overflow_is_non_finite(self, matrix, over):
         # finite entries whose column sums overflow: one NonFinite, whatever
         # the caller's floating-point error state
-        system = BlockSystem(np.array(matrix), np.ones(len(matrix)), (1, len(matrix) - 1))
+        system = dense_system(matrix, np.ones(len(matrix)), (1, len(matrix) - 1))
         with np.errstate(over=over), pytest.raises(NonFinite, match="1-norm overflows"):
             solve(system)
 
@@ -195,7 +206,7 @@ class TestSolve:
             m = np.ascontiguousarray(a[:n, :n]) if layout == "c" else a[::2, ::3]
             expected.append(np.linalg.norm(m, 1))
             with pytest.raises(Screened):
-                solve(BlockSystem(m, np.ones(n), (1, n - 1)))
+                solve(dense_system(m, np.ones(n), (1, n - 1)))
         assert len(norms) == 100
         assert [float(x) for x in norms] == [float(x) for x in expected]
 
@@ -346,10 +357,154 @@ class TestBlockSystem:
         n = sum(sizes)
         m = rng.standard_normal((n, n)) + n * np.eye(n)
         rhs = rng.standard_normal(n)
-        blocks = solve(BlockSystem(m, rhs, sizes))
+        blocks = solve(dense_system(m, rhs, sizes))
         assert tuple(len(b) for b in blocks) == sizes
         sol = np.concatenate(blocks)
         assert np.linalg.norm(m @ sol - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+
+class TestBlockSolve:
+    # solve() writes the blocks once into one Fortran buffer and factors it in
+    # place; the copy-and-factor solve of the assembled matrix is its oracle
+
+    # (config, whether its systems are singular): equal-order P1 with W = U
+    # on a coarse mesh is, and there both screens read the same rcond
+    CONFIGS = {
+        "u-w-p1": (dict(), False),
+        "u-w-p0": (dict(pressure_kind="p0"), False),
+        "u-is-w-p1": (dict(w_kind="same"), True),
+        "u-is-w-p0": (dict(w_kind="same", pressure_kind="p0"), False),
+        # U = W = truth: the fine-coarse shape, P0 on half the truth mesh, and P1 on all of it
+        "maximal-p0": (dict(coarse=32, pressure_kind="p0"), False),
+        "maximal-p1": (dict(coarse=64, w_kind="same"), False),
+    }
+
+    @pytest.mark.parametrize("kw, singular_config", CONFIGS.values(), ids=CONFIGS.keys())
+    def test_solutions_are_the_dense_solve_bits(self, kw, singular_config):
+        # the same values in the same layout reach getrf, so every solution
+        # block is the oracle's bit for bit, sign of zero included; only the
+        # residual, summed block by block, moves in roundoff
+        kw = dict(kw)
+        cfg, pb, d = build(coarse=kw.pop("coarse", 8), gamma=0.0, **kw)
+        if cfg.w_elems() == cfg.truth_elems:
+            d = Discretization(pb, d.W, d.dp, 0.0)
+        rng = np.random.default_rng(cfg.coarse_elems)
+        singular = []
+        for gamma in (0.01, 0.1):
+            dg = d.with_gamma(gamma)
+            for system in (assemble_stabilized(pb, dg), assemble_three_field(pb, dg)):
+                try:
+                    blocks = solve(system)
+                except SingularSystem as exc:
+                    # a singular system is screened on the same rcond bits
+                    with pytest.raises(SingularSystem) as dense_exc:
+                        dense_solve(system)
+                    assert dense_exc.value.rcond == exc.rcond
+                    singular.append(len(system.sizes))
+                    continue
+                expected, dense_resid = dense_solve(system)
+                for got, want in zip(blocks, expected, strict=True):
+                    assert np.array_equal(got, want)
+                    assert np.array_equal(np.signbit(got), np.signbit(want))
+                sol = np.concatenate(blocks)
+                resid = saddle.relative_residual(system, sol)
+                assert abs(resid - dense_resid) <= 1e-12
+                # away from the solution the two residuals are O(1) and
+                # agree to 1e-12 relative
+                trial = sol + rng.standard_normal(sol.shape) * (1.0 + np.abs(sol))
+                block_r = saddle.relative_residual(system, trial)
+                dense_r = dense_residual(system.matrix, system.rhs, trial)
+                assert block_r > 1e-3
+                assert abs(block_r - dense_r) <= 1e-12 * dense_r
+        assert singular == ([2, 3, 2, 3] if singular_config else [])
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(),
+            dict(pressure_kind="p0"),
+            dict(w_kind="truth"),
+            dict(w_kind="same"),
+            dict(s_choice="scaled:2"),
+            dict(reaction=1.0),
+        ],
+        ids=["default", "p0", "w-truth", "w-same", "scaled", "reaction"],
+    )
+    def test_condensation_from_blocks_is_the_sliced_formula(self, kw):
+        # static_condense reads the three-field blocks; slicing them out of
+        # the assembled matrix gives the same system to 1e-14 relative
+        for gamma in (0.01, 0.3, 1.0):
+            cfg, pb, d = build(truth=32, coarse=4, gamma=gamma, **kw)
+            tf = assemble_three_field(pb, d)
+            cond = static_condense(tf)
+            matrix, rhs = dense_condense(tf)
+            assert cond.sizes == (d.U.dim, d.p_dim)
+            assert np.abs(cond.matrix - matrix).max() <= 1e-14 * np.abs(matrix).max()
+            assert np.abs(cond.rhs - rhs).max() <= 1e-14 * max(np.abs(rhs).max(), 1.0)
+
+    def test_solve_holds_one_buffer(self):
+        # condense-check's maximal system on the fine-coarse config, n = 1277:
+        # inside solve() only the n × n buffer is new, and with the system's
+        # own (1/γ)S and −B blocks assembly plus solve stays near 1.3 n²;
+        # a matrix assembled and then copied for getrf took it to 2 n²
+        cfg = models.ModelConfig(
+            truth_elems=512, coarse_elems=256, pressure_kind="p0", w_kind="refined:2", gamma=0.1
+        )
+        pb = models.build_truth(cfg)
+        spaces = models.build_spaces(cfg, pb)
+        d = Discretization(pb, spaces.W, spaces.dp, 0.1)
+        d.blocks  # the gamma-free blocks outlive every system
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            system = assemble_three_field(pb, d)
+            assembled = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            solve(system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        n = sum(system.sizes)
+        assert n == 1277
+        assert peak - assembled <= 1.15 * n * n * 8
+        assert peak - base <= 1.4 * n * n * 8
+
+
+class TestBlockGrid:
+    def test_matrix_is_assembled_from_the_blocks_on_each_read(self):
+        cfg, pb, d = build(gamma=0.0)
+        galerkin = assemble_stabilized(pb, d)
+        k = d.U.dim
+        # the Galerkin pressure block is a zero block, held as None
+        assert galerkin.grid[1][1] is None
+        first, second = galerkin.matrix, galerkin.matrix
+        assert first is not second and np.array_equal(first, second)
+        assert first.flags.c_contiguous
+        assert not first[k:, k:].any() and not np.signbit(first[k:, k:]).any()
+        tf = assemble_three_field(pb, d.with_gamma(0.1))
+        iu, iw, ip = tf.blocks()
+        m = tf.matrix
+        for i, rows in enumerate((iu, iw, ip)):
+            for j, cols in enumerate((iu, iw, ip)):
+                block = tf.grid[i][j]
+                expected = np.zeros(m[rows, cols].shape) if block is None else block
+                assert np.array_equal(m[rows, cols], expected)
+        # the system holds the gamma-free blocks, not copies of them
+        assert tf.grid[0][0] is d.blocks.a_uu
+        assert np.shares_memory(tf.grid[2][0], d.blocks.b_uq)
+
+    def test_shapes_are_checked(self):
+        m, rhs = np.eye(3), np.ones(3)
+        with pytest.raises(DimensionMismatch, match="grid"):
+            BlockSystem(((m,),), rhs, (1, 2))
+        with pytest.raises(DimensionMismatch, match="block"):
+            BlockSystem(((m[:1, :1], m[:1, 1:]), (m[1:, :1], m[1:, :])), rhs, (1, 2))
+        with pytest.raises(DimensionMismatch, match="rhs"):
+            dense_system(m, np.ones(4), (1, 2))
 
 
 def svd_singular(matrix):
