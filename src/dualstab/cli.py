@@ -22,13 +22,7 @@ import numpy as np
 
 from . import models, saddle
 from .algebra import NumericalFailure
-from .dualprod import (
-    BoundViolated,
-    EquivalenceReport,
-    spectral_checks,
-    stiffness_scale,
-    truth_constants,
-)
+from .dualprod import BoundViolated, EquivalenceReport, spectral_checks, stiffness_scale
 from .models import ModelConfig, NestingViolated
 from .report import Report, write_report
 from .saddle import GammaTooLarge, SingularSystem
@@ -67,8 +61,9 @@ def parse_config_file(path):
     try:
         with open(path, encoding="utf-8-sig") as handle:
             text = handle.read()
-    except OSError as exc:
-        raise ConfigError(f"config: cannot read {path!r}: {exc.strerror or exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"config: cannot read {path!r}: {reason}") from None
     values = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -279,8 +274,8 @@ def cmd_infsup(cfg):
             coarse_elems=coarse,
             u_dim=d.U.dim,
             w_dim=d.W.dim,
-            p_dim=pb.pressures.basis.shape[1],
-            beta=truth_constants(pb.pressures, pb.truth)[0],
+            p_dim=d.p_dim,
+            beta=pb.pressures.beta,
             beta_hat=row.lower,
             relaxed=row.value,
             status=row.status,

@@ -21,12 +21,11 @@ Deflation convention: every pressure pencil is restricted to the
 G_Q-orthogonal complement of ker B_T, computed from the singular value
 decomposition of B_T.  Mean-zero pressure spaces are realized this way, never
 by modifying the basis.  ``deflate_pressures`` is the only place that
-deflates: it returns a DeflatedPressures record, which the pencils read (a
-SaddleProblem measures its own once, as ``pb.pressures``).  The functions
-taking (b_t, q_gram) deflate once through it.
-
-beta and norm_B depend only on the truth space and the pressures: both come
-from the one solve of the (B_effᵀ G⁻¹ B_eff, G_Q) pencil in ``truth_constants``.
+deflates: it returns a DeflatedPressures record on a truth space, which the
+pencils read (a SaddleProblem measures its own once, as ``pb.pressures``),
+and the functions taking (b_t, q_gram) deflate on their subspace's truth.
+The record owns beta and norm_B, which depend only on the truth space and
+the pressures: one solve of its (B_effᵀ G⁻¹ B_eff, G_Q) pencil gives both.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from .algebra import (
     spd_solve,
     sym_generalized_eigvals,
 )
-from .hilbert import Subspace
+from .hilbert import Subspace, TruthSpace
 
 # relative tolerance for the verified spectral bounds
 BOUND_RTOL = 1e-9
@@ -247,21 +246,40 @@ def pressure_deflation(b_t, q_gram):
 
 @dataclass(frozen=True)
 class DeflatedPressures:
-    """Pressures deflated once: Z of ``pressure_deflation``, B_T Z, Zᵀ G_Q Z, its factor."""
+    """Pressures deflated once on ``truth``: Z, B_T Z, Zᵀ G_Q Z and its factor.
+
+    The dual Gram B_effᵀ G⁻¹ B_eff, and beta and norm_B, the roots of the
+    extreme eigenvalues of its pencil with G_Q (beta is 0 at or below
+    KERNEL_RTOL · the largest), are formed on first read and kept with the record.
+    """
 
     basis: np.ndarray
     b_eff: np.ndarray
     q_eff: np.ndarray
     q_fact: SpdFactorization
+    truth: TruthSpace
+
+    @cached_property
+    def dual_gram(self):
+        dual = self.b_eff.T @ self.truth.solve(self.b_eff)
+        return 0.5 * (dual + dual.T)
+
+    @cached_property
+    def _truth_range(self):
+        full = sym_generalized_eigvals(self.dual_gram, self.q_fact)
+        return _floored_root(full), float(np.sqrt(max(full[-1], 0.0)))
+
+    beta = property(lambda self: self._truth_range[0])
+    norm_B = property(lambda self: self._truth_range[1])
 
 
-def deflate_pressures(b_t, q_gram):
-    """Deflate the pressures of (B_T, G_Q) once; ``pressure_deflation`` validates both."""
+def deflate_pressures(b_t, q_gram, truth):
+    """Deflate the pressures of (B_T, G_Q) once, on ``truth``; ``pressure_deflation`` checks both."""
     z = pressure_deflation(b_t, q_gram)
     q_eff = z.T @ (np.asarray(q_gram, dtype=float) @ z)
     q_eff = 0.5 * (q_eff + q_eff.T)
     b_eff = np.asarray(b_t, dtype=float) @ z
-    return DeflatedPressures(z, b_eff, q_eff, cholesky(q_eff, "deflated pressure Gramian"))
+    return DeflatedPressures(z, b_eff, q_eff, cholesky(q_eff, "deflated pressure Gramian"), truth)
 
 
 def _floored_root(spectrum):
@@ -279,19 +297,6 @@ def _sup_gram(sub, pressures):
     return b_w, 0.5 * (sup_w + sup_w.T)
 
 
-def truth_constants(pressures, truth):
-    """Truth inf-sup constant beta and norm_B of the deflated pressures, and B_effᵀ G⁻¹ B_eff.
-
-    B_effᵀ G⁻¹ B_eff is the Gramian of the dual norms ‖B q‖₋₁; beta and norm_B
-    are the roots of the extreme eigenvalues of its pencil with G_Q, solved
-    once.  beta is exactly 0 at or below KERNEL_RTOL · the largest.
-    """
-    dual_t = pressures.b_eff.T @ truth.solve(pressures.b_eff)
-    dual_t = 0.5 * (dual_t + dual_t.T)
-    full = sym_generalized_eigvals(dual_t, pressures.q_fact)
-    return _floored_root(full), float(np.sqrt(max(full[-1], 0.0))), dual_t
-
-
 def pressure_infsup(pressures, sub):
     """Inf-sup constant of the mixed form over (deflated pressures, subspace).
 
@@ -303,18 +308,15 @@ def pressure_infsup(pressures, sub):
 
 def infsup_qw(b_t, q_gram, sub):
     """``pressure_infsup`` on the pressures of (B_T, G_Q)."""
-    return pressure_infsup(deflate_pressures(b_t, q_gram), sub)
+    return pressure_infsup(deflate_pressures(b_t, q_gram, sub.parent), sub)
 
 
 def measure_equivalence(dp, pressures):
-    """Every spectral constant of a configuration on its deflated pressures.
-
-    Returns the EquivalenceReport and the dual Gramian B_effᵀ G⁻¹ B_eff.
-    """
+    """Every spectral constant of a configuration on its deflated pressures."""
     b_w, sup_w = _sup_gram(dp.aux, pressures)
-    beta, norm_b, dual_t = truth_constants(pressures, dp.aux.parent)
+    beta, norm_b = pressures.beta, pressures.norm_B
     try:
-        dual_fact = cholesky(dual_t, "deflated dual Gramian")
+        dual_fact = cholesky(pressures.dual_gram, "deflated dual Gramian")
     except NotSpd:
         raise DegeneratePencil("deflated dual-norm Gramian is singular") from None
     numer = b_w.T @ spd_solve(dp.stiffness.fact, b_w)
@@ -334,12 +336,12 @@ def measure_equivalence(dp, pressures):
         beta=beta,
         norm_B=norm_b,
     )
-    return rep, dual_t
+    return rep
 
 
 def equivalence_report(dp, b_t, q_gram):
     """Collect every spectral constant of a configuration in one report."""
-    return measure_equivalence(dp, deflate_pressures(b_t, q_gram))[0]
+    return measure_equivalence(dp, deflate_pressures(b_t, q_gram, dp.aux.parent))
 
 
 def estimate_c_star(dp, b_t, q_gram):
@@ -406,13 +408,13 @@ def _chain_rows(rep):
     ]
 
 
-def _sandwich_rows(rep, dual_t, q_eff, rng, samples):
+def _sandwich_rows(rep, pressures, rng, samples):
     """The sandwich row and the extremes of ‖B q‖₋₁ / ⦀q⦀ over random pressures."""
     if rep.beta <= 0.0:
         raise DegeneratePencil("truth inf-sup constant vanishes; sandwich undefined")
-    ys = rng.standard_normal((samples, q_eff.shape[0]))
-    b_sq = np.einsum("ij,jk,ik->i", ys, dual_t, ys)
-    p_sq = np.einsum("ij,jk,ik->i", ys, q_eff, ys)
+    ys = rng.standard_normal((samples, pressures.q_eff.shape[0]))
+    b_sq = np.einsum("ij,jk,ik->i", ys, pressures.dual_gram, ys)
+    p_sq = np.einsum("ij,jk,ik->i", ys, pressures.q_eff, ys)
     ratios = np.sqrt(np.maximum(b_sq, 0.0) / p_sq)
     sandwich = (rep.beta_hat / rep.norm_B, rep.beta_hat / rep.beta)
     return [
@@ -432,9 +434,9 @@ def spectral_checks(dp, pressures, rng):
     ratios of SWEEP_SAMPLES random deflated pressures drawn from ``rng``
     against beta and norm_B.
     """
-    rep, dual_t = measure_equivalence(dp, pressures)
+    rep = measure_equivalence(dp, pressures)
     rows = _equivalence_rows(dp) + [_stiffness_row(dp)] + _chain_rows(rep)
-    return rep, rows + _sandwich_rows(rep, dual_t, pressures.q_eff, rng, SWEEP_SAMPLES)
+    return rep, rows + _sandwich_rows(rep, pressures, rng, SWEEP_SAMPLES)
 
 
 def verify_dual_equivalence(dp):
@@ -471,7 +473,7 @@ def verify_infsup_sandwich(dp, b_t, q_gram, rng, samples=SWEEP_SAMPLES):
     beta_hat / norm_B ≤ alpha_hat ≤ beta_hat / beta, plus the two-sided norm
     equivalence beta ⦀q⦀ ≤ ‖B q‖₋₁ ≤ norm_B ⦀q⦀ on random deflated pressures.
     """
-    pressures = deflate_pressures(b_t, q_gram)
-    rep, dual_t = measure_equivalence(dp, pressures)
-    raise_failed(_sandwich_rows(rep, dual_t, pressures.q_eff, rng, samples))
+    pressures = deflate_pressures(b_t, q_gram, dp.aux.parent)
+    rep = measure_equivalence(dp, pressures)
+    raise_failed(_sandwich_rows(rep, pressures, rng, samples))
     return rep

@@ -95,6 +95,8 @@ class ModelConfig:
     def __post_init__(self):
         if not _is_pow2(self.truth_elems) or not _is_pow2(self.coarse_elems):
             raise NestingViolated("element counts must be powers of two ≥ 2")
+        if 16 * (self.truth_elems - 1) > np.iinfo(np.intp).max:
+            raise ValueError(f"truth_elems = {self.truth_elems}: numpy cannot size its truth band")
         if self.coarse_elems > self.truth_elems:
             raise NestingViolated("coarse mesh cannot be finer than the truth mesh")
         if self.pressure_kind not in ("p1", "p0"):

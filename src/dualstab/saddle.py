@@ -13,20 +13,21 @@ A problem owns a truth record, which the models build: its truth ``space``,
 the Grams of its a-form A (``gram`` of two embeddings and ``sub_gram`` of a
 subspace), which give ``GammaFreeBlocks`` its A blocks, and A's constants
 ``alpha`` and ``norm_A``, which ``constants`` reads.  It also owns its
-pressures, deflated against ker B_T (see dualprod) on first read as
-``pb.pressures``: once per problem, however many discretizations are built
-on it.  A discretization is (problem, U, dual
-product, gamma), and it owns the γ-free blocks of its (problem, U, dual
-product), built on first read as ``d.blocks``: A_UU, A_WU, B_UQ, B_WQ, F_U,
-F_W, one set of rows when U is W, and, on first read, the B_WQᵀ S⁻¹ products
-of the stabilized route.  ``d.with_gamma`` restates γ and keeps them, so
-every γ and both assemblies read one set, which lives as long as the
-discretizations that share it.  Only the (1/γ)S block, the γ-scaled products
-and ``static_condense``, which factors S/γ from its blocks as the
+pressures, deflated against ker B_T on its truth space (see dualprod) on
+first read as ``pb.pressures``, once per problem however many
+discretizations are built on it; the pressures own beta, norm_B and the dual
+Gram B_effᵀ G⁻¹ B_eff, which ``constants`` reads.  A discretization is (problem,
+U, dual product, gamma), and it owns the γ-free blocks of its (problem, U,
+dual product), built on first read as ``d.blocks``: A_UU, A_WU, B_UQ, B_WQ,
+F_U, F_W, one set of rows when U is W, and, on first read, the B_WQᵀ S⁻¹
+products of the stabilized route.  ``d.with_gamma`` restates γ and keeps
+them, so every γ and both assemblies read one set, which lives as long as
+the discretizations that share it.  Only the (1/γ)S block, the γ-scaled
+products and ``static_condense``, which factors S/γ from its blocks as the
 independent route, depend on γ.  Systems live in deflated coordinates, and
-``solve`` writes a system's blocks into the one n × n buffer it factors.  The
-blocks read U and W only through their products E c, Eᵀ y and the Gram of A,
-so structured embeddings keep them level-sized.
+``solve`` writes a system's blocks into the one n × n buffer it factors.
+The blocks read U and W only through their products E c, Eᵀ y and the Gram
+of A, so structured embeddings keep them level-sized.
 
 U nests in W in every configuration the models build, so the joint space
 U + W of the relaxed inf-sup check is W: ``relaxed_infsup_check`` checks the
@@ -148,7 +149,7 @@ class SaddleProblem:
 
     @cached_property
     def pressures(self):
-        return deflate_pressures(self.b_form, self.q_gram)
+        return deflate_pressures(self.b_form, self.q_gram, self.truth)
 
     @cached_property
     def g_eff(self):
@@ -449,11 +450,11 @@ def constants(pb, d):
     alpha and norm_A are truth-level properties of the a-form, read from the
     problem's truth record ``pb.record``, which every level of a run shares.
     Every other constant is measured on the problem's deflated pressures
-    ``pb.pressures``: beta and norm_B are the truth inf-sup constants, c_star,
-    alpha_hat and beta_hat go through the configured dual product.
+    ``pb.pressures``: beta and norm_B are theirs, the truth inf-sup constants,
+    and c_star, alpha_hat and beta_hat go through the configured dual product.
     """
     alpha, norm_a = pb.record.alpha, pb.record.norm_A
-    er = measure_equivalence(d.dp, pb.pressures)[0]
+    er = measure_equivalence(d.dp, pb.pressures)
     # 2 alpha c_star / (norm_A C_star)² and 2 kappa_star alpha / norm_A², squaring nothing
     ratio = alpha / norm_a
     return ConstantsReport(

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import resource
@@ -177,6 +178,15 @@ class TestExitCodes:
         code = main(["constants", "--config", str(tmp_path / "nope.cfg")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_config_not_utf8_exits_2_in_one_line(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"truth_elems = 64\xff\n")
+        assert main(["constants", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"dualstab: config error: config: cannot read {str(path)!r}: ")
 
     def test_bad_override_value(self, tmp_path, capsys):
         path = write_cfg(tmp_path, SMALL)
@@ -587,6 +597,48 @@ class TestTruthLevelWork:
         solved = [any(a is f.matrix and b is f.aux.fact for f in forms) for a, b in calls]
         assert sum(solved) == expected
 
+    # B_effᵀ G⁻¹ B_eff is formed by a level's pressures on first read and kept
+    # with them: once per level in a command that reads beta, norm_B or the
+    # pairing sweep, never otherwise, and factored only for c_star and alpha_hat
+    @pytest.mark.parametrize(
+        "command, extra, n_formed, n_factored",
+        [
+            pytest.param("constants", [], 4, 4, id="constants"),
+            pytest.param("spectral", [], 4, 4, id="spectral"),
+            pytest.param("infsup", [], 4, 0, id="infsup"),
+            pytest.param("converge", [], 4, 4, id="converge"),
+            pytest.param("solve", ["--gamma", "auto"], 1, 1, id="solve-auto"),
+            pytest.param("solve", [], 0, 0, id="solve"),
+            pytest.param("condense-check", [], 0, 0, id="condense-check"),
+        ],
+    )
+    def test_dual_gram_formed_once_per_level(
+        self, tmp_path, monkeypatch, command, extra, n_formed, n_factored
+    ):
+        formed, factored = [], []
+        original_form = dualprod.DeflatedPressures.dual_gram.func
+        original_cholesky = dualprod.cholesky
+
+        def form(pressures):
+            formed.append(pressures)
+            return original_form(pressures)
+
+        def factor(m, name="matrix"):
+            factored.append(m)
+            return original_cholesky(m, name)
+
+        counted = functools.cached_property(form)
+        counted.__set_name__(dualprod.DeflatedPressures, "dual_gram")
+        monkeypatch.setattr(dualprod.DeflatedPressures, "dual_gram", counted)
+        monkeypatch.setattr(dualprod, "cholesky", factor)
+        path = write_cfg(tmp_path, "truth_elems = 64\nlevels = 4, 8, 16, 32\n")
+        code, _, _ = run_csv(tmp_path, [command, "--config", path] + extra)
+        assert code == 0
+        # one formation per level, each on its own pressures
+        assert len({id(p) for p in formed}) == len(formed) == n_formed
+        grams = [p.dual_gram for p in formed]
+        assert sum(any(m is g for g in grams) for m in factored) == n_factored
+
     @pytest.mark.parametrize(
         "command", ["constants", "spectral", "infsup", "solve", "converge", "condense-check"]
     )
@@ -734,9 +786,9 @@ class TestCondenseCheckPhases:
             labels.append(pb.label)
             return pb
 
-        def counted(b_t, q_gram):
+        def counted(b_t, q_gram, truth):
             deflations.append(b_t.shape)
-            return original_deflate(b_t, q_gram)
+            return original_deflate(b_t, q_gram, truth)
 
         monkeypatch.setattr(models, "build_level", recorded)
         for module in (dualprod, saddle):
@@ -1159,8 +1211,8 @@ class TestCheckTable:
     def test_failing_row_sets_verdict(self, tmp_path, monkeypatch):
         from dualstab import dualprod
 
-        def wrong_sandwich(rep, dual_t, q_eff, rng, samples):
-            rows = original(rep, dual_t, q_eff, rng, samples)
+        def wrong_sandwich(rep, pressures, rng, samples):
+            rows = original(rep, pressures, rng, samples)
             return rows[:-1] + [dualprod.Check("pairing_max", 2.0, None, 1.0, dualprod.CHAIN_RTOL)]
 
         original = dualprod._sandwich_rows
@@ -1214,6 +1266,17 @@ class TestDenseLimit:
         (line,) = captured.err.splitlines()
         assert line.startswith("dualstab: config error: truth_elems")
         assert path in line
+
+    def test_truth_band_numpy_cannot_size_exits_2(self, tmp_path, monkeypatch, capsys):
+        # the band of 2 (truth_elems − 1) floats is refused before any assembly
+        monkeypatch.setattr(models, "truth_record", no_assembly)
+        monkeypatch.setattr(models, "build_level", no_assembly)
+        cfg = write_cfg(tmp_path, f"truth_elems = {2**62}\n")
+        assert main(["constants", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"dualstab: config error: truth_elems = {2**62}")
 
     def test_banded_path_has_no_limit(self):
         n = 8 * models.DENSE_TRUTH_LIMIT

@@ -350,13 +350,13 @@ class TestConstants:
             assert b_norm <= rep.norm_B * q_norm * (1 + 1e-9)
 
     def test_truth_constants_are_the_report_beta_and_norm_b(self):
-        # infsup prints beta without building the report: one pencil, the same numbers
+        # infsup prints the record's beta without building the report: one
+        # pencil, the same numbers
         ts, w_sub, b, qg = model_setup()
-        pressures = deflate_pressures(b, qg)
+        pressures = deflate_pressures(b, qg, ts)
         dp = DualProduct(aux=w_sub, stiffness=make_stiffness(w_sub, "lumped"))
         rep = equivalence_report(dp, b, qg)
-        beta, norm_b, _ = dualprod.truth_constants(pressures, ts)
-        assert beta == rep.beta > 0.0 and norm_b == rep.norm_B
+        assert pressures.beta == rep.beta > 0.0 and pressures.norm_B == rep.norm_B
 
     def test_w_only_constants_never_exceed_truth(self):
         # restricting the sup space can only lower an inf-sup constant
@@ -414,7 +414,7 @@ class TestCheckTable:
     def test_rows_in_order_and_passing(self):
         ts, w_sub, b, qg = model_setup()
         dp = DualProduct(aux=w_sub, stiffness=make_stiffness(w_sub, "lumped"))
-        rep, rows = spectral_checks(dp, deflate_pressures(b, qg), np.random.default_rng(3))
+        rep, rows = spectral_checks(dp, deflate_pressures(b, qg, ts), np.random.default_rng(3))
         assert [r.check for r in rows] == [
             "equivalence_low",
             "equivalence_high",
@@ -438,7 +438,7 @@ class TestCheckTable:
         dp = DualProduct(aux=w_sub, stiffness=claimed)
         with pytest.raises(BoundViolated) as exc:
             verify_dual_equivalence(dp)
-        _, rows = spectral_checks(dp, deflate_pressures(b, qg), np.random.default_rng(0))
+        _, rows = spectral_checks(dp, deflate_pressures(b, qg, ts), np.random.default_rng(0))
         low, high = rows[:2]
         assert low.status == "pass" and high.status == "fail"
         bounds = f"{high.lower:.6e}, {high.upper:.6e}"
@@ -449,7 +449,7 @@ class TestCheckTable:
         # the pairing rows are extremes of ‖B q‖₋₁ / ⦀q⦀ over the seeded draws
         ts, w_sub, b, qg = model_setup()
         dp = DualProduct(aux=w_sub, stiffness=make_stiffness(w_sub, "gramian"))
-        _, rows = spectral_checks(dp, deflate_pressures(b, qg), np.random.default_rng(5))
+        _, rows = spectral_checks(dp, deflate_pressures(b, qg, ts), np.random.default_rng(5))
         z = pressure_deflation(b, qg)
         rng = np.random.default_rng(5)
         ratios = []

@@ -102,6 +102,13 @@ class TestMeshAndConfig:
         with pytest.raises(ValueError):
             ModelConfig(gamma=-0.5)
 
+    def test_truth_band_numpy_cannot_size_rejected(self):
+        # the truth band holds 2 (truth_elems − 1) floats: numpy sizes it up to 2^59
+        ModelConfig(truth_elems=2**59, coarse_elems=2)
+        for n in (2**60, 2**62):
+            with pytest.raises(ValueError, match=f"truth_elems = {n}"):
+                ModelConfig(truth_elems=n, coarse_elems=2)
+
     @pytest.mark.parametrize("choice", ["bogus", "scaled:x", "scaled:inf", "scaled:-1"])
     def test_stiffness_choice_validated_up_front(self, choice):
         # through the parser make_stiffness uses, not first in build_spaces
@@ -618,6 +625,22 @@ class TestModelInvariants:
         assert all(0.25 <= b <= 1.0 + 1e-12 for b in betas)
         for prev, cur in zip(betas, betas[1:]):
             assert abs(cur - prev) / prev < 0.10
+
+    @pytest.mark.parametrize("truth_elems", [64, 1024, 4096])
+    def test_p0_truth_constants_are_one(self, truth_elems):
+        # truth velocity derivatives are the mean-zero truth P0 functions,
+        # which hold every mean-zero coarse P0 pressure: Π₀q = q, so
+        # ‖B q‖₋₁ = ⦀q⦀ on the deflated pressures and beta = norm_B = 1
+        levels = [2**k for k in range(2, 9) if 2**k <= truth_elems]
+        cfgs = [
+            ModelConfig(truth_elems=truth_elems, coarse_elems=n, pressure_kind="p0", w_kind="same")
+            for n in levels
+        ]
+        truth = models.truth_record(cfgs[0])
+        for cfg in cfgs:
+            pressures = models.build_level(cfg, truth).pressures
+            assert abs(pressures.beta - 1.0) <= 1e-10
+            assert abs(pressures.norm_B - 1.0) <= 1e-10
 
     def test_equal_order_pair_degenerates_at_gamma_zero(self):
         # the coarse checkerboard mode lies in the deflated kernel of B
