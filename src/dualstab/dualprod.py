@@ -75,27 +75,16 @@ class DegeneratePencil(NumericalFailure):
 class StiffnessForm:
     """SPD matrix S on a subspace W with its spectral range against G_W.
 
-    kappa_star and K_star, the extreme eigenvalues of (S, G_W), are read from
-    one eigenvalues-only solve on first read, so a command that reads neither
-    solves no (S, G_W) pencil.  Both are Python floats.
+    kappa_star and K_star, the extreme eigenvalues of (S, G_W) as Python
+    floats, are fixed when the form is built: exactly σ for S = σ·G_W, and
+    the extremes of one eigenvalues-only solve for an explicit S.
     """
 
     matrix: np.ndarray
     fact: SpdFactorization
     aux: Subspace
-
-    @cached_property
-    def _range(self):
-        spectrum = sym_generalized_eigvals(self.matrix, self.aux.fact)
-        return float(spectrum[0]), float(spectrum[-1])
-
-    @property
-    def kappa_star(self):
-        return self._range[0]
-
-    @property
-    def K_star(self):
-        return self._range[1]
+    kappa_star: float
+    K_star: float
 
 
 @dataclass(frozen=True)
@@ -129,20 +118,27 @@ class EquivalenceReport:
 
 
 def stiffness_from_matrix(sub, s):
-    """Build a StiffnessForm from an explicit SPD matrix on the subspace."""
+    """Build a StiffnessForm from an explicit SPD matrix on the subspace.
+
+    One eigenvalues-only solve of (S, G_W) gives its range, here.
+    """
     s = require_symmetric(s, "stiffness matrix")
     if s.shape[0] != sub.dim:
         raise DimensionMismatch(f"stiffness of dim {s.shape[0]} does not match subspace {sub.dim}")
-    return StiffnessForm(matrix=s, fact=cholesky(s, "stiffness matrix"), aux=sub)
+    fact = cholesky(s, "stiffness matrix")
+    spectrum = sym_generalized_eigvals(s, sub.fact)
+    return StiffnessForm(s, fact, sub, float(spectrum[0]), float(spectrum[-1]))
 
 
 def stiffness_scale(choice):
-    """Parse a named stiffness choice: the factor s of ``scaled:<s>``, else None.
+    """Parse a named stiffness choice: the σ of S = σ·G_W, or None for ``lumped``.
 
-    ValueError unless the choice is ``gramian``, ``lumped`` or ``scaled:<s>``
-    with a finite positive s.
+    ``gramian`` is σ = 1.  ValueError unless the choice is ``gramian``,
+    ``lumped`` or ``scaled:<σ>`` with a finite positive σ.
     """
-    if choice in ("gramian", "lumped"):
+    if choice == "gramian":
+        return 1.0
+    if choice == "lumped":
         return None
     if not choice.startswith("scaled:"):
         raise ValueError(f"unknown stiffness choice {choice!r}")
@@ -158,25 +154,25 @@ def stiffness_scale(choice):
 def make_stiffness(sub, choice):
     """Build S on a subspace from one of the named choices.
 
-    ``gramian``      S = G_W                 (kappa_star = K_star = 1); the
-                     form shares the subspace's Gramian and its factor
-    ``scaled:<s>``   S = s · G_W, 0 < s < ∞  (kappa_star = K_star = s)
-    ``lumped``       S = diag of row sums of G_W; NotSpd when a row sum is
-                     nonpositive (e.g. stiffness-like Gramians).
+    ``gramian``      S = G_W, which is ``scaled:1``
+    ``scaled:<σ>``   S = σ · G_W, 0 < σ < ∞, with kappa_star = K_star = σ
+                     exactly and no pencil solved; at σ = 1 the form shares
+                     the subspace's Gramian and its factor
+    ``lumped``       S = diag of row sums of G_W, an explicit S; NotSpd when
+                     a row sum is nonpositive (e.g. stiffness-like Gramians).
     """
     sigma = stiffness_scale(choice)
-    if choice == "gramian":
-        return StiffnessForm(matrix=sub.gram_sub, fact=sub.fact, aux=sub)
-    if choice == "lumped":
+    if sigma is None:
         sums = sub.gram_sub.sum(axis=1)
         if sums.min() <= KERNEL_RTOL * max(sums.max(), 0.0):
             raise NotSpd("row-sum lumping produced a nonpositive diagonal entry")
-        s = np.diag(sums)
-    else:
-        # an overflow to inf is reported once, as NonFinite, by stiffness_from_matrix
-        with np.errstate(over="ignore"):
-            s = sigma * sub.gram_sub
-    return stiffness_from_matrix(sub, s)
+        return stiffness_from_matrix(sub, np.diag(sums))
+    if sigma == 1.0:
+        return StiffnessForm(sub.gram_sub, sub.fact, sub, 1.0, 1.0)
+    # an inf in σ · G_W, or in its symmetrized sum, ends as NonFinite in cholesky
+    with np.errstate(over="ignore"):
+        s = require_symmetric(sigma * sub.gram_sub, "stiffness matrix")
+    return StiffnessForm(s, cholesky(s, "stiffness matrix"), sub, sigma, sigma)
 
 
 def c_apply(dp, f, g):

@@ -555,47 +555,67 @@ class TestTruthLevelWork:
         assert len(records) == 1
         assert calls == []
 
-    # kappa_star and K_star enter C_star, gamma0 and the spectral rows only:
-    # a command solves the pencil (S, G_W) once per level if it reads them,
-    # and never otherwise
+    # S = σ·G_W carries its range (σ, σ) from the start, so no command solves
+    # the pencil (S, G_W), whether or not it reads kappa_star and K_star
+    @pytest.mark.parametrize("stiffness", ["scaled:2", "gramian"])
     @pytest.mark.parametrize(
-        "command, extra, n_forms, expected",
+        "command, extra, n_forms",
         [
-            pytest.param("constants", [], 4, 4, id="constants"),
-            pytest.param("spectral", [], 4, 4, id="spectral"),
-            pytest.param("converge", [], 4, 4, id="converge"),
-            pytest.param("solve", ["--gamma", "auto"], 1, 1, id="solve-auto"),
-            pytest.param("infsup", [], 4, 0, id="infsup"),
-            pytest.param("solve", [], 1, 0, id="solve"),
-            pytest.param("condense-check", [], 2, 0, id="condense-check"),
+            pytest.param("constants", [], 4, id="constants"),
+            pytest.param("spectral", [], 4, id="spectral"),
+            pytest.param("converge", [], 4, id="converge"),
+            pytest.param("solve", ["--gamma", "auto"], 1, id="solve-auto"),
+            pytest.param("infsup", [], 4, id="infsup"),
+            pytest.param("solve", [], 1, id="solve"),
+            pytest.param("condense-check", [], 2, id="condense-check"),
         ],
     )
-    def test_stiffness_pencil_solved_only_when_read(
-        self, tmp_path, monkeypatch, command, extra, n_forms, expected
+    def test_no_command_solves_the_stiffness_pencil(
+        self, tmp_path, monkeypatch, command, extra, n_forms, stiffness
     ):
-        forms, calls = [], []
+        forms, calls, intervals = [], [], []
         original_form = models.make_stiffness
-        original_eig = dualprod.sym_generalized_eigvals
+        original_interval = dualprod.dual_equivalence_interval
 
         def recorded(sub, choice):
             forms.append(original_form(sub, choice))
             return forms[-1]
 
-        def counted(a, b_fact):
-            calls.append((a, b_fact))
-            return original_eig(a, b_fact)
+        # at s = gramian, S is G_W with G_W's factor, so the (G_W, S) pencil
+        # of spectral's equivalence rows is the same call: it is set aside
+        def interval(dp):
+            intervals.append(dp)
+            try:
+                return original_interval(dp)
+            finally:
+                intervals.pop()
+
+        def counting(original):
+            def counted(a, b_fact):
+                if not intervals:
+                    calls.append((a, b_fact))
+                return original(a, b_fact)
+
+            return counted
 
         monkeypatch.setattr(models, "make_stiffness", recorded)
-        monkeypatch.setattr(dualprod, "sym_generalized_eigvals", counted)
-        # at s = gramian, S is G_W with G_W's factor, so (S, G_W) would be the
-        # very call of the (G_W, S) pencil that spectral's equivalence rows solve
-        path = write_cfg(tmp_path, "truth_elems = 64\nlevels = 4, 8, 16, 32\ns = scaled:2\n")
-        code, _, _ = run_csv(tmp_path, [command, "--config", path] + extra)
+        monkeypatch.setattr(dualprod, "dual_equivalence_interval", interval)
+        for module in (algebra, dualprod, saddle, models):
+            if hasattr(module, "sym_generalized_eigvals"):
+                monkeypatch.setattr(
+                    module, "sym_generalized_eigvals", counting(module.sym_generalized_eigvals)
+                )
+        text = f"truth_elems = 64\nlevels = 4, 8, 16, 32\ns = {stiffness}\n"
+        code, _, _ = run_csv(tmp_path, [command, "--config", write_cfg(tmp_path, text)] + extra)
         assert code == 0
         assert len(forms) == n_forms
-        # counted afterwards: a form may solve its pencil before it is recorded
-        solved = [any(a is f.matrix and b is f.aux.fact for f in forms) for a, b in calls]
-        assert sum(solved) == expected
+        pencils = [
+            a.shape
+            for a, b in calls
+            for f in forms
+            if b is f.aux.fact and a.shape == f.matrix.shape and np.array_equal(a, f.matrix)
+        ]
+        assert pencils == []
 
     # B_effᵀ G⁻¹ B_eff is formed by a level's pressures on first read and kept
     # with them: once per level in a command that reads beta, norm_B or the
@@ -1016,6 +1036,34 @@ class TestSystemLifetimes:
         assert peak <= 6.40 * 2**20
 
 
+class TestExactStiffnessRange:
+    # S = σ·G_W has the (S, G_W) range (σ, σ) by construction: the reports
+    # carry σ itself, never a solved pencil's roundoff
+    @pytest.mark.parametrize("sigma", ["1", "2", "3", "0.1", "1e-300", "1e300"])
+    def test_constants_read_sigma_exactly(self, tmp_path, sigma):
+        path = write_cfg(tmp_path, "truth_elems = 64\nlevels = 4, 8, 16\n")
+        out = tmp_path / "constants.json"
+        argv = ["constants", "--config", path, "--s", f"scaled:{sigma}", "--format", "json"]
+        assert main(argv + ["--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert len(rows) == 3
+        for row in rows:
+            assert row["kappa_star"] == row["K_star"] == float(sigma)
+            assert row["C_star"] == 1.0 / float(sigma)
+
+    @pytest.mark.parametrize(
+        "command", ["constants", "spectral", "infsup", "solve", "converge", "condense-check"]
+    )
+    def test_scaled_one_is_gramian(self, tmp_path, command):
+        path = write_cfg(tmp_path, "truth_elems = 64\nlevels = 4, 8\n")
+        reports = []
+        for s in ("gramian", "scaled:1"):
+            out = tmp_path / f"{s.replace(':', '_')}.csv"
+            assert main([command, "--config", path, "--s", s, "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
+
 class TestEdgeExits:
     # 1e-300 and 1e300: gamma0 squares nothing, so it scales with S inside the
     # float range; 1.7e308: S overflows to inf; 5e-324: S is subnormal and S⁻¹
@@ -1037,6 +1085,17 @@ class TestEdgeExits:
         err = capsys.readouterr().err
         assert err.startswith("dualstab: numerical failure:")
         assert "Traceback" not in err
+
+    def test_stiffness_whose_symmetrized_sum_overflows_exits_3(self, tmp_path, capsys):
+        # W on 32 elements has a largest Gram entry of 64, so S = σ·G_W is
+        # finite at 1.5e308 while the sum S + Sᵀ of its symmetrization is not
+        path = write_cfg(tmp_path, "truth_elems = 64\ns = scaled:2.34375e306\n")
+        assert main(["constants", "--config", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "dualstab: numerical failure: stiffness matrix contains non-finite entries\n"
+        )
 
     @pytest.mark.parametrize("reaction", ["1e300", "1.7e308"])
     @pytest.mark.parametrize(

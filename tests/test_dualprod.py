@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from dualstab import dualprod
-from dualstab.algebra import DimensionMismatch, NotSpd, spd_solve
+from dualstab.algebra import DimensionMismatch, NotSpd, spd_solve, sym_generalized_eig
 from dualstab.dualprod import (
     SWEEP_SAMPLES,
     BoundViolated,
@@ -56,23 +56,25 @@ class TestStiffnessChoices:
         ts = random_truth(rng, 20)
         sub = Subspace(ts, rng.standard_normal((20, 7)))
         sf = make_stiffness(sub, "gramian")
-        assert sf.kappa_star == pytest.approx(1.0, abs=1e-12)
-        assert sf.K_star == pytest.approx(1.0, abs=1e-12)
+        assert type(sf.kappa_star) is float and sf.kappa_star == sf.K_star == 1.0
 
     def test_gramian_shares_subspace_factor(self):
-        # S = G_W is the subspace's own Gramian, factored once
+        # S = G_W is the subspace's own Gramian, factored once; scaled:1 is gramian
         rng = np.random.default_rng(4)
         sub = Subspace(random_truth(rng, 10), rng.standard_normal((10, 4)))
-        sf = make_stiffness(sub, "gramian")
-        assert sf.matrix is sub.gram_sub and sf.fact is sub.fact
+        for choice in ("gramian", "scaled:1"):
+            sf = make_stiffness(sub, choice)
+            assert sf.matrix is sub.gram_sub and sf.fact is sub.fact
 
     def test_scaled_spectrum(self):
         rng = np.random.default_rng(2)
         ts = random_truth(rng, 15)
         sub = Subspace(ts, rng.standard_normal((15, 6)))
-        sf = make_stiffness(sub, "scaled:2")
-        assert sf.kappa_star == pytest.approx(2.0, rel=1e-12)
-        assert sf.K_star == pytest.approx(2.0, rel=1e-12)
+        # S = σ·G_W carries its range (σ, σ) exactly
+        for sigma in (2.0, 3.0, 0.1):
+            sf = make_stiffness(sub, f"scaled:{sigma!r}")
+            assert type(sf.kappa_star) is float and sf.kappa_star == sf.K_star == sigma
+            assert np.array_equal(sf.matrix, sigma * sub.gram_sub)
 
     def test_lumped_mass_is_spd_with_spread(self):
         _, sub = mass_pair()
@@ -107,9 +109,9 @@ class TestStiffnessChoices:
         assert sf.kappa_star == pytest.approx(3.0, rel=1e-12)
         assert sf.K_star == pytest.approx(3.0, rel=1e-12)
 
-    def test_range_measured_on_first_read(self, monkeypatch):
-        # building S factors it and solves no pencil; the first read of
-        # kappa_star or K_star solves (S, G_W) once for both
+    def test_explicit_and_lumped_range_solved_when_built(self, monkeypatch):
+        # an explicit S and lumped S solve (S, G_W) once, when the form is
+        # built; reading kappa_star and K_star solves nothing more
         calls = []
         original = dualprod.sym_generalized_eigvals
 
@@ -119,14 +121,19 @@ class TestStiffnessChoices:
 
         monkeypatch.setattr(dualprod, "sym_generalized_eigvals", counted)
         rng = np.random.default_rng(5)
-        ts = random_truth(rng, 12)
-        sub = Subspace(ts, rng.standard_normal((12, 5)))
-        sf = stiffness_from_matrix(sub, 3.0 * sub.gram_sub)
-        assert calls == []
-        assert sf.K_star == pytest.approx(3.0, rel=1e-12)
-        assert sf.kappa_star == pytest.approx(3.0, rel=1e-12)
-        assert type(sf.kappa_star) is float and type(sf.K_star) is float
-        assert calls == [(5, 5)]
+        sub = Subspace(random_truth(rng, 12), rng.standard_normal((12, 5)))
+        root = rng.standard_normal((5, 5))
+        forms = [
+            stiffness_from_matrix(sub, root @ root.T + 5.0 * np.eye(5)),
+            make_stiffness(mass_pair()[1], "lumped"),
+        ]
+        assert calls == [(5, 5), (7, 7)]
+        for sf in forms:
+            spectrum, _ = sym_generalized_eig(sf.matrix, sf.aux.fact)
+            assert type(sf.kappa_star) is float and type(sf.K_star) is float
+            assert sf.kappa_star == pytest.approx(spectrum[0], rel=1e-12, abs=0.0)
+            assert sf.K_star == pytest.approx(spectrum[-1], rel=1e-12, abs=0.0)
+        assert len(calls) == 2
 
     def test_stiffness_dim_must_match_subspace(self):
         rng = np.random.default_rng(4)
@@ -432,9 +439,7 @@ class TestCheckTable:
         # claiming S ≥ 1.5 κ G_W shrinks 1/kappa_star below the true top ratio
         ts, w_sub, b, qg = model_setup()
         st = make_stiffness(w_sub, "lumped")
-        claimed = replace(st)
-        # the range is measured on first read: claim it instead, before any read
-        object.__setattr__(claimed, "_range", (1.5 * st.kappa_star, st.K_star))
+        claimed = replace(st, kappa_star=1.5 * st.kappa_star)
         dp = DualProduct(aux=w_sub, stiffness=claimed)
         with pytest.raises(BoundViolated) as exc:
             verify_dual_equivalence(dp)

@@ -630,7 +630,8 @@ class TestModelInvariants:
     def test_p0_truth_constants_are_one(self, truth_elems):
         # truth velocity derivatives are the mean-zero truth P0 functions,
         # which hold every mean-zero coarse P0 pressure: Π₀q = q, so
-        # ‖B q‖₋₁ = ⦀q⦀ on the deflated pressures and beta = norm_B = 1
+        # ‖B q‖₋₁ = ⦀q⦀ on the deflated pressures and beta = norm_B = 1;
+        # the default S = G_W gives kappa_star = K_star = C_star = 1 exactly
         levels = [2**k for k in range(2, 9) if 2**k <= truth_elems]
         cfgs = [
             ModelConfig(truth_elems=truth_elems, coarse_elems=n, pressure_kind="p0", w_kind="same")
@@ -638,9 +639,11 @@ class TestModelInvariants:
         ]
         truth = models.truth_record(cfgs[0])
         for cfg in cfgs:
-            pressures = models.build_level(cfg, truth).pressures
-            assert abs(pressures.beta - 1.0) <= 1e-10
-            assert abs(pressures.norm_B - 1.0) <= 1e-10
+            pb = models.build_level(cfg, truth)
+            assert abs(pb.pressures.beta - 1.0) <= 1e-10
+            assert abs(pb.pressures.norm_B - 1.0) <= 1e-10
+            rep = saddle.constants(pb, models.build_spaces(cfg, pb))
+            assert rep.kappa_star == rep.K_star == rep.C_star == 1.0
 
     def test_equal_order_pair_degenerates_at_gamma_zero(self):
         # the coarse checkerboard mode lies in the deflated kernel of B
