@@ -126,6 +126,10 @@ def require_symmetric(a, name="matrix"):
     if scale > 0.0 and skew.max() > SYMMETRY_RTOL * scale:
         raise ValueError(f"{name} is not symmetric within relative tolerance {SYMMETRY_RTOL:g}")
     del skew
+    if scale > np.finfo(float).max / 2:  # a + aᵀ may overflow: sum halves, exact but for subnormals
+        sym = a * 0.5
+        sym += a.T * 0.5
+        return sym
     sym = a + a.T
     sym *= 0.5
     return sym

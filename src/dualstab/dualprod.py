@@ -156,8 +156,8 @@ def make_stiffness(sub, choice):
 
     ``gramian``      S = G_W, which is ``scaled:1``
     ``scaled:<σ>``   S = σ · G_W, 0 < σ < ∞, with kappa_star = K_star = σ
-                     exactly and no pencil solved; at σ = 1 the form shares
-                     the subspace's Gramian and its factor
+                     exactly, no pencil solved and nothing factored: √σ · L_W
+                     is S's factor, with L_W W's (at σ = 1, G_W and L_W)
     ``lumped``       S = diag of row sums of G_W, an explicit S; NotSpd when
                      a row sum is nonpositive (e.g. stiffness-like Gramians).
     """
@@ -169,10 +169,11 @@ def make_stiffness(sub, choice):
         return stiffness_from_matrix(sub, np.diag(sums))
     if sigma == 1.0:
         return StiffnessForm(sub.gram_sub, sub.fact, sub, 1.0, 1.0)
-    # an inf in σ · G_W, or in its symmetrized sum, ends as NonFinite in cholesky
+    # σ · G_W is as symmetric as G_W, and an inf in it ends as NonFinite
     with np.errstate(over="ignore"):
-        s = require_symmetric(sigma * sub.gram_sub, "stiffness matrix")
-    return StiffnessForm(s, cholesky(s, "stiffness matrix"), sub, sigma, sigma)
+        s = as_matrix(sigma * sub.gram_sub, "stiffness matrix")
+    fact = SpdFactorization(sub.dim, np.sqrt(sigma) * sub.fact.lower)
+    return StiffnessForm(s, fact, sub, sigma, sigma)
 
 
 def c_apply(dp, f, g):

@@ -76,9 +76,6 @@ class TruthSpace:
         x = np.asarray(x, dtype=float)
         return float(np.sqrt(max(x @ self.apply(x), 0.0)))
 
-    def __repr__(self):
-        return f"{type(self).__name__}(dim={self.dim})"
-
 
 class BandedTruthSpace(TruthSpace):
     """Truth space whose Gramian is banded, given in LAPACK upper band storage.
@@ -182,9 +179,6 @@ class Subspace:
     def norm(self, c):
         c = np.asarray(c, dtype=float)
         return float(np.sqrt(max(c @ (self.gram_sub @ c), 0.0)))
-
-    def __repr__(self):
-        return f"Subspace(dim={self.dim}, truth_dim={self.parent.dim})"
 
 
 @dataclass(frozen=True)

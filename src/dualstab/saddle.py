@@ -24,10 +24,11 @@ products of the stabilized route.  ``d.with_gamma`` restates γ and keeps
 them, so every γ and both assemblies read one set, which lives as long as
 the discretizations that share it.  Only the (1/γ)S block, the γ-scaled
 products and ``static_condense``, which factors S/γ from its blocks as the
-independent route, depend on γ.  Systems live in deflated coordinates, and
-``solve`` writes a system's blocks into the one n × n buffer it factors.
-The blocks read U and W only through their products E c, Eᵀ y and the Gram
-of A, so structured embeddings keep them level-sized.
+independent route and solves it once, against B_WQ's columns, depend on γ.
+Systems live in deflated coordinates, and ``solve`` writes a system's blocks
+into the one n × n buffer it factors.  The blocks read U and W only through
+their products E c, Eᵀ y and the Gram of A, so structured embeddings keep
+them level-sized.
 
 U nests in W in every configuration the models build, so the joint space
 U + W of the relaxed inf-sup check is W: ``relaxed_infsup_check`` checks the
@@ -46,6 +47,7 @@ from .algebra import (
     DimensionMismatch,
     NonFinite,
     NumericalFailure,
+    SpdFactorization,
     as_matrix,
     cholesky,
     lapack,
@@ -350,17 +352,14 @@ def static_condense(tf):
 
     Works from the system's blocks alone, and factors its own (1/γ)S block,
     not the dual product's stiffness, so the result is an independent route
-    to the stabilized system and must agree with it entrywise.
+    to the stabilized system and must agree with it entrywise.  The block is
+    symmetric, so B_WQᵀ (S/γ)⁻¹ is one solve against B_WQ's columns, transposed.
     """
     (a_uu, _, neg_b_uq), (a_wu, s_block, neg_b_wq), (b_uqt, b_wqt, _) = tf.grid
-    iu, iw, ip = tf.blocks()
-    rhs = tf.rhs
-    s_fact = cholesky(s_block, "auxiliary block")
-    bottom_left = b_uqt - b_wqt @ spd_solve(s_fact, a_wu)
-    bottom_right = b_wqt @ spd_solve(s_fact, -neg_b_wq)
-    rhs_q = rhs[ip] - b_wqt @ spd_solve(s_fact, rhs[iw])
-    grid = ((a_uu, neg_b_uq), (bottom_left, bottom_right))
-    out_rhs = np.concatenate([rhs[iu], rhs_q])
+    (iu, iw, ip), rhs = tf.blocks(), tf.rhs
+    bt_s = spd_solve(cholesky(s_block, "auxiliary block"), b_wqt.T).T
+    grid = ((a_uu, neg_b_uq), (b_uqt - bt_s @ a_wu, bt_s @ -neg_b_wq))
+    out_rhs = np.concatenate([rhs[iu], rhs[ip] - bt_s @ rhs[iw]])
     return BlockSystem(grid=grid, rhs=out_rhs, sizes=(tf.sizes[0], tf.sizes[2]))
 
 
@@ -479,16 +478,17 @@ def verify_coercivity(pb, d, report):
 
     measured = smallest eigenvalue of (sym K, blockdiag(G_U, G_Q-deflated));
     predicted = beta_gamma(γ) of ``report``, the level's ConstantsReport.
-    BoundViolated from the ``coercivity`` check row when measured falls below
-    predicted beyond COERCIVITY_TOL.  Returns (measured, predicted).
+    The norm block's factor is blockdiag(L_U, L_Q), of the factors U and the
+    pressures hold.  BoundViolated from the ``coercivity`` check row when
+    measured falls below predicted beyond COERCIVITY_TOL.  Returns (measured,
+    predicted).
     """
     _require_below_gamma0(d.gamma, report)
     k = assemble_stabilized(pb, d).matrix
     sym_k = 0.5 * (k + k.T)
-    g_u, q_eff = d.U.gram_sub, pb.pressures.q_eff
-    off = np.zeros((len(g_u), len(q_eff)))
-    norms = np.block([[g_u, off], [off.T, q_eff]])
-    measured = float(sym_generalized_eigvals(sym_k, cholesky(norms, "norm block"))[0])
+    lower, m = np.zeros_like(sym_k), d.U.dim
+    lower[:m, :m], lower[m:, m:] = d.U.fact.lower, pb.pressures.q_fact.lower
+    measured = float(sym_generalized_eigvals(sym_k, SpdFactorization(len(lower), lower))[0])
     predicted = report.beta_gamma(d.gamma)
     raise_failed([Check("coercivity", measured, predicted, None, COERCIVITY_TOL)])
     return measured, predicted

@@ -66,6 +66,15 @@ class TestCholesky:
         with pytest.raises(NotSpd, match="pressure Gramian"):
             cholesky(-np.eye(2), "pressure Gramian")
 
+    def test_factors_near_the_float_maximum(self):
+        # the symmetrized sum a + aᵀ of this finite SPD matrix overflows
+        fact = cholesky(np.array([[1.5e308]]), "m")
+        assert fact.lower[0, 0] == np.sqrt(1.5e308)
+        m = np.array([[1.5e308, 1e307], [1e307, 1.2e308]])
+        fact = cholesky(m, "m")
+        assert np.all(np.isfinite(fact.lower))
+        assert np.abs(fact.lower @ fact.lower.T - m).max() <= 1e-15 * m.max()
+
 
 class TestSpdSolve:
     def test_frozen_solution(self):
@@ -298,6 +307,29 @@ class TestRequireSymmetric:
             out, expected = require_symmetric(a, "a"), 0.5 * (a + a.T)
             assert np.array_equal(out, expected)
             assert np.array_equal(np.signbit(out), np.signbit(expected))
+
+    def test_halves_summed_above_half_the_float_maximum(self):
+        # past half the float maximum a + aᵀ may overflow, so the result is
+        # 0.5·a + 0.5·aᵀ there: finite, exactly symmetric, and the bits of the
+        # halved sum wherever that sum is finite
+        half_max = np.finfo(float).max / 2
+        rng = np.random.default_rng(43)
+        for _ in range(50):
+            n = int(rng.integers(1, 20))
+            a = rng.uniform(-1.0, 1.0, (n, n))
+            a = (a + a.T) * 0.5
+            a /= np.abs(a).max()
+            a *= rng.uniform(1.0, 1.9) * half_max
+            a += rng.standard_normal((n, n)) * (np.abs(a).max() * 1e-14)
+            out = require_symmetric(a, "a")
+            assert np.all(np.isfinite(out)) and np.array_equal(out, out.T)
+            with np.errstate(over="ignore"):
+                summed = (a + a.T) * 0.5
+            finite = np.isfinite(summed)
+            assert np.array_equal(out[finite], summed[finite])
+        # at exactly half the float maximum the sum is kept, bit for bit
+        a = np.array([[half_max, 1.0], [1.0, -half_max]])
+        assert np.array_equal(require_symmetric(a, "a"), 0.5 * (a + a.T))
 
     def test_holds_one_temporary_at_a_time(self):
         # above the input, the traced peak is the returned copy and the

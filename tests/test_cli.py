@@ -1083,19 +1083,23 @@ class TestEdgeExits:
         code = main(["constants", "--config", path, "--s", scale])
         assert code == 3
         err = capsys.readouterr().err
-        assert err.startswith("dualstab: numerical failure:")
-        assert "Traceback" not in err
+        matrix = "stiffness" if scale == "scaled:1.7e308" else "pencil"
+        assert err == f"dualstab: numerical failure: {matrix} matrix contains non-finite entries\n"
 
-    def test_stiffness_whose_symmetrized_sum_overflows_exits_3(self, tmp_path, capsys):
+    def test_stiffness_near_the_float_maximum_exits_0_with_its_exact_range(
+        self, tmp_path, capsys
+    ):
         # W on 32 elements has a largest Gram entry of 64, so S = σ·G_W is
-        # finite at 1.5e308 while the sum S + Sᵀ of its symmetrization is not
-        path = write_cfg(tmp_path, "truth_elems = 64\ns = scaled:2.34375e306\n")
-        assert main(["constants", "--config", path]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "dualstab: numerical failure: stiffness matrix contains non-finite entries\n"
-        )
+        # finite at 1.5e308 although S + Sᵀ is not; S is factored by W's own
+        # factor, as √σ·L_W, so nothing sums it
+        sigma = 2.34375e306
+        path = write_cfg(tmp_path, f"truth_elems = 64\ns = scaled:{sigma!r}\n")
+        out = tmp_path / "constants.json"
+        assert main(["constants", "--config", path, "--format", "json", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        (row,) = json.loads(out.read_text())["rows"]
+        assert row["kappa_star"] == row["K_star"] == sigma
+        assert row["C_star"] == 1.0 / sigma
 
     @pytest.mark.parametrize("reaction", ["1e300", "1.7e308"])
     @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dualstab import dualprod
+from dualstab import algebra, dualprod
 from dualstab.algebra import DimensionMismatch, NotSpd, spd_solve, sym_generalized_eig
 from dualstab.dualprod import (
     SWEEP_SAMPLES,
@@ -75,6 +75,36 @@ class TestStiffnessChoices:
             sf = make_stiffness(sub, f"scaled:{sigma!r}")
             assert type(sf.kappa_star) is float and sf.kappa_star == sf.K_star == sigma
             assert np.array_equal(sf.matrix, sigma * sub.gram_sub)
+
+    @pytest.mark.parametrize("sigma", [2.0, 3.0, 0.1, 1e-300, 1e300])
+    def test_scaled_is_factored_by_w(self, monkeypatch, sigma):
+        # √σ·L_W is the Cholesky factor of σ·G_W: nothing is factored or
+        # symmetrized when the form is built
+        rng = np.random.default_rng(5)
+        sub = Subspace(random_truth(rng, 15), rng.standard_normal((15, 6)))
+        calls = []
+
+        def counting(name, original):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            return counted
+
+        for module in (algebra, dualprod):
+            for name in ("cholesky", "require_symmetric"):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        sf = make_stiffness(sub, f"scaled:{sigma!r}")
+        assert calls == []
+        assert np.array_equal(sf.fact.lower, np.sqrt(sigma) * sub.fact.lower)
+        assert sf.fact.dim == sub.dim
+
+    def test_scaled_four_factor_is_the_cholesky_bits(self):
+        # √4 = 2 is exact, so W's factor doubled is the factor of 4·G_W
+        rng = np.random.default_rng(6)
+        sub = Subspace(random_truth(rng, 30), rng.standard_normal((30, 12)))
+        sf = make_stiffness(sub, "scaled:4")
+        assert np.array_equal(sf.fact.lower, algebra.cholesky(4.0 * sub.gram_sub).lower)
 
     def test_lumped_mass_is_spd_with_spread(self):
         _, sub = mass_pair()

@@ -6,8 +6,8 @@ from dataclasses import replace
 from types import SimpleNamespace
 from hypothesis import HealthCheck, given, settings
 
-from dualstab import models, saddle
-from dualstab.algebra import DimensionMismatch, NonFinite, spd_solve
+from dualstab import algebra, dualprod, models, saddle
+from dualstab.algebra import DimensionMismatch, NonFinite, spd_solve, sym_generalized_eigvals
 from dualstab.cli import main
 from dualstab.dualprod import (
     BoundViolated,
@@ -442,6 +442,22 @@ class TestBlockSolve:
             assert np.abs(cond.matrix - matrix).max() <= 1e-14 * np.abs(matrix).max()
             assert np.abs(cond.rhs - rhs).max() <= 1e-14 * max(np.abs(rhs).max(), 1.0)
 
+    @pytest.mark.parametrize("kw", [dict(), dict(w_kind="same"), dict(s_choice="scaled:3")])
+    def test_condensation_makes_one_solve(self, monkeypatch, kw):
+        # B_WQᵀ (S/γ)⁻¹ is the transpose of one solve against B_WQ's columns;
+        # the solve reads the system's own factor of its (1/γ)S block
+        cfg, pb, d = build(truth=32, coarse=4, **kw)
+        tf = assemble_three_field(pb, d)
+        calls, original = [], saddle.spd_solve
+
+        def counted(fact, rhs):
+            calls.append(fact)
+            return original(fact, rhs)
+
+        monkeypatch.setattr(saddle, "spd_solve", counted)
+        static_condense(tf)
+        assert len(calls) == 1 and calls[0] is not d.dp.stiffness.fact
+
     def test_solve_holds_one_buffer(self):
         # condense-check's maximal system on the fine-coarse config, n = 1277:
         # inside solve() only the n × n buffer is new, and with the system's
@@ -778,6 +794,29 @@ class TestCoercivity:
         with pytest.raises(BoundViolated) as exc:
             verify_coercivity(pb, d2, report=inflated)
         assert str(exc.value) == f"coercivity {measured:.6e} outside [{predicted:.6e}, -]"
+
+    @pytest.mark.parametrize("kw", [dict(), dict(pressure_kind="p0"), dict(w_kind="refined:4")])
+    def test_norm_block_reuses_held_factors(self, monkeypatch, kw):
+        # blockdiag(L_U, L_Q) factors blockdiag(G_U, Q_eff): no Cholesky runs,
+        # and the measured constant is the factored block's to 1e-12
+        cfg, pb, d = build(gamma=0.0, **kw)
+        rep = constants(pb, d)
+        d2 = models.build_spaces(replace(cfg, gamma=rep.gamma0 / 2), pb)
+        k = assemble_stabilized(pb, d2).matrix
+        off = np.zeros((d2.U.dim, d2.p_dim))
+        norms = np.block([[d2.U.gram_sub, off], [off.T, pb.pressures.q_eff]])
+        expected = sym_generalized_eigvals(0.5 * (k + k.T), algebra.cholesky(norms))[0]
+        calls = []
+        for module in (algebra, dualprod, saddle):
+
+            def counted(m, name="matrix", original=module.cholesky):
+                calls.append(name)
+                return original(m, name)
+
+            monkeypatch.setattr(module, "cholesky", counted)
+        measured, _ = verify_coercivity(pb, d2, report=rep)
+        assert calls == []
+        assert measured == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_gamma_zero_predicts_nothing(self):
         # at gamma = 0 the symmetric part has a zero pressure block: the
