@@ -9,7 +9,11 @@ overflow or invalid value anywhere in a command).  A config whose truth mesh
 is above ``models.DENSE_TRUTH_LIMIT`` is a config error when it needs a dense
 truth path: a W on the whole truth mesh (``w = truth``, or a ``refined:k`` or
 ``same`` that reaches it) or the command ``condense-check``.  Any reaction
-runs at any truth mesh: the truth constants are closed-form.
+runs at any truth mesh: the truth constants are closed-form.  At ``gamma =
+auto`` a large reaction shrinks gamma0 with it: at truth 256 on levels 2..16,
+``converge`` fails its verdict at reaction 1e2 to 1e4 (exit 1), and at 1e5
+and 1e6 its unscaled systems fall to the ``saddle.SINGULAR_RTOL`` screen
+(exit 3), which ``solve`` reports as its ``singular`` row.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ G_Q-orthogonal complement of ker B_T, computed from the singular value
 decomposition of B_T.  Mean-zero pressure spaces are realized this way, never
 by modifying the basis.  ``deflate_pressures`` is the only place that
 deflates: it returns a DeflatedPressures record on a truth space, which the
-pencils read (a SaddleProblem measures its own once, as ``pb.pressures``),
+pencils read (a SaddleProblem deflates its own when built, ``pb.pressures``),
 and the functions taking (b_t, q_gram) deflate on their subspace's truth.
 The record owns beta and norm_B, which depend only on the truth space and
 the pressures: one solve of its (B_effᵀ G⁻¹ B_eff, G_Q) pencil gives both.

@@ -13,10 +13,10 @@ A problem owns a truth record, which the models build: its truth ``space``,
 the Grams of its a-form A (``gram`` of two embeddings and ``sub_gram`` of a
 subspace), which give ``GammaFreeBlocks`` its A blocks, and A's constants
 ``alpha`` and ``norm_A``, which ``constants`` reads.  It also owns its
-pressures, deflated against ker B_T on its truth space (see dualprod) on
-first read as ``pb.pressures``, once per problem however many
-discretizations are built on it; the pressures own beta, norm_B and the dual
-Gram B_effᵀ G⁻¹ B_eff, which ``constants`` reads.  A discretization is (problem,
+pressures, deflated against ker B_T on its truth space (see dualprod) when
+the problem is built, as ``pb.pressures``, which every discretization built
+on it reads; the pressures own beta, norm_B and the dual Gram
+B_effᵀ G⁻¹ B_eff, which ``constants`` reads.  A discretization is (problem,
 U, dual product, gamma), and it owns the γ-free blocks of its (problem, U,
 dual product), built on first read as ``d.blocks``: A_UU, A_WU, B_UQ, B_WQ,
 F_U, F_W, one set of rows when U is W, and, on first read, the B_WQᵀ S⁻¹
@@ -118,9 +118,10 @@ class SaddleProblem:
     """Truth-level mixed problem data on the truth record of its truth space and a-form.
 
     The record validates itself when it is built; its ``space`` must be a
-    TruthSpace, which is ``truth``.  ``pressures`` (the DeflatedPressures of
-    (B_T, G_Q)) and ``g_eff`` (the constraint rhs in their coordinates) are
-    measured on first read, once per problem.
+    TruthSpace, which is ``truth``.  The pressures are deflated when the
+    problem is built, after its checks: ``pressures`` is the
+    DeflatedPressures of (B_T, G_Q) and ``g_eff`` the constraint rhs in their
+    coordinates, so a degenerate B_T fails here.
     """
 
     def __init__(self, record, b_form, q_gram, load, constraint_rhs, label=""):
@@ -132,8 +133,6 @@ class SaddleProblem:
         if self.b_form.shape[0] != truth.dim:
             raise DimensionMismatch("constraint matrix rows do not match the truth space")
         self.q_gram = require_symmetric(q_gram, "pressure Gramian")
-        if self.q_gram.shape[0] != self.b_form.shape[1]:
-            raise DimensionMismatch("pressure Gramian does not match constraint columns")
         cholesky(self.q_gram, "pressure Gramian")  # NotSpd unless SPD
         if not isinstance(load, Functional):
             load = Functional(np.asarray(load, dtype=float))
@@ -144,26 +143,21 @@ class SaddleProblem:
         if self.constraint_rhs.shape != (self.b_form.shape[1],):
             raise DimensionMismatch("constraint right-hand side does not match pressure dim")
         self.label = label
+        # DimensionMismatch unless G_Q matches B_T's columns, DegeneratePencil for a zero B_T
+        self.pressures = deflate_pressures(self.b_form, self.q_gram, truth)
+        self.g_eff = self.pressures.basis.T @ self.constraint_rhs
 
     @property
     def pressure_dim(self):
         return self.b_form.shape[1]
 
-    @cached_property
-    def pressures(self):
-        return deflate_pressures(self.b_form, self.q_gram, self.truth)
-
-    @cached_property
-    def g_eff(self):
-        return self.pressures.basis.T @ self.constraint_rhs
-
 
 class Discretization:
     """Choice of (U, dual product, gamma) for one problem; W is the dual product's space.
 
-    Building one reads the problem's pressures, so a degenerate constraint
-    fails here; ``b_eff``, ``q_eff`` and ``p_dim`` are theirs, ``b_sel`` and
-    ``q_sel`` the problem's B_T and G_Q.  ``blocks`` are the γ-free blocks of
+    It reads the pressures the problem deflated when it was built:
+    ``b_eff``, ``q_eff`` and ``p_dim`` are theirs, ``b_sel`` and ``q_sel``
+    the problem's B_T and G_Q.  ``blocks`` are the γ-free blocks of
     (problem, U, dual product), built on first read; ``with_gamma`` shares them.
     """
 

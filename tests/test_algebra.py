@@ -16,6 +16,7 @@ from dualstab.algebra import (
     DimensionMismatch,
     NotSpd,
     SpdFactorization,
+    as_matrix,
     band_apply,
     band_to_dense,
     cholesky,
@@ -74,6 +75,28 @@ class TestCholesky:
         fact = cholesky(m, "m")
         assert np.all(np.isfinite(fact.lower))
         assert np.abs(fact.lower @ fact.lower.T - m).max() <= 1e-15 * m.max()
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda: as_matrix(np.ones(3)), DimensionMismatch),
+            # a factor with a zero diagonal entry: the triangular solve fails
+            (
+                lambda: spd_solve(SpdFactorization(2, np.array([[1.0, 0.0], [1.0, 0.0]])), np.ones(2)),
+                np.linalg.LinAlgError,
+            ),
+            (
+                lambda: operator_norm(np.ones((2, 3)), cholesky(np.eye(2)), cholesky(np.eye(2))),
+                DimensionMismatch,
+            ),
+        ],
+        ids=["not-2d", "zero-diagonal", "operator-shape"],
+    )
+    def test_raises(self, call, error):
+        with pytest.raises(error):
+            call()
 
 
 class TestSpdSolve:

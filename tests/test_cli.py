@@ -246,6 +246,22 @@ class TestExitCodes:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("gamma = abc", "gamma: expected a real number, got 'abc'"),
+            ("reaction = x", "reaction: expected a real number, got 'x'"),
+            ("gammas = 0.1, y", "gammas: expected a real number, got 'y'"),
+        ],
+        ids=["gamma", "reaction", "gammas"],
+    )
+    def test_non_number_exits_2_naming_its_field(self, tmp_path, capsys, line, message):
+        path = write_cfg(tmp_path, SMALL + line + "\n")
+        assert main(["constants", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"dualstab: config error: {message}"]
+
     def test_non_finite_scale_exits_2(self, tmp_path, capsys):
         path = write_cfg(tmp_path, SMALL + "s = scaled:nan\n")
         assert main(["constants", "--config", path]) == 2
@@ -451,6 +467,24 @@ class TestCommands:
         # the other commands keep accepting the level
         monkeypatch.undo()
         assert main(["solve", "--config", path, "--out", str(tmp_path / "solve.csv")]) == 0
+
+    def test_converge_failing_verdict_exits_1_with_its_rows(self, tmp_path):
+        # a large reaction at gamma = auto: the qratio column spreads by 2.8,
+        # above QRATIO_SPREAD, so the sweep fails but still writes its rows
+        text = "truth_elems = 256\nlevels = 2, 4, 8, 16\nreaction = 100\ngamma = auto\n"
+        out = tmp_path / "sweep.json"
+        argv = ["converge", "--config", write_cfg(tmp_path, text), "--format", "json"]
+        assert main(argv + ["--out", str(out)]) == 1
+        payload = json.loads(out.read_text())
+        assert payload["verdict"] == "fail"
+        rows = payload["rows"]
+        assert [r["coarse_elems"] for r in rows] == [2, 4, 8, 16]
+        ratios = [r["qratio"] for r in rows]
+        np.testing.assert_allclose(ratios, [3.034, 1.435, 1.164, 1.075], rtol=1e-3)
+        assert max(ratios) / min(ratios) > cli.QRATIO_SPREAD
+        for row in rows:
+            assert row["total_err"] == pytest.approx(row["u_err"] + row["p_err"])
+            assert row["gamma"] == pytest.approx(0.00605, rel=0.01)
 
     def test_converge_explicit_levels(self, tmp_path):
         path = write_cfg(tmp_path, "truth_elems = 64\nlevels = 4, 8, 16\ngamma = auto\n")

@@ -446,6 +446,51 @@ class TestVerifyFailurePaths:
         with pytest.raises(Exception, match="constraint matrix"):
             verify_cstar_infsup_link(dp, np.ones((5, 2)), np.eye(2))
 
+    @staticmethod
+    def euclidean_product(n=4):
+        ts = TruthSpace(np.eye(n))
+        sub = Subspace(ts, np.eye(n))
+        return DualProduct(aux=sub, stiffness=make_stiffness(sub, "gramian"))
+
+    def test_singular_deflated_gramian(self):
+        # ker B_T is e1, whose complement span(e2, e3) holds e3, on which
+        # G_Q = diag(1, 1, 0) vanishes: the deflated pressure Gramian is singular
+        b = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+        with pytest.raises(DegeneratePencil, match="deflated pressure Gramian"):
+            pressure_deflation(b, np.diag([1.0, 1.0, 0.0]))
+
+    def test_singular_dual_gramian(self):
+        # singular values 1 and 1e-9 keep full rank under KERNEL_RTOL, but the
+        # dual Gram diag(1, 1e-18) fails the pivot screen
+        b = np.zeros((4, 2))
+        b[0, 0], b[1, 1] = 1.0, 1e-9
+        with pytest.raises(DegeneratePencil, match="dual-norm Gramian"):
+            equivalence_report(self.euclidean_product(), b, np.eye(2))
+
+    def test_sandwich_of_a_vanishing_beta(self):
+        # two nearly parallel columns: the dual Gram's eigenvalue ratio is
+        # eps²/4 ≤ KERNEL_RTOL, so beta is floored to 0, while its squared
+        # pivot ratio eps²/(1 + eps²) passes the Cholesky screen
+        eps = 1.5e-6
+        b = np.zeros((4, 2))
+        b[0], b[1, 1] = 1.0, eps
+        assert deflate_pressures(b, np.eye(2), TruthSpace(np.eye(4))).beta == 0.0
+        rng = np.random.default_rng(0)
+        with pytest.raises(DegeneratePencil, match="truth inf-sup constant vanishes"):
+            verify_infsup_sandwich(self.euclidean_product(), b, np.eye(2), rng)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda dp: stiffness_from_matrix(dp.aux, np.eye(dp.aux.dim + 1)),
+            lambda dp: c_apply(dp, Functional(np.ones(3)), Functional(np.ones(4))),
+        ],
+        ids=["stiffness-dim", "c-apply-functional"],
+    )
+    def test_input_checks(self, call):
+        with pytest.raises(DimensionMismatch):
+            call(self.euclidean_product())
+
 
 class TestCheckTable:
     def test_rows_in_order_and_passing(self):

@@ -66,6 +66,21 @@ class TestSpaces:
             Functional(np.ones((2, 2)))
 
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda ts, sub: Subspace(ts, np.ones((3, 4))),
+            lambda ts, sub: dual_norm(ts, Functional(np.ones(4))),
+            lambda ts, sub: orthogonal_project(sub, np.ones(4)),
+        ],
+        ids=["wide-embedding", "functional-dim", "vector-dim"],
+    )
+    def test_input_checks(self, call):
+        ts = TruthSpace(np.eye(3))
+        with pytest.raises(DimensionMismatch):
+            call(ts, Subspace(ts, np.eye(3)[:, :2]))
+
+
 class TestBandedTruthSpace:
     # the banded operator against the dense TruthSpace of the same Gramian
     def pair(self, n=40):

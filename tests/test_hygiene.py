@@ -1,0 +1,44 @@
+"""Source hygiene of the package: no module imports a name it never reads."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "dualstab"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def unused_imports(path):
+    """{name: noqa} of each name a module imports and never reads.
+
+    ``noqa`` is True when the import statement carries ``# noqa: F401``, the
+    mark of a deliberate re-export.  ``from __future__`` imports are skipped.
+    """
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    imported = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        statement = lines[node.lineno - 1 : node.end_lineno]
+        noqa = any("# noqa: F401" in line for line in statement)
+        for alias in node.names:
+            imported[(alias.asname or alias.name).split(".")[0]] = noqa
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return {name: noqa for name, noqa in imported.items() if name not in read}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_imported_name_is_read(path):
+    unused = unused_imports(path)
+    assert [name for name, noqa in unused.items() if not noqa] == []
+
+
+def test_the_only_reexport():
+    # models re-exports error_norms, which bench/layers.py traces there
+    exempt = {f"{p.stem}.{n}" for p in MODULES for n, noqa in unused_imports(p).items() if noqa}
+    assert exempt == {"models.error_norms"}

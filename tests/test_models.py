@@ -102,6 +102,11 @@ class TestMeshAndConfig:
         with pytest.raises(ValueError):
             ModelConfig(gamma=-0.5)
 
+    @pytest.mark.parametrize("reaction", [-1.0, np.nan, np.inf])
+    def test_reaction_must_be_finite_and_nonnegative(self, reaction):
+        with pytest.raises(ValueError, match="reaction coefficient"):
+            ModelConfig(reaction=reaction)
+
     def test_truth_band_numpy_cannot_size_rejected(self):
         # the truth band holds 2 (truth_elems − 1) floats: numpy sizes it up to 2^59
         ModelConfig(truth_elems=2**59, coarse_elems=2)

@@ -923,6 +923,12 @@ class TestQuasiOptimality:
             quasi_optimality(pb, d, (xe, ye), report=saddle.constants(pb, d))
 
 
+def rebuilt(pb, **changes):
+    """The SaddleProblem of pb's record and data, with some of its arguments replaced."""
+    args = dict(b_form=pb.b_form, q_gram=pb.q_gram, load=pb.load, constraint_rhs=pb.constraint_rhs)
+    return SaddleProblem(pb.record, **{**args, **changes})
+
+
 class TestValidation:
     def test_saddle_problem_shape_checks(self):
         cfg, pb, d = build(truth=16, coarse=4)
@@ -936,8 +942,26 @@ class TestValidation:
         record = SimpleNamespace(space=p1_stiffness(16))
         with pytest.raises(TypeError):
             SaddleProblem(record, pb.b_form, pb.q_gram, pb.load, pb.constraint_rhs)
-        with pytest.raises(DimensionMismatch):
-            SaddleProblem(pb.record, pb.b_form, np.eye(2), pb.load, pb.constraint_rhs)
+        # the deflation checks G_Q against B_T's columns
+        with pytest.raises(DimensionMismatch, match="does not match constraint matrix columns"):
+            rebuilt(pb, q_gram=np.eye(2))
+
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda pb, d: rebuilt(pb, b_form=pb.b_form[1:]), DimensionMismatch),
+            (lambda pb, d: rebuilt(pb, load=pb.load.action[1:]), DimensionMismatch),
+            (lambda pb, d: rebuilt(pb, constraint_rhs=pb.constraint_rhs[1:]), DimensionMismatch),
+            (lambda pb, d: Discretization(pb, d.U, d.dp.stiffness, 0.1), TypeError),
+            (lambda pb, d: Discretization(pb, build(16, 4)[2].U, d.dp, 0.1), DimensionMismatch),
+            (lambda pb, d: project_pressure(pb, np.ones(pb.pressure_dim + 1)), DimensionMismatch),
+        ],
+        ids=["b-rows", "load-dim", "rhs-dim", "not-a-dual-product", "other-truth", "raw-pressure-dim"],
+    )
+    def test_input_checks(self, call, error):
+        cfg, pb, d = build(truth=16, coarse=4)
+        with pytest.raises(error):
+            call(pb, d)
 
     def test_gamma_validation(self):
         cfg, pb, d = build(truth=16, coarse=4)
@@ -955,7 +979,7 @@ class TestValidation:
         assert d.p_dim == pb.pressure_dim - 1  # the constants are deflated away
 
     def test_discretizations_share_the_problem_deflation(self, monkeypatch):
-        # the pressures are the problem's: measured on first read, once, however
+        # the pressures are the problem's: deflated once, when it is built, however
         # many discretizations (at any gamma) are built on it
         from dualstab import dualprod
 
@@ -969,7 +993,7 @@ class TestValidation:
         monkeypatch.setattr(dualprod, "pressure_deflation", counted)
         cfg = models.ModelConfig(truth_elems=64, coarse_elems=8, gamma=0.0)
         pb = models.build_truth(cfg)
-        assert calls == []
+        assert calls == [(63, 9)]
         d = models.build_spaces(cfg, pb)
         d2 = models.build_spaces(replace(cfg, gamma=0.3), pb)
         d3 = Discretization(pb, d.U, d.dp, 0.5)
@@ -984,9 +1008,8 @@ class TestValidation:
         with pytest.raises(ValueError):
             Discretization(pb, d.U, d.dp, np.nan)
 
-    def test_degenerate_constraint_fails_when_discretized(self):
-        # the deflation is lazy, but a zero B still fails where it always did
+    def test_degenerate_constraint_fails_when_built(self):
+        # the problem deflates its pressures when it is built, so a zero B fails there
         cfg, pb, d = build(truth=16, coarse=4)
-        zero = SaddleProblem(pb.record, 0.0 * pb.b_form, pb.q_gram, pb.load, pb.constraint_rhs)
         with pytest.raises(DegeneratePencil):
-            Discretization(zero, d.U, d.dp, 0.1)
+            rebuilt(pb, b_form=0.0 * pb.b_form)
