@@ -26,7 +26,13 @@ import numpy as np
 
 from . import models, saddle
 from .algebra import NumericalFailure
-from .dualprod import BoundViolated, EquivalenceReport, spectral_checks, stiffness_scale
+from .dualprod import (
+    BoundViolated,
+    EquivalenceReport,
+    SweepSampler,
+    spectral_checks,
+    stiffness_scale,
+)
 from .models import ModelConfig, NestingViolated
 from .report import Report, write_report
 from .saddle import GammaTooLarge, SingularSystem
@@ -247,8 +253,8 @@ def cmd_spectral(cfg):
     columns = ["level", "coarse_elems", "check", "value", "lower", "upper", "status"]
     report = Report("spectral", _config_echo(cfg), cfg.seed, columns)
     for level, coarse, _, pb, d in _each_level(cfg, _levels(cfg)):
-        rng = np.random.default_rng([cfg.seed, level, 1])
-        _, rows = spectral_checks(d.dp, pb.pressures, rng)
+        sampler = SweepSampler(cfg.seed, level)
+        _, rows = spectral_checks(d.dp, pb.pressures, sampler)
         for row in rows:
             cells = {key: getattr(row, key) for key in ("check", "value", "lower", "upper", "status")}
             report.add_row(level=level, coarse_elems=coarse, **cells)

@@ -30,6 +30,7 @@ the pressures: one solve of its (B_effᵀ G⁻¹ B_eff, G_Q) pencil gives both.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -61,6 +62,30 @@ KERNEL_RTOL = 1e-12
 
 # random deflated pressures drawn per check table for the pairing sweep
 SWEEP_SAMPLES = 100
+
+
+class SweepSampler:
+    """Standard normal draws for the pairing sweep of one (seed, level).
+
+    The stdlib Mersenne Twister, seeded with the key's text, gives equal draws
+    for equal keys in any process, and numpy.random is never imported.  The
+    top 52 bits k of each 64-bit word give the uniform (k + 0.5)·2⁻⁵², exact
+    and strictly inside (0, 1), and the Box–Muller transform (Box & Muller,
+    1958) turns each pair of uniforms into two normals.
+    """
+
+    def __init__(self, seed, level):
+        self._source = random.Random(f"pairing sweep {int(seed)} {int(level)}")
+
+    def standard_normal(self, shape):
+        count = int(np.prod(shape, dtype=np.int64))
+        pairs = (count + 1) // 2
+        words = np.frombuffer(self._source.randbytes(16 * pairs), dtype="<u8")
+        uniform = ((words >> np.uint64(12)).astype(float) + 0.5) * 2.0**-52
+        radius = np.sqrt(-2.0 * np.log(uniform[:pairs]))
+        angle = (2.0 * np.pi) * uniform[pairs:]
+        normals = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
+        return normals[:count].reshape(shape)
 
 
 class BoundViolated(Exception):

@@ -25,10 +25,11 @@ them, so every γ and both assemblies read one set, which lives as long as
 the discretizations that share it.  Only the (1/γ)S block, the γ-scaled
 products and ``static_condense``, which factors S/γ from its blocks as the
 independent route and solves it once, against B_WQ's columns, depend on γ.
-Systems live in deflated coordinates, and ``solve`` writes a system's blocks
-into the one n × n buffer it factors.  The blocks read U and W only through
-their products E c, Eᵀ y and the Gram of A, so structured embeddings keep
-them level-sized.
+A system holds (1/γ)S and the negated B blocks as (block, divisor) pairs,
+so it copies no block; ``solve`` writes each quotient straight into the one
+n × n buffer it factors.  Systems live in deflated coordinates.  The blocks
+read U and W only through their products E c, Eᵀ y and the Gram of A, so
+structured embeddings keep them level-sized.
 
 U nests in W in every configuration the models build, so the joint space
 U + W of the relaxed inf-sup check is W: ``relaxed_infsup_check`` checks the
@@ -79,6 +80,10 @@ RESIDUAL_RTOL = 1e-10
 
 # tolerance for the verified coercivity and relaxed inf-sup bounds
 COERCIVITY_TOL = 1e-9
+
+# entries of a scaled block that relative_residual divides at a time: 64 KiB,
+# small beside the n × n LU buffer that solve holds while it checks
+RESIDUAL_SLAB = 1 << 13
 
 # largest entry of the Gramian of U's G-orthogonal residuals against W,
 # relative to the largest of G_U, at or below which U nests in W: nested P1
@@ -232,10 +237,11 @@ class GammaFreeBlocks:
 class BlockSystem:
     """Block system: ``sizes`` (k, l) for U × Q, (k, n, l) for U × W × Q.
 
-    ``grid[i][j]`` is the block of equation block i and unknown block j, an
-    array of shape (sizes[i], sizes[j]), or None for a zero block; ``rhs`` is
-    the whole right-hand side.  Blocks may be views, and may be the
-    discretization's own γ-free blocks, so nothing writes into them.
+    ``grid[i][j]`` is the block of equation block i and unknown block j: an
+    array of shape (sizes[i], sizes[j]), a pair (array, divisor) that stands
+    for array / divisor (−1.0 negates exactly), or None for a zero block;
+    ``rhs`` is the whole right-hand side.  Blocks may be views, and may be
+    the discretization's own γ-free blocks, so nothing writes into them.
     ``matrix`` assembles the system on each read.
     """
 
@@ -247,7 +253,7 @@ class BlockSystem:
         b = len(self.sizes)
         if len(self.grid) != b or any(len(row) != b for row in self.grid):
             raise DimensionMismatch(f"block grid must be {b} × {b}")
-        for rows, cols, block in self.entries():
+        for rows, cols, block, _ in self.entries():
             slot = (rows.stop - rows.start, cols.stop - cols.start)
             if np.shape(block) != slot:
                 raise DimensionMismatch(f"block of shape {np.shape(block)} in a {slot} slot")
@@ -260,22 +266,25 @@ class BlockSystem:
         return tuple(slice(a, b) for a, b in zip(ends, ends[1:]))
 
     def entries(self):
-        """(row slice, column slice, block) of each nonzero block."""
+        """(row slice, column slice, block, divisor) of each nonzero block.
+
+        The slot holds block / divisor; a plain array has divisor 1.0.
+        """
         s = self.blocks()
         return [
-            (s[i], s[j], b)
+            (s[i], s[j], *(b if isinstance(b, tuple) else (b, 1.0)))
             for i, row in enumerate(self.grid)
             for j, b in enumerate(row)
             if b is not None
         ]
 
     def write(self, out):
-        """Write the blocks into ``out``, a zeroed n × n array, and return it.
+        """Write each block / divisor into ``out``, a zeroed n × n array, and return it.
 
         The one assembly writer: ``matrix`` and ``solve`` both read it.
         """
-        for rows, cols, block in self.entries():
-            out[rows, cols] = block
+        for rows, cols, block, divisor in self.entries():
+            np.divide(block, divisor, out=out[rows, cols])
         return out
 
     @property
@@ -311,7 +320,7 @@ def assemble_stabilized(pb, d):
         bottom_left = blk.b_uq.T - gamma * bt_s_a
         bottom_right = gamma * bt_s_b
         rhs_q = pb.g_eff - gamma * bt_s_f
-    grid = ((blk.a_uu, -blk.b_uq), (bottom_left, bottom_right))
+    grid = ((blk.a_uu, (blk.b_uq, -1.0)), (bottom_left, bottom_right))
     rhs = np.concatenate([blk.f_u, rhs_q])
     return BlockSystem(grid=grid, rhs=rhs, sizes=(d.U.dim, l))
 
@@ -323,15 +332,16 @@ def assemble_three_field(pb, d):
         [A_WU  (1/γ)S    −B_WQ ] (z) = (F_W)
         [B_UQᵀ  B_WQᵀ      0   ] (y)   (G)
 
-    The system holds the γ-free blocks themselves, B_UQᵀ and B_WQᵀ as views;
-    only (1/γ)S and the negated B blocks are new arrays.
+    The system holds the γ-free blocks and the stiffness matrix themselves,
+    B_UQᵀ and B_WQᵀ as views, (1/γ)S as (S, γ) and −B as (B, −1.0): no block
+    is a new array.
     """
     if d.gamma <= 0.0:
         raise GammaZero("three-field assembly requires gamma > 0")
     blk = _blocks(pb, d)
     grid = (
-        (blk.a_uu, None, -blk.b_uq),
-        (blk.a_wu, d.dp.stiffness.matrix / d.gamma, -blk.b_wq),
+        (blk.a_uu, None, (blk.b_uq, -1.0)),
+        (blk.a_wu, (d.dp.stiffness.matrix, d.gamma), (blk.b_wq, -1.0)),
         (blk.b_uq.T, blk.b_wq.T, None),
     )
     return BlockSystem(
@@ -345,14 +355,15 @@ def static_condense(tf):
     """Eliminate the auxiliary field from a three-field system.
 
     Works from the system's blocks alone, and factors its own (1/γ)S block,
-    not the dual product's stiffness, so the result is an independent route
-    to the stabilized system and must agree with it entrywise.  The block is
-    symmetric, so B_WQᵀ (S/γ)⁻¹ is one solve against B_WQ's columns, transposed.
+    formed here for that one factorization, not the dual product's stiffness,
+    so the result is an independent route to the stabilized system and must
+    agree with it entrywise.  The block is symmetric, so B_WQᵀ (S/γ)⁻¹ is one
+    solve against B_WQ's columns, transposed.
     """
-    (a_uu, _, neg_b_uq), (a_wu, s_block, neg_b_wq), (b_uqt, b_wqt, _) = tf.grid
+    (a_uu, _, neg_b_uq), (a_wu, (s, gamma), _), (b_uqt, b_wqt, _) = tf.grid
     (iu, iw, ip), rhs = tf.blocks(), tf.rhs
-    bt_s = spd_solve(cholesky(s_block, "auxiliary block"), b_wqt.T).T
-    grid = ((a_uu, neg_b_uq), (b_uqt - bt_s @ a_wu, bt_s @ -neg_b_wq))
+    bt_s = spd_solve(cholesky(s / gamma, "auxiliary block"), b_wqt.T).T
+    grid = ((a_uu, neg_b_uq), (b_uqt - bt_s @ a_wu, bt_s @ b_wqt.T))
     out_rhs = np.concatenate([rhs[iu], rhs[ip] - bt_s @ rhs[iw]])
     return BlockSystem(grid=grid, rhs=out_rhs, sizes=(tf.sizes[0], tf.sizes[2]))
 
@@ -361,25 +372,41 @@ def relative_residual(system, sol):
     """‖M x − b‖ / (‖M‖_F ‖x‖ + ‖b‖) of a solution, read from the blocks of M.
 
     The normwise backward error of Rigal and Gaches: M x and ‖M‖_F are summed
-    block by block, so M is never assembled.
+    block by block, so M is never assembled.  A block under a divisor of ±1
+    is read as it is and its product signed; under any other divisor it is
+    divided RESIDUAL_SLAB entries at a time, so its entries are those that
+    ``write`` gives and their squares stay in range wherever those do.
     """
     sol = np.asarray(sol, dtype=float)
     resid = -np.asarray(system.rhs, dtype=float)
     fro_sq = 0.0
-    for rows, cols, block in system.entries():
-        resid[rows] += block @ sol[cols]
-        flat = block.ravel(order="K")
-        fro_sq += flat @ flat
+    for rows, cols, block, divisor in system.entries():
+        for part_rows, part, sign in _quotient_rows(rows, block, divisor):
+            resid[part_rows] += part @ sol[cols] / sign
+            flat = part.ravel(order="K")
+            fro_sq += flat @ flat
     scale = np.sqrt(fro_sq) * np.linalg.norm(sol) + np.linalg.norm(system.rhs)
     return float(np.linalg.norm(resid) / max(scale, np.finfo(float).tiny))
+
+
+def _quotient_rows(rows, block, divisor):
+    """(rows, part, sign) with part / sign the slot's entries on those rows."""
+    if abs(divisor) == 1.0:
+        yield rows, block, divisor
+        return
+    step = max(1, RESIDUAL_SLAB // block.shape[1])
+    for start in range(0, block.shape[0], step):
+        part = block[start : start + step] / divisor
+        yield slice(rows.start + start, rows.start + start + len(part)), part, 1.0
 
 
 def solve(system):
     """Dense LU solve, screened for singularity on the same factors.
 
-    The blocks and rhs must be finite (NonFinite otherwise).  The blocks are
-    written once into a Fortran-ordered n × n buffer, which LAPACK getrf
-    factors in place, so the system holds one n² array while it is solved.
+    The blocks are written once into a Fortran-ordered n × n buffer, which
+    LAPACK getrf factors in place, so the system holds one n² array while it
+    is solved.  Its entries, a divided block's quotients included, and the
+    rhs must be finite (NonFinite otherwise).
     SingularSystem is raised when the gecon estimate of its reciprocal
     1-norm condition number is at or below SINGULAR_RTOL (0 for an exactly
     zero pivot), or when the relative residual of the getrs solution, read
@@ -387,11 +414,12 @@ def solve(system):
     solution per entry of ``system.sizes``: (x, y) for a stabilized system
     and (x, z, y) for a three-field system.
     """
-    if not all(np.all(np.isfinite(block)) for _, _, block in system.entries()):
-        raise NonFinite("system matrix contains non-finite entries")
-    rhs = as_matrix(np.reshape(system.rhs, (-1, 1)), "right-hand side")
     n = sum(system.sizes)
     m = system.write(np.zeros((n, n), order="F"))
+    # read in place: the least and the largest entry are finite exactly when all are
+    if not (np.isfinite(m.min()) and np.isfinite(m.max())):
+        raise NonFinite("system matrix contains non-finite entries")
+    rhs = as_matrix(np.reshape(system.rhs, (-1, 1)), "right-hand side")
     # the 1-norm of the Fortran buffer, read in place; an overflow to inf is
     # reported once, as NonFinite: gecon would read an infinite norm as
     # rcond 0 and call a regular system singular

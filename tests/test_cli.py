@@ -390,6 +390,26 @@ class TestCommands:
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes() != c.read_bytes()
 
+    def test_spectral_does_not_import_numpy_random(self, tmp_path):
+        # the pairing sweep draws from the stdlib Mersenne Twister; numpy.random
+        # and the hashlib it pulls in cost about 6 MB of RSS per process
+        path = write_cfg(tmp_path, SMALL)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        probe = (
+            "import sys\n"
+            "from dualstab.cli import main\n"
+            "assert main(['spectral', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+            "sys.exit('numpy.random imported' if 'numpy.random' in sys.modules else 0)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, path, str(tmp_path / "spectral.csv")],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+
     def test_infsup_table(self, tmp_path):
         path = write_cfg(tmp_path, SMALL)
         code, _, rows = run_csv(tmp_path, ["infsup", "--config", path])
@@ -1134,6 +1154,23 @@ class TestEdgeExits:
         (row,) = json.loads(out.read_text())["rows"]
         assert row["kappa_star"] == row["K_star"] == sigma
         assert row["C_star"] == 1.0 / sigma
+
+    def test_three_field_overflow_exits_3(self, tmp_path, capsys):
+        # (1/γ)S overflows when solve writes it, before the second gamma
+        path = write_cfg(tmp_path, SMALL + "gammas = 1e-310, 0.1\n")
+        assert main(["condense-check", "--config", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "dualstab: numerical failure: overflow encountered in divide\n"
+
+    def test_three_field_residual_at_a_huge_stiffness_scale(self, tmp_path):
+        # at gamma = auto, γ grows with σ, so (1/γ)S is O(1) although S
+        # squared overflows: the residual reads the quotients, not S
+        path = write_cfg(tmp_path, SMALL + "s = scaled:1e300\ngamma = auto\n")
+        code, _, rows = run_csv(tmp_path, ["solve", "--config", path])
+        assert code == 0
+        assert [r["status"] for r in rows] == ["ok", "ok", "pass"]
+        assert float(rows[1]["residual"]) < 1e-15
 
     @pytest.mark.parametrize("reaction", ["1e300", "1.7e308"])
     @pytest.mark.parametrize(

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from dualstab.dualprod import (
     Check,
     DegeneratePencil,
     DualProduct,
+    SweepSampler,
     c_apply,
     deflate_pressures,
     dual_equivalence_interval,
@@ -490,6 +495,55 @@ class TestVerifyFailurePaths:
     def test_input_checks(self, call):
         with pytest.raises(DimensionMismatch):
             call(self.euclidean_product())
+
+
+_DRAWS_CHILD = """
+import sys
+from dualstab.dualprod import SweepSampler
+seed, level = (int(a) for a in sys.argv[1:])
+print(SweepSampler(seed, level).standard_normal((100, 17)).tobytes().hex())
+"""
+
+
+class TestSweepSampler:
+    def test_equal_keys_draw_the_same_bits_in_two_processes(self):
+        src = str(Path(dualprod.__file__).resolve().parents[1])
+        runs = [
+            subprocess.run(
+                [sys.executable, "-c", _DRAWS_CHILD, "5", "2"],
+                env=dict(os.environ, PYTHONPATH=src),
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            for _ in range(2)
+        ]
+        assert all(r.returncode == 0 for r in runs), runs[0].stderr[-2000:]
+        assert runs[0].stdout == runs[1].stdout
+        here = SweepSampler(5, 2).standard_normal((100, 17))
+        assert runs[0].stdout.strip() == here.tobytes().hex()
+
+    def test_another_seed_or_level_draws_otherwise(self):
+        keys = ((0, 0), (1, 0), (0, 1), (1, 1))
+        draws = [SweepSampler(seed, level).standard_normal(50) for seed, level in keys]
+        for i, a in enumerate(draws):
+            for b in draws[i + 1 :]:
+                assert not np.any(a == b)
+
+    def test_draws_are_standard_normal(self):
+        draws = SweepSampler(0, 0).standard_normal(10**5)
+        assert draws.shape == (10**5,) and np.isfinite(draws).all()
+        assert abs(draws.mean()) <= 0.02
+        assert 0.97 <= draws.var() <= 1.03
+
+    @pytest.mark.parametrize("shape", [(100, 17), (3, 1), 7, (1,)])
+    def test_shapes_and_no_floating_point_exception(self, shape):
+        with np.errstate(all="raise"):
+            draws = SweepSampler(3, 4).standard_normal(shape)
+        assert draws.shape == np.empty(shape).shape and draws.dtype == float
+        # a shape only arranges the draws of its size, in row-major order
+        flat = SweepSampler(3, 4).standard_normal(draws.size)
+        assert np.array_equal(draws.ravel(), flat)
 
 
 class TestCheckTable:
