@@ -2,10 +2,12 @@
 
 Everything downstream (dual norms, spectral equivalence constants, coercivity
 pencils) reduces to SPD factorizations and symmetric generalized eigenproblems.
-The heavy lifting is delegated to LAPACK: eigensolves to numpy's, and
-factorizations and triangular solves to scipy's f2py LAPACK module
-(``lapack``, loaded without importing ``scipy.linalg``, with the OpenBLAS
-that scipy bundles started on one thread).  This module owns the contracts:
+The heavy lifting is delegated to LAPACK, all of it to scipy's f2py LAPACK
+module (``lapack``, loaded without importing ``scipy.linalg``, with the
+OpenBLAS that scipy bundles started on one thread): factorizations,
+triangular solves, pencil reductions, eigensolves and SVDs.  numpy's own
+OpenBLAS runs only matrix and dot products and ``converge``'s one
+``polyfit``.  This module owns the contracts:
 validation, pivot screening, Cholesky reduction of pencils, and the error
 taxonomy.
 
@@ -45,9 +47,9 @@ def _load_lapack():
     the normal way: the same module, imported slowly.
 
     numpy and scipy wheels each bundle their own OpenBLAS, each with its own
-    thread pool.  A level alternates small numpy gemms and eigensolves with
-    small scipy factorizations and triangular solves, and at more than one
-    thread the idle workers of one pool spin on the cores the other needs.
+    thread pool.  A level alternates small numpy gemms with small scipy
+    factorizations, eigensolves and SVDs, and at more than one thread the
+    idle workers of one pool spin on the cores the other needs.
     OpenBLAS reads ``OPENBLAS_NUM_THREADS`` once, when it is loaded, so the
     variable reads 1 while the extension is created (creating it loads
     scipy's OpenBLAS) and is put back as the caller had it right after.  A
@@ -159,11 +161,13 @@ def cholesky(m, name="matrix"):
     in double precision.
     """
     m = require_symmetric(m, name)
-    lower, info = lapack.dpotrf(m, lower=1, clean=1)
+    largest = np.diag(m).max()
+    # the copy is exactly symmetric: its F-ordered transpose is factored in place
+    lower, info = lapack.dpotrf(m.T, lower=1, clean=1, overwrite_a=1)
     if info > 0:
         raise NotSpd(f"{name} is not positive definite")
     pivots = np.diag(lower) ** 2
-    if pivots.min() <= PIVOT_RTOL * np.diag(m).max():
+    if pivots.min() <= PIVOT_RTOL * largest:
         raise NotSpd(f"{name} is numerically singular (pivot below threshold)")
     return SpdFactorization(dim=m.shape[0], lower=lower)
 
@@ -242,16 +246,73 @@ def spd_solve(fact, rhs):
 
 
 def _reduce_pencil(a, b_fact):
-    """Standard symmetric matrix L⁻¹ A L⁻ᵀ of the pencil (A, L Lᵀ)."""
+    """Standard symmetric matrix L⁻¹ A L⁻ᵀ of the pencil (A, L Lᵀ), in its lower triangle.
+
+    One LAPACK ``dsygst`` call reduces the symmetrized copy of A in place; the
+    strict upper triangle of the result still holds A's, so only the lower
+    triangle may be read.
+    """
     a = require_symmetric(a, "pencil matrix")
     if a.shape[0] != b_fact.dim:
         raise DimensionMismatch(
             f"pencil matrix dim {a.shape[0]} does not match factorization dim {b_fact.dim}"
         )
-    lower = b_fact.lower
-    y = _solve_triangular(lower, a, lower=True)
-    c = _solve_triangular(lower, y.T, lower=True)
-    return 0.5 * (c + c.T)
+    # the copy is exactly symmetric, so its F-ordered transpose is the same matrix
+    c, info = lapack.dsygst(a.T, b_fact.lower, itype=1, lower=1, overwrite_a=1)
+    _check_info(info, "dsygst")
+    return c
+
+
+def eigh(a):
+    """Eigenvalues and eigenvectors of a symmetric matrix, as ``np.linalg.eigh``.
+
+    LAPACK ``dsyevd`` reads the lower triangle of ``a`` only, and works in
+    ``a`` itself when it is an F-ordered float array (any other is copied
+    first), so the caller's matrix is then overwritten.  Returns (ascending
+    eigenvalues, eigenvectors in the columns).
+    """
+    lwork, liwork, _ = lapack.dsyevd_lwork(len(a), compute_v=1, lower=1)
+    w, v, info = lapack.dsyevd(
+        a, compute_v=1, lower=1, lwork=int(lwork), liwork=liwork, overwrite_a=1
+    )
+    _check_info(info, "dsyevd", "eigenvalues did not converge")
+    return w, v
+
+
+def eigvalsh(a):
+    """Ascending eigenvalues of a symmetric matrix, as ``np.linalg.eigvalsh``.
+
+    ``dsyevd`` without eigenvectors, on ``a`` as in ``eigh``.  It runs on the
+    workspace ``dsyevd_lwork`` sizes, as numpy's does: a minimal one would
+    reduce the matrix unblocked, to other bits.
+    """
+    lwork, liwork, _ = lapack.dsyevd_lwork(len(a), compute_v=0, lower=1)
+    w, _, info = lapack.dsyevd(
+        a, compute_v=0, lower=1, lwork=int(lwork), liwork=liwork, overwrite_a=1
+    )
+    _check_info(info, "dsyevd", "eigenvalues did not converge")
+    return w
+
+
+def svd(a, full_matrices=False):
+    """Singular values and right singular vectors of ``a``, as ``np.linalg.svd``.
+
+    LAPACK ``dgesdd`` on its optimal workspace, as numpy's.  Returns (s, vt):
+    descending singular values, and the C-ordered rows of Vᵀ, all n of them
+    when ``full_matrices`` is set, else min(m, n).  U is not kept.
+    """
+    lwork, _ = lapack.dgesdd_lwork(*np.shape(a), compute_uv=1, full_matrices=full_matrices)
+    _, s, vt, info = lapack.dgesdd(a, compute_uv=1, full_matrices=full_matrices, lwork=int(lwork))
+    _check_info(info, "dgesdd", "SVD did not converge")
+    return s, np.ascontiguousarray(vt)
+
+
+def _check_info(info, routine, failure=None):
+    """LinAlgError on a LAPACK failure (info > 0); an illegal argument (info < 0) is a bug."""
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK {routine}")
+    if info > 0:
+        raise np.linalg.LinAlgError(failure or f"LAPACK {routine} failed with info {info}")
 
 
 def sym_generalized_eig(a, b_fact):
@@ -263,7 +324,7 @@ def sym_generalized_eig(a, b_fact):
     pair (eigenvalues, eigenvectors) in the order of ``np.linalg.eigh``:
     ascending eigenvalues, eigenvector k in column k.
     """
-    eigenvalues, v = np.linalg.eigh(_reduce_pencil(a, b_fact))
+    eigenvalues, v = eigh(_reduce_pencil(a, b_fact))
     return eigenvalues, _solve_triangular(b_fact.lower.T, v, lower=False)
 
 
@@ -274,7 +335,7 @@ def sym_generalized_eigvals(a, b_fact):
     is an extreme eigenvalue, and LAPACK without eigenvectors costs a fraction
     of the full decomposition.
     """
-    return np.linalg.eigvalsh(_reduce_pencil(a, b_fact))
+    return eigvalsh(_reduce_pencil(a, b_fact))
 
 
 def operator_norm(a, test_fact, trial_fact):
@@ -290,7 +351,5 @@ def operator_norm(a, test_fact, trial_fact):
             f"operator of shape {a.shape} does not map dim {trial_fact.dim} "
             f"into dual of dim {test_fact.dim}"
         )
-    m = a.T @ spd_solve(test_fact, a)
-    m = 0.5 * (m + m.T)
-    top = sym_generalized_eigvals(m, trial_fact)[-1]
+    top = sym_generalized_eigvals(a.T @ spd_solve(test_fact, a), trial_fact)[-1]
     return float(np.sqrt(max(top, 0.0)))

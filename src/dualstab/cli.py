@@ -200,12 +200,15 @@ def _each_level(cfg, levels):
     """(level, coarse, model config, problem, spaces at gamma 0) of each mesh level in turn.
 
     The truth record is built once, from the first, and every level's problem is built on it.
+    Neither this nor a loop over it holds a level's problem or spaces while the next is
+    built, so each level's arrays are freed first: a loop body ends with ``del pb, d``.
     """
     truth = models.truth_record(_model_config(cfg, levels[0]))
     for level, coarse in enumerate(levels):
         mc = _model_config(cfg, coarse)
         pb = models.build_level(mc, truth)
         yield level, coarse, mc, pb, models.build_spaces(mc, pb)
+        del pb
 
 
 def _gamma(cfg, rep):
@@ -245,6 +248,7 @@ def cmd_constants(cfg):
             beta_gamma=rep.beta_gamma(gamma),
             **vars(rep),
         )
+        del pb, d
     return report
 
 
@@ -258,6 +262,7 @@ def cmd_spectral(cfg):
         for row in rows:
             cells = {key: getattr(row, key) for key in ("check", "value", "lower", "upper", "status")}
             report.add_row(level=level, coarse_elems=coarse, **cells)
+        del pb, d
     return report
 
 
@@ -290,6 +295,7 @@ def cmd_infsup(cfg):
             relaxed=row.value,
             status=row.status,
         )
+        del pb, d
     return report
 
 
@@ -398,6 +404,7 @@ def cmd_converge(cfg):
             qratio=qo.ratio,
             rate=rate,
         )
+        del pb, d
     if len(levels) >= 2:
         slope = np.polyfit(np.log2(np.asarray(levels, dtype=float)), np.log2(totals), 1)[0]
         ratios = [r["qratio"] for r in report.rows]

@@ -43,9 +43,11 @@ from .algebra import (
     SpdFactorization,
     as_matrix,
     cholesky,
+    eigh,
     operator_norm,
     require_symmetric,
     spd_solve,
+    svd,
     sym_generalized_eigvals,
 )
 from .hilbert import Subspace, TruthSpace
@@ -246,7 +248,7 @@ def pressure_deflation(b_t, q_gram):
         raise DimensionMismatch("pressure Gramian does not match constraint matrix columns")
     # a thin SVD holds all of V only when B_T has at least as many rows as
     # columns; a wide B_T needs the full one, or its kernel rows are lost
-    _, svals, vt = np.linalg.svd(b_t, full_matrices=b_t.shape[0] < b_t.shape[1])
+    svals, vt = svd(b_t, full_matrices=b_t.shape[0] < b_t.shape[1])
     rank = int(np.sum(svals > KERNEL_RTOL * svals[0])) if svals[0] > 0.0 else 0
     n = b_t.shape[1]
     if rank == n:
@@ -256,11 +258,11 @@ def pressure_deflation(b_t, q_gram):
     kernel = vt[rank:].T
     # Euclidean-orthogonal complement of G_Q · kernel, then G_Q-orthonormalize
     m = q_gram @ kernel
-    _, _, vt2 = np.linalg.svd(m.T)
+    _, vt2 = svd(m.T, full_matrices=True)
     comp = vt2[kernel.shape[1]:].T
     gram = comp.T @ (q_gram @ comp)
     gram = 0.5 * (gram + gram.T)
-    w, v = np.linalg.eigh(gram)
+    w, v = eigh(gram)
     if w.min() <= KERNEL_RTOL * w.max():
         raise DegeneratePencil("deflated pressure Gramian is singular")
     return comp @ (v / np.sqrt(w))
@@ -311,12 +313,14 @@ def _floored_root(spectrum):
 
 
 def _sup_gram(sub, pressures):
-    """B_W = E_Wᵀ B_eff and B_Wᵀ G_W⁻¹ B_W, the squared sups of b(q, ·) over W."""
+    """B_W = E_Wᵀ B_eff and B_Wᵀ G_W⁻¹ B_W, the squared sups of b(q, ·) over W.
+
+    The product is symmetric only to roundoff; the pencils that read it symmetrize it.
+    """
     if pressures.b_eff.shape[0] != sub.parent.dim:
         raise DimensionMismatch("constraint matrix rows do not match the truth space")
     b_w = sub.restrict(pressures.b_eff)
-    sup_w = b_w.T @ spd_solve(sub.fact, b_w)
-    return b_w, 0.5 * (sup_w + sup_w.T)
+    return b_w, b_w.T @ spd_solve(sub.fact, b_w)
 
 
 def pressure_infsup(pressures, sub):
@@ -342,7 +346,6 @@ def measure_equivalence(dp, pressures):
     except NotSpd:
         raise DegeneratePencil("deflated dual-norm Gramian is singular") from None
     numer = b_w.T @ spd_solve(dp.stiffness.fact, b_w)
-    numer = 0.5 * (numer + numer.T)
     c_upper = 1.0 / dp.stiffness.kappa_star
     c_star = float(sym_generalized_eigvals(numer, dual_fact)[0])
     if c_star <= KERNEL_RTOL * c_upper:

@@ -41,6 +41,95 @@ def a_form_apply(record, x):
     return ax if record.reaction == 0.0 else ax + record.reaction * record.mass.apply(x)
 
 
+def closed_form_constants(truth, coarse, w_elems, kind, sigma, reaction, gamma):
+    """Every column of a ``constants`` row of the 1D model, in closed form.
+
+    Nested uniform meshes on (0, 1): ``truth`` P1 elements for V, ``coarse``
+    pressure elements (P1 or P0, ``kind``) with coarse < truth, ``w_elems``
+    P1 elements for W with coarse ≤ w_elems ≤ truth, S = σ·G_W, and the
+    a-form A = G + reaction·M.  ``gamma`` is the configured gamma or "auto".
+
+    alpha and norm_A.  G = (1/h) tridiag(−1, 2, −1) and M = (h/6)
+    tridiag(1, 4, 1), h = 1/truth, share the sine eigenvectors, so the pencil
+    (M, G) has μ_k = (h²/6)(2 + cos θ_k)/(1 − cos θ_k), θ_k = kπ/truth, and
+    alpha = 1 + reaction·μ_{truth−1}, norm_A = 1 + reaction·μ_1.  Each
+    1 − cos θ is evaluated as 2 sin²(θ/2), which cancels nothing at small θ.
+
+    beta, norm_B, beta_hat.  On each truth element b(q, v) = ∫ q v' is v's
+    constant slope times q's element mean, and the slopes of a P1 H¹₀ space
+    on mesh size h' are the mean-zero piecewise constants.  The deflated
+    pressures are the mean-zero ones (ker B_T holds the constants), so the
+    sup of b(q, ·) over that space is ‖Π₀^{h'} q‖, Π₀^{h'} the L² projection
+    onto piecewise constants.  For q linear on each cell of size h',
+    ‖Π₀^{h'} q‖² = ‖q‖² − (h'²/12)‖q'‖².  Over mean-zero P1 q on the coarse
+    mesh (size H), ‖q'‖²/‖q‖² ranges over the nonzero Neumann eigenvalues
+    (6/H²)(1 − cos kπH)/(2 + cos kπH), from k = 1 to the sawtooth's 12/H²
+    at k = coarse.  Hence, for P1 pressures,
+
+        beta²     = 1 − (coarse/truth)²
+        norm_B²   = 1 − (coarse/truth)² (1 − cos(π/coarse)) / (2 (2 + cos(π/coarse)))
+        beta_hat² = 1 − (coarse/w_elems)²
+
+    and for P0 pressures Π₀^{h'} q = q: beta = norm_B = beta_hat = 1.
+
+    alpha_hat and c_star.  alpha_hat² is the least ratio of the two squared
+    sups, over W and over V: (1 − (h_W²/12) t) / (1 − (h²/12) t) falls with
+    t = ‖q'‖²/‖q‖², so the sawtooth attains it and alpha_hat = beta_hat / beta.
+    S⁻¹ = G_W⁻¹/σ scales the sup over W by 1/σ, so c_star = alpha_hat²/σ;
+    C_star = 1/σ and kappa_star = K_star = σ.  A root at or below roundoff,
+    beta_hat for W = the pressure mesh, is 0, as the package floors it.
+
+    gamma0 = 2 alpha c_star / (norm_A C_star)², gamma_tilde0 = 2 kappa_star
+    alpha / norm_A², gamma = gamma0/2 under "auto", and beta_gamma =
+    min(1, beta²) · min(γ c_star / 2, alpha (1 − γ/gamma0)): 0 at γ = 0, −inf
+    when c_star = 0 at γ > 0.  At coarse = truth the sawtooth joins ker B_T,
+    so none of this holds there.
+    """
+    if not coarse < truth or not coarse <= w_elems <= truth:
+        raise ValueError("closed forms need coarse < truth and coarse ≤ w_elems ≤ truth")
+    h = 1.0 / truth
+    mu_min, mu_max = (
+        h * h / 6.0 * (2.0 + np.cos(theta)) / (2.0 * np.sin(theta / 2.0) ** 2)
+        for theta in (np.pi * (truth - 1) / truth, np.pi / truth)
+    )
+    alpha, norm_a = 1.0 + reaction * mu_min, 1.0 + reaction * mu_max
+    if kind == "p0":
+        beta = norm_b = beta_hat = 1.0
+    else:
+        ratio, theta = coarse / truth, np.pi / coarse
+        beta = np.sqrt(1.0 - ratio**2)
+        norm_b = np.sqrt(1.0 - ratio**2 * np.sin(theta / 2.0) ** 2 / (2.0 + np.cos(theta)))
+        beta_hat = np.sqrt(1.0 - (coarse / w_elems) ** 2)
+    alpha_hat = beta_hat / beta
+    c_star, c_upper = alpha_hat**2 / sigma, 1.0 / sigma
+    gamma0 = 2.0 * alpha * c_star / (norm_a * c_upper) ** 2
+    gamma = gamma0 / 2.0 if gamma == "auto" else float(gamma)
+    if gamma == 0.0:
+        beta_gamma = 0.0
+    elif c_star == 0.0:
+        beta_gamma = float("-inf")
+    else:
+        margin = min(gamma * c_star / 2.0, alpha * (1.0 - gamma / gamma0))
+        beta_gamma = min(1.0, beta**2) * margin
+    values = {
+        "alpha": alpha,
+        "norm_A": norm_a,
+        "norm_B": norm_b,
+        "beta": beta,
+        "kappa_star": sigma,
+        "K_star": sigma,
+        "c_star": c_star,
+        "C_star": c_upper,
+        "alpha_hat": alpha_hat,
+        "beta_hat": beta_hat,
+        "gamma0": gamma0,
+        "gamma_tilde0": 2.0 * sigma * alpha / norm_a**2,
+        "gamma": gamma,
+        "beta_gamma": beta_gamma,
+    }
+    return {key: float(value) for key, value in values.items()}
+
+
 def p1_stiffness(n):
     """H¹₀ stiffness matrix of P1 on n uniform elements (interior nodes)."""
     return band_to_dense(p1_stiffness_band(n))

@@ -29,6 +29,21 @@ from dualstab.algebra import (
 )
 
 
+def traced_peak(call, *args):
+    """(result, tracemalloc peak in bytes above the memory traced before the call)."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 def random_spd(rng, n, lo=0.1, hi=10.0):
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     ev = np.exp(rng.uniform(np.log(lo), np.log(hi), n))
@@ -361,19 +376,28 @@ class TestRequireSymmetric:
         rng = np.random.default_rng(42)
         a = rng.standard_normal((400, 400))
         a = a + a.T
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            out = require_symmetric(a, "a")
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        out, peak = traced_peak(require_symmetric, a, "a")
         assert out.shape == a.shape
         assert peak <= 1.25 * a.nbytes
+
+
+class TestWorksInPlace:
+    # dpotrf and dsygst work on require_symmetric's copy, and dsyevd on
+    # dsygst's result: above the input, the traced peak is that one copy
+    # (1.05 n² doubles for the factor, 1.09 for the pencil), where a dpotrf
+    # that copied its input held 2.0 and the reduction by two triangular
+    # solves and a symmetrized sum 4.05
+
+    def test_cholesky_factors_its_copy(self):
+        m = random_spd(np.random.default_rng(43), 400)
+        assert traced_peak(cholesky, m, "m")[1] <= 1.25 * m.nbytes
+
+    def test_pencil_reduced_and_solved_in_its_copy(self):
+        rng = np.random.default_rng(44)
+        a = rng.standard_normal((400, 400))
+        a = a + a.T
+        fact = cholesky(random_spd(rng, 400), "b")
+        assert traced_peak(sym_generalized_eigvals, a, fact)[1] <= 1.25 * a.nbytes
 
 
 # Reads, after import dualstab.cli, the thread count of every mapped OpenBLAS
@@ -457,7 +481,21 @@ class TestScipyBlasStartsOnOneThread:
 
 
 # The LAPACK routines src calls, all from scipy's f2py LAPACK module.
-LAPACK_ROUTINES = ("dpotrf", "dpbtrf", "dpbtrs", "dtrtrs", "dlange", "dgetrf", "dgecon", "dgetrs")
+LAPACK_ROUTINES = (
+    "dpotrf",
+    "dpbtrf",
+    "dpbtrs",
+    "dtrtrs",
+    "dsygst",
+    "dsyevd",
+    "dsyevd_lwork",
+    "dgesdd",
+    "dgesdd_lwork",
+    "dlange",
+    "dgetrf",
+    "dgecon",
+    "dgetrs",
+)
 
 _SAME_KERNELS_PROBE = """
 import sys
@@ -482,6 +520,36 @@ sys.exit("scipy.linalg imported" if "scipy.linalg" in sys.modules else 0)
 """
 
 
+# Compares algebra's eigensolvers and SVD with numpy's, bit for bit: both call
+# dsyevd and dgesdd on the workspace LAPACK sizes, which on one thread of the
+# same OpenBLAS build gives the same bits.
+_NUMPY_BITS_PROBE = """
+import sys
+import numpy as np
+from dualstab import algebra
+rng = np.random.default_rng(24)
+different = []
+for n in (1, 2, 17, 33, 64, 200):
+    a = rng.standard_normal((n, n))
+    a = a + a.T
+    # copies: algebra's work in an F-ordered input, as a 1 × 1 one is
+    if not np.array_equal(algebra.eigvalsh(a.copy()), np.linalg.eigvalsh(a)):
+        different.append(("eigvalsh", n))
+    if not all(map(np.array_equal, algebra.eigh(a.copy()), np.linalg.eigh(a))):
+        different.append(("eigh", n))
+    for shape in ((n, 3), (3, n), (4 * n + 1, n), (2047, 17)):
+        b = rng.standard_normal(shape)
+        for full in (False, True):
+            _, s, vt = np.linalg.svd(b, full_matrices=full)
+            mine = algebra.svd(b, full_matrices=full)
+            if not (np.array_equal(mine[0], s) and np.array_equal(mine[1], vt)):
+                different.append(("svd", shape, full))
+            if not mine[1].flags.c_contiguous:
+                different.append(("svd vt order", shape, full))
+sys.exit(f"different from numpy: {different}" if different else 0)
+"""
+
+
 class TestPackageRoot:
     def test_defines_no_public_name_but_the_version(self):
         # in a child, where no test has imported a submodule yet
@@ -503,6 +571,11 @@ class TestLapackModule:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("truth_elems = 64\ncoarse_elems = 8\n")
         proc = _run_child(_CLI_IMPORTS_PROBE, str(cfg), str(tmp_path / "report"))
+        assert proc.returncode == 0, proc.stderr[-2000:]
+
+    def test_eigensolvers_match_numpy_on_one_thread(self):
+        one = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        proc = _run_child(_NUMPY_BITS_PROBE, **one)
         assert proc.returncode == 0, proc.stderr[-2000:]
 
 
@@ -546,17 +619,24 @@ class TestBitForBitWithScipy:
                 assert np.array_equal(spd_solve(fact, b), x)
 
     def test_generalized_eig(self):
+        # the reduction is one dsygst on the lower triangles, the eigensolves
+        # dsyevd on its lower triangle, the back-transform a triangular solve
+        lapack = scipy.linalg.lapack
         rng = np.random.default_rng(23)
         for n in SIZES:
             a = random_spd(rng, n) - 2.0 * np.eye(n)
             a = 0.5 * (a + a.T)
             fact = cholesky(random_spd(rng, n), "b")
             lower = fact.lower
-            y = scipy.linalg.solve_triangular(lower, a, lower=True)
-            c = scipy.linalg.solve_triangular(lower, y.T, lower=True)
-            c = 0.5 * (c + c.T)
-            assert np.array_equal(sym_generalized_eigvals(a, fact), np.linalg.eigvalsh(c))
-            w, v = np.linalg.eigh(c)
+            c, info = lapack.dsygst(a, lower, itype=1, lower=1)
+            assert info == 0
+            work, iwork, _ = lapack.dsyevd_lwork(n, compute_v=0, lower=1)
+            w, _, info = lapack.dsyevd(c, compute_v=0, lower=1, lwork=int(work), liwork=iwork)
+            assert info == 0
+            assert np.array_equal(sym_generalized_eigvals(a, fact), w)
+            work, iwork, _ = lapack.dsyevd_lwork(n, compute_v=1, lower=1)
+            w, v, info = lapack.dsyevd(c, compute_v=1, lower=1, lwork=int(work), liwork=iwork)
+            assert info == 0
             lam, vectors = sym_generalized_eig(a, fact)
             assert np.array_equal(lam, w)
             x = scipy.linalg.solve_triangular(lower.T, v, lower=False)

@@ -340,6 +340,25 @@ def run_csv(tmp_path, argv):
     return code, header, rows
 
 
+class TestEigensolvers:
+    # every eigensolve and SVD runs on algebra's LAPACK, none on numpy's,
+    # whose OpenBLAS pool runs at the caller's thread count
+
+    @pytest.mark.parametrize(
+        "text",
+        ["truth_elems = 64\ncoarse_elems = 8\ngamma = auto\n", "truth_elems = 64\npressure = p0\n"],
+    )
+    def test_no_command_calls_numpy_eigensolvers(self, tmp_path, monkeypatch, text):
+        def refused(*args, **kwargs):
+            raise AssertionError("numpy eigensolver called")
+
+        for name in ("svd", "eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refused)
+        path = write_cfg(tmp_path, text)
+        for command in cli._COMMANDS:
+            assert main([command, "--config", path, "--out", str(tmp_path / "out.csv")]) == 0
+
+
 class TestCommands:
     def test_constants_table(self, tmp_path):
         path = write_cfg(tmp_path, SMALL)
@@ -1049,6 +1068,24 @@ class TestSystemLifetimes:
             "condensed_vs_stabilized",
         ]
         assert alive == [[False]]
+
+    @pytest.mark.parametrize("command", ["constants", "spectral", "infsup", "converge"])
+    def test_level_loop_frees_each_level_before_the_next(self, tmp_path, monkeypatch, command):
+        # a level's problem and spaces are dead, with no collection, by the
+        # time the next level's problem is built
+        made, alive, original = [], [], models.build_level
+
+        def built(cfg, truth):
+            alive.append([ref() is not None for ref in made])
+            pb = original(cfg, truth)
+            made.append(weakref.ref(pb))
+            return pb
+
+        monkeypatch.setattr(models, "build_level", built)
+        path = write_cfg(tmp_path, "truth_elems = 64\nlevels = 4, 8, 16\n")
+        code, _, _ = run_csv(tmp_path, [command, "--config", path])
+        assert code == 0
+        assert alive == [[], [False], [False, False]]
 
     @staticmethod
     def traced_peak(tmp_path, command):
