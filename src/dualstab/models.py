@@ -49,8 +49,9 @@ GAUSS_WEIGHTS = (0.23692688505618928, 0.4786286704993663, 0.5688888888888887, 0.
 # Largest truth mesh of a W that spans it (w = truth, or a refined:k or same
 # that reaches it), such as the maximal system of condense-check, which builds
 # n × n truth matrices: at truth 2048 the heaviest one, coarse_elems = 2048
-# with P1 pressures and w = same, peaks at 737 MB of RSS (2 cores, one BLAS
-# thread) before its 6142² maximal system screens singular.
+# with P1 pressures and w = same, peaks at 668 MB of RSS (2 cores, one BLAS
+# thread) and exits 3 after 11–13 s, when its 6142² maximal system screens
+# singular at rcond 6.0e-13.
 DENSE_TRUTH_LIMIT = 2048
 
 
@@ -434,8 +435,7 @@ def build_level(cfg, truth):
     q_gram = pressure_mass(cfg.coarse_elems, cfg.pressure_kind)
     load = Functional(load_vector(n, solution, reaction=cfg.reaction))
     g_rhs = constraint_rhs(n, cfg.coarse_elems, cfg.pressure_kind, solution)
-    label = f"{cfg.pressure_kind}-{cfg.coarse_elems}-on-{n}"
-    return SaddleProblem(truth, b_form, q_gram, load, g_rhs, label=label)
+    return SaddleProblem(truth, b_form, q_gram, load, g_rhs)
 
 
 def build_spaces(cfg, pb):

@@ -129,7 +129,11 @@ class SaddleProblem:
     coordinates, so a degenerate B_T fails here.
     """
 
-    def __init__(self, record, b_form, q_gram, load, constraint_rhs, label=""):
+    # bench/traced_cli.py keys models.build_spaces on pb.label; the key's cfg
+    # already tells levels apart, and the constant goes when that key does
+    label = ""
+
+    def __init__(self, record, b_form, q_gram, load, constraint_rhs):
         if not isinstance(getattr(record, "space", None), TruthSpace):
             raise TypeError("record must be a truth record on a TruthSpace")
         self.record = record
@@ -147,7 +151,6 @@ class SaddleProblem:
         self.constraint_rhs = np.asarray(constraint_rhs, dtype=float)
         if self.constraint_rhs.shape != (self.b_form.shape[1],):
             raise DimensionMismatch("constraint right-hand side does not match pressure dim")
-        self.label = label
         # DimensionMismatch unless G_Q matches B_T's columns, DegeneratePencil for a zero B_T
         self.pressures = deflate_pressures(self.b_form, self.q_gram, truth)
         self.g_eff = self.pressures.basis.T @ self.constraint_rhs

@@ -21,9 +21,12 @@ from dualstab.algebra import (
     band_to_dense,
     cholesky,
     cholesky_band,
+    eigh,
+    eigvalsh,
     operator_norm,
     require_symmetric,
     spd_solve,
+    svd,
     sym_generalized_eig,
     sym_generalized_eigvals,
 )
@@ -112,6 +115,21 @@ class TestInputChecks:
     def test_raises(self, call, error):
         with pytest.raises(error):
             call()
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (svd, ValueError, "illegal value in argument 4 of LAPACK dgesdd"),
+            (eigvalsh, np.linalg.LinAlgError, "eigenvalues did not converge"),
+            (eigh, np.linalg.LinAlgError, "eigenvalues did not converge"),
+        ],
+        ids=["svd", "eigvalsh", "eigh"],
+    )
+    def test_lapack_info_raises(self, call, error, message):
+        # dgesdd refuses a NaN matrix as an illegal argument 4, A, and the
+        # tridiagonal iteration of dsyevd does not converge on one
+        with pytest.raises(error, match=f"^{message}$"):
+            call(np.full((4, 4), np.nan))
 
 
 class TestSpdSolve:

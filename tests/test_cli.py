@@ -870,13 +870,13 @@ class TestCondenseCheckPhases:
         assert all(d.blocks is maximal[0].blocks for d in maximal)
 
     def test_one_level_and_one_deflation(self, tmp_path, monkeypatch):
-        labels, deflations = [], []
+        levels, deflations = [], []
         original_level = models.build_level
         original_deflate = dualprod.deflate_pressures
 
         def recorded(cfg, truth):
             pb = original_level(cfg, truth)
-            labels.append(pb.label)
+            levels.append(pb.pressure_dim)
             return pb
 
         def counted(b_t, q_gram, truth):
@@ -889,7 +889,7 @@ class TestCondenseCheckPhases:
         path = write_cfg(tmp_path, "truth_elems = 64\ncoarse_elems = 8\n")
         code, _, rows = run_csv(tmp_path, ["condense-check", "--config", path])
         assert code == 0 and len(rows) == 3
-        assert labels == ["p1-8-on-64"]
+        assert levels == [9]
         assert deflations == [(63, 9)]
 
     @pytest.mark.parametrize("pressure", ["p1", "p0"])
@@ -1156,15 +1156,16 @@ class TestExactStiffnessRange:
 
 
 class TestEdgeExits:
-    # 1e-300 and 1e300: gamma0 squares nothing, so it scales with S inside the
-    # float range; 1.7e308: S overflows to inf; 5e-324: S is subnormal and S⁻¹
-    # overflows to inf
+    # 1e-300, 1e170 and 1e300: gamma0 squares nothing, so it scales with S
+    # inside the float range, also where σ² overflows; 1.7e308: S overflows to
+    # inf; 5e-324: S is subnormal and S⁻¹ overflows to inf
     @pytest.mark.parametrize(
-        "scale", ["scaled:1e-300", "scaled:1e300", "scaled:1.7e308", "scaled:5e-324"]
+        "scale",
+        ["scaled:1e-300", "scaled:1e170", "scaled:1e300", "scaled:1.7e308", "scaled:5e-324"],
     )
     def test_stiffness_scale_overflow_exits_3(self, tmp_path, capsys, scale):
         path = write_cfg(tmp_path, "truth_elems = 64\n")
-        if scale in ("scaled:1e-300", "scaled:1e300"):
+        if scale in ("scaled:1e-300", "scaled:1e170", "scaled:1e300"):
             code, _, (row,) = run_csv(tmp_path, ["constants", "--config", path, "--s", scale])
             assert code == 0
             _, _, (base,) = run_csv(tmp_path, ["constants", "--config", path])
@@ -1209,7 +1210,14 @@ class TestEdgeExits:
         assert [r["status"] for r in rows] == ["ok", "ok", "pass"]
         assert float(rows[1]["residual"]) < 1e-15
 
-    @pytest.mark.parametrize("reaction", ["1e300", "1.7e308"])
+    @pytest.mark.parametrize(
+        "truth, coarse, reaction",
+        [
+            pytest.param(16, 4, "1e300", id="1e300"),
+            pytest.param(16, 4, "1.7e308", id="1.7e308"),
+            pytest.param(64, 16, "1e300", id="truth-64-1e300"),
+        ],
+    )
     @pytest.mark.parametrize(
         "command, extra, code",
         [
@@ -1219,12 +1227,13 @@ class TestEdgeExits:
         ],
     )
     def test_huge_reaction_overflows_gamma0_exits_3(
-        self, tmp_path, capsys, command, extra, code, reaction
+        self, tmp_path, capsys, command, extra, code, truth, coarse, reaction
     ):
         # norm_A = 1 + reaction·μ_max(M, G) is finite, and so is gamma0, which
         # squares nothing: constants reports it with beta_gamma = -inf, converge
         # refuses gamma 0.1 above it, and the auto gamma0 / 2 leaves a singular system
-        path = write_cfg(tmp_path, f"truth_elems = 16\ncoarse_elems = 4\nreaction = {reaction}\n")
+        text = f"truth_elems = {truth}\ncoarse_elems = {coarse}\nreaction = {reaction}\n"
+        path = write_cfg(tmp_path, text)
         assert main([command, "--config", path] + extra) == code
         captured = capsys.readouterr()
         if command == "converge":
@@ -1349,27 +1358,28 @@ class TestCheckTable:
     def test_converge_projects_each_exact_pressure_once(self, tmp_path, monkeypatch):
         # the exact pressure of a level is projected once, for both its error
         # and its best approximation
-        labels = []
+        levels = []
         original = saddle.project_pressure
 
         def counted(pb, y_raw):
-            labels.append(pb.label)
+            levels.append(pb.pressure_dim)
             return original(pb, y_raw)
 
         monkeypatch.setattr(saddle, "project_pressure", counted)
         path = write_cfg(tmp_path, "truth_elems = 64\nlevels = 4, 8\n")
         code, _, rows = run_csv(tmp_path, ["converge", "--config", path])
         assert code == 0 and len(rows) == 2
-        assert labels == ["p1-4-on-64", "p1-8-on-64"]
+        # P1 pressures on 4 and 8 elements
+        assert levels == [5, 9]
 
     def test_solve_projects_its_exact_pressure_once(self, tmp_path, monkeypatch):
         # the exact pressure of solve is projected once, for the errors of
         # both assembly routes
-        labels = []
+        levels = []
         original = saddle.project_pressure
 
         def counted(pb, y_raw):
-            labels.append(pb.label)
+            levels.append(pb.pressure_dim)
             return original(pb, y_raw)
 
         monkeypatch.setattr(saddle, "project_pressure", counted)
@@ -1377,7 +1387,7 @@ class TestCheckTable:
         code, _, rows = run_csv(tmp_path, ["solve", "--config", path])
         assert code == 0
         assert [r["route"] for r in rows] == ["stabilized", "three_field", "condensed_vs_stabilized"]
-        assert labels == ["p1-8-on-64"]
+        assert levels == [9]
 
     def test_failing_row_sets_verdict(self, tmp_path, monkeypatch):
         from dualstab import dualprod

@@ -265,7 +265,7 @@ class TestSolve:
         # consistent data: F = A xe - B (Z ye), G = B^T xe
         f = a_form_apply(pb.record, xe) - d.b_eff @ ye_def
         g_rhs_eff = d.b_eff.T @ xe
-        pb2 = SaddleProblem(pb.record, d.b_eff, d.q_eff, f, g_rhs_eff, label="member")
+        pb2 = SaddleProblem(pb.record, d.b_eff, d.q_eff, f, g_rhs_eff)
         d2 = Discretization(pb2, d.U, d.dp, d.gamma)
         x, y = solve(assemble_stabilized(pb2, d2))
         np.testing.assert_allclose(d2.U.embedding @ x, xe, atol=1e-9)
@@ -980,6 +980,12 @@ class TestValidation:
         # the deflation checks G_Q against B_T's columns
         with pytest.raises(DimensionMismatch, match="does not match constraint matrix columns"):
             rebuilt(pb, q_gram=np.eye(2))
+
+    def test_takes_no_label(self):
+        # a level is told apart by its config and its pressure_dim
+        cfg, pb, d = build(truth=16, coarse=4)
+        with pytest.raises(TypeError, match="label"):
+            rebuilt(pb, label="p1-4-on-16")
 
     @pytest.mark.parametrize(
         "call, error",
