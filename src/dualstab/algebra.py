@@ -3,13 +3,14 @@
 Everything downstream (dual norms, spectral equivalence constants, coercivity
 pencils) reduces to SPD factorizations and symmetric generalized eigenproblems.
 The heavy lifting is delegated to LAPACK, all of it to scipy's f2py LAPACK
-module (``lapack``, loaded without importing ``scipy.linalg``, with the
-OpenBLAS that scipy bundles started on one thread): factorizations,
+module (``lapack``, loaded without importing ``scipy.linalg``): factorizations,
 triangular solves, pencil reductions, eigensolves and SVDs.  numpy's own
 OpenBLAS runs only matrix and dot products and ``converge``'s one
-``polyfit``.  This module owns the contracts:
-validation, pivot screening, Cholesky reduction of pencils, and the error
-taxonomy.
+``polyfit``.  This module owns the thread policy: the OpenBLAS that scipy
+bundles and numpy's both run on one thread, whatever the caller's
+``OPENBLAS_NUM_THREADS`` and whichever of numpy and this module is imported
+first (``_one_blas_thread``).  It also owns the contracts: validation, pivot
+screening, Cholesky reduction of pencils, and the error taxonomy.
 
 Matrices are plain float64 ndarrays.  Sizes are desk scale (a few thousand at
 most), so dense storage and full spectra are the right trade-off, with one
@@ -20,19 +21,84 @@ for i ≤ j with u superdiagonals, and factored and solved there in O(n u²).
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import importlib.machinery
 import importlib.util
 import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 # relative pivot threshold separating rank deficiency from roundoff
 PIVOT_RTOL = 1e-12
 
 # relative tolerance when an input is required to be symmetric
 SYMMETRY_RTOL = 1e-12
+
+# OpenBLAS's thread-count setter, by the names its builds export it under: the
+# OpenBLAS of numpy wheels has 64-bit integers and a 64_ symbol suffix
+_BLAS_SETTERS = (
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads",
+    "scipy_openblas_set_num_threads64_",
+    "openblas_set_num_threads64_",
+)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with every OpenBLAS it loads, and numpy's, on one thread.
+
+    numpy and scipy wheels each bundle their own OpenBLAS, each with its own
+    thread pool.  A level alternates small numpy products with small scipy
+    factorizations, eigensolves and SVDs, none of which gains from threads,
+    and at more than one thread the idle workers of one pool spin on the
+    cores the other needs; a product split across threads also sums in
+    another order, so its bits would change with the thread count.
+
+    OpenBLAS reads ``OPENBLAS_NUM_THREADS`` once, when it is loaded, so the
+    variable reads 1 in the body and is put back as the caller had it (or
+    unset) afterwards: an OpenBLAS the body loads (numpy's, when the body
+    imports numpy first, and scipy's with its LAPACK) starts on one thread
+    and starts no worker.  numpy's OpenBLAS, when numpy was imported before,
+    already runs at the caller's count; it is set to one thread afterwards
+    through its exported setter (``_numpy_blas_on_one_thread``).
+    """
+    numpy_loaded = "numpy" in sys.modules
+    caller_threads = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        yield
+    finally:
+        if caller_threads is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = caller_threads
+    if numpy_loaded:
+        _numpy_blas_on_one_thread()
+
+
+def _numpy_blas_on_one_thread():
+    """Put the OpenBLAS bundled with the imported numpy's wheel on one thread.
+
+    The wheel keeps it beside the package, in ``numpy.libs`` (Linux and
+    Windows wheels) or in ``numpy/.dylibs`` (macOS wheels); it is loaded
+    already, so opening it again returns the same library.  Where no bundled
+    OpenBLAS exports a setter, as when numpy runs on a BLAS of the system or
+    on MKL, nothing changes.
+    """
+    root = os.path.dirname(sys.modules["numpy"].__file__)
+    for folder in (root + ".libs", os.path.join(root, ".dylibs")):
+        names = os.listdir(folder) if os.path.isdir(folder) else ()
+        for name in sorted(n for n in names if "openblas" in n):
+            try:
+                lib = ctypes.CDLL(os.path.join(folder, name))
+            except OSError:
+                continue
+            setter = next((getattr(lib, s) for s in _BLAS_SETTERS if hasattr(lib, s)), None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
 
 
 def _load_lapack():
@@ -44,49 +110,39 @@ def _load_lapack():
     registered in ``sys.modules`` under its own name, so a later
     ``import scipy.linalg`` reuses it, as this reuses an earlier one.  Where
     the file is missing or does not load on its own, the module is imported
-    the normal way: the same module, imported slowly.
-
-    numpy and scipy wheels each bundle their own OpenBLAS, each with its own
-    thread pool.  A level alternates small numpy gemms with small scipy
-    factorizations, eigensolves and SVDs, and at more than one thread the
-    idle workers of one pool spin on the cores the other needs.
-    OpenBLAS reads ``OPENBLAS_NUM_THREADS`` once, when it is loaded, so the
-    variable reads 1 while the extension is created (creating it loads
-    scipy's OpenBLAS) and is put back as the caller had it right after.  A
-    BLAS that numpy and scipy share is already loaded, and keeps its count.
-    So does scipy's copy when scipy's LAPACK was loaded before this module.
+    the normal way: the same module, imported slowly.  Creating the extension
+    loads scipy's OpenBLAS, so under ``_one_blas_thread`` that starts on one
+    thread.  A BLAS that numpy and scipy share is loaded with numpy, and
+    scipy's copy is loaded already when scipy's LAPACK was loaded before
+    this module: each keeps the count it started with.
     """
     name = "scipy.linalg._flapack"
     if name in sys.modules:
         return sys.modules[name]
-    caller_threads = os.environ.get("OPENBLAS_NUM_THREADS")
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        scipy_spec = importlib.util.find_spec("scipy")
-        if scipy_spec is not None and scipy_spec.submodule_search_locations:
-            suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
-            path = os.path.join(scipy_spec.submodule_search_locations[0], "linalg", "_flapack" + suffix)
-            if os.path.isfile(path):
-                spec = importlib.util.spec_from_file_location(name, path)
-                try:
-                    module = importlib.util.module_from_spec(spec)
-                    sys.modules[name] = module
-                    spec.loader.exec_module(module)
-                    return module
-                except ImportError:
-                    # e.g. on Windows, where scipy's __init__ adds its bundled DLLs' directory
-                    sys.modules.pop(name, None)
-        return importlib.import_module(name)
-    finally:
-        if caller_threads is None:
-            del os.environ["OPENBLAS_NUM_THREADS"]
-        else:
-            os.environ["OPENBLAS_NUM_THREADS"] = caller_threads
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is not None and scipy_spec.submodule_search_locations:
+        suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+        path = os.path.join(scipy_spec.submodule_search_locations[0], "linalg", "_flapack" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(name, path)
+            try:
+                module = importlib.util.module_from_spec(spec)
+                sys.modules[name] = module
+                spec.loader.exec_module(module)
+                return module
+            except ImportError:
+                # e.g. on Windows, where scipy's __init__ adds its bundled DLLs' directory
+                sys.modules.pop(name, None)
+    return importlib.import_module(name)
 
 
-# numpy must be imported first (it is, above): its OpenBLAS then starts at the
-# caller's thread count, before this loads scipy's on one thread
-lapack = _load_lapack()
+# numpy is imported here, in the window, unless the caller imported it first
+# (the CLI imports this module before numpy): its OpenBLAS then starts on one
+# thread and starts no worker, and scipy's too
+with _one_blas_thread():
+    import numpy as np
+
+    lapack = _load_lapack()
 
 
 class NumericalFailure(Exception):

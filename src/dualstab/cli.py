@@ -8,12 +8,14 @@ codes: 0 all checks pass, 1 a mathematical check failed, 2 config error (an
 overflow or invalid value anywhere in a command).  A config whose truth mesh
 is above ``models.DENSE_TRUTH_LIMIT`` is a config error when it needs a dense
 truth path: a W on the whole truth mesh (``w = truth``, or a ``refined:k`` or
-``same`` that reaches it) or the command ``condense-check``.  Any reaction
-runs at any truth mesh: the truth constants are closed-form.  At ``gamma =
-auto`` a large reaction shrinks gamma0 with it: at truth 256 on levels 2..16,
-``converge`` fails its verdict at reaction 1e2 to 1e4 (exit 1), and at 1e5
-and 1e6 its unscaled systems fall to the ``saddle.SINGULAR_RTOL`` screen
-(exit 3), which ``solve`` reports as its ``singular`` row.
+``same`` that reaches it) or the command ``condense-check``.  So is ``gamma =
+auto`` in ``solve`` and ``converge`` on a level whose gamma0 is 0, as with
+``w = same``, where beta_hat is 0.  Any reaction runs at any truth mesh: the
+truth constants are closed-form.  At ``gamma = auto`` a large reaction
+shrinks gamma0 with it: at truth 256 on levels 2..16, ``converge`` fails its
+verdict at reaction 1e2 to 1e4 (exit 1), and at 1e5 and 1e6 its unscaled
+systems fall to the ``saddle.SINGULAR_RTOL`` screen (exit 3), which
+``solve`` reports as its ``singular`` row.
 """
 
 from __future__ import annotations
@@ -22,10 +24,13 @@ import argparse
 import sys
 from dataclasses import dataclass, fields, replace
 
+# algebra before numpy: it imports numpy with every OpenBLAS on one thread,
+# which a numpy imported first would have started at the caller's count
+from .algebra import NumericalFailure
+
 import numpy as np
 
 from . import models, saddle
-from .algebra import NumericalFailure
 from .dualprod import (
     BoundViolated,
     EquivalenceReport,
@@ -216,6 +221,24 @@ def _gamma(cfg, rep):
     return rep.gamma0 / 2.0 if cfg.gamma == "auto" else float(cfg.gamma)
 
 
+def _solver_gamma(cfg, rep):
+    """``_gamma`` of a command that solves at it; at 'auto' a gamma0 of 0 is a config error.
+
+    gamma0 is 0 when beta_hat is: W does not control the pressures, so no
+    gamma is predicted to stabilize the pair, and gamma0 / 2 = 0 would solve
+    the unstabilized, singular system.  ``constants`` only measures, and
+    reports such a level's gamma as 0.
+    """
+    if cfg.gamma == "auto" and rep.gamma0 == 0.0:
+        why = "beta_hat = 0: W does not control the pressures"
+        if rep.beta_hat > 0.0:
+            why = "gamma0 underflows to 0"
+        raise ConfigError(
+            f"gamma: auto needs gamma0 > 0, but {why}; no gamma is predicted to stabilize the pair"
+        )
+    return _gamma(cfg, rep)
+
+
 def _levels(cfg):
     return cfg.levels if cfg.levels else (cfg.coarse_elems,)
 
@@ -316,7 +339,7 @@ def cmd_solve(cfg):
     # only gamma = auto reads the level's constants
     rep = saddle.constants(pb, d) if cfg.gamma == "auto" else None
     # both routes read one set of gamma-free blocks
-    d = d.with_gamma(_gamma(cfg, rep))
+    d = d.with_gamma(_solver_gamma(cfg, rep))
     xe, ye = models.exact_coefficients(mc, models.default_solution())
     exact = (xe, saddle.project_pressure(pb, ye))
     stab = saddle.assemble_stabilized(pb, d)
@@ -383,7 +406,7 @@ def cmd_converge(cfg):
     totals = []
     for level, coarse, mc, pb, d in _each_level(cfg, levels):
         rep = saddle.constants(pb, d)
-        gamma = _gamma(cfg, rep)
+        gamma = _solver_gamma(cfg, rep)
         exact = models.exact_coefficients(mc, models.default_solution())
         d = d.with_gamma(gamma)
         qo = saddle.quasi_optimality(pb, d, exact, report=rep)

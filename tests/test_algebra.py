@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 import scipy.linalg
 
 import dualstab
+from dualstab import algebra
 from dualstab.algebra import (
     SYMMETRY_RTOL,
     BandedSpdFactorization,
@@ -418,13 +420,18 @@ class TestWorksInPlace:
         assert traced_peak(sym_generalized_eigvals, a, fact)[1] <= 1.25 * a.nbytes
 
 
-# Reads, after import dualstab.cli, the thread count of every mapped OpenBLAS
-# of scipy's and of numpy's, the thread variable and this process's OS threads.
-# The OpenBLAS of numpy wheels has 64-bit integers and a 64_ symbol suffix.
+# Imports dualstab.cli and numpy in the order argv[1] names, then reads the
+# thread count of every mapped OpenBLAS of scipy's and of numpy's, the thread
+# variable and this process's OS threads.  The OpenBLAS of numpy wheels has
+# 64-bit integers and a 64_ symbol suffix.
 _THREADS_PROBE = """
-import ctypes, json, os
-import numpy
-import dualstab.cli
+import ctypes, json, os, sys
+if sys.argv[1] == "dualstab-first":
+    import dualstab.cli
+    import numpy
+else:
+    import numpy
+    import dualstab.cli
 from dualstab import algebra
 
 os_threads = len(os.listdir("/proc/self/task"))
@@ -449,9 +456,10 @@ numpy_dir = os.path.dirname(numpy.__file__)
 print(json.dumps({"scipy": [threads(p) for p in mapped if p.startswith(scipy_prefixes)],
                   "numpy": [threads(p) for p in mapped if p.startswith(numpy_dir)],
                   "variable": os.environ.get("OPENBLAS_NUM_THREADS"),
-                  "os_threads": os_threads,
-                  "cores": len(os.sched_getaffinity(0))}))
+                  "os_threads": os_threads}))
 """
+
+ORDERS = ("dualstab-first", "numpy-first")
 
 
 def _run_child(code, *args, **env):
@@ -466,36 +474,57 @@ def _run_child(code, *args, **env):
     )
 
 
-def _threads_probe(threads):
+def _threads_probe(order, threads):
     """The thread probe of a child started with OPENBLAS_NUM_THREADS = threads (None: unset)."""
-    proc = _run_child(_THREADS_PROBE, OPENBLAS_NUM_THREADS=threads)
+    proc = _run_child(_THREADS_PROBE, order, OPENBLAS_NUM_THREADS=threads)
     assert proc.returncode == 0, proc.stderr[-2000:]
     return json.loads(proc.stdout)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
-class TestScipyBlasStartsOnOneThread:
-    """scipy's bundled OpenBLAS starts single-threaded when algebra loads it."""
+class TestEveryBlasOnOneThread:
+    """numpy's and scipy's bundled OpenBLAS run on one thread once algebra is loaded."""
 
     @pytest.fixture(scope="class")
-    def probe(self):
-        # in a child, so this process's thread pools stay as they are
-        probe = _threads_probe("2")
-        if not probe["scipy"]:
+    def probes(self):
+        # in children, started at 2 threads, so this process's thread pools stay as they are
+        probes = {order: _threads_probe(order, "2") for order in ORDERS}
+        if not probes["dualstab-first"]["scipy"]:
             pytest.skip("no separate OpenBLAS bundled with scipy in this install")
-        return probe
+        if not probes["dualstab-first"]["numpy"]:
+            pytest.skip("no separate OpenBLAS bundled with numpy in this install")
+        return probes
 
-    def test_scipy_copy_on_one_thread_numpy_copy_on_callers(self, probe):
+    def test_dualstab_first_both_copies_on_one_thread(self, probes):
+        probe = probes["dualstab-first"]
         assert probe["scipy"] == [1] * len(probe["scipy"])
-        assert probe["numpy"] == [min(2, probe["cores"])]
+        assert probe["numpy"] == [1]
+        # the main thread alone: neither pool started a worker
+        assert probe["os_threads"] == 1
 
-    def test_thread_variable_put_back(self, probe):
-        assert probe["variable"] == "2"
-        assert _threads_probe(None)["variable"] is None
+    def test_numpy_first_numpy_copy_on_one_thread(self, probes):
+        probe = probes["numpy-first"]
+        assert probe["scipy"] == [1] * len(probe["scipy"])
+        assert probe["numpy"] == [1]
 
-    def test_no_scipy_blas_worker(self, probe):
-        # the main thread and numpy's workers; scipy's pool has none
-        assert probe["os_threads"] == 1 + (probe["numpy"][0] - 1)
+    def test_thread_variable_put_back(self, probes):
+        for order in ORDERS:
+            assert probes[order]["variable"] == "2"
+            assert _threads_probe(order, None)["variable"] is None
+
+
+def test_numpy_without_a_bundled_blas_left_as_it_is(tmp_path, monkeypatch):
+    # a numpy on a BLAS of the system has no numpy.libs, and a file there
+    # that does not load is passed over
+    libs = tmp_path / "numpy.libs"
+    libs.mkdir()
+    (libs / "libopenblas-broken.so").write_bytes(b"not a library")
+    fake = types.ModuleType("numpy")
+    fake.__file__ = str(tmp_path / "numpy" / "__init__.py")
+    monkeypatch.setitem(sys.modules, "numpy", fake)
+    algebra._numpy_blas_on_one_thread()
+    fake.__file__ = str(tmp_path / "elsewhere" / "numpy" / "__init__.py")
+    algebra._numpy_blas_on_one_thread()
 
 
 # The LAPACK routines src calls, all from scipy's f2py LAPACK module.

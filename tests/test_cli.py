@@ -341,8 +341,9 @@ def run_csv(tmp_path, argv):
 
 
 class TestEigensolvers:
-    # every eigensolve and SVD runs on algebra's LAPACK, none on numpy's,
-    # whose OpenBLAS pool runs at the caller's thread count
+    # every eigensolve and SVD runs on algebra's LAPACK, none on numpy's;
+    # both OpenBLAS copies run on one thread, where algebra's give numpy's
+    # bits (test_algebra.py::TestLapackModule) and work in their one copy
 
     @pytest.mark.parametrize(
         "text",
@@ -1310,6 +1311,38 @@ class TestEdgeExits:
         assert rows[0]["alpha_hat"] == "0" and rows[0]["beta_hat"] == "0"
         assert rows[0]["gamma0"] == "0" and rows[0]["gamma"] == "0"
 
+    @pytest.mark.parametrize(
+        "text, why",
+        [
+            pytest.param(
+                "truth_elems = 256\ncoarse_elems = 16\nw = same\n",
+                "beta_hat = 0: W does not control the pressures",
+                id="same-w",
+            ),
+            pytest.param(
+                "truth_elems = 16\ncoarse_elems = 4\ns = scaled:1e-300\nreaction = 1e300\n",
+                "gamma0 underflows to 0",
+                id="underflow",
+            ),
+        ],
+    )
+    def test_auto_gamma_at_zero_gamma0_is_a_config_error(self, tmp_path, capsys, text, why):
+        # gamma0 / 2 = 0 would solve the unstabilized, singular system: solve
+        # reported it as its singular row (exit 0) and converge exited 3 with
+        # "reciprocal condition estimate 7.323e-20"; constants only measures
+        path = write_cfg(tmp_path, text + "gamma = auto\n")
+        for command in ("solve", "converge"):
+            assert main([command, "--config", path]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"dualstab: config error: gamma: auto needs gamma0 > 0, but {why}; "
+                "no gamma is predicted to stabilize the pair\n"
+            )
+        code, _, rows = run_csv(tmp_path, ["constants", "--config", path])
+        assert code == 0
+        assert rows[0]["gamma0"] == "0" and rows[0]["gamma"] == "0"
+
     def test_infsup_of_same_w_is_exactly_zero(self, tmp_path):
         # beta_hat and the relaxed constant share U = W: both are 0, not
         # roundoff of either sign that fails the relaxed ≥ beta_hat check
@@ -1514,7 +1547,9 @@ def test_truth_16384_runs_in_1gb_of_address_space(tmp_path, command, reaction):
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 
-# README: between 1 and 2 BLAS threads reports agree to 1.3e-10 relative
+# where numpy's BLAS is one that algebra cannot put on one thread (a BLAS
+# shared with scipy, or MKL), 1 and 2 threads were measured to agree to
+# 1.3e-10 relative, when numpy's OpenBLAS still ran at the caller's count
 THREAD_RTOL = 1.3e-10
 
 # cells that are roundoff by construction, with the CLI threshold each stays under
@@ -1562,8 +1597,10 @@ for command in {commands!r}:
 
 
 def test_reports_deterministic_per_blas_thread_count(tmp_path):
-    # large enough that numpy's OpenBLAS splits work at 2 threads: p_err moves
-    # by about 4e-11 between thread counts here
+    # large enough that an OpenBLAS at 2 threads splits work: p_err moved by
+    # about 4e-11 between thread counts here while numpy's copy ran at the
+    # caller's count; every bundled OpenBLAS runs on one thread now, and the
+    # tolerance stays for installs whose numpy BLAS keeps the caller's count
     path = write_cfg(
         tmp_path,
         "truth_elems = 512\ncoarse_elems = 128\npressure = p0\nw = refined:2\nlevels = 128\n",
@@ -1593,3 +1630,55 @@ def test_reports_deterministic_per_blas_thread_count(tmp_path):
         assert [list(r) for r in rows_1] == [list(r) for r in rows_2]
         for i, (row_1, row_2) in enumerate(zip(rows_1, rows_2)):
             assert not _thread_disagreements(row_1, row_2), (command, i)
+
+
+# the benchmark's fine-coarse and levels-1024 configs at seed 1
+BYTES_CONFIGS = {
+    "fine-coarse": "truth_elems = 512\ncoarse_elems = 256\npressure = p0\nw = refined:2\n"
+    "gamma = 0.1\ngammas = 0.01, 0.1, 1.0\nseed = 1\n",
+    "levels": "truth_elems = 1024\ncoarse_elems = 16\npressure = p1\nw = refined:2\n"
+    "levels = 16, 32, 64, 128\nseed = 1\n",
+}
+BYTES_RUNS = (("fine-coarse", "solve"), ("fine-coarse", "condense-check"), ("levels", "spectral"))
+
+# runs BYTES_RUNS through the CLI's main, with numpy imported first when
+# argv[2] says so: bench/traced_cli.py imports it first too
+_BYTES_CHILD = """
+import sys
+folder, order, *runs = sys.argv[1:]
+if order == "numpy-first":
+    import numpy
+from dualstab.cli import main
+for config, command in zip(runs[::2], runs[1::2]):
+    argv = [command, "--config", config, "--format", "json", "--out", f"{folder}/{command}.json"]
+    if main(argv):
+        sys.exit(f"{command} exited nonzero")
+"""
+
+
+def test_reports_byte_identical_across_blas_thread_counts(tmp_path):
+    # every BLAS runs on one thread, whatever the thread variable and whichever
+    # of numpy and dualstab is imported first (in this process numpy was): a
+    # numpy OpenBLAS at 2 threads split these products and moved their last digits
+    configs = {n: write_cfg(tmp_path, text, f"{n}.cfg") for n, text in BYTES_CONFIGS.items()}
+    runs = [arg for name, command in BYTES_RUNS for arg in (configs[name], command)]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    children = {}
+    for threads, order in (("1", "dualstab-first"), ("2", "dualstab-first"), ("2", "numpy-first")):
+        folder = tmp_path / f"{threads}-{order}"
+        folder.mkdir()
+        env = dict(os.environ, PYTHONPATH=src)
+        env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads))
+        argv = [sys.executable, "-c", _BYTES_CHILD, str(folder), order, *runs]
+        children[folder] = subprocess.Popen(argv, env=env, stderr=subprocess.PIPE)
+    here = tmp_path / "in-process"
+    here.mkdir()
+    for name, command in BYTES_RUNS:
+        out = str(here / f"{command}.json")
+        assert main([command, "--config", configs[name], "--format", "json", "--out", out]) == 0
+    expected = {command: (here / f"{command}.json").read_bytes() for _, command in BYTES_RUNS}
+    for folder, child in children.items():
+        _, err = child.communicate(timeout=120)
+        assert child.returncode == 0, err[-2000:]
+        got = {command: (folder / f"{command}.json").read_bytes() for _, command in BYTES_RUNS}
+        assert got == expected, folder.name
