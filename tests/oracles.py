@@ -18,6 +18,13 @@ from dualstab.models import p1_stiffness_band
 from dualstab.saddle import RESIDUAL_RTOL, SINGULAR_RTOL, BlockSystem, SingularSystem
 
 
+def random_spd(rng, n):
+    """An n × n SPD matrix with eigenvalues log-uniform in [0.1, 10]."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    ev = np.exp(rng.uniform(np.log(0.1), np.log(10.0), n))
+    return q @ (ev[:, None] * q.T)
+
+
 def dense_truth_extremes(gramian, a_form):
     """(alpha, norm_A) of a general a-form A against a dense truth Gramian G.
 

@@ -32,6 +32,7 @@ from dualstab.algebra import (
     sym_generalized_eig,
     sym_generalized_eigvals,
 )
+from oracles import random_spd
 
 
 def traced_peak(call, *args):
@@ -47,12 +48,6 @@ def traced_peak(call, *args):
     finally:
         if not tracing:
             tracemalloc.stop()
-
-
-def random_spd(rng, n, lo=0.1, hi=10.0):
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    ev = np.exp(rng.uniform(np.log(lo), np.log(hi), n))
-    return q @ (ev[:, None] * q.T)
 
 
 class TestCholesky:

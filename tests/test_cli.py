@@ -1639,7 +1639,14 @@ BYTES_CONFIGS = {
     "levels": "truth_elems = 1024\ncoarse_elems = 16\npressure = p1\nw = refined:2\n"
     "levels = 16, 32, 64, 128\nseed = 1\n",
 }
-BYTES_RUNS = (("fine-coarse", "solve"), ("fine-coarse", "condense-check"), ("levels", "spectral"))
+BYTES_RUNS = (
+    ("fine-coarse", "solve"),
+    ("fine-coarse", "condense-check"),
+    ("levels", "constants"),
+    ("levels", "spectral"),
+    ("levels", "infsup"),
+    ("levels", "converge"),
+)
 
 # runs BYTES_RUNS through the CLI's main, with numpy imported first when
 # argv[2] says so: bench/traced_cli.py imports it first too

@@ -40,13 +40,11 @@ from dualstab.models import (
     pressure_mass,
     prolongation_p1,
 )
-from oracles import p1_stiffness
+from oracles import p1_stiffness, random_spd
 
 
-def random_truth(rng, n, lo=0.1, hi=10.0):
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    ev = np.exp(rng.uniform(np.log(lo), np.log(hi), n))
-    return TruthSpace(q @ (ev[:, None] * q.T))
+def random_truth(rng, n):
+    return TruthSpace(random_spd(rng, n))
 
 
 def mass_pair(truth_elems=64, coarse_elems=8):

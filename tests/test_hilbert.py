@@ -12,12 +12,11 @@ from dualstab.hilbert import (
     dual_norm,
     orthogonal_project,
 )
+from oracles import random_spd
 
 
-def random_truth(rng, n, lo=0.1, hi=10.0):
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    ev = np.exp(rng.uniform(np.log(lo), np.log(hi), n))
-    return TruthSpace(q @ (ev[:, None] * q.T))
+def random_truth(rng, n):
+    return TruthSpace(random_spd(rng, n))
 
 
 def random_pair(rng, n=None, m=None):
