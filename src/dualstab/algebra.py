@@ -353,12 +353,16 @@ def eigvalsh(a):
 def svd(a, full_matrices=False):
     """Singular values and right singular vectors of ``a``, as ``np.linalg.svd``.
 
-    LAPACK ``dgesdd`` on its optimal workspace, as numpy's.  Returns (s, vt):
-    descending singular values, and the C-ordered rows of Vᵀ, all n of them
-    when ``full_matrices`` is set, else min(m, n).  U is not kept.
+    LAPACK ``dgesdd`` on its optimal workspace, as numpy's.  It works in ``a``
+    itself when it is an F-ordered float array (any other is copied first),
+    as ``eigh`` does, so the caller's matrix is then overwritten.  Returns
+    (s, vt): descending singular values, and the C-ordered rows of Vᵀ, all n
+    of them when ``full_matrices`` is set, else min(m, n).  U is not kept.
     """
     lwork, _ = lapack.dgesdd_lwork(*np.shape(a), compute_uv=1, full_matrices=full_matrices)
-    _, s, vt, info = lapack.dgesdd(a, compute_uv=1, full_matrices=full_matrices, lwork=int(lwork))
+    _, s, vt, info = lapack.dgesdd(
+        a, compute_uv=1, full_matrices=full_matrices, lwork=int(lwork), overwrite_a=1
+    )
     _check_info(info, "dgesdd", "SVD did not converge")
     return s, np.ascontiguousarray(vt)
 

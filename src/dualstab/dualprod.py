@@ -24,8 +24,17 @@ by modifying the basis.  ``deflate_pressures`` is the only place that
 deflates: it returns a DeflatedPressures record on a truth space, which the
 pencils read (a SaddleProblem deflates its own when built, ``pb.pressures``),
 and the functions taking (b_t, q_gram) deflate on their subspace's truth.
-The record owns beta and norm_B, which depend only on the truth space and
-the pressures: one solve of its (B_effᵀ G⁻¹ B_eff, G_Q) pencil gives both.
+B_T is a dense matrix or a structured one that builds its matrix on each
+read (``models.ConstraintForm``), and both take one path: the SVD works in a
+new Fortran-ordered copy, dropped after it, and B_eff = B_T Z reads B_T once
+more, so a structured B_T's matrix lives only while B_eff is formed, and a
+caller's dense B_T is never written.  The record owns beta and norm_B, which
+depend only on the truth space and the pressures: one solve of its
+(B_effᵀ G⁻¹ B_eff, G_Q) pencil gives both.  The products this module forms
+for its pencils (the dual Gram, B_Wᵀ G_W⁻¹ B_W and B_Wᵀ S⁻¹ B_W) are
+symmetric only to roundoff, which grows with the condition of G and G_W, so
+each is symmetrized where it is formed (``_symmetrized``): the pencils'
+symmetry check, meant for a caller's input, then never fails on them.
 """
 
 from __future__ import annotations
@@ -241,16 +250,21 @@ def pressure_deflation(b_t, q_gram):
     Returns the identity when B_T has full column rank (no deflation needed);
     otherwise the returned basis Z satisfies Zᵀ G_Q Z = I and Zᵀ G_Q k = 0 for
     every kernel vector k of B_T.
+
+    B_T is a dense matrix or a structured one (``models.ConstraintForm``):
+    either is read into a new Fortran-ordered array, which the SVD works in
+    and which is dropped after it, so the caller's matrix is never written.
     """
-    b_t = as_matrix(b_t, "constraint matrix")
+    b = as_matrix(np.array(b_t, dtype=float, order="F"), "constraint matrix")
     q_gram = require_symmetric(q_gram, "pressure Gramian")
-    if q_gram.shape[0] != b_t.shape[1]:
+    rows, n = b.shape
+    if q_gram.shape[0] != n:
         raise DimensionMismatch("pressure Gramian does not match constraint matrix columns")
     # a thin SVD holds all of V only when B_T has at least as many rows as
     # columns; a wide B_T needs the full one, or its kernel rows are lost
-    svals, vt = svd(b_t, full_matrices=b_t.shape[0] < b_t.shape[1])
+    svals, vt = svd(b, full_matrices=rows < n)
+    del b
     rank = int(np.sum(svals > KERNEL_RTOL * svals[0])) if svals[0] > 0.0 else 0
-    n = b_t.shape[1]
     if rank == n:
         return np.eye(n)
     if rank == 0:
@@ -260,9 +274,7 @@ def pressure_deflation(b_t, q_gram):
     m = q_gram @ kernel
     _, vt2 = svd(m.T, full_matrices=True)
     comp = vt2[kernel.shape[1]:].T
-    gram = comp.T @ (q_gram @ comp)
-    gram = 0.5 * (gram + gram.T)
-    w, v = eigh(gram)
+    w, v = eigh(_symmetrized(comp.T @ (q_gram @ comp)))
     if w.min() <= KERNEL_RTOL * w.max():
         raise DegeneratePencil("deflated pressure Gramian is singular")
     return comp @ (v / np.sqrt(w))
@@ -285,8 +297,7 @@ class DeflatedPressures:
 
     @cached_property
     def dual_gram(self):
-        dual = self.b_eff.T @ self.truth.solve(self.b_eff)
-        return 0.5 * (dual + dual.T)
+        return _symmetrized(self.b_eff.T @ self.truth.solve(self.b_eff))
 
     @cached_property
     def _truth_range(self):
@@ -300,8 +311,7 @@ class DeflatedPressures:
 def deflate_pressures(b_t, q_gram, truth):
     """Deflate the pressures of (B_T, G_Q) once, on ``truth``; ``pressure_deflation`` checks both."""
     z = pressure_deflation(b_t, q_gram)
-    q_eff = z.T @ (np.asarray(q_gram, dtype=float) @ z)
-    q_eff = 0.5 * (q_eff + q_eff.T)
+    q_eff = _symmetrized(z.T @ (np.asarray(q_gram, dtype=float) @ z))
     b_eff = np.asarray(b_t, dtype=float) @ z
     return DeflatedPressures(z, b_eff, q_eff, cholesky(q_eff, "deflated pressure Gramian"), truth)
 
@@ -315,12 +325,19 @@ def _floored_root(spectrum):
 def _sup_gram(sub, pressures):
     """B_W = E_Wᵀ B_eff and B_Wᵀ G_W⁻¹ B_W, the squared sups of b(q, ·) over W.
 
-    The product is symmetric only to roundoff; the pencils that read it symmetrize it.
+    The product is symmetric only to roundoff, which grows with cond(G_W), so
+    it is symmetrized here, as ``dual_gram`` is: a pencil's symmetry check
+    then reads it unchanged, bit for bit.
     """
     if pressures.b_eff.shape[0] != sub.parent.dim:
         raise DimensionMismatch("constraint matrix rows do not match the truth space")
     b_w = sub.restrict(pressures.b_eff)
-    return b_w, b_w.T @ spd_solve(sub.fact, b_w)
+    return b_w, _symmetrized(b_w.T @ spd_solve(sub.fact, b_w))
+
+
+def _symmetrized(product):
+    """(P + Pᵀ)/2 of a product P that is symmetric up to roundoff; exact on a symmetric P."""
+    return 0.5 * (product + product.T)
 
 
 def pressure_infsup(pressures, sub):
@@ -345,7 +362,7 @@ def measure_equivalence(dp, pressures):
         dual_fact = cholesky(pressures.dual_gram, "deflated dual Gramian")
     except NotSpd:
         raise DegeneratePencil("deflated dual-norm Gramian is singular") from None
-    numer = b_w.T @ spd_solve(dp.stiffness.fact, b_w)
+    numer = _symmetrized(b_w.T @ spd_solve(dp.stiffness.fact, b_w))
     c_upper = 1.0 / dp.stiffness.kappa_star
     c_star = float(sym_generalized_eigvals(numer, dual_fact)[0])
     if c_star <= KERNEL_RTOL * c_upper:

@@ -12,7 +12,11 @@ so no eigensolve runs at any r; both are exactly 1 at r = 0, where A is the
 scalar product.  Every problem a configuration builds owns that record, and
 ``saddle`` reads it only through its space, its Grams of A, alpha and ‖A‖.
 The pressure basis lives on the coarse mesh (P1-continuous or P0) and couples
-to truth velocities through the exact constraint matrix of b(q, v) = ∫ q v'.
+to truth velocities through the exact constraint matrix B_T of
+b(q, v) = ∫ q v'.  A level holds it as a ``ConstraintForm``, which keeps no
+n × m_q array and builds one on each read: the deflation reads it twice, for
+its SVD and for B_eff = B_T Z, and drops it each time, so B_eff is the only
+such array a level keeps.
 Every coarse basis is read through one evaluator, ``coarse_basis``, the
 (index, value) pairs of the basis functions nonzero at a point: the P1
 prolongation stores them at the truth nodes, B_T reads them at the
@@ -191,6 +195,11 @@ def nested_ratio(truth_elems, coarse_elems):
     return truth_elems // coarse_elems
 
 
+def pressure_dim(coarse_elems, kind):
+    """Number of pressure basis functions: P1 has one more than the mesh has cells."""
+    return coarse_elems + 1 if kind == "p1" else coarse_elems
+
+
 def coarse_basis(x, coarse_elems, kind):
     """(index, value) of the coarse basis functions nonzero at points x of [0, 1].
 
@@ -277,23 +286,40 @@ def prolongation_p1(truth_elems, sub_elems):
     return P1Prolongation(truth_elems, sub_elems).to_dense()
 
 
-def constraint_matrix(truth_elems, coarse_elems, kind):
-    """Exact matrix of b(q, v) = ∫ q v' for truth hats v and coarse pressures q.
+class ConstraintForm:
+    """B_T of b(q, v) = ∫ q v' for truth hats v and nested coarse pressures q.
 
     Truth hat i + 1 has slope n on element i and −n on element i + 1, so
     b(ψ, φ_{i+1}) is ψ's mean on element i minus its mean on i + 1; a nested
     pressure is linear on each truth element, so a mean is its midpoint value.
     Row i is Ψ(mid_i) − Ψ(mid_{i+1}), from the midpoints' ``coarse_basis``.
+    ``shape`` is (n, m_q); the n × m_q matrix is not kept: ``to_dense()``
+    builds a new Fortran-ordered one on each call, and so does
+    ``np.asarray(form)``, for LAPACK to work in and the caller to drop.
     """
-    nested_ratio(truth_elems, coarse_elems)
-    mids = (np.arange(truth_elems) + 0.5) / truth_elems
-    index, value = coarse_basis(mids, coarse_elems, kind)
-    # a P1 basis has one function more than the mesh has cells, P0 none
-    b = np.zeros((truth_elems - 1, coarse_elems + index.shape[1] - 1))
-    rows = np.arange(truth_elems - 1)[:, None]
-    b[rows, index[:-1]] = value[:-1]
-    b[rows, index[1:]] -= value[1:]
-    return b
+
+    def __init__(self, truth_elems, coarse_elems, kind):
+        nested_ratio(truth_elems, coarse_elems)
+        self.truth_elems, self.coarse_elems, self.kind = truth_elems, coarse_elems, kind
+        self.shape = (truth_elems - 1, pressure_dim(coarse_elems, kind))
+
+    def to_dense(self):
+        n = self.truth_elems
+        index, value = coarse_basis((np.arange(n) + 0.5) / n, self.coarse_elems, self.kind)
+        b = np.zeros(self.shape, order="F")
+        rows = np.arange(n - 1)[:, None]
+        b[rows, index[:-1]] = value[:-1]
+        b[rows, index[1:]] -= value[1:]
+        return b
+
+    def __array__(self, dtype=None, copy=None):
+        # every read builds a new matrix, so any copy request is met
+        return self.to_dense() if dtype is None else self.to_dense().astype(dtype, copy=False)
+
+
+def constraint_matrix(truth_elems, coarse_elems, kind):
+    """The n × m_q matrix of ``ConstraintForm(truth_elems, coarse_elems, kind)``."""
+    return ConstraintForm(truth_elems, coarse_elems, kind).to_dense()
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +361,7 @@ def constraint_rhs(truth_elems, coarse_elems, kind, solution):
     pts, wts = _gauss_on_elements(truth_elems)
     vals = (solution.du(pts) * wts).ravel()
     index, value = coarse_basis(pts.ravel(), coarse_elems, kind)
-    size = coarse_elems + index.shape[1] - 1
+    size = pressure_dim(coarse_elems, kind)
     return sum(np.bincount(nodes, vals * weights, size) for nodes, weights in zip(index.T, value.T))
 
 
@@ -431,7 +457,7 @@ def build_level(cfg, truth):
     """Assemble the mixed problem of one coarse level on a shared TruthRecord."""
     solution = default_solution()
     n = cfg.truth_elems
-    b_form = constraint_matrix(n, cfg.coarse_elems, cfg.pressure_kind)
+    b_form = ConstraintForm(n, cfg.coarse_elems, cfg.pressure_kind)
     q_gram = pressure_mass(cfg.coarse_elems, cfg.pressure_kind)
     load = Functional(load_vector(n, solution, reaction=cfg.reaction))
     g_rhs = constraint_rhs(n, cfg.coarse_elems, cfg.pressure_kind, solution)

@@ -16,7 +16,10 @@ subspace), which give ``GammaFreeBlocks`` its A blocks, and A's constants
 pressures, deflated against ker B_T on its truth space (see dualprod) when
 the problem is built, as ``pb.pressures``, which every discretization built
 on it reads; the pressures own beta, norm_B and the dual Gram
-B_effᵀ G⁻¹ B_eff, which ``constants`` reads.  A discretization is (problem,
+B_effᵀ G⁻¹ B_eff, which ``constants`` reads.  B_T may be structured
+(``models.ConstraintForm``): the problem keeps it as given, and its dense
+matrix, ``pb.b_form`` and ``d.b_sel``, is built only when one of them is
+read, and then kept; no command reads them.  A discretization is (problem,
 U, dual product, gamma), and it owns the γ-free blocks of its (problem, U,
 dual product), built on first read as ``d.blocks``: A_UU, A_WU, B_UQ, B_WQ,
 F_U, F_W, one set of rows when U is W, and, on first read, the B_WQᵀ S⁻¹
@@ -123,10 +126,14 @@ class SaddleProblem:
     """Truth-level mixed problem data on the truth record of its truth space and a-form.
 
     The record validates itself when it is built; its ``space`` must be a
-    TruthSpace, which is ``truth``.  The pressures are deflated when the
-    problem is built, after its checks: ``pressures`` is the
-    DeflatedPressures of (B_T, G_Q) and ``g_eff`` the constraint rhs in their
-    coordinates, so a degenerate B_T fails here.
+    TruthSpace, which is ``truth``.  ``constraint`` is B_T as given: a dense
+    matrix, or a structured one (``models.ConstraintForm``) that has a
+    ``shape`` and builds its matrix on each read.  ``b_form`` is B_T's dense
+    matrix: a dense B_T itself, a structured one's built on first read and
+    then kept.
+    The pressures are deflated when the problem is built, after its checks:
+    ``pressures`` is the DeflatedPressures of (B_T, G_Q) and ``g_eff`` the
+    constraint rhs in their coordinates, so a degenerate B_T fails here.
     """
 
     # bench/traced_cli.py keys models.build_spaces on pb.label; the key's cfg
@@ -138,8 +145,10 @@ class SaddleProblem:
             raise TypeError("record must be a truth record on a TruthSpace")
         self.record = record
         self.truth = truth = record.space
-        self.b_form = as_matrix(b_form, "constraint matrix")
-        if self.b_form.shape[0] != truth.dim:
+        # a structured B_T is exact by construction and read here by its shape
+        structured = hasattr(b_form, "to_dense")
+        self.constraint = b_form if structured else as_matrix(b_form, "constraint matrix")
+        if self.constraint.shape[0] != truth.dim:
             raise DimensionMismatch("constraint matrix rows do not match the truth space")
         self.q_gram = require_symmetric(q_gram, "pressure Gramian")
         cholesky(self.q_gram, "pressure Gramian")  # NotSpd unless SPD
@@ -149,15 +158,19 @@ class SaddleProblem:
             raise DimensionMismatch("load functional does not live on the truth space")
         self.load = load
         self.constraint_rhs = np.asarray(constraint_rhs, dtype=float)
-        if self.constraint_rhs.shape != (self.b_form.shape[1],):
+        if self.constraint_rhs.shape != (self.pressure_dim,):
             raise DimensionMismatch("constraint right-hand side does not match pressure dim")
         # DimensionMismatch unless G_Q matches B_T's columns, DegeneratePencil for a zero B_T
-        self.pressures = deflate_pressures(self.b_form, self.q_gram, truth)
+        self.pressures = deflate_pressures(self.constraint, self.q_gram, truth)
         self.g_eff = self.pressures.basis.T @ self.constraint_rhs
+
+    @cached_property
+    def b_form(self):
+        return np.asarray(self.constraint, dtype=float)
 
     @property
     def pressure_dim(self):
-        return self.b_form.shape[1]
+        return self.constraint.shape[1]
 
 
 class Discretization:
@@ -165,8 +178,9 @@ class Discretization:
 
     It reads the pressures the problem deflated when it was built:
     ``b_eff``, ``q_eff`` and ``p_dim`` are theirs, ``b_sel`` and ``q_sel``
-    the problem's B_T and G_Q.  ``blocks`` are the γ-free blocks of
-    (problem, U, dual product), built on first read; ``with_gamma`` shares them.
+    the problem's B_T and G_Q; ``b_sel`` is ``pb.b_form``, so B_T's dense
+    matrix is built only when it is read.  ``blocks`` are the γ-free blocks
+    of (problem, U, dual product), built on first read; ``with_gamma`` shares them.
     """
 
     def __init__(self, pb, u, dp, gamma):
@@ -182,8 +196,12 @@ class Discretization:
             raise ValueError("gamma must be a finite nonnegative real")
         self.gamma = gamma
         p = pb.pressures
-        self.b_sel, self.q_sel = pb.b_form, pb.q_gram
+        self.q_sel = pb.q_gram
         self.b_eff, self.q_eff, self.p_dim = p.b_eff, p.q_eff, p.basis.shape[1]
+
+    @property
+    def b_sel(self):
+        return self.problem.b_form
 
     @property
     def W(self):

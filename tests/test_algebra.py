@@ -414,6 +414,21 @@ class TestWorksInPlace:
         fact = cholesky(random_spd(rng, 400), "b")
         assert traced_peak(sym_generalized_eigvals, a, fact)[1] <= 1.25 * a.nbytes
 
+    def test_svd_works_in_an_f_ordered_input(self):
+        # dgesdd works in an F-ordered input: above it, the traced peak is
+        # the U it forms and its workspace (1.13 of the input's size), where
+        # a copy of the input took it to 2.13; any other input is copied
+        # first and left as it was
+        a = np.random.default_rng(45).standard_normal((4000, 100))
+        kept = a.copy()
+        s, vt = svd(a)
+        assert np.array_equal(a, kept)
+        f = np.asfortranarray(a)
+        (s_f, vt_f), peak = traced_peak(svd, f)
+        assert peak <= 1.25 * a.nbytes
+        assert np.array_equal(s_f, s) and np.array_equal(vt_f, vt)
+        assert not np.array_equal(f, a)
+
 
 # Imports dualstab.cli and numpy in the order argv[1] names, then reads the
 # thread count of every mapped OpenBLAS of scipy's and of numpy's, the thread
@@ -583,7 +598,7 @@ for n in (1, 2, 17, 33, 64, 200):
         b = rng.standard_normal(shape)
         for full in (False, True):
             _, s, vt = np.linalg.svd(b, full_matrices=full)
-            mine = algebra.svd(b, full_matrices=full)
+            mine = algebra.svd(b.copy(), full_matrices=full)
             if not (np.array_equal(mine[0], s) and np.array_equal(mine[1], vt)):
                 different.append(("svd", shape, full))
             if not mine[1].flags.c_contiguous:

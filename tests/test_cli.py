@@ -1112,20 +1112,22 @@ class TestSystemLifetimes:
         return code, rows, peak
 
     def test_condense_check_traced_peak(self, tmp_path):
-        # 6.83 MiB cold (6.64 warm), with each system solved in one buffer;
-        # 8.93 MiB when solve() factored a copy of an assembled matrix, and
-        # 9.43 MiB when A_UU was a second Gram and each gamma's systems
-        # outlived the next gamma's
+        # 5.55 MiB cold (5.52 warm), with B_T's dense matrix dropped after
+        # the deflation; 5.80 MiB when the problem kept it, 8.93 MiB when
+        # solve() factored a copy of an assembled matrix, and 9.43 MiB when
+        # A_UU was a second Gram and each gamma's systems outlived the next
+        # gamma's
         code, rows, peak = self.traced_peak(tmp_path, "condense-check")
         assert code == 0 and len(rows) == 3
-        assert peak <= 7.04 * 2**20
+        assert peak <= 5.72 * 2**20
 
     def test_solve_traced_peak(self, tmp_path):
-        # 6.21 MiB cold (6.02 warm); 8.04 MiB when solve() factored a copy of
-        # an assembled matrix
+        # 5.21 MiB cold and warm, with B_T's dense matrix dropped after the
+        # deflation; 5.46 MiB when the problem kept it, 8.04 MiB when solve()
+        # factored a copy of an assembled matrix
         code, rows, peak = self.traced_peak(tmp_path, "solve")
         assert code == 0 and len(rows) == 3
-        assert peak <= 6.40 * 2**20
+        assert peak <= 5.37 * 2**20
 
 
 class TestExactStiffnessRange:

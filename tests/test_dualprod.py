@@ -35,6 +35,7 @@ from dualstab.dualprod import (
 )
 from dualstab.hilbert import Functional, Subspace, TruthSpace, dual_norm
 from dualstab.models import (
+    ConstraintForm,
     constraint_matrix,
     p1_interior_mass,
     pressure_mass,
@@ -327,6 +328,40 @@ class TestPressureDeflation:
         with pytest.raises(DegeneratePencil):
             pressure_deflation(np.zeros((5, 3)), np.eye(3))
 
+    @pytest.mark.parametrize("kind", ["p1", "p0"])
+    @pytest.mark.parametrize(
+        "truth, coarse",
+        [(64, 8), (256, 2), (1024, 128), (16, 16), (8, 8)],
+        ids=["tall", "tall-narrow", "tall-wide", "wide-16", "wide-8"],
+    )
+    def test_structured_constraint_deflates_as_its_matrix(self, kind, truth, coarse):
+        # the structured B_T and its dense matrix, C- or F-ordered, give the
+        # same bits; coarse = truth is wide, and takes the full SVD
+        form = ConstraintForm(truth, coarse, kind)
+        dense = constraint_matrix(truth, coarse, kind)
+        assert dense.shape == form.shape and dense.flags.f_contiguous
+        wide = form.shape[0] < form.shape[1]
+        assert wide == (coarse == truth)
+        qg = pressure_mass(coarse, kind)
+        ts = TruthSpace(p1_stiffness(truth))
+        ref = deflate_pressures(form, qg, ts)
+        for b in (np.ascontiguousarray(dense), dense):
+            kept = b.copy()
+            z = pressure_deflation(b, qg)
+            np.testing.assert_array_equal(z, ref.basis)
+            other = deflate_pressures(b, qg, ts)
+            for name in ("basis", "b_eff", "q_eff"):
+                np.testing.assert_array_equal(getattr(other, name), getattr(ref, name))
+            # the caller's matrix is copied for the SVD, never written
+            np.testing.assert_array_equal(b, kept)
+
+    def test_structured_constraint_builds_a_new_matrix_per_read(self):
+        form = ConstraintForm(32, 4, "p1")
+        first, second = np.asarray(form), form.to_dense()
+        assert first is not second and not np.shares_memory(first, second)
+        assert first.flags.f_contiguous and first.dtype == float
+        np.testing.assert_array_equal(first, second)
+
 
 def dual_norm_infsup(b, qg, sub):
     """alpha_hat at S = G_W: the inf-sup constant of (Q, sub) in the norm ‖B q‖₋₁."""
@@ -501,6 +536,48 @@ from dualstab.dualprod import SweepSampler
 seed, level = (int(a) for a in sys.argv[1:])
 print(SweepSampler(seed, level).standard_normal((100, 17)).tobytes().hex())
 """
+
+
+def ill_conditioned_instance(seed, n=37, m_u=15, m_w=29, m_q=20):
+    """(truth, W, B_T) with W = [E_U R, Y]: R has singular values 1 to 10^-4.5,
+    so W's basis is nearly dependent and cond(G_W) is about 1e10."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, n))
+    truth = TruthSpace(x @ x.T + n * np.eye(n))
+    e_u = rng.standard_normal((n, m_u))
+    left, _ = np.linalg.qr(rng.standard_normal((m_u, m_u)))
+    right, _ = np.linalg.qr(rng.standard_normal((m_u, m_u)))
+    r = (left * np.logspace(0, -4.5, m_u)) @ right.T
+    w = Subspace(truth, np.hstack([e_u @ r, rng.standard_normal((n, m_w - m_u))]))
+    return truth, w, rng.standard_normal((n, m_q))
+
+
+class TestIllConditionedW:
+    # B_Wᵀ G_W⁻¹ B_W and B_Wᵀ S⁻¹ B_W are symmetric only to roundoff, which
+    # grows with cond(G_W): unsymmetrized, seed 339's products failed the
+    # pencils' symmetry check, a ValueError (the config-error class)
+    @pytest.mark.parametrize("explicit_s", [False, True], ids=["gramian", "explicit"])
+    def test_formed_products_reach_the_pencils_symmetric(self, monkeypatch, explicit_s):
+        truth, w, b = ill_conditioned_instance(339)
+        assert 5e9 < np.linalg.cond(w.gram_sub) < 5e10
+        s = w.gram_sub + np.diag(np.diag(w.gram_sub))
+        stiffness = stiffness_from_matrix(w, s) if explicit_s else make_stiffness(w, "gramian")
+        dp = DualProduct(aux=w, stiffness=stiffness)
+        pressures = deflate_pressures(b, np.eye(b.shape[1]), truth)
+        symmetric = []
+        original = dualprod.sym_generalized_eigvals
+
+        def recorded(a, b_fact):
+            symmetric.append(np.array_equal(a, a.T))
+            return original(a, b_fact)
+
+        monkeypatch.setattr(dualprod, "sym_generalized_eigvals", recorded)
+        rep = dualprod.measure_equivalence(dp, pressures)
+        beta_hat = dualprod.pressure_infsup(pressures, w)
+        # the truth pencil, c_star's, alpha_hat's, beta_hat's, and beta_hat's again
+        assert symmetric == [True] * 5
+        assert beta_hat == rep.beta_hat > 0.0
+        assert all(np.isfinite(v) and v >= 0.0 for v in vars(rep).values())
 
 
 class TestSweepSampler:

@@ -518,6 +518,28 @@ class TestBuilders:
             dims[kind] = d.W.dim
         assert dims["same"] == 7 and dims["refined:2"] == 15 and dims["truth"] == 63
 
+    def test_level_keeps_no_constraint_matrix(self):
+        # truth 16384, coarse 128: B_T is 16383 × 129, one unit of 16.9 MB.
+        # The level keeps B_eff only (1.03 units) and peaks at 2.07 units,
+        # while the SVD's U or B_eff sits beside a B_T read anew; keeping
+        # B_T, with the SVD's copy of it, took 2.03 and 3.07 units
+        cfg = ModelConfig(truth_elems=16384, coarse_elems=128)
+        truth = models.truth_record(cfg)
+        unit = 16383 * 129 * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            pb = models.build_level(cfg, truth)
+            kept, peak = (m - base for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert pb.pressures.b_eff.shape == (16383, 128)
+        assert "b_form" not in vars(pb)
+        assert kept < 1.2 * unit, f"the level keeps {kept / unit:.2f} units"
+        assert peak < 2.25 * unit, f"the level's build peaked at {peak / unit:.2f} units"
+        # B_T's dense matrix is built when it is read, and then kept
+        assert pb.b_form is pb.b_form and pb.b_form.shape == (16383, 129)
+
 
 def no_solve(*args):
     raise AssertionError("a truth record factors and solves nothing")
