@@ -35,6 +35,10 @@ PIVOT_RTOL = 1e-12
 # relative tolerance when an input is required to be symmetric
 SYMMETRY_RTOL = 1e-12
 
+# LAPACK dgesdd rescales a matrix whose largest entry lies outside
+# [SVD_SAFE, 1/SVD_SAFE] before it reduces it: √(safe minimum) / ε = 2⁻⁵¹¹ / 2⁻⁵²
+SVD_SAFE = 2.0**-459
+
 # OpenBLAS's thread-count setter, by the names its builds export it under: the
 # OpenBLAS of numpy wheels has 64-bit integers and a 64_ symbol suffix
 _BLAS_SETTERS = (
@@ -358,13 +362,34 @@ def svd(a, full_matrices=False):
     as ``eigh`` does, so the caller's matrix is then overwritten.  Returns
     (s, vt): descending singular values, and the C-ordered rows of Vᵀ, all n
     of them when ``full_matrices`` is set, else min(m, n).  U is not kept.
+
+    A thin SVD of an m × n ``a`` with m ≥ 11n/6 runs as Chan's R-SVD (ACM
+    TOMS 8, 1982): ``dgeqrf`` in ``a``, then ``dgesdd`` on the n × n R, so
+    no m × n U is formed beside ``a``.  From that height on dgesdd reduces
+    ``a`` to the same R itself, so s and Vᵀ are its bits; an ``a`` that
+    dgesdd would rescale first (its largest entry outside [SVD_SAFE,
+    1/SVD_SAFE], or NaN) goes to dgesdd whole.
     """
+    rows, cols = np.shape(a)
+    if not full_matrices and rows > cols and rows >= 11 * cols // 6:
+        a = np.asfortranarray(a, dtype=float)
+        if SVD_SAFE <= lapack.dlange("M", a) <= 1.0 / SVD_SAFE:
+            a = _triangular_factor(a)
     lwork, _ = lapack.dgesdd_lwork(*np.shape(a), compute_uv=1, full_matrices=full_matrices)
     _, s, vt, info = lapack.dgesdd(
         a, compute_uv=1, full_matrices=full_matrices, lwork=int(lwork), overwrite_a=1
     )
     _check_info(info, "dgesdd", "SVD did not converge")
     return s, np.ascontiguousarray(vt)
+
+
+def _triangular_factor(a):
+    """The n × n upper triangle R of a = Q R, F-ordered, from LAPACK ``dgeqrf`` in ``a``."""
+    rows, cols = a.shape
+    lwork, _ = lapack.dgeqrf_lwork(rows, cols)
+    qr, _, _, info = lapack.dgeqrf(a, lwork=int(lwork), overwrite_a=1)
+    _check_info(info, "dgeqrf")
+    return np.asfortranarray(np.triu(qr[:cols]))
 
 
 def _check_info(info, routine, failure=None):

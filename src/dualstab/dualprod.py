@@ -28,13 +28,19 @@ B_T is a dense matrix or a structured one that builds its matrix on each
 read (``models.ConstraintForm``), and both take one path: the SVD works in a
 new Fortran-ordered copy, dropped after it, and B_eff = B_T Z reads B_T once
 more, so a structured B_T's matrix lives only while B_eff is formed, and a
-caller's dense B_T is never written.  The record owns beta and norm_B, which
-depend only on the truth space and the pressures: one solve of its
-(B_effᵀ G⁻¹ B_eff, G_Q) pencil gives both.  The products this module forms
-for its pencils (the dual Gram, B_Wᵀ G_W⁻¹ B_W and B_Wᵀ S⁻¹ B_W) are
-symmetric only to roundoff, which grows with the condition of G and G_W, so
-each is symmetrized where it is formed (``_symmetrized``): the pencils'
-symmetry check, meant for a caller's input, then never fails on them.
+caller's dense B_T is never written.  A tall B_T is reduced to its m_q × m_q
+R factor in that copy before the SVD (Chan's R-SVD, in ``algebra.svd``):
+s and Vᵀ keep dgesdd's bits, and no n × m_q U is formed.  The record owns
+beta and norm_B, which depend only on the truth space and the pressures: one
+solve of its (B_effᵀ G⁻¹ B_eff, G_Q) pencil gives both.  That dual Gram is
+Zᵀ K Z when B_T gives K = B_Tᵀ G⁻¹ B_T itself, as a model level's does in
+closed form, and a truth solve on B_eff otherwise.  A stiffness form built
+on W's Gram (``gramian``, ``scaled:σ``) reads W's factor only when S is
+first solved.  The products this module forms for its pencils (the dual
+Gram, B_Wᵀ G_W⁻¹ B_W and B_Wᵀ S⁻¹ B_W) are symmetric only to roundoff, which
+grows with the condition of G and G_W, so each is symmetrized where it is
+formed (``_symmetrized``): the pencils' symmetry check, meant for a caller's
+input, then never fails on them.
 """
 
 from __future__ import annotations
@@ -113,14 +119,26 @@ class StiffnessForm:
 
     kappa_star and K_star, the extreme eigenvalues of (S, G_W) as Python
     floats, are fixed when the form is built: exactly σ for S = σ·G_W, and
-    the extremes of one eigenvalues-only solve for an explicit S.
+    the extremes of one eigenvalues-only solve for an explicit S.  ``sigma``
+    is the σ of S = σ·G_W, None for an explicit S.  ``fact``, S's Cholesky
+    factor, is read on first use: W's own factor at σ = 1, √σ · L_W at any
+    other σ, so W is factored only when S is first solved, and the Cholesky
+    factor of an explicit S.
     """
 
     matrix: np.ndarray
-    fact: SpdFactorization
     aux: Subspace
     kappa_star: float
     K_star: float
+    sigma: float | None = None
+
+    @cached_property
+    def fact(self):
+        if self.sigma is None:
+            return cholesky(self.matrix, "stiffness matrix")
+        if self.sigma == 1.0:
+            return self.aux.fact
+        return SpdFactorization(self.aux.dim, np.sqrt(self.sigma) * self.aux.fact.lower)
 
 
 @dataclass(frozen=True)
@@ -134,7 +152,7 @@ class DualProduct:
         # S is a matrix in W's own basis, so it must be built on this very subspace
         if self.stiffness.aux is not self.aux:
             raise DimensionMismatch(
-                f"stiffness of dim {self.stiffness.fact.dim} is built on another subspace "
+                f"stiffness of dim {len(self.stiffness.matrix)} is built on another subspace "
                 f"than W of dim {self.aux.dim}"
             )
 
@@ -156,14 +174,16 @@ class EquivalenceReport:
 def stiffness_from_matrix(sub, s):
     """Build a StiffnessForm from an explicit SPD matrix on the subspace.
 
-    One eigenvalues-only solve of (S, G_W) gives its range, here.
+    One eigenvalues-only solve of (S, G_W) gives its range, and S is
+    factored here, so one that is not SPD raises NotSpd.
     """
     s = require_symmetric(s, "stiffness matrix")
     if s.shape[0] != sub.dim:
         raise DimensionMismatch(f"stiffness of dim {s.shape[0]} does not match subspace {sub.dim}")
-    fact = cholesky(s, "stiffness matrix")
     spectrum = sym_generalized_eigvals(s, sub.fact)
-    return StiffnessForm(s, fact, sub, float(spectrum[0]), float(spectrum[-1]))
+    form = StiffnessForm(s, sub, float(spectrum[0]), float(spectrum[-1]))
+    form.fact  # NotSpd unless S is SPD
+    return form
 
 
 def stiffness_scale(choice):
@@ -193,7 +213,8 @@ def make_stiffness(sub, choice):
     ``gramian``      S = G_W, which is ``scaled:1``
     ``scaled:<σ>``   S = σ · G_W, 0 < σ < ∞, with kappa_star = K_star = σ
                      exactly, no pencil solved and nothing factored: √σ · L_W
-                     is S's factor, with L_W W's (at σ = 1, G_W and L_W)
+                     is S's factor, with L_W W's (at σ = 1, G_W and L_W),
+                     formed when S is first solved
     ``lumped``       S = diag of row sums of G_W, an explicit S; NotSpd when
                      a row sum is nonpositive (e.g. stiffness-like Gramians).
     """
@@ -204,12 +225,11 @@ def make_stiffness(sub, choice):
             raise NotSpd("row-sum lumping produced a nonpositive diagonal entry")
         return stiffness_from_matrix(sub, np.diag(sums))
     if sigma == 1.0:
-        return StiffnessForm(sub.gram_sub, sub.fact, sub, 1.0, 1.0)
+        return StiffnessForm(sub.gram_sub, sub, 1.0, 1.0, 1.0)
     # σ · G_W is as symmetric as G_W, and an inf in it ends as NonFinite
     with np.errstate(over="ignore"):
         s = as_matrix(sigma * sub.gram_sub, "stiffness matrix")
-    fact = SpdFactorization(sub.dim, np.sqrt(sigma) * sub.fact.lower)
-    return StiffnessForm(s, fact, sub, sigma, sigma)
+    return StiffnessForm(s, sub, sigma, sigma, sigma)
 
 
 def c_apply(dp, f, g):
@@ -254,6 +274,9 @@ def pressure_deflation(b_t, q_gram):
     B_T is a dense matrix or a structured one (``models.ConstraintForm``):
     either is read into a new Fortran-ordered array, which the SVD works in
     and which is dropped after it, so the caller's matrix is never written.
+    A tall B_T (n rows, n ≥ 11 m_q / 6) is reduced to its m_q × m_q R factor
+    in that array first (``algebra.svd``), so the level's peak is that one
+    n × m_q array; a wide B_T takes the full SVD, or its kernel rows are lost.
     """
     b = as_matrix(np.array(b_t, dtype=float, order="F"), "constraint matrix")
     q_gram = require_symmetric(q_gram, "pressure Gramian")
@@ -284,9 +307,14 @@ def pressure_deflation(b_t, q_gram):
 class DeflatedPressures:
     """Pressures deflated once on ``truth``: Z, B_T Z, Zᵀ G_Q Z and its factor.
 
-    The dual Gram B_effᵀ G⁻¹ B_eff, and beta and norm_B, the roots of the
-    extreme eigenvalues of its pencil with G_Q (beta is 0 at or below
-    KERNEL_RTOL · the largest), are formed on first read and kept with the record.
+    ``constraint`` is B_T as it was given.  The dual Gram B_effᵀ G⁻¹ B_eff,
+    and beta and norm_B, the roots of the extreme eigenvalues of its pencil
+    with G_Q (beta is 0 at or below KERNEL_RTOL · the largest), are formed on
+    first read and kept with the record.  A structured B_T may give
+    K = B_Tᵀ G⁻¹ B_T itself, m_q × m_q, through ``dual_gram(truth)``
+    (``models.ConstraintForm`` does, in closed form, on its own truth
+    mesh): the dual Gram is then Zᵀ K Z, and G is not solved.  Otherwise,
+    as for a dense B_T, G is solved on all of B_eff.
     """
 
     basis: np.ndarray
@@ -294,10 +322,15 @@ class DeflatedPressures:
     q_eff: np.ndarray
     q_fact: SpdFactorization
     truth: TruthSpace
+    constraint: object
 
     @cached_property
     def dual_gram(self):
-        return _symmetrized(self.b_eff.T @ self.truth.solve(self.b_eff))
+        closed_form = getattr(self.constraint, "dual_gram", None)
+        k = None if closed_form is None else closed_form(self.truth)
+        if k is None:
+            return _symmetrized(self.b_eff.T @ self.truth.solve(self.b_eff))
+        return _symmetrized(self.basis.T @ (k @ self.basis))
 
     @cached_property
     def _truth_range(self):
@@ -313,7 +346,8 @@ def deflate_pressures(b_t, q_gram, truth):
     z = pressure_deflation(b_t, q_gram)
     q_eff = _symmetrized(z.T @ (np.asarray(q_gram, dtype=float) @ z))
     b_eff = np.asarray(b_t, dtype=float) @ z
-    return DeflatedPressures(z, b_eff, q_eff, cholesky(q_eff, "deflated pressure Gramian"), truth)
+    q_fact = cholesky(q_eff, "deflated pressure Gramian")
+    return DeflatedPressures(z, b_eff, q_eff, q_fact, truth, b_t)
 
 
 def _floored_root(spectrum):

@@ -9,10 +9,14 @@ band storage (``BandedTruthSpace``), where a product and a solve cost O(n).
 A subspace is a full-rank column embedding E into truth coordinates, and it
 too is used only through its operator (``Embedding``): the products E c and
 Eᵀ y, and the Gram Eᵀ M F of two embeddings against a truth Gramian M, which
-the truth space forms (``gram``).  ``DenseEmbedding`` stores E as a matrix;
-the nested P1 prolongation ``models.P1Prolongation``, with at most two
-nonzeros per truth row, gives the products and the Gram of a banded M in
-O(n) and forms no n × m matrix.  A functional is its vector of actions on
+the truth space forms (``gram``).  A subspace forms its Gram EᵀGE when it is
+built, and factors it on the first solve with it (``fact``), as the banded
+truth space does: a command that only multiplies by a Gram never factors
+it.  A caller's dense embedding is factored at once, so a rank-deficient
+one is rejected when its subspace is built.  ``DenseEmbedding`` stores E as
+a matrix; the nested P1 prolongation ``models.P1Prolongation``, with at most
+two nonzeros per truth row, gives the products and the Gram of a banded M
+in O(n) and forms no n × m matrix.  A functional is its vector of actions on
 the truth basis, and the dual basis of a subspace consists of the
 functionals biorthogonal to its columns:
 
@@ -146,7 +150,10 @@ class Subspace:
     either is kept as ``op``, and the package reads the subspace through it:
     ``embed(c)`` is E c, ``restrict(y)`` is Eᵀ y, and ``gram_sub`` is the truth
     space's Gram of ``op``.  The ``embedding`` property forms the n × m matrix
-    of a structured ``op`` on each read.
+    of a structured ``op`` on each read.  ``fact``, the Cholesky factor of
+    ``gram_sub``, is computed on first read; a DenseEmbedding's is computed
+    when the subspace is built, so a rank-deficient matrix raises NotSpd
+    there.  A structured embedding has full rank by construction.
     """
 
     def __init__(self, parent, embedding):
@@ -159,9 +166,13 @@ class Subspace:
             raise DimensionMismatch("embedding cannot have more columns than rows")
         self.op = op
         self.gram_sub = parent.gram(op)
-        # cholesky rejects rank-deficient embeddings (NotSpd)
-        self.fact = cholesky(self.gram_sub, "subspace Gramian")
         self.dim = m
+        if isinstance(op, DenseEmbedding):
+            self.fact  # cholesky rejects a rank-deficient matrix (NotSpd)
+
+    @cached_property
+    def fact(self):
+        return cholesky(self.gram_sub, "subspace Gramian")
 
     @property
     def embedding(self):

@@ -15,14 +15,16 @@ The pressure basis lives on the coarse mesh (P1-continuous or P0) and couples
 to truth velocities through the exact constraint matrix B_T of
 b(q, v) = ∫ q v'.  A level holds it as a ``ConstraintForm``, which keeps no
 n × m_q array and builds one on each read: the deflation reads it twice, for
-its SVD and for B_eff = B_T Z, and drops it each time, so B_eff is the only
-such array a level keeps.
+its SVD (on the R factor of the copy it reads) and for B_eff = B_T Z, and
+drops it each time, so B_eff is the only such array a level keeps.  The
+dual Gram B_Tᵀ G⁻¹ B_T, which gives beta and norm_B, is formed in closed
+form in O(n) (``ConstraintForm.dual_gram``): G is never solved on B_T.
 Every coarse basis is read through one evaluator, ``coarse_basis``, the
 (index, value) pairs of the basis functions nonzero at a point: the P1
-prolongation stores them at the truth nodes, B_T reads them at the
-truth-element midpoints and the constraint rhs at its Gauss points.  Data for
-a manufactured solution are assembled by 5-point Gauss quadrature per truth
-element, which is exact to machine precision at these mesh sizes.
+prolongation stores them at the truth nodes, B_T and its dual Gram read them
+at the truth-element midpoints and the constraint rhs at its Gauss points.
+Data for a manufactured solution are assembled by 5-point Gauss quadrature
+per truth element, which is exact to machine precision at these mesh sizes.
 
 The auxiliary space W is P1 on a nested mesh from the coarse to the truth
 mesh.  ``ModelConfig.w_elems`` resolves ``w_kind`` to its element count, and
@@ -296,6 +298,7 @@ class ConstraintForm:
     ``shape`` is (n, m_q); the n × m_q matrix is not kept: ``to_dense()``
     builds a new Fortran-ordered one on each call, and so does
     ``np.asarray(form)``, for LAPACK to work in and the caller to drop.
+    ``dual_gram(truth)`` gives B_Tᵀ G⁻¹ B_T in closed form, in O(n).
     """
 
     def __init__(self, truth_elems, coarse_elems, kind):
@@ -303,11 +306,42 @@ class ConstraintForm:
         self.truth_elems, self.coarse_elems, self.kind = truth_elems, coarse_elems, kind
         self.shape = (truth_elems - 1, pressure_dim(coarse_elems, kind))
 
-    def to_dense(self):
+    def _midpoint_basis(self):
+        """``coarse_basis`` at the truth-element midpoints: the rows of P, n × m_q."""
         n = self.truth_elems
-        index, value = coarse_basis((np.arange(n) + 0.5) / n, self.coarse_elems, self.kind)
+        return coarse_basis((np.arange(n) + 0.5) / n, self.coarse_elems, self.kind)
+
+    def dual_gram(self, truth):
+        """K = B_Tᵀ G⁻¹ B_T (m_q × m_q) on the mesh's banded H¹₀ truth space; else None.
+
+        With P (n × m_q) the pressure basis at the truth-element midpoints
+        and C the n × (n − 1) difference matrix, B_T = Cᵀ P and G = n CᵀC.
+        C has full column rank and 1ᵀC = 0, so C (CᵀC)⁻¹ Cᵀ = I − 11ᵀ/n and
+
+            K = (1/n) (PᵀP − (Pᵀ1)(Pᵀ1)ᵀ / n).
+
+        PᵀP and Pᵀ1 sum the midpoints' ``coarse_basis`` pairs with
+        ``np.bincount``, as ``P1Prolongation.band_gram`` does; n is a power
+        of two, so both divisions are exact.  No n × m_q array is formed and
+        G is not solved.  Any other truth space gets None: its G is not n CᵀC.
+        """
+        n = self.truth_elems
+        if not isinstance(truth, BandedTruthSpace) or not np.array_equal(
+            truth.band, p1_stiffness_band(n)
+        ):
+            return None
+        index, value = self._midpoint_basis()
+        size = self.shape[1]
+        pairs = index[:, :, None] * size + index[:, None, :]
+        products = value[:, :, None] * value[:, None, :]
+        ptp = np.bincount(pairs.ravel(), products.ravel(), size * size).reshape(size, size)
+        sums = np.bincount(index.ravel(), value.ravel(), size)
+        return (ptp - np.outer(sums, sums) / n) / n
+
+    def to_dense(self):
+        index, value = self._midpoint_basis()
         b = np.zeros(self.shape, order="F")
-        rows = np.arange(n - 1)[:, None]
+        rows = np.arange(self.shape[0])[:, None]
         b[rows, index[:-1]] = value[:-1]
         b[rows, index[1:]] -= value[1:]
         return b
@@ -469,7 +503,8 @@ def build_spaces(cfg, pb):
 
     U and W are the subspaces of their P1Prolongation: each stores two arrays
     of truth length and its m × m Gramian, so a level's spaces take O(n + m²)
-    memory, and U nests in W because W's mesh refines U's.
+    memory, and U nests in W because W's mesh refines U's.  Each factors its
+    Gramian only when it is first solved with, and so does S on W's.
     """
     u_sub = Subspace(pb.truth, P1Prolongation(cfg.truth_elems, cfg.coarse_elems))
     w_elems = cfg.w_elems()

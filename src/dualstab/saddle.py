@@ -437,14 +437,16 @@ def solve(system):
     """
     n = sum(system.sizes)
     m = system.write(np.zeros((n, n), order="F"))
-    # read in place: the least and the largest entry are finite exactly when all are
-    if not (np.isfinite(m.min()) and np.isfinite(m.max())):
+    # the 1-norm of the Fortran buffer, read in place.  A NaN or inf entry
+    # makes it NaN or inf, so the entries are scanned only then, to tell such
+    # an entry from finite ones whose column sum overflows (the least and the
+    # largest entry are finite exactly when all are).  Either is NonFinite:
+    # gecon would read an infinite norm as rcond 0 and call a regular system
+    # singular
+    anorm = lapack.dlange("1", m)
+    if not np.isfinite(anorm) and not (np.isfinite(m.min()) and np.isfinite(m.max())):
         raise NonFinite("system matrix contains non-finite entries")
     rhs = as_matrix(np.reshape(system.rhs, (-1, 1)), "right-hand side")
-    # the 1-norm of the Fortran buffer, read in place; an overflow to inf is
-    # reported once, as NonFinite: gecon would read an infinite norm as
-    # rcond 0 and call a regular system singular
-    anorm = lapack.dlange("1", m)
     if not np.isfinite(anorm):
         raise NonFinite("system matrix 1-norm overflows")
     lu, piv, info = lapack.dgetrf(m, overwrite_a=1)

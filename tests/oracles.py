@@ -7,8 +7,10 @@ from dualstab.algebra import (
     as_matrix,
     band_to_dense,
     cholesky,
+    eigh,
     lapack,
     operator_norm,
+    require_symmetric,
     spd_solve,
     sym_generalized_eigvals,
 )
@@ -242,3 +244,39 @@ def dense_condense(tf):
     rhs_q = rhs[ip] - b_wqt @ spd_solve(s_fact, rhs[iw])
     matrix = np.block([[m[iu, iu], m[iu, ip]], [bottom_left, bottom_right]])
     return matrix, np.concatenate([rhs[iu], rhs_q])
+
+
+def _dgesdd(a, full_matrices):
+    """(s, C-ordered Vᵀ) of LAPACK dgesdd on all of ``a``, which forms U as well."""
+    a = np.array(a, dtype=float, order="F")
+    lwork, _ = lapack.dgesdd_lwork(*a.shape, compute_uv=1, full_matrices=full_matrices)
+    _, s, vt, info = lapack.dgesdd(a, compute_uv=1, full_matrices=full_matrices, lwork=int(lwork))
+    assert info == 0, info
+    return s, np.ascontiguousarray(vt)
+
+
+def svd_deflation(b_t, q_gram):
+    """(Z, B_T Z, Zᵀ G_Q Z) from the SVD of the whole of B_T.
+
+    The oracle of ``dualprod.deflate_pressures``: dgesdd runs on B_T itself,
+    forming its n × m_q U, where the package reduces a tall B_T to its R
+    factor first.  The rest is the package's sequence: the kernel is the
+    right singular vectors at or below KERNEL_RTOL of the largest, its
+    Euclidean complement against G_Q times the kernel comes from a full SVD,
+    and that complement is G_Q-orthonormalized by an eigendecomposition.
+    """
+    q_gram = require_symmetric(q_gram, "pressure Gramian")
+    rows, n = np.shape(b_t)
+    svals, vt = _dgesdd(b_t, full_matrices=rows < n)
+    rank = int(np.sum(svals > KERNEL_RTOL * svals[0]))
+    if rank == n:
+        z = np.eye(n)
+    else:
+        kernel = vt[rank:].T
+        _, vt2 = _dgesdd((q_gram @ kernel).T, full_matrices=True)
+        comp = vt2[kernel.shape[1] :].T
+        gram = comp.T @ (q_gram @ comp)
+        w, v = eigh(0.5 * (gram + gram.T))
+        z = comp @ (v / np.sqrt(w))
+    q_eff = z.T @ (q_gram @ z)
+    return z, np.asarray(b_t, dtype=float) @ z, 0.5 * (q_eff + q_eff.T)

@@ -128,6 +128,14 @@ class TestInputChecks:
         with pytest.raises(error, match=f"^{message}$"):
             call(np.full((4, 4), np.nan))
 
+    def test_tall_nan_matrix_reaches_dgesdd(self):
+        # a tall matrix with a NaN is not reduced to R first, so dgesdd
+        # refuses it as it refuses a square one
+        a = np.ones((40, 3))
+        a[7, 1] = np.nan
+        with pytest.raises(ValueError, match="^illegal value in argument 4 of LAPACK dgesdd$"):
+            svd(a)
+
 
 class TestSpdSolve:
     def test_frozen_solution(self):
@@ -415,9 +423,10 @@ class TestWorksInPlace:
         assert traced_peak(sym_generalized_eigvals, a, fact)[1] <= 1.25 * a.nbytes
 
     def test_svd_works_in_an_f_ordered_input(self):
-        # dgesdd works in an F-ordered input: above it, the traced peak is
-        # the U it forms and its workspace (1.13 of the input's size), where
-        # a copy of the input took it to 2.13; any other input is copied
+        # a tall F-ordered input is reduced to its R factor in place: above
+        # it, the traced peak is R, its SVD and their workspaces (0.15 of the
+        # input's size), where the U of dgesdd on the whole input took it to
+        # 1.13 and a copy of the input to 2.13; any other input is copied
         # first and left as it was
         a = np.random.default_rng(45).standard_normal((4000, 100))
         kept = a.copy()
@@ -425,7 +434,7 @@ class TestWorksInPlace:
         assert np.array_equal(a, kept)
         f = np.asfortranarray(a)
         (s_f, vt_f), peak = traced_peak(svd, f)
-        assert peak <= 1.25 * a.nbytes
+        assert peak <= 0.25 * a.nbytes
         assert np.array_equal(s_f, s) and np.array_equal(vt_f, vt)
         assert not np.array_equal(f, a)
 
@@ -698,6 +707,24 @@ class TestBitForBitWithScipy:
             assert np.array_equal(lam, w)
             x = scipy.linalg.solve_triangular(lower.T, v, lower=False)
             assert np.array_equal(vectors, x)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-200, 1e-138, 1e138, 1e200])
+    def test_svd_of_a_tall_matrix_is_dgesdd_on_it(self, scale):
+        # the R-SVD of a tall input gives the bits of dgesdd on the whole of
+        # it, which reduces it to R itself from 11/6 as many rows as columns
+        # on; below that height, and where dgesdd rescales, it runs whole
+        lapack = scipy.linalg.lapack
+        rng = np.random.default_rng(26)
+        for shape in ((2, 1), (5, 1), (7, 4), (8, 4), (15, 9), (31, 17), (100, 3), (2047, 17)):
+            a = scale * rng.standard_normal(shape)
+            for full in (False, True):
+                lwork, _ = lapack.dgesdd_lwork(*shape, compute_uv=1, full_matrices=full)
+                _, s, vt, info = lapack.dgesdd(
+                    a, compute_uv=1, full_matrices=full, lwork=int(lwork)
+                )
+                assert info == 0
+                mine = svd(np.array(a, order="F"), full_matrices=full)
+                assert np.array_equal(mine[0], s) and np.array_equal(mine[1], vt), (shape, full)
 
     def test_not_spd_messages(self):
         indefinite = np.array([[0.0, 2.0], [1.0, 1.0]])  # [[1, 2], [2, 1]]

@@ -1112,22 +1112,85 @@ class TestSystemLifetimes:
         return code, rows, peak
 
     def test_condense_check_traced_peak(self, tmp_path):
-        # 5.55 MiB cold (5.52 warm), with B_T's dense matrix dropped after
-        # the deflation; 5.80 MiB when the problem kept it, 8.93 MiB when
-        # solve() factored a copy of an assembled matrix, and 9.43 MiB when
-        # A_UU was a second Gram and each gamma's systems outlived the next
-        # gamma's
+        # 5.09 MiB cold (4.90 warm), with W factored only after the maximal
+        # solves, whose truth-sized U = W is never factored; 5.71 MiB (5.52
+        # warm) when every subspace was factored when built, 5.80 MiB when the
+        # problem kept B_T's dense matrix, 8.93 MiB when solve() factored a
+        # copy of an assembled matrix, and 9.43 MiB when A_UU was a second
+        # Gram and each gamma's systems outlived the next gamma's
         code, rows, peak = self.traced_peak(tmp_path, "condense-check")
         assert code == 0 and len(rows) == 3
-        assert peak <= 5.72 * 2**20
+        assert peak <= 5.25 * 2**20
 
     def test_solve_traced_peak(self, tmp_path):
-        # 5.21 MiB cold and warm, with B_T's dense matrix dropped after the
-        # deflation; 5.46 MiB when the problem kept it, 8.04 MiB when solve()
-        # factored a copy of an assembled matrix
+        # 5.27 MiB cold (5.08 warm), with U never factored; 5.39 MiB (5.20
+        # warm) when it was factored when built, 5.46 MiB when the problem
+        # kept B_T's dense matrix, 8.04 MiB when solve() factored a copy of an
+        # assembled matrix
         code, rows, peak = self.traced_peak(tmp_path, "solve")
         assert code == 0 and len(rows) == 3
-        assert peak <= 5.37 * 2**20
+        assert peak <= 5.33 * 2**20
+
+
+class TestFactorsOnFirstSolve:
+    # a level's subspaces factor their Grams only when a command solves with
+    # them: U only in converge's best approximation, W only through S
+
+    @staticmethod
+    def record_spaces(monkeypatch):
+        """Every discretization models.build_spaces returns, in order."""
+        spaces, original = [], models.build_spaces
+
+        def recorded(cfg, pb):
+            spaces.append(original(cfg, pb))
+            return spaces[-1]
+
+        monkeypatch.setattr(models, "build_spaces", recorded)
+        return spaces
+
+    @pytest.mark.parametrize(
+        "command, factored",
+        [
+            ("constants", False),
+            ("spectral", False),
+            ("infsup", False),
+            ("solve", False),
+            ("condense-check", False),
+            ("converge", True),
+        ],
+    )
+    def test_u_factored_only_by_converge(self, tmp_path, monkeypatch, command, factored):
+        spaces = self.record_spaces(monkeypatch)
+        path = write_cfg(tmp_path, "truth_elems = 64\nlevels = 4, 8\ncoarse_elems = 8\n")
+        code, _, _ = run_csv(tmp_path, [command, "--config", path])
+        assert code == 0
+        # condense-check's maximal spaces come last, with U = W
+        configured = [d for d in spaces if d.U is not d.W]
+        assert configured and all(("fact" in vars(d.U)) == factored for d in configured)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "truth_elems = 64\ncoarse_elems = 8\n",
+            "truth_elems = 64\ncoarse_elems = 32\npressure = p0\n",
+        ],
+        ids=["w16", "w-truth"],
+    )
+    def test_condense_check_factors_w_after_its_maximal_solves(self, tmp_path, monkeypatch, text):
+        # the maximal systems (U = W = truth) never solve S; the configured
+        # W is factored for the stabilized route's products, after them
+        spaces = self.record_spaces(monkeypatch)
+        factored, original = [], saddle.solve
+
+        def solved(system):
+            factored.append([sub for d in spaces for sub in (d.U, d.W) if "fact" in vars(sub)])
+            return original(system)
+
+        monkeypatch.setattr(saddle, "solve", solved)
+        code, _, rows = run_csv(tmp_path, ["condense-check", "--config", write_cfg(tmp_path, text)])
+        assert code == 0 and len(rows) == 3
+        assert factored == [[], [], []]
+        assert "fact" in vars(spaces[0].W) and "fact" not in vars(spaces[0].U)
 
 
 class TestExactStiffnessRange:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -33,15 +34,18 @@ from dualstab.dualprod import (
     verify_infsup_sandwich,
     verify_stiffness_bound,
 )
-from dualstab.hilbert import Functional, Subspace, TruthSpace, dual_norm
+from dualstab.hilbert import BandedTruthSpace, Functional, Subspace, TruthSpace, dual_norm
 from dualstab.models import (
     ConstraintForm,
+    P1Prolongation,
     constraint_matrix,
     p1_interior_mass,
+    p1_stiffness_band,
+    pressure_dim,
     pressure_mass,
     prolongation_p1,
 )
-from oracles import p1_stiffness, random_spd
+from oracles import p1_stiffness, random_spd, svd_deflation
 
 
 def random_truth(rng, n):
@@ -102,6 +106,23 @@ class TestStiffnessChoices:
         assert calls == []
         assert np.array_equal(sf.fact.lower, np.sqrt(sigma) * sub.fact.lower)
         assert sf.fact.dim == sub.dim
+
+    @pytest.mark.parametrize("choice, sigma", [("gramian", 1.0), ("scaled:3", 3.0)])
+    def test_w_factored_when_s_is_first_solved(self, choice, sigma):
+        # on a structured W, neither W nor S is factored until S is solved
+        sub = Subspace(BandedTruthSpace(p1_stiffness_band(64)), P1Prolongation(64, 16))
+        sf = make_stiffness(sub, choice)
+        assert "fact" not in vars(sub) and "fact" not in vars(sf)
+        f = Functional(np.linspace(-1.0, 1.0, 63))
+        value = c_apply(DualProduct(aux=sub, stiffness=sf), f, f)
+        assert "fact" in vars(sub) and "fact" in vars(sf)
+        assert np.array_equal(sf.fact.lower, np.sqrt(sigma) * sub.fact.lower)
+        assert (sf.fact is sub.fact) == (sigma == 1.0)
+        w = sub.restrict(f.action)
+        assert value == pytest.approx(w @ np.linalg.solve(sigma * sub.gram_sub, w), rel=1e-12)
+        # a restated form derives its factor from the same σ
+        restated = replace(sf, kappa_star=2.0 * sf.kappa_star)
+        assert np.array_equal(restated.fact.lower, sf.fact.lower)
 
     def test_scaled_four_factor_is_the_cholesky_bits(self):
         # √4 = 2 is exact, so W's factor doubled is the factor of 4·G_W
@@ -361,6 +382,99 @@ class TestPressureDeflation:
         assert first is not second and not np.shares_memory(first, second)
         assert first.flags.f_contiguous and first.dtype == float
         np.testing.assert_array_equal(first, second)
+
+    @pytest.mark.parametrize("kind", ["p1", "p0"])
+    @pytest.mark.parametrize(
+        "truth, coarse",
+        [(512, 256), (1024, 16), (1024, 32), (1024, 64), (1024, 128), (2048, 16), (65536, 128),
+         (16, 16), (8, 8)],
+        ids=lambda v: str(v),
+    )
+    def test_deflation_is_the_svd_oracle_bit_for_bit(self, kind, truth, coarse):
+        # a tall B_T reaches s and Vᵀ through its R factor (Chan's R-SVD),
+        # which dgesdd on all of B_T forms itself at these heights; a wide
+        # one takes the full SVD
+        form = ConstraintForm(truth, coarse, kind)
+        qg = pressure_mass(coarse, kind)
+        got = deflate_pressures(form, qg, BandedTruthSpace(p1_stiffness_band(truth)))
+        z, b_eff, q_eff = svd_deflation(form, qg)
+        # ker B_T holds the constants, and a wide B_T has rank n
+        rank = min(truth - 1, pressure_dim(coarse, kind) - 1)
+        assert got.basis.shape[1] == z.shape[1] == rank
+        for name, expected in (("basis", z), ("b_eff", b_eff), ("q_eff", q_eff)):
+            assert np.array_equal(getattr(got, name), expected), name
+
+    @pytest.mark.parametrize("kind", ["p1", "p0"])
+    def test_deflation_peak_is_one_constraint_matrix(self, kind):
+        # truth 16384, coarse 128: B_T is one unit of about 16.9 MB.  The
+        # deflation holds the copy it reduces in place and its finiteness
+        # mask (1.13 units); dgesdd's U beside the copy took it to 2.05
+        form = ConstraintForm(16384, 128, kind)
+        qg = pressure_mass(128, kind)
+        unit = form.shape[0] * form.shape[1] * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            pressure_deflation(form, qg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * unit, f"the deflation peaked at {peak / unit:.2f} units"
+
+
+class TestClosedFormDualGram:
+    # a model level's B_Tᵀ G⁻¹ B_T is (1/n)(PᵀP − (Pᵀ1)(Pᵀ1)ᵀ/n) from the
+    # pressure basis P at the truth-element midpoints, and G is not solved
+
+    @pytest.mark.parametrize("kind", ["p1", "p0"])
+    @pytest.mark.parametrize("truth, coarse", [(8, 2), (64, 8), (256, 256), (1024, 128)])
+    def test_matches_the_truth_solve(self, kind, truth, coarse):
+        form = ConstraintForm(truth, coarse, kind)
+        ts = BandedTruthSpace(p1_stiffness_band(truth))
+        k = form.dual_gram(ts)
+        b = form.to_dense()
+        solved = b.T @ ts.solve(b)
+        assert k.shape == (form.shape[1],) * 2
+        np.testing.assert_allclose(k, solved, rtol=0.0, atol=1e-12 * np.abs(solved).max())
+        assert np.array_equal(k, k.T)
+        # the constant pressure is in ker B_T, exactly
+        assert not (k @ np.ones(len(k))).any()
+
+    def test_other_truth_spaces_get_none(self):
+        form = ConstraintForm(32, 4, "p1")
+        band = p1_stiffness_band(32)
+        assert form.dual_gram(TruthSpace(p1_stiffness(32))) is None
+        assert form.dual_gram(BandedTruthSpace(2.0 * band)) is None
+        assert form.dual_gram(BandedTruthSpace(p1_stiffness_band(64)[:, :31])) is None
+        assert form.dual_gram(BandedTruthSpace(band.copy())) is not None
+
+    @pytest.mark.parametrize("kind", ["p1", "p0"])
+    def test_level_dual_gram_solves_no_truth(self, monkeypatch, kind):
+        ts = BandedTruthSpace(p1_stiffness_band(256))
+        form, qg = ConstraintForm(256, 16, kind), pressure_mass(16, kind)
+        dense = deflate_pressures(form.to_dense(), qg, ts).dual_gram
+        pressures = deflate_pressures(form, qg, ts)
+
+        def no_solve(rhs):
+            raise AssertionError("the closed-form dual Gram solves no truth system")
+
+        monkeypatch.setattr(ts, "solve", no_solve)
+        gram = pressures.dual_gram
+        z = pressures.basis
+        k = form.dual_gram(ts)
+        product = z.T @ (k @ z)
+        assert np.array_equal(gram, 0.5 * (product + product.T))
+        np.testing.assert_allclose(gram, dense, rtol=0.0, atol=1e-13 * np.abs(dense).max())
+
+    def test_dense_constraint_solves_the_truth(self, monkeypatch):
+        ts = BandedTruthSpace(p1_stiffness_band(64))
+        b, qg = constraint_matrix(64, 8, "p1"), pressure_mass(8, "p1")
+        pressures = deflate_pressures(b, qg, ts)
+        solved = []
+        original = ts.solve
+        monkeypatch.setattr(ts, "solve", lambda rhs: solved.append(rhs) or original(rhs))
+        pressures.dual_gram
+        assert len(solved) == 1 and solved[0] is pressures.b_eff
 
 
 def dual_norm_infsup(b, qg, sub):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dualstab.algebra import DimensionMismatch, NotSpd, band_to_dense, spd_solve
+from dualstab.algebra import DimensionMismatch, NotSpd, band_to_dense, cholesky, spd_solve
 from dualstab.hilbert import (
     BandedTruthSpace,
     Functional,
@@ -12,6 +12,7 @@ from dualstab.hilbert import (
     dual_norm,
     orthogonal_project,
 )
+from dualstab.models import P1Prolongation, p1_stiffness_band
 from oracles import random_spd
 
 
@@ -52,6 +53,26 @@ class TestSpaces:
         e = np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0]])  # duplicate direction
         with pytest.raises(NotSpd):
             Subspace(ts, e)
+
+    def test_dense_embedding_factored_when_built(self):
+        # a caller's matrix may be rank-deficient, so it is factored at once
+        rng = np.random.default_rng(3)
+        ts, sub = random_pair(rng, 12, 5)
+        assert "fact" in vars(sub)
+
+    def test_structured_embedding_factored_on_first_solve(self):
+        # a nested P1 prolongation has full rank by construction: its Gram is
+        # formed with the subspace, and factored only when it is first solved
+        ts = BandedTruthSpace(p1_stiffness_band(64))
+        sub = Subspace(ts, P1Prolongation(64, 8))
+        assert "fact" not in vars(sub)
+        sub.norm(np.ones(7))
+        assert "fact" not in vars(sub)
+        c = orthogonal_project(sub, np.ones(63))
+        assert vars(sub)["fact"] is sub.fact
+        np.testing.assert_array_equal(sub.fact.lower, cholesky(sub.gram_sub).lower)
+        rhs = sub.restrict(ts.apply(np.ones(63)))
+        np.testing.assert_allclose(sub.gram_sub @ c, rhs, rtol=0.0, atol=1e-12 * np.abs(rhs).max())
 
     def test_embedding_row_mismatch_rejected(self):
         ts = TruthSpace(np.eye(3))

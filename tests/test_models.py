@@ -520,9 +520,10 @@ class TestBuilders:
 
     def test_level_keeps_no_constraint_matrix(self):
         # truth 16384, coarse 128: B_T is 16383 × 129, one unit of 16.9 MB.
-        # The level keeps B_eff only (1.03 units) and peaks at 2.07 units,
-        # while the SVD's U or B_eff sits beside a B_T read anew; keeping
-        # B_T, with the SVD's copy of it, took 2.03 and 3.07 units
+        # The level keeps B_eff only (1.03 units) and peaks at 2.03 units,
+        # while B_eff sits beside a B_T read anew (2.07 when the SVD's U sat
+        # beside B_T's copy too); keeping B_T, with the SVD's copy of it,
+        # took 2.03 and 3.07 units
         cfg = ModelConfig(truth_elems=16384, coarse_elems=128)
         truth = models.truth_record(cfg)
         unit = 16383 * 129 * 8
@@ -539,6 +540,22 @@ class TestBuilders:
         assert peak < 2.25 * unit, f"the level's build peaked at {peak / unit:.2f} units"
         # B_T's dense matrix is built when it is read, and then kept
         assert pb.b_form is pb.b_form and pb.b_form.shape == (16383, 129)
+
+    def test_dual_gram_forms_no_constraint_sized_array(self):
+        # beta and norm_B of a level read its dual Gram, formed in closed form
+        # from the truth-length basis pairs: 0.16 units at truth 16384,
+        # coarse 128, where the truth solve on B_eff took 1.02
+        cfg = ModelConfig(truth_elems=16384, coarse_elems=128)
+        pb = models.build_level(cfg, models.truth_record(cfg))
+        unit = 16383 * 129 * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            pb.pressures.beta
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * unit, f"the dual Gram peaked at {peak / unit:.2f} units"
 
 
 def no_solve(*args):
