@@ -170,7 +170,8 @@ def as_matrix(a, name="matrix"):
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or min(a.shape) < 1:
         raise DimensionMismatch(f"{name} must be 2-d with positive shape, got {a.shape}")
-    if not np.all(np.isfinite(a)):
+    # the least and the largest entry, read in place, are finite exactly when all are
+    if not (np.isfinite(a.min()) and np.isfinite(a.max())):
         raise NonFinite(f"{name} contains non-finite entries")
     return a
 
@@ -188,11 +189,20 @@ def require_symmetric(a, name="matrix"):
     if scale > 0.0 and skew.max() > SYMMETRY_RTOL * scale:
         raise ValueError(f"{name} is not symmetric within relative tolerance {SYMMETRY_RTOL:g}")
     del skew
-    if scale > np.finfo(float).max / 2:  # a + aᵀ may overflow: sum halves, exact but for subnormals
-        sym = a * 0.5
-        sym += a.T * 0.5
+    return symmetrized(a)
+
+
+def symmetrized(p):
+    """(P + Pᵀ)/2 of a square P as a new, exactly symmetric array; P is not written."""
+    # a product the package forms is symmetric only to roundoff, and its
+    # pencil needs it exactly so.  Past half the float maximum P + Pᵀ may
+    # overflow, so the halves are summed there, exact but for subnormals;
+    # below, the sum is the one n² array made, and it is halved in place
+    if max(p.max(), -p.min()) > np.finfo(float).max / 2:
+        sym = p * 0.5
+        sym += p.T * 0.5
         return sym
-    sym = a + a.T
+    sym = p + p.T
     sym *= 0.5
     return sym
 

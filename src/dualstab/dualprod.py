@@ -39,8 +39,8 @@ on W's Gram (``gramian``, ``scaled:σ``) reads W's factor only when S is
 first solved.  The products this module forms for its pencils (the dual
 Gram, B_Wᵀ G_W⁻¹ B_W and B_Wᵀ S⁻¹ B_W) are symmetric only to roundoff, which
 grows with the condition of G and G_W, so each is symmetrized where it is
-formed (``_symmetrized``): the pencils' symmetry check, meant for a caller's
-input, then never fails on them.
+formed (``algebra.symmetrized``): the pencils' symmetry check, meant for a
+caller's input, then never fails on them.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ from .algebra import (
     spd_solve,
     svd,
     sym_generalized_eigvals,
+    symmetrized,
 )
 from .hilbert import Subspace, TruthSpace
 
@@ -297,7 +298,7 @@ def pressure_deflation(b_t, q_gram):
     m = q_gram @ kernel
     _, vt2 = svd(m.T, full_matrices=True)
     comp = vt2[kernel.shape[1]:].T
-    w, v = eigh(_symmetrized(comp.T @ (q_gram @ comp)))
+    w, v = eigh(symmetrized(comp.T @ (q_gram @ comp)))
     if w.min() <= KERNEL_RTOL * w.max():
         raise DegeneratePencil("deflated pressure Gramian is singular")
     return comp @ (v / np.sqrt(w))
@@ -329,8 +330,8 @@ class DeflatedPressures:
         closed_form = getattr(self.constraint, "dual_gram", None)
         k = None if closed_form is None else closed_form(self.truth)
         if k is None:
-            return _symmetrized(self.b_eff.T @ self.truth.solve(self.b_eff))
-        return _symmetrized(self.basis.T @ (k @ self.basis))
+            return symmetrized(self.b_eff.T @ self.truth.solve(self.b_eff))
+        return symmetrized(self.basis.T @ (k @ self.basis))
 
     @cached_property
     def _truth_range(self):
@@ -344,7 +345,7 @@ class DeflatedPressures:
 def deflate_pressures(b_t, q_gram, truth):
     """Deflate the pressures of (B_T, G_Q) once, on ``truth``; ``pressure_deflation`` checks both."""
     z = pressure_deflation(b_t, q_gram)
-    q_eff = _symmetrized(z.T @ (np.asarray(q_gram, dtype=float) @ z))
+    q_eff = symmetrized(z.T @ (np.asarray(q_gram, dtype=float) @ z))
     b_eff = np.asarray(b_t, dtype=float) @ z
     q_fact = cholesky(q_eff, "deflated pressure Gramian")
     return DeflatedPressures(z, b_eff, q_eff, q_fact, truth, b_t)
@@ -366,12 +367,7 @@ def _sup_gram(sub, pressures):
     if pressures.b_eff.shape[0] != sub.parent.dim:
         raise DimensionMismatch("constraint matrix rows do not match the truth space")
     b_w = sub.restrict(pressures.b_eff)
-    return b_w, _symmetrized(b_w.T @ spd_solve(sub.fact, b_w))
-
-
-def _symmetrized(product):
-    """(P + Pᵀ)/2 of a product P that is symmetric up to roundoff; exact on a symmetric P."""
-    return 0.5 * (product + product.T)
+    return b_w, symmetrized(b_w.T @ spd_solve(sub.fact, b_w))
 
 
 def pressure_infsup(pressures, sub):
@@ -396,7 +392,7 @@ def measure_equivalence(dp, pressures):
         dual_fact = cholesky(pressures.dual_gram, "deflated dual Gramian")
     except NotSpd:
         raise DegeneratePencil("deflated dual-norm Gramian is singular") from None
-    numer = _symmetrized(b_w.T @ spd_solve(dp.stiffness.fact, b_w))
+    numer = symmetrized(b_w.T @ spd_solve(dp.stiffness.fact, b_w))
     c_upper = 1.0 / dp.stiffness.kappa_star
     c_star = float(sym_generalized_eigvals(numer, dual_fact)[0])
     if c_star <= KERNEL_RTOL * c_upper:

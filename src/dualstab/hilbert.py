@@ -41,6 +41,7 @@ from .algebra import (
     cholesky_band,
     require_symmetric,
     spd_solve,
+    symmetrized,
 )
 
 
@@ -67,8 +68,7 @@ class TruthSpace:
         """
         e = _as_embedding(e)
         if f is None:
-            g = self._cross(e, e)
-            return 0.5 * (g + g.T)
+            return symmetrized(self._cross(e, e))
         return self._cross(e, _as_embedding(f))
 
     def _cross(self, e, f):

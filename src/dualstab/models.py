@@ -55,9 +55,9 @@ GAUSS_WEIGHTS = (0.23692688505618928, 0.4786286704993663, 0.5688888888888887, 0.
 # Largest truth mesh of a W that spans it (w = truth, or a refined:k or same
 # that reaches it), such as the maximal system of condense-check, which builds
 # n × n truth matrices: at truth 2048 the heaviest one, coarse_elems = 2048
-# with P1 pressures and w = same, peaks at 668 MB of RSS (2 cores, one BLAS
-# thread) and exits 3 after 11–13 s, when its 6142² maximal system screens
-# singular at rcond 6.0e-13.
+# with P1 pressures and w = same, peaks at 605 MB of RSS (2 cores, one BLAS
+# thread) and exits 3 after 7.5–10.4 s, when its 6142² maximal system
+# screens singular at rcond 6.0e-13.
 DENSE_TRUTH_LIMIT = 2048
 
 
@@ -349,11 +349,6 @@ class ConstraintForm:
     def __array__(self, dtype=None, copy=None):
         # every read builds a new matrix, so any copy request is met
         return self.to_dense() if dtype is None else self.to_dense().astype(dtype, copy=False)
-
-
-def constraint_matrix(truth_elems, coarse_elems, kind):
-    """The n × m_q matrix of ``ConstraintForm(truth_elems, coarse_elems, kind)``."""
-    return ConstraintForm(truth_elems, coarse_elems, kind).to_dense()
 
 
 # ---------------------------------------------------------------------------

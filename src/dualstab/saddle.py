@@ -17,17 +17,18 @@ pressures, deflated against ker B_T on its truth space (see dualprod) when
 the problem is built, as ``pb.pressures``, which every discretization built
 on it reads; the pressures own beta, norm_B and the dual Gram
 B_effᵀ G⁻¹ B_eff, which ``constants`` reads.  B_T may be structured
-(``models.ConstraintForm``): the problem keeps it as given, and its dense
-matrix, ``pb.b_form`` and ``d.b_sel``, is built only when one of them is
-read, and then kept; no command reads them.  A discretization is (problem,
-U, dual product, gamma), and it owns the γ-free blocks of its (problem, U,
-dual product), built on first read as ``d.blocks``: A_UU, A_WU, B_UQ, B_WQ,
-F_U, F_W, one set of rows when U is W, and, on first read, the B_WQᵀ S⁻¹
-products of the stabilized route.  ``d.with_gamma`` restates γ and keeps
-them, so every γ and both assemblies read one set, which lives as long as
-the discretizations that share it.  Only the (1/γ)S block, the γ-scaled
-products and ``static_condense``, which factors S/γ from its blocks as the
-independent route and solves it once, against B_WQ's columns, depend on γ.
+(``models.ConstraintForm``): the problem keeps it as given, as
+``pb.constraint``, and ``d.b_sel`` is that same object, so a function that
+takes (b_t, q_gram) reads the B_T and the dual Gram that ``constants``
+reads.  A discretization is (problem, U, dual product, gamma), and it owns
+the γ-free blocks of its (problem, U, dual product), built on first read as
+``d.blocks``: A_UU, A_WU, B_UQ, B_WQ, F_U, F_W, one set of rows when U is W,
+and, on first read, the B_WQᵀ S⁻¹ products of the stabilized route.
+``d.with_gamma`` restates γ and keeps them, so every γ and both assemblies
+read one set, which lives as long as the discretizations that share it.
+Only the (1/γ)S block, the γ-scaled products and ``static_condense``, which
+factors S/γ from its blocks as the independent route and solves it once,
+against B_WQ's columns, depend on γ.
 A system holds (1/γ)S and the negated B blocks as (block, divisor) pairs,
 so it copies no block; ``solve`` writes each quotient straight into the one
 n × n buffer it factors.  Systems live in deflated coordinates.  The blocks
@@ -58,6 +59,7 @@ from .algebra import (
     require_symmetric,
     spd_solve,
     sym_generalized_eigvals,
+    symmetrized,
 )
 from .dualprod import (
     Check,
@@ -128,12 +130,10 @@ class SaddleProblem:
     The record validates itself when it is built; its ``space`` must be a
     TruthSpace, which is ``truth``.  ``constraint`` is B_T as given: a dense
     matrix, or a structured one (``models.ConstraintForm``) that has a
-    ``shape`` and builds its matrix on each read.  ``b_form`` is B_T's dense
-    matrix: a dense B_T itself, a structured one's built on first read and
-    then kept.
-    The pressures are deflated when the problem is built, after its checks:
-    ``pressures`` is the DeflatedPressures of (B_T, G_Q) and ``g_eff`` the
-    constraint rhs in their coordinates, so a degenerate B_T fails here.
+    ``shape`` and builds its matrix on each read.  The pressures are
+    deflated when the problem is built, after its checks: ``pressures`` is
+    the DeflatedPressures of (B_T, G_Q) and ``g_eff`` the constraint rhs in
+    their coordinates, so a degenerate B_T fails here.
     """
 
     # bench/traced_cli.py keys models.build_spaces on pb.label; the key's cfg
@@ -164,10 +164,6 @@ class SaddleProblem:
         self.pressures = deflate_pressures(self.constraint, self.q_gram, truth)
         self.g_eff = self.pressures.basis.T @ self.constraint_rhs
 
-    @cached_property
-    def b_form(self):
-        return np.asarray(self.constraint, dtype=float)
-
     @property
     def pressure_dim(self):
         return self.constraint.shape[1]
@@ -178,9 +174,9 @@ class Discretization:
 
     It reads the pressures the problem deflated when it was built:
     ``b_eff``, ``q_eff`` and ``p_dim`` are theirs, ``b_sel`` and ``q_sel``
-    the problem's B_T and G_Q; ``b_sel`` is ``pb.b_form``, so B_T's dense
-    matrix is built only when it is read.  ``blocks`` are the γ-free blocks
-    of (problem, U, dual product), built on first read; ``with_gamma`` shares them.
+    the problem's B_T, as it holds it (``pb.constraint``), and G_Q.
+    ``blocks`` are the γ-free blocks of (problem, U, dual product), built on
+    first read; ``with_gamma`` shares them.
     """
 
     def __init__(self, pb, u, dp, gamma):
@@ -201,7 +197,7 @@ class Discretization:
 
     @property
     def b_sel(self):
-        return self.problem.b_form
+        return self.problem.constraint
 
     @property
     def W(self):
@@ -529,8 +525,7 @@ def verify_coercivity(pb, d, report):
     predicted).
     """
     _require_below_gamma0(d.gamma, report)
-    k = assemble_stabilized(pb, d).matrix
-    sym_k = 0.5 * (k + k.T)
+    sym_k = symmetrized(assemble_stabilized(pb, d).matrix)
     lower, m = np.zeros_like(sym_k), d.U.dim
     lower[:m, :m], lower[m:, m:] = d.U.fact.lower, pb.pressures.q_fact.lower
     measured = float(sym_generalized_eigvals(sym_k, SpdFactorization(len(lower), lower))[0])

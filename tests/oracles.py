@@ -161,7 +161,7 @@ def hat_constraint_matrix(truth_elems, coarse_elems, kind):
     For P1, every coarse hat is evaluated at every truth node, and row i is
     half the difference of the hat values at nodes i and i + 2; for P0, ±1
     goes to the parent cells of the two truth elements of each hat.  The
-    bit-level oracle of ``models.constraint_matrix``.
+    bit-level oracle of ``models.ConstraintForm.to_dense``.
     """
     if kind == "p1":
         xi = np.linspace(0.0, 1.0, truth_elems + 1)

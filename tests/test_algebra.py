@@ -31,6 +31,7 @@ from dualstab.algebra import (
     svd,
     sym_generalized_eig,
     sym_generalized_eigvals,
+    symmetrized,
 )
 from oracles import random_spd
 
@@ -393,8 +394,8 @@ class TestRequireSymmetric:
         assert np.array_equal(require_symmetric(a, "a"), 0.5 * (a + a.T))
 
     def test_holds_one_temporary_at_a_time(self):
-        # above the input, the traced peak is the returned copy and the
-        # finiteness mask; |a|, |a − aᵀ| and 0.5·(a + aᵀ) alive beside their
+        # above the input, the traced peak is the returned copy (1.05 n²
+        # doubles); |a|, |a − aᵀ| and 0.5·(a + aᵀ) alive beside their
         # operands took it to two copies
         rng = np.random.default_rng(42)
         a = rng.standard_normal((400, 400))
@@ -402,6 +403,23 @@ class TestRequireSymmetric:
         out, peak = traced_peak(require_symmetric, a, "a")
         assert out.shape == a.shape
         assert peak <= 1.25 * a.nbytes
+
+
+class TestSymmetrized:
+    def test_exactly_symmetric_and_the_halved_sum_in_range(self):
+        # every product the package forms is symmetrized here: in the normal
+        # range it is 0.5 * (p + pᵀ) bit for bit, sign of zero included
+        rng = np.random.default_rng(47)
+        for _ in range(100):
+            n = int(rng.integers(1, 40))
+            p = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-150.0, 150.0)
+            p[rng.random((n, n)) < 0.1] = -0.0
+            kept = p.copy()
+            out, expected = symmetrized(p), 0.5 * (p + p.T)
+            assert np.array_equal(out, out.T)
+            assert np.array_equal(out, expected)
+            assert np.array_equal(np.signbit(out), np.signbit(expected))
+            assert np.array_equal(p, kept)
 
 
 class TestWorksInPlace:

@@ -38,7 +38,6 @@ from dualstab.hilbert import BandedTruthSpace, Functional, Subspace, TruthSpace,
 from dualstab.models import (
     ConstraintForm,
     P1Prolongation,
-    constraint_matrix,
     p1_interior_mass,
     p1_stiffness_band,
     pressure_dim,
@@ -337,7 +336,7 @@ class TestPressureDeflation:
 
     def test_wide_model_constraint(self):
         # coarse = truth: 15 truth hats against 17 P1 pressures
-        b = constraint_matrix(16, 16, "p1")
+        b = ConstraintForm(16, 16, "p1").to_dense()
         qg = pressure_mass(16, "p1")
         z = pressure_deflation(b, qg)
         kernel = scipy.linalg.null_space(b)
@@ -359,7 +358,7 @@ class TestPressureDeflation:
         # the structured B_T and its dense matrix, C- or F-ordered, give the
         # same bits; coarse = truth is wide, and takes the full SVD
         form = ConstraintForm(truth, coarse, kind)
-        dense = constraint_matrix(truth, coarse, kind)
+        dense = form.to_dense()
         assert dense.shape == form.shape and dense.flags.f_contiguous
         wide = form.shape[0] < form.shape[1]
         assert wide == (coarse == truth)
@@ -407,8 +406,8 @@ class TestPressureDeflation:
     @pytest.mark.parametrize("kind", ["p1", "p0"])
     def test_deflation_peak_is_one_constraint_matrix(self, kind):
         # truth 16384, coarse 128: B_T is one unit of about 16.9 MB.  The
-        # deflation holds the copy it reduces in place and its finiteness
-        # mask (1.13 units); dgesdd's U beside the copy took it to 2.05
+        # deflation holds the copy it reduces in place (1.06 units); its
+        # finiteness mask took it to 1.13, and dgesdd's U beside the copy to 2.05
         form = ConstraintForm(16384, 128, kind)
         qg = pressure_mass(128, kind)
         unit = form.shape[0] * form.shape[1] * 8
@@ -419,7 +418,7 @@ class TestPressureDeflation:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * unit, f"the deflation peaked at {peak / unit:.2f} units"
+        assert peak <= 1.1 * unit, f"the deflation peaked at {peak / unit:.2f} units"
 
 
 class TestClosedFormDualGram:
@@ -468,7 +467,7 @@ class TestClosedFormDualGram:
 
     def test_dense_constraint_solves_the_truth(self, monkeypatch):
         ts = BandedTruthSpace(p1_stiffness_band(64))
-        b, qg = constraint_matrix(64, 8, "p1"), pressure_mass(8, "p1")
+        b, qg = ConstraintForm(64, 8, "p1").to_dense(), pressure_mass(8, "p1")
         pressures = deflate_pressures(b, qg, ts)
         solved = []
         original = ts.solve

@@ -32,6 +32,11 @@ class TestSpaces:
         ts = TruthSpace(np.diag([4.0, 1.0]))
         assert ts.norm(np.array([1.0, 2.0])) == pytest.approx(np.sqrt(8.0))
 
+    def test_gramian_symmetrized_without_overflow(self):
+        # g + gᵀ overflows at 1e308, so the Gramian's halves are summed there
+        ts = TruthSpace(np.eye(2))
+        assert np.array_equal(ts.gram(np.array([[1e154], [0.0]])), [[1e308]])
+
     def test_indefinite_gramian_rejected(self):
         with pytest.raises(NotSpd):
             TruthSpace(np.diag([1.0, -1.0]))

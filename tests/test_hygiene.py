@@ -1,4 +1,5 @@
-"""Source hygiene of the package: no module imports a name it never reads."""
+"""Source hygiene of the package: no module imports a name it never reads, and
+only ``algebra`` symmetrizes."""
 
 import ast
 from pathlib import Path
@@ -42,3 +43,24 @@ def test_the_only_reexport():
     # models re-exports error_norms, which bench/layers.py traces there
     exempt = {f"{p.stem}.{n}" for p in MODULES for n, noqa in unused_imports(p).items() if noqa}
     assert exempt == {"models.error_norms"}
+
+
+def transpose_sums(path):
+    """Line of each sum ``x + x.T`` (or ``x.T + x``) a module forms."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            pairs = ((node.left, node.right), (node.right, node.left))
+            if any(
+                isinstance(t, ast.Attribute) and t.attr == "T" and ast.dump(t.value) == ast.dump(x)
+                for x, t in pairs
+            ):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_only_algebra_symmetrizes():
+    # every formed product goes through algebra.symmetrized, whose halves do
+    # not overflow near the float maximum, as a bare x + x.T does
+    found = [f"{p.stem}:{line}" for p in MODULES if p.stem != "algebra" for line in transpose_sums(p)]
+    assert found == []

@@ -14,11 +14,11 @@ from dualstab import algebra, dualprod, hilbert, models, saddle
 from dualstab.hilbert import TruthSpace
 from dualstab.dualprod import DualProduct, equivalence_report, make_stiffness
 from dualstab.models import (
+    ConstraintForm,
     ManufacturedSolution,
     ModelConfig,
     NestingViolated,
     TruthRecord,
-    constraint_matrix,
     constraint_rhs,
     default_solution,
     exact_coefficients,
@@ -335,16 +335,16 @@ class TestConstraintMatrix:
     def test_p1_matches_quadrature(self):
         for nt, nc in ((16, 4), (32, 8), (64, 8)):
             ref = self.quadrature_reference(nt, nc, "p1")
-            np.testing.assert_allclose(constraint_matrix(nt, nc, "p1"), ref, atol=1e-12)
+            np.testing.assert_allclose(ConstraintForm(nt, nc, "p1").to_dense(), ref, atol=1e-12)
 
     def test_p0_matches_quadrature(self):
         for nt, nc in ((16, 4), (64, 16)):
             ref = self.quadrature_reference(nt, nc, "p0")
-            np.testing.assert_allclose(constraint_matrix(nt, nc, "p0"), ref, atol=1e-12)
+            np.testing.assert_allclose(ConstraintForm(nt, nc, "p0").to_dense(), ref, atol=1e-12)
 
     def test_p0_same_mesh_pm_one(self):
         # b(indicator_e, phi_i) = +-1 on the two adjacent elements
-        b = constraint_matrix(8, 8, "p0")
+        b = ConstraintForm(8, 8, "p0").to_dense()
         for i in range(7):
             row = b[i]
             assert row[i] == 1.0 and row[i + 1] == -1.0
@@ -352,7 +352,7 @@ class TestConstraintMatrix:
 
     def test_constant_pressure_in_kernel(self):
         for kind in ("p1", "p0"):
-            b = constraint_matrix(64, 8, kind)
+            b = ConstraintForm(64, 8, kind).to_dense()
             np.testing.assert_allclose(b @ np.ones(b.shape[1]), 0.0, atol=1e-13)
 
     @pytest.mark.parametrize("kind", ["p1", "p0"])
@@ -361,7 +361,7 @@ class TestConstraintMatrix:
         # every entry and the sign of every zero must match, on every nested pair
         for nt in (2**k for k in range(1, 13)):
             for nc in (2**j for j in range(1, nt.bit_length())):
-                b = constraint_matrix(nt, nc, kind)
+                b = ConstraintForm(nt, nc, kind).to_dense()
                 oracle = hat_constraint_matrix(nt, nc, kind)
                 assert np.array_equal(b, oracle), (nt, nc)
                 assert np.array_equal(np.signbit(b), np.signbit(oracle)), (nt, nc)
@@ -372,7 +372,7 @@ class TestConstraintMatrix:
         # peaked at 2.0 times B_T; the midpoints' basis pairs take O(n)
         tracemalloc.start()
         try:
-            b = constraint_matrix(65536, 128, "p1")
+            b = ConstraintForm(65536, 128, "p1").to_dense()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -477,7 +477,8 @@ class TestBuilders:
         pb, ref = models.build_level(cfg, truth), models.build_truth(cfg)
         assert pb.record is truth and pb.truth is truth.space
         assert pb.pressure_dim == ref.pressure_dim == 9
-        for name in ("b_form", "q_gram", "constraint_rhs"):
+        np.testing.assert_array_equal(pb.constraint.to_dense(), ref.constraint.to_dense())
+        for name in ("q_gram", "constraint_rhs"):
             np.testing.assert_array_equal(getattr(pb, name), getattr(ref, name))
         np.testing.assert_array_equal(pb.load.action, ref.load.action)
         eye = np.eye(31)
@@ -535,11 +536,8 @@ class TestBuilders:
         finally:
             tracemalloc.stop()
         assert pb.pressures.b_eff.shape == (16383, 128)
-        assert "b_form" not in vars(pb)
         assert kept < 1.2 * unit, f"the level keeps {kept / unit:.2f} units"
         assert peak < 2.25 * unit, f"the level's build peaked at {peak / unit:.2f} units"
-        # B_T's dense matrix is built when it is read, and then kept
-        assert pb.b_form is pb.b_form and pb.b_form.shape == (16383, 129)
 
     def test_dual_gram_forms_no_constraint_sized_array(self):
         # beta and norm_B of a level read its dual Gram, formed in closed form

@@ -960,7 +960,9 @@ class TestQuasiOptimality:
 
 def rebuilt(pb, **changes):
     """The SaddleProblem of pb's record and data, with some of its arguments replaced."""
-    args = dict(b_form=pb.b_form, q_gram=pb.q_gram, load=pb.load, constraint_rhs=pb.constraint_rhs)
+    args = dict(
+        b_form=pb.constraint.to_dense(), q_gram=pb.q_gram, load=pb.load, constraint_rhs=pb.constraint_rhs
+    )
     return SaddleProblem(pb.record, **{**args, **changes})
 
 
@@ -972,11 +974,11 @@ class TestValidation:
         with pytest.raises(TypeError):
             models.TruthRecord(p1_stiffness(16), 0.0, None, 1.0, 1.0)
         with pytest.raises(TypeError):
-            SaddleProblem(pb.truth, pb.b_form, pb.q_gram, pb.load, pb.constraint_rhs)
+            SaddleProblem(pb.truth, pb.constraint.to_dense(), pb.q_gram, pb.load, pb.constraint_rhs)
         # any record is read, but its space must be a TruthSpace too
         record = SimpleNamespace(space=p1_stiffness(16))
         with pytest.raises(TypeError):
-            SaddleProblem(record, pb.b_form, pb.q_gram, pb.load, pb.constraint_rhs)
+            SaddleProblem(record, pb.constraint.to_dense(), pb.q_gram, pb.load, pb.constraint_rhs)
         # the deflation checks G_Q against B_T's columns
         with pytest.raises(DimensionMismatch, match="does not match constraint matrix columns"):
             rebuilt(pb, q_gram=np.eye(2))
@@ -990,7 +992,7 @@ class TestValidation:
     @pytest.mark.parametrize(
         "call, error",
         [
-            (lambda pb, d: rebuilt(pb, b_form=pb.b_form[1:]), DimensionMismatch),
+            (lambda pb, d: rebuilt(pb, b_form=pb.constraint.to_dense()[1:]), DimensionMismatch),
             (lambda pb, d: rebuilt(pb, load=pb.load.action[1:]), DimensionMismatch),
             (lambda pb, d: rebuilt(pb, constraint_rhs=pb.constraint_rhs[1:]), DimensionMismatch),
             (lambda pb, d: Discretization(pb, d.U, d.dp.stiffness, 0.1), TypeError),
@@ -1015,9 +1017,25 @@ class TestValidation:
     def test_deflates_whole_pressure_space(self):
         # one pressure space per level: the problem's own B_T and G_Q
         cfg, pb, d = build(truth=16, coarse=4, pressure_kind="p0")
-        assert d.b_sel is pb.b_form and d.q_sel is pb.q_gram
+        assert d.b_sel is pb.constraint and d.q_sel is pb.q_gram
         assert pb.pressures.basis.shape == (pb.pressure_dim, d.p_dim)
         assert d.p_dim == pb.pressure_dim - 1  # the constants are deflated away
+
+    @pytest.mark.parametrize("kind", ["p1", "p0"])
+    def test_b_sel_gives_the_constants_of_the_commands(self, monkeypatch, kind):
+        # a model level hands out B_T as it holds it, so the functions that
+        # take (b_t, q_gram) read the closed-form dual Gram, as the commands
+        # do: no truth solve, and every constant bit for bit
+        cfg, pb, d = build(truth=1024, coarse=32, pressure_kind=kind)
+        assert d.b_sel is pb.constraint
+        expected = constants(pb, d)
+
+        def no_solve(rhs):
+            raise AssertionError("a model level's constants solve no truth system")
+
+        monkeypatch.setattr(pb.truth, "solve", no_solve)
+        er = dualprod.equivalence_report(d.dp, d.b_sel, d.q_sel)
+        assert vars(er) == {name: getattr(expected, name) for name in vars(er)}
 
     def test_discretizations_share_the_problem_deflation(self, monkeypatch):
         # the pressures are the problem's: deflated once, when it is built, however
@@ -1053,4 +1071,4 @@ class TestValidation:
         # the problem deflates its pressures when it is built, so a zero B fails there
         cfg, pb, d = build(truth=16, coarse=4)
         with pytest.raises(DegeneratePencil):
-            rebuilt(pb, b_form=0.0 * pb.b_form)
+            rebuilt(pb, b_form=0.0 * pb.constraint.to_dense())
