@@ -35,6 +35,10 @@ PIVOT_RTOL = 1e-12
 # relative tolerance when an input is required to be symmetric
 SYMMETRY_RTOL = 1e-12
 
+# entries of the row slab in which a tall array is read, divided or formed a
+# slab at a time: 64 KiB, small beside the arrays the slabs stand in for
+SLAB = 1 << 13
+
 # LAPACK dgesdd rescales a matrix whose largest entry lies outside
 # [SVD_SAFE, 1/SVD_SAFE] before it reduces it: √(safe minimum) / ε = 2⁻⁵¹¹ / 2⁻⁵²
 SVD_SAFE = 2.0**-459
@@ -167,38 +171,49 @@ class NonFinite(NumericalFailure, ValueError):
 
 def as_matrix(a, name="matrix"):
     """Validate and return a 2-d float array with finite entries."""
+    return _finite_matrix(a, name)[0]
+
+
+def _finite_matrix(a, name):
+    """``as_matrix`` of ``a`` and its largest magnitude, from one read of its extremes."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or min(a.shape) < 1:
         raise DimensionMismatch(f"{name} must be 2-d with positive shape, got {a.shape}")
     # the least and the largest entry, read in place, are finite exactly when all are
-    if not (np.isfinite(a.min()) and np.isfinite(a.max())):
+    low, high = a.min(), a.max()
+    if not (np.isfinite(low) and np.isfinite(high)):
         raise NonFinite(f"{name} contains non-finite entries")
-    return a
+    return a, max(high, -low)
 
 
 def require_symmetric(a, name="matrix"):
     """Validate square symmetry within SYMMETRY_RTOL and return the symmetrized copy."""
-    a = as_matrix(a, name)
+    a, scale = _finite_matrix(a, name)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got {a.shape}")
-    # one n² temporary at a time: the scale reads no |a|, and the difference
+    # one n² temporary at a time: the extremes are read once, for the
+    # finiteness check, this scale and the overflow test, and the difference
     # and the sum are each made once and then worked on in place
-    scale = max(a.max(), -a.min())
     skew = a - a.T
     np.abs(skew, out=skew)
     if scale > 0.0 and skew.max() > SYMMETRY_RTOL * scale:
         raise ValueError(f"{name} is not symmetric within relative tolerance {SYMMETRY_RTOL:g}")
     del skew
-    return symmetrized(a)
+    return symmetrized(a, scale)
 
 
-def symmetrized(p):
-    """(P + Pᵀ)/2 of a square P as a new, exactly symmetric array; P is not written."""
+def symmetrized(p, scale=None):
+    """(P + Pᵀ)/2 of a square P as a new, exactly symmetric array; P is not written.
+
+    ``scale`` is P's largest magnitude when the caller has read it already.
+    """
     # a product the package forms is symmetric only to roundoff, and its
     # pencil needs it exactly so.  Past half the float maximum P + Pᵀ may
     # overflow, so the halves are summed there, exact but for subnormals;
     # below, the sum is the one n² array made, and it is halved in place
-    if max(p.max(), -p.min()) > np.finfo(float).max / 2:
+    if scale is None:
+        scale = max(p.max(), -p.min())
+    if scale > np.finfo(float).max / 2:
         sym = p * 0.5
         sym += p.T * 0.5
         return sym

@@ -26,11 +26,14 @@ pencils read (a SaddleProblem deflates its own when built, ``pb.pressures``),
 and the functions taking (b_t, q_gram) deflate on their subspace's truth.
 B_T is a dense matrix or a structured one that builds its matrix on each
 read (``models.ConstraintForm``), and both take one path: the SVD works in a
-new Fortran-ordered copy, dropped after it, and B_eff = B_T Z reads B_T once
-more, so a structured B_T's matrix lives only while B_eff is formed, and a
-caller's dense B_T is never written.  A tall B_T is reduced to its m_q × m_q
-R factor in that copy before the SVD (Chan's R-SVD, in ``algebra.svd``):
-s and Vᵀ keep dgesdd's bits, and no n × m_q U is formed.  The record owns
+new Fortran-ordered copy, dropped after it, so a caller's dense B_T is never
+written.  A tall B_T is reduced to its m_q × m_q R factor in that copy
+before the SVD (Chan's R-SVD, in ``algebra.svd``): s and Vᵀ keep dgesdd's
+bits, and no n × m_q U is formed.  The record keeps no B_eff = B_T Z: a
+subspace's rows E_Sᵀ B_T Z, which the pencils and the blocks read, are
+formed once per subspace (``DeflatedPressures.restrict``), from row slabs
+of a structured B_T, so the SVD's copy is the only n × m_q array a model
+level holds.  The record owns
 beta and norm_B, which depend only on the truth space and the pressures: one
 solve of its (B_effᵀ G⁻¹ B_eff, G_Q) pencil gives both.  That dual Gram is
 Zᵀ K Z when B_T gives K = B_Tᵀ G⁻¹ B_T itself, as a model level's does in
@@ -46,12 +49,14 @@ caller's input, then never fails on them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from .algebra import (
+    SLAB,
     DimensionMismatch,
     NotSpd,
     NumericalFailure,
@@ -306,11 +311,19 @@ def pressure_deflation(b_t, q_gram):
 
 @dataclass(frozen=True)
 class DeflatedPressures:
-    """Pressures deflated once on ``truth``: Z, B_T Z, Zᵀ G_Q Z and its factor.
+    """Pressures deflated once on ``truth``: Z, Zᵀ G_Q Z and its factor.
 
-    ``constraint`` is B_T as it was given.  The dual Gram B_effᵀ G⁻¹ B_eff,
-    and beta and norm_B, the roots of the extreme eigenvalues of its pencil
-    with G_Q (beta is 0 at or below KERNEL_RTOL · the largest), are formed on
+    ``constraint`` is B_T as it was given.  The record keeps no B_eff = B_T Z:
+    ``b_eff`` forms it anew on each read, and ``restrict(sub)`` gives a
+    subspace's rows E_Sᵀ B_T Z, formed on its first read and kept with the
+    record while the subspace lives.  A structured B_T that reads its rows
+    in slabs (``row_slabs``, as ``models.ConstraintForm`` does) and an
+    embedding that folds them cell by cell (``fold``, as
+    ``models.P1Prolongation`` does) meet in slabs of whole cells of about
+    ``algebra.SLAB`` entries of B_T, each multiplied by Z and folded; any
+    other pair restricts all of B_eff.  The dual Gram B_effᵀ G⁻¹ B_eff, and
+    beta and norm_B, the roots of the extreme eigenvalues of its pencil with
+    G_Q (beta is 0 at or below KERNEL_RTOL · the largest), are formed on
     first read and kept with the record.  A structured B_T may give
     K = B_Tᵀ G⁻¹ B_T itself, m_q × m_q, through ``dual_gram(truth)``
     (``models.ConstraintForm`` does, in closed form, on its own truth
@@ -319,18 +332,41 @@ class DeflatedPressures:
     """
 
     basis: np.ndarray
-    b_eff: np.ndarray
     q_eff: np.ndarray
     q_fact: SpdFactorization
     truth: TruthSpace
     constraint: object
+    _rows: WeakKeyDictionary = field(
+        default_factory=WeakKeyDictionary, init=False, repr=False, compare=False
+    )
+
+    @property
+    def b_eff(self):
+        """B_eff = B_T Z, a row per truth dof, formed anew on each read."""
+        return np.asarray(self.constraint, dtype=float) @ self.basis
+
+    def restrict(self, sub):
+        """E_Sᵀ B_T Z, the rows of a subspace S of ``truth``, formed once while S lives."""
+        if sub in self._rows:
+            return self._rows[sub]
+        if self.constraint.shape[0] != sub.parent.dim:
+            raise DimensionMismatch("constraint matrix rows do not match the truth space")
+        read, op = getattr(self.constraint, "row_slabs", None), sub.op
+        if read is None or not hasattr(op, "fold"):
+            rows = sub.restrict(self.b_eff)
+        else:
+            cells = max(1, SLAB // (op.ratio * self.constraint.shape[1]))
+            rows = op.fold((slab @ self.basis for slab in read(op.cell_stops(cells))), cells)
+        self._rows[sub] = rows
+        return rows
 
     @cached_property
     def dual_gram(self):
         closed_form = getattr(self.constraint, "dual_gram", None)
         k = None if closed_form is None else closed_form(self.truth)
         if k is None:
-            return symmetrized(self.b_eff.T @ self.truth.solve(self.b_eff))
+            b_eff = self.b_eff
+            return symmetrized(b_eff.T @ self.truth.solve(b_eff))
         return symmetrized(self.basis.T @ (k @ self.basis))
 
     @cached_property
@@ -346,9 +382,8 @@ def deflate_pressures(b_t, q_gram, truth):
     """Deflate the pressures of (B_T, G_Q) once, on ``truth``; ``pressure_deflation`` checks both."""
     z = pressure_deflation(b_t, q_gram)
     q_eff = symmetrized(z.T @ (np.asarray(q_gram, dtype=float) @ z))
-    b_eff = np.asarray(b_t, dtype=float) @ z
     q_fact = cholesky(q_eff, "deflated pressure Gramian")
-    return DeflatedPressures(z, b_eff, q_eff, q_fact, truth, b_t)
+    return DeflatedPressures(z, q_eff, q_fact, truth, b_t)
 
 
 def _floored_root(spectrum):
@@ -358,15 +393,13 @@ def _floored_root(spectrum):
 
 
 def _sup_gram(sub, pressures):
-    """B_W = E_Wᵀ B_eff and B_Wᵀ G_W⁻¹ B_W, the squared sups of b(q, ·) over W.
+    """W's rows B_W = E_Wᵀ B_eff and B_Wᵀ G_W⁻¹ B_W, the squared sups of b(q, ·) over W.
 
     The product is symmetric only to roundoff, which grows with cond(G_W), so
     it is symmetrized here, as ``dual_gram`` is: a pencil's symmetry check
     then reads it unchanged, bit for bit.
     """
-    if pressures.b_eff.shape[0] != sub.parent.dim:
-        raise DimensionMismatch("constraint matrix rows do not match the truth space")
-    b_w = sub.restrict(pressures.b_eff)
+    b_w = pressures.restrict(sub)
     return b_w, symmetrized(b_w.T @ spd_solve(sub.fact, b_w))
 
 

@@ -14,9 +14,11 @@ scalar product.  Every problem a configuration builds owns that record, and
 The pressure basis lives on the coarse mesh (P1-continuous or P0) and couples
 to truth velocities through the exact constraint matrix B_T of
 b(q, v) = ∫ q v'.  A level holds it as a ``ConstraintForm``, which keeps no
-n × m_q array and builds one on each read: the deflation reads it twice, for
-its SVD (on the R factor of the copy it reads) and for B_eff = B_T Z, and
-drops it each time, so B_eff is the only such array a level keeps.  The
+n × m_q array and writes its rows anew on each pass (``row_slabs``): the
+deflation reads it whole once, for its SVD (on the R factor of the copy it
+reads), and drops it, and a subspace's rows E_Sᵀ B_T Z are summed from row
+slabs of whole cells (``P1Prolongation.fold``), so the deflation's copy is
+the only such array a level ever holds, and it keeps none.  The
 dual Gram B_Tᵀ G⁻¹ B_T, which gives beta and norm_B, is formed in closed
 form in O(n) (``ConstraintForm.dual_gram``): G is never solved on B_T.
 Every coarse basis is read through one evaluator, ``coarse_basis``, the
@@ -39,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import DimensionMismatch, band_to_dense
+from .algebra import SLAB, DimensionMismatch, band_to_dense
 from .dualprod import DualProduct, make_stiffness, stiffness_scale
 from .hilbert import BandedTruthSpace, Embedding, Functional, Subspace, TruthSpace
 # error_norms is defined beside quasi_optimality, which shares it
@@ -230,7 +232,9 @@ class P1Prolongation(Embedding):
     two terms per node from the zero-padded coefficients, Eᵀ y reshapes the
     nodes into (cell, local node) blocks of r = truth_elems / sub_elems, both
     in O(n·k) for k columns, and the Gram of a banded M sums the four hat
-    products of each band entry with ``np.bincount``, in O(n).
+    products of each band entry with ``np.bincount``, in O(n).  ``fold``
+    forms Eᵀ y from row slabs of whole cells (``cell_stops``), by the same
+    arithmetic: Eᵀ y is its fold of one slab.
     """
 
     def __init__(self, truth_elems, sub_elems):
@@ -249,16 +253,42 @@ class P1Prolongation(Embedding):
 
     def apply_t(self, y):
         y = np.asarray(y, dtype=float)
-        r = self.ratio
-        t = np.arange(r) / r  # the local coordinates of one cell's nodes
-        rows = y.reshape(y.shape[0], -1)
-        blocks = rows[r - 1 :].reshape(self.shape[1], r, -1)
-        # cell 0 holds truth nodes 1..r−1 and cell j ≥ 1 nodes j·r..j·r + r − 1;
-        # coarse node j is the left hat of cell j and the right hat of cell j − 1
-        out = (1.0 - t) @ blocks
-        out[0] += t[1:] @ rows[: r - 1]
-        out[1:] += (t @ blocks)[:-1]
+        out = self.fold([y.reshape(y.shape[0], -1)], self.sub_elems)
         return out.reshape((self.shape[1],) + y.shape[1:])
+
+    def cell_stops(self, cells):
+        """Exclusive ends of the truth-row slabs of ``cells`` whole cells, the last maybe fewer.
+
+        Cell 0 holds truth nodes 1..r−1 and cell j ≥ 1 nodes j·r..j·r + r − 1,
+        so a slab that ends with cell j ends before row (j + 1)·r − 1.
+        """
+        ends = np.minimum(np.arange(cells, self.sub_elems + cells, cells), self.sub_elems)
+        return ends * self.ratio - 1
+
+    def fold(self, slabs, cells):
+        """Eᵀ Y of a k-column Y given by its row slabs of ``cells`` whole cells each, in order.
+
+        Coarse node j is the left hat of cell j and the right hat of cell
+        j − 1, and a cell's sums against its two hats are products of that
+        cell's rows alone, so the slabs' sums are those of Y read whole:
+        ``apply_t`` is the fold of one slab.  The last cell's right node is
+        on the boundary.
+        """
+        r, dim = self.ratio, self.shape[1]
+        t = np.arange(r) / r  # the local coordinates of one cell's nodes
+        out = None
+        for first, rows in zip(range(0, self.sub_elems, cells), slabs):
+            if out is None:
+                out = np.zeros((dim, rows.shape[1]))
+            if first == 0:
+                # cell 0 holds truth nodes 1..r−1, and only its right hat is interior
+                out[0] += t[1:] @ rows[: r - 1]
+                rows, first = rows[r - 1 :], 1
+            blocks = rows.reshape(-1, r, rows.shape[1])
+            out[first - 1 : first - 1 + len(blocks)] += (1.0 - t) @ blocks
+            right = out[first : first + len(blocks)]
+            right += (t @ blocks)[: len(right)]
+        return out
 
     def band_gram(self, band, other):
         if not isinstance(other, P1Prolongation):
@@ -295,9 +325,11 @@ class ConstraintForm:
     b(ψ, φ_{i+1}) is ψ's mean on element i minus its mean on i + 1; a nested
     pressure is linear on each truth element, so a mean is its midpoint value.
     Row i is Ψ(mid_i) − Ψ(mid_{i+1}), from the midpoints' ``coarse_basis``.
-    ``shape`` is (n, m_q); the n × m_q matrix is not kept: ``to_dense()``
-    builds a new Fortran-ordered one on each call, and so does
-    ``np.asarray(form)``, for LAPACK to work in and the caller to drop.
+    ``shape`` is (n, m_q); the n × m_q matrix is not kept: ``row_slabs``
+    writes slabs of its rows, each a new Fortran-ordered array, and
+    ``to_dense()``, the slab of all rows, builds the whole matrix on each
+    call, as ``np.asarray(form)`` does, for LAPACK to work in and the caller
+    to drop.
     ``dual_gram(truth)`` gives B_Tᵀ G⁻¹ B_T in closed form, in O(n).
     """
 
@@ -338,13 +370,25 @@ class ConstraintForm:
         sums = np.bincount(index.ravel(), value.ravel(), size)
         return (ptp - np.outer(sums, sums) / n) / n
 
-    def to_dense(self):
+    def row_slabs(self, stops):
+        """Rows [0, s₀), [s₀, s₁), ... of B_T, for the increasing row ends s of ``stops``.
+
+        Each slab is a new Fortran-ordered array, written from the midpoint
+        basis, which one pass computes once; ``to_dense()`` is the pass of
+        one slab.
+        """
         index, value = self._midpoint_basis()
-        b = np.zeros(self.shape, order="F")
-        rows = np.arange(self.shape[0])[:, None]
-        b[rows, index[:-1]] = value[:-1]
-        b[rows, index[1:]] -= value[1:]
-        return b
+        start = 0
+        for stop in stops:
+            b = np.zeros((stop - start, self.shape[1]), order="F")
+            rows = np.arange(stop - start)[:, None]
+            b[rows, index[start:stop]] = value[start:stop]
+            b[rows, index[start + 1 : stop + 1]] -= value[start + 1 : stop + 1]
+            yield b
+            start = stop
+
+    def to_dense(self):
+        return next(self.row_slabs([self.shape[0]]))
 
     def __array__(self, dtype=None, copy=None):
         # every read builds a new matrix, so any copy request is met
@@ -355,10 +399,10 @@ class ConstraintForm:
 # quadrature-assembled data
 
 
-def _gauss_on_elements(n):
-    """Gauss points and weights per element of a uniform n-element mesh."""
+def _gauss_on_elements(n, first=0, stop=None):
+    """Gauss points and weights per element of a uniform n-element mesh, or of first..stop − 1."""
     gx, gw = np.array(GAUSS_NODES), np.array(GAUSS_WEIGHTS)
-    elems = np.arange(n)[:, None]
+    elems = np.arange(first, n if stop is None else stop)[:, None]
     pts = (elems + 0.5 * (gx[None, :] + 1.0)) / n
     wts = np.broadcast_to(gw[None, :] / (2.0 * n), pts.shape)
     return pts, wts
@@ -383,15 +427,23 @@ def load_vector(truth_elems, solution, reaction):
 def constraint_rhs(truth_elems, coarse_elems, kind, solution):
     """Pressure actions ⟨G, ψ_ℓ⟩ = ∫ ψ_ℓ u'.
 
-    Each Gauss point's weighted u' goes to its ``coarse_basis`` pairs, with
-    one ``np.bincount`` per pair column.
+    Each Gauss point's weighted u' goes to its ``coarse_basis`` pairs.  The
+    truth elements are read in slabs of about ``algebra.SLAB`` points, and
+    ``np.add.at`` sums each slab's terms into one accumulator, a row per
+    pair column, in point order: the rows are those of one ``np.bincount``
+    per pair column over all points, bit for bit, and are summed as those
+    were.
     """
     nested_ratio(truth_elems, coarse_elems)
-    pts, wts = _gauss_on_elements(truth_elems)
-    vals = (solution.du(pts) * wts).ravel()
-    index, value = coarse_basis(pts.ravel(), coarse_elems, kind)
-    size = pressure_dim(coarse_elems, kind)
-    return sum(np.bincount(nodes, vals * weights, size) for nodes, weights in zip(index.T, value.T))
+    step = max(1, SLAB // len(GAUSS_NODES))
+    sums = np.zeros((2 if kind == "p1" else 1, pressure_dim(coarse_elems, kind)))
+    for first in range(0, truth_elems, step):
+        pts, wts = _gauss_on_elements(truth_elems, first, min(first + step, truth_elems))
+        vals = (solution.du(pts) * wts).ravel()
+        index, value = coarse_basis(pts.ravel(), coarse_elems, kind)
+        for acc, nodes, weights in zip(sums, index.T, value.T):
+            np.add.at(acc, nodes, vals * weights)
+    return sum(sums)
 
 
 def exact_coefficients(cfg, solution):

@@ -24,6 +24,9 @@ reads.  A discretization is (problem, U, dual product, gamma), and it owns
 the γ-free blocks of its (problem, U, dual product), built on first read as
 ``d.blocks``: A_UU, A_WU, B_UQ, B_WQ, F_U, F_W, one set of rows when U is W,
 and, on first read, the B_WQᵀ S⁻¹ products of the stabilized route.
+B_UQ and B_WQ are the pressures' rows of U and W (``pb.pressures.restrict``),
+formed once per subspace and kept with the pressures, so the constants and
+the blocks of every discretization on those spaces read one array each.
 ``d.with_gamma`` restates γ and keeps them, so every γ and both assemblies
 read one set, which lives as long as the discretizations that share it.
 Only the (1/γ)S block, the γ-scaled products and ``static_condense``, which
@@ -49,6 +52,7 @@ from itertools import accumulate
 import numpy as np
 
 from .algebra import (
+    SLAB,
     DimensionMismatch,
     NonFinite,
     NumericalFailure,
@@ -85,10 +89,6 @@ RESIDUAL_RTOL = 1e-10
 
 # tolerance for the verified coercivity and relaxed inf-sup bounds
 COERCIVITY_TOL = 1e-9
-
-# entries of a scaled block that relative_residual divides at a time: 64 KiB,
-# small beside the n × n LU buffer that solve holds while it checks
-RESIDUAL_SLAB = 1 << 13
 
 # largest entry of the Gramian of U's G-orthogonal residuals against W,
 # relative to the largest of G_U, at or below which U nests in W: nested P1
@@ -173,8 +173,9 @@ class Discretization:
     """Choice of (U, dual product, gamma) for one problem; W is the dual product's space.
 
     It reads the pressures the problem deflated when it was built:
-    ``b_eff``, ``q_eff`` and ``p_dim`` are theirs, ``b_sel`` and ``q_sel``
-    the problem's B_T, as it holds it (``pb.constraint``), and G_Q.
+    ``q_eff`` and ``p_dim`` are theirs, ``b_eff`` their B_T Z, formed on
+    each read, ``b_sel`` and ``q_sel`` the problem's B_T, as it holds it
+    (``pb.constraint``), and G_Q.
     ``blocks`` are the γ-free blocks of (problem, U, dual product), built on
     first read; ``with_gamma`` shares them.
     """
@@ -193,7 +194,11 @@ class Discretization:
         self.gamma = gamma
         p = pb.pressures
         self.q_sel = pb.q_gram
-        self.b_eff, self.q_eff, self.p_dim = p.b_eff, p.q_eff, p.basis.shape[1]
+        self.q_eff, self.p_dim = p.q_eff, p.basis.shape[1]
+
+    @property
+    def b_eff(self):
+        return self.problem.pressures.b_eff
 
     @property
     def b_sel(self):
@@ -222,24 +227,25 @@ class GammaFreeBlocks:
 
     A_UU, A_WU, B_UQ, B_WQ, F_U and F_W are built with the set, through the
     subspaces' products: A_UU is the record's ``sub_gram`` of U, which may
-    be U's own ``gram_sub`` array, A_WU the record's cross Gram of A, the
-    others Eᵀ B_eff and Eᵀ F.  When U is W, one set of rows serves both
+    be U's own ``gram_sub`` array, A_WU the record's cross Gram of A, B_UQ
+    and B_WQ the pressures' own rows of U and W (``restrict``), F_U and F_W
+    Eᵀ F.  When U is W, one set of rows serves both
     (A_WU is A_UU, and so on).  No block is written in place: the systems
     hold them, and A_UU may be the subspace's own Gramian.  ``products``, the
     B_WQᵀ S⁻¹ products of the stabilized route, solve S on first read.
     """
 
     def __init__(self, pb, u, dp):
-        b_eff, load = pb.pressures.b_eff, pb.load.action
+        pressures, load = pb.pressures, pb.load.action
         self.a_uu = pb.record.sub_gram(u)
-        self.b_uq = u.restrict(b_eff)
+        self.b_uq = pressures.restrict(u)
         self.f_u = u.restrict(load)
         w = dp.aux
         if u is w:
             self.a_wu, self.b_wq, self.f_w = self.a_uu, self.b_uq, self.f_u
         else:
             self.a_wu = pb.record.gram(w.op, u.op)
-            self.b_wq = w.restrict(b_eff)
+            self.b_wq = pressures.restrict(w)
             self.f_w = w.restrict(load)
         self.stiffness = dp.stiffness
 
@@ -391,8 +397,9 @@ def relative_residual(system, sol):
     The normwise backward error of Rigal and Gaches: M x and ‖M‖_F are summed
     block by block, so M is never assembled.  A block under a divisor of ±1
     is read as it is and its product signed; under any other divisor it is
-    divided RESIDUAL_SLAB entries at a time, so its entries are those that
-    ``write`` gives and their squares stay in range wherever those do.
+    divided ``algebra.SLAB`` entries at a time, small beside the n × n LU
+    buffer that ``solve`` holds while it checks, so its entries are those
+    that ``write`` gives and their squares stay in range wherever those do.
     """
     sol = np.asarray(sol, dtype=float)
     resid = -np.asarray(system.rhs, dtype=float)
@@ -411,7 +418,7 @@ def _quotient_rows(rows, block, divisor):
     if abs(divisor) == 1.0:
         yield rows, block, divisor
         return
-    step = max(1, RESIDUAL_SLAB // block.shape[1])
+    step = max(1, SLAB // block.shape[1])
     for start in range(0, block.shape[0], step):
         part = block[start : start + step] / divisor
         yield slice(rows.start + start, rows.start + start + len(part)), part, 1.0

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -393,15 +394,60 @@ class TestPressureDeflation:
         # a tall B_T reaches s and Vᵀ through its R factor (Chan's R-SVD),
         # which dgesdd on all of B_T forms itself at these heights; a wide
         # one takes the full SVD
+        # U's and W's rows, summed from row slabs of B_T, are those of the
+        # oracle's whole B_eff
         form = ConstraintForm(truth, coarse, kind)
         qg = pressure_mass(coarse, kind)
-        got = deflate_pressures(form, qg, BandedTruthSpace(p1_stiffness_band(truth)))
+        ts = BandedTruthSpace(p1_stiffness_band(truth))
+        got = deflate_pressures(form, qg, ts)
         z, b_eff, q_eff = svd_deflation(form, qg)
         # ker B_T holds the constants, and a wide B_T has rank n
         rank = min(truth - 1, pressure_dim(coarse, kind) - 1)
         assert got.basis.shape[1] == z.shape[1] == rank
         for name, expected in (("basis", z), ("b_eff", b_eff), ("q_eff", q_eff)):
             assert np.array_equal(getattr(got, name), expected), name
+        for elems in (coarse, min(2 * coarse, truth)):
+            sub = Subspace(ts, P1Prolongation(truth, elems))
+            assert np.array_equal(got.restrict(sub), sub.restrict(b_eff)), elems
+
+    @pytest.mark.parametrize("kind", ["p1", "p0"])
+    @pytest.mark.parametrize(
+        "truth, sub_elems", [(1024, 16), (1024, 256), (2048, 2048), (64, 2), (16, 16)], ids=str
+    )
+    def test_one_cell_slabs_give_the_default_bits(self, monkeypatch, kind, truth, sub_elems):
+        # a subspace's rows, from slabs of whole cells of about algebra.SLAB
+        # entries of B_T (one slab for the two smallest meshes), or of one
+        # cell each, or from all of B_eff at once
+        form = ConstraintForm(truth, 16, kind)
+        ts = BandedTruthSpace(p1_stiffness_band(truth))
+        sub = Subspace(ts, P1Prolongation(truth, sub_elems))
+        default = deflate_pressures(form, pressure_mass(16, kind), ts).restrict(sub)
+        cells = max(1, algebra.SLAB // (truth // sub_elems * form.shape[1]))
+        assert (cells < sub_elems) == (truth > 64)
+        monkeypatch.setattr(dualprod, "SLAB", 1)
+        pressures = deflate_pressures(form, pressure_mass(16, kind), ts)
+        one_cell = pressures.restrict(sub)
+        assert np.array_equal(one_cell, default)
+        assert np.array_equal(one_cell, sub.restrict(pressures.b_eff))
+
+    def test_rows_formed_once_per_subspace_while_it_lives(self):
+        form, qg = ConstraintForm(256, 8, "p1"), pressure_mass(8, "p1")
+        ts = BandedTruthSpace(p1_stiffness_band(256))
+        pressures = deflate_pressures(form, qg, ts)
+        sub = Subspace(ts, P1Prolongation(256, 16))
+        rows = pressures.restrict(sub)
+        assert pressures.restrict(sub) is rows
+        # another subspace of the same mesh gets its own rows, with equal bits
+        twin = Subspace(ts, P1Prolongation(256, 16))
+        assert pressures.restrict(twin) is not rows
+        assert np.array_equal(pressures.restrict(twin), rows)
+        # the record keeps neither subspace alive
+        refs = weakref.ref(sub), weakref.ref(twin)
+        del sub, twin
+        assert [ref() for ref in refs] == [None, None]
+        other = Subspace(BandedTruthSpace(p1_stiffness_band(128)), P1Prolongation(128, 16))
+        with pytest.raises(DimensionMismatch):
+            pressures.restrict(other)
 
     @pytest.mark.parametrize("kind", ["p1", "p0"])
     def test_deflation_peak_is_one_constraint_matrix(self, kind):
@@ -473,7 +519,7 @@ class TestClosedFormDualGram:
         original = ts.solve
         monkeypatch.setattr(ts, "solve", lambda rhs: solved.append(rhs) or original(rhs))
         pressures.dual_gram
-        assert len(solved) == 1 and solved[0] is pressures.b_eff
+        assert len(solved) == 1 and np.array_equal(solved[0], b @ pressures.basis)
 
 
 def dual_norm_infsup(b, qg, sub):

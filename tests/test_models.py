@@ -418,6 +418,37 @@ class TestData:
     def test_constraint_rhs_matches_quadrature_on_more_meshes(self, nt, nc):
         self.check_constraint_rhs(nt, nc)
 
+    @pytest.mark.parametrize("kind", ["p1", "p0"])
+    def test_constraint_rhs_in_slabs_is_one_bincount_bit_for_bit(self, monkeypatch, kind):
+        # truth 4096 has 20480 Gauss points, three slabs of algebra.SLAB; in
+        # slabs of one element each, the same terms are summed in the same order
+        sol = default_solution()
+        pts, wts = models._gauss_on_elements(4096)
+        vals = (sol.du(pts) * wts).ravel()
+        index, value = models.coarse_basis(pts.ravel(), 16, kind)
+        size = models.pressure_dim(16, kind)
+        pairs = zip(index.T, value.T)
+        whole = sum(np.bincount(nodes, vals * weights, size) for nodes, weights in pairs)
+        assert 2 * algebra.SLAB < vals.size
+        assert np.array_equal(constraint_rhs(4096, 16, kind, sol), whole)
+        monkeypatch.setattr(models, "SLAB", 1)
+        assert np.array_equal(constraint_rhs(4096, 16, kind, sol), whole)
+
+    @pytest.mark.parametrize("kind", ["p1", "p0"])
+    def test_constraint_rhs_peak_is_slab_sized(self, kind):
+        # truth 2^18, coarse 16: all 5n Gauss points at once traced 73.5 MB
+        # (P1) and 52.4 MB (P0) for a 17- or 16-entry result; slabs of
+        # algebra.SLAB points trace 0.79 and 0.48 MB
+        sol = default_solution()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            constraint_rhs(2**18, 16, kind, sol)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6e6, f"constraint_rhs peaked at {peak / 1e6:.2f} MB"
+
     def test_exact_coefficients_are_nodal_values(self):
         cfg = ModelConfig(truth_elems=32, coarse_elems=8)
         sol = default_solution()
@@ -521,10 +552,10 @@ class TestBuilders:
 
     def test_level_keeps_no_constraint_matrix(self):
         # truth 16384, coarse 128: B_T is 16383 × 129, one unit of 16.9 MB.
-        # The level keeps B_eff only (1.03 units) and peaks at 2.03 units,
-        # while B_eff sits beside a B_T read anew (2.07 when the SVD's U sat
-        # beside B_T's copy too); keeping B_T, with the SVD's copy of it,
-        # took 2.03 and 3.07 units
+        # The level keeps 0.04 units and peaks at 1.08, the deflation's copy
+        # of B_T; keeping B_eff took 1.03 and 2.03 units, with B_eff beside
+        # a B_T read anew (2.07 when the SVD's U sat beside B_T's copy too),
+        # and keeping B_T, with the SVD's copy of it, 2.03 and 3.07 units
         cfg = ModelConfig(truth_elems=16384, coarse_elems=128)
         truth = models.truth_record(cfg)
         unit = 16383 * 129 * 8
@@ -536,8 +567,33 @@ class TestBuilders:
         finally:
             tracemalloc.stop()
         assert pb.pressures.b_eff.shape == (16383, 128)
-        assert kept < 1.2 * unit, f"the level keeps {kept / unit:.2f} units"
-        assert peak < 2.25 * unit, f"the level's build peaked at {peak / unit:.2f} units"
+        assert kept < 0.1 * unit, f"the level keeps {kept / unit:.2f} units"
+        assert peak < 1.2 * unit, f"the level's build peaked at {peak / unit:.2f} units"
+
+    def test_level_path_reads_b_t_whole_once_per_level(self, monkeypatch, tmp_path):
+        # the deflation's copy of B_T is the only n × m_q array on the level
+        # path of the four level commands: every other read of B_T is a row
+        # slab of whole cells of about algebra.SLAB entries
+        from dualstab.cli import main
+
+        shapes = []
+        original = ConstraintForm.row_slabs
+
+        def recorded(form, stops):
+            for slab in original(form, stops):
+                shapes.append(slab.shape)
+                yield slab
+
+        monkeypatch.setattr(ConstraintForm, "row_slabs", recorded)
+        path = tmp_path / "levels.cfg"
+        path.write_text("truth_elems = 4096\nlevels = 16, 32\n")
+        for command in ("constants", "spectral", "infsup", "converge"):
+            shapes.clear()
+            assert main([command, "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 0
+            whole = [shape for shape in shapes if shape[0] == 4095]
+            assert whole == [(4095, 17), (4095, 33)], command
+            # the largest cell, U's at coarse 16, is 256 rows of 17 entries
+            assert max(rows * cols for rows, cols in shapes if rows < 4095) <= algebra.SLAB, command
 
     def test_dual_gram_forms_no_constraint_sized_array(self):
         # beta and norm_B of a level read its dual Gram, formed in closed form

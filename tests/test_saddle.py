@@ -434,7 +434,7 @@ class TestBlockSolve:
         # residual is the dense one of the assembled matrix to roundoff, at
         # and away from the solution
         _, pb, d = build(w_kind="truth")
-        monkeypatch.setattr(saddle, "RESIDUAL_SLAB", 2 * d.W.dim + 1)
+        monkeypatch.setattr(saddle, "SLAB", 2 * d.W.dim + 1)
         tf = assemble_three_field(pb, d.with_gamma(gamma))
         sol = np.concatenate(solve(tf))
         trial = sol + np.random.default_rng(2).standard_normal(sol.shape)
@@ -1058,7 +1058,13 @@ class TestValidation:
         d3 = Discretization(pb, d.U, d.dp, 0.5)
         assert calls == [(63, 9)]
         assert (d.gamma, d2.gamma, d3.gamma) == (0.0, 0.3, 0.5)
-        assert d.b_eff is d2.b_eff is d3.b_eff is pb.pressures.b_eff
+        # U's and W's rows of the pressures are formed once per subspace and
+        # kept by the problem's pressures, so every copy on d's spaces reads them
+        rows = pb.pressures.restrict(d.U), pb.pressures.restrict(d.W)
+        for other in (d, d3, d.with_gamma(0.7), d3.with_gamma(0.1)):
+            assert other.blocks.b_uq is rows[0] and other.blocks.b_wq is rows[1]
+        np.testing.assert_array_equal(d2.blocks.b_wq, rows[1])
+        np.testing.assert_array_equal(d.b_eff, d2.b_eff)
         np.testing.assert_array_equal(
             assemble_stabilized(pb, d3).matrix,
             assemble_stabilized(pb, models.build_spaces(replace(cfg, gamma=0.5), pb)).matrix,
