@@ -31,9 +31,9 @@ written.  A tall B_T is reduced to its m_q × m_q R factor in that copy
 before the SVD (Chan's R-SVD, in ``algebra.svd``): s and Vᵀ keep dgesdd's
 bits, and no n × m_q U is formed.  The record keeps no B_eff = B_T Z: a
 subspace's rows E_Sᵀ B_T Z, which the pencils and the blocks read, are
-formed once per subspace (``DeflatedPressures.restrict``), from row slabs
-of a structured B_T, so the SVD's copy is the only n × m_q array a model
-level holds.  The record owns
+formed on each read (``DeflatedPressures.restrict``), and on a model level
+they are the B_T of the subspace's own mesh times Z, so the SVD's copy is
+the only n × m_q array a model level holds.  The record owns
 beta and norm_B, which depend only on the truth space and the pressures: one
 solve of its (B_effᵀ G⁻¹ B_eff, G_Q) pencil gives both.  That dual Gram is
 Zᵀ K Z when B_T gives K = B_Tᵀ G⁻¹ B_T itself, as a model level's does in
@@ -49,14 +49,12 @@ caller's input, then never fails on them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from .algebra import (
-    SLAB,
     DimensionMismatch,
     NotSpd,
     NumericalFailure,
@@ -314,14 +312,15 @@ class DeflatedPressures:
     """Pressures deflated once on ``truth``: Z, Zᵀ G_Q Z and its factor.
 
     ``constraint`` is B_T as it was given.  The record keeps no B_eff = B_T Z:
-    ``b_eff`` forms it anew on each read, and ``restrict(sub)`` gives a
-    subspace's rows E_Sᵀ B_T Z, formed on its first read and kept with the
-    record while the subspace lives.  A structured B_T that reads its rows
-    in slabs (``row_slabs``, as ``models.ConstraintForm`` does) and an
-    embedding that folds them cell by cell (``fold``, as
-    ``models.P1Prolongation`` does) meet in slabs of whole cells of about
-    ``algebra.SLAB`` entries of B_T, each multiplied by Z and folded; any
-    other pair restricts all of B_eff.  The dual Gram B_effᵀ G⁻¹ B_eff, and
+    ``b_eff`` forms it anew on each read, and ``restrict(sub)`` forms a
+    subspace's rows E_Sᵀ B_T Z anew on each call.  A structured B_T may
+    write B_T Z itself (``times(Z)``, from row slabs, as
+    ``models.ConstraintForm`` does) and give E_Sᵀ B_T as a structured B_T of
+    S's own (``restricted(S.op)``: ``models.ConstraintForm`` does for a
+    nested ``models.P1Prolongation``); its rows are then those of S's own
+    B_T times Z, m_S × m_q × k work with no truth row read.  Otherwise, as
+    for a dense B_T or a ``DenseEmbedding``, E_Sᵀ is applied to all of
+    B_eff.  The dual Gram B_effᵀ G⁻¹ B_eff, and
     beta and norm_B, the roots of the extreme eigenvalues of its pencil with
     G_Q (beta is 0 at or below KERNEL_RTOL · the largest), are formed on
     first read and kept with the record.  A structured B_T may give
@@ -336,29 +335,22 @@ class DeflatedPressures:
     q_fact: SpdFactorization
     truth: TruthSpace
     constraint: object
-    _rows: WeakKeyDictionary = field(
-        default_factory=WeakKeyDictionary, init=False, repr=False, compare=False
-    )
 
     @property
     def b_eff(self):
         """B_eff = B_T Z, a row per truth dof, formed anew on each read."""
-        return np.asarray(self.constraint, dtype=float) @ self.basis
+        times = getattr(self.constraint, "times", None)
+        if times is None:
+            return np.asarray(self.constraint, dtype=float) @ self.basis
+        return times(self.basis)
 
     def restrict(self, sub):
-        """E_Sᵀ B_T Z, the rows of a subspace S of ``truth``, formed once while S lives."""
-        if sub in self._rows:
-            return self._rows[sub]
+        """E_Sᵀ B_T Z, the rows of a subspace S of ``truth``, formed anew on each call."""
         if self.constraint.shape[0] != sub.parent.dim:
             raise DimensionMismatch("constraint matrix rows do not match the truth space")
-        read, op = getattr(self.constraint, "row_slabs", None), sub.op
-        if read is None or not hasattr(op, "fold"):
-            rows = sub.restrict(self.b_eff)
-        else:
-            cells = max(1, SLAB // (op.ratio * self.constraint.shape[1]))
-            rows = op.fold((slab @ self.basis for slab in read(op.cell_stops(cells))), cells)
-        self._rows[sub] = rows
-        return rows
+        restricted = getattr(self.constraint, "restricted", None)
+        own = None if restricted is None else restricted(sub.op)
+        return sub.restrict(self.b_eff) if own is None else own.times(self.basis)
 
     @cached_property
     def dual_gram(self):

@@ -16,9 +16,11 @@ to truth velocities through the exact constraint matrix B_T of
 b(q, v) = ∫ q v'.  A level holds it as a ``ConstraintForm``, which keeps no
 n × m_q array and writes its rows anew on each pass (``row_slabs``): the
 deflation reads it whole once, for its SVD (on the R factor of the copy it
-reads), and drops it, and a subspace's rows E_Sᵀ B_T Z are summed from row
-slabs of whole cells (``P1Prolongation.fold``), so the deflation's copy is
-the only such array a level ever holds, and it keeps none.  The
+reads), and drops it.  A hat of a nested mesh S has slope ±m_S on S's
+cells, so a subspace's rows E_Sᵀ B_T are the B_T of S's own mesh
+(``ConstraintForm.restricted``), and its rows E_Sᵀ B_T Z are written from
+them (``times``) without reading a truth row: the deflation's copy is the
+only such array a level ever holds, and it keeps none.  The
 dual Gram B_Tᵀ G⁻¹ B_T, which gives beta and norm_B, is formed in closed
 form in O(n) (``ConstraintForm.dual_gram``): G is never solved on B_T.
 Every coarse basis is read through one evaluator, ``coarse_basis``, the
@@ -232,9 +234,9 @@ class P1Prolongation(Embedding):
     two terms per node from the zero-padded coefficients, Eᵀ y reshapes the
     nodes into (cell, local node) blocks of r = truth_elems / sub_elems, both
     in O(n·k) for k columns, and the Gram of a banded M sums the four hat
-    products of each band entry with ``np.bincount``, in O(n).  ``fold``
-    forms Eᵀ y from row slabs of whole cells (``cell_stops``), by the same
-    arithmetic: Eᵀ y is its fold of one slab.
+    products of each band entry with ``np.bincount``, in O(n).  E's rows of
+    the constraint, E_Sᵀ B_T, take no product with E: they are B_T of the
+    embedded mesh (``ConstraintForm.restricted``).
     """
 
     def __init__(self, truth_elems, sub_elems):
@@ -253,42 +255,16 @@ class P1Prolongation(Embedding):
 
     def apply_t(self, y):
         y = np.asarray(y, dtype=float)
-        out = self.fold([y.reshape(y.shape[0], -1)], self.sub_elems)
-        return out.reshape((self.shape[1],) + y.shape[1:])
-
-    def cell_stops(self, cells):
-        """Exclusive ends of the truth-row slabs of ``cells`` whole cells, the last maybe fewer.
-
-        Cell 0 holds truth nodes 1..r−1 and cell j ≥ 1 nodes j·r..j·r + r − 1,
-        so a slab that ends with cell j ends before row (j + 1)·r − 1.
-        """
-        ends = np.minimum(np.arange(cells, self.sub_elems + cells, cells), self.sub_elems)
-        return ends * self.ratio - 1
-
-    def fold(self, slabs, cells):
-        """Eᵀ Y of a k-column Y given by its row slabs of ``cells`` whole cells each, in order.
-
-        Coarse node j is the left hat of cell j and the right hat of cell
-        j − 1, and a cell's sums against its two hats are products of that
-        cell's rows alone, so the slabs' sums are those of Y read whole:
-        ``apply_t`` is the fold of one slab.  The last cell's right node is
-        on the boundary.
-        """
-        r, dim = self.ratio, self.shape[1]
+        r = self.ratio
         t = np.arange(r) / r  # the local coordinates of one cell's nodes
-        out = None
-        for first, rows in zip(range(0, self.sub_elems, cells), slabs):
-            if out is None:
-                out = np.zeros((dim, rows.shape[1]))
-            if first == 0:
-                # cell 0 holds truth nodes 1..r−1, and only its right hat is interior
-                out[0] += t[1:] @ rows[: r - 1]
-                rows, first = rows[r - 1 :], 1
-            blocks = rows.reshape(-1, r, rows.shape[1])
-            out[first - 1 : first - 1 + len(blocks)] += (1.0 - t) @ blocks
-            right = out[first : first + len(blocks)]
-            right += (t @ blocks)[: len(right)]
-        return out
+        rows = y.reshape(y.shape[0], -1)
+        blocks = rows[r - 1 :].reshape(self.shape[1], r, -1)
+        # cell 0 holds truth nodes 1..r−1 and cell j ≥ 1 nodes j·r..j·r + r − 1;
+        # coarse node j is the left hat of cell j and the right hat of cell j − 1
+        out = (1.0 - t) @ blocks
+        out[0] += t[1:] @ rows[: r - 1]
+        out[1:] += (t @ blocks)[:-1]
+        return out.reshape((self.shape[1],) + y.shape[1:])
 
     def band_gram(self, band, other):
         if not isinstance(other, P1Prolongation):
@@ -326,11 +302,13 @@ class ConstraintForm:
     pressure is linear on each truth element, so a mean is its midpoint value.
     Row i is Ψ(mid_i) − Ψ(mid_{i+1}), from the midpoints' ``coarse_basis``.
     ``shape`` is (n, m_q); the n × m_q matrix is not kept: ``row_slabs``
-    writes slabs of its rows, each a new Fortran-ordered array, and
+    writes slabs of its rows, each a new Fortran-ordered array.
     ``to_dense()``, the slab of all rows, builds the whole matrix on each
     call, as ``np.asarray(form)`` does, for LAPACK to work in and the caller
-    to drop.
-    ``dual_gram(truth)`` gives B_Tᵀ G⁻¹ B_T in closed form, in O(n).
+    to drop, and ``times(Z)`` writes B_T Z slab by slab into one array.
+    The same form on a nested mesh S between the pressures and the truth is
+    E_Sᵀ B_T (``restricted``), and ``dual_gram(truth)`` gives B_Tᵀ G⁻¹ B_T
+    in closed form, in O(n).
     """
 
     def __init__(self, truth_elems, coarse_elems, kind):
@@ -370,25 +348,49 @@ class ConstraintForm:
         sums = np.bincount(index.ravel(), value.ravel(), size)
         return (ptp - np.outer(sums, sums) / n) / n
 
-    def row_slabs(self, stops):
-        """Rows [0, s₀), [s₀, s₁), ... of B_T, for the increasing row ends s of ``stops``.
+    def restricted(self, op):
+        """E_Sᵀ B_T for a ``P1Prolongation`` of a mesh S between the pressures and the truth.
+
+        A hat of S has slope ±m_S on S's cells, so b(ψ, ·) on it is ψ's mean
+        on one cell of S minus its mean on the next, and a pressure nested in
+        S is linear on S's cells: E_Sᵀ B_T is B_T of S's own mesh, this form
+        on m_S elements, and no truth row is read.  Any other embedding, or a
+        mesh S coarser than the pressures', gets None.
+        """
+        if (
+            isinstance(op, P1Prolongation)
+            and op.shape[0] == self.shape[0]
+            and op.sub_elems % self.coarse_elems == 0
+        ):
+            return ConstraintForm(op.sub_elems, self.coarse_elems, self.kind)
+        return None
+
+    def row_slabs(self, step):
+        """B_T's rows in slabs of ``step`` rows, the last maybe fewer.
 
         Each slab is a new Fortran-ordered array, written from the midpoint
         basis, which one pass computes once; ``to_dense()`` is the pass of
         one slab.
         """
         index, value = self._midpoint_basis()
-        start = 0
-        for stop in stops:
+        for start in range(0, self.shape[0], step):
+            stop = min(start + step, self.shape[0])
             b = np.zeros((stop - start, self.shape[1]), order="F")
             rows = np.arange(stop - start)[:, None]
             b[rows, index[start:stop]] = value[start:stop]
             b[rows, index[start + 1 : stop + 1]] -= value[start + 1 : stop + 1]
             yield b
-            start = stop
 
     def to_dense(self):
-        return next(self.row_slabs([self.shape[0]]))
+        return next(self.row_slabs(self.shape[0]))
+
+    def times(self, z):
+        """B_T Z, written into one new array from row slabs of about ``algebra.SLAB`` entries."""
+        step = max(1, SLAB // self.shape[1])
+        out = np.empty((self.shape[0], z.shape[1]))
+        for start, slab in zip(range(0, self.shape[0], step), self.row_slabs(step)):
+            np.matmul(slab, z, out=out[start : start + len(slab)])
+        return out
 
     def __array__(self, dtype=None, copy=None):
         # every read builds a new matrix, so any copy request is met

@@ -25,10 +25,10 @@ the γ-free blocks of its (problem, U, dual product), built on first read as
 ``d.blocks``: A_UU, A_WU, B_UQ, B_WQ, F_U, F_W, one set of rows when U is W,
 and, on first read, the B_WQᵀ S⁻¹ products of the stabilized route.
 B_UQ and B_WQ are the pressures' rows of U and W (``pb.pressures.restrict``),
-formed once per subspace and kept with the pressures, so the constants and
-the blocks of every discretization on those spaces read one array each.
-``d.with_gamma`` restates γ and keeps them, so every γ and both assemblies
-read one set, which lives as long as the discretizations that share it.
+on a model level the B_T of U's and W's own meshes times Z, m × m_q × k
+work that reads no truth row.  ``d.with_gamma`` restates γ and keeps the
+blocks, so every γ and both assemblies read one set, which lives as long as
+the discretizations that share it.
 Only the (1/γ)S block, the γ-scaled products and ``static_condense``, which
 factors S/γ from its blocks as the independent route and solves it once,
 against B_WQ's columns, depend on γ.
@@ -228,9 +228,9 @@ class GammaFreeBlocks:
     A_UU, A_WU, B_UQ, B_WQ, F_U and F_W are built with the set, through the
     subspaces' products: A_UU is the record's ``sub_gram`` of U, which may
     be U's own ``gram_sub`` array, A_WU the record's cross Gram of A, B_UQ
-    and B_WQ the pressures' own rows of U and W (``restrict``), F_U and F_W
-    Eᵀ F.  When U is W, one set of rows serves both
-    (A_WU is A_UU, and so on).  No block is written in place: the systems
+    and B_WQ the pressures' rows of U and W (``restrict``), formed here
+    once for the set, F_U and F_W Eᵀ F.  When U is W, one set of rows
+    serves both (A_WU is A_UU, and so on).  No block is written in place: the systems
     hold them, and A_UU may be the subspace's own Gramian.  ``products``, the
     B_WQᵀ S⁻¹ products of the stabilized route, solve S on first read.
     """

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dualstab import algebra, dualprod
+from dualstab import algebra, dualprod, models
 from dualstab.algebra import DimensionMismatch, NotSpd, spd_solve, sym_generalized_eig
 from dualstab.dualprod import (
     SWEEP_SAMPLES,
@@ -45,7 +45,22 @@ from dualstab.models import (
     pressure_mass,
     prolongation_p1,
 )
-from oracles import p1_stiffness, random_spd, svd_deflation
+from oracles import (
+    hat_constraint_matrix,
+    hat_prolongation,
+    p1_stiffness,
+    random_spd,
+    svd_deflation,
+)
+
+
+def hat_rows(truth, sub_elems, coarse, kind):
+    """E_Sᵀ B_T of the hats on sub_elems elements: the dense product of the hat
+    tables up to truth 2048, and above it B_T of S's own mesh, which
+    tests/test_models.py pins to that product bit for bit."""
+    if truth > 2048:
+        return ConstraintForm(sub_elems, coarse, kind).to_dense()
+    return hat_prolongation(truth, sub_elems).T @ hat_constraint_matrix(truth, coarse, kind)
 
 
 def random_truth(rng, n):
@@ -394,8 +409,7 @@ class TestPressureDeflation:
         # a tall B_T reaches s and Vᵀ through its R factor (Chan's R-SVD),
         # which dgesdd on all of B_T forms itself at these heights; a wide
         # one takes the full SVD
-        # U's and W's rows, summed from row slabs of B_T, are those of the
-        # oracle's whole B_eff
+        # U's and W's rows are the oracle's rows of their hats times its Z
         form = ConstraintForm(truth, coarse, kind)
         qg = pressure_mass(coarse, kind)
         ts = BandedTruthSpace(p1_stiffness_band(truth))
@@ -408,27 +422,31 @@ class TestPressureDeflation:
             assert np.array_equal(getattr(got, name), expected), name
         for elems in (coarse, min(2 * coarse, truth)):
             sub = Subspace(ts, P1Prolongation(truth, elems))
-            assert np.array_equal(got.restrict(sub), sub.restrict(b_eff)), elems
+            assert np.array_equal(got.restrict(sub), hat_rows(truth, elems, coarse, kind) @ z), elems
 
     @pytest.mark.parametrize("kind", ["p1", "p0"])
     @pytest.mark.parametrize(
         "truth, sub_elems", [(1024, 16), (1024, 256), (2048, 2048), (64, 2), (16, 16)], ids=str
     )
     def test_one_cell_slabs_give_the_default_bits(self, monkeypatch, kind, truth, sub_elems):
-        # a subspace's rows, from slabs of whole cells of about algebra.SLAB
-        # entries of B_T (one slab for the two smallest meshes), or of one
-        # cell each, or from all of B_eff at once
+        # a subspace's rows, written in slabs of about algebra.SLAB entries
+        # (one slab for the smallest meshes) or of one row each, are its
+        # hats' rows of B_T times Z; a mesh coarser than the pressures'
+        # (64, 2) applies Eᵀ to all of B_eff
         form = ConstraintForm(truth, 16, kind)
         ts = BandedTruthSpace(p1_stiffness_band(truth))
         sub = Subspace(ts, P1Prolongation(truth, sub_elems))
-        default = deflate_pressures(form, pressure_mass(16, kind), ts).restrict(sub)
-        cells = max(1, algebra.SLAB // (truth // sub_elems * form.shape[1]))
-        assert (cells < sub_elems) == (truth > 64)
-        monkeypatch.setattr(dualprod, "SLAB", 1)
         pressures = deflate_pressures(form, pressure_mass(16, kind), ts)
-        one_cell = pressures.restrict(sub)
-        assert np.array_equal(one_cell, default)
-        assert np.array_equal(one_cell, sub.restrict(pressures.b_eff))
+        default = pressures.restrict(sub)
+        assert (algebra.SLAB // form.shape[1] < sub_elems - 1) == (sub_elems > 256)
+        monkeypatch.setattr(models, "SLAB", 1)
+        one_row = pressures.restrict(sub)
+        assert np.array_equal(one_row, default)
+        z = pressures.basis
+        if sub_elems >= 16:
+            assert np.array_equal(one_row, hat_rows(truth, sub_elems, 16, kind) @ z)
+        else:
+            assert np.array_equal(one_row, sub.restrict(hat_constraint_matrix(truth, 16, kind) @ z))
 
     def test_rows_formed_once_per_subspace_while_it_lives(self):
         form, qg = ConstraintForm(256, 8, "p1"), pressure_mass(8, "p1")
@@ -436,7 +454,7 @@ class TestPressureDeflation:
         pressures = deflate_pressures(form, qg, ts)
         sub = Subspace(ts, P1Prolongation(256, 16))
         rows = pressures.restrict(sub)
-        assert pressures.restrict(sub) is rows
+        assert np.array_equal(pressures.restrict(sub), rows)
         # another subspace of the same mesh gets its own rows, with equal bits
         twin = Subspace(ts, P1Prolongation(256, 16))
         assert pressures.restrict(twin) is not rows
@@ -448,6 +466,25 @@ class TestPressureDeflation:
         other = Subspace(BandedTruthSpace(p1_stiffness_band(128)), P1Prolongation(128, 16))
         with pytest.raises(DimensionMismatch):
             pressures.restrict(other)
+
+    @pytest.mark.parametrize("kind", ["p1", "p0"])
+    def test_b_eff_peak_is_one_product(self, kind):
+        # truth 16384, coarse 128: B_T Z is written from row slabs of B_T into
+        # one array (1.04 units for P1, 1.02 for P0); B_T built whole beside
+        # the product took 1.99
+        form = ConstraintForm(16384, 128, kind)
+        ts = BandedTruthSpace(p1_stiffness_band(16384))
+        pressures = deflate_pressures(form, pressure_mass(128, kind), ts)
+        unit = form.shape[0] * form.shape[1] * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            b_eff = pressures.b_eff
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(b_eff, form.to_dense() @ pressures.basis)
+        assert peak <= 1.15 * unit, f"a read of b_eff peaked at {peak / unit:.2f} units"
 
     @pytest.mark.parametrize("kind", ["p1", "p0"])
     def test_deflation_peak_is_one_constraint_matrix(self, kind):

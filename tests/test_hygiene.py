@@ -64,3 +64,40 @@ def test_only_algebra_symmetrizes():
     # not overflow near the float maximum, as a bare x + x.T does
     found = [f"{p.stem}:{line}" for p in MODULES if p.stem != "algebra" for line in transpose_sums(p)]
     assert found == []
+
+
+# the nested-mesh structure of models' prolongation and constraint form
+MESH_NAMES = {"fold", "cell_stops", "ratio", "row_slabs"}
+
+
+def mesh_reads(path):
+    """(line, receiver, name) of each read of a MESH_NAMES attribute in a module.
+
+    A read is ``x.name`` or a ``getattr``/``hasattr`` of the name as a string.
+    """
+    reads = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and node.attr in MESH_NAMES:
+            reads.append((node.lineno, ast.unparse(node.value), node.attr))
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("getattr", "hasattr")
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+            and node.args[1].value in MESH_NAMES
+        ):
+            reads.append((node.lineno, ast.unparse(node.args[0]), node.args[1].value))
+    return reads
+
+
+def test_only_models_reads_the_mesh_structure():
+    # qo.ratio is the quasi-optimality ratio of a solve, which cli reports
+    found = [
+        f"{p.stem}:{line} {receiver}.{name}"
+        for p in MODULES
+        if p.stem != "models"
+        for line, receiver, name in mesh_reads(p)
+        if (receiver, name) != ("qo", "ratio")
+    ]
+    assert found == []

@@ -367,6 +367,47 @@ class TestConstraintMatrix:
                 assert np.array_equal(np.signbit(b), np.signbit(oracle)), (nt, nc)
                 del b, oracle  # the largest pair's tables are 134 MB each
 
+    # (truth, coarse, sub): each mesh pair of the rows tests of
+    # tests/test_dualprod.py up to truth 2048, with the pressures nested in sub
+    RESTRICTED = [
+        (8, 8, 8), (16, 16, 16), (512, 256, 256), (512, 256, 512), (1024, 16, 16),
+        (1024, 16, 32), (1024, 16, 256), (1024, 32, 64), (1024, 64, 128), (1024, 128, 256),
+        (2048, 16, 16), (2048, 16, 32), (2048, 16, 2048),
+    ]
+
+    @pytest.mark.parametrize("kind", ["p1", "p0"])
+    def test_restricted_is_the_hat_product_bit_for_bit(self, kind):
+        # a hat of S has slope ±m_S on S's cells, so E_Sᵀ B_T is B_T of S's mesh
+        for truth, coarse, sub in self.RESTRICTED:
+            op = models.P1Prolongation(truth, sub)
+            form = ConstraintForm(truth, coarse, kind).restricted(op)
+            assert (form.truth_elems, form.coarse_elems, form.kind) == (sub, coarse, kind)
+            oracle = hat_prolongation(truth, sub).T @ hat_constraint_matrix(truth, coarse, kind)
+            assert np.array_equal(form.to_dense(), oracle), (truth, coarse, sub)
+            assert np.array_equal(np.signbit(form.to_dense()), np.signbit(oracle)), (truth, coarse, sub)
+
+    @pytest.mark.parametrize("kind", ["p1", "p0"])
+    def test_restricted_is_none_off_the_nested_meshes(self, kind):
+        form = ConstraintForm(64, 16, kind)
+        # a mesh coarser than the pressures', a dense embedding, another truth mesh
+        assert form.restricted(models.P1Prolongation(64, 2)) is None
+        assert form.restricted(hilbert.DenseEmbedding(hat_prolongation(64, 16))) is None
+        assert form.restricted(models.P1Prolongation(128, 16)) is None
+        assert form.restricted(models.P1Prolongation(64, 16)) is not None
+
+    @pytest.mark.parametrize("kind", ["p1", "p0"])
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    def test_times_in_slabs_is_the_whole_product_bit_for_bit(self, monkeypatch, kind, rows):
+        # B_T Z in row slabs of one row, of seven with a short last one, and
+        # of about algebra.SLAB entries (None) has the bits of the whole product
+        form = ConstraintForm(1024, 32, kind)
+        if rows is not None:
+            monkeypatch.setattr(models, "SLAB", rows * form.shape[1])
+        z = np.random.default_rng(3).standard_normal((form.shape[1], 20))
+        got = form.times(z)
+        assert got.shape == (1023, 20) and got.flags.c_contiguous
+        assert np.array_equal(got, hat_constraint_matrix(1024, 32, kind) @ z)
+
     def test_memory_stays_at_the_result(self):
         # truth 65536, coarse 128: the dense hat table and its shifted difference
         # peaked at 2.0 times B_T; the midpoints' basis pairs take O(n)
@@ -572,28 +613,31 @@ class TestBuilders:
 
     def test_level_path_reads_b_t_whole_once_per_level(self, monkeypatch, tmp_path):
         # the deflation's copy of B_T is the only n × m_q array on the level
-        # path of the four level commands: every other read of B_T is a row
-        # slab of whole cells of about algebra.SLAB entries
+        # path of the four level commands: every other pass over a B_T is on
+        # a subspace's own mesh (U's or W's), in slabs of at most
+        # algebra.SLAB entries, and reads no truth row
         from dualstab.cli import main
 
-        shapes = []
+        passes = []
         original = ConstraintForm.row_slabs
 
-        def recorded(form, stops):
-            for slab in original(form, stops):
-                shapes.append(slab.shape)
+        def recorded(form, step):
+            for slab in original(form, step):
+                passes.append((form.truth_elems, form.coarse_elems, slab.shape))
                 yield slab
 
         monkeypatch.setattr(ConstraintForm, "row_slabs", recorded)
         path = tmp_path / "levels.cfg"
         path.write_text("truth_elems = 4096\nlevels = 16, 32\n")
         for command in ("constants", "spectral", "infsup", "converge"):
-            shapes.clear()
+            passes.clear()
             assert main([command, "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 0
-            whole = [shape for shape in shapes if shape[0] == 4095]
-            assert whole == [(4095, 17), (4095, 33)], command
-            # the largest cell, U's at coarse 16, is 256 rows of 17 entries
-            assert max(rows * cols for rows, cols in shapes if rows < 4095) <= algebra.SLAB, command
+            whole = [(coarse, shape) for mesh, coarse, shape in passes if mesh == 4096]
+            assert whole == [(16, (4095, 17)), (32, (4095, 33))], command
+            # W's mesh (refined:2) is twice as fine as the pressures', U's is theirs
+            meshes = {(mesh, coarse) for mesh, coarse, _ in passes if mesh != 4096}
+            assert {(32, 16), (64, 32)} <= meshes <= {(16, 16), (32, 16), (32, 32), (64, 32)}, command
+            assert max(rows * cols for _, _, (rows, cols) in passes if rows < 4095) <= algebra.SLAB
 
     def test_dual_gram_forms_no_constraint_sized_array(self):
         # beta and norm_B of a level read its dual Gram, formed in closed form

@@ -1058,11 +1058,12 @@ class TestValidation:
         d3 = Discretization(pb, d.U, d.dp, 0.5)
         assert calls == [(63, 9)]
         assert (d.gamma, d2.gamma, d3.gamma) == (0.0, 0.3, 0.5)
-        # U's and W's rows of the pressures are formed once per subspace and
-        # kept by the problem's pressures, so every copy on d's spaces reads them
+        # U's and W's rows of the pressures are the problem's pressures' rows,
+        # so every copy on d's spaces reads their bits
         rows = pb.pressures.restrict(d.U), pb.pressures.restrict(d.W)
         for other in (d, d3, d.with_gamma(0.7), d3.with_gamma(0.1)):
-            assert other.blocks.b_uq is rows[0] and other.blocks.b_wq is rows[1]
+            assert np.array_equal(other.blocks.b_uq, rows[0])
+            assert np.array_equal(other.blocks.b_wq, rows[1])
         np.testing.assert_array_equal(d2.blocks.b_wq, rows[1])
         np.testing.assert_array_equal(d.b_eff, d2.b_eff)
         np.testing.assert_array_equal(
