@@ -29,27 +29,30 @@ read (``models.ConstraintForm``), and both take one path: the SVD works in a
 new Fortran-ordered copy, dropped after it, so a caller's dense B_T is never
 written.  A tall B_T is reduced to its m_q × m_q R factor in that copy
 before the SVD (Chan's R-SVD, in ``algebra.svd``): s and Vᵀ keep dgesdd's
-bits, and no n × m_q U is formed.  The record keeps no B_eff = B_T Z: a
-subspace's rows E_Sᵀ B_T Z, which the pencils and the blocks read, are
-formed on each read (``DeflatedPressures.restrict``), and on a model level
-they are the B_T of the subspace's own mesh times Z, so the SVD's copy is
-the only n × m_q array a model level holds.  The record owns
-beta and norm_B, which depend only on the truth space and the pressures: one
-solve of its (B_effᵀ G⁻¹ B_eff, G_Q) pencil gives both.  That dual Gram is
-Zᵀ K Z when B_T gives K = B_Tᵀ G⁻¹ B_T itself, as a model level's does in
-closed form, and a truth solve on B_eff otherwise.  A stiffness form built
-on W's Gram (``gramian``, ``scaled:σ``) reads W's factor only when S is
-first solved.  The products this module forms for its pencils (the dual
-Gram, B_Wᵀ G_W⁻¹ B_W and B_Wᵀ S⁻¹ B_W) are symmetric only to roundoff, which
-grows with the condition of G and G_W, so each is symmetrized where it is
-formed (``algebra.symmetrized``): the pencils' symmetry check, meant for a
-caller's input, then never fails on them.
+bits, and no n × m_q U is formed.  The record keeps no B_eff = B_T Z.  The
+same pressures on a subspace S, read as a truth space of its own
+(``DeflatedPressures.on``), have S's rows E_Sᵀ B_T Z, which the blocks read;
+on a model level they are the B_T of S's own mesh times Z, so the SVD's copy
+is the only n × m_q array a model level holds.  Every pressure pencil's Gram
+is a record's dual Gram (``DeflatedPressures.dual_gram``): on the truth it
+gives beta and norm_B; on W it is the sup Gram B_Wᵀ G_W⁻¹ B_W, which gives
+beta_hat and alpha_hat, and over σ it is c_star's B_Wᵀ S⁻¹ B_W for
+S = σ·G_W; with an explicit S read as W's Gram it is c_star's for that S.
+The dual Gram is Zᵀ K Z when B_T gives K = B_Tᵀ G⁻¹ B_T itself, as a model
+level's does in closed form on the truth and on a nested P1 W (whose Gram
+is the stiffness of its own mesh), and a solve on B_eff otherwise, so a
+model level solves no G, G_W or S system for its constants.  A stiffness
+form built on W's Gram (``gramian``, ``scaled:σ``) reads W's factor only
+when S is first solved.  A formed dual Gram is symmetric only to roundoff,
+which grows with the condition of the Gram it solves, so it is symmetrized
+where it is formed (``algebra.symmetrized``): the pencils' symmetry check,
+meant for a caller's input, then never fails on it.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -69,7 +72,7 @@ from .algebra import (
     sym_generalized_eigvals,
     symmetrized,
 )
-from .hilbert import Subspace, TruthSpace
+from .hilbert import Subspace
 
 # relative tolerance for the verified spectral bounds
 BOUND_RTOL = 1e-9
@@ -143,6 +146,10 @@ class StiffnessForm:
         if self.sigma == 1.0:
             return self.aux.fact
         return SpdFactorization(self.aux.dim, np.sqrt(self.sigma) * self.aux.fact.lower)
+
+    def solve(self, rhs):
+        """S⁻¹ rhs, so that S reads as W's Gram in the dual Gram of the pressures on W."""
+        return spd_solve(self.fact, rhs)
 
 
 @dataclass(frozen=True)
@@ -311,29 +318,33 @@ def pressure_deflation(b_t, q_gram):
 class DeflatedPressures:
     """Pressures deflated once on ``truth``: Z, Zᵀ G_Q Z and its factor.
 
-    ``constraint`` is B_T as it was given.  The record keeps no B_eff = B_T Z:
-    ``b_eff`` forms it anew on each read, and ``restrict(sub)`` forms a
-    subspace's rows E_Sᵀ B_T Z anew on each call.  A structured B_T may
-    write B_T Z itself (``times(Z)``, from row slabs, as
-    ``models.ConstraintForm`` does) and give E_Sᵀ B_T as a structured B_T of
-    S's own (``restricted(S.op)``: ``models.ConstraintForm`` does for a
-    nested ``models.P1Prolongation``); its rows are then those of S's own
-    B_T times Z, m_S × m_q × k work with no truth row read.  Otherwise, as
-    for a dense B_T or a ``DenseEmbedding``, E_Sᵀ is applied to all of
-    B_eff.  The dual Gram B_effᵀ G⁻¹ B_eff, and
-    beta and norm_B, the roots of the extreme eigenvalues of its pencil with
-    G_Q (beta is 0 at or below KERNEL_RTOL · the largest), are formed on
-    first read and kept with the record.  A structured B_T may give
-    K = B_Tᵀ G⁻¹ B_T itself, m_q × m_q, through ``dual_gram(truth)``
-    (``models.ConstraintForm`` does, in closed form, on its own truth
-    mesh): the dual Gram is then Zᵀ K Z, and G is not solved.  Otherwise,
-    as for a dense B_T, G is solved on all of B_eff.
+    ``truth`` is read only through ``solve``, with its Gram: the truth
+    space, a subspace S read as a truth space of its own (``on``), or a
+    stiffness S read as W's Gram.  ``constraint`` is B_T as it was given.
+    The record keeps no B_eff = B_T Z: ``b_eff`` forms it anew on each read,
+    and a structured B_T may write B_T Z itself (``times(Z)``, from row
+    slabs, as ``models.ConstraintForm`` does).  ``on(S)`` is the same
+    pressures on a subspace S, whose constraint is E_Sᵀ B_T: a structured
+    B_T may give it as a B_T of S's own (``restricted(S.op)``:
+    ``models.ConstraintForm`` does for a nested ``models.P1Prolongation``),
+    so S's rows are m_S × m_q × k work with no truth row read; otherwise, as
+    for a dense B_T or a ``DenseEmbedding``, E_Sᵀ is applied to the dense B_T.
+    The dual Gram B_effᵀ G⁻¹ B_eff, and beta and norm_B, the roots of the
+    extreme eigenvalues of its pencil with G_Q (beta is 0 at or below
+    KERNEL_RTOL · the largest), are formed on first read and kept with the
+    record; on S they are the sup Gram B_Sᵀ G_S⁻¹ B_S and the inf-sup
+    constant of (Q, S).  A structured B_T may give K = B_Tᵀ G⁻¹ B_T itself,
+    m_q × m_q, through ``dual_gram(truth)``: ``models.ConstraintForm`` does,
+    in closed form, on a truth whose Gram is the P1 stiffness of the form's
+    own mesh, the truth band or a nested P1 subspace of it.  The dual Gram
+    is then Zᵀ K Z, and nothing is solved.  Otherwise, as for a dense B_T or
+    any other truth, the truth's Gram is solved on all of B_eff.
     """
 
     basis: np.ndarray
     q_eff: np.ndarray
     q_fact: SpdFactorization
-    truth: TruthSpace
+    truth: object
     constraint: object
 
     @property
@@ -344,13 +355,20 @@ class DeflatedPressures:
             return np.asarray(self.constraint, dtype=float) @ self.basis
         return times(self.basis)
 
-    def restrict(self, sub):
-        """E_Sᵀ B_T Z, the rows of a subspace S of ``truth``, formed anew on each call."""
+    def on(self, sub):
+        """The same pressures on a subspace S of ``truth``, read as a truth space of its own.
+
+        Z, Q_eff and its factor are kept; the truth is S and the constraint
+        E_Sᵀ B_T, so ``b_eff`` is S's rows, ``dual_gram`` the sup Gram
+        B_Sᵀ G_S⁻¹ B_S and ``beta`` the inf-sup constant of (Q, S).
+        """
         if self.constraint.shape[0] != sub.parent.dim:
             raise DimensionMismatch("constraint matrix rows do not match the truth space")
         restricted = getattr(self.constraint, "restricted", None)
         own = None if restricted is None else restricted(sub.op)
-        return sub.restrict(self.b_eff) if own is None else own.times(self.basis)
+        if own is None:
+            own = sub.restrict(np.asarray(self.constraint, dtype=float))
+        return replace(self, truth=sub, constraint=own)
 
     @cached_property
     def dual_gram(self):
@@ -384,56 +402,50 @@ def _floored_root(spectrum):
     return 0.0 if low <= KERNEL_RTOL * spectrum[-1] else float(np.sqrt(low))
 
 
-def _sup_gram(sub, pressures):
-    """W's rows B_W = E_Wᵀ B_eff and B_Wᵀ G_W⁻¹ B_W, the squared sups of b(q, ·) over W.
-
-    The product is symmetric only to roundoff, which grows with cond(G_W), so
-    it is symmetrized here, as ``dual_gram`` is: a pencil's symmetry check
-    then reads it unchanged, bit for bit.
-    """
-    b_w = pressures.restrict(sub)
-    return b_w, symmetrized(b_w.T @ spd_solve(sub.fact, b_w))
-
-
-def pressure_infsup(pressures, sub):
-    """Inf-sup constant of the mixed form over (deflated pressures, subspace).
-
-    Square root of the smallest eigenvalue of (B_Wᵀ G_W⁻¹ B_W, G_Q); zero when
-    the subspace cannot control every deflated pressure.
-    """
-    return _floored_root(sym_generalized_eigvals(_sup_gram(sub, pressures)[1], pressures.q_fact))
-
-
 def infsup_qw(b_t, q_gram, sub):
-    """``pressure_infsup`` on the pressures of (B_T, G_Q)."""
-    return pressure_infsup(deflate_pressures(b_t, q_gram, sub.parent), sub)
+    """Inf-sup constant of the mixed form over (deflated pressures of (B_T, G_Q), subspace).
+
+    Square root of the smallest eigenvalue of (B_Wᵀ G_W⁻¹ B_W, G_Q), the
+    ``beta`` of the pressures on W; zero when the subspace cannot control
+    every deflated pressure.
+    """
+    return deflate_pressures(b_t, q_gram, sub.parent).on(sub).beta
 
 
 def measure_equivalence(dp, pressures):
-    """Every spectral constant of a configuration on its deflated pressures."""
-    b_w, sup_w = _sup_gram(dp.aux, pressures)
-    beta, norm_b = pressures.beta, pressures.norm_B
+    """Every spectral constant of a configuration on its deflated pressures.
+
+    alpha_hat and beta_hat read W's sup Gram B_Wᵀ G_W⁻¹ B_W, the dual Gram of
+    the pressures on W.  c_star reads B_Wᵀ S⁻¹ B_W: that Gram over σ for
+    S = σ·G_W, and for an explicit S the same record's dual Gram with S as
+    W's Gram.
+    """
+    on_w = pressures.on(dp.aux)
     try:
         dual_fact = cholesky(pressures.dual_gram, "deflated dual Gramian")
     except NotSpd:
         raise DegeneratePencil("deflated dual-norm Gramian is singular") from None
-    numer = symmetrized(b_w.T @ spd_solve(dp.stiffness.fact, b_w))
+    if dp.stiffness.sigma is None:
+        numer = replace(on_w, truth=dp.stiffness).dual_gram
+    else:
+        # an overflow to inf ends as the pencil's NonFinite
+        with np.errstate(over="ignore"):
+            numer = on_w.dual_gram / dp.stiffness.sigma
     c_upper = 1.0 / dp.stiffness.kappa_star
     c_star = float(sym_generalized_eigvals(numer, dual_fact)[0])
     if c_star <= KERNEL_RTOL * c_upper:
         # W misses part of the range of B: zero, not roundoff
         c_star = 0.0
-    rep = EquivalenceReport(
+    return EquivalenceReport(
         kappa_star=dp.stiffness.kappa_star,
         K_star=dp.stiffness.K_star,
         c_star=c_star,
         C_star=c_upper,
-        alpha_hat=_floored_root(sym_generalized_eigvals(sup_w, dual_fact)),
-        beta_hat=_floored_root(sym_generalized_eigvals(sup_w, pressures.q_fact)),
-        beta=beta,
-        norm_B=norm_b,
+        alpha_hat=_floored_root(sym_generalized_eigvals(on_w.dual_gram, dual_fact)),
+        beta_hat=on_w.beta,
+        beta=pressures.beta,
+        norm_B=pressures.norm_B,
     )
-    return rep
 
 
 def equivalence_report(dp, b_t, q_gram):

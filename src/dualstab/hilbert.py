@@ -174,6 +174,10 @@ class Subspace:
     def fact(self):
         return cholesky(self.gram_sub, "subspace Gramian")
 
+    def solve(self, rhs):
+        """G_S⁻¹ rhs on the subspace's own Gram, so that it reads as a truth space of its own."""
+        return spd_solve(self.fact, rhs)
+
     @property
     def embedding(self):
         """The n × m matrix E."""

@@ -22,7 +22,10 @@ cells, so a subspace's rows E_Sᵀ B_T are the B_T of S's own mesh
 them (``times``) without reading a truth row: the deflation's copy is the
 only such array a level ever holds, and it keeps none.  The
 dual Gram B_Tᵀ G⁻¹ B_T, which gives beta and norm_B, is formed in closed
-form in O(n) (``ConstraintForm.dual_gram``): G is never solved on B_T.
+form in O(n) (``ConstraintForm.dual_gram``): G is never solved on B_T.  A
+nested P1 W's Gram is the stiffness of W's own mesh (``p1_stiffness_space``),
+so W's sup Gram B_Wᵀ G_W⁻¹ B_W, which gives beta_hat, alpha_hat and c_star,
+is the same closed form of W's own B_T, in O(m_W), and G_W is not solved.
 Every coarse basis is read through one evaluator, ``coarse_basis``, the
 (index, value) pairs of the basis functions nonzero at a point: the P1
 prolongation stores them at the truth nodes, B_T and its dual Gram read them
@@ -289,6 +292,20 @@ class P1Prolongation(Embedding):
         return np.ascontiguousarray(e[:, 1:-1])
 
 
+def p1_stiffness_space(space, n):
+    """Whether ``space``'s Gram is the P1 H¹₀ stiffness of n uniform elements.
+
+    So is the banded truth space of that stiffness, and a ``P1Prolongation``
+    subspace on n elements of such a space on a finer nested mesh: for nested
+    conforming spaces Eᵀ G E is the coarse stiffness (the variational
+    property).  Any other space is not, or is not known to be.
+    """
+    op = getattr(space, "op", None)
+    if isinstance(op, P1Prolongation) and op.sub_elems == n:
+        space, n = space.parent, op.ratio * n
+    return isinstance(space, BandedTruthSpace) and np.array_equal(space.band, p1_stiffness_band(n))
+
+
 def prolongation_p1(truth_elems, sub_elems):
     """The n × m matrix of ``P1Prolongation(truth_elems, sub_elems)``."""
     return P1Prolongation(truth_elems, sub_elems).to_dense()
@@ -307,8 +324,9 @@ class ConstraintForm:
     call, as ``np.asarray(form)`` does, for LAPACK to work in and the caller
     to drop, and ``times(Z)`` writes B_T Z slab by slab into one array.
     The same form on a nested mesh S between the pressures and the truth is
-    E_Sᵀ B_T (``restricted``), and ``dual_gram(truth)`` gives B_Tᵀ G⁻¹ B_T
-    in closed form, in O(n).
+    E_Sᵀ B_T (``restricted``), and ``dual_gram(space)`` gives B_Tᵀ G⁻¹ B_T
+    in closed form, in O(n), on a space whose G is the stiffness of the
+    form's own mesh.
     """
 
     def __init__(self, truth_elems, coarse_elems, kind):
@@ -321,8 +339,13 @@ class ConstraintForm:
         n = self.truth_elems
         return coarse_basis((np.arange(n) + 0.5) / n, self.coarse_elems, self.kind)
 
-    def dual_gram(self, truth):
-        """K = B_Tᵀ G⁻¹ B_T (m_q × m_q) on the mesh's banded H¹₀ truth space; else None.
+    def dual_gram(self, space):
+        """K = B_Tᵀ G⁻¹ B_T (m_q × m_q) on a space with the mesh's H¹₀ stiffness; else None.
+
+        The space is the mesh's banded truth space, or a nested P1 subspace
+        on this mesh, whose Gram is that stiffness too (``p1_stiffness_space``):
+        on the form ``restricted`` gives for W, K is W's sup Gram
+        B_Wᵀ G_W⁻¹ B_W.
 
         With P (n × m_q) the pressure basis at the truth-element midpoints
         and C the n × (n − 1) difference matrix, B_T = Cᵀ P and G = n CᵀC.
@@ -333,12 +356,11 @@ class ConstraintForm:
         PᵀP and Pᵀ1 sum the midpoints' ``coarse_basis`` pairs with
         ``np.bincount``, as ``P1Prolongation.band_gram`` does; n is a power
         of two, so both divisions are exact.  No n × m_q array is formed and
-        G is not solved.  Any other truth space gets None: its G is not n CᵀC.
+        G is not solved.  Any other space gets None: its G is not, or is not
+        known to be, n CᵀC.
         """
         n = self.truth_elems
-        if not isinstance(truth, BandedTruthSpace) or not np.array_equal(
-            truth.band, p1_stiffness_band(n)
-        ):
+        if not p1_stiffness_space(space, n):
             return None
         index, value = self._midpoint_basis()
         size = self.shape[1]

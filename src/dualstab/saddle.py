@@ -16,19 +16,23 @@ subspace), which give ``GammaFreeBlocks`` its A blocks, and A's constants
 pressures, deflated against ker B_T on its truth space (see dualprod) when
 the problem is built, as ``pb.pressures``, which every discretization built
 on it reads; the pressures own beta, norm_B and the dual Gram
-B_effᵀ G⁻¹ B_eff, which ``constants`` reads.  B_T may be structured
-(``models.ConstraintForm``): the problem keeps it as given, as
-``pb.constraint``, and ``d.b_sel`` is that same object, so a function that
-takes (b_t, q_gram) reads the B_T and the dual Gram that ``constants``
-reads.  A discretization is (problem, U, dual product, gamma), and it owns
-the γ-free blocks of its (problem, U, dual product), built on first read as
-``d.blocks``: A_UU, A_WU, B_UQ, B_WQ, F_U, F_W, one set of rows when U is W,
-and, on first read, the B_WQᵀ S⁻¹ products of the stabilized route.
-B_UQ and B_WQ are the pressures' rows of U and W (``pb.pressures.restrict``),
-on a model level the B_T of U's and W's own meshes times Z, m × m_q × k
-work that reads no truth row.  ``d.with_gamma`` restates γ and keeps the
-blocks, so every γ and both assemblies read one set, which lives as long as
-the discretizations that share it.
+B_effᵀ G⁻¹ B_eff, which ``constants`` reads, and the same pressures on W
+(``pb.pressures.on(W)``) own beta_hat and W's sup Gram B_Wᵀ G_W⁻¹ B_W,
+which ``constants`` and ``relaxed_infsup_check`` read: on a model level
+both Grams are closed forms, and neither G nor G_W is solved for them.  B_T
+may be structured (``models.ConstraintForm``): the problem keeps it as
+given, as ``pb.constraint``, and ``d.b_sel`` is that same object, so a
+function that takes (b_t, q_gram) reads the B_T and the dual Gram that
+``constants`` reads.  A discretization is (problem, U, dual product, gamma),
+and it owns the γ-free blocks of its (problem, U, dual product), built on
+first read as ``d.blocks``: A_UU, A_WU, B_UQ, B_WQ, F_U, F_W, one set of
+rows when U is W, and, on first read, the B_WQᵀ S⁻¹ products of the
+stabilized route.  B_UQ and B_WQ are the rows ``b_eff`` of the pressures on
+U and on W (``pb.pressures.on``), on a model level the B_T of U's and W's
+own meshes times Z, m × m_q × k work that reads no truth row.
+``d.with_gamma`` restates γ and keeps the blocks, so every γ and both
+assemblies read one set, which lives as long as the discretizations that
+share it.
 Only the (1/γ)S block, the γ-scaled products and ``static_condense``, which
 factors S/γ from its blocks as the independent route and solves it once,
 against B_WQ's columns, depend on γ.
@@ -40,7 +44,7 @@ structured embeddings keep them level-sized.
 
 U nests in W in every configuration the models build, so the joint space
 U + W of the relaxed inf-sup check is W: ``relaxed_infsup_check`` checks the
-nesting (``require_nested``) and reads W's pencil.
+nesting (``require_nested``) and reads beta_hat from the pressures on W.
 """
 
 from __future__ import annotations
@@ -71,7 +75,6 @@ from .dualprod import (
     EquivalenceReport,
     deflate_pressures,
     measure_equivalence,
-    pressure_infsup,
     raise_failed,
 )
 from .hilbert import Functional, TruthSpace, orthogonal_project
@@ -228,8 +231,8 @@ class GammaFreeBlocks:
     A_UU, A_WU, B_UQ, B_WQ, F_U and F_W are built with the set, through the
     subspaces' products: A_UU is the record's ``sub_gram`` of U, which may
     be U's own ``gram_sub`` array, A_WU the record's cross Gram of A, B_UQ
-    and B_WQ the pressures' rows of U and W (``restrict``), formed here
-    once for the set, F_U and F_W Eᵀ F.  When U is W, one set of rows
+    and B_WQ the rows of the pressures on U and on W (``on(U).b_eff``),
+    formed here once for the set, F_U and F_W Eᵀ F.  When U is W, one set of rows
     serves both (A_WU is A_UU, and so on).  No block is written in place: the systems
     hold them, and A_UU may be the subspace's own Gramian.  ``products``, the
     B_WQᵀ S⁻¹ products of the stabilized route, solve S on first read.
@@ -238,14 +241,14 @@ class GammaFreeBlocks:
     def __init__(self, pb, u, dp):
         pressures, load = pb.pressures, pb.load.action
         self.a_uu = pb.record.sub_gram(u)
-        self.b_uq = pressures.restrict(u)
+        self.b_uq = pressures.on(u).b_eff
         self.f_u = u.restrict(load)
         w = dp.aux
         if u is w:
             self.a_wu, self.b_wq, self.f_w = self.a_uu, self.b_uq, self.f_u
         else:
             self.a_wu = pb.record.gram(w.op, u.op)
-            self.b_wq = pressures.restrict(w)
+            self.b_wq = pressures.on(w).b_eff
             self.f_w = w.restrict(load)
         self.stiffness = dp.stiffness
 
@@ -561,10 +564,11 @@ def relaxed_infsup_check(pb, d):
 
     The floor (``lower``) is the W-only constant beta_hat, which the relaxed
     one may never fall below.  U nests in W (``require_nested``), so U + W is
-    W and the relaxed constant is beta_hat itself: W's pencil is solved once.
+    W and the relaxed constant is beta_hat itself, the ``beta`` of the
+    pressures on W: W's pencil is solved once.
     """
     require_nested(d.U, d.W)
-    beta_hat = pressure_infsup(pb.pressures, d.W)
+    beta_hat = pb.pressures.on(d.W).beta
     return Check("relaxed_infsup", beta_hat, beta_hat, None, COERCIVITY_TOL)
 
 

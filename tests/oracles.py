@@ -1,5 +1,7 @@
 """Dense oracles that tests compare the package's split routes with."""
 
+import math
+
 import numpy as np
 
 from dualstab.algebra import (
@@ -174,6 +176,36 @@ def hat_constraint_matrix(truth_elems, coarse_elems, kind):
     np.add.at(b, (rows, parent[:-1]), 1.0)
     np.add.at(b, (rows, parent[1:]), -1.0)
     return b
+
+
+def solved_sup_gram(truth_elems, w_elems, coarse_elems, kind, z):
+    """B_Wᵀ G_W⁻¹ B_W, B_W = E_Wᵀ B_T Z, by a dense solve over the hat tables, symmetrized.
+
+    E_W is W's hat table on the truth nodes, B_T the constraint's, and
+    G_W = E_Wᵀ G E_W is n (D E_W)ᵀ (D E_W), with D E_W the differences of
+    W's hats across the n truth elements; G_W is factored and solved on B_W,
+    as the package once did for every W.  That solve's error
+    grows with cond(G_W), like W's size squared (1.2e-12 of the largest entry
+    at W = truth = 2048), so one step of iterative refinement follows, on a
+    residual that ``math.fsum`` rounds once: G_W's entries, ±m_W and 2m_W, are
+    powers of two, so each of its products is exact.  The oracle of the sup
+    Gram that the pressures on a nested W give in closed form on W's own mesh
+    (``DeflatedPressures.on``).
+    """
+    e = hat_prolongation(truth_elems, w_elems)
+    b_w = e.T @ (hat_constraint_matrix(truth_elems, coarse_elems, kind) @ z)
+    steps = np.diff(np.pad(e, ((1, 1), (0, 0))), axis=0)
+    g_w = truth_elems * (steps.T @ steps)
+    fact = cholesky(g_w, "W Gramian")
+    x = spd_solve(fact, b_w)
+    resid = np.empty_like(b_w)
+    for i, row in enumerate(g_w):
+        cols = np.flatnonzero(row)
+        terms = np.vstack([b_w[i], -row[cols, None] * x[cols]])
+        resid[i] = [math.fsum(column) for column in terms.T]
+    x += spd_solve(fact, resid)
+    product = b_w.T @ x
+    return 0.5 * (product + product.T)
 
 
 def combined_subspace(truth, *embeddings):

@@ -693,25 +693,29 @@ class TestTruthLevelWork:
 
     # B_effᵀ G⁻¹ B_eff is formed by a level's pressures on first read and kept
     # with them: once per level in a command that reads beta, norm_B or the
-    # pairing sweep, never otherwise, and factored only for c_star and alpha_hat
+    # pairing sweep, never otherwise, and factored only for c_star and
+    # alpha_hat.  W's sup Gram B_Wᵀ G_W⁻¹ B_W is the dual Gram of the same
+    # pressures on W: once per level in a command that reads beta_hat,
+    # alpha_hat or c_star, and never factored
     @pytest.mark.parametrize(
-        "command, extra, n_formed, n_factored",
+        "command, extra, n_formed, n_sup, n_factored",
         [
-            pytest.param("constants", [], 4, 4, id="constants"),
-            pytest.param("spectral", [], 4, 4, id="spectral"),
-            pytest.param("infsup", [], 4, 0, id="infsup"),
-            pytest.param("converge", [], 4, 4, id="converge"),
-            pytest.param("solve", ["--gamma", "auto"], 1, 1, id="solve-auto"),
-            pytest.param("solve", [], 0, 0, id="solve"),
-            pytest.param("condense-check", [], 0, 0, id="condense-check"),
+            pytest.param("constants", [], 4, 4, 4, id="constants"),
+            pytest.param("spectral", [], 4, 4, 4, id="spectral"),
+            pytest.param("infsup", [], 4, 4, 0, id="infsup"),
+            pytest.param("converge", [], 4, 4, 4, id="converge"),
+            pytest.param("solve", ["--gamma", "auto"], 1, 1, 1, id="solve-auto"),
+            pytest.param("solve", [], 0, 0, 0, id="solve"),
+            pytest.param("condense-check", [], 0, 0, 0, id="condense-check"),
         ],
     )
     def test_dual_gram_formed_once_per_level(
-        self, tmp_path, monkeypatch, command, extra, n_formed, n_factored
+        self, tmp_path, monkeypatch, command, extra, n_formed, n_sup, n_factored
     ):
-        formed, factored = [], []
+        formed, factored, spaces = [], [], []
         original_form = dualprod.DeflatedPressures.dual_gram.func
         original_cholesky = dualprod.cholesky
+        original_spaces = models.build_spaces
 
         def form(pressures):
             formed.append(pressures)
@@ -721,17 +725,31 @@ class TestTruthLevelWork:
             factored.append(m)
             return original_cholesky(m, name)
 
+        def recorded(cfg, pb):
+            spaces.append(original_spaces(cfg, pb))
+            return spaces[-1]
+
         counted = functools.cached_property(form)
         counted.__set_name__(dualprod.DeflatedPressures, "dual_gram")
         monkeypatch.setattr(dualprod.DeflatedPressures, "dual_gram", counted)
         monkeypatch.setattr(dualprod, "cholesky", factor)
+        monkeypatch.setattr(models, "build_spaces", recorded)
         path = write_cfg(tmp_path, "truth_elems = 64\nlevels = 4, 8, 16, 32\n")
         code, _, _ = run_csv(tmp_path, [command, "--config", path] + extra)
         assert code == 0
-        # one formation per level, each on its own pressures
-        assert len({id(p) for p in formed}) == len(formed) == n_formed
-        grams = [p.dual_gram for p in formed]
+        # every dual Gram is on a level's truth or on its W, and each is its
+        # own record's
+        truths = {id(d.problem.truth) for d in spaces}
+        ws = {id(d.W) for d in spaces}
+        on_truth = [p for p in formed if id(p.truth) in truths]
+        on_w = [p for p in formed if id(p.truth) in ws]
+        assert len(on_truth) + len(on_w) == len(formed) == len({id(p) for p in formed})
+        assert (len(on_truth), len(on_w)) == (n_formed, n_sup)
+        # each level's W once
+        assert len({id(p.truth) for p in on_w}) == n_sup
+        grams = [p.dual_gram for p in on_truth]
         assert sum(any(m is g for g in grams) for m in factored) == n_factored
+        assert not any(m is p.dual_gram for m in factored for p in on_w)
 
     @pytest.mark.parametrize(
         "command", ["constants", "spectral", "infsup", "solve", "converge", "condense-check"]
@@ -761,15 +779,13 @@ class TestTruthLevelWork:
         # the W-only pencil gives beta_hat, the floor of the relaxed check, and,
         # since U nests in W, the relaxed constant of U + W = W too
         dims = []
-        original = dualprod.pressure_infsup
+        original = dualprod.DeflatedPressures.on
 
         def counted(pressures, sub):
             dims.append(sub.dim)
             return original(pressures, sub)
 
-        for module in (dualprod, saddle, cli):
-            if hasattr(module, "pressure_infsup"):
-                monkeypatch.setattr(module, "pressure_infsup", counted)
+        monkeypatch.setattr(dualprod.DeflatedPressures, "on", counted)
         path = write_cfg(tmp_path, "truth_elems = 64\nlevels = 4, 8\n")
         code, _, rows = run_csv(tmp_path, ["infsup", "--config", path])
         assert code == 0 and len(rows) == 2
@@ -1167,6 +1183,17 @@ class TestFactorsOnFirstSolve:
         # condense-check's maximal spaces come last, with U = W
         configured = [d for d in spaces if d.U is not d.W]
         assert configured and all(("fact" in vars(d.U)) == factored for d in configured)
+
+    @pytest.mark.parametrize("stiffness", ["gramian", "scaled:3"])
+    def test_constants_factors_no_w(self, tmp_path, monkeypatch, stiffness):
+        # W's sup Gram is the closed-form dual Gram of W's own mesh, and
+        # c_star's B_Wᵀ S⁻¹ B_W is that Gram over σ: neither G_W nor S is solved
+        spaces = self.record_spaces(monkeypatch)
+        text = f"truth_elems = 64\nlevels = 4, 8\ns = {stiffness}\n"
+        code, _, rows = run_csv(tmp_path, ["constants", "--config", write_cfg(tmp_path, text)])
+        assert code == 0 and len(rows) == len(spaces) == 2
+        for d in spaces:
+            assert "fact" not in vars(d.W) and "fact" not in vars(d.dp.stiffness)
 
     @pytest.mark.parametrize(
         "text",

@@ -3,14 +3,14 @@
 beta and norm_B come from the pressures' dual Gram, which a model level forms
 in closed form, with no truth solve: their error no longer grows with the
 truth size (the dense G-solve's did, like truth²: at truth 16384 it put
-norm_B 5.7e-11 and P0 beta_gamma 3.2e-10 off).  What drift remains comes
-from W's pencils, whose G_W condition grows with W's size, at most 1024
-elements below.  Over every pressure, W, sigma, reaction and gamma below, on
-levels 2..128, the largest relative error measured is 2.4e-14 at truth 64,
-1.2e-13 at 256, 1.3e-12 at 1024 (P1 with W on the whole truth mesh), 6.3e-13
-at 4096 and 1.2e-12 at 16384 (P0 with W eight times finer than the pressures),
-each in ``beta_gamma``, which compounds the errors of beta, c_star and gamma0.
-RTOL is about twice the largest.
+norm_B 5.7e-11 and P0 beta_gamma 3.2e-10 off).  beta_hat, alpha_hat and
+c_star read the dual Gram of the same pressures on W's own mesh, in closed
+form too, since W's Gram is the stiffness of that mesh: no G_W or S system
+is solved, whose condition grew with W's size (that solve left up to
+1.3e-12 here, in beta_gamma at truth 1024 and 16384).  Over every pressure,
+W, sigma, reaction and gamma below, on levels 2..128, the largest relative
+error measured is 7.9e-15, P0 beta_gamma at truth 4096, level 64, which
+compounds the errors of beta, c_star and gamma0.  RTOL is about twice it.
 """
 
 import json
@@ -20,7 +20,7 @@ import pytest
 from dualstab.cli import main
 from oracles import closed_form_constants
 
-RTOL = 2.5e-12
+RTOL = 1.6e-14
 
 SIZES = (64, 256, 1024, 4096)
 W_KINDS = ("refined:1", "refined:2", "refined:4", "refined:8", "truth")

@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 
 from dualstab import algebra, dualprod, models
-from dualstab.algebra import DimensionMismatch, NotSpd, spd_solve, sym_generalized_eig
+from dualstab.algebra import DimensionMismatch, NotSpd, spd_solve, sym_generalized_eig, symmetrized
 from dualstab.dualprod import (
     SWEEP_SAMPLES,
     BoundViolated,
@@ -50,6 +50,7 @@ from oracles import (
     hat_prolongation,
     p1_stiffness,
     random_spd,
+    solved_sup_gram,
     svd_deflation,
 )
 
@@ -422,7 +423,8 @@ class TestPressureDeflation:
             assert np.array_equal(getattr(got, name), expected), name
         for elems in (coarse, min(2 * coarse, truth)):
             sub = Subspace(ts, P1Prolongation(truth, elems))
-            assert np.array_equal(got.restrict(sub), hat_rows(truth, elems, coarse, kind) @ z), elems
+            rows = got.on(sub).b_eff
+            assert np.array_equal(rows, hat_rows(truth, elems, coarse, kind) @ z), elems
 
     @pytest.mark.parametrize("kind", ["p1", "p0"])
     @pytest.mark.parametrize(
@@ -432,40 +434,40 @@ class TestPressureDeflation:
         # a subspace's rows, written in slabs of about algebra.SLAB entries
         # (one slab for the smallest meshes) or of one row each, are its
         # hats' rows of B_T times Z; a mesh coarser than the pressures'
-        # (64, 2) applies Eᵀ to all of B_eff
+        # (64, 2) applies Eᵀ to all of B_T, then Z
         form = ConstraintForm(truth, 16, kind)
         ts = BandedTruthSpace(p1_stiffness_band(truth))
         sub = Subspace(ts, P1Prolongation(truth, sub_elems))
         pressures = deflate_pressures(form, pressure_mass(16, kind), ts)
-        default = pressures.restrict(sub)
+        default = pressures.on(sub).b_eff
         assert (algebra.SLAB // form.shape[1] < sub_elems - 1) == (sub_elems > 256)
         monkeypatch.setattr(models, "SLAB", 1)
-        one_row = pressures.restrict(sub)
+        one_row = pressures.on(sub).b_eff
         assert np.array_equal(one_row, default)
         z = pressures.basis
         if sub_elems >= 16:
             assert np.array_equal(one_row, hat_rows(truth, sub_elems, 16, kind) @ z)
         else:
-            assert np.array_equal(one_row, sub.restrict(hat_constraint_matrix(truth, 16, kind) @ z))
+            assert np.array_equal(one_row, sub.restrict(hat_constraint_matrix(truth, 16, kind)) @ z)
 
     def test_rows_formed_once_per_subspace_while_it_lives(self):
         form, qg = ConstraintForm(256, 8, "p1"), pressure_mass(8, "p1")
         ts = BandedTruthSpace(p1_stiffness_band(256))
         pressures = deflate_pressures(form, qg, ts)
         sub = Subspace(ts, P1Prolongation(256, 16))
-        rows = pressures.restrict(sub)
-        assert np.array_equal(pressures.restrict(sub), rows)
+        rows = pressures.on(sub).b_eff
+        assert np.array_equal(pressures.on(sub).b_eff, rows)
         # another subspace of the same mesh gets its own rows, with equal bits
         twin = Subspace(ts, P1Prolongation(256, 16))
-        assert pressures.restrict(twin) is not rows
-        assert np.array_equal(pressures.restrict(twin), rows)
+        assert pressures.on(twin).b_eff is not rows
+        assert np.array_equal(pressures.on(twin).b_eff, rows)
         # the record keeps neither subspace alive
         refs = weakref.ref(sub), weakref.ref(twin)
         del sub, twin
         assert [ref() for ref in refs] == [None, None]
         other = Subspace(BandedTruthSpace(p1_stiffness_band(128)), P1Prolongation(128, 16))
         with pytest.raises(DimensionMismatch):
-            pressures.restrict(other)
+            pressures.on(other)
 
     @pytest.mark.parametrize("kind", ["p1", "p0"])
     def test_b_eff_peak_is_one_product(self, kind):
@@ -557,6 +559,53 @@ class TestClosedFormDualGram:
         monkeypatch.setattr(ts, "solve", lambda rhs: solved.append(rhs) or original(rhs))
         pressures.dual_gram
         assert len(solved) == 1 and np.array_equal(solved[0], b @ pressures.basis)
+
+
+class TestSupGramOnOwnMesh:
+    # the Gram of a nested P1 W is the stiffness of W's own mesh, and its rows
+    # E_Wᵀ B_T are W's own B_T, so W's sup Gram B_Wᵀ G_W⁻¹ B_W is the
+    # closed-form dual Gram of the pressures on W, and G_W is not solved
+
+    # (truth, coarse, W): every nested shape up to truth 256, and the mesh
+    # triples of the rows tests above it, up to truth 2048
+    SHAPES = [
+        (2**t, 2**c, 2**j) for t in range(1, 9) for c in range(1, t + 1) for j in range(c, t + 1)
+    ] + [
+        (512, 256, 256), (512, 256, 512), (1024, 16, 16), (1024, 16, 32), (1024, 16, 256),
+        (1024, 32, 64), (1024, 64, 128), (1024, 128, 256), (2048, 16, 16), (2048, 16, 32),
+        (2048, 16, 2048),
+    ]
+
+    @pytest.mark.parametrize("kind", ["p1", "p0"])
+    def test_closed_form_meets_the_solved_oracle(self, kind):
+        for truth, coarse, w in self.SHAPES:
+            ts = BandedTruthSpace(p1_stiffness_band(truth))
+            pressures = deflate_pressures(
+                ConstraintForm(truth, coarse, kind), pressure_mass(coarse, kind), ts
+            )
+            w_sub = Subspace(ts, P1Prolongation(truth, w))
+            got = pressures.on(w_sub).dual_gram
+            assert "fact" not in vars(w_sub), (truth, coarse, w)
+            oracle = solved_sup_gram(truth, w, coarse, kind, pressures.basis)
+            assert np.array_equal(got, got.T)
+            scale = np.abs(oracle).max()
+            assert np.abs(got - oracle).max() <= 1e-13 * scale, (truth, coarse, w)
+
+    @pytest.mark.parametrize("kind", ["p1", "p0"])
+    def test_other_spaces_take_the_solve(self, kind):
+        # W's hats in acceptance test 02's mass truth, in a truth of twice the
+        # stiffness, and as a dense embedding of the same columns: G_W is not
+        # the stiffness of W's mesh, or not known to be, so it is solved
+        band, hats = p1_stiffness_band(64), P1Prolongation(64, 16)
+        for sub in (
+            Subspace(TruthSpace(p1_interior_mass(64)), hats),
+            Subspace(BandedTruthSpace(2.0 * band), hats),
+            Subspace(BandedTruthSpace(band), hats.to_dense()),
+        ):
+            pressures = deflate_pressures(ConstraintForm(64, 8, kind), pressure_mass(8, kind), sub.parent)
+            on_w = pressures.on(sub)
+            rows = on_w.b_eff
+            assert np.array_equal(on_w.dual_gram, symmetrized(rows.T @ spd_solve(sub.fact, rows)))
 
 
 def dual_norm_infsup(b, qg, sub):
@@ -769,7 +818,7 @@ class TestIllConditionedW:
 
         monkeypatch.setattr(dualprod, "sym_generalized_eigvals", recorded)
         rep = dualprod.measure_equivalence(dp, pressures)
-        beta_hat = dualprod.pressure_infsup(pressures, w)
+        beta_hat = pressures.on(w).beta
         # the truth pencil, c_star's, alpha_hat's, beta_hat's, and beta_hat's again
         assert symmetric == [True] * 5
         assert beta_hat == rep.beta_hat > 0.0

@@ -66,8 +66,9 @@ def test_only_algebra_symmetrizes():
     assert found == []
 
 
-# the nested-mesh structure of models' prolongation and constraint form
-MESH_NAMES = {"fold", "cell_stops", "ratio", "row_slabs"}
+# the nested-mesh structure of models' prolongation and constraint form;
+# sub_elems is read by the rule of which spaces have the P1 stiffness Gram
+MESH_NAMES = {"fold", "cell_stops", "ratio", "row_slabs", "sub_elems"}
 
 
 def mesh_reads(path):

@@ -613,31 +613,34 @@ class TestBuilders:
 
     def test_level_path_reads_b_t_whole_once_per_level(self, monkeypatch, tmp_path):
         # the deflation's copy of B_T is the only n × m_q array on the level
-        # path of the four level commands: every other pass over a B_T is on
-        # a subspace's own mesh (U's or W's), in slabs of at most
-        # algebra.SLAB entries, and reads no truth row
+        # path: one pass per level reads all 4095 truth rows, for the SVD.
+        # The constants read W's sup Gram in closed form and read no rows;
+        # only converge's blocks read U's and W's, once each, on their own
+        # meshes (U's is the pressures', W's refined:2), in slabs of at most
+        # algebra.SLAB entries
         from dualstab.cli import main
 
         passes = []
         original = ConstraintForm.row_slabs
 
         def recorded(form, step):
+            passes.append((form.truth_elems, form.coarse_elems, []))
             for slab in original(form, step):
-                passes.append((form.truth_elems, form.coarse_elems, slab.shape))
+                passes[-1][2].append(slab.shape)
                 yield slab
 
         monkeypatch.setattr(ConstraintForm, "row_slabs", recorded)
         path = tmp_path / "levels.cfg"
         path.write_text("truth_elems = 4096\nlevels = 16, 32\n")
-        for command in ("constants", "spectral", "infsup", "converge"):
+        for command, blocks in (("constants", 0), ("spectral", 0), ("infsup", 0), ("converge", 1)):
             passes.clear()
             assert main([command, "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 0
-            whole = [(coarse, shape) for mesh, coarse, shape in passes if mesh == 4096]
-            assert whole == [(16, (4095, 17)), (32, (4095, 33))], command
-            # W's mesh (refined:2) is twice as fine as the pressures', U's is theirs
-            meshes = {(mesh, coarse) for mesh, coarse, _ in passes if mesh != 4096}
-            assert {(32, 16), (64, 32)} <= meshes <= {(16, 16), (32, 16), (32, 32), (64, 32)}, command
-            assert max(rows * cols for _, _, (rows, cols) in passes if rows < 4095) <= algebra.SLAB
+            expected = []
+            for m in (16, 32):
+                expected += [(4096, m, [(4095, m + 1)])] + [(m, m), (2 * m, m)] * blocks
+            assert [p if p[0] == 4096 else p[:2] for p in passes] == expected, command
+            own = [shape for mesh, _, shapes in passes if mesh != 4096 for shape in shapes]
+            assert all(rows * cols <= algebra.SLAB for rows, cols in own), command
 
     def test_dual_gram_forms_no_constraint_sized_array(self):
         # beta and norm_B of a level read its dual Gram, formed in closed form

@@ -13,7 +13,6 @@ from dualstab.dualprod import (
     BoundViolated,
     DegeneratePencil,
     DualProduct,
-    pressure_infsup,
     stiffness_from_matrix,
 )
 from dualstab.hilbert import BandedTruthSpace, Subspace, TruthSpace
@@ -884,7 +883,7 @@ class TestSubspaceCombination:
     def test_relaxed_floor_is_beta_hat(self):
         # the W-only floor and beta_hat are one pencil on one deflation
         cfg, pb, d = build()
-        assert pressure_infsup(pb.pressures, d.W) == constants(pb, d).beta_hat
+        assert pb.pressures.on(d.W).beta == constants(pb, d).beta_hat
 
     @pytest.mark.parametrize("w_kind", ["same", "refined:2", "refined:4", "truth"])
     def test_joint_space_is_w_for_every_w_kind(self, w_kind):
@@ -896,7 +895,7 @@ class TestSubspaceCombination:
         row = saddle.relaxed_infsup_check(pb, d)
         beta_hat = constants(pb, d).beta_hat
         assert row.value == row.lower == beta_hat
-        assert pressure_infsup(pb.pressures, joint) == pytest.approx(beta_hat, rel=1e-12, abs=1e-12)
+        assert pb.pressures.on(joint).beta == pytest.approx(beta_hat, rel=1e-12, abs=1e-12)
 
     @staticmethod
     def hand_built(pb, u_op, w_op):
@@ -923,7 +922,7 @@ class TestSubspaceCombination:
         w_mat = np.hstack([e_u @ rng.standard_normal((7, 7)), rng.standard_normal((63, 9))])
         d = self.hand_built(pb, models.P1Prolongation(64, 8), w_mat)
         row = saddle.relaxed_infsup_check(pb, d)
-        assert row.value == row.lower == pressure_infsup(pb.pressures, d.W)
+        assert row.value == row.lower == pb.pressures.on(d.W).beta
 
 
 class TestPressureProjection:
@@ -1060,7 +1059,7 @@ class TestValidation:
         assert (d.gamma, d2.gamma, d3.gamma) == (0.0, 0.3, 0.5)
         # U's and W's rows of the pressures are the problem's pressures' rows,
         # so every copy on d's spaces reads their bits
-        rows = pb.pressures.restrict(d.U), pb.pressures.restrict(d.W)
+        rows = pb.pressures.on(d.U).b_eff, pb.pressures.on(d.W).b_eff
         for other in (d, d3, d.with_gamma(0.7), d3.with_gamma(0.1)):
             assert np.array_equal(other.blocks.b_uq, rows[0])
             assert np.array_equal(other.blocks.b_wq, rows[1])
