@@ -249,11 +249,7 @@ def cholesky(m, name="matrix"):
     largest = np.diag(m).max()
     # the copy is exactly symmetric: its F-ordered transpose is factored in place
     lower, info = lapack.dpotrf(m.T, lower=1, clean=1, overwrite_a=1)
-    if info > 0:
-        raise NotSpd(f"{name} is not positive definite")
-    pivots = np.diag(lower) ** 2
-    if pivots.min() <= PIVOT_RTOL * largest:
-        raise NotSpd(f"{name} is numerically singular (pivot below threshold)")
+    _screen_pivots(info, np.diag(lower), largest, name)
     return SpdFactorization(dim=m.shape[0], lower=lower)
 
 
@@ -265,11 +261,21 @@ def cholesky_band(band, name="matrix"):
     """
     band = as_matrix(band, name)
     upper, info = lapack.dpbtrf(band, lower=0)
+    _screen_pivots(info, upper[-1], band[-1].max(), name)
+    return BandedSpdFactorization(dim=band.shape[1], upper=upper)
+
+
+def _screen_pivots(info, pivots, largest, name):
+    """NotSpd unless ``info`` is 0 and every squared pivot exceeds ``PIVOT_RTOL`` · ``largest``.
+
+    The one screen of ``cholesky`` and ``cholesky_band``; ``largest`` is the
+    matrix's largest diagonal entry, and the pivots are squared only once
+    ``info`` says the factor is whole.
+    """
     if info > 0:
         raise NotSpd(f"{name} is not positive definite")
-    if (upper[-1] ** 2).min() <= PIVOT_RTOL * band[-1].max():
+    if (pivots**2).min() <= PIVOT_RTOL * largest:
         raise NotSpd(f"{name} is numerically singular (pivot below threshold)")
-    return BandedSpdFactorization(dim=band.shape[1], upper=upper)
 
 
 def band_apply(band, x):

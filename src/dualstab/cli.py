@@ -204,7 +204,8 @@ def _model_config(cfg, coarse):
 def _each_level(cfg, levels):
     """(level, coarse, model config, problem, spaces at gamma 0) of each mesh level in turn.
 
-    The truth record is built once, from the first, and every level's problem is built on it.
+    The truth record, with its load F, is built once, from the first, and every level's
+    problem is built on it: a level assembles only its own B_T form, G_Q and G's rhs.
     Neither this nor a loop over it holds a level's problem or spaces while the next is
     built, so each level's arrays are freed first: a loop body ends with ``del pb, d``.
     """

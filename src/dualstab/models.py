@@ -9,8 +9,10 @@ a level builds no n × n truth matrix, and G's Gram of a nested P1 space stays
 exact.  alpha and ‖A‖ are 1 + r·μ_min and 1 + r·μ_max of the pencil (M, G),
 whose spectrum is known in closed form on the uniform mesh (``truth_record``),
 so no eigensolve runs at any r; both are exactly 1 at r = 0, where A is the
-scalar product.  Every problem a configuration builds owns that record, and
-``saddle`` reads it only through its space, its Grams of A, alpha and ‖A‖.
+scalar product.  The record also holds the load F, which depends only on the
+truth mesh and r, so a run assembles it once.  Every problem a configuration
+builds owns that record, and ``saddle`` reads it only through its space, its
+Grams of A, alpha, ‖A‖ and F.
 The pressure basis lives on the coarse mesh (P1-continuous or P0) and couples
 to truth velocities through the exact constraint matrix B_T of
 b(q, v) = ∫ q v'.  A level holds it as a ``ConstraintForm``, which keeps no
@@ -30,8 +32,10 @@ Every coarse basis is read through one evaluator, ``coarse_basis``, the
 (index, value) pairs of the basis functions nonzero at a point: the P1
 prolongation stores them at the truth nodes, B_T and its dual Gram read them
 at the truth-element midpoints and the constraint rhs at its Gauss points.
-Data for a manufactured solution are assembled by 5-point Gauss quadrature
-per truth element, which is exact to machine precision at these mesh sizes.
+The data of a manufactured solution, F (``load_vector``) and G's right-hand
+side (``constraint_rhs``), are assembled by 5-point Gauss quadrature per truth
+element, which is exact to machine precision at these mesh sizes.  F is the
+record's; G's quadrature is the only truth-length quadrature a level runs.
 
 The auxiliary space W is P1 on a nested mesh from the coarse to the truth
 mesh.  ``ModelConfig.w_elems`` resolves ``w_kind`` to its element count, and
@@ -49,7 +53,7 @@ import numpy as np
 from .algebra import SLAB, DimensionMismatch, band_to_dense
 from .dualprod import DualProduct, make_stiffness, stiffness_scale
 from .hilbert import BandedTruthSpace, Embedding, Functional, Subspace, TruthSpace
-# error_norms is defined beside quasi_optimality, which shares it
+# error_norms is re-exported: bench/layers.py traces it as models.error_norms
 from .saddle import Discretization, SaddleProblem, error_norms  # noqa: F401
 
 # the 5-point Gauss-Legendre rule on [-1, 1]: the round-trip values of
@@ -492,13 +496,14 @@ def build_truth(cfg):
 
 @dataclass(frozen=True)
 class TruthRecord:
-    """Truth space and the split a-form A = G + reaction·M, shared by every level.
+    """Truth space, split a-form A = G + reaction·M and load F, shared by every level.
 
     M is the Gramian of ``mass``, a truth space on the same basis, None at
     reaction 0.  ``gram`` and ``sub_gram`` add G's and M's Grams and form no A,
     since G's Gram of a nested P1 space is exact and one band of G + reaction·M
     is not.  alpha (the least eigenvalue of (sym A, G)) and norm_A (‖A‖) are
-    Python floats, 1 ≤ alpha ≤ norm_A < ∞, checked with the rest when it is built.
+    Python floats, 1 ≤ alpha ≤ norm_A < ∞, and ``load`` is F, a Functional on
+    ``space``: each is checked with the rest when the record is built.
     """
 
     space: TruthSpace
@@ -506,10 +511,13 @@ class TruthRecord:
     mass: TruthSpace | None
     alpha: float
     norm_A: float
+    load: Functional
 
     def __post_init__(self):
         if not isinstance(self.space, TruthSpace):
             raise TypeError("space must be a TruthSpace")
+        if self.load.dim != self.space.dim:
+            raise DimensionMismatch("load functional does not live on the truth space")
         if not np.isfinite(self.reaction) or self.reaction < 0.0:
             raise ValueError("reaction coefficient must be a finite nonnegative real")
         if self.reaction > 0.0 and not isinstance(self.mass, TruthSpace):
@@ -545,28 +553,33 @@ def truth_record(cfg):
         μ_k = (2 + cos θ_k) / (12 n² sin²(θ_k/2)),   θ_k = kπ/n,
 
     smallest at k = n − 1 and largest at k = 1: alpha and norm_A need no
-    solve.  They depend only on ``truth_elems`` and ``reaction``, so every
-    coarse level of a run shares one record through ``build_level``.
+    solve.  F is ``load_vector`` of the manufactured solution.  All of these
+    depend only on ``truth_elems`` and ``reaction``, so every coarse level of a
+    run shares one record through ``build_level``, and F is assembled once.
     """
     n, r = cfg.truth_elems, float(cfg.reaction)
     space = BandedTruthSpace(p1_stiffness_band(n))
+    load = Functional(load_vector(n, default_solution(), reaction=cfg.reaction))
     if r == 0.0:
-        return TruthRecord(space, 0.0, None, 1.0, 1.0)
+        return TruthRecord(space, 0.0, None, 1.0, 1.0, load)
     theta = np.array([n - 1, 1]) * np.pi / n
     mu_min, mu_max = (2.0 + np.cos(theta)) / (12.0 * n * n * np.sin(theta / 2.0) ** 2)
     mass = BandedTruthSpace(p1_interior_mass_band(n))
-    return TruthRecord(space, r, mass, 1.0 + r * float(mu_min), 1.0 + r * float(mu_max))
+    return TruthRecord(space, r, mass, 1.0 + r * float(mu_min), 1.0 + r * float(mu_max), load)
 
 
 def build_level(cfg, truth):
-    """Assemble the mixed problem of one coarse level on a shared TruthRecord."""
+    """Assemble the mixed problem of one coarse level on a shared TruthRecord.
+
+    Only the level's own data are built: B_T's form, G_Q and G's right-hand
+    side; F is the record's.
+    """
     solution = default_solution()
     n = cfg.truth_elems
     b_form = ConstraintForm(n, cfg.coarse_elems, cfg.pressure_kind)
     q_gram = pressure_mass(cfg.coarse_elems, cfg.pressure_kind)
-    load = Functional(load_vector(n, solution, reaction=cfg.reaction))
     g_rhs = constraint_rhs(n, cfg.coarse_elems, cfg.pressure_kind, solution)
-    return SaddleProblem(truth, b_form, q_gram, load, g_rhs)
+    return SaddleProblem(truth, b_form, q_gram, g_rhs)
 
 
 def build_spaces(cfg, pb):

@@ -9,14 +9,16 @@ equation with the γ-weighted residual term, and the three-field system on
 U×W×Q whose middle block is (1/γ)S.  Static condensation of the latter must
 reproduce the former entrywise; the acceptance suite pins that.
 
-A problem owns a truth record, which the models build: its truth ``space``,
-the Grams of its a-form A (``gram`` of two embeddings and ``sub_gram`` of a
-subspace), which give ``GammaFreeBlocks`` its A blocks, and A's constants
-``alpha`` and ``norm_A``, which ``constants`` reads.  It also owns its
-pressures, deflated against ker B_T on its truth space (see dualprod) when
-the problem is built, as ``pb.pressures``, which every discretization built
-on it reads; the pressures own beta, norm_B and the dual Gram
-B_effᵀ G⁻¹ B_eff, which ``constants`` reads, and the same pressures on W
+A problem owns a truth record, which the models build once per run and every
+level shares: its truth ``space``, the Grams of its a-form A (``gram`` of two
+embeddings and ``sub_gram`` of a subspace), which give ``GammaFreeBlocks``
+its A blocks, the load F (``load``), which gives it F_U and F_W, and A's
+constants ``alpha`` and ``norm_A``, which ``constants`` reads.  The problem
+itself holds only its level's data: B_T, G_Q and G's right-hand side.  It
+also owns its pressures, deflated against ker B_T on its truth space (see
+dualprod) when the problem is built, as ``pb.pressures``, which every
+discretization built on it reads; the pressures own beta, norm_B and the
+dual Gram B_effᵀ G⁻¹ B_eff, which ``constants`` reads, and the same pressures on W
 (``pb.pressures.on(W)``) own beta_hat and W's sup Gram B_Wᵀ G_W⁻¹ B_W,
 which ``constants`` and ``relaxed_infsup_check`` read: on a model level
 both Grams are closed forms, and neither G nor G_W is solved for them.  B_T
@@ -77,7 +79,7 @@ from .dualprod import (
     measure_equivalence,
     raise_failed,
 )
-from .hilbert import Functional, TruthSpace, orthogonal_project
+from .hilbert import TruthSpace, orthogonal_project
 
 # reciprocal condition estimate at or below this flags a singular system:
 # LAPACK's dgecon estimates 1/κ₁(M) from the LU factors solve() uses, and
@@ -128,12 +130,14 @@ class DegenerateDenominator(NumericalFailure):
 
 
 class SaddleProblem:
-    """Truth-level mixed problem data on the truth record of its truth space and a-form.
+    """One level's mixed problem on the truth record of its truth space, a-form and F.
 
-    The record validates itself when it is built; its ``space`` must be a
-    TruthSpace, which is ``truth``.  ``constraint`` is B_T as given: a dense
-    matrix, or a structured one (``models.ConstraintForm``) that has a
-    ``shape`` and builds its matrix on each read.  The pressures are
+    It takes (record, B_T, G_Q, G's right-hand side): F is the record's
+    (``record.load``), shared by every level built on it.  The record
+    validates itself when it is built; its ``space`` must be a TruthSpace,
+    which is ``truth``.  ``constraint`` is B_T as given: a dense matrix, or
+    a structured one (``models.ConstraintForm``) that has a ``shape`` and
+    builds its matrix on each read.  The pressures are
     deflated when the problem is built, after its checks: ``pressures`` is
     the DeflatedPressures of (B_T, G_Q) and ``g_eff`` the constraint rhs in
     their coordinates, so a degenerate B_T fails here.
@@ -143,7 +147,7 @@ class SaddleProblem:
     # already tells levels apart, and the constant goes when that key does
     label = ""
 
-    def __init__(self, record, b_form, q_gram, load, constraint_rhs):
+    def __init__(self, record, b_form, q_gram, constraint_rhs):
         if not isinstance(getattr(record, "space", None), TruthSpace):
             raise TypeError("record must be a truth record on a TruthSpace")
         self.record = record
@@ -155,11 +159,6 @@ class SaddleProblem:
             raise DimensionMismatch("constraint matrix rows do not match the truth space")
         self.q_gram = require_symmetric(q_gram, "pressure Gramian")
         cholesky(self.q_gram, "pressure Gramian")  # NotSpd unless SPD
-        if not isinstance(load, Functional):
-            load = Functional(np.asarray(load, dtype=float))
-        if load.dim != truth.dim:
-            raise DimensionMismatch("load functional does not live on the truth space")
-        self.load = load
         self.constraint_rhs = np.asarray(constraint_rhs, dtype=float)
         if self.constraint_rhs.shape != (self.pressure_dim,):
             raise DimensionMismatch("constraint right-hand side does not match pressure dim")
@@ -232,14 +231,15 @@ class GammaFreeBlocks:
     subspaces' products: A_UU is the record's ``sub_gram`` of U, which may
     be U's own ``gram_sub`` array, A_WU the record's cross Gram of A, B_UQ
     and B_WQ the rows of the pressures on U and on W (``on(U).b_eff``),
-    formed here once for the set, F_U and F_W Eᵀ F.  When U is W, one set of rows
-    serves both (A_WU is A_UU, and so on).  No block is written in place: the systems
-    hold them, and A_UU may be the subspace's own Gramian.  ``products``, the
+    formed here once for the set, F_U and F_W Eᵀ F of the record's load F
+    (``pb.record.load``).  When U is W, one set of rows serves both (A_WU is
+    A_UU, and so on).  No block is written in place: the systems hold them,
+    and A_UU may be the subspace's own Gramian.  ``products``, the
     B_WQᵀ S⁻¹ products of the stabilized route, solve S on first read.
     """
 
     def __init__(self, pb, u, dp):
-        pressures, load = pb.pressures, pb.load.action
+        pressures, load = pb.pressures, pb.record.load.action
         self.a_uu = pb.record.sub_gram(u)
         self.b_uq = pressures.on(u).b_eff
         self.f_u = u.restrict(load)

@@ -775,6 +775,35 @@ class TestTruthLevelWork:
         assert code == 0
         assert len(records) == len(spaces) == 1
 
+    @pytest.mark.parametrize("reaction", [0.0, 2.5])
+    @pytest.mark.parametrize(
+        "command", ["constants", "spectral", "infsup", "solve", "converge", "condense-check"]
+    )
+    def test_one_load_per_command(self, tmp_path, monkeypatch, command, reaction):
+        # F depends only on the truth mesh and the reaction: the truth record
+        # assembles it once, and every level's problem reads that Functional
+        calls, loads = [], []
+        original_load, original_level = models.load_vector, models.build_level
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return original_load(*args, **kwargs)
+
+        def recorded(cfg, truth):
+            pb = original_level(cfg, truth)
+            loads.append(pb.record.load)
+            return pb
+
+        monkeypatch.setattr(models, "load_vector", counted)
+        monkeypatch.setattr(models, "build_level", recorded)
+        path = write_cfg(
+            tmp_path, f"truth_elems = 64\nlevels = 4, 8, 16, 32\nreaction = {reaction}\n"
+        )
+        code, _, _ = run_csv(tmp_path, [command, "--config", path])
+        assert code == 0
+        assert calls == [64]
+        assert loads and all(load is loads[0] for load in loads)
+
     def test_infsup_solves_one_pressure_pencil_per_level(self, tmp_path, monkeypatch):
         # the W-only pencil gives beta_hat, the floor of the relaxed check, and,
         # since U nests in W, the relaxed constant of U + W = W too

@@ -11,7 +11,7 @@ import pytest
 from scipy.linalg.lapack import dpttrf
 
 from dualstab import algebra, dualprod, hilbert, models, saddle
-from dualstab.hilbert import TruthSpace
+from dualstab.hilbert import Functional, TruthSpace
 from dualstab.dualprod import DualProduct, equivalence_report, make_stiffness
 from dualstab.models import (
     ConstraintForm,
@@ -552,7 +552,7 @@ class TestBuilders:
         np.testing.assert_array_equal(pb.constraint.to_dense(), ref.constraint.to_dense())
         for name in ("q_gram", "constraint_rhs"):
             np.testing.assert_array_equal(getattr(pb, name), getattr(ref, name))
-        np.testing.assert_array_equal(pb.load.action, ref.load.action)
+        np.testing.assert_array_equal(pb.record.load.action, ref.record.load.action)
         eye = np.eye(31)
         np.testing.assert_array_equal(a_form_apply(pb.record, eye), a_form_apply(ref.record, eye))
         oracle = dense_truth_extremes(p1_stiffness(32), p1_stiffness(32) + 2.0 * p1_interior_mass(32))
@@ -734,27 +734,35 @@ class TestTruthRecord:
         assert calls == ["truth Gramian"]
 
     def test_truth_record_validates(self):
-        space = models.truth_record(ModelConfig(truth_elems=8, coarse_elems=2)).space
+        base = models.truth_record(ModelConfig(truth_elems=8, coarse_elems=2))
+        space, load = base.space, base.load
         mass = TruthSpace(p1_interior_mass(8))
         with pytest.raises(ValueError):
-            TruthRecord(space, -1.0, mass, 1.2, 1.4)
+            TruthRecord(space, -1.0, mass, 1.2, 1.4, load)
         with pytest.raises(ValueError):
-            TruthRecord(space, float("inf"), mass, 1.2, 1.4)
+            TruthRecord(space, float("inf"), mass, 1.2, 1.4, load)
         with pytest.raises(saddle.DimensionMismatch):
-            TruthRecord(space, 1.0, TruthSpace(p1_interior_mass(16)), 1.2, 1.4)
+            TruthRecord(space, 1.0, TruthSpace(p1_interior_mass(16)), 1.2, 1.4, load)
         # the truth space and the mass are truth spaces on one basis, not bare matrices
         with pytest.raises(TypeError):
-            TruthRecord(space, 1.0, p1_interior_mass(8), 1.2, 1.4)
+            TruthRecord(space, 1.0, p1_interior_mass(8), 1.2, 1.4, load)
         with pytest.raises(TypeError):
-            TruthRecord(p1_interior_mass(8), 0.0, None, 1.0, 1.0)
+            TruthRecord(p1_interior_mass(8), 0.0, None, 1.0, 1.0, load)
         # alpha and norm_A are Python floats, ordered, at least 1 and finite
         inf, nan = float("inf"), float("nan")
         bads = ((0.5, 1.4), (1.4, 1.2), (1.2, inf), (nan, 1.4), (np.float64(1.2), 1.4), (1, 1.4))
         for bad in bads:
             with pytest.raises(ValueError):
-                TruthRecord(space, 1.0, mass, *bad)
-        record = TruthRecord(space, 2.0, mass, 1.2, 1.4)
+                TruthRecord(space, 1.0, mass, *bad, load)
+        record = TruthRecord(space, 2.0, mass, 1.2, 1.4, load)
         assert (record.alpha, record.norm_A) == (1.2, 1.4)
+
+    def test_load_lives_on_the_truth_space(self):
+        base = models.truth_record(ModelConfig(truth_elems=8, coarse_elems=2))
+        assert base.load.dim == base.space.dim == 7
+        short = Functional(base.load.action[1:])
+        with pytest.raises(saddle.DimensionMismatch, match="load functional"):
+            TruthRecord(base.space, 0.0, None, 1.0, 1.0, short)
 
 
 class TestModelInvariants:

@@ -15,7 +15,7 @@ from dualstab.dualprod import (
     DualProduct,
     stiffness_from_matrix,
 )
-from dualstab.hilbert import BandedTruthSpace, Subspace, TruthSpace
+from dualstab.hilbert import BandedTruthSpace, Functional, Subspace, TruthSpace
 from dualstab.models import p1_interior_mass
 from dualstab.saddle import (
     SINGULAR_RTOL,
@@ -119,7 +119,7 @@ class TestSolve:
         tf = assemble_three_field(pb, d)
         x, z, y = solve(tf)
         e_w = d.W.embedding
-        f_w = e_w.T @ pb.load.action
+        f_w = e_w.T @ pb.record.load.action
         a_wu = e_w.T @ a_form_apply(pb.record, d.U.embedding)
         b_wq = e_w.T @ d.b_eff
         res = f_w - a_wu @ x + b_wq @ y
@@ -262,9 +262,9 @@ class TestSolve:
         xe = d.U.embedding @ rng.standard_normal(d.U.dim)
         ye_def = rng.standard_normal(d.p_dim)
         # consistent data: F = A xe - B (Z ye), G = B^T xe
-        f = a_form_apply(pb.record, xe) - d.b_eff @ ye_def
+        f = Functional(a_form_apply(pb.record, xe) - d.b_eff @ ye_def)
         g_rhs_eff = d.b_eff.T @ xe
-        pb2 = SaddleProblem(pb.record, d.b_eff, d.q_eff, f, g_rhs_eff)
+        pb2 = SaddleProblem(replace(pb.record, load=f), d.b_eff, d.q_eff, g_rhs_eff)
         d2 = Discretization(pb2, d.U, d.dp, d.gamma)
         x, y = solve(assemble_stabilized(pb2, d2))
         np.testing.assert_allclose(d2.U.embedding @ x, xe, atol=1e-9)
@@ -697,10 +697,10 @@ class TestConstants:
 
     def test_shared_truth_record_gives_same_constants(self):
         # so does a record with nothing but what saddle reads: the space, the
-        # Grams of A, alpha and norm_A
+        # Grams of A, alpha, norm_A and F
         cfg, pb, d = build(reaction=5.0)
         record = models.truth_record(cfg)
-        names = ("space", "gram", "sub_gram", "alpha", "norm_A")
+        names = ("space", "gram", "sub_gram", "alpha", "norm_A", "load")
         abstract = SimpleNamespace(**{name: getattr(record, name) for name in names})
         for truth in (record, abstract):
             level = models.build_level(cfg, truth)
@@ -720,7 +720,7 @@ class TestConstants:
         gram = p1_stiffness(1024)
         alpha, norm_a = dense_truth_extremes(gram, gram + reaction * p1_interior_mass(1024))
         reps = []
-        for record in (split, models.TruthRecord(split.space, 0.0, None, 1.0, 1.0)):
+        for record in (split, models.TruthRecord(split.space, 0.0, None, 1.0, 1.0, split.load)):
             pb = models.build_level(cfg, record)
             reps.append(constants(pb, models.build_spaces(cfg, pb)))
         measured, base = (vars(r) for r in reps)
@@ -744,9 +744,8 @@ class TestConstants:
         # the same Gramian; banded and dense solves differ at about 1e-12
         cfg = models.ModelConfig(truth_elems=truth, coarse_elems=16, gamma=0.0)
         banded = models.build_truth(cfg)
-        dense = models.build_level(
-            cfg, models.TruthRecord(TruthSpace(p1_stiffness(truth)), 0.0, None, 1.0, 1.0)
-        )
+        dense_record = replace(banded.record, space=TruthSpace(p1_stiffness(truth)))
+        dense = models.build_level(cfg, dense_record)
         assert isinstance(banded.truth, BandedTruthSpace)
         measured, oracle = (
             vars(constants(pb, models.build_spaces(cfg, pb))) for pb in (banded, dense)
@@ -959,9 +958,7 @@ class TestQuasiOptimality:
 
 def rebuilt(pb, **changes):
     """The SaddleProblem of pb's record and data, with some of its arguments replaced."""
-    args = dict(
-        b_form=pb.constraint.to_dense(), q_gram=pb.q_gram, load=pb.load, constraint_rhs=pb.constraint_rhs
-    )
+    args = dict(b_form=pb.constraint.to_dense(), q_gram=pb.q_gram, constraint_rhs=pb.constraint_rhs)
     return SaddleProblem(pb.record, **{**args, **changes})
 
 
@@ -971,13 +968,13 @@ class TestValidation:
         # the a-form is validated once, by the record the problem is built on:
         # its truth space is a TruthSpace, not a bare Gramian
         with pytest.raises(TypeError):
-            models.TruthRecord(p1_stiffness(16), 0.0, None, 1.0, 1.0)
+            models.TruthRecord(p1_stiffness(16), 0.0, None, 1.0, 1.0, pb.record.load)
         with pytest.raises(TypeError):
-            SaddleProblem(pb.truth, pb.constraint.to_dense(), pb.q_gram, pb.load, pb.constraint_rhs)
+            SaddleProblem(pb.truth, pb.constraint.to_dense(), pb.q_gram, pb.constraint_rhs)
         # any record is read, but its space must be a TruthSpace too
         record = SimpleNamespace(space=p1_stiffness(16))
         with pytest.raises(TypeError):
-            SaddleProblem(record, pb.constraint.to_dense(), pb.q_gram, pb.load, pb.constraint_rhs)
+            SaddleProblem(record, pb.constraint.to_dense(), pb.q_gram, pb.constraint_rhs)
         # the deflation checks G_Q against B_T's columns
         with pytest.raises(DimensionMismatch, match="does not match constraint matrix columns"):
             rebuilt(pb, q_gram=np.eye(2))
@@ -992,13 +989,12 @@ class TestValidation:
         "call, error",
         [
             (lambda pb, d: rebuilt(pb, b_form=pb.constraint.to_dense()[1:]), DimensionMismatch),
-            (lambda pb, d: rebuilt(pb, load=pb.load.action[1:]), DimensionMismatch),
             (lambda pb, d: rebuilt(pb, constraint_rhs=pb.constraint_rhs[1:]), DimensionMismatch),
             (lambda pb, d: Discretization(pb, d.U, d.dp.stiffness, 0.1), TypeError),
             (lambda pb, d: Discretization(pb, build(16, 4)[2].U, d.dp, 0.1), DimensionMismatch),
             (lambda pb, d: project_pressure(pb, np.ones(pb.pressure_dim + 1)), DimensionMismatch),
         ],
-        ids=["b-rows", "load-dim", "rhs-dim", "not-a-dual-product", "other-truth", "raw-pressure-dim"],
+        ids=["b-rows", "rhs-dim", "not-a-dual-product", "other-truth", "raw-pressure-dim"],
     )
     def test_input_checks(self, call, error):
         cfg, pb, d = build(truth=16, coarse=4)
